@@ -22,7 +22,7 @@
 //! <https://ui.perfetto.dev>) and compact JSONL
 //! (`DIR/trace-<scenario>.jsonl`). A wall-clock probe compares the traced
 //! and untraced exec-tampering runs; `--max-trace-overhead-pct` (default
-//! 150) bounds the enabled-recorder slowdown under `--check`. Alongside
+//! 50) bounds the enabled-recorder slowdown under `--check`. Alongside
 //! the markdown report the run emits a machine-readable
 //! `BENCH_report.json` (gate outcomes, per-scenario numbers, the metrics
 //! registry), and **any** failing gate writes a bounded flight-recorder
@@ -173,7 +173,7 @@ fn main() {
     let mut max_verdict_delay_rounds = 6u64;
     let mut max_audit_msgs_per_node_round = 4.0f64;
     let mut max_audit_log_fraction = 0.5f64;
-    let mut max_trace_overhead_pct = 150.0f64;
+    let mut max_trace_overhead_pct = 50.0f64;
     let mut trace_out: Option<std::path::PathBuf> = None;
     let mut report_path = std::path::PathBuf::from("reports/reproduce.md");
     let mut args = std::env::args().skip(1);
@@ -379,30 +379,32 @@ fn main() {
     // ---- enabled-recorder overhead probe ---------------------------------
 
     // Min-of-N wall clock of the identical scenario with and without the
-    // ring recorder installed: min (not mean) sheds scheduler noise; the
-    // remaining delta is the per-event recording cost the `trace-overhead`
-    // gate bounds.
+    // ring recorder installed: min (not mean) sheds scheduler noise. The
+    // ring is allocated before the clock starts and snapshotted/dropped
+    // after it stops, so the delta is the per-event recording cost the
+    // `trace-overhead` gate bounds, not the one-off 2^18-slot ring set-up.
+    // Wall-derived, so it is printed and gated but kept out of the
+    // registry that feeds the deterministic `BENCH_report.json`.
     let trace_overhead_pct = {
         let probe = Scenario::suite()
             .into_iter()
             .find(|s| s.name == "exec-tampering");
         probe.and_then(|scenario| {
-            const PROBE_ITERS: u32 = 5;
+            const PROBE_ITERS: u32 = 25;
             let mut untraced_us = u128::MAX;
             let mut traced_us = u128::MAX;
             for _ in 0..PROBE_ITERS {
                 let start = std::time::Instant::now();
-                if run_scenario_mode(&scenario, Baseline::Tnic, trace_mode).is_err() {
-                    return None;
-                }
+                let untraced = run_scenario_mode(&scenario, Baseline::Tnic, trace_mode);
                 untraced_us = untraced_us.min(start.elapsed().as_micros());
+                let guard = tnic_obs::RecorderGuard::install(TRACE_CAPACITY);
                 let start = std::time::Instant::now();
-                if run_scenario_traced(&scenario, Baseline::Tnic, trace_mode, TRACE_CAPACITY)
-                    .is_err()
-                {
+                let traced = run_scenario_mode(&scenario, Baseline::Tnic, trace_mode);
+                traced_us = traced_us.min(start.elapsed().as_micros());
+                drop(guard);
+                if untraced.is_err() || traced.is_err() {
                     return None;
                 }
-                traced_us = traced_us.min(start.elapsed().as_micros());
             }
             if untraced_us == 0 {
                 return None;
@@ -415,9 +417,6 @@ fn main() {
             "\nenabled-recorder overhead: {pct:.1}% wall clock on exec-tampering \
              (gate: <= {max_trace_overhead_pct:.0}%)"
         );
-        registry
-            .scope("tracing")
-            .set_gauge("trace_overhead_pct", pct);
     }
 
     // ---- accountability stacked on the BFT / CR transforms --------------

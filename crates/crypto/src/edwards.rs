@@ -3,6 +3,11 @@
 
 use crate::error::CryptoError;
 use crate::field25519::FieldElement;
+use std::sync::OnceLock;
+
+/// 2^i·B for i in 0..256, built on the first [`EdwardsPoint::basepoint_mul`]
+/// of the process (255 doublings, 32 KiB).
+static BASEPOINT_POWERS: OnceLock<[EdwardsPoint; 256]> = OnceLock::new();
 
 /// A point on the Ed25519 curve in extended coordinates (X : Y : Z : T) with
 /// x = X/Z, y = Y/Z and T = XY/Z.
@@ -113,10 +118,26 @@ impl EdwardsPoint {
         result
     }
 
-    /// Multiplies the standard base point by a scalar.
+    /// Multiplies the standard base point by a scalar: one addition from a
+    /// process-wide table of 2^i·B per set bit, no doublings. The scalar is
+    /// used as-is, like in [`EdwardsPoint::scalar_mul`].
     #[must_use]
     pub fn basepoint_mul(scalar_le: &[u8; 32]) -> EdwardsPoint {
-        EdwardsPoint::basepoint().scalar_mul(scalar_le)
+        let powers = BASEPOINT_POWERS.get_or_init(|| {
+            let mut power = EdwardsPoint::basepoint();
+            core::array::from_fn(|_| {
+                let current = power;
+                power = power.double();
+                current
+            })
+        });
+        let mut result = EdwardsPoint::IDENTITY;
+        for (i, power) in powers.iter().enumerate() {
+            if (scalar_le[i / 8] >> (i % 8)) & 1 == 1 {
+                result = result.add(power);
+            }
+        }
+        result
     }
 
     /// Compresses the point to its 32-byte Ed25519 encoding
@@ -256,13 +277,48 @@ mod tests {
         assert_eq!(p3.add(&p7), p10);
     }
 
-    #[test]
-    fn order_l_times_basepoint_is_identity() {
+    /// The group order L as a little-endian scalar.
+    fn order_bytes() -> [u8; 32] {
         let mut l_bytes = [0u8; 32];
         for (i, limb) in crate::scalar25519::L.iter().enumerate() {
             l_bytes[i * 8..i * 8 + 8].copy_from_slice(&limb.to_le_bytes());
         }
-        assert!(EdwardsPoint::basepoint_mul(&l_bytes).is_identity());
+        l_bytes
+    }
+
+    #[test]
+    fn order_l_times_basepoint_is_identity() {
+        assert!(EdwardsPoint::basepoint_mul(&order_bytes()).is_identity());
+    }
+
+    #[test]
+    fn basepoint_mul_matches_generic_scalar_mul() {
+        let b = EdwardsPoint::basepoint();
+        let l_bytes = order_bytes();
+        let mut l_minus_one = l_bytes;
+        l_minus_one[0] -= 1;
+        let mut all_ones_255 = [0xffu8; 32];
+        all_ones_255[31] = 0x7f;
+        let mut scalars = vec![
+            scalar_bytes(0),
+            scalar_bytes(1),
+            l_minus_one,
+            l_bytes,
+            all_ones_255,
+            [0xff; 32],
+        ];
+        // Clamped the way RFC 8032 §5.1.5 derives secret scalars.
+        for chunk in crate::test_util::seeded_bytes(3, 256 * 32).chunks_exact(32) {
+            let mut s: [u8; 32] = chunk.try_into().unwrap();
+            s[0] &= 248;
+            s[31] &= 127;
+            s[31] |= 64;
+            scalars.push(s);
+        }
+        for s in &scalars {
+            assert_eq!(EdwardsPoint::basepoint_mul(s), b.scalar_mul(s), "{s:02x?}");
+        }
+        assert_eq!(EdwardsPoint::basepoint_mul(&l_minus_one), b.neg());
     }
 
     #[test]

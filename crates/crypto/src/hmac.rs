@@ -37,14 +37,18 @@ pub fn hmac_sha512(key: &[u8], message: &[u8]) -> [u8; 64] {
     } else {
         key_block[..key.len()].copy_from_slice(key);
     }
+    let mut ipad = [0u8; BLOCK];
+    let mut opad = [0u8; BLOCK];
+    for i in 0..BLOCK {
+        ipad[i] = key_block[i] ^ 0x36;
+        opad[i] = key_block[i] ^ 0x5c;
+    }
     let mut inner = Sha512::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
     inner.update(&ipad);
     inner.update(message);
     let inner_digest = inner.finalize();
 
     let mut outer = Sha512::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
     outer.update(&opad);
     outer.update(&inner_digest);
     outer.finalize()

@@ -17,6 +17,51 @@
 //!   certificates.
 //! * [`x25519`] — X25519 Diffie–Hellman (RFC 7748) for the attestation channel.
 //!
+//! # Hardware dispatch and the one `unsafe` block
+//!
+//! TNIC's attestation kernel is a hardware HMAC pipeline, and nearly all the
+//! wall-clock of this model above the crate is SHA-256 compression. So
+//! [`sha256`] routes every compression through one private function,
+//! `compress_blocks`, which picks its implementation from a property of the
+//! machine and nothing else: on x86-64, if
+//! `is_x86_feature_detected!("sha")` (with `ssse3` and `sse4.1`) holds, a
+//! run of blocks goes to a kernel written with the SHA-NI intrinsics;
+//! everywhere else — other architectures, where that kernel is not even
+//! compiled, and x86-64 CPUs without the extensions — it goes to the
+//! portable FIPS 180-4 loop. There is no Cargo feature, environment
+//! variable or runtime option that selects a path.
+//!
+//! The kernel is a safe `#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]`
+//! function: it builds its vectors from `u32`s (`_mm_set_epi32` over
+//! `u32::from_be_bytes`) and reads them back with `_mm_extract_epi32`, so it
+//! dereferences no pointer and every intrinsic in it is a safe call. What
+//! Rust cannot check is that the CPU executing it has those instructions;
+//! calling it from ordinary code is therefore `unsafe`, and that call is the
+//! crate's only `unsafe` block. **SAFETY argument:** the block sits directly
+//! behind the run-time feature check in the same function
+//! (`sha256::shani::try_compress_blocks`), SSE2 is part of the x86-64
+//! baseline, and the callee has no other precondition.
+//!
+//! This is why the crate is `#![deny(unsafe_code)]` with a single
+//! `#[allow(unsafe_code)]` on that function rather than
+//! `#![forbid(unsafe_code)]`: `forbid` cannot be lifted for one item, `deny`
+//! can, and any second `unsafe` anywhere in the crate still fails the build.
+//! `#![deny(clippy::undocumented_unsafe_blocks)]` makes the `// SAFETY:`
+//! comment mandatory under `cargo clippy -- -D warnings`.
+//!
+//! The portable loop stays tested on hosts that never dispatch to it: the
+//! in-module tests run the FIPS 180-4 vectors and every message length
+//! 0..=300, 8 KiB and 1 MiB through a reference built on the portable
+//! compression function alone, and a differential test compares the two
+//! compression functions state-for-state from random starting states for
+//! 1..=33 blocks per call (skipped, not faked, where there are no SHA
+//! extensions).
+//!
+//! [`edwards::EdwardsPoint::basepoint_mul`] — Ed25519 key generation, `sign`
+//! and the `[S]B` half of `verify` — adds entries of a 32 KiB table of 2^i·B
+//! built once per process behind `std::sync::OnceLock` (no `unsafe`)
+//! instead of running 256 doublings per call.
+//!
 //! # Security disclaimer
 //!
 //! The implementations favour clarity over side-channel resistance: scalar
@@ -32,7 +77,8 @@
 //! assert_eq!(tag.len(), 32);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod chacha20;
@@ -53,3 +99,14 @@ pub use error::CryptoError;
 pub use hmac::{hmac_sha256, hmac_sha512};
 pub use sha256::Sha256;
 pub use sha512::Sha512;
+
+#[cfg(test)]
+mod test_util {
+    /// `len` deterministic pseudo-random bytes (the ChaCha20 keystream under
+    /// a key made of `seed`), for tests that need inputs no hash produced.
+    pub(crate) fn seeded_bytes(seed: u8, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        crate::chacha20::chacha20_xor(&[seed; 32], &[0u8; 12], 0, &mut out);
+        out
+    }
+}

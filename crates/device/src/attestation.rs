@@ -199,8 +199,16 @@ fn encode_parts(
     out.extend_from_slice(payload);
 }
 
-/// Computes the attestation MAC over `msg ‖ ID ‖ cnt` with the session key.
-fn compute_mac(key: &[u8; 32], payload: &[u8], device: DeviceId, counter: u64) -> [u8; 32] {
+/// Algorithm 1's `α = hmac(keys[c_id], msg ‖ ID ‖ cnt)`: HMAC-SHA-256 under
+/// the session key over the payload, the little-endian `u32` id of the
+/// attesting device and the little-endian `u64` send counter, streamed
+/// without an intermediate buffer.
+///
+/// Public so that every attestation back-end — this kernel and the
+/// host-side TEE baselines in `tnic-tee` — authenticates exactly the same
+/// bytes; the wire format around the tag is [`AttestedMessage`]'s.
+#[must_use]
+pub fn compute_mac(key: &[u8; 32], payload: &[u8], device: DeviceId, counter: u64) -> [u8; 32] {
     let mut mac = HmacSha256::new(key);
     mac.update(payload);
     mac.update(&device.0.to_le_bytes());

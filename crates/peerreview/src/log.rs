@@ -23,7 +23,7 @@
 //! [`audit_round_content`] for the wire format and its tamper-evidence
 //! argument.
 
-use tnic_crypto::sha256::sha256;
+use tnic_crypto::sha256::{sha256, Sha256};
 use tnic_device::attestation::AttestedMessage;
 use tnic_device::error::DeviceError;
 use tnic_device::types::{DeviceId, SessionId};
@@ -340,16 +340,17 @@ impl LogComposition {
     }
 }
 
-/// Computes the chained hash of an entry.
+/// Computes the chained hash of an entry:
+/// `H(prev ‖ seq ‖ tag ‖ peer ‖ H(content))`.
 #[must_use]
 pub fn chain_hash(prev: &[u8; 32], seq: u64, kind: EntryKind, content: &[u8]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(32 + 8 + 1 + 4 + 32);
-    buf.extend_from_slice(prev);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.push(kind.tag());
-    buf.extend_from_slice(&kind.peer().to_le_bytes());
-    buf.extend_from_slice(&sha256(content));
-    sha256(&buf)
+    let mut link = Sha256::new();
+    link.update(prev);
+    link.update(&seq.to_le_bytes());
+    link.update(&[kind.tag()]);
+    link.update(&kind.peer().to_le_bytes());
+    link.update(&sha256(content));
+    link.finalize()
 }
 
 /// One entry of a tamper-evident log.
@@ -749,6 +750,85 @@ mod tests {
         log.append(EntryKind::Recv { from: 2 }, b"m1".to_vec());
         log.append(EntryKind::Exec, b"out".to_vec());
         log
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Digests recorded from the implementation that assembled each link in
+    /// a 77-byte `Vec` (and cross-checked against an independent SHA-256):
+    /// the chain format is what every sealed commitment covers, so it must
+    /// not move with the hashing code underneath it.
+    #[test]
+    fn chain_hash_golden_vectors() {
+        let check = |prev: &[u8; 32], seq, kind, content: &[u8], expected: &str| {
+            assert_eq!(hex(&chain_hash(prev, seq, kind, content)), expected);
+        };
+        let prev: [u8; 32] = core::array::from_fn(|i| i as u8);
+        let content: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        check(
+            &GENESIS_HEAD,
+            0,
+            EntryKind::Exec,
+            b"",
+            "88daac12d7b6d094b3b11aa305720dbf8382202f2825f3526324f673eeff9667",
+        );
+        check(
+            &prev,
+            1,
+            EntryKind::Send { to: 7 },
+            b"hello",
+            "1d4114045ac20a6c9585f2e61b05675b0c841de8298d176b39882290288f23cb",
+        );
+        check(
+            &prev,
+            u64::MAX,
+            EntryKind::Recv { from: 0xdead_beef },
+            &content,
+            "03dfc4196d5054f33840239514e64e3e42ef6eb00822b73016fc90cdd003834f",
+        );
+        check(
+            &[0xff; 32],
+            0x0102_0304_0506_0708,
+            EntryKind::Checkpoint,
+            &[0xab; 64],
+            "6d7c3deb5de2707f0a5d9a3f39752592142fef3139e63da1e3d22b3f3fa727b1",
+        );
+        check(
+            &prev,
+            42,
+            EntryKind::AuditRound,
+            &content[..55],
+            "6dc4de99bb0235893a7794f5218bf0babe149d78c8e89a153a1a6bf6fb953604",
+        );
+    }
+
+    #[test]
+    fn accumulate_audit_digests_golden_vectors() {
+        let digests: Vec<[u8; 32]> = (0..5u8)
+            .map(|d| core::array::from_fn(|i| d.wrapping_mul(31).wrapping_add(i as u8)))
+            .collect();
+        for (count, expected) in [
+            (
+                0,
+                "90b54b9e306d0c5bdee14d6b4ca9705890f552a16592f4093e4e799838d7180d",
+            ),
+            (
+                1,
+                "f00698db76be972bca963ac5f53ba71d868fe414651b13e948e7b44e53d94816",
+            ),
+            (
+                5,
+                "e03c7d61a506e8117b917f8ef1b21a87356d491c69cfe8e8bb69d3ccb9a6792c",
+            ),
+        ] {
+            assert_eq!(
+                hex(&accumulate_audit_digests(&digests[..count])),
+                expected,
+                "{count} digests"
+            );
+        }
     }
 
     #[test]

@@ -8,22 +8,13 @@
 //! real, the latency is charged from the baseline's calibrated profile.
 
 use crate::profile::{Baseline, BaselineProfile};
-use tnic_crypto::hmac::HmacSha256;
-use tnic_device::attestation::AttestedMessage;
+use tnic_device::attestation::{compute_mac, AttestedMessage};
 use tnic_device::counters::CounterStore;
 use tnic_device::error::DeviceError;
 use tnic_device::keystore::Keystore;
 use tnic_device::types::{DeviceId, SessionId};
 use tnic_sim::rng::DetRng;
 use tnic_sim::time::SimDuration;
-
-fn compute_mac(key: &[u8; 32], payload: &[u8], device: DeviceId, counter: u64) -> [u8; 32] {
-    let mut mac = HmacSha256::new(key);
-    mac.update(payload);
-    mac.update(&device.0.to_le_bytes());
-    mac.update(&counter.to_le_bytes());
-    mac.finalize()
-}
 
 /// An attestation service hosted on the CPU (natively or inside a TEE).
 #[derive(Debug, Clone)]
