@@ -798,6 +798,7 @@ mod tests {
     #[test]
     fn honest_rounds_commit_with_quorum() {
         let mut system = bft(1);
+        system.cluster.record_facts();
         for expected in 1..=5u64 {
             let result = system.client_increment().unwrap();
             assert_eq!(result.value, expected);
@@ -808,7 +809,12 @@ mod tests {
         assert_eq!(system.replica_value(NodeId(0)), 5);
         assert_eq!(system.replica_value(NodeId(1)), 5);
         assert_eq!(system.replica_value(NodeId(2)), 5);
-        assert!(TraceChecker::check(system.cluster().trace()).holds());
+        let report = TraceChecker::check(system.cluster().trace().expect("recording"));
+        assert!(report.holds(), "{:?}", report.violations);
+        // Every fact is there: five multicasts, each accepted by both backups.
+        assert_eq!(report.sends, 5);
+        assert_eq!(report.accepts, 10);
+        assert_eq!(system.cluster().stats().messages_sent, 10);
     }
 
     #[test]

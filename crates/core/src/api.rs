@@ -4,8 +4,9 @@
 //! up with `ibv_qp_conn`/`alloc_mem`/`init_lqueue`/`ibv_sync` (wrapped here in
 //! [`Cluster::connect`]), and the network APIs are `local_send`/`local_verify`,
 //! `auth_send`, `poll` and `rem_read`/`rem_write`. A [`Cluster`] owns one
-//! [`Endpoint`] per node, the shared virtual clock and the recorded action
-//! facts used by the lemma checker.
+//! [`Endpoint`] per node and the shared virtual clock, and — once a test
+//! asks with [`Cluster::record_facts`] — the action facts the lemma checker
+//! reads.
 //!
 //! Every message flows through an attestation [`Provider`], so the same
 //! application code runs over TNIC hardware or any of the TEE baselines —
@@ -131,7 +132,9 @@ pub struct Cluster {
     local_sessions: HashMap<NodeId, SessionId>,
     client_keys: HashMap<NodeId, VerifyingKey>,
     next_session: u32,
-    trace: TraceLog,
+    /// The action facts of every send and acceptance since
+    /// [`Cluster::record_facts`]; `None` until then.
+    trace: Option<TraceLog>,
     stats: ClusterStats,
     accountability: Option<SharedAccountability>,
     adversary: Option<(Adversary, DetRng)>,
@@ -181,7 +184,7 @@ impl Cluster {
             local_sessions: HashMap::new(),
             client_keys: HashMap::new(),
             next_session: 1,
-            trace: TraceLog::new(),
+            trace: None,
             stats: ClusterStats::default(),
             accountability: None,
             adversary: None,
@@ -255,10 +258,30 @@ impl Cluster {
         self.endpoints.keys().copied().collect()
     }
 
-    /// The recorded action-fact trace (input to the lemma checker).
+    /// Records an action fact for every message attested and every message
+    /// accepted from now on, for [`TraceChecker`](crate::TraceChecker) to
+    /// check the §4.4 lemmas over. Call it before the first send: a message
+    /// sent earlier has no `Sent` fact, so its acceptance would read as a
+    /// forgery.
+    ///
+    /// Recording is an observer like [`Cluster::attach_accountability`] and
+    /// [`Cluster::set_adversary`]: it changes no message, counter, clock or
+    /// statistic. It is off until asked for because each fact costs a
+    /// SHA-256 of the whole payload and 64 B that are never freed, which is
+    /// a verification aid's price, not the datapath's. There is no way to
+    /// stop recording, and the log is not a bounded ring: a `Sent` fact that
+    /// had wrapped away would turn the matching acceptance into a false
+    /// transferable-authentication violation.
+    pub fn record_facts(&mut self) {
+        self.trace.get_or_insert_with(TraceLog::new);
+    }
+
+    /// The recorded action-fact trace (input to the lemma checker): `None`
+    /// unless [`Cluster::record_facts`] was called, so that a lemma check
+    /// cannot pass on a log nobody filled.
     #[must_use]
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
+    pub fn trace(&self) -> Option<&TraceLog> {
+        self.trace.as_ref()
     }
 
     /// Aggregate statistics.
@@ -544,30 +567,32 @@ impl Cluster {
     }
 
     fn record_sent(&mut self, node: NodeId, msg: &AttestedMessage) {
-        let at = self.clock.now();
-        self.trace.record(
-            at,
-            ActionFact::Sent {
-                endpoint: node.device(),
-                session: msg.session,
-                counter: msg.counter,
-                digest: sha256(&msg.payload),
-            },
-        );
+        if let Some(trace) = &mut self.trace {
+            trace.record(
+                self.clock.now(),
+                ActionFact::Sent {
+                    endpoint: node.device(),
+                    session: msg.session,
+                    counter: msg.counter,
+                    digest: sha256(&msg.payload),
+                },
+            );
+        }
     }
 
     fn record_accepted(&mut self, node: NodeId, msg: &AttestedMessage) {
-        let at = self.clock.now();
-        self.trace.record(
-            at,
-            ActionFact::Accepted {
-                endpoint: node.device(),
-                session: msg.session,
-                sender: msg.device,
-                counter: msg.counter,
-                digest: sha256(&msg.payload),
-            },
-        );
+        if let Some(trace) = &mut self.trace {
+            trace.record(
+                self.clock.now(),
+                ActionFact::Accepted {
+                    endpoint: node.device(),
+                    session: msg.session,
+                    sender: msg.device,
+                    counter: msg.counter,
+                    digest: sha256(&msg.payload),
+                },
+            );
+        }
     }
 
     /// `local_send()`: generates an attested message bound to `node`'s local
@@ -1055,11 +1080,21 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verification::TraceChecker;
+    use crate::verification::{TraceChecker, VerificationReport};
     use tnic_device::error::DeviceError;
 
     fn cluster(n: u32) -> Cluster {
         Cluster::fully_connected(n, Baseline::Tnic, NetworkStackKind::Tnic, 42)
+    }
+
+    /// Checks every lemma over the facts `c` recorded, and that they are all
+    /// there: one acceptance per message sent (these tests refuse none).
+    fn lemmas_hold(c: &Cluster) -> VerificationReport {
+        let report = TraceChecker::check(c.trace().expect("record_facts() came first"));
+        assert!(report.holds(), "{:?}", report.violations);
+        assert_ne!(c.stats().messages_sent, 0);
+        assert_eq!(report.accepts as u64, c.stats().messages_sent);
+        report
     }
 
     #[test]
@@ -1078,21 +1113,109 @@ mod tests {
     #[test]
     fn trace_of_honest_run_satisfies_lemmas() {
         let mut c = cluster(3);
+        c.record_facts();
         for i in 0..5 {
             c.auth_send(NodeId(0), NodeId(1), format!("m{i}").as_bytes())
                 .unwrap();
             c.auth_send(NodeId(1), NodeId(2), format!("f{i}").as_bytes())
                 .unwrap();
         }
-        let report = TraceChecker::check(c.trace());
-        assert!(report.holds(), "{:?}", report.violations);
+        let report = lemmas_hold(&c);
         assert_eq!(report.sends, 10);
         assert_eq!(report.accepts, 10);
+    }
+
+    /// Everything a caller can observe of a run.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        returned: Vec<Result<AttestedMessage, CoreError>>,
+        inboxes: Vec<Vec<Delivered>>,
+        stats: ClusterStats,
+        now: SimInstant,
+    }
+
+    /// One seeded run over every path that records a fact — unicast,
+    /// multicast, `local_send`, a forwarded delivery, a tampered one.
+    fn observed_run(c: &mut Cluster) -> Observed {
+        let mut rng = DetRng::new(9);
+        let mut payload = |max: u64| {
+            let mut bytes = vec![0u8; rng.range(0, max) as usize];
+            rng.fill_bytes(&mut bytes);
+            bytes
+        };
+        let everyone = [NodeId(1), NodeId(2)];
+        c.establish_group(NodeId(0), &everyone).unwrap();
+        c.establish_local(NodeId(2)).unwrap();
+        let mut returned = Vec::new();
+        for round in 0..6 {
+            returned.push(c.auth_send(NodeId(0), NodeId(1), &payload(300)));
+            returned.push(c.auth_send(NodeId(1), NodeId(2), &payload(9000)));
+            returned.push(c.local_send(NodeId(2), &payload(100)));
+            if round % 2 == 0 {
+                returned.push(c.multicast(NodeId(0), &everyone, &payload(300)));
+            } else {
+                // Node 2 is left out and gets the message forwarded by node 1.
+                let msg = c.multicast(NodeId(0), &[NodeId(1)], &payload(300)).unwrap();
+                returned.push(c.deliver(NodeId(1), NodeId(2), msg.clone()).map(|()| msg));
+            }
+            let mut tampered = returned[0].clone().unwrap();
+            tampered.payload.push(round);
+            returned.push(
+                c.deliver(NodeId(0), NodeId(1), tampered.clone())
+                    .map(|()| tampered),
+            );
+        }
+        Observed {
+            returned,
+            inboxes: (0..3).map(|n| c.poll(NodeId(n)).unwrap()).collect(),
+            stats: c.stats(),
+            now: c.now(),
+        }
+    }
+
+    #[test]
+    fn recording_facts_is_a_pure_observer() {
+        let mut recording = cluster(3);
+        recording.record_facts();
+        let mut plain = cluster(3);
+        let observed = observed_run(&mut recording);
+        assert_eq!(observed, observed_run(&mut plain));
+        assert!(plain.trace().is_none());
+
+        let Observed {
+            returned,
+            inboxes,
+            stats,
+            ..
+        } = observed;
+        assert_eq!(stats.messages_rejected, 6, "every tampered copy refused");
+        assert_eq!(returned.iter().filter(|r| r.is_err()).count(), 6);
+        // 2 unicasts and 1 `local_send` a round and 6 multicasts attested;
+        // 12 unicasts, 3 × 2 + 3 multicast legs and 3 forwards accepted.
+        let report = TraceChecker::check(recording.trace().unwrap());
+        assert!(report.holds(), "{:?}", report.violations);
+        assert_eq!(report.sends, 24);
+        assert_eq!(report.accepts, 24);
+        assert_eq!(stats.messages_sent, 21, "the forwards are not sends");
+        assert_eq!(inboxes.iter().map(Vec::len).sum::<usize>(), 24);
+
+        // The checker is not vacuous on this log: had node 1 accepted the
+        // tampered copy, two lemmas would say so.
+        let mut tampered = returned[0].clone().unwrap();
+        tampered.payload.push(0xff);
+        recording.record_accepted(NodeId(1), &tampered);
+        let report = TraceChecker::check(recording.trace().unwrap());
+        assert!(report
+            .violations
+            .iter()
+            .any(|v| v.contains("transferable authentication")));
+        assert!(report.violations.iter().any(|v| v.contains("twice")));
     }
 
     #[test]
     fn replayed_message_rejected_and_not_double_delivered() {
         let mut c = cluster(2);
+        c.record_facts();
         let msg = c.auth_send(NodeId(0), NodeId(1), b"pay").unwrap();
         let err = c.deliver(NodeId(0), NodeId(1), msg).unwrap_err();
         assert!(matches!(
@@ -1101,7 +1224,8 @@ mod tests {
         ));
         assert_eq!(c.poll(NodeId(1)).unwrap().len(), 1);
         assert_eq!(c.stats().messages_rejected, 1);
-        assert!(TraceChecker::check(c.trace()).holds());
+        // The replay left no second acceptance behind.
+        assert_eq!(lemmas_hold(&c).sends, 1);
     }
 
     #[test]
@@ -1120,6 +1244,7 @@ mod tests {
     #[test]
     fn blocked_sends_are_counted_not_silently_lost() {
         let mut c = cluster(3);
+        c.record_facts();
         c.auth_send(NodeId(0), NodeId(1), b"before").unwrap();
         c.mark_unreachable(NodeId(1), "crashed");
         assert!(!c.is_reachable(NodeId(1)));
@@ -1143,7 +1268,8 @@ mod tests {
         let delivered = c.poll(NodeId(1)).unwrap();
         assert_eq!(delivered.len(), 2);
         assert_eq!(delivered[1].message.payload, b"after");
-        assert!(TraceChecker::check(c.trace()).holds());
+        // A refused send attests nothing: two facts of each kind, no gap.
+        assert_eq!(lemmas_hold(&c).sends, 2);
     }
 
     #[test]
@@ -1171,6 +1297,7 @@ mod tests {
     #[test]
     fn multicast_delivers_same_counter_to_all() {
         let mut c = cluster(3);
+        c.record_facts();
         c.establish_group(NodeId(0), &[NodeId(1), NodeId(2)])
             .unwrap();
         let msg = c
@@ -1183,7 +1310,8 @@ mod tests {
             assert_eq!(delivered[0].message.counter, 0);
             assert_eq!(delivered[0].message.payload, b"bcast");
         }
-        assert!(TraceChecker::check(c.trace()).holds());
+        // One attestation, accepted once by each receiver.
+        assert_eq!(lemmas_hold(&c).sends, 1);
     }
 
     #[test]

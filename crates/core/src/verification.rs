@@ -18,6 +18,25 @@
 //! inject tampering, replay and equivocation) must either satisfy them or have
 //! the offending message rejected before it is ever *accepted* — which is
 //! exactly what the checker validates.
+//!
+//! # When facts are recorded
+//!
+//! The remote-attestation protocol ([`crate::attestation`]) always records
+//! into the [`TraceLog`] its caller passes. A [`Cluster`](crate::Cluster)
+//! records nothing until a test calls
+//! [`Cluster::record_facts`](crate::Cluster::record_facts) — before the first
+//! send, for the life of the cluster — because a `Sent` / `Accepted` pair
+//! costs two SHA-256 passes over the payload and 128 B that stay allocated,
+//! and nothing but a lemma check ever reads them.
+//! [`Cluster::trace`](crate::Cluster::trace) is `None` on a cluster that was
+//! never asked, so a check cannot hold by finding no facts; a test that
+//! checks the lemmas also compares [`VerificationReport::sends`] /
+//! [`VerificationReport::accepts`] with the cluster's own message count.
+//!
+//! The log keeps every fact. A bounded ring would be unsound, not merely
+//! lossy: lemma (2) looks for the `Sent` fact behind each `Accepted` one, and
+//! an acceptance whose send had wrapped away is indistinguishable from a
+//! forgery.
 
 use serde::{Deserialize, Serialize};
 use tnic_device::types::{DeviceId, SessionId};

@@ -713,6 +713,7 @@ mod tests {
     #[test]
     fn put_and_get_commit_through_the_chain() {
         let mut cr = chain();
+        cr.cluster.record_facts();
         let put = cr.put(b"key-1", b"value-1").unwrap();
         assert!(put.committed);
         assert_eq!(put.output.unwrap(), b"ok");
@@ -720,7 +721,12 @@ mod tests {
         let get = cr.get(b"key-1").unwrap();
         assert!(get.committed);
         assert_eq!(get.output.unwrap(), b"value-1");
-        assert!(TraceChecker::check(cr.cluster().trace()).holds());
+        let report = TraceChecker::check(cr.cluster().trace().expect("recording"));
+        assert!(report.holds(), "{:?}", report.violations);
+        // Every fact is there: two hops down the chain per operation.
+        assert_eq!(report.sends, 4);
+        assert_eq!(report.accepts, 4);
+        assert_eq!(cr.cluster().stats().messages_sent, 4);
     }
 
     #[test]

@@ -66,6 +66,26 @@ impl Sha256 {
         }
     }
 
+    /// A hasher that continues from `state`, the chaining value left after
+    /// `blocks` whole blocks of input (see [`Sha256::chaining_value`]).
+    /// Crate-private: it exists for HMAC's prepared keys, which skip the
+    /// ipad / opad block of every MAC this way.
+    pub(crate) fn resume(state: [u32; 8], blocks: u64) -> Self {
+        Sha256 {
+            state,
+            buffer: [0u8; BLOCK_LEN],
+            buffer_len: 0,
+            total_len: blocks * BLOCK_LEN as u64,
+        }
+    }
+
+    /// The chaining value after the whole blocks fed so far; the input must
+    /// end on a block edge, or buffered bytes would be left out.
+    pub(crate) fn chaining_value(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buffer_len, 0, "input must end on a block edge");
+        self.state
+    }
+
     /// Feeds `data` into the hasher.
     pub fn update(&mut self, data: &[u8]) {
         let mut input = data;
@@ -456,6 +476,19 @@ mod tests {
             &[MIB / 2 - 1, 2, MIB],
         ] {
             assert_eq!(fed_in_pieces(&data, pieces), expected, "pieces {pieces:?}");
+        }
+    }
+
+    #[test]
+    fn resumed_hasher_continues_from_a_block_edge() {
+        let data = seeded_bytes(4, 1000);
+        for blocks in 0..=15usize {
+            let (head, tail) = data.split_at(blocks * BLOCK_LEN);
+            let mut first = Sha256::new();
+            first.update(head);
+            let mut resumed = Sha256::resume(first.chaining_value(), blocks as u64);
+            resumed.update(tail);
+            assert_eq!(resumed.finalize(), sha256(&data), "{blocks} blocks");
         }
     }
 

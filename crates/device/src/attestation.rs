@@ -19,7 +19,7 @@ use crate::error::DeviceError;
 use crate::keystore::Keystore;
 use crate::types::{DeviceId, SessionId};
 use serde::{Deserialize, Serialize};
-use tnic_crypto::hmac::HmacSha256;
+use tnic_crypto::hmac::HmacSha256Key;
 use tnic_sim::latency::SizeDependentLatency;
 use tnic_sim::time::SimDuration;
 
@@ -200,16 +200,22 @@ fn encode_parts(
 }
 
 /// Algorithm 1's `α = hmac(keys[c_id], msg ‖ ID ‖ cnt)`: HMAC-SHA-256 under
-/// the session key over the payload, the little-endian `u32` id of the
-/// attesting device and the little-endian `u64` send counter, streamed
-/// without an intermediate buffer.
+/// the session key — in the prepared form [`Keystore::prepared`] hands out —
+/// over the payload, the little-endian `u32` id of the attesting device and
+/// the little-endian `u64` send counter, streamed without an intermediate
+/// buffer.
 ///
 /// Public so that every attestation back-end — this kernel and the
 /// host-side TEE baselines in `tnic-tee` — authenticates exactly the same
 /// bytes; the wire format around the tag is [`AttestedMessage`]'s.
 #[must_use]
-pub fn compute_mac(key: &[u8; 32], payload: &[u8], device: DeviceId, counter: u64) -> [u8; 32] {
-    let mut mac = HmacSha256::new(key);
+pub fn compute_mac(
+    key: &HmacSha256Key,
+    payload: &[u8],
+    device: DeviceId,
+    counter: u64,
+) -> [u8; 32] {
+    let mut mac = key.start();
     mac.update(payload);
     mac.update(&device.0.to_le_bytes());
     mac.update(&counter.to_le_bytes());
@@ -309,9 +315,9 @@ impl AttestationKernel {
         session: SessionId,
         payload: &[u8],
     ) -> Result<(AttestedMessage, SimDuration), DeviceError> {
-        let key = *self.keystore.key(session)?;
+        let key = self.keystore.prepared(session)?;
         let counter = self.counters.next_send(session);
-        let mac = compute_mac(&key, payload, self.device, counter);
+        let mac = compute_mac(key, payload, self.device, counter);
         self.stats.attested += 1;
         tnic_obs::trace_event!(
             tnic_obs::EventKind::Attest,
@@ -347,9 +353,9 @@ impl AttestationKernel {
         payload: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<SimDuration, DeviceError> {
-        let key = *self.keystore.key(session)?;
+        let key = self.keystore.prepared(session)?;
         let counter = self.counters.next_send(session);
-        let mac = compute_mac(&key, payload, self.device, counter);
+        let mac = compute_mac(key, payload, self.device, counter);
         self.stats.attested += 1;
         tnic_obs::trace_event!(
             tnic_obs::EventKind::Attest,
@@ -383,9 +389,9 @@ impl AttestationKernel {
     ///
     /// As [`AttestationKernel::verify`].
     pub fn verify_view(&mut self, message: &AttestedView<'_>) -> Result<SimDuration, DeviceError> {
-        let key = *self.keystore.key(message.session)?;
+        let key = self.keystore.prepared(message.session)?;
         let cost = self.timing.hmac.cost(message.payload.len());
-        let expected_mac = compute_mac(&key, message.payload, message.device, message.counter);
+        let expected_mac = compute_mac(key, message.payload, message.device, message.counter);
         if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
             self.stats.rejected += 1;
             return Err(DeviceError::BadAttestation);
@@ -437,9 +443,9 @@ impl AttestationKernel {
         &mut self,
         message: &AttestedView<'_>,
     ) -> Result<SimDuration, DeviceError> {
-        let key = *self.keystore.key(message.session)?;
+        let key = self.keystore.prepared(message.session)?;
         let cost = self.timing.hmac.cost(message.payload.len());
-        let expected_mac = compute_mac(&key, message.payload, message.device, message.counter);
+        let expected_mac = compute_mac(key, message.payload, message.device, message.counter);
         if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
             self.stats.rejected += 1;
             return Err(DeviceError::BadAttestation);
@@ -554,6 +560,40 @@ mod tests {
         rx.install_session_key(SessionId(7), [2u8; 32]);
         let (msg, _) = tx.attest(SessionId(7), b"x").unwrap();
         assert_eq!(rx.verify(&msg), Err(DeviceError::BadAttestation));
+    }
+
+    #[test]
+    fn reinstalled_session_key_replaces_the_one_in_use() {
+        let (mut tx, mut rx) = kernel_pair();
+        let (msg, _) = tx.attest(SessionId(7), b"under the old key").unwrap();
+        rx.verify(&msg).unwrap();
+        // Both kernels have used the session; the sender is re-keyed first.
+        tx.install_session_key(SessionId(7), [8u8; 32]);
+        let (msg, _) = tx.attest(SessionId(7), b"under the new key").unwrap();
+        assert_eq!(rx.verify(&msg), Err(DeviceError::BadAttestation));
+        rx.install_session_key(SessionId(7), [8u8; 32]);
+        rx.verify(&msg).unwrap();
+        let mut old_key_holder = AttestationKernel::new(DeviceId(3), AttestationTiming::zero());
+        old_key_holder.install_session_key(SessionId(7), [9u8; 32]);
+        assert_eq!(
+            old_key_holder.verify_binding(&msg),
+            Err(DeviceError::BadAttestation)
+        );
+    }
+
+    #[test]
+    fn cloned_kernel_attests_identically() {
+        let (mut tx, _) = kernel_pair();
+        tx.install_session_key(SessionId(8), [4u8; 32]);
+        // One session used before the clone, one first used after it.
+        tx.attest(SessionId(7), b"warm").unwrap();
+        let mut twin = tx.clone();
+        for session in [SessionId(7), SessionId(8)] {
+            assert_eq!(
+                tx.attest(session, b"same").unwrap(),
+                twin.attest(session, b"same").unwrap()
+            );
+        }
     }
 
     #[test]

@@ -84,9 +84,9 @@ impl TeeAttestor {
         session: SessionId,
         payload: &[u8],
     ) -> Result<(AttestedMessage, SimDuration), DeviceError> {
-        let key = *self.keystore.key(session)?;
+        let key = self.keystore.prepared(session)?;
         let counter = self.counters.next_send(session);
-        let mac = compute_mac(&key, payload, self.node, counter);
+        let mac = compute_mac(key, payload, self.node, counter);
         let cost = self.invocation_cost(payload.len());
         Ok((
             AttestedMessage {
@@ -107,9 +107,9 @@ impl TeeAttestor {
     /// Returns [`DeviceError::BadAttestation`] or
     /// [`DeviceError::CounterMismatch`] like the hardware kernel.
     pub fn verify(&mut self, message: &AttestedMessage) -> Result<SimDuration, DeviceError> {
-        let key = *self.keystore.key(message.session)?;
+        let key = self.keystore.prepared(message.session)?;
+        let expected_mac = compute_mac(key, &message.payload, message.device, message.counter);
         let cost = self.invocation_cost(message.payload.len());
-        let expected_mac = compute_mac(&key, &message.payload, message.device, message.counter);
         if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
             return Err(DeviceError::BadAttestation);
         }
@@ -135,9 +135,9 @@ impl TeeAttestor {
         &mut self,
         message: &AttestedMessage,
     ) -> Result<SimDuration, DeviceError> {
-        let key = *self.keystore.key(message.session)?;
+        let key = self.keystore.prepared(message.session)?;
+        let expected_mac = compute_mac(key, &message.payload, message.device, message.counter);
         let cost = self.invocation_cost(message.payload.len());
-        let expected_mac = compute_mac(&key, &message.payload, message.device, message.counter);
         if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
             return Err(DeviceError::BadAttestation);
         }
