@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use tnic_core::api::{Cluster, NodeId};
 use tnic_core::error::CoreError;
@@ -35,14 +34,13 @@ use tnic_core::transform::StateMachine;
 use tnic_core::{AttestedMessage, Baseline, NetworkStackKind};
 use tnic_crypto::sha256::sha256;
 use tnic_net::adversary::FaultPlan;
-use tnic_peerreview::audit::{Misbehavior, Verdict};
+use tnic_peerreview::deployment::Accountable;
 use tnic_peerreview::engine::{AccountabilityEngine, AccountedApp, EngineConfig};
-use tnic_peerreview::stats::AccountabilityStats;
 use tnic_peerreview::wire::Envelope;
 use tnic_sim::time::SimInstant;
 
 /// Identifier of one append-only log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LogId(pub u32);
 
 /// The reserved log that records truncation events (the "manifest").
@@ -463,44 +461,6 @@ impl AccountableA2m {
         self.replicate(&lookup_command(position))
     }
 
-    /// Runs one full audit round of the attached engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn run_audit_round(&mut self) -> Result<(), CoreError> {
-        self.engine
-            .run_audit_round(&mut self.cluster, &mut self.app)
-    }
-
-    /// The commit step of a piggyback-pipelined audit round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn begin_audit_round(&mut self) -> Result<(), CoreError> {
-        self.engine.begin_audit_round(&mut self.cluster)
-    }
-
-    /// Flush + challenge + classify after the commit step.
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn finish_audit_round(&mut self) -> Result<(), CoreError> {
-        self.engine
-            .finish_audit_round(&mut self.cluster, &mut self.app)
-    }
-
-    /// Audits everything still in the pipeline (teardown).
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn drain_audits(&mut self) -> Result<(), CoreError> {
-        self.engine.drain_audits(&mut self.cluster, &mut self.app)
-    }
-
     /// Number of replicas (head included).
     #[must_use]
     pub fn replica_count(&self) -> usize {
@@ -513,47 +473,22 @@ impl AccountableA2m {
         self.app.snapshot_digest(node.0)
     }
 
-    /// The witness ids assigned to `node`.
-    #[must_use]
-    pub fn witnesses_of(&self, node: u32) -> &[u32] {
-        self.engine.witnesses_of(node)
-    }
-
-    /// The witnesses of `node` that are themselves correct under the fault
-    /// plan.
-    #[must_use]
-    pub fn correct_witnesses_of(&self, node: u32) -> Vec<u32> {
-        self.engine.correct_witnesses_of(node)
-    }
-
-    /// `witness`'s verdict on `node`.
-    #[must_use]
-    pub fn verdict_of(&self, witness: u32, node: u32) -> Verdict {
-        self.engine.verdict_of(witness, node)
-    }
-
-    /// The evidence `witness` holds against `node`.
-    #[must_use]
-    pub fn evidence_of(&self, witness: u32, node: u32) -> &[Misbehavior] {
-        self.engine.evidence_of(witness, node)
-    }
-
-    /// Snapshot of the accountability counters.
-    #[must_use]
-    pub fn acct_stats(&self) -> AccountabilityStats {
-        self.engine.stats()
-    }
-
-    /// The accountability engine driving this deployment.
-    #[must_use]
-    pub fn engine(&self) -> &AccountabilityEngine<A2mApp> {
-        &self.engine
-    }
-
     /// Current virtual time.
     #[must_use]
     pub fn now(&self) -> SimInstant {
         self.cluster.now()
+    }
+}
+
+impl Accountable for AccountableA2m {
+    type App = A2mApp;
+
+    fn engine(&self) -> &AccountabilityEngine<A2mApp> {
+        &self.engine
+    }
+
+    fn parts(&mut self) -> (&mut AccountabilityEngine<A2mApp>, &mut Cluster, &mut A2mApp) {
+        (&mut self.engine, &mut self.cluster, &mut self.app)
     }
 }
 
@@ -664,6 +599,7 @@ mod tests {
     }
 
     use tnic_net::adversary::NodeFault;
+    use tnic_peerreview::audit::{Misbehavior, Verdict};
 
     fn accountable(faults: FaultPlan, piggyback: bool) -> AccountableA2m {
         AccountableA2m::new(
@@ -704,30 +640,32 @@ mod tests {
     #[test]
     fn accountable_fault_free_run_replicates_and_stays_trusted() {
         let mut sys = accountable(FaultPlan::all_correct(), false);
-        for round in 0..3u64 {
+        sys.run_rounds(3, 1, |sys, round| {
             for i in 0..4u64 {
                 let op = round * 4 + i;
                 if op % 4 == 3 {
-                    assert!(sys.lookup(op / 2).unwrap().committed);
+                    assert!(sys.lookup(op / 2)?.committed);
                 } else {
-                    let result = sys.append(format!("e{op}").as_bytes()).unwrap();
+                    let result = sys.append(format!("e{op}").as_bytes())?;
                     assert!(result.committed, "replicas agree with the head");
                 }
             }
-            sys.run_audit_round().unwrap();
-        }
+            Ok(())
+        })
+        .unwrap();
         sys.drain_audits().unwrap();
         // Replica parity, head included.
         let head = sys.replica_digest(NodeId(0));
         for i in 1..sys.replica_count() as u32 {
             assert_eq!(sys.replica_digest(NodeId(i)), head, "replica {i}");
         }
+        let engine = sys.engine();
         for node in 0..3 {
-            for &w in sys.witnesses_of(node) {
-                assert_eq!(sys.verdict_of(w, node), Verdict::Trusted);
+            for &w in engine.witnesses_of(node) {
+                assert_eq!(engine.verdict_of(w, node), Verdict::Trusted);
             }
         }
-        let stats = sys.acct_stats();
+        let stats = engine.stats();
         assert!(stats.challenges > 0, "audits actually ran");
         assert!(stats.log_entries > 0);
     }
@@ -739,36 +677,30 @@ mod tests {
                 FaultPlan::single(1, NodeFault::TamperLogEntry { seq: 0 }),
                 piggyback,
             );
-            for round in 0..3u64 {
-                if piggyback {
-                    sys.begin_audit_round().unwrap();
-                }
+            sys.run_rounds(3, 1, |sys, round| {
                 for i in 0..4u64 {
-                    sys.append(format!("e{}", round * 4 + i).as_bytes())
-                        .unwrap();
+                    sys.append(format!("e{}", round * 4 + i).as_bytes())?;
                 }
-                if piggyback {
-                    sys.finish_audit_round().unwrap();
-                } else {
-                    sys.run_audit_round().unwrap();
-                }
-            }
+                Ok(())
+            })
+            .unwrap();
             sys.drain_audits().unwrap();
-            for w in sys.correct_witnesses_of(1) {
+            let engine = sys.engine();
+            for w in engine.correct_witnesses_of(1) {
                 assert_eq!(
-                    sys.verdict_of(w, 1),
+                    engine.verdict_of(w, 1),
                     Verdict::Exposed,
                     "piggyback={piggyback} witness {w}"
                 );
-                assert!(sys
+                assert!(engine
                     .evidence_of(w, 1)
                     .iter()
                     .any(|e| matches!(e, Misbehavior::ExecDivergence { .. })));
             }
             // Accuracy: the head and the honest replica stay trusted.
             for node in [0u32, 2] {
-                for w in sys.correct_witnesses_of(node) {
-                    assert_eq!(sys.verdict_of(w, node), Verdict::Trusted);
+                for w in engine.correct_witnesses_of(node) {
+                    assert_eq!(engine.verdict_of(w, node), Verdict::Trusted);
                 }
             }
         }
@@ -789,20 +721,20 @@ mod tests {
             FaultPlan::all_correct(),
         )
         .unwrap();
-        for round in 0..4u64 {
+        sys.run_rounds(4, 1, |sys, round| {
             for i in 0..4u64 {
-                sys.append(format!("e{}", round * 4 + i).as_bytes())
-                    .unwrap();
+                sys.append(format!("e{}", round * 4 + i).as_bytes())?;
             }
-            sys.run_audit_round().unwrap();
-        }
-        let stats = sys.acct_stats();
+            Ok(())
+        })
+        .unwrap();
+        let stats = sys.engine().stats();
         assert!(stats.checkpoints_completed > 0, "a2m logs checkpoint too");
         assert!(stats.pruned_log_entries > 0);
         assert!(stats.retained_log_entries < stats.log_entries);
         for node in 0..3 {
-            for &w in sys.witnesses_of(node) {
-                assert_eq!(sys.verdict_of(w, node), Verdict::Trusted);
+            for &w in sys.engine().witnesses_of(node) {
+                assert_eq!(sys.engine().verdict_of(w, node), Verdict::Trusted);
             }
         }
     }

@@ -177,12 +177,11 @@ fn audit_path_probe() -> bool {
     const WINDOW_ROUNDS: u64 = 4;
     const MSGS_PER_ROUND: u64 = 8;
 
-    let mut config = PeerReviewConfig {
+    let config = PeerReviewConfig {
         nodes: 8,
-        seed: 42,
         ..PeerReviewConfig::default()
-    };
-    CommitMode::Piggyback { witnesses: 3 }.apply(&mut config);
+    }
+    .with_engine(CommitMode::Piggyback { witnesses: 3 }.engine_config(42));
     let mut pr = match PeerReview::new(config, FaultPlan::all_correct()) {
         Ok(pr) => pr,
         Err(err) => {

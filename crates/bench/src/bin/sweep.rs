@@ -17,6 +17,7 @@
 
 use std::io::Write;
 use tnic_bench::{report, run_sweep_point, CommitMode, SweepApp, SweepPoint, SWEEP_CSV_HEADER};
+use tnic_peerreview::engine::EngineConfig;
 
 fn grid(full: bool) -> Vec<SweepPoint> {
     let payloads: &[usize] = if full {
@@ -35,21 +36,13 @@ fn grid(full: bool) -> Vec<SweepPoint> {
             witness_counts.sort_unstable();
             witness_counts.dedup();
             for &period in periods {
-                let rounds = 4 * period;
                 let point = |mode| SweepPoint {
-                    app: SweepApp::PeerReview,
-                    mode,
                     payload,
                     nodes,
                     audit_period: period,
-                    rounds,
+                    rounds: 4 * period,
                     messages_per_round: 2 * u64::from(nodes),
-                    checkpoint_interval: None,
-                    churn_rate: 0.0,
-                    partition_rounds: 0,
-                    audit_sample_size: None,
-                    shards: 1,
-                    event_driven: false,
+                    ..SweepPoint::new(SweepApp::PeerReview, mode)
                 };
                 points.push(point(CommitMode::Dedicated));
                 for &w in &witness_counts {
@@ -82,19 +75,11 @@ fn grid(full: bool) -> Vec<SweepPoint> {
             CommitMode::Piggyback { witnesses: 2 },
         ] {
             points.push(SweepPoint {
-                app: SweepApp::PeerReview,
-                mode,
                 payload: 256,
-                nodes: 4,
-                audit_period: 1,
                 rounds: 8,
-                messages_per_round: 8,
-                checkpoint_interval: None,
                 churn_rate,
                 partition_rounds,
-                audit_sample_size: None,
-                shards: 1,
-                event_driven: false,
+                ..SweepPoint::new(SweepApp::PeerReview, mode)
             });
         }
     }
@@ -108,19 +93,12 @@ fn grid(full: bool) -> Vec<SweepPoint> {
             for &nodes in acct_nodes {
                 for &period in periods {
                     let point = |mode| SweepPoint {
-                        app,
-                        mode,
                         payload,
                         nodes,
                         audit_period: period,
                         rounds: 4 * period,
                         messages_per_round: 4,
-                        checkpoint_interval: None,
-                        churn_rate: 0.0,
-                        partition_rounds: 0,
-                        audit_sample_size: None,
-                        shards: 1,
-                        event_driven: false,
+                        ..SweepPoint::new(app, mode)
                     };
                     points.push(point(CommitMode::Dedicated));
                     points.push(point(CommitMode::Piggyback { witnesses: 2 }));
@@ -132,56 +110,47 @@ fn grid(full: bool) -> Vec<SweepPoint> {
             }
         }
     }
-    // The scaling frontier: n = 1000 with sharded witnesses on the
-    // event-driven core — a full-audit baseline row and a sampled row. The
-    // pair quantifies the headline trade: sampled auditing cuts audit
-    // messages per node per round by an order of magnitude while the
-    // rotating sample keeps detection latency bounded by `charges/size`
-    // audit rounds (the `detection_latency_rounds` column; measured
-    // `w + 1` at k = 1, the last witness's rotation reaching the pair).
-    let frontier = |audit_sample_size, rounds| SweepPoint {
-        app: SweepApp::PeerReview,
-        mode: CommitMode::Piggyback { witnesses: 24 },
-        payload: 64,
-        nodes: 1000,
-        audit_period: 1,
-        rounds,
-        messages_per_round: 1000,
-        checkpoint_interval: None,
-        churn_rate: 0.0,
-        partition_rounds: 0,
-        audit_sample_size,
-        shards: 8,
-        event_driven: true,
+    // The scaling frontier: sharded PeerReview rows at n = 1000 and
+    // n = 10 000.
+    let frontier = |nodes, witnesses, shards, audit_sample_size, rounds| {
+        let base = SweepPoint::new(SweepApp::PeerReview, CommitMode::Piggyback { witnesses });
+        SweepPoint {
+            nodes,
+            rounds,
+            engine: EngineConfig {
+                audit_sample_size,
+                shards,
+                ..base.engine
+            },
+            ..base
+        }
     };
-    // Short full-audit run (every round already costs 2·w·n audit
-    // messages; a pair with an outstanding challenge is skipped, so an odd
-    // round count maximizes the measured per-round rate); longer sampled
-    // run so the rotating sample completes a full coverage cycle and the
-    // detection probe can land.
-    points.push(frontier(None, 3));
-    points.push(frontier(Some(1), 28));
+    // n = 1000: a full-audit baseline row and a sampled row. The pair
+    // quantifies the headline trade: sampled auditing cuts audit messages
+    // per node per round by an order of magnitude while the rotating sample
+    // keeps detection latency bounded by `charges/size` audit rounds (the
+    // `detection_latency_rounds` column; measured `w + 1` at k = 1, the last
+    // witness's rotation reaching the pair). Short full-audit run (every
+    // round already costs 2·w·n audit messages; a pair with an outstanding
+    // challenge is skipped, so an odd round count maximizes the measured
+    // per-round rate); longer sampled run so the rotating sample completes
+    // a full coverage cycle and the detection probe can land.
+    for (audit_sample_size, rounds) in [(None, 3), (Some(1), 28)] {
+        points.push(SweepPoint {
+            messages_per_round: 1000,
+            ..frontier(1000, 24, 8, audit_sample_size, rounds)
+        });
+    }
     // Pushing the wall an order of magnitude: n = 10 000, sampled-only
-    // (k = 1) on the event-driven core. A full-audit row at this scale is
-    // the wall itself — 2·w·n audit messages per node round — so the rows
-    // sweep the witness/shard split instead and quantify how detection
-    // latency scales with shard count while round-digest batching keeps
-    // the audit share of the log flat. Round counts cover the k = 1
-    // rotation (detection lands within ~w + 1 audit rounds plus slack).
+    // (k = 1). A full-audit row at this scale is the wall itself — 2·w·n
+    // audit messages per node round — so the rows sweep the witness/shard
+    // split instead and quantify how detection latency scales with shard
+    // count while round-digest batching keeps the audit share of the log
+    // flat. Round counts cover the k = 1 rotation (detection lands within
+    // ~w + 1 audit rounds plus slack).
     let frontier10k = |witnesses, shards, rounds| SweepPoint {
-        app: SweepApp::PeerReview,
-        mode: CommitMode::Piggyback { witnesses },
-        payload: 64,
-        nodes: 10_000,
-        audit_period: 1,
-        rounds,
         messages_per_round: 2_500,
-        checkpoint_interval: None,
-        churn_rate: 0.0,
-        partition_rounds: 0,
-        audit_sample_size: Some(1),
-        shards,
-        event_driven: true,
+        ..frontier(10_000, witnesses, shards, Some(1), rounds)
     };
     points.push(frontier10k(12, 512, 12));
     points.push(frontier10k(9, 1024, 10));
@@ -196,11 +165,11 @@ fn check_frontier(rows: &[tnic_bench::SweepRow]) -> Result<(), String> {
     let frontier: Vec<_> = rows.iter().filter(|r| r.point.nodes == 1000).collect();
     let full = frontier
         .iter()
-        .find(|r| r.point.audit_sample_size.is_none())
+        .find(|r| r.point.engine.audit_sample_size.is_none())
         .ok_or("no full-audit frontier row")?;
     let sampled = frontier
         .iter()
-        .find(|r| r.point.audit_sample_size.is_some())
+        .find(|r| r.point.engine.audit_sample_size.is_some())
         .ok_or("no sampled frontier row")?;
     let ratio = full.audit_msgs_per_node_round() / sampled.audit_msgs_per_node_round().max(1e-9);
     if ratio < 10.0 {
@@ -229,14 +198,14 @@ fn check_frontier(rows: &[tnic_bench::SweepRow]) -> Result<(), String> {
         let latency = row.detection_latency_rounds.ok_or_else(|| {
             format!(
                 "n = 10000 row (shards {}, {}) never detected its tamperer twin",
-                row.point.shards,
+                row.point.engine.shards,
                 row.point.mode.label()
             )
         })?;
         eprintln!(
             "frontier n = 10000: shards {:>4}, {}: {:.2} audit msgs/node/round, \
              detection in {latency} audit rounds",
-            row.point.shards,
+            row.point.engine.shards,
             row.point.mode.label(),
             row.audit_msgs_per_node_round()
         );
@@ -307,9 +276,8 @@ fn main() {
                 failure_lines.push(line);
             }
         }
-        // The wall-clock budget of the event-driven core: an n >= 1000 row
-        // must stay inside CI time (the budget is per row, probes
-        // included).
+        // The wall-clock budget: an n >= 1000 row must stay inside CI time
+        // (the budget is per row, probes included).
         let elapsed = started.elapsed().as_secs_f64();
         if point.nodes >= 1000 {
             eprintln!(
@@ -317,7 +285,7 @@ fn main() {
                  (budget {max_large_n_seconds:.1}s)",
                 point.nodes,
                 point.mode.label(),
-                point.shards,
+                point.engine.shards,
                 point.rounds
             );
         }

@@ -1,15 +1,16 @@
-//! Benchmark harness for the TNIC reproduction.
+//! Reproduction harness for the TNIC accountability evaluation.
 //!
-//! Two jobs:
-//!
-//! * a tiny wall-clock timing loop ([`time_op`]) shared by the
-//!   `benches/*.rs` targets (the container has no criterion; the targets
-//!   are `harness = false` binaries printing ns/op), and
-//! * the accountability *scenario runner* used by `src/bin/reproduce.rs`:
-//!   each [`Scenario`] drives a PeerReview deployment with one fault plan
-//!   injected through `net::adversary` and summarises verdicts, message
-//!   overhead and audit latency into a [`ScenarioResult`] row that
-//!   [`render_table`] formats for the terminal.
+//! Every run here is the same three steps: build an accountable deployment
+//! (`Deployment::new`, whose PeerReview arm the families that only exist on
+//! that substrate call directly), drive it through the one audit-round loop
+//! ([`Accountable::run_rounds`], stepped by `drive` where something happens
+//! between audit rounds) with the family's own operation generator as the
+//! round's work, and read the result off the engine (`outcome`, a
+//! [`ParityOutcome`]). The families differ in what they summarise: [`Scenario`]
+//! and [`AcctScenario`] rows for `src/bin/reproduce.rs`, [`SweepRow`]s for
+//! `src/bin/sweep.rs`, [`ParityOutcome`]s for twin-run comparisons, and the
+//! retention / exposure-latency / sampled-auditing / churn probes behind the
+//! named gates in [`gates`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,52 +21,21 @@ pub mod report;
 use std::collections::BTreeMap;
 use tnic_a2m::AccountableA2m;
 use tnic_bft::{BftConfig, BftCounter};
-use tnic_core::api::NodeId;
+use tnic_core::api::{Cluster, NodeId};
 use tnic_core::error::CoreError;
 use tnic_cr::ChainReplication;
 use tnic_net::adversary::{Adversary, FaultPlan, NodeFault, PartitionSchedule};
 use tnic_net::stack::NetworkStackKind;
 use tnic_peerreview::audit::Verdict;
+use tnic_peerreview::deployment::Accountable;
 use tnic_peerreview::engine::EngineConfig;
 use tnic_peerreview::stats::AccountabilityStats;
 use tnic_peerreview::system::{PeerReview, PeerReviewConfig};
+use tnic_peerreview::wire::Envelope;
 use tnic_tee::profile::Baseline;
 
-/// Times `op` over `iters` iterations and returns nanoseconds per
-/// operation. The closure's result is returned through `std::hint::black_box`
-/// so the work is not optimised away.
-pub fn time_op<T>(iters: u64, mut op: impl FnMut() -> T) -> f64 {
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(op());
-    }
-    start.elapsed().as_nanos() as f64 / iters.max(1) as f64
-}
-
-/// Runs the same round-robin workload as `PeerReview::run_workload` on a
-/// bare cluster — identical payloads (envelope-encoded `incr` commands) and
-/// send/poll pattern. `cursor` persists the round-robin position across
-/// calls, mirroring `PeerReview`'s workload cursor, so "accountability vs.
-/// bare substrate" comparisons stay like-for-like even when `messages` is
-/// not a multiple of the node count.
-///
-/// # Errors
-///
-/// Propagates attestation/session errors.
-pub fn run_bare_workload(
-    cluster: &mut tnic_core::api::Cluster,
-    cursor: &mut u64,
-    messages: u64,
-) -> Result<(), CoreError> {
-    let nodes = cluster.nodes();
-    let payload = tnic_peerreview::workload::app_payload();
-    for _ in 0..messages {
-        let (from, to) = tnic_peerreview::workload::next_pair(&nodes, cursor);
-        cluster.auth_send(from, to, &payload)?;
-        cluster.poll(to)?;
-    }
-    Ok(())
-}
+/// The determinism seed of every harness run that does not take one.
+const SEED: u64 = 42;
 
 /// Severity ordering of verdicts (`Trusted < Suspected < Exposed`).
 fn verdict_rank(v: Verdict) -> u8 {
@@ -191,13 +161,6 @@ pub enum CommitMode {
 }
 
 impl CommitMode {
-    /// Whether the mode drives the piggyback-pipelined audit rounds
-    /// (everything except the dedicated baseline).
-    #[must_use]
-    pub fn is_piggyback(self) -> bool {
-        !matches!(self, CommitMode::Dedicated)
-    }
-
     /// Table/CSV label.
     #[must_use]
     pub fn label(self) -> String {
@@ -208,26 +171,6 @@ impl CommitMode {
                 witnesses,
                 interval,
             } => format!("ckpt(w={witnesses},i={interval})"),
-        }
-    }
-
-    /// Applies this mode's commitment settings to a deployment
-    /// configuration (public so benches can build deployments mode-first).
-    pub fn apply(self, config: &mut PeerReviewConfig) {
-        match self {
-            CommitMode::Dedicated => {}
-            CommitMode::Piggyback { witnesses } => {
-                config.piggyback = true;
-                config.witness_count = Some(witnesses);
-            }
-            CommitMode::Checkpointed {
-                witnesses,
-                interval,
-            } => {
-                config.piggyback = true;
-                config.witness_count = Some(witnesses);
-                config.checkpoint_interval = Some(interval);
-            }
         }
     }
 
@@ -256,6 +199,307 @@ impl CommitMode {
                 ..EngineConfig::default()
             },
         }
+    }
+}
+
+// ---- the one constructor, the one driver, the one outcome ------------------
+
+/// The network stack an attestation baseline is evaluated over.
+fn stack_for(baseline: Baseline) -> NetworkStackKind {
+    if baseline == Baseline::Tnic {
+        NetworkStackKind::Tnic
+    } else {
+        NetworkStackKind::DrctIo
+    }
+}
+
+/// A PeerReview deployment of `nodes` nodes exchanging `payload`-byte
+/// commands (clamped up to the bare command) under `engine` and `faults`.
+fn peerreview(
+    nodes: u32,
+    payload: usize,
+    engine: EngineConfig,
+    faults: FaultPlan,
+) -> Result<PeerReview, CoreError> {
+    let shape = PeerReviewConfig {
+        nodes,
+        stack: stack_for(engine.baseline),
+        app_payload_len: payload,
+        ..PeerReviewConfig::default()
+    };
+    PeerReview::new(shape.with_engine(engine), faults)
+}
+
+/// An accountable deployment of any of the four systems.
+enum Deployment {
+    /// The PeerReview round-robin counter workload.
+    PeerReview(PeerReview),
+    /// The `2f + 1` BFT replicated counter.
+    Bft(BftCounter),
+    /// Byzantine chain replication of a KV store.
+    Cr(ChainReplication),
+    /// The replicated attested append-only memory.
+    A2m(AccountableA2m),
+}
+
+impl Deployment {
+    /// Builds `app` over `nodes` nodes (BFT derives `f` from it; each system
+    /// clamps to its own minimum) with the accountability engine attached
+    /// under `engine` and `faults`. The cluster shares the engine's seed and
+    /// baseline; `payload` sizes what the system fixes at construction (the
+    /// PeerReview command, the BFT request context), clamped up to its
+    /// minimum.
+    ///
+    /// # Errors
+    ///
+    /// Propagates cluster connection errors.
+    fn new(
+        app: SweepApp,
+        nodes: u32,
+        payload: usize,
+        engine: EngineConfig,
+        faults: FaultPlan,
+    ) -> Result<Self, CoreError> {
+        let (baseline, stack, seed) = (engine.baseline, stack_for(engine.baseline), engine.seed);
+        Ok(match app {
+            SweepApp::PeerReview => {
+                Deployment::PeerReview(peerreview(nodes, payload, engine, faults)?)
+            }
+            SweepApp::Bft => {
+                let config = BftConfig {
+                    f: (nodes.max(3) - 1) / 2,
+                    batch_size: 1,
+                    request_len: payload,
+                };
+                Deployment::Bft(BftCounter::with_accountability(
+                    baseline, stack, config, seed, engine, faults,
+                )?)
+            }
+            SweepApp::Cr => Deployment::Cr(ChainReplication::with_accountability(
+                nodes.max(2),
+                baseline,
+                stack,
+                seed,
+                engine,
+                faults,
+            )?),
+            SweepApp::A2m => Deployment::A2m(AccountableA2m::new(
+                nodes.max(2),
+                baseline,
+                stack,
+                seed,
+                engine,
+                faults,
+            )?),
+        })
+    }
+}
+
+/// The one driver: `rounds` rounds of `work` on `system`, audited every
+/// `audit_period` rounds by [`Accountable::run_rounds`]. The run advances
+/// one audit period at a time (so the round index `work` sees restarts with
+/// each) and calls `after_audit` with the number of audit rounds completed
+/// between them — where an operator would apply churn, and where a probe
+/// samples or looks for exposure; returning `true` ends the run there.
+/// Rounds past the last audit boundary run unaudited, and the pipeline is
+/// left for the caller to drain. A run with nothing to do between audit
+/// rounds calls `run_rounds` itself.
+///
+/// Returns the audit round `after_audit` stopped the run at, if it did.
+fn drive<D: Accountable>(
+    system: &mut D,
+    rounds: u64,
+    audit_period: u64,
+    mut work: impl FnMut(&mut D, u64) -> Result<(), CoreError>,
+    mut after_audit: impl FnMut(&mut D, u64) -> Result<bool, CoreError>,
+) -> Result<Option<u64>, CoreError> {
+    let period = audit_period.max(1);
+    for audit_round in 1..=rounds / period {
+        system.run_rounds(period, period, &mut work)?;
+        if after_audit(system, audit_round)? {
+            return Ok(Some(audit_round));
+        }
+    }
+    system.run_rounds(rounds % period, period, &mut work)?;
+    Ok(None)
+}
+
+/// A round of work made of `per_round` calls of `op`, which is handed the
+/// index of the operation across the whole run.
+fn ops<D>(
+    per_round: u64,
+    mut op: impl FnMut(&mut D, u64) -> Result<(), CoreError>,
+) -> impl FnMut(&mut D, u64) -> Result<(), CoreError> {
+    let mut next = 0u64;
+    move |system, _round| {
+        for _ in 0..per_round {
+            op(system, next)?;
+            next += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Whether every correct witness of `target` holds an `Exposed` verdict.
+fn exposed<D: Accountable>(system: &D, target: u32) -> bool {
+    let engine = system.engine();
+    let witnesses = engine.correct_witnesses_of(target);
+    !witnesses.is_empty()
+        && witnesses
+            .iter()
+            .all(|&w| engine.verdict_of(w, target) == Verdict::Exposed)
+}
+
+/// `(witness, node) → verdict` over a run's *final* witness sets.
+pub type VerdictMap = BTreeMap<(u32, u32), Verdict>;
+
+/// The observable outcome of one accountable run: what every summary row,
+/// gate and twin comparison in this crate is computed from.
+#[derive(Debug, Clone)]
+pub struct ParityOutcome {
+    /// Byzantine node ids under the run's fault plan.
+    pub byzantine: Vec<u32>,
+    /// `(witness, node) → verdict` over the final witness sets.
+    pub verdicts: VerdictMap,
+    /// `(witness, node) → misbehaviour labels` of the evidence held.
+    pub evidence: BTreeMap<(u32, u32), Vec<&'static str>>,
+    /// The run's accountability counters.
+    pub stats: AccountabilityStats,
+    /// Messages the cluster transport sent.
+    pub messages_sent: u64,
+    /// Messages the cluster transport rejected (duplicates, tampering).
+    pub messages_rejected: u64,
+    /// Sends refused because an endpoint was crashed or departed.
+    pub messages_unreachable: u64,
+    /// Sends refused by an open partition cut.
+    pub messages_partitioned: u64,
+    /// Audit wire messages among `messages_sent`.
+    pub messages_audit: u64,
+    /// Audit elements that rode a batched envelope instead of their own
+    /// message.
+    pub messages_batched: u64,
+    /// Total virtual time of the run in microseconds.
+    pub virtual_time_us: u64,
+}
+
+/// The one outcome extractor: reads the verdict matrix over the final
+/// witness sets, the evidence labels and every counter off a driven
+/// deployment.
+fn outcome<D: Accountable>(system: &mut D) -> ParityOutcome {
+    let (engine, cluster, _) = system.parts();
+    let mut verdicts = VerdictMap::new();
+    let mut evidence = BTreeMap::new();
+    for node in cluster.nodes().into_iter().map(|n| n.0) {
+        for &w in engine.witnesses_of(node) {
+            verdicts.insert((w, node), engine.verdict_of(w, node));
+            let labels: Vec<&'static str> = engine
+                .evidence_of(w, node)
+                .iter()
+                .map(|e| e.label())
+                .collect();
+            if !labels.is_empty() {
+                evidence.insert((w, node), labels);
+            }
+        }
+    }
+    let transport = cluster.stats();
+    ParityOutcome {
+        byzantine: engine.faults().byzantine_nodes(),
+        verdicts,
+        evidence,
+        stats: engine.stats(),
+        messages_sent: transport.messages_sent,
+        messages_rejected: transport.messages_rejected,
+        messages_unreachable: transport.messages_unreachable,
+        messages_partitioned: transport.messages_partitioned,
+        messages_audit: transport.messages_audit,
+        messages_batched: transport.messages_batched,
+        virtual_time_us: cluster.now().as_micros(),
+    }
+}
+
+impl ParityOutcome {
+    /// `witness`'s verdict on `node` ([`Verdict::Trusted`] if the pair is
+    /// not in the final witness relation).
+    #[must_use]
+    pub fn verdict_of(&self, witness: u32, node: u32) -> Verdict {
+        self.verdicts
+            .get(&(witness, node))
+            .copied()
+            .unwrap_or(Verdict::Trusted)
+    }
+
+    /// The evidence labels `witness` holds against `node`.
+    #[must_use]
+    pub fn evidence_of(&self, witness: u32, node: u32) -> &[&'static str] {
+        self.evidence
+            .get(&(witness, node))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// The witnesses of `node` that are correct under the fault plan.
+    #[must_use]
+    pub fn correct_witnesses_of(&self, node: u32) -> Vec<u32> {
+        self.verdicts
+            .keys()
+            .filter(|&&(w, n)| n == node && !self.byzantine.contains(&w))
+            .map(|&(w, _)| w)
+            .collect()
+    }
+
+    /// **The accuracy invariant**: every correct node is `Trusted` (not
+    /// merely un-exposed) at every correct witness.
+    #[must_use]
+    pub fn accuracy_clean(&self) -> bool {
+        self.verdicts.iter().all(|(&(w, n), &v)| {
+            self.byzantine.contains(&w) || self.byzantine.contains(&n) || v == Verdict::Trusted
+        })
+    }
+
+    /// Whether every correct witness of `node` holds an `Exposed` verdict.
+    #[must_use]
+    pub fn exposed(&self, node: u32) -> bool {
+        let witnesses = self.correct_witnesses_of(node);
+        !witnesses.is_empty()
+            && witnesses
+                .iter()
+                .all(|&w| self.verdict_of(w, node) == Verdict::Exposed)
+    }
+
+    /// Whether every witness of every node still trusts it.
+    #[must_use]
+    pub fn all_trusted(&self) -> bool {
+        self.verdicts.values().all(|&v| v == Verdict::Trusted)
+    }
+
+    /// The summary verdict of a run and whether the correct witnesses agree
+    /// on it. With a `faulty` node: the *severest* verdict any of its correct
+    /// witnesses holds — exposure evidence can be local (a failed replay, a
+    /// received forged accusation), so one convinced witness is the signal.
+    /// Without: `trusted` when every witness of every node still trusts it,
+    /// `FALSE-POSITIVE` otherwise.
+    fn judge(&self, faulty: Option<u32>) -> (&'static str, bool) {
+        let Some(faulty) = faulty else {
+            return (
+                if self.all_trusted() {
+                    "trusted"
+                } else {
+                    "FALSE-POSITIVE"
+                },
+                true,
+            );
+        };
+        let verdicts: Vec<Verdict> = self
+            .correct_witnesses_of(faulty)
+            .into_iter()
+            .map(|w| self.verdict_of(w, faulty))
+            .collect();
+        let severest = verdicts
+            .iter()
+            .copied()
+            .max_by_key(|v| verdict_rank(*v))
+            .unwrap_or(Verdict::Trusted);
+        (severest.label(), verdicts.windows(2).all(|p| p[0] == p[1]))
     }
 }
 
@@ -329,63 +573,20 @@ pub fn run_scenario_mode(
     baseline: Baseline,
     mode: CommitMode,
 ) -> Result<ScenarioResult, CoreError> {
-    let stack = if baseline == Baseline::Tnic {
-        NetworkStackKind::Tnic
-    } else {
-        NetworkStackKind::DrctIo
-    };
-    let mut config = PeerReviewConfig {
-        nodes: 4,
+    let engine = EngineConfig {
         baseline,
-        stack,
-        seed: 42,
-        ..PeerReviewConfig::default()
+        ..mode.engine_config(SEED)
     };
-    mode.apply(&mut config);
-    let mut pr = PeerReview::new(config, scenario.fault_plan())?;
+    let mut pr = peerreview(4, 0, engine, scenario.fault_plan())?;
     pr.run_scenario(scenario.rounds, scenario.messages_per_round)?;
-
-    let faulty = scenario.faulty_node;
-    let witnesses = pr.correct_witnesses_of(faulty);
-    let verdicts: Vec<Verdict> = witnesses
-        .iter()
-        .map(|&w| pr.verdict_of(w, faulty))
-        .collect();
-    let unanimous = verdicts.windows(2).all(|p| p[0] == p[1]);
-    let verdict = if scenario.fault.is_byzantine() {
-        // The severest verdict held by any correct witness: exposure
-        // evidence can be local (failed replay, received forged
-        // accusation), so one convinced witness is the signal.
-        verdicts
-            .iter()
-            .copied()
-            .max_by_key(|v| verdict_rank(*v))
-            .unwrap_or(Verdict::Trusted)
-            .label()
-    } else {
-        // Control run: every witness of every node must stay trusting.
-        let all_trusted = (0..pr.config().nodes).all(|node| {
-            pr.witnesses_of(node)
-                .iter()
-                .all(|&w| pr.verdict_of(w, node) == Verdict::Trusted)
-        });
-        if all_trusted {
-            "trusted"
-        } else {
-            "FALSE-POSITIVE"
-        }
-    };
-    // Accuracy: no *correct* node is ever suspected or exposed by a
-    // correct witness, whatever the injected fault.
-    let accuracy = (0..pr.config().nodes).all(|node| {
-        scenario.fault.is_byzantine() && node == faulty
-            || pr
-                .correct_witnesses_of(node)
-                .iter()
-                .all(|&w| pr.verdict_of(w, node) == Verdict::Trusted)
-    });
-
-    let stats = pr.stats();
+    let outcome = outcome(&mut pr);
+    let (verdict, unanimous) = outcome.judge(
+        scenario
+            .fault
+            .is_byzantine()
+            .then_some(scenario.faulty_node),
+    );
+    let stats = &outcome.stats;
     Ok(ScenarioResult {
         name: scenario.name,
         baseline,
@@ -395,13 +596,13 @@ pub fn run_scenario_mode(
         unanimous,
         expected: scenario.expected_verdict(),
         requires_unanimity: scenario.requires_unanimity(),
-        accuracy,
+        accuracy: outcome.accuracy_clean(),
         app_messages: stats.app_messages,
         control_messages: stats.control_messages,
         overhead_ratio: stats.control_overhead_ratio(),
         audit_p50_us: stats.audit_latency.percentile_us(0.5),
         audit_p99_us: stats.audit_latency.percentile_us(0.99),
-        virtual_time_us: pr.now().as_micros(),
+        virtual_time_us: outcome.virtual_time_us,
         log_app_entries: stats.log_app_payload_entries,
         log_ctl_entries: stats.log_control_digest_entries,
         log_audit_entries: stats.log_audit_digest_entries,
@@ -481,36 +682,13 @@ pub fn render_table(results: &[ScenarioResult]) -> String {
     out
 }
 
-/// Which accountable application a middleware scenario stacks the engine
-/// under (the PeerReview engine reused outside its own workload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcctApp {
-    /// The `2f + 1` BFT replicated counter (`tnic-bft`).
-    Bft,
-    /// Byzantine chain replication of a KV store (`tnic-cr`).
-    Cr,
-    /// The replicated attested append-only memory (`tnic-a2m`).
-    A2m,
-}
-
-impl AcctApp {
-    /// Table/CSV label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            AcctApp::Bft => "bft",
-            AcctApp::Cr => "cr",
-            AcctApp::A2m => "a2m",
-        }
-    }
-}
-
 /// One accountability-over-application scenario: the engine stacked under a
 /// BFT or chain-replication deployment, fault-free or with one faulty node.
 #[derive(Debug, Clone, Copy)]
 pub struct AcctScenario {
-    /// The application the engine runs under.
-    pub app: AcctApp,
+    /// The application the engine runs under (not
+    /// [`SweepApp::PeerReview`], which [`Scenario`] covers).
+    pub app: SweepApp,
     /// Display name.
     pub name: &'static str,
     /// The faulty node and its behaviour (`None` = fault-free control run).
@@ -537,21 +715,21 @@ impl AcctScenario {
             ops_per_round: 4,
         };
         vec![
-            base(AcctApp::Bft, "bft-acct/fault-free", None),
+            base(SweepApp::Bft, "bft-acct/fault-free", None),
             base(
-                AcctApp::Bft,
+                SweepApp::Bft,
                 "bft-acct/equivocation",
                 Some((1, NodeFault::Equivocate)),
             ),
-            base(AcctApp::Cr, "cr-acct/fault-free", None),
+            base(SweepApp::Cr, "cr-acct/fault-free", None),
             base(
-                AcctApp::Cr,
+                SweepApp::Cr,
                 "cr-acct/tail-tampering",
                 Some((2, NodeFault::TamperLogEntry { seq: 0 })),
             ),
-            base(AcctApp::A2m, "a2m-acct/fault-free", None),
+            base(SweepApp::A2m, "a2m-acct/fault-free", None),
             base(
-                AcctApp::A2m,
+                SweepApp::A2m,
                 "a2m-acct/log-rewriting",
                 Some((1, NodeFault::TamperLogEntry { seq: 0 })),
             ),
@@ -572,7 +750,7 @@ impl AcctScenario {
 #[derive(Debug, Clone)]
 pub struct AcctScenarioResult {
     /// The application the engine ran under.
-    pub app: AcctApp,
+    pub app: SweepApp,
     /// Scenario name.
     pub name: &'static str,
     /// The commitment mode the run used.
@@ -602,297 +780,141 @@ pub struct AcctScenarioResult {
     pub virtual_time_us: u64,
 }
 
-/// Judges the witness verdicts of an accountable run: the expected faulty
-/// node's classification, or a clean-control check over every pair.
-fn judge_verdicts(
-    fault: Option<(u32, NodeFault)>,
-    nodes: u32,
-    witnesses_of: impl Fn(u32) -> Vec<u32>,
-    correct_witnesses_of: impl Fn(u32) -> Vec<u32>,
-    verdict_of: impl Fn(u32, u32) -> Verdict,
-) -> (&'static str, bool) {
-    match fault {
-        Some((faulty, _)) => {
-            let verdicts: Vec<Verdict> = correct_witnesses_of(faulty)
-                .into_iter()
-                .map(|w| verdict_of(w, faulty))
-                .collect();
-            let unanimous = verdicts.windows(2).all(|p| p[0] == p[1]);
-            (
-                verdicts
-                    .first()
-                    .copied()
-                    .unwrap_or(Verdict::Trusted)
-                    .label(),
-                unanimous,
-            )
-        }
-        None => {
-            let all_trusted = (0..nodes).all(|node| {
-                witnesses_of(node)
-                    .into_iter()
-                    .all(|w| verdict_of(w, node) == Verdict::Trusted)
-            });
-            (
-                if all_trusted {
-                    "trusted"
-                } else {
-                    "FALSE-POSITIVE"
-                },
-                true,
-            )
-        }
-    }
-}
-
-fn summarize_acct(
+/// The audited half of an `*-acct` scenario: `op` (which reports whether the
+/// protocol committed the operation) `ops_per_round` times a round, an audit
+/// round each, the pipeline drained. Returns the outcome and whether every
+/// operation committed.
+fn acct_rounds<D: Accountable>(
+    system: &mut D,
     scenario: &AcctScenario,
-    mode: CommitMode,
-    stats: &AccountabilityStats,
-    verdict: (&'static str, bool),
-    protocol_committed: bool,
-    state_parity: bool,
-    times_us: (u64, u64),
-) -> AcctScenarioResult {
-    let (acct_time_us, bare_time_us) = times_us;
-    AcctScenarioResult {
-        app: scenario.app,
-        name: scenario.name,
-        mode,
-        verdict: verdict.0,
-        unanimous: verdict.1,
-        app_messages: stats.app_messages,
-        control_messages: stats.control_messages,
-        overhead_ratio: stats.control_overhead_ratio(),
-        piggybacked: stats.piggybacked_commitments,
-        protocol_committed,
-        state_parity,
-        time_overhead: if bare_time_us == 0 {
-            f64::NAN
-        } else {
-            acct_time_us as f64 / bare_time_us as f64
-        },
-        virtual_time_us: acct_time_us,
-    }
-}
-
-const ACCT_SEED: u64 = 42;
-
-fn run_bft_acct(
-    scenario: &AcctScenario,
-    mode: CommitMode,
-) -> Result<AcctScenarioResult, CoreError> {
-    let config = BftConfig::default();
-    let piggyback = mode.is_piggyback();
-    let mut system = BftCounter::with_accountability(
-        Baseline::Tnic,
-        NetworkStackKind::Tnic,
-        config,
-        ACCT_SEED,
-        mode.engine_config(ACCT_SEED),
-        scenario.fault_plan(),
-    )?;
+    mut op: impl FnMut(&mut D, u64) -> Result<bool, CoreError>,
+) -> Result<(ParityOutcome, bool), CoreError> {
     let mut committed = true;
-    for _ in 0..scenario.rounds {
-        if piggyback {
-            system.begin_audit_round()?;
-        }
-        for _ in 0..scenario.ops_per_round {
-            let result = system.client_increment()?;
-            committed &= system.is_committed(&result);
-        }
-        if piggyback {
-            system.finish_audit_round()?;
-        } else {
-            system.run_audit_round()?;
-        }
-    }
+    let work = ops(scenario.ops_per_round, |system: &mut D, index| {
+        committed &= op(system, index)?;
+        Ok(())
+    });
+    system.run_rounds(scenario.rounds, 1, work)?;
     system.drain_audits()?;
-
-    // The bare twin: same workload, no engine attached.
-    let mut bare = BftCounter::new(Baseline::Tnic, NetworkStackKind::Tnic, config, ACCT_SEED)?;
-    for _ in 0..scenario.rounds * scenario.ops_per_round {
-        bare.client_increment()?;
-    }
-
-    let n = system.replica_count() as u32;
-    let parity_value = system.replica_value(tnic_core::api::NodeId(0));
-    let state_parity =
-        (0..n).all(|i| system.replica_value(tnic_core::api::NodeId(i)) == parity_value);
-    let verdict = judge_verdicts(
-        scenario.fault,
-        n,
-        |node| system.witnesses_of(node).to_vec(),
-        |node| system.correct_witnesses_of(node),
-        |w, node| system.verdict_of(w, node),
-    );
-    Ok(summarize_acct(
-        scenario,
-        mode,
-        &system.acct_stats(),
-        verdict,
-        committed,
-        state_parity,
-        (system.now().as_micros(), bare.now().as_micros()),
-    ))
-}
-
-fn run_cr_acct(scenario: &AcctScenario, mode: CommitMode) -> Result<AcctScenarioResult, CoreError> {
-    let nodes = 3u32;
-    let piggyback = mode.is_piggyback();
-    let mut system = ChainReplication::with_accountability(
-        nodes,
-        Baseline::Tnic,
-        NetworkStackKind::Tnic,
-        ACCT_SEED,
-        mode.engine_config(ACCT_SEED),
-        scenario.fault_plan(),
-    )?;
-    let mut committed = true;
-    let mut op = 0u32;
-    for _ in 0..scenario.rounds {
-        if piggyback {
-            system.begin_audit_round()?;
-        }
-        for _ in 0..scenario.ops_per_round {
-            let key = format!("key-{op}");
-            let result = system.put(key.as_bytes(), b"value")?;
-            committed &= result.committed;
-            op += 1;
-        }
-        if piggyback {
-            system.finish_audit_round()?;
-        } else {
-            system.run_audit_round()?;
-        }
-    }
-    system.drain_audits()?;
-
-    // The bare twin: same workload, no engine attached.
-    let mut bare = ChainReplication::new(nodes, Baseline::Tnic, NetworkStackKind::Tnic, ACCT_SEED)?;
-    for i in 0..scenario.rounds * scenario.ops_per_round {
-        bare.put(format!("key-{i}").as_bytes(), b"value")?;
-    }
-
-    let digests: Vec<[u8; 32]> = system
-        .chain()
-        .iter()
-        .map(|&n| system.store_digest(n))
-        .collect();
-    let state_parity = digests.windows(2).all(|w| w[0] == w[1]);
-    let verdict = judge_verdicts(
-        scenario.fault,
-        nodes,
-        |node| system.witnesses_of(node).to_vec(),
-        |node| system.correct_witnesses_of(node),
-        |w, node| system.verdict_of(w, node),
-    );
-    Ok(summarize_acct(
-        scenario,
-        mode,
-        &system.acct_stats(),
-        verdict,
-        committed,
-        state_parity,
-        (system.now().as_micros(), bare.now().as_micros()),
-    ))
-}
-
-fn run_a2m_acct(
-    scenario: &AcctScenario,
-    mode: CommitMode,
-) -> Result<AcctScenarioResult, CoreError> {
-    let nodes = 3u32;
-    let piggyback = mode.is_piggyback();
-    let mut system = AccountableA2m::new(
-        nodes,
-        Baseline::Tnic,
-        NetworkStackKind::Tnic,
-        ACCT_SEED,
-        mode.engine_config(ACCT_SEED),
-        scenario.fault_plan(),
-    )?;
-    let mut committed = true;
-    let mut op = 0u64;
-    for _ in 0..scenario.rounds {
-        if piggyback {
-            system.begin_audit_round()?;
-        }
-        for _ in 0..scenario.ops_per_round {
-            // Three appends, then a lookup of an existing position.
-            let result = if op % 4 == 3 {
-                system.lookup(op / 2)?
-            } else {
-                system.append(format!("entry-{op}").as_bytes())?
-            };
-            committed &= result.committed;
-            op += 1;
-        }
-        if piggyback {
-            system.finish_audit_round()?;
-        } else {
-            system.run_audit_round()?;
-        }
-    }
-    system.drain_audits()?;
-
-    // The bare twin: identical replication traffic, no engine attached.
-    let mut bare = tnic_core::api::Cluster::fully_connected(
-        nodes,
-        Baseline::Tnic,
-        NetworkStackKind::Tnic,
-        ACCT_SEED,
-    );
-    let bare_nodes = bare.nodes();
-    for op in 0..scenario.rounds * scenario.ops_per_round {
-        let command = if op % 4 == 3 {
-            tnic_a2m::lookup_command(op / 2)
-        } else {
-            tnic_a2m::append_command(format!("entry-{op}").as_bytes())
-        };
-        let wire = tnic_peerreview::wire::Envelope::App(command).encode();
-        for &replica in &bare_nodes[1..] {
-            bare.auth_send(bare_nodes[0], replica, &wire)?;
-            bare.poll(replica)?;
-        }
-    }
-
-    let head = system.replica_digest(tnic_core::api::NodeId(0));
-    let state_parity = (0..nodes).all(|i| system.replica_digest(tnic_core::api::NodeId(i)) == head);
-    let verdict = judge_verdicts(
-        scenario.fault,
-        nodes,
-        |node| system.witnesses_of(node).to_vec(),
-        |node| system.correct_witnesses_of(node),
-        |w, node| system.verdict_of(w, node),
-    );
-    Ok(summarize_acct(
-        scenario,
-        mode,
-        &system.acct_stats(),
-        verdict,
-        committed,
-        state_parity,
-        (system.now().as_micros(), bare.now().as_micros()),
-    ))
+    Ok((outcome(system), committed))
 }
 
 /// Runs one accountability-over-application scenario in the given
 /// commitment mode: the same engine that drives PeerReview stacked under a
-/// BFT, chain-replication or replicated-A2M deployment.
+/// 3-node BFT, chain-replication or replicated-A2M deployment, beside a
+/// twin of the same operations with no engine attached (the time-overhead
+/// denominator).
 ///
 /// # Errors
 ///
 /// Propagates cluster/session errors from the run.
+///
+/// # Panics
+///
+/// Panics on [`SweepApp::PeerReview`]: [`run_scenario_mode`] runs those.
 pub fn run_acct_scenario(
     scenario: &AcctScenario,
     mode: CommitMode,
 ) -> Result<AcctScenarioResult, CoreError> {
-    match scenario.app {
-        AcctApp::Bft => run_bft_acct(scenario, mode),
-        AcctApp::Cr => run_cr_acct(scenario, mode),
-        AcctApp::A2m => run_a2m_acct(scenario, mode),
-    }
+    const ACCT_NODES: u32 = 3;
+    let (baseline, stack) = (Baseline::Tnic, NetworkStackKind::Tnic);
+    let total_ops = scenario.rounds * scenario.ops_per_round;
+    let mut deployment = Deployment::new(
+        scenario.app,
+        ACCT_NODES,
+        0,
+        mode.engine_config(SEED),
+        scenario.fault_plan(),
+    )?;
+    // Per system: its operations under audit, whether its replicas ended in
+    // the same state, and the virtual time of the engine-free twin.
+    let ((outcome, committed), state_parity, bare_time_us) = match &mut deployment {
+        Deployment::PeerReview(_) => panic!("PeerReview scenarios run through run_scenario_mode"),
+        Deployment::Bft(system) => {
+            let run = acct_rounds(system, scenario, |system, _| {
+                let result = system.client_increment()?;
+                Ok(system.is_committed(&result))
+            })?;
+            let mut bare = BftCounter::new(baseline, stack, BftConfig::default(), SEED)?;
+            for _ in 0..total_ops {
+                bare.client_increment()?;
+            }
+            let value = system.replica_value(NodeId(0));
+            let parity = (1..ACCT_NODES).all(|i| system.replica_value(NodeId(i)) == value);
+            (run, parity, bare.now().as_micros())
+        }
+        Deployment::Cr(system) => {
+            let put = |system: &mut ChainReplication, op: u64| {
+                system.put(format!("key-{op}").as_bytes(), b"value")
+            };
+            let run = acct_rounds(
+                system,
+                scenario,
+                |system, op| Ok(put(system, op)?.committed),
+            )?;
+            let mut bare = ChainReplication::new(ACCT_NODES, baseline, stack, SEED)?;
+            for op in 0..total_ops {
+                put(&mut bare, op)?;
+            }
+            let digests: Vec<[u8; 32]> = system
+                .chain()
+                .iter()
+                .map(|&n| system.store_digest(n))
+                .collect();
+            let parity = digests.windows(2).all(|w| w[0] == w[1]);
+            (run, parity, bare.now().as_micros())
+        }
+        Deployment::A2m(system) => {
+            // Three appends, then a lookup of an existing position.
+            let run = acct_rounds(system, scenario, |system, op| {
+                let result = if op % 4 == 3 {
+                    system.lookup(op / 2)?
+                } else {
+                    system.append(format!("entry-{op}").as_bytes())?
+                };
+                Ok(result.committed)
+            })?;
+            // The bare twin: identical replication traffic on a bare cluster.
+            let mut bare = Cluster::fully_connected(ACCT_NODES, baseline, stack, SEED);
+            let replicas = bare.nodes();
+            for op in 0..total_ops {
+                let command = if op % 4 == 3 {
+                    tnic_a2m::lookup_command(op / 2)
+                } else {
+                    tnic_a2m::append_command(format!("entry-{op}").as_bytes())
+                };
+                let wire = Envelope::App(command).encode();
+                for &replica in &replicas[1..] {
+                    bare.auth_send(replicas[0], replica, &wire)?;
+                    bare.poll(replica)?;
+                }
+            }
+            let head = system.replica_digest(NodeId(0));
+            let parity = (1..ACCT_NODES).all(|i| system.replica_digest(NodeId(i)) == head);
+            (run, parity, bare.now().as_micros())
+        }
+    };
+    let (verdict, unanimous) = outcome.judge(scenario.fault.map(|(node, _)| node));
+    let stats = &outcome.stats;
+    Ok(AcctScenarioResult {
+        app: scenario.app,
+        name: scenario.name,
+        mode,
+        verdict,
+        unanimous,
+        app_messages: stats.app_messages,
+        control_messages: stats.control_messages,
+        overhead_ratio: stats.control_overhead_ratio(),
+        piggybacked: stats.piggybacked_commitments,
+        protocol_committed: committed,
+        state_parity,
+        time_overhead: if bare_time_us == 0 {
+            f64::NAN
+        } else {
+            outcome.virtual_time_us as f64 / bare_time_us as f64
+        },
+        virtual_time_us: outcome.virtual_time_us,
+    })
 }
 
 /// The bounded-memory report of a long checkpointed PeerReview run (the
@@ -933,32 +955,28 @@ pub fn run_retention_probe(
     rounds: u64,
     checkpoint_interval: u64,
 ) -> Result<RetentionReport, CoreError> {
-    let config = PeerReviewConfig {
-        nodes: 4,
-        piggyback: true,
-        witness_count: Some(2),
+    let engine = EngineConfig {
         checkpoint_interval: Some(checkpoint_interval),
-        seed: 42,
-        ..PeerReviewConfig::default()
+        ..CommitMode::Piggyback { witnesses: 2 }.engine_config(SEED)
     };
-    let mut pr = PeerReview::new(config, FaultPlan::all_correct())?;
+    let mut pr = peerreview(4, 0, engine, FaultPlan::all_correct())?;
     let mut max_retained_entries = 0u64;
     let mut max_retained_commitments = 0u64;
-    for _ in 0..rounds {
-        pr.begin_audit_round()?;
-        pr.run_workload(4)?;
-        pr.finish_audit_round()?;
-        let stats = pr.stats();
-        max_retained_entries = max_retained_entries.max(stats.retained_log_entries);
-        max_retained_commitments = max_retained_commitments.max(stats.retained_commitments);
-    }
+    drive(
+        &mut pr,
+        rounds,
+        1,
+        |pr, _| pr.run_workload(4),
+        |pr, _| {
+            let stats = pr.stats();
+            max_retained_entries = max_retained_entries.max(stats.retained_log_entries);
+            max_retained_commitments = max_retained_commitments.max(stats.retained_commitments);
+            Ok(false)
+        },
+    )?;
     pr.drain_audits()?;
-    let stats = pr.stats();
-    let verdicts_clean = (0..pr.config().nodes).all(|node| {
-        pr.witnesses_of(node)
-            .iter()
-            .all(|&w| pr.verdict_of(w, node) == Verdict::Trusted)
-    });
+    let outcome = outcome(&mut pr);
+    let stats = &outcome.stats;
     Ok(RetentionReport {
         rounds,
         checkpoint_interval,
@@ -968,7 +986,7 @@ pub fn run_retention_probe(
         final_retained_bytes: stats.retained_log_bytes,
         total_log_entries: stats.log_entries,
         checkpoints_completed: stats.checkpoints_completed,
-        verdicts_clean,
+        verdicts_clean: outcome.all_trusted(),
     })
 }
 
@@ -1047,10 +1065,11 @@ impl SweepApp {
 pub struct SweepPoint {
     /// The workload under audit.
     pub app: SweepApp,
-    /// Commitment mode.
+    /// Commitment mode: the row's label, and what [`SweepPoint::new`] builds
+    /// [`SweepPoint::engine`] from.
     pub mode: CommitMode,
     /// Application payload size in bytes (request context for BFT, value
-    /// size for chain replication).
+    /// size for chain replication, entry size for A2M).
     pub payload: usize,
     /// Cluster size.
     pub nodes: u32,
@@ -1059,11 +1078,8 @@ pub struct SweepPoint {
     /// Total workload rounds.
     pub rounds: u64,
     /// Application operations per workload round (messages for PeerReview,
-    /// client operations for BFT/CR).
+    /// client operations for BFT/CR/A2M).
     pub messages_per_round: u64,
-    /// Audit rounds between cosigned checkpoint rounds (`None` = no
-    /// checkpointing; logs retain everything).
-    pub checkpoint_interval: Option<u64>,
     /// Crash-recover cycles per audit round on node 1 (0 = no churn; 0.25
     /// = one crash + recovery every 4 audit rounds). PeerReview substrate
     /// only.
@@ -1073,28 +1089,52 @@ pub struct SweepPoint {
     /// partition; the run gets `partition_rounds + 1` challenge retries so
     /// healing clears suspicion). PeerReview substrate only.
     pub partition_rounds: u64,
-    /// Charges each witness audits per round (`None` = full audit every
-    /// round). Maps to `PeerReviewConfig::audit_sample_size`; the rotating
-    /// sample still covers every charge within `ceil(charges / size)`
-    /// rounds. PeerReview substrate only.
-    pub audit_sample_size: Option<u32>,
-    /// Consistent-hash witness shards (`<= 1` = unsharded: witnesses drawn
-    /// from the whole cluster). PeerReview substrate only.
-    pub shards: u32,
-    /// Event-driven sparse simulation core (lazily connected links and an
-    /// active-set scheduler) instead of dense n×n iteration — required for
-    /// the n ≥ 1000 grid points. PeerReview substrate only.
-    pub event_driven: bool,
+    /// Every engine knob of the run: `mode`'s configuration, with sampling,
+    /// sharding or a checkpoint interval the mode does not carry set on top
+    /// by struct update.
+    pub engine: EngineConfig,
 }
 
 impl SweepPoint {
-    /// The engine configuration of this point: the commit mode's config
-    /// with the sweep's explicit checkpoint interval as fallback.
+    /// The base point the grids update: 4 nodes, 64 B payloads, 4 rounds of
+    /// 8 operations audited every round, no churn, `mode`'s engine
+    /// configuration.
     #[must_use]
-    pub fn engine_config(&self, seed: u64) -> EngineConfig {
-        let mut config = self.mode.engine_config(seed);
-        config.checkpoint_interval = config.checkpoint_interval.or(self.checkpoint_interval);
-        config
+    pub fn new(app: SweepApp, mode: CommitMode) -> Self {
+        SweepPoint {
+            app,
+            mode,
+            payload: 64,
+            nodes: 4,
+            audit_period: 1,
+            rounds: 4,
+            messages_per_round: 8,
+            churn_rate: 0.0,
+            partition_rounds: 0,
+            engine: mode.engine_config(SEED),
+        }
+    }
+
+    /// Whether the point schedules any churn or partition window.
+    fn has_churn(&self) -> bool {
+        self.churn_rate > 0.0 || self.partition_rounds > 0
+    }
+
+    /// Audit rounds of a drained run of the point (the drain counts as one).
+    fn drained_audit_rounds(&self) -> u64 {
+        self.rounds / self.audit_period.max(1) + 1
+    }
+
+    /// The engine configuration the point runs under: its own, with enough
+    /// challenge retries to bridge its partition window.
+    fn run_engine(&self) -> EngineConfig {
+        let mut engine = self.engine;
+        if self.partition_rounds > 0 {
+            engine.challenge_retries = u32::try_from(self.partition_rounds)
+                .unwrap_or(u32::MAX)
+                .saturating_add(1);
+        }
+        engine
     }
 }
 
@@ -1161,6 +1201,16 @@ virt_time_us,exposure_latency_rounds,churn_rate,partition_rounds,audit_sample_si
 audit_msgs_per_node_round,detection_latency_rounds,log_app_entries,log_ctl_entries,\
 log_audit_entries,replayed_entries,replayed_per_node_round";
 
+/// `field` as an RFC 4180 CSV field: quoted (with inner quotes doubled) when
+/// it contains a comma, a quote or a line break, unchanged otherwise.
+fn csv_field(field: &str) -> std::borrow::Cow<'_, str> {
+    if field.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", field.replace('"', "\"\"")).into()
+    } else {
+        field.into()
+    }
+}
+
 impl SweepRow {
     /// Control messages per application message.
     #[must_use]
@@ -1172,23 +1222,12 @@ impl SweepRow {
         }
     }
 
-    /// The effective checkpoint interval of the run (from the mode or the
-    /// explicit sweep dimension).
-    #[must_use]
-    pub fn effective_checkpoint_interval(&self) -> Option<u64> {
-        match self.point.mode {
-            CommitMode::Checkpointed { interval, .. } => Some(interval),
-            _ => self.point.checkpoint_interval,
-        }
-    }
-
     /// Audit wire messages per node per audit round of the fault-free run
     /// (the drain pass that closes a finite run counts as one more audit
     /// round) — the overhead axis of the detection-latency frontier.
     #[must_use]
     pub fn audit_msgs_per_node_round(&self) -> f64 {
-        let audit_rounds = self.point.rounds / self.point.audit_period.max(1) + 1;
-        let node_rounds = u64::from(self.point.nodes) * audit_rounds;
+        let node_rounds = u64::from(self.point.nodes) * self.point.drained_audit_rounds();
         if node_rounds == 0 {
             0.0
         } else {
@@ -1203,8 +1242,7 @@ impl SweepRow {
     /// proportion.
     #[must_use]
     pub fn replayed_per_node_round(&self) -> f64 {
-        let audit_rounds = self.point.rounds / self.point.audit_period.max(1) + 1;
-        let node_rounds = u64::from(self.point.nodes) * audit_rounds;
+        let node_rounds = u64::from(self.point.nodes) * self.point.drained_audit_rounds();
         if node_rounds == 0 {
             0.0
         } else {
@@ -1218,12 +1256,14 @@ impl SweepRow {
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{:.4},{},{},{},{},{},{:.1},{:.1},{:.1},{},{},{:.2},{},{},{},{:.2},{},{},{},{},{},{:.2}",
             self.point.app.label(),
-            self.point.mode.label(),
+            csv_field(&self.point.mode.label()),
             self.point.payload,
             self.point.nodes,
             self.witnesses,
             self.point.audit_period,
-            self.effective_checkpoint_interval()
+            self.point
+                .engine
+                .checkpoint_interval
                 .map_or_else(|| "-".to_string(), |i| i.to_string()),
             self.point.rounds,
             self.point.messages_per_round,
@@ -1244,9 +1284,10 @@ impl SweepRow {
             self.point.churn_rate,
             self.point.partition_rounds,
             self.point
+                .engine
                 .audit_sample_size
                 .map_or_else(|| "-".to_string(), |s| s.to_string()),
-            self.point.shards.max(1),
+            self.point.engine.shards.max(1),
             self.audit_msgs_per_node_round(),
             self.detection_latency_rounds
                 .map_or_else(|| "-".to_string(), |r| r.to_string()),
@@ -1265,25 +1306,72 @@ impl SweepRow {
 ///
 /// Propagates cluster/session errors from the run.
 pub fn run_sweep_point(point: SweepPoint) -> Result<SweepRow, CoreError> {
-    match point.app {
-        SweepApp::PeerReview => run_peerreview_sweep_point(point),
-        SweepApp::Bft => run_bft_sweep_point(point),
-        SweepApp::Cr => run_cr_sweep_point(point),
-        SweepApp::A2m => run_a2m_sweep_point(point),
-    }
-}
-
-fn sweep_row(
-    point: SweepPoint,
-    witnesses: u32,
-    stats: &AccountabilityStats,
-    virtual_time_us: u64,
-    exposure_latency_rounds: Option<u64>,
-    detection_latency_rounds: Option<u64>,
-) -> SweepRow {
-    SweepRow {
+    let deployment = Deployment::new(
+        point.app,
+        point.nodes,
+        point.payload,
+        point.run_engine(),
+        FaultPlan::all_correct(),
+    )?;
+    let mut exposure_latency_rounds = None;
+    let mut detection_latency_rounds = None;
+    let outcome = match deployment {
+        Deployment::PeerReview(mut pr) => {
+            drive_sweep_peerreview(&mut pr, &point, None)?;
+            let measured = outcome(&mut pr);
+            // The measured deployment is not needed past its outcome; at
+            // n = 10 000 it is most of the process's memory, and the twins
+            // below are as large.
+            drop(pr);
+            // The detection twins: the same point with a seq-0 log tamperer
+            // at node 1.
+            let tamperer = 1u32.min(point.nodes.saturating_sub(1));
+            let probe = |point: &SweepPoint| {
+                let faults = FaultPlan::single(tamperer, NodeFault::TamperLogEntry { seq: 0 });
+                exposure_latency(point, faults, tamperer)
+            };
+            let sampled = point.engine.audit_sample_size.is_some();
+            // The full-audit twin is the baseline the sampled detection
+            // column is compared against — but at n >= 10 000 a full-audit
+            // run (every witness replaying every charge every round) is
+            // exactly the wall the sampled-only rows exist to avoid, so the
+            // column stays empty there instead of burning the row's
+            // wall-clock budget on it.
+            if !(sampled && point.nodes >= 10_000) {
+                let mut full_audit = point;
+                full_audit.engine.audit_sample_size = None;
+                exposure_latency_rounds = probe(&full_audit)?;
+            }
+            // Under sampling the row's own detection latency differs from
+            // the full-audit baseline; without it the twin would be
+            // identical, so the second probe is skipped.
+            detection_latency_rounds = if sampled {
+                probe(&point)?
+            } else {
+                exposure_latency_rounds
+            };
+            measured
+        }
+        Deployment::Bft(mut system) => sweep_rounds(&mut system, &point, |system, _| {
+            system.client_increment().map(drop)
+        })?,
+        Deployment::Cr(mut system) => {
+            let value = vec![0u8; point.payload];
+            sweep_rounds(&mut system, &point, |system, op| {
+                system.put(&op.to_le_bytes(), &value).map(drop)
+            })?
+        }
+        Deployment::A2m(mut system) => {
+            let entry = vec![0u8; point.payload];
+            sweep_rounds(&mut system, &point, |system, _| {
+                system.append(&entry).map(drop)
+            })?
+        }
+    };
+    let stats = &outcome.stats;
+    Ok(SweepRow {
         point,
-        witnesses,
+        witnesses: outcome.verdicts.keys().filter(|&&(_, n)| n == 0).count() as u32,
         app_messages: stats.app_messages,
         control_messages: stats.control_messages,
         piggybacked: stats.piggybacked_commitments,
@@ -1294,7 +1382,7 @@ fn sweep_row(
         audit_p50_us: stats.audit_latency.percentile_us(0.5),
         audit_p99_us: stats.audit_latency.percentile_us(0.99),
         app_p50_us: stats.app_latency.percentile_us(0.5),
-        virtual_time_us,
+        virtual_time_us: outcome.virtual_time_us,
         exposure_latency_rounds,
         audit_messages: stats.audit_messages,
         detection_latency_rounds,
@@ -1302,89 +1390,34 @@ fn sweep_row(
         log_ctl_entries: stats.log_control_digest_entries,
         log_audit_entries: stats.log_audit_digest_entries,
         entries_replayed: stats.entries_replayed,
-    }
+    })
 }
 
-/// Drives `rounds` workload rounds (auditing every `audit_period`) on a
-/// built deployment and returns the number of *audit* rounds until every
-/// current correct witness of `target` holds an `Exposed` verdict, `None`
-/// when the round budget runs out first. The pipeline-draining tail round
-/// that closes a finite run counts as one more audit round.
-fn drive_until_exposed(
-    mut pr: PeerReview,
-    target: u32,
-    rounds: u64,
-    messages_per_round: u64,
-    audit_period: u64,
-) -> Result<Option<u64>, CoreError> {
-    let exposed = |pr: &PeerReview| {
-        let witnesses = pr.correct_witnesses_of(target);
-        !witnesses.is_empty()
-            && witnesses
-                .iter()
-                .all(|&w| pr.verdict_of(w, target) == Verdict::Exposed)
-    };
-    // Drive through the ordinary scenario driver, one audit-period chunk at
-    // a time, so the probe measures exactly the round structure the
-    // scenarios run (no second copy of the piggyback pipeline drive loop).
-    let period = audit_period.max(1);
-    let mut audit_rounds = 0u64;
-    for _ in 0..rounds / period {
-        pr.run_scenario_ext(period, messages_per_round, period)?;
-        audit_rounds += 1;
-        if exposed(&pr) {
-            return Ok(Some(audit_rounds));
-        }
-    }
-    // Trailing workload rounds that never reach an audit boundary.
-    for _ in 0..rounds % period {
-        pr.run_workload(messages_per_round)?;
-    }
-    pr.drain_audits()?;
-    audit_rounds += 1;
-    if exposed(&pr) {
-        return Ok(Some(audit_rounds));
-    }
-    Ok(None)
+/// A stacked (BFT / CR / A2M) sweep point: `op` `messages_per_round` times
+/// a round, audited every `audit_period`, measured undrained.
+fn sweep_rounds<D: Accountable>(
+    system: &mut D,
+    point: &SweepPoint,
+    op: impl FnMut(&mut D, u64) -> Result<(), CoreError>,
+) -> Result<ParityOutcome, CoreError> {
+    system.run_rounds(
+        point.rounds,
+        point.audit_period,
+        ops(point.messages_per_round, op),
+    )?;
+    Ok(outcome(system))
 }
 
-/// Whether a sweep point schedules any churn or partition window.
-fn point_has_churn(point: &SweepPoint) -> bool {
-    point.churn_rate > 0.0 || point.partition_rounds > 0
-}
-
-/// The PeerReview deployment config of a sweep point (churned points get
-/// enough challenge retries to bridge their partition window).
-fn sweep_point_config(point: &SweepPoint) -> PeerReviewConfig {
-    let mut config = PeerReviewConfig {
-        nodes: point.nodes,
-        baseline: Baseline::Tnic,
-        stack: NetworkStackKind::Tnic,
-        seed: 42,
-        app_payload_len: point.payload,
-        checkpoint_interval: point.checkpoint_interval,
-        ..PeerReviewConfig::default()
-    };
-    if point.partition_rounds > 0 {
-        config.challenge_retries = u32::try_from(point.partition_rounds)
-            .unwrap_or(u32::MAX)
-            .saturating_add(1);
-    }
-    point.mode.apply(&mut config);
-    // The scaling knobs (orthogonal to the commit mode).
-    config.audit_sample_size = point.audit_sample_size;
-    config.shards = point.shards.max(1);
-    config.event_driven = point.event_driven;
-    config
-}
-
-/// Drives a churned sweep point: crash-recover cycles at
+/// Drives a PeerReview sweep point's schedule on a built deployment: the
+/// workload audited every `audit_period`, with crash-recover cycles at
 /// [`SweepPoint::churn_rate`] on node 1 and/or a healed partition window
-/// of [`SweepPoint::partition_rounds`] isolating node 1. With a `target`,
-/// returns the audit round at which every correct witness of the target
-/// held `Exposed` (the churned detection-latency probe); the pipeline
-/// drain counts as one more audit round, matching [`drive_until_exposed`].
-fn drive_churned_point(
+/// of [`SweepPoint::partition_rounds`] isolating node 1 where the point has
+/// them. With a `target` the run is a detection-latency probe: it returns
+/// the audit round at which every correct witness of the target held
+/// `Exposed`, the pipeline drain counting as one more audit round. The
+/// measured fault-free run of a churn-free point is left undrained, like
+/// the stacked apps' rows.
+fn drive_sweep_peerreview(
     pr: &mut PeerReview,
     point: &SweepPoint,
     target: Option<u32>,
@@ -1393,16 +1426,6 @@ fn drive_churned_point(
         pr.cluster_mut()
             .set_partition(PartitionSchedule::new([1], 1, 1 + point.partition_rounds));
     }
-    let exposed = |pr: &PeerReview| {
-        target.is_some_and(|t| {
-            let witnesses = pr.correct_witnesses_of(t);
-            !witnesses.is_empty()
-                && witnesses
-                    .iter()
-                    .all(|&w| pr.verdict_of(w, t) == Verdict::Exposed)
-        })
-    };
-    let period = point.audit_period.max(1);
     // A crash-recover cycle spans two audit rounds (down for one, back for
     // the next), so the cycle length is at least 2.
     let cycle = if point.churn_rate > 0.0 {
@@ -1410,232 +1433,54 @@ fn drive_churned_point(
     } else {
         0
     };
+    let is_exposed = |pr: &PeerReview| target.is_some_and(|t| exposed(pr, t));
     let mut crashed = false;
-    let mut audit_rounds = 0u64;
-    for chunk in 0..point.rounds / period {
-        pr.run_scenario_ext(period, point.messages_per_round, period)?;
-        audit_rounds += 1;
-        if exposed(pr) {
-            return Ok(Some(audit_rounds));
-        }
-        if cycle > 0 {
-            if crashed {
-                pr.recover_node(1)?;
-                crashed = false;
-            } else if chunk % cycle == 0 {
-                pr.crash_node(1);
-                crashed = true;
+    let found = drive(
+        pr,
+        point.rounds,
+        point.audit_period,
+        |pr, _| pr.run_workload(point.messages_per_round),
+        |pr, audit_round| {
+            if is_exposed(pr) {
+                return Ok(true);
             }
-        }
-    }
-    for _ in 0..point.rounds % period {
-        pr.run_workload(point.messages_per_round)?;
+            if cycle > 0 {
+                if crashed {
+                    pr.recover_node(1)?;
+                    crashed = false;
+                } else if (audit_round - 1) % cycle == 0 {
+                    pr.crash_node(1);
+                    crashed = true;
+                }
+            }
+            Ok(false)
+        },
+    )?;
+    if found.is_some() || !(target.is_some() || point.has_churn()) {
+        return Ok(found);
     }
     if crashed {
         pr.recover_node(1)?;
     }
     pr.drain_audits()?;
-    audit_rounds += 1;
-    Ok(exposed(pr).then_some(audit_rounds))
+    Ok(is_exposed(pr).then(|| point.drained_audit_rounds()))
 }
 
-/// Detection-latency twin of a PeerReview sweep point: the same
-/// configuration (including any churn/partition schedule) with a seq-0
-/// log tamperer at node 1, counting *audit* rounds until every correct
-/// witness of the tamperer exposes it. With `full_audit` the twin strips
-/// sampling, so the measurement is the full-audit baseline the sampled
-/// `detection_latency_rounds` column is compared against.
-fn sweep_exposure_probe(point: &SweepPoint, full_audit: bool) -> Result<Option<u64>, CoreError> {
-    let mut config = sweep_point_config(point);
-    if full_audit {
-        config.audit_sample_size = None;
-    }
-    let target = 1u32.min(point.nodes.saturating_sub(1));
-    let mut pr = PeerReview::new(
-        config,
-        FaultPlan::single(target, NodeFault::TamperLogEntry { seq: 0 }),
-    )?;
-    if point_has_churn(point) {
-        drive_churned_point(&mut pr, point, Some(target))
-    } else {
-        drive_until_exposed(
-            pr,
-            target,
-            point.rounds,
-            point.messages_per_round,
-            point.audit_period,
-        )
-    }
-}
-
-fn run_peerreview_sweep_point(point: SweepPoint) -> Result<SweepRow, CoreError> {
-    let config = sweep_point_config(&point);
-    let mut pr = PeerReview::new(config, FaultPlan::all_correct())?;
-    if point_has_churn(&point) {
-        drive_churned_point(&mut pr, &point, None)?;
-    } else {
-        pr.run_scenario_ext(point.rounds, point.messages_per_round, point.audit_period)?;
-    }
-    let stats = pr.stats();
-    // The full-audit exposure twin is the baseline the sampled detection
-    // column is compared against — but at n >= 10 000 a full-audit run
-    // (every witness replaying every charge every round) is exactly the
-    // wall the sampled-only rows exist to avoid, so the column stays
-    // empty there instead of burning the row's wall-clock budget on it.
-    let exposure_latency = if point.audit_sample_size.is_some() && point.nodes >= 10_000 {
-        None
-    } else {
-        sweep_exposure_probe(&point, true)?
-    };
-    // Under sampling the row's own detection latency differs from the
-    // full-audit baseline; without it the twin would be identical, so the
-    // second probe is skipped.
-    let detection_latency = if point.audit_sample_size.is_some() {
-        sweep_exposure_probe(&point, false)?
-    } else {
-        exposure_latency
-    };
-    Ok(sweep_row(
-        point,
-        pr.witnesses_of(0).len() as u32,
-        &stats,
-        pr.now().as_micros(),
-        exposure_latency,
-        detection_latency,
-    ))
-}
-
-fn run_bft_sweep_point(point: SweepPoint) -> Result<SweepRow, CoreError> {
-    let f = (point.nodes.max(3) - 1) / 2;
-    let config = BftConfig {
-        f,
-        batch_size: 1,
-        request_len: point.payload,
-    };
-    let piggyback = point.mode.is_piggyback();
-    let engine_config = point.engine_config(42);
-    let mut system = BftCounter::with_accountability(
-        Baseline::Tnic,
-        NetworkStackKind::Tnic,
-        config,
-        42,
-        engine_config,
-        FaultPlan::all_correct(),
-    )?;
-    let period = point.audit_period.max(1);
-    for round in 0..point.rounds {
-        let audit = (round + 1) % period == 0;
-        if piggyback && audit {
-            system.begin_audit_round()?;
-        }
-        for _ in 0..point.messages_per_round {
-            system.client_increment()?;
-        }
-        if audit {
-            if piggyback {
-                system.finish_audit_round()?;
-            } else {
-                system.run_audit_round()?;
-            }
-        }
-    }
-    let stats = system.acct_stats();
-    Ok(sweep_row(
-        point,
-        system.witnesses_of(0).len() as u32,
-        &stats,
-        system.now().as_micros(),
-        None,
-        None,
-    ))
-}
-
-fn run_a2m_sweep_point(point: SweepPoint) -> Result<SweepRow, CoreError> {
-    let piggyback = point.mode.is_piggyback();
-    let engine_config = point.engine_config(42);
-    let mut system = AccountableA2m::new(
-        point.nodes.max(2),
-        Baseline::Tnic,
-        NetworkStackKind::Tnic,
-        42,
-        engine_config,
-        FaultPlan::all_correct(),
-    )?;
-    let payload = vec![0u8; point.payload];
-    let period = point.audit_period.max(1);
-    for round in 0..point.rounds {
-        let audit = (round + 1) % period == 0;
-        if piggyback && audit {
-            system.begin_audit_round()?;
-        }
-        for _ in 0..point.messages_per_round {
-            system.append(&payload)?;
-        }
-        if audit {
-            if piggyback {
-                system.finish_audit_round()?;
-            } else {
-                system.run_audit_round()?;
-            }
-        }
-    }
-    let stats = system.acct_stats();
-    Ok(sweep_row(
-        point,
-        system.witnesses_of(0).len() as u32,
-        &stats,
-        system.now().as_micros(),
-        None,
-        None,
-    ))
-}
-
-fn run_cr_sweep_point(point: SweepPoint) -> Result<SweepRow, CoreError> {
-    let piggyback = point.mode.is_piggyback();
-    let engine_config = point.engine_config(42);
-    let mut system = ChainReplication::with_accountability(
-        point.nodes.max(2),
-        Baseline::Tnic,
-        NetworkStackKind::Tnic,
-        42,
-        engine_config,
-        FaultPlan::all_correct(),
-    )?;
-    let value = vec![0u8; point.payload];
-    let period = point.audit_period.max(1);
-    let mut op = 0u64;
-    for round in 0..point.rounds {
-        let audit = (round + 1) % period == 0;
-        if piggyback && audit {
-            system.begin_audit_round()?;
-        }
-        for _ in 0..point.messages_per_round {
-            system.put(&op.to_le_bytes(), &value)?;
-            op += 1;
-        }
-        if audit {
-            if piggyback {
-                system.finish_audit_round()?;
-            } else {
-                system.run_audit_round()?;
-            }
-        }
-    }
-    let stats = system.acct_stats();
-    Ok(sweep_row(
-        point,
-        system.witnesses_of(0).len() as u32,
-        &stats,
-        system.now().as_micros(),
-        None,
-        None,
-    ))
+/// The detection latency of `point`'s configuration under `faults`: a
+/// PeerReview deployment of the point's shape (including any churn or
+/// partition schedule) driven until every correct witness of `target`
+/// exposes it, in *audit* rounds; `None` when the point's round budget ends
+/// first.
+fn exposure_latency(
+    point: &SweepPoint,
+    faults: FaultPlan,
+    target: u32,
+) -> Result<Option<u64>, CoreError> {
+    let mut pr = peerreview(point.nodes, point.payload, point.run_engine(), faults)?;
+    drive_sweep_peerreview(&mut pr, point, Some(target))
 }
 
 // ---- verdict-parity harness ---------------------------------------------
-
-/// `(witness, node) → verdict` over a run's *final* witness sets.
-pub type VerdictMap = BTreeMap<(u32, u32), Verdict>;
 
 /// One scripted membership event of a [`ChurnPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1675,8 +1520,8 @@ pub struct ChurnPlan {
     /// `(after_round, action)` pairs: each action fires once that many
     /// workload+audit rounds have completed (0 = before the first round).
     pub actions: Vec<(u64, ChurnAction)>,
-    /// Partition schedule installed on the cluster before the run
-    /// (PeerReview substrate only; its rounds count *audit* rounds).
+    /// Partition schedule installed on the cluster before the run (its
+    /// rounds count *audit* rounds).
     pub partition: Option<PartitionSchedule>,
 }
 
@@ -1688,27 +1533,17 @@ impl ChurnPlan {
             .filter(move |(r, _)| *r == round)
             .map(|(_, a)| a)
     }
-
-    /// How many nodes the plan joins (they extend the verdict matrix).
-    fn joins(&self) -> u32 {
-        self.actions
-            .iter()
-            .filter(|(_, a)| matches!(a, ChurnAction::Join { .. }))
-            .count() as u32
-    }
 }
 
 /// One accountable run to drive for verdict comparison: any accounted
-/// application × fault plan × commit mode, optionally behind a packet-level
-/// adversary or a scripted churn plan, compared against a *twin* run (clean
-/// network, different commit mode, no checkpointing, …) with
-/// [`assert_verdict_parity`].
+/// application × fault plan × engine configuration, optionally behind a
+/// packet-level adversary or a scripted churn plan, compared against a
+/// *twin* run (clean network, different commit mode, no checkpointing, …)
+/// with [`assert_verdict_parity`].
 #[derive(Debug, Clone)]
 pub struct ParitySpec {
     /// The workload under audit.
     pub app: SweepApp,
-    /// Commitment mode.
-    pub mode: CommitMode,
     /// Injected node-level Byzantine behaviours.
     pub faults: FaultPlan,
     /// Cluster size (BFT derives `f` from it; clamped per app).
@@ -1717,40 +1552,18 @@ pub struct ParitySpec {
     pub rounds: u64,
     /// Application operations per round.
     pub ops_per_round: u64,
-    /// Determinism seed (twin runs must share it).
-    pub seed: u64,
-    /// Checkpoint interval applied on top of the mode (the mode's own
-    /// interval wins when both are set) — lets a *dedicated*-mode run
-    /// checkpoint, which [`CommitMode`] alone cannot express.
-    pub checkpoint_interval: Option<u64>,
-    /// Packet-level adversary installed on the delivery path. Only the
-    /// PeerReview substrate exposes its cluster for this; the harness
-    /// panics if set for another app.
+    /// Packet-level adversary installed on the delivery path.
     pub adversary: Option<Adversary>,
     /// Scripted membership churn applied between rounds. Crash/recover is
     /// supported on the PeerReview and chain-replication substrates;
-    /// join/leave and partitions on PeerReview only (the harness panics
-    /// otherwise).
+    /// join/leave on PeerReview only (the harness panics otherwise).
     pub churn: Option<ChurnPlan>,
-    /// Challenge re-sends before a silent node is downgraded to suspected
-    /// (0 = classic single-shot challenges) — lets churn runs bridge
-    /// crash/partition windows without a false downgrade.
-    pub challenge_retries: u32,
     /// Drain the piggyback audit pipeline at the end of the run.
     pub drain: bool,
-    /// Charges each witness audits per round (`None` = full audit) — the
-    /// sampled-auditing twin axis.
-    pub audit_sample_size: Option<u32>,
-    /// Consistent-hash witness shards (`<= 1` = unsharded).
-    pub shards: u32,
-    /// Event-driven sparse simulation core instead of dense n×n iteration
-    /// (PeerReview substrate only; the other drivers build their clusters
-    /// internally).
-    pub event_driven: bool,
-    /// Round-digest batching of audit-protocol log entries (`false` =
-    /// classic per-envelope control digests — the measurement twin for
-    /// batching-parity runs).
-    pub round_audit_digests: bool,
+    /// The determinism seed (twin runs must share it), the commit mode and
+    /// every audit knob of the run — [`ParitySpec::new`] takes them from a
+    /// [`CommitMode`]; a twin axis is one field updated on top.
+    pub engine: EngineConfig,
 }
 
 impl ParitySpec {
@@ -1759,99 +1572,15 @@ impl ParitySpec {
     pub fn new(app: SweepApp, mode: CommitMode, faults: FaultPlan) -> Self {
         ParitySpec {
             app,
-            mode,
             faults,
             nodes: 4,
             rounds: 3,
             ops_per_round: 8,
-            seed: 42,
-            checkpoint_interval: None,
             adversary: None,
             churn: None,
-            challenge_retries: 0,
             drain: true,
-            audit_sample_size: None,
-            shards: 1,
-            event_driven: false,
-            round_audit_digests: true,
+            engine: mode.engine_config(SEED),
         }
-    }
-
-    fn engine_config(&self) -> EngineConfig {
-        let mut config = self.mode.engine_config(self.seed);
-        config.checkpoint_interval = config.checkpoint_interval.or(self.checkpoint_interval);
-        config.challenge_retries = self.challenge_retries;
-        config.audit_sample_size = self.audit_sample_size;
-        config.shards = self.shards.max(1);
-        config.round_audit_digests = self.round_audit_digests;
-        config
-    }
-}
-
-/// The observable outcome of one accountable run, for parity comparison.
-#[derive(Debug, Clone)]
-pub struct ParityOutcome {
-    /// Cluster size of the run.
-    pub nodes: u32,
-    /// Byzantine node ids under the run's fault plan.
-    pub byzantine: Vec<u32>,
-    /// `(witness, node) → verdict` over the final witness sets.
-    pub verdicts: VerdictMap,
-    /// `(witness, node) → misbehaviour labels` of the evidence held.
-    pub evidence: BTreeMap<(u32, u32), Vec<&'static str>>,
-    /// The run's accountability counters.
-    pub stats: AccountabilityStats,
-    /// Messages the cluster transport sent / rejected (0 where the app does
-    /// not expose its cluster).
-    pub messages_sent: u64,
-    /// Messages the cluster transport rejected (duplicates, tampering).
-    pub messages_rejected: u64,
-    /// Sends refused because an endpoint was crashed or departed (0 where
-    /// the app does not expose its cluster).
-    pub messages_unreachable: u64,
-    /// Sends refused by an open partition cut (0 where the app does not
-    /// expose its cluster).
-    pub messages_partitioned: u64,
-    /// Total virtual time of the run in microseconds.
-    pub virtual_time_us: u64,
-}
-
-impl ParityOutcome {
-    /// `witness`'s verdict on `node` ([`Verdict::Trusted`] if the pair is
-    /// not in the final witness relation).
-    #[must_use]
-    pub fn verdict_of(&self, witness: u32, node: u32) -> Verdict {
-        self.verdicts
-            .get(&(witness, node))
-            .copied()
-            .unwrap_or(Verdict::Trusted)
-    }
-
-    /// The evidence labels `witness` holds against `node`.
-    #[must_use]
-    pub fn evidence_of(&self, witness: u32, node: u32) -> &[&'static str] {
-        self.evidence
-            .get(&(witness, node))
-            .map_or(&[], Vec::as_slice)
-    }
-
-    /// The witnesses of `node` that are correct under the fault plan.
-    #[must_use]
-    pub fn correct_witnesses_of(&self, node: u32) -> Vec<u32> {
-        self.verdicts
-            .keys()
-            .filter(|&&(w, n)| n == node && !self.byzantine.contains(&w))
-            .map(|&(w, _)| w)
-            .collect()
-    }
-
-    /// **The accuracy invariant**: every correct node is `Trusted` (not
-    /// merely un-exposed) at every correct witness.
-    #[must_use]
-    pub fn accuracy_clean(&self) -> bool {
-        self.verdicts.iter().all(|(&(w, n), &v)| {
-            self.byzantine.contains(&w) || self.byzantine.contains(&n) || v == Verdict::Trusted
-        })
     }
 }
 
@@ -1865,277 +1594,96 @@ impl ParityOutcome {
 ///
 /// # Panics
 ///
-/// Panics if [`ParitySpec::adversary`] is set for an app other than
-/// [`SweepApp::PeerReview`] (the other drivers do not expose their cluster).
+/// Panics if [`ParitySpec::churn`] asks for an action the app does not
+/// support: crash/recover exist on the PeerReview and chain-replication
+/// substrates, join/leave on PeerReview only.
 pub fn run_verdict_matrix(spec: &ParitySpec) -> Result<ParityOutcome, CoreError> {
-    assert!(
-        spec.adversary.is_none() || spec.app == SweepApp::PeerReview,
-        "packet-level adversaries are only supported on the PeerReview substrate"
-    );
-    assert!(
-        spec.churn.is_none() || matches!(spec.app, SweepApp::PeerReview | SweepApp::Cr),
-        "churn plans are only supported on the PeerReview and chain-replication substrates"
-    );
-    let byzantine = spec.faults.byzantine_nodes();
-    // The four accountable systems share a verdict/witness surface but no
-    // trait; the macros stamp the common round-driving loop and outcome
-    // assembly once per arm instead of copy-pasting them.
-    macro_rules! drive_acct_rounds {
-        ($system:expr, $op:expr) => {{
-            let piggyback = spec.mode.is_piggyback();
-            for _ in 0..spec.rounds {
-                if piggyback {
-                    $system.begin_audit_round()?;
+    let mut deployment =
+        Deployment::new(spec.app, spec.nodes, 0, spec.engine, spec.faults.clone())?;
+    // Per system: a round of the parity workload, and what a scripted churn
+    // action means on it.
+    let per_round = spec.ops_per_round;
+    match &mut deployment {
+        Deployment::PeerReview(pr) => parity_rounds(
+            pr,
+            spec,
+            |pr, _| pr.run_workload(per_round),
+            |pr, action| match action {
+                ChurnAction::Crash { node } => {
+                    pr.crash_node(node);
+                    Ok(())
                 }
-                for _ in 0..spec.ops_per_round {
-                    $op;
+                ChurnAction::Recover { node } => pr.recover_node(node),
+                ChurnAction::Join { id } => pr.join_node(id),
+                ChurnAction::Leave { node } => pr.depart_node(node),
+            },
+        ),
+        Deployment::Bft(system) => parity_rounds(
+            system,
+            spec,
+            ops(per_round, |system: &mut BftCounter, _| {
+                system.client_increment().map(drop)
+            }),
+            |_, action| panic!("{action:?}: the BFT counter has no churn support"),
+        ),
+        // Crash = fail-over out of the chain, recover = rejoin as the tail.
+        Deployment::Cr(system) => parity_rounds(
+            system,
+            spec,
+            ops(per_round, |system: &mut ChainReplication, op| {
+                system.put(&op.to_le_bytes(), b"value").map(drop)
+            }),
+            |system, action| match action {
+                ChurnAction::Crash { node } => {
+                    system.fail_over(NodeId(node));
+                    Ok(())
                 }
-                if piggyback {
-                    $system.finish_audit_round()?;
-                } else {
-                    $system.run_audit_round()?;
+                ChurnAction::Recover { node } => system.rejoin(NodeId(node)),
+                ChurnAction::Join { .. } | ChurnAction::Leave { .. } => {
+                    panic!("join/leave churn is only supported on the PeerReview substrate")
                 }
-            }
-            if spec.drain {
-                $system.drain_audits()?;
-            }
-        }};
-    }
-    macro_rules! acct_outcome {
-        ($system:expr, $nodes:expr, $stats:expr, $sent:expr, $rejected:expr,
-         $unreachable:expr, $partitioned:expr) => {{
-            let nodes: u32 = $nodes;
-            let mut verdicts = VerdictMap::new();
-            let mut evidence = BTreeMap::new();
-            for node in 0..nodes {
-                for &w in $system.witnesses_of(node) {
-                    verdicts.insert((w, node), $system.verdict_of(w, node));
-                    let labels: Vec<&'static str> = $system
-                        .evidence_of(w, node)
-                        .iter()
-                        .map(|e| e.label())
-                        .collect();
-                    if !labels.is_empty() {
-                        evidence.insert((w, node), labels);
-                    }
-                }
-            }
-            ParityOutcome {
-                nodes,
-                byzantine,
-                verdicts,
-                evidence,
-                stats: $stats,
-                messages_sent: $sent,
-                messages_rejected: $rejected,
-                messages_unreachable: $unreachable,
-                messages_partitioned: $partitioned,
-                virtual_time_us: $system.now().as_micros(),
-            }
-        }};
-    }
-    match spec.app {
-        SweepApp::PeerReview => {
-            let mut config = PeerReviewConfig {
-                nodes: spec.nodes,
-                baseline: Baseline::Tnic,
-                stack: NetworkStackKind::Tnic,
-                seed: spec.seed,
-                checkpoint_interval: spec.checkpoint_interval,
-                challenge_retries: spec.challenge_retries,
-                audit_sample_size: spec.audit_sample_size,
-                shards: spec.shards.max(1),
-                event_driven: spec.event_driven,
-                round_audit_digests: spec.round_audit_digests,
-                ..PeerReviewConfig::default()
-            };
-            spec.mode.apply(&mut config);
-            let piggyback = config.piggyback;
-            let mut pr = PeerReview::new(config, spec.faults.clone())?;
-            if let Some(adversary) = spec.adversary.clone() {
-                pr.cluster_mut()
-                    .set_adversary(adversary, spec.seed ^ 0xAD5A);
-            }
-            if let Some(plan) = &spec.churn {
-                if let Some(schedule) = plan.partition.clone() {
-                    pr.cluster_mut().set_partition(schedule);
-                }
-                // Churn runs drive round by round so scripted actions land
-                // between rounds, exactly where an operator would apply
-                // them.
-                apply_peerreview_churn(&mut pr, plan, 0)?;
-                for round in 1..=spec.rounds {
-                    if piggyback {
-                        pr.begin_audit_round()?;
-                        pr.run_workload(spec.ops_per_round)?;
-                        pr.finish_audit_round()?;
-                    } else {
-                        pr.run_workload(spec.ops_per_round)?;
-                        pr.run_audit_round()?;
-                    }
-                    apply_peerreview_churn(&mut pr, plan, round)?;
-                }
-            } else {
-                pr.run_scenario(spec.rounds, spec.ops_per_round)?;
-            }
-            if spec.drain {
-                pr.drain_audits()?;
-            }
-            let nodes = spec.nodes + spec.churn.as_ref().map_or(0, ChurnPlan::joins);
-            let cluster_stats = pr.cluster().stats();
-            Ok(acct_outcome!(
-                pr,
-                nodes,
-                pr.stats(),
-                cluster_stats.messages_sent,
-                cluster_stats.messages_rejected,
-                cluster_stats.messages_unreachable,
-                cluster_stats.messages_partitioned
-            ))
-        }
-        SweepApp::Bft => {
-            let f = (spec.nodes.max(3) - 1) / 2;
-            let config = BftConfig {
-                f,
-                ..BftConfig::default()
-            };
-            let mut system = BftCounter::with_accountability(
-                Baseline::Tnic,
-                NetworkStackKind::Tnic,
-                config,
-                spec.seed,
-                spec.engine_config(),
-                spec.faults.clone(),
-            )?;
-            drive_acct_rounds!(system, system.client_increment()?);
-            let cluster_stats = system.cluster().stats();
-            Ok(acct_outcome!(
-                system,
-                system.replica_count() as u32,
-                system.acct_stats(),
-                cluster_stats.messages_sent,
-                cluster_stats.messages_rejected,
-                cluster_stats.messages_unreachable,
-                cluster_stats.messages_partitioned
-            ))
-        }
-        SweepApp::Cr => {
-            let nodes = spec.nodes.max(2);
-            let mut system = ChainReplication::with_accountability(
-                nodes,
-                Baseline::Tnic,
-                NetworkStackKind::Tnic,
-                spec.seed,
-                spec.engine_config(),
-                spec.faults.clone(),
-            )?;
-            let mut op = 0u64;
-            if let Some(plan) = &spec.churn {
-                assert!(
-                    plan.partition.is_none(),
-                    "partition churn is only supported on the PeerReview substrate"
-                );
-                let piggyback = spec.mode.is_piggyback();
-                apply_cr_churn(&mut system, plan, 0)?;
-                for round in 1..=spec.rounds {
-                    if piggyback {
-                        system.begin_audit_round()?;
-                    }
-                    for _ in 0..spec.ops_per_round {
-                        system.put(&op.to_le_bytes(), b"value")?;
-                        op += 1;
-                    }
-                    if piggyback {
-                        system.finish_audit_round()?;
-                    } else {
-                        system.run_audit_round()?;
-                    }
-                    apply_cr_churn(&mut system, plan, round)?;
-                }
-                if spec.drain {
-                    system.drain_audits()?;
-                }
-            } else {
-                drive_acct_rounds!(system, {
-                    system.put(&op.to_le_bytes(), b"value")?;
-                    op += 1;
-                });
-            }
-            let cluster_stats = system.cluster().stats();
-            Ok(acct_outcome!(
-                system,
-                nodes,
-                system.acct_stats(),
-                cluster_stats.messages_sent,
-                cluster_stats.messages_rejected,
-                cluster_stats.messages_unreachable,
-                cluster_stats.messages_partitioned
-            ))
-        }
-        SweepApp::A2m => {
-            let nodes = spec.nodes.max(2);
-            let mut system = AccountableA2m::new(
-                nodes,
-                Baseline::Tnic,
-                NetworkStackKind::Tnic,
-                spec.seed,
-                spec.engine_config(),
-                spec.faults.clone(),
-            )?;
-            let mut op = 0u64;
-            drive_acct_rounds!(system, {
-                system.append(format!("entry-{op}").as_bytes())?;
-                op += 1;
-            });
-            Ok(acct_outcome!(
-                system,
-                nodes,
-                system.acct_stats(),
-                0,
-                0,
-                0,
-                0
-            ))
-        }
+            },
+        ),
+        Deployment::A2m(system) => parity_rounds(
+            system,
+            spec,
+            ops(per_round, |system: &mut AccountableA2m, op| {
+                system.append(format!("entry-{op}").as_bytes()).map(drop)
+            }),
+            |_, action| panic!("{action:?}: the replicated A2M has no churn support"),
+        ),
     }
 }
 
-/// Applies the churn actions scheduled after `round` to a PeerReview
-/// deployment.
-fn apply_peerreview_churn(
-    pr: &mut PeerReview,
-    plan: &ChurnPlan,
-    round: u64,
-) -> Result<(), CoreError> {
-    for action in plan.at(round) {
-        match *action {
-            ChurnAction::Crash { node } => pr.crash_node(node),
-            ChurnAction::Recover { node } => pr.recover_node(node)?,
-            ChurnAction::Join { id } => pr.join_node(id)?,
-            ChurnAction::Leave { node } => pr.depart_node(node)?,
-        }
+/// The app-independent half of [`run_verdict_matrix`]: installs the spec's
+/// adversary and partition schedule on the cluster, then runs its rounds of
+/// `work` with an audit round each, applying the churn plan through `churn`
+/// between rounds — exactly where an operator would.
+fn parity_rounds<D: Accountable>(
+    system: &mut D,
+    spec: &ParitySpec,
+    work: impl FnMut(&mut D, u64) -> Result<(), CoreError>,
+    mut churn: impl FnMut(&mut D, ChurnAction) -> Result<(), CoreError>,
+) -> Result<ParityOutcome, CoreError> {
+    let cluster = system.parts().1;
+    if let Some(adversary) = spec.adversary.clone() {
+        cluster.set_adversary(adversary, spec.engine.seed ^ 0xAD5A);
     }
-    Ok(())
-}
-
-/// Applies the churn actions scheduled after `round` to an accountable
-/// chain-replication deployment (crash = fail-over, recover = rejoin as
-/// tail).
-fn apply_cr_churn(
-    system: &mut ChainReplication,
-    plan: &ChurnPlan,
-    round: u64,
-) -> Result<(), CoreError> {
-    for action in plan.at(round) {
-        match *action {
-            ChurnAction::Crash { node } => system.fail_over(NodeId(node)),
-            ChurnAction::Recover { node } => system.rejoin(NodeId(node))?,
-            ChurnAction::Join { .. } | ChurnAction::Leave { .. } => {
-                panic!("join/leave churn is only supported on the PeerReview substrate")
-            }
-        }
+    if let Some(schedule) = spec.churn.as_ref().and_then(|plan| plan.partition.clone()) {
+        cluster.set_partition(schedule);
     }
-    Ok(())
+    let mut apply_churn = |system: &mut D, completed_rounds: u64| -> Result<bool, CoreError> {
+        for action in spec.churn.iter().flat_map(|plan| plan.at(completed_rounds)) {
+            churn(system, *action)?;
+        }
+        Ok(false)
+    };
+    apply_churn(system, 0)?;
+    drive(system, spec.rounds, 1, work, apply_churn)?;
+    if spec.drain {
+        system.drain_audits()?;
+    }
+    Ok(outcome(system))
 }
 
 // ---- membership-churn robustness scenarios ------------------------------
@@ -2277,7 +1825,7 @@ impl ChurnScenario {
         let mut spec = ParitySpec::new(self.app, mode, self.faults.clone());
         spec.nodes = self.nodes;
         spec.rounds = rounds;
-        spec.challenge_retries = self.challenge_retries;
+        spec.engine.challenge_retries = self.challenge_retries;
         spec.churn = Some(self.churn.clone());
         spec
     }
@@ -2297,14 +1845,7 @@ impl ChurnScenario {
                 v == Verdict::Trusted
             }
         });
-        let exposed = self.expected_exposed.is_none_or(|t| {
-            let witnesses = outcome.correct_witnesses_of(t);
-            !witnesses.is_empty()
-                && witnesses
-                    .iter()
-                    .all(|&w| outcome.verdict_of(w, t) == Verdict::Exposed)
-        });
-        clean && exposed
+        clean && self.expected_exposed.is_none_or(|t| outcome.exposed(t))
     }
 }
 
@@ -2388,18 +1929,8 @@ pub fn run_churn_scenario(
         outcome.byzantine.contains(&w) || outcome.byzantine.contains(&n) || v != Verdict::Exposed
     });
     let verdict = match scenario.expected_exposed {
-        Some(t) => {
-            let witnesses = outcome.correct_witnesses_of(t);
-            if !witnesses.is_empty()
-                && witnesses
-                    .iter()
-                    .all(|&w| outcome.verdict_of(w, t) == Verdict::Exposed)
-            {
-                "exposed"
-            } else {
-                "NOT exposed"
-            }
-        }
+        Some(t) if outcome.exposed(t) => "exposed",
+        Some(_) => "NOT exposed",
         None => worst_correct_verdict(&outcome, &scenario.allow_suspected).label(),
     };
     let expected = if scenario.expected_exposed.is_some() {
@@ -2466,8 +1997,8 @@ pub fn render_churn_table(results: &[ChurnScenarioResult]) -> String {
     out
 }
 
-/// Drives a 4-node PeerReview deployment round by round (8 messages per
-/// round, one audit round each) and returns the number of audit rounds
+/// Drives a 4-node PeerReview deployment (8 messages per round, one audit
+/// round each) under `faults` and returns the number of audit rounds
 /// until every *current correct witness* of `target` holds an `Exposed`
 /// verdict — the detection latency of whatever fault the plan injects.
 /// Returns `None` when exposure is not reached within `max_rounds` (the
@@ -2489,14 +2020,12 @@ pub fn measure_exposure_latency(
     target: u32,
     max_rounds: u64,
 ) -> Result<Option<u64>, CoreError> {
-    let mut config = PeerReviewConfig {
-        nodes: 4,
-        seed: 42,
-        ..PeerReviewConfig::default()
+    let point = SweepPoint {
+        payload: 0,
+        rounds: max_rounds,
+        ..SweepPoint::new(SweepApp::PeerReview, mode)
     };
-    mode.apply(&mut config);
-    let pr = PeerReview::new(config, faults)?;
-    drive_until_exposed(pr, target, max_rounds, 8, 1)
+    exposure_latency(&point, faults, target)
 }
 
 /// One row of the sampled-auditing scaling probe driven by `reproduce`:
@@ -2535,36 +2064,41 @@ pub fn run_sampled_probe(
     audit_sample_size: Option<u32>,
     coverage_window: u64,
 ) -> Result<SampledProbeRow, CoreError> {
-    const NODES: u32 = 8;
     const ROUNDS: u64 = 8;
-    const MSGS: u64 = 8;
-    let mut config = PeerReviewConfig {
-        nodes: NODES,
-        seed: 42,
-        audit_sample_size,
-        audit_coverage_window: coverage_window,
-        ..PeerReviewConfig::default()
+    let mode = CommitMode::Piggyback { witnesses: 3 };
+    let point = SweepPoint {
+        nodes: 8,
+        payload: 0,
+        rounds: ROUNDS,
+        engine: EngineConfig {
+            audit_sample_size,
+            audit_coverage_window: coverage_window,
+            ..mode.engine_config(SEED)
+        },
+        ..SweepPoint::new(SweepApp::PeerReview, mode)
     };
-    CommitMode::Piggyback { witnesses: 3 }.apply(&mut config);
-    let mut pr = PeerReview::new(config, FaultPlan::all_correct())?;
-    pr.run_scenario_ext(ROUNDS, MSGS, 1)?;
-    let stats = pr.stats();
-    let cluster = pr.cluster().stats();
-    let twin = PeerReview::new(
-        config,
-        FaultPlan::single(1, NodeFault::TamperLogEntry { seq: 0 }),
+    let mut pr = peerreview(
+        point.nodes,
+        point.payload,
+        point.engine,
+        FaultPlan::all_correct(),
     )?;
-    let detection = drive_until_exposed(twin, 1, 4 * (ROUNDS + coverage_window), MSGS, 1)?;
-    let audit_rounds = ROUNDS + 1;
+    pr.run_scenario(point.rounds, point.messages_per_round)?;
+    let fault_free = outcome(&mut pr);
+    let twin = SweepPoint {
+        rounds: 4 * (ROUNDS + coverage_window),
+        ..point
+    };
+    let tamperer = FaultPlan::single(1, NodeFault::TamperLogEntry { seq: 0 });
     Ok(SampledProbeRow {
         label: audit_sample_size
             .map_or_else(|| "full audit".to_string(), |k| format!("sampled (k={k})")),
         audit_sample_size,
-        audit_msgs_per_node_round: stats.audit_messages as f64
-            / (u64::from(NODES) * audit_rounds) as f64,
-        messages_audit: cluster.messages_audit,
-        messages_batched: cluster.messages_batched,
-        detection_latency_rounds: detection,
+        audit_msgs_per_node_round: fault_free.stats.audit_messages as f64
+            / (u64::from(point.nodes) * point.drained_audit_rounds()) as f64,
+        messages_audit: fault_free.messages_audit,
+        messages_batched: fault_free.messages_batched,
+        detection_latency_rounds: exposure_latency(&twin, tamperer, 1)?,
     })
 }
 
@@ -2729,19 +2263,9 @@ mod tests {
     #[test]
     fn sweep_rows_report_the_swept_parameters() {
         let row = run_sweep_point(SweepPoint {
-            app: SweepApp::PeerReview,
-            mode: CommitMode::Piggyback { witnesses: 2 },
             payload: 256,
-            nodes: 4,
             audit_period: 2,
-            rounds: 4,
-            messages_per_round: 8,
-            checkpoint_interval: None,
-            churn_rate: 0.0,
-            partition_rounds: 0,
-            audit_sample_size: None,
-            shards: 1,
-            event_driven: false,
+            ..SweepPoint::new(SweepApp::PeerReview, CommitMode::Piggyback { witnesses: 2 })
         })
         .unwrap();
         assert_eq!(row.witnesses, 2);
@@ -2768,23 +2292,58 @@ mod tests {
         );
     }
 
+    /// Splits one CSV record into fields, honouring RFC 4180 quoting.
+    fn split_csv_record(record: &str) -> Vec<String> {
+        let mut fields = vec![String::new()];
+        let mut quoted = false;
+        let mut chars = record.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    chars.next();
+                    fields.last_mut().unwrap().push('"');
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields.push(String::new()),
+                c => fields.last_mut().unwrap().push(c),
+            }
+        }
+        fields
+    }
+
+    #[test]
+    fn csv_rows_have_the_header_field_count_in_every_commit_mode() {
+        let columns = SWEEP_CSV_HEADER.split(',').count();
+        for mode in [
+            CommitMode::Dedicated,
+            CommitMode::Piggyback { witnesses: 2 },
+            CommitMode::Checkpointed {
+                witnesses: 2,
+                interval: 2,
+            },
+        ] {
+            let row = run_sweep_point(SweepPoint {
+                nodes: 3,
+                messages_per_round: 4,
+                ..SweepPoint::new(SweepApp::Cr, mode)
+            })
+            .unwrap();
+            let fields = split_csv_record(&row.to_csv());
+            assert_eq!(fields.len(), columns, "{}", mode.label());
+            assert_eq!(fields[1], mode.label(), "the label survives the quoting");
+        }
+        assert_eq!(csv_field("plain"), "plain");
+        assert_eq!(csv_field("a,\"b\""), "\"a,\"\"b\"\"\"");
+    }
+
     #[test]
     fn bft_and_cr_sweep_points_measure_the_stacked_engine() {
         for app in [SweepApp::Bft, SweepApp::Cr, SweepApp::A2m] {
             let row = run_sweep_point(SweepPoint {
-                app,
-                mode: CommitMode::Piggyback { witnesses: 2 },
-                payload: 64,
                 nodes: 3,
-                audit_period: 1,
                 rounds: 3,
                 messages_per_round: 4,
-                checkpoint_interval: None,
-                churn_rate: 0.0,
-                partition_rounds: 0,
-                audit_sample_size: None,
-                shards: 1,
-                event_driven: false,
+                ..SweepPoint::new(app, CommitMode::Piggyback { witnesses: 2 })
             })
             .unwrap();
             assert_eq!(row.witnesses, 2, "{app:?}");
@@ -2860,7 +2419,7 @@ mod tests {
         dedicated.rounds = 4;
         dedicated.churn = Some(churn);
         let mut piggyback = dedicated.clone();
-        piggyback.mode = CommitMode::Piggyback { witnesses: 2 };
+        piggyback.engine = CommitMode::Piggyback { witnesses: 2 }.engine_config(SEED);
         let a = run_verdict_matrix(&dedicated).unwrap();
         let b = run_verdict_matrix(&piggyback).unwrap();
         assert!(a.stats.crashes == 1 && a.stats.recoveries == 1);
@@ -2875,19 +2434,9 @@ mod tests {
     fn churned_sweep_points_carry_the_new_columns_and_still_detect() {
         // Crash-recover churn cycles.
         let churned = run_sweep_point(SweepPoint {
-            app: SweepApp::PeerReview,
-            mode: CommitMode::Piggyback { witnesses: 2 },
-            payload: 64,
-            nodes: 4,
-            audit_period: 1,
             rounds: 8,
-            messages_per_round: 8,
-            checkpoint_interval: None,
             churn_rate: 0.25,
-            partition_rounds: 0,
-            audit_sample_size: None,
-            shards: 1,
-            event_driven: false,
+            ..SweepPoint::new(SweepApp::PeerReview, CommitMode::Piggyback { witnesses: 2 })
         })
         .unwrap();
         let csv = churned.to_csv();
@@ -2899,19 +2448,9 @@ mod tests {
         );
         // A healed partition window.
         let partitioned = run_sweep_point(SweepPoint {
-            app: SweepApp::PeerReview,
-            mode: CommitMode::Dedicated,
-            payload: 64,
-            nodes: 4,
-            audit_period: 1,
             rounds: 8,
-            messages_per_round: 8,
-            checkpoint_interval: None,
-            churn_rate: 0.0,
             partition_rounds: 2,
-            audit_sample_size: None,
-            shards: 1,
-            event_driven: false,
+            ..SweepPoint::new(SweepApp::PeerReview, CommitMode::Dedicated)
         })
         .unwrap();
         let csv = partitioned.to_csv();
@@ -2925,30 +2464,19 @@ mod tests {
     #[test]
     fn sampled_sharded_event_driven_point_cuts_audit_traffic() {
         // The scaling-frontier columns at a mid-size point: sampling with
-        // sharded witnesses on the event-driven core trades bounded
-        // detection latency for audit traffic.
-        let base = SweepPoint {
-            app: SweepApp::PeerReview,
-            mode: CommitMode::Piggyback { witnesses: 4 },
-            payload: 64,
+        // sharded witnesses trades bounded detection latency for audit
+        // traffic.
+        let mut base = SweepPoint {
             nodes: 12,
-            audit_period: 1,
             rounds: 6,
             messages_per_round: 12,
-            checkpoint_interval: None,
-            churn_rate: 0.0,
-            partition_rounds: 0,
-            audit_sample_size: None,
-            shards: 2,
-            event_driven: true,
+            ..SweepPoint::new(SweepApp::PeerReview, CommitMode::Piggyback { witnesses: 4 })
         };
+        base.engine.shards = 2;
         let full = run_sweep_point(base).unwrap();
-        let sampled = run_sweep_point(SweepPoint {
-            audit_sample_size: Some(1),
-            rounds: 10,
-            ..base
-        })
-        .unwrap();
+        let mut sampled = SweepPoint { rounds: 10, ..base };
+        sampled.engine.audit_sample_size = Some(1);
+        let sampled = run_sweep_point(sampled).unwrap();
         assert!(full.audit_msgs_per_node_round() > 0.0);
         assert!(
             sampled.audit_msgs_per_node_round() < full.audit_msgs_per_node_round() / 2.0,
@@ -2978,11 +2506,9 @@ mod tests {
 
     #[test]
     fn event_driven_and_sampled_churn_runs_keep_verdict_parity() {
-        // The churned half of the parity claim: a crash-rejoin schedule
-        // classifies identically on the dense and event-driven cores (with
-        // identical transport message counts), and sampled auditing settles
-        // to the same final verdicts — in both commit modes, honest and
-        // tampering.
+        // The churned half of the sampling claim: under a crash-rejoin
+        // schedule sampled auditing settles to the same final verdicts as
+        // the full audit — in both commit modes, honest and tampering.
         let plans = [
             FaultPlan::all_correct(),
             FaultPlan::single(1, NodeFault::TamperLogEntry { seq: 0 }),
@@ -2994,7 +2520,7 @@ mod tests {
             for faults in &plans {
                 let mut base = ParitySpec::new(SweepApp::PeerReview, mode, faults.clone());
                 base.rounds = 6;
-                base.challenge_retries = 2;
+                base.engine.challenge_retries = 2;
                 base.churn = Some(ChurnPlan {
                     actions: vec![
                         (1, ChurnAction::Crash { node: 2 }),
@@ -3002,88 +2528,16 @@ mod tests {
                     ],
                     partition: None,
                 });
-                let dense = run_verdict_matrix(&base).unwrap();
+                let full = run_verdict_matrix(&base).unwrap();
                 let mut spec = base.clone();
-                spec.event_driven = true;
-                let event = run_verdict_matrix(&spec).unwrap();
-                let context = format!("event-driven churn [{}] {faults:?}", mode.label());
-                assert_verdict_parity(&dense, &event, &context);
-                assert_eq!(
-                    dense.messages_sent, event.messages_sent,
-                    "{context}: the schedulers must send the same messages"
-                );
-                assert_eq!(dense.stats.challenges, event.stats.challenges, "{context}");
-                let mut spec = base.clone();
-                spec.audit_sample_size = Some(1);
+                spec.engine.audit_sample_size = Some(1);
                 let sampled = run_verdict_matrix(&spec).unwrap();
                 let context = format!("sampled churn [{}] {faults:?}", mode.label());
-                assert_verdict_parity(&dense, &sampled, &context);
+                assert_verdict_parity(&full, &sampled, &context);
                 assert!(
-                    sampled.stats.challenges < dense.stats.challenges,
+                    sampled.stats.challenges < full.stats.challenges,
                     "{context}: sampling must issue fewer challenges"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn round_digest_batching_keeps_fault_suite_verdict_parity() {
-        // The acceptance matrix of the batching claim, fault half: every
-        // scenario of the fault suite classifies identically with round
-        // digests on (default) and off (the per-message twin), in both
-        // commit modes — and batching strictly shrinks the audit-protocol
-        // share of the logs.
-        let mut batched_total = 0u64;
-        let mut twin_total = 0u64;
-        for scenario in Scenario::suite() {
-            for mode in [
-                CommitMode::Dedicated,
-                CommitMode::Piggyback { witnesses: 2 },
-            ] {
-                let batched = ParitySpec::new(SweepApp::PeerReview, mode, scenario.fault_plan());
-                let mut twin = batched.clone();
-                twin.round_audit_digests = false;
-                let a = run_verdict_matrix(&batched).unwrap();
-                let b = run_verdict_matrix(&twin).unwrap();
-                let context = format!("round-digest {} [{}]", scenario.name, mode.label());
-                assert_verdict_parity(&a, &b, &context);
-                assert!(
-                    a.stats.log_audit_digest_entries <= b.stats.log_audit_digest_entries,
-                    "{context}: batching never inflates the audit share"
-                );
-                assert_eq!(
-                    a.stats.log_app_payload_entries, b.stats.log_app_payload_entries,
-                    "{context}: application entries are untouched"
-                );
-                batched_total += a.stats.log_audit_digest_entries;
-                twin_total += b.stats.log_audit_digest_entries;
-            }
-        }
-        assert!(
-            batched_total * 5 <= twin_total,
-            "round digests cut audit-protocol entries >= 5x across the suite: \
-             {batched_total} vs {twin_total}"
-        );
-    }
-
-    #[test]
-    fn round_digest_batching_keeps_churn_suite_verdict_parity() {
-        // The churn half: crash-rejoin, partition-heal, join, leave and
-        // chain fail-over classify identically with round digests on and
-        // off, in both commit modes.
-        for scenario in ChurnScenario::suite() {
-            for mode in [
-                CommitMode::Dedicated,
-                CommitMode::Piggyback { witnesses: 2 },
-            ] {
-                let rounds = scenario.settle_round + 4;
-                let batched = scenario.spec(mode, rounds);
-                let mut twin = batched.clone();
-                twin.round_audit_digests = false;
-                let a = run_verdict_matrix(&batched).unwrap();
-                let b = run_verdict_matrix(&twin).unwrap();
-                let context = format!("round-digest {} [{}]", scenario.name, mode.label());
-                assert_verdict_parity(&a, &b, &context);
             }
         }
     }
@@ -3102,23 +2556,23 @@ mod tests {
         for rotate in [false, true] {
             for sample_size in 1..=3u32 {
                 for sample_seed in [1u64, 42, 0xfeed] {
-                    let config = PeerReviewConfig {
+                    let point = SweepPoint {
                         nodes: 6,
-                        seed: 42,
-                        audit_sample_size: Some(sample_size),
-                        audit_sample_seed: sample_seed,
-                        audit_coverage_window: window,
-                        witness_count: if rotate { Some(3) } else { None },
-                        checkpoint_interval: if rotate { Some(2) } else { None },
-                        rotate_witnesses: rotate,
-                        ..PeerReviewConfig::default()
+                        payload: 0,
+                        rounds: 4 * (window + slack),
+                        engine: EngineConfig {
+                            audit_sample_size: Some(sample_size),
+                            audit_sample_seed: sample_seed,
+                            audit_coverage_window: window,
+                            witness_count: if rotate { Some(3) } else { None },
+                            checkpoint_interval: if rotate { Some(2) } else { None },
+                            rotate_witnesses: rotate,
+                            ..EngineConfig::default()
+                        },
+                        ..SweepPoint::new(SweepApp::PeerReview, CommitMode::Dedicated)
                     };
-                    let pr = PeerReview::new(
-                        config,
-                        FaultPlan::single(1, NodeFault::TamperLogEntry { seq: 0 }),
-                    )
-                    .unwrap();
-                    let latency = drive_until_exposed(pr, 1, 4 * (window + slack), 8, 1)
+                    let tamperer = FaultPlan::single(1, NodeFault::TamperLogEntry { seq: 0 });
+                    let latency = exposure_latency(&point, tamperer, 1)
                         .unwrap()
                         .unwrap_or_else(|| {
                             panic!(
@@ -3141,7 +2595,7 @@ mod tests {
     fn acct_suite_covers_both_apps_with_control_runs() {
         let suite = AcctScenario::suite();
         assert_eq!(suite.len(), 6);
-        for app in [AcctApp::Bft, AcctApp::Cr, AcctApp::A2m] {
+        for app in [SweepApp::Bft, SweepApp::Cr, SweepApp::A2m] {
             assert_eq!(
                 suite
                     .iter()
@@ -3228,19 +2682,5 @@ mod tests {
         assert!(table.contains("fault-free"));
         assert!(table.contains("TNIC"));
         assert_eq!(table.lines().count(), 3);
-    }
-
-    #[test]
-    fn time_op_measures_real_work() {
-        let ns = time_op(10, || {
-            std::thread::sleep(std::time::Duration::from_micros(50))
-        });
-        assert!(
-            ns >= 50_000.0,
-            "10 x 50us sleeps must average at least 50us/op, got {ns}"
-        );
-        // The zero-iteration path must not divide by zero.
-        let zero_iters = time_op(0, || ());
-        assert!(zero_iters.is_finite() && zero_iters >= 0.0);
     }
 }

@@ -146,9 +146,10 @@ pub fn sweep_section(rows: &[SweepRow]) -> String {
             r.point.nodes,
             r.witnesses,
             r.point
+                .engine
                 .audit_sample_size
                 .map_or_else(|| "-".to_string(), |s| s.to_string()),
-            r.point.shards.max(1),
+            r.point.engine.shards.max(1),
             r.ctl_per_app(),
             r.retained_entries,
             r.audit_msgs_per_node_round(),

@@ -37,7 +37,7 @@ fn clean_and_adversarial(
     seed: u64,
 ) -> (ParityOutcome, ParityOutcome) {
     let mut clean = peerreview_spec(faults.clone());
-    clean.seed = seed;
+    clean.engine.seed = seed;
     clean.drain = false;
     let mut hostile = clean.clone();
     hostile.adversary = Some(adversary);
@@ -161,10 +161,10 @@ fn verdict_parity_with_no_pruning_twin_across_fault_suite() {
         (1, NodeFault::TamperLogEntry { seq: 0 }),
     ];
     for (node, fault) in suite {
-        for (plain_mode, ckpt_mode, ckpt_interval) in [
-            // Dedicated commitments, checkpointing via the explicit
-            // interval override.
-            (CommitMode::Dedicated, CommitMode::Dedicated, Some(1)),
+        for (plain_mode, ckpt_mode) in [
+            // Dedicated commitments, checkpointing via the engine knob (no
+            // commit mode carries it).
+            (CommitMode::Dedicated, CommitMode::Dedicated),
             // Piggybacked commitments, checkpointing via the mode.
             (
                 CommitMode::Piggyback { witnesses: 2 },
@@ -172,7 +172,6 @@ fn verdict_parity_with_no_pruning_twin_across_fault_suite() {
                     witnesses: 2,
                     interval: 1,
                 },
-                None,
             ),
         ] {
             let faults = FaultPlan::single(node, fault);
@@ -180,7 +179,7 @@ fn verdict_parity_with_no_pruning_twin_across_fault_suite() {
             plain_spec.rounds = 4;
             let mut ckpt_spec = ParitySpec::new(SweepApp::PeerReview, ckpt_mode, faults);
             ckpt_spec.rounds = 4;
-            ckpt_spec.checkpoint_interval = ckpt_interval;
+            ckpt_spec.engine.checkpoint_interval = Some(1);
             let plain = run_verdict_matrix(&plain_spec).unwrap();
             let ckpt = run_verdict_matrix(&ckpt_spec).unwrap();
             assert!(
@@ -265,43 +264,6 @@ fn witness_fault_matrix_preserves_accuracy_in_every_app_and_mode() {
                     }
                 }
             }
-        }
-    }
-}
-
-/// The event-driven sparse core is a pure execution strategy: across the
-/// node-fault suite × both commit modes, a dense-scan run and its
-/// event-driven twin must agree on every single verdict **and** every
-/// message count — same protocol, different scheduler.
-#[test]
-fn event_driven_twin_matches_the_dense_run_exactly() {
-    let suite: [FaultPlan; 4] = [
-        FaultPlan::all_correct(),
-        FaultPlan::single(1, NodeFault::Equivocate),
-        FaultPlan::single(1, NodeFault::TamperLogEntry { seq: 0 }),
-        FaultPlan::single(0, NodeFault::SuppressAudits { probability: 1.0 }),
-    ];
-    for faults in suite {
-        for mode in [
-            CommitMode::Dedicated,
-            CommitMode::Piggyback { witnesses: 2 },
-        ] {
-            let mut dense = ParitySpec::new(SweepApp::PeerReview, mode, faults.clone());
-            dense.rounds = 4;
-            let mut sparse = dense.clone();
-            sparse.event_driven = true;
-            let dense_run = run_verdict_matrix(&dense).unwrap();
-            let sparse_run = run_verdict_matrix(&sparse).unwrap();
-            let context = format!("{faults:?} / {}", mode.label());
-            assert_verdict_parity(&sparse_run, &dense_run, &context);
-            assert_eq!(
-                sparse_run.messages_sent, dense_run.messages_sent,
-                "{context}: the sparse scheduler changed the wire traffic"
-            );
-            assert_eq!(
-                sparse_run.stats.challenges, dense_run.stats.challenges,
-                "{context}: the sparse scheduler changed the audit schedule"
-            );
         }
     }
 }

@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use tnic_core::api::{Cluster, NodeId};
@@ -40,15 +39,14 @@ use tnic_core::{Baseline, NetworkStackKind};
 use tnic_crypto::ed25519::Signature;
 use tnic_crypto::sha256::sha256;
 use tnic_net::adversary::FaultPlan;
-use tnic_peerreview::audit::{Misbehavior, Verdict};
+use tnic_peerreview::deployment::Accountable;
 use tnic_peerreview::engine::{AccountabilityEngine, AccountedApp, EngineConfig};
-use tnic_peerreview::stats::AccountabilityStats;
 use tnic_peerreview::wire::Envelope;
 use tnic_sim::time::SimInstant;
 
 /// A proof-of-execution message: the client request batch, the executing
 /// replica's output and its state digest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProofOfExecution {
     /// Identifier of the round (leader-assigned).
     pub round: u64,
@@ -433,10 +431,9 @@ impl BftCounter {
     /// per-replica tamper-evident logs, commitments piggyback on PoE
     /// multicasts (when `acct.piggyback` is set) and Byzantine replicas
     /// named in `faults` are *exposed* by witness audits rather than merely
-    /// tolerated. Drive audits with [`BftCounter::run_audit_round`] (or the
-    /// piggyback-pipelined
-    /// [`BftCounter::begin_audit_round`]/[`BftCounter::finish_audit_round`])
-    /// and close the pipeline with [`BftCounter::drain_audits`].
+    /// tolerated. Drive it through [`Accountable`]: `run_rounds` around the
+    /// client operations, `drain_audits` to close the pipeline; verdicts and
+    /// counters are read from `engine()`.
     ///
     /// # Errors
     ///
@@ -496,108 +493,6 @@ impl BftCounter {
     #[must_use]
     pub fn snapshot_digest(&self, node: NodeId) -> [u8; 32] {
         self.app.snapshot_digest(node.0)
-    }
-
-    /// The accountability engine, if the deployment was built with one.
-    #[must_use]
-    pub fn accountability(&self) -> Option<&AccountabilityEngine<BftApp>> {
-        self.acct.as_ref()
-    }
-
-    /// Runs one full audit round of the attached accountability engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics without [`BftCounter::with_accountability`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn run_audit_round(&mut self) -> Result<(), CoreError> {
-        let engine = self.acct.as_mut().expect("accountability enabled");
-        engine.run_audit_round(&mut self.cluster, &mut self.app)
-    }
-
-    /// Commit step of a piggyback-pipelined audit round: call before the
-    /// round's client operations so commitments can ride the PoE multicasts.
-    ///
-    /// # Panics
-    ///
-    /// Panics without [`BftCounter::with_accountability`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn begin_audit_round(&mut self) -> Result<(), CoreError> {
-        let engine = self.acct.as_mut().expect("accountability enabled");
-        engine.begin_audit_round(&mut self.cluster)
-    }
-
-    /// Flush/challenge/classify step closing a piggyback-pipelined audit
-    /// round (see [`BftCounter::begin_audit_round`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics without [`BftCounter::with_accountability`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn finish_audit_round(&mut self) -> Result<(), CoreError> {
-        let engine = self.acct.as_mut().expect("accountability enabled");
-        engine.finish_audit_round(&mut self.cluster, &mut self.app)
-    }
-
-    /// Audits everything still in the pipeline (final piggyback round).
-    ///
-    /// # Panics
-    ///
-    /// Panics without [`BftCounter::with_accountability`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn drain_audits(&mut self) -> Result<(), CoreError> {
-        let engine = self.acct.as_mut().expect("accountability enabled");
-        engine.drain_audits(&mut self.cluster, &mut self.app)
-    }
-
-    /// The witness ids assigned to `node` (accountability deployments).
-    #[must_use]
-    pub fn witnesses_of(&self, node: u32) -> &[u32] {
-        self.acct.as_ref().map_or(&[], |e| e.witnesses_of(node))
-    }
-
-    /// The correct witnesses of `node` under the fault plan.
-    #[must_use]
-    pub fn correct_witnesses_of(&self, node: u32) -> Vec<u32> {
-        self.acct
-            .as_ref()
-            .map_or_else(Vec::new, |e| e.correct_witnesses_of(node))
-    }
-
-    /// `witness`'s verdict on `node` (accountability deployments).
-    #[must_use]
-    pub fn verdict_of(&self, witness: u32, node: u32) -> Verdict {
-        self.acct
-            .as_ref()
-            .map_or(Verdict::Trusted, |e| e.verdict_of(witness, node))
-    }
-
-    /// The evidence `witness` holds against `node`.
-    #[must_use]
-    pub fn evidence_of(&self, witness: u32, node: u32) -> &[Misbehavior] {
-        self.acct
-            .as_ref()
-            .map_or(&[], |e| e.evidence_of(witness, node))
-    }
-
-    /// Accountability counters (empty stats without accountability).
-    #[must_use]
-    pub fn acct_stats(&self) -> AccountabilityStats {
-        self.acct
-            .as_ref()
-            .map_or_else(AccountabilityStats::new, AccountabilityEngine::stats)
     }
 
     /// Executes one client round: the batch of `batch_size` increment
@@ -752,11 +647,30 @@ impl BftCounter {
     }
 }
 
+impl Accountable for BftCounter {
+    type App = BftApp;
+
+    fn engine(&self) -> &AccountabilityEngine<BftApp> {
+        self.acct
+            .as_ref()
+            .expect("built with BftCounter::with_accountability")
+    }
+
+    fn parts(&mut self) -> (&mut AccountabilityEngine<BftApp>, &mut Cluster, &mut BftApp) {
+        let engine = self
+            .acct
+            .as_mut()
+            .expect("built with BftCounter::with_accountability");
+        (engine, &mut self.cluster, &mut self.app)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tnic_core::TraceChecker;
     use tnic_net::adversary::NodeFault;
+    use tnic_peerreview::audit::Verdict;
 
     fn bft(batch: usize) -> BftCounter {
         BftCounter::new(
@@ -947,32 +861,28 @@ mod tests {
     fn accountable_fault_free_rounds_commit_and_stay_trusted() {
         for piggyback in [false, true] {
             let mut system = accountable_bft(FaultPlan::all_correct(), piggyback);
-            for round in 0..3 {
-                if piggyback {
-                    system.begin_audit_round().unwrap();
-                }
-                for i in 0..4u64 {
-                    let result = system.client_increment().unwrap();
-                    assert!(system.is_committed(&result), "round {round} op {i}");
-                }
-                if piggyback {
-                    system.finish_audit_round().unwrap();
-                } else {
-                    system.run_audit_round().unwrap();
-                }
-            }
+            system
+                .run_rounds(3, 1, |system, round| {
+                    for i in 0..4u64 {
+                        let result = system.client_increment()?;
+                        assert!(system.is_committed(&result), "round {round} op {i}");
+                    }
+                    Ok(())
+                })
+                .unwrap();
             system.drain_audits().unwrap();
-            let stats = system.acct_stats();
+            let engine = system.engine();
+            let stats = engine.stats();
             assert_eq!(stats.unanswered_challenges, 0, "piggyback={piggyback}");
             assert!(stats.challenges > 0);
             for node in 0..3 {
-                for &w in system.witnesses_of(node) {
+                for &w in engine.witnesses_of(node) {
                     assert_eq!(
-                        system.verdict_of(w, node),
+                        engine.verdict_of(w, node),
                         Verdict::Trusted,
                         "node {node} witness {w} piggyback={piggyback}"
                     );
-                    assert!(system.evidence_of(w, node).is_empty());
+                    assert!(engine.evidence_of(w, node).is_empty());
                 }
             }
             if piggyback {
@@ -989,35 +899,31 @@ mod tests {
                 FaultPlan::single(byzantine, NodeFault::Equivocate),
                 piggyback,
             );
-            for _ in 0..3 {
-                if piggyback {
-                    system.begin_audit_round().unwrap();
-                }
-                for _ in 0..4 {
-                    // The protocol itself still commits: equivocation lives in
-                    // the commitment layer, not the PoE dataflow.
-                    let result = system.client_increment().unwrap();
-                    assert!(system.is_committed(&result));
-                }
-                if piggyback {
-                    system.finish_audit_round().unwrap();
-                } else {
-                    system.run_audit_round().unwrap();
-                }
-            }
+            system
+                .run_rounds(3, 1, |system, _| {
+                    for _ in 0..4 {
+                        // The protocol itself still commits: equivocation lives in
+                        // the commitment layer, not the PoE dataflow.
+                        let result = system.client_increment()?;
+                        assert!(system.is_committed(&result));
+                    }
+                    Ok(())
+                })
+                .unwrap();
             system.drain_audits().unwrap();
-            for w in system.correct_witnesses_of(byzantine) {
+            let engine = system.engine();
+            for w in engine.correct_witnesses_of(byzantine) {
                 assert_eq!(
-                    system.verdict_of(w, byzantine),
+                    engine.verdict_of(w, byzantine),
                     Verdict::Exposed,
                     "witness {w} piggyback={piggyback}"
                 );
-                assert!(!system.evidence_of(w, byzantine).is_empty());
+                assert!(!engine.evidence_of(w, byzantine).is_empty());
             }
             // Correct replicas keep clean records.
             for node in [0u32, 2] {
-                for w in system.correct_witnesses_of(node) {
-                    assert_eq!(system.verdict_of(w, node), Verdict::Trusted);
+                for w in engine.correct_witnesses_of(node) {
+                    assert_eq!(engine.verdict_of(w, node), Verdict::Trusted);
                 }
             }
         }

@@ -146,9 +146,9 @@ pub struct Cluster {
     /// The round the partition schedule is evaluated against (advanced by
     /// the protocol driver via [`Cluster::set_partition_round`]).
     partition_round: u64,
-    /// Nodes with a non-empty inbox — the event-driven scheduler's active
-    /// set, so a drain pass visits O(pending) nodes instead of scanning all
-    /// n (maintained by `deliver`/`poll`).
+    /// Nodes with a non-empty inbox — the scheduler's active set, so a drain
+    /// pass visits O(pending) nodes instead of scanning all n (maintained
+    /// wherever an inbox grows or shrinks).
     pending_nodes: BTreeSet<NodeId>,
     /// Establish pairwise sessions on first send instead of eagerly at
     /// construction ([`Cluster::sparse`]): an n = 1000 cluster would
@@ -213,11 +213,15 @@ impl Cluster {
 
     /// A cluster of `n` nodes (ids 0..n) with *lazy* pairwise sessions:
     /// links are established on first `auth_send` instead of all n²/2 up
-    /// front. Behaviour on every link actually used is identical to
+    /// front. Every link actually used behaves as in
     /// [`Cluster::fully_connected`] (same key-exchange procedure, run on
-    /// demand); only the session-establishment order — and therefore which
-    /// links exist at all — differs. This is the constructor for large-n
-    /// sharded-audit runs, where each node ever talks to O(w) peers.
+    /// demand); what differs is when keys are drawn, and which links exist
+    /// at all. Session keys and the ≤ 5 % network-latency jitter come from
+    /// the same seeded generator, so a lazily connected run reads virtual
+    /// times a fraction of a percent off the eagerly connected one — never
+    /// a different message, counter or verdict. `PeerReview` deployments
+    /// are always built this way: with witness sets of size w a node talks
+    /// to O(w) peers, and at n = 1000 the eager set-up alone dwarfs the run.
     #[must_use]
     pub fn sparse(n: u32, baseline: Baseline, stack: NetworkStackKind, seed: u64) -> Self {
         let mut cluster = Cluster::new(baseline, stack, seed);
@@ -946,8 +950,8 @@ impl Cluster {
     }
 
     /// The nodes with at least one undrained inbox message, in id order —
-    /// the event-driven scheduler's active set. Maintained incrementally by
-    /// `deliver`/`poll`, so reading it is O(pending), not O(n).
+    /// the scheduler's active set. Maintained incrementally wherever an
+    /// inbox grows or shrinks, so reading it is O(pending), not O(n).
     #[must_use]
     pub fn nodes_with_pending(&self) -> Vec<NodeId> {
         self.pending_nodes.iter().copied().collect()
@@ -962,6 +966,18 @@ impl Cluster {
     pub fn note_audit_message(&mut self, wire_messages: u64, elements: u64) {
         self.stats.messages_audit += wire_messages;
         self.stats.messages_batched += elements.saturating_sub(wire_messages);
+    }
+
+    /// Takes the request a one-sided operation just delivered to `to` back
+    /// out of its inbox: the NIC serves it, the host never polls it. The
+    /// active set follows the inbox, as it does in [`Cluster::poll`].
+    fn take_one_sided_request(&mut self, to: NodeId) -> Result<Option<Delivered>, CoreError> {
+        let inbox = &mut self.endpoint_mut(to)?.inbox;
+        let request = inbox.pop_back();
+        if inbox.is_empty() {
+            self.pending_nodes.remove(&to);
+        }
+        Ok(request)
     }
 
     /// `rem_write()`: writes into the remote node's registered memory over an
@@ -983,13 +999,11 @@ impl Cluster {
         self.auth_send(from, to, &payload)?;
         // Consume the delivered message and apply the write. Under an
         // installed adversary the packet may have been lost in transit.
-        let delivered =
-            self.endpoint_mut(to)?
-                .inbox
-                .pop_back()
-                .ok_or(CoreError::TransformViolation(
-                    "remote write lost in transit",
-                ))?;
+        let delivered = self
+            .take_one_sided_request(to)?
+            .ok_or(CoreError::TransformViolation(
+                "remote write lost in transit",
+            ))?;
         let body = &delivered.message.payload[8..];
         self.endpoint_mut(to)?
             .memory
@@ -1017,7 +1031,7 @@ impl Cluster {
         payload[..8].copy_from_slice(&(offset as u64).to_le_bytes());
         payload[8..].copy_from_slice(&(len as u64).to_le_bytes());
         self.auth_send(from, to, &payload)?;
-        let _ = self.endpoint_mut(to)?.inbox.pop_back();
+        self.take_one_sided_request(to)?;
         let data = self
             .endpoint(to)?
             .memory
@@ -1413,6 +1427,15 @@ mod tests {
         assert_eq!(c.nodes_with_pending(), vec![NodeId(2)]);
         assert_eq!(c.poll(NodeId(2)).unwrap().len(), 1);
         assert!(c.nodes_with_pending().is_empty());
+        // One-sided operations consume their own request: they leave the
+        // set as they found it, empty or not.
+        c.rem_write(NodeId(0), NodeId(1), 0, b"w").unwrap();
+        c.rem_read(NodeId(0), NodeId(1), 0, 1).unwrap();
+        assert!(c.nodes_with_pending().is_empty());
+        c.auth_send(NodeId(2), NodeId(1), b"d").unwrap();
+        c.rem_write(NodeId(0), NodeId(1), 0, b"w").unwrap();
+        assert_eq!(c.nodes_with_pending(), vec![NodeId(1)]);
+        assert_eq!(c.poll(NodeId(1)).unwrap().len(), 1);
     }
 
     #[test]

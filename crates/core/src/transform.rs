@@ -13,7 +13,6 @@
 
 use crate::api::{Cluster, NodeId};
 use crate::error::CoreError;
-use serde::{Deserialize, Serialize};
 use tnic_crypto::sha256::sha256;
 use tnic_device::attestation::AttestedMessage;
 
@@ -29,7 +28,7 @@ pub trait StateMachine: Clone {
 
 /// A simple counter state machine used by tests, examples and the BFT
 /// application (the paper's replicated-counter service).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterMachine {
     value: u64,
     applied: u64,
@@ -78,7 +77,7 @@ impl StateMachine for CounterMachine {
 /// The wire format produced by the transformed `send` wrapper: the client
 /// message, the sender's post-execution state digest and output, and the
 /// receiver state the sender last observed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WrappedMessage {
     /// The original client message/command.
     pub command: Vec<u8>,

@@ -38,12 +38,11 @@
 //! an acceptance whose send had wrapped away is indistinguishable from a
 //! forgery.
 
-use serde::{Deserialize, Serialize};
 use tnic_device::types::{DeviceId, SessionId};
 use tnic_sim::time::SimInstant;
 
 /// An action fact recorded during protocol execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ActionFact {
     /// A device finished the remote-attestation protocol (`D_tnic(c)`).
     DeviceAttested {
@@ -86,7 +85,7 @@ pub enum ActionFact {
 }
 
 /// A timestamped trace of action facts.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     events: Vec<(SimInstant, ActionFact)>,
 }
@@ -123,7 +122,7 @@ impl TraceLog {
 }
 
 /// Result of checking all lemmas over a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerificationReport {
     /// Violations found, one human-readable line each. Empty means all lemmas
     /// hold.

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tnic_core::api::{Cluster, NodeId};
 use tnic_core::error::CoreError;
@@ -35,14 +34,13 @@ use tnic_core::{Baseline, NetworkStackKind};
 use tnic_crypto::ed25519::Signature;
 use tnic_crypto::sha256::sha256;
 use tnic_net::adversary::FaultPlan;
-use tnic_peerreview::audit::{Misbehavior, Verdict};
+use tnic_peerreview::deployment::Accountable;
 use tnic_peerreview::engine::{AccountabilityEngine, AccountedApp, EngineConfig};
-use tnic_peerreview::stats::AccountabilityStats;
 use tnic_peerreview::wire::Envelope;
 use tnic_sim::time::SimInstant;
 
 /// A client operation against the replicated key-value store.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvOperation {
     /// Store `value` under `key`.
     Put {
@@ -150,7 +148,7 @@ impl KvStore {
 
 /// The accumulated proof of execution flowing down the chain: the original
 /// request plus each node's output and commit index so far.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainedProof {
     /// The client request.
     pub operation: Vec<u8>,
@@ -347,11 +345,9 @@ impl ChainReplication {
     /// underneath: every forwarded proof is registered in per-node
     /// tamper-evident logs, commitments piggyback on the chain traffic
     /// (when `acct.piggyback` is set) and tampering nodes named in `faults`
-    /// are *exposed* by witness audits. Drive audits with
-    /// [`ChainReplication::run_audit_round`] (or the piggyback-pipelined
-    /// [`ChainReplication::begin_audit_round`] /
-    /// [`ChainReplication::finish_audit_round`]) and close the pipeline
-    /// with [`ChainReplication::drain_audits`].
+    /// are *exposed* by witness audits. Drive it through [`Accountable`]:
+    /// `run_rounds` around the client operations, `drain_audits` to close
+    /// the pipeline; verdicts and counters are read from `engine()`.
     ///
     /// # Errors
     ///
@@ -392,108 +388,6 @@ impl ChainReplication {
     #[must_use]
     pub fn store_digest(&self, node: NodeId) -> [u8; 32] {
         self.app.snapshot_digest(node.0)
-    }
-
-    /// The accountability engine, if the deployment was built with one.
-    #[must_use]
-    pub fn accountability(&self) -> Option<&AccountabilityEngine<CrApp>> {
-        self.acct.as_ref()
-    }
-
-    /// Runs one full audit round of the attached accountability engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics without [`ChainReplication::with_accountability`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn run_audit_round(&mut self) -> Result<(), CoreError> {
-        let engine = self.acct.as_mut().expect("accountability enabled");
-        engine.run_audit_round(&mut self.cluster, &mut self.app)
-    }
-
-    /// Commit step of a piggyback-pipelined audit round: call before the
-    /// round's operations so commitments can ride the chain traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics without [`ChainReplication::with_accountability`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn begin_audit_round(&mut self) -> Result<(), CoreError> {
-        let engine = self.acct.as_mut().expect("accountability enabled");
-        engine.begin_audit_round(&mut self.cluster)
-    }
-
-    /// Flush/challenge/classify step closing a piggyback-pipelined audit
-    /// round (see [`ChainReplication::begin_audit_round`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics without [`ChainReplication::with_accountability`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn finish_audit_round(&mut self) -> Result<(), CoreError> {
-        let engine = self.acct.as_mut().expect("accountability enabled");
-        engine.finish_audit_round(&mut self.cluster, &mut self.app)
-    }
-
-    /// Audits everything still in the pipeline (final piggyback round).
-    ///
-    /// # Panics
-    ///
-    /// Panics without [`ChainReplication::with_accountability`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors on the control traffic.
-    pub fn drain_audits(&mut self) -> Result<(), CoreError> {
-        let engine = self.acct.as_mut().expect("accountability enabled");
-        engine.drain_audits(&mut self.cluster, &mut self.app)
-    }
-
-    /// The witness ids assigned to `node` (accountability deployments).
-    #[must_use]
-    pub fn witnesses_of(&self, node: u32) -> &[u32] {
-        self.acct.as_ref().map_or(&[], |e| e.witnesses_of(node))
-    }
-
-    /// The correct witnesses of `node` under the fault plan.
-    #[must_use]
-    pub fn correct_witnesses_of(&self, node: u32) -> Vec<u32> {
-        self.acct
-            .as_ref()
-            .map_or_else(Vec::new, |e| e.correct_witnesses_of(node))
-    }
-
-    /// `witness`'s verdict on `node` (accountability deployments).
-    #[must_use]
-    pub fn verdict_of(&self, witness: u32, node: u32) -> Verdict {
-        self.acct
-            .as_ref()
-            .map_or(Verdict::Trusted, |e| e.verdict_of(witness, node))
-    }
-
-    /// The evidence `witness` holds against `node`.
-    #[must_use]
-    pub fn evidence_of(&self, witness: u32, node: u32) -> &[Misbehavior] {
-        self.acct
-            .as_ref()
-            .map_or(&[], |e| e.evidence_of(witness, node))
-    }
-
-    /// Accountability counters (empty stats without accountability).
-    #[must_use]
-    pub fn acct_stats(&self) -> AccountabilityStats {
-        self.acct
-            .as_ref()
-            .map_or_else(AccountabilityStats::new, AccountabilityEngine::stats)
     }
 
     /// Executes one client operation through the whole chain.
@@ -683,11 +577,30 @@ impl ChainReplication {
     }
 }
 
+impl Accountable for ChainReplication {
+    type App = CrApp;
+
+    fn engine(&self) -> &AccountabilityEngine<CrApp> {
+        self.acct
+            .as_ref()
+            .expect("built with ChainReplication::with_accountability")
+    }
+
+    fn parts(&mut self) -> (&mut AccountabilityEngine<CrApp>, &mut Cluster, &mut CrApp) {
+        let engine = self
+            .acct
+            .as_mut()
+            .expect("built with ChainReplication::with_accountability");
+        (engine, &mut self.cluster, &mut self.app)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tnic_core::TraceChecker;
     use tnic_net::adversary::NodeFault;
+    use tnic_peerreview::audit::{Misbehavior, Verdict};
 
     fn chain() -> ChainReplication {
         ChainReplication::new(3, Baseline::Tnic, NetworkStackKind::Tnic, 5).unwrap()
@@ -827,33 +740,28 @@ mod tests {
     fn accountable_fault_free_chain_commits_and_stays_trusted() {
         for piggyback in [false, true] {
             let mut cr = accountable_chain(FaultPlan::all_correct(), piggyback);
-            for round in 0..3 {
-                if piggyback {
-                    cr.begin_audit_round().unwrap();
-                }
+            cr.run_rounds(3, 1, |cr, round| {
                 for i in 0..4u32 {
                     let key = format!("k{round}-{i}");
-                    let put = cr.put(key.as_bytes(), b"v").unwrap();
+                    let put = cr.put(key.as_bytes(), b"v")?;
                     assert!(put.committed, "round {round} op {i}");
                 }
-                if piggyback {
-                    cr.finish_audit_round().unwrap();
-                } else {
-                    cr.run_audit_round().unwrap();
-                }
-            }
+                Ok(())
+            })
+            .unwrap();
             cr.drain_audits().unwrap();
-            let stats = cr.acct_stats();
+            let engine = cr.engine();
+            let stats = engine.stats();
             assert_eq!(stats.unanswered_challenges, 0, "piggyback={piggyback}");
             assert!(stats.challenges > 0);
             for node in 0..3 {
-                for &w in cr.witnesses_of(node) {
+                for &w in engine.witnesses_of(node) {
                     assert_eq!(
-                        cr.verdict_of(w, node),
+                        engine.verdict_of(w, node),
                         Verdict::Trusted,
                         "node {node} witness {w} piggyback={piggyback}"
                     );
-                    assert!(cr.evidence_of(w, node).is_empty());
+                    assert!(engine.evidence_of(w, node).is_empty());
                 }
             }
             if piggyback {
@@ -871,53 +779,44 @@ mod tests {
             for piggyback in [false, true] {
                 let mut cr = accountable_chain(FaultPlan::all_correct(), piggyback);
                 // A committed round with the full chain first.
-                if piggyback {
-                    cr.begin_audit_round().unwrap();
-                }
-                for i in 0..4u32 {
-                    assert!(cr.put(format!("a{i}").as_bytes(), b"v").unwrap().committed);
-                }
-                if piggyback {
-                    cr.finish_audit_round().unwrap();
-                } else {
-                    cr.run_audit_round().unwrap();
-                }
+                cr.run_rounds(1, 1, |cr, _| {
+                    for i in 0..4u32 {
+                        assert!(cr.put(format!("a{i}").as_bytes(), b"v")?.committed);
+                    }
+                    Ok(())
+                })
+                .unwrap();
                 // Fail the head, a middle or the tail; survivors re-link.
                 cr.fail_over(NodeId(failed));
                 assert_eq!(cr.chain().len(), 2);
                 assert!(!cr.chain().contains(&NodeId(failed)));
-                for round in 0..2 {
-                    if piggyback {
-                        cr.begin_audit_round().unwrap();
-                    }
+                cr.run_rounds(2, 1, |cr, round| {
                     for i in 0..4u32 {
-                        let put = cr.put(format!("b{round}-{i}").as_bytes(), b"v").unwrap();
+                        let put = cr.put(format!("b{round}-{i}").as_bytes(), b"v")?;
                         assert!(put.committed, "failed={failed} round {round} op {i}");
                         assert_eq!(put.replies.len(), 2);
                     }
-                    if piggyback {
-                        cr.finish_audit_round().unwrap();
-                    } else {
-                        cr.run_audit_round().unwrap();
-                    }
-                }
+                    Ok(())
+                })
+                .unwrap();
                 cr.drain_audits().unwrap();
                 // The crash is tolerated: nobody is exposed, survivors stay
                 // trusted, and traffic to the failed node was refused and
                 // counted rather than silently lost.
+                let engine = cr.engine();
                 for node in 0..3u32 {
-                    for &w in cr.witnesses_of(node) {
+                    for &w in engine.witnesses_of(node) {
                         assert_ne!(
-                            cr.verdict_of(w, node),
+                            engine.verdict_of(w, node),
                             Verdict::Exposed,
                             "failed={failed} node {node} witness {w}"
                         );
                     }
                 }
                 for &survivor in cr.chain() {
-                    for w in cr.correct_witnesses_of(survivor.0) {
+                    for w in engine.correct_witnesses_of(survivor.0) {
                         assert_eq!(
-                            cr.verdict_of(w, survivor.0),
+                            engine.verdict_of(w, survivor.0),
                             Verdict::Trusted,
                             "failed={failed} survivor {survivor:?} witness {w}"
                         );
@@ -955,15 +854,15 @@ mod tests {
         cr.run_audit_round().unwrap();
         cr.drain_audits().unwrap();
         for node in 0..3u32 {
-            for w in cr.correct_witnesses_of(node) {
+            for w in cr.engine().correct_witnesses_of(node) {
                 assert_eq!(
-                    cr.verdict_of(w, node),
+                    cr.engine().verdict_of(w, node),
                     Verdict::Trusted,
                     "node {node} witness {w}"
                 );
             }
         }
-        let stats = cr.acct_stats();
+        let stats = cr.engine().stats();
         assert_eq!(stats.crashes, 1);
         assert_eq!(stats.recoveries, 1);
     }
@@ -976,36 +875,31 @@ mod tests {
                 FaultPlan::single(tail, NodeFault::TamperLogEntry { seq: 0 }),
                 piggyback,
             );
-            for round in 0..3 {
-                if piggyback {
-                    cr.begin_audit_round().unwrap();
-                }
+            cr.run_rounds(3, 1, |cr, round| {
                 for i in 0..4u32 {
                     let key = format!("k{round}-{i}");
-                    cr.put(key.as_bytes(), b"v").unwrap();
+                    cr.put(key.as_bytes(), b"v")?;
                 }
-                if piggyback {
-                    cr.finish_audit_round().unwrap();
-                } else {
-                    cr.run_audit_round().unwrap();
-                }
-            }
+                Ok(())
+            })
+            .unwrap();
             cr.drain_audits().unwrap();
-            for w in cr.correct_witnesses_of(tail) {
+            let engine = cr.engine();
+            for w in engine.correct_witnesses_of(tail) {
                 assert_eq!(
-                    cr.verdict_of(w, tail),
+                    engine.verdict_of(w, tail),
                     Verdict::Exposed,
                     "witness {w} piggyback={piggyback}"
                 );
-                assert!(cr
+                assert!(engine
                     .evidence_of(w, tail)
                     .iter()
                     .any(|e| matches!(e, Misbehavior::ExecDivergence { .. })));
             }
             // Correct nodes keep clean records.
             for node in [0u32, 1] {
-                for w in cr.correct_witnesses_of(node) {
-                    assert_eq!(cr.verdict_of(w, node), Verdict::Trusted, "node {node}");
+                for w in engine.correct_witnesses_of(node) {
+                    assert_eq!(engine.verdict_of(w, node), Verdict::Trusted, "node {node}");
                 }
             }
         }

@@ -18,7 +18,6 @@ use crate::counters::CounterStore;
 use crate::error::DeviceError;
 use crate::keystore::Keystore;
 use crate::types::{DeviceId, SessionId};
-use serde::{Deserialize, Serialize};
 use tnic_crypto::hmac::HmacSha256Key;
 use tnic_sim::latency::SizeDependentLatency;
 use tnic_sim::time::SimDuration;
@@ -39,7 +38,7 @@ pub const WIRE_OVERHEAD: usize = ATTESTATION_LEN + METADATA_LEN + 4;
 
 /// A message extended with its attestation certificate and metadata, as
 /// produced by `Attest()` and consumed by `Verify()`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttestedMessage {
     /// The attestation certificate α.
     pub mac: [u8; ATTESTATION_LEN],
@@ -223,7 +222,7 @@ pub fn compute_mac(
 }
 
 /// Timing model of the attestation kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttestationTiming {
     /// Cost of the HMAC computation as a function of payload size.
     pub hmac: SizeDependentLatency,
@@ -251,7 +250,7 @@ impl AttestationTiming {
 }
 
 /// Statistics kept by the attestation kernel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttestationStats {
     /// Number of `Attest()` invocations.
     pub attested: u64,

@@ -8,11 +8,10 @@
 //! re-ordered or executed twice without the verifier noticing.
 
 use crate::types::SessionId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Monotonic send/receive counters per session.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CounterStore {
     send_cnts: HashMap<SessionId, u64>,
     recv_cnts: HashMap<SessionId, u64>,

@@ -8,12 +8,11 @@
 //! abstraction used by the ibv memory registration path.
 
 use crate::error::DeviceError;
-use serde::{Deserialize, Serialize};
 use tnic_sim::latency::SizeDependentLatency;
 use tnic_sim::time::SimDuration;
 
 /// Transfer modes supported by the DMA engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DmaMode {
     /// Synchronous transfers as used in the stand-alone hardware evaluation
     /// (§8.1): each operation pays the full access + transfer cost.
@@ -30,7 +29,7 @@ pub enum DmaMode {
 /// registers 1 MiB and most never write a byte of it, and a zeroed `Vec` of
 /// that size per endpoint is what went resident (1 GB at n = 1000) from the
 /// second deployment a process built.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DmaRegion {
     len: usize,
     /// The bytes below the high-water mark; `data.len() <= len`.
@@ -117,7 +116,7 @@ impl DmaRegion {
 }
 
 /// Statistics kept by the DMA engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DmaStats {
     /// Host-to-device transfers.
     pub h2d_transfers: u64,

@@ -5,12 +5,11 @@
 //! configured line rate and keeps frame counters, plus a frame check sequence
 //! so link-level corruption is detectable in simulations that inject it.
 
-use serde::{Deserialize, Serialize};
 use tnic_sim::latency::SizeDependentLatency;
 use tnic_sim::time::SimDuration;
 
 /// Statistics exposed by the MAC.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MacStats {
     /// Frames transmitted.
     pub tx_frames: u64,

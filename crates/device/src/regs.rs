@@ -5,13 +5,11 @@
 //! that page are reads and writes of these registers. The software network
 //! stack posts requests by filling request registers and ringing a doorbell.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of 64-bit registers in the mapped page (4 KiB / 8 B).
 pub const REGISTER_COUNT: usize = 512;
 
 /// Well-known register offsets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Register {
     /// Device control word (bit 0: enabled).
@@ -43,7 +41,7 @@ pub enum Register {
 }
 
 /// A simple 4 KiB register file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegisterFile {
     regs: Vec<u64>,
 }

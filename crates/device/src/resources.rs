@@ -5,10 +5,8 @@
 //! replicated per connection group, bounding the design at 32 attestation
 //! kernels per card. This module reproduces that accounting analytically.
 
-use serde::{Deserialize, Serialize};
-
 /// Resource usage of a hardware module in absolute units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceUsage {
     /// Look-up tables.
     pub lut: u64,
@@ -94,7 +92,7 @@ pub const ATTESTATION_KERNEL_INCREMENTAL_RAMB36: u64 = 40;
 pub const ATTESTATION_KERNEL_TCB_LOC: u64 = 2_114;
 
 /// Utilisation of one resource class as a percentage of the U280 capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Utilization {
     /// LUT utilisation, percent.
     pub lut_pct: f64,
@@ -120,7 +118,7 @@ impl Utilization {
 
 /// Analytic resource model of a TNIC design with a configurable number of
 /// attestation kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TnicResourceModel {
     /// Number of attestation kernel instances (one per connection group).
     pub attestation_kernels: u64,

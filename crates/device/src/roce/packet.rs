@@ -1,10 +1,9 @@
 //! RoCE v2 packet formats: Ethernet + UDP/IPv4 + IB base transport header.
 
 use crate::types::{Ipv4Addr, MacAddr, QueuePairId};
-use serde::{Deserialize, Serialize};
 
 /// RDMA operation codes supported by the TNIC RoCE kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RdmaOpcode {
     /// One-sided RDMA write (used by `auth_send`/`rem_write`).
     Write,
@@ -34,7 +33,7 @@ impl RdmaOpcode {
 /// The combined header the RoCE kernel prepends to each packet: link-layer
 /// addresses, UDP/IPv4 addressing and the IB base transport header fields
 /// (opcode, destination queue pair, packet and message sequence numbers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketHeader {
     /// Source MAC address (filled from the ARP/device configuration).
     pub src_mac: MacAddr,
@@ -63,7 +62,7 @@ pub struct PacketHeader {
 pub const HEADER_WIRE_LEN: usize = 58;
 
 /// A RoCE packet: headers plus (possibly attested) payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RocePacket {
     /// The packet headers.
     pub header: PacketHeader,

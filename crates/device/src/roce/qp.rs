@@ -2,13 +2,12 @@
 
 use super::packet::RocePacket;
 use crate::types::{Ipv4Addr, QueuePairId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tnic_sim::time::SimInstant;
 
 /// An entry in the completion queue, signalled to the host when a message has
 /// been transmitted and acknowledged, or received and verified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletionEntry {
     /// The queue pair the completion belongs to.
     pub qp: QueuePairId,

@@ -1,12 +1,9 @@
 //! Identifiers and small value types shared by the TNIC hardware model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of a TNIC device (the 4-byte `ID` of paper §4.2).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DeviceId(pub u32);
 
 impl fmt::Display for DeviceId {
@@ -16,9 +13,7 @@ impl fmt::Display for DeviceId {
 }
 
 /// Identifier of a connection/session on a device (the 4-byte session id).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SessionId(pub u32);
 
 impl fmt::Display for SessionId {
@@ -28,9 +23,7 @@ impl fmt::Display for SessionId {
 }
 
 /// Identifier of a queue pair in the RoCE protocol kernel.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct QueuePairId(pub u32);
 
 impl fmt::Display for QueuePairId {
@@ -40,9 +33,7 @@ impl fmt::Display for QueuePairId {
 }
 
 /// A 48-bit Ethernet MAC address.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
@@ -68,9 +59,7 @@ impl fmt::Display for MacAddr {
 }
 
 /// An IPv4 address (the network layer of RoCE v2 uses UDP/IPv4, paper §4.2).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ipv4Addr(pub [u8; 4]);
 
 impl Ipv4Addr {
@@ -96,7 +85,7 @@ impl fmt::Display for Ipv4Addr {
 
 /// Static device configuration written by the driver at initialisation
 /// (paper §5.1: MAC address, QSFP port, IP address).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceConfig {
     /// The device identifier burnt into the attestation metadata.
     pub device_id: DeviceId,

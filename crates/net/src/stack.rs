@@ -14,14 +14,13 @@
 //! wire serialisation for the untrusted stacks, the non-parallelisable HMAC
 //! for the trusted ones — determines throughput).
 
-use serde::{Deserialize, Serialize};
 use tnic_sim::time::SimDuration;
 
 /// The packet sizes (bytes) swept by Figures 8 and 9.
 pub const PACKET_SIZES: [usize; 9] = [128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768];
 
 /// The five evaluated network stacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkStackKind {
     /// Untrusted hardware RoCE stack.
     RdmaHw,

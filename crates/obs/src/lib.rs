@@ -112,8 +112,8 @@
 //!    node per audit round (`EntryKind::AuditRound` in
 //!    `tnic_peerreview::log`), a *low* audit-digest count is the expected
 //!    shape; a run where audit digests grow with the per-round challenge
-//!    volume means batching is off (`round_audit_digests: false`) or the
-//!    classifier missed a carrier. A verdict labelled
+//!    volume means the classifier missed a carrier (there is no unbatched
+//!    mode to have been left on). A verdict labelled
 //!    `round-digest-mismatch` ([`codes::MIS_ROUND_DIGEST_MISMATCH`]) means
 //!    a replayed round-digest entry was internally inconsistent — the
 //!    node's accumulated digest did not match its own carried envelope

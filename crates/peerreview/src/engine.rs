@@ -57,12 +57,13 @@
 //!    commitments, consumes audit control traffic, registers executions in
 //!    the tamper-evident log and hands back the application's own messages
 //!    as [`AppDelivery`] records.
-//! 4. Interleave [`AccountabilityEngine::run_audit_round`] with the
-//!    application workload (or, in piggyback mode,
-//!    [`AccountabilityEngine::begin_audit_round`] before the workload and
-//!    [`AccountabilityEngine::finish_audit_round`] after it, so commitments
-//!    can ride the traffic), and call [`AccountabilityEngine::drain_audits`]
-//!    at teardown.
+//! 4. Implement [`crate::deployment::Accountable`] for the deployment (the
+//!    engine, the cluster and the application, borrowed together) and run
+//!    the workload through its `run_rounds`: it interleaves
+//!    [`AccountabilityEngine::run_audit_round`] with the work — or, in
+//!    piggyback mode, [`AccountabilityEngine::begin_audit_round`] before it
+//!    and [`AccountabilityEngine::finish_audit_round`] after it, so
+//!    commitments can ride the traffic. Call `drain_audits` at teardown.
 //!
 //! # Witness sets and rotation
 //!
@@ -186,10 +187,9 @@
 //!
 //! Full PeerReview audits every (witness, auditee) pair every round — at
 //! n = 1000 that is O(n·w) challenges plus responses per round, and the
-//! dense per-round scans dwarf the protocol itself. Three orthogonal knobs
-//! trade detection latency for audit traffic, and a fourth removes the
-//! simulator's own quadratic costs; all default to off, reproducing the
-//! classic protocol bit-for-bit:
+//! per-round cost dwarfs the protocol itself. Two orthogonal knobs trade
+//! detection latency for audit traffic; both default to off, reproducing
+//! the classic protocol bit-for-bit:
 //!
 //! * **Sampled auditing** ([`EngineConfig::audit_sample_size`]): each
 //!   witness challenges only `k` of its charges per round, on a seeded
@@ -201,23 +201,36 @@
 //!   suspicion — while exposure of a tamperer is delayed by at most the
 //!   coverage bound (the measured detection-latency/overhead frontier
 //!   lives in `tnic-bench`'s sweep report).
-//! * **Challenge batching** (always on, free): consecutive challenges or
-//!   responses to the same destination coalesce into one
-//!   [`Envelope::ChallengeBatch`]/[`Envelope::ResponseBatch`] wire message,
-//!   and audit responses are encoded straight from borrowed log segments
-//!   into a reused scratch buffer (no per-response allocation).
 //! * **Witness sharding** ([`EngineConfig::shards`]): consistent hashing
 //!   (see [`crate::checkpoint::shard_members`]) partitions the membership
 //!   into groups that witness each other exclusively, so each witness
 //!   tracks O(n/shards) charges instead of O(n); composes with epoch
 //!   rotation, which re-derives witness sets *within* each shard.
-//! * **Event-driven core** ([`EngineConfig::event_driven`]): the cluster
-//!   starts sparse (links come up lazily on first send) and dispatch
-//!   consults the cluster's active set — the nodes with queued deliveries —
-//!   instead of scanning all n endpoints per sweep iteration. Verdicts and
-//!   message counts are identical to the dense mode by construction (same
-//!   visit order), verified by parity tests over the fault and churn
-//!   suites.
+//!
+//! Three more things keep the engine's own cost off the quadratic path, and
+//! are simply how it works:
+//!
+//! * **Challenge batching**: consecutive challenges or responses to the
+//!   same destination coalesce into one
+//!   [`Envelope::ChallengeBatch`]/[`Envelope::ResponseBatch`] wire message,
+//!   and audit responses are encoded straight from borrowed log segments
+//!   into a reused scratch buffer (no per-response allocation).
+//! * **Active-set dispatch**: settling a round drains inboxes by walking
+//!   the cluster's active set — the nodes with queued deliveries, in id
+//!   order ([`Cluster::nodes_with_pending`]) — instead of scanning all n
+//!   endpoints per pass, and [`crate::system::PeerReview`] builds its
+//!   cluster with lazy pairwise sessions ([`Cluster::sparse`]), so a link
+//!   costs a key exchange only once something is sent over it.
+//! * **Round digests**: a node's audit-protocol traffic (challenges and
+//!   responses, batched or not) is not logged one control digest per
+//!   envelope. Each envelope's SHA-256 goes into a per-node accumulator
+//!   that is folded into one [`EntryKind::AuditRound`] entry per audit
+//!   round, after the round's audit traffic has quiesced. That breaks the
+//!   audit-log inflation feedback — audit traffic no longer grows the logs
+//!   whose replay the next audit pays for — without weakening
+//!   tamper-evidence (see [`crate::log::audit_round_content`]). An envelope
+//!   that carries an application command is always logged in full, because
+//!   witnesses must replay the command.
 
 use crate::audit::{commitments_conflict, Misbehavior, TraceCtx, Verdict, WitnessRecord};
 use crate::checkpoint::{
@@ -404,23 +417,6 @@ pub struct EngineConfig {
     /// (byte-identical to the classic assignment). Composes with epoch
     /// rotation (the rotation ring is the shard) and checkpoint handover.
     pub shards: u32,
-    /// **Event-driven drain** (scaling knob): drain inboxes by walking the
-    /// cluster's O(pending) active set instead of scanning all n nodes per
-    /// settle iteration, and lets drivers build the cluster with lazy
-    /// pairwise sessions ([`tnic_core::api::Cluster::sparse`]). Verdicts
-    /// and message counts are identical to the dense scan (both visit
-    /// ready nodes in id order); only the per-round iteration cost changes.
-    pub event_driven: bool,
-    /// **Round-digest batching** (scaling knob, on by default): accumulate
-    /// each node's audit-protocol traffic (challenges/responses, batched or
-    /// not) into a single per-round digest and log one
-    /// [`EntryKind::AuditRound`] entry per audit round, instead of one
-    /// control digest per envelope. Breaks the audit-log inflation
-    /// feedback — audit traffic no longer grows the logs whose replay the
-    /// next audit pays for — without weakening tamper-evidence (see
-    /// [`crate::log::audit_round_content`]). `false` restores the classic
-    /// per-envelope digests (the measurement twin).
-    pub round_audit_digests: bool,
 }
 
 impl Default for EngineConfig {
@@ -438,8 +434,6 @@ impl Default for EngineConfig {
             audit_sample_seed: 0,
             audit_coverage_window: 0,
             shards: 1,
-            event_driven: false,
-            round_audit_digests: true,
         }
     }
 }
@@ -534,10 +528,6 @@ pub struct CommitmentLayer {
     /// [`CommitmentLayer::flush_audit_round_digests`]. Lives outside the
     /// logs, so checkpoint pruning and witness rotation never disturb it.
     audit_accum: BTreeMap<u32, Vec<[u8; 32]>>,
-    /// Whether audit-protocol traffic is accumulated per round instead of
-    /// logged one control digest per envelope
-    /// ([`EngineConfig::round_audit_digests`]).
-    round_audit_digests: bool,
 }
 
 impl CommitmentLayer {
@@ -756,10 +746,7 @@ impl CommitmentLayer {
     /// application command (a piggyback ride on app traffic) is always logged
     /// in full, because witnesses must replay the command.
     fn divert_audit(&mut self, node: u32, payload: &[u8]) -> bool {
-        if !self.round_audit_digests
-            || !Envelope::is_audit_traffic(payload)
-            || Envelope::app_command(payload).is_some()
-        {
+        if !Envelope::is_audit_traffic(payload) || Envelope::app_command(payload).is_some() {
             return false;
         }
         self.audit_accum
@@ -1139,7 +1126,6 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         // verification kernel (the witnesses are exactly the parties
         // entitled to audit).
         let mut layer = CommitmentLayer::new();
-        layer.round_audit_digests = config.round_audit_digests;
         let mut audit_kernels: BTreeMap<u32, Provider> = nodes
             .iter()
             .map(|n| (n.0, Provider::new(config.baseline, n.device(), config.seed)))
@@ -2573,35 +2559,19 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         }
     }
 
+    /// Dispatches until no live node has a queued delivery. Each pass asks
+    /// the cluster for its active set — the nodes with queued deliveries, in
+    /// id order — instead of scanning all n endpoints (quadratic across a
+    /// round at n = 1000).
     fn sweep_until_quiet(&mut self, cluster: &mut Cluster, app: &mut A) -> Result<(), CoreError> {
         loop {
-            // Event-driven mode asks the cluster for its active set — the
-            // nodes with queued deliveries — in O(pending) instead of
-            // scanning all n endpoints per iteration (the dense scan is
-            // quadratic across a round at n = 1000). Both modes visit the
-            // same nodes in the same id order, so verdicts and message
-            // counts are identical.
-            let pending: Vec<NodeId> = if self.config.event_driven {
-                cluster
-                    .nodes_with_pending()
-                    .into_iter()
-                    // A crashed node's inbox stays queued until recovery; a
-                    // departed node's is never drained.
-                    .filter(|&n| !self.is_down(n.0))
-                    .collect()
-            } else {
-                self.nodes
-                    .iter()
-                    .copied()
-                    .filter(|&n| !self.is_down(n.0))
-                    .filter(|&n| {
-                        cluster
-                            .endpoint_of(n)
-                            .map(|e| e.pending() > 0)
-                            .unwrap_or(false)
-                    })
-                    .collect()
-            };
+            let pending: Vec<NodeId> = cluster
+                .nodes_with_pending()
+                .into_iter()
+                // A crashed node's inbox stays queued until recovery; a
+                // departed node's is never drained.
+                .filter(|&n| !self.is_down(n.0))
+                .collect();
             if pending.is_empty() {
                 return Ok(());
             }
@@ -4013,7 +3983,7 @@ mod tests {
         );
     }
 
-    // ---- sampled auditing, batching, sharding, event-driven core -------
+    // ---- sampled auditing, batching, sharding --------------------------
 
     fn sized_deployment(
         n: u32,
@@ -4327,46 +4297,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn round_digest_batching_cuts_audit_entries_with_identical_verdicts() {
-        let run = |round_audit_digests: bool| {
-            let config = EngineConfig {
-                round_audit_digests,
-                ..EngineConfig::default()
-            };
-            let (mut cluster, mut app, mut engine) = engine_deployment(
-                config,
-                FaultPlan::single(1, NodeFault::TamperLogEntry { seq: 0 }),
-            );
-            run_rounds(&mut cluster, &mut app, &mut engine, 3);
-            engine.drain_audits(&mut cluster, &mut app).unwrap();
-            let composition = engine.layer.borrow().composition();
-            let verdicts: Vec<((u32, u32), Verdict)> = engine
-                .records
-                .keys()
-                .map(|&pair| (pair, engine.verdict_of(pair.0, pair.1)))
-                .collect();
-            (composition, verdicts)
-        };
-        let (batched, batched_verdicts) = run(true);
-        let (twin, twin_verdicts) = run(false);
-        assert_eq!(
-            batched_verdicts, twin_verdicts,
-            "batching must not change a single verdict"
-        );
-        assert!(batched.audit_digest_entries > 0, "the flush entries exist");
-        assert!(
-            batched.audit_digest_entries * 5 <= twin.audit_digest_entries,
-            "round digests cut audit-protocol entries >= 5x: {} vs {}",
-            batched.audit_digest_entries,
-            twin.audit_digest_entries
-        );
-        assert_eq!(
-            batched.app_payload_entries, twin.app_payload_entries,
-            "application entries are untouched"
-        );
     }
 
     #[test]

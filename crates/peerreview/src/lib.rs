@@ -74,6 +74,7 @@
 
 pub mod audit;
 pub mod checkpoint;
+pub mod deployment;
 pub mod engine;
 pub mod log;
 pub mod stats;
@@ -83,6 +84,7 @@ pub mod workload;
 
 pub use audit::{Misbehavior, Verdict, WitnessRecord};
 pub use checkpoint::{cosign_quorum, CheckpointMark, Cosignature};
+pub use deployment::Accountable;
 pub use engine::{
     AccountabilityEngine, AccountedApp, AppDelivery, CommitmentLayer, CounterApp, EngineConfig,
 };

@@ -23,6 +23,7 @@
 //! `tnic-bench`'s `reproduce --check`).
 
 use crate::audit::{Misbehavior, Verdict};
+use crate::deployment::Accountable;
 use crate::engine::{AccountabilityEngine, CounterApp, EngineConfig};
 use crate::stats::AccountabilityStats;
 use std::collections::BTreeMap;
@@ -34,7 +35,38 @@ use tnic_sim::clock::SimClock;
 use tnic_sim::time::SimInstant;
 use tnic_tee::profile::Baseline;
 
-/// Configuration of a PeerReview deployment.
+/// Configuration of a PeerReview deployment: its shape (`nodes`, `stack`,
+/// `app_payload_len`) and, flat beside it, a mirror of every
+/// [`EngineConfig`] knob ([`PeerReviewConfig::engine_config`] and
+/// [`PeerReviewConfig::with_engine`] map between the two).
+///
+/// The repo benchmark (`benchmark/src/adapter.rs`, outside this workspace
+/// and so outside its tests) builds its deployments from a struct literal
+/// naming exactly these fields; renaming one of them fails here first:
+///
+/// ```
+/// use tnic_net::stack::NetworkStackKind;
+/// use tnic_peerreview::system::PeerReviewConfig;
+/// use tnic_tee::profile::Baseline;
+///
+/// let config = PeerReviewConfig {
+///     nodes: 8,
+///     baseline: Baseline::Tnic,
+///     stack: NetworkStackKind::Tnic,
+///     seed: 1,
+///     witness_count: Some(3),
+///     piggyback: true,
+///     app_payload_len: 64,
+///     checkpoint_interval: Some(4),
+///     rotate_witnesses: true,
+///     challenge_retries: 2,
+///     audit_sample_size: Some(1),
+///     audit_sample_seed: 7,
+///     shards: 2,
+///     ..PeerReviewConfig::default()
+/// };
+/// assert_eq!(config.with_engine(config.engine_config()), config);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeerReviewConfig {
     /// Number of nodes in the (fully connected) cluster.
@@ -82,16 +114,6 @@ pub struct PeerReviewConfig {
     /// only its co-shard members, O(n/shards) charges. `<= 1` = unsharded.
     /// See [`EngineConfig::shards`].
     pub shards: u32,
-    /// Event-driven simulation core: sparse lazily-connected cluster plus
-    /// an active-set dispatch scheduler instead of dense n×n scans —
-    /// identical verdicts and message counts, CI-speed at n ≥ 1000. See
-    /// [`EngineConfig::event_driven`].
-    pub event_driven: bool,
-    /// Round-digest batching: fold each round's audit-protocol control
-    /// digests into one `AuditRound` entry per node instead of one entry
-    /// per envelope (`false` = classic per-envelope digests, the
-    /// measurement twin). See [`EngineConfig::round_audit_digests`].
-    pub round_audit_digests: bool,
 }
 
 impl Default for PeerReviewConfig {
@@ -112,8 +134,6 @@ impl Default for PeerReviewConfig {
             audit_sample_seed: 0,
             audit_coverage_window: 0,
             shards: 1,
-            event_driven: false,
-            round_audit_digests: true,
         }
     }
 }
@@ -135,8 +155,28 @@ impl PeerReviewConfig {
             audit_sample_seed: self.audit_sample_seed,
             audit_coverage_window: self.audit_coverage_window,
             shards: self.shards,
-            event_driven: self.event_driven,
-            round_audit_digests: self.round_audit_digests,
+        }
+    }
+
+    /// The inverse of [`PeerReviewConfig::engine_config`]: this deployment
+    /// shape (nodes, stack, payload size) with every engine knob taken from
+    /// `engine`.
+    #[must_use]
+    pub fn with_engine(self, engine: EngineConfig) -> Self {
+        PeerReviewConfig {
+            baseline: engine.baseline,
+            seed: engine.seed,
+            witness_count: engine.witness_count,
+            piggyback: engine.piggyback,
+            checkpoint_interval: engine.checkpoint_interval,
+            rotate_witnesses: engine.rotate_witnesses,
+            challenge_retries: engine.challenge_retries,
+            retry_backoff_rounds: engine.retry_backoff_rounds,
+            audit_sample_size: engine.audit_sample_size,
+            audit_sample_seed: engine.audit_sample_seed,
+            audit_coverage_window: engine.audit_coverage_window,
+            shards: engine.shards,
+            ..self
         }
     }
 }
@@ -162,6 +202,24 @@ impl std::fmt::Debug for PeerReview {
     }
 }
 
+impl Accountable for PeerReview {
+    type App = CounterApp;
+
+    fn engine(&self) -> &AccountabilityEngine<CounterApp> {
+        &self.engine
+    }
+
+    fn parts(
+        &mut self,
+    ) -> (
+        &mut AccountabilityEngine<CounterApp>,
+        &mut Cluster,
+        &mut CounterApp,
+    ) {
+        (&mut self.engine, &mut self.cluster, &mut self.app)
+    }
+}
+
 impl PeerReview {
     /// Builds an accountable deployment of `config.nodes` nodes with the
     /// given fault plan. Witness sets are assigned by deterministic
@@ -172,14 +230,10 @@ impl PeerReview {
     ///
     /// Propagates cluster connection errors.
     pub fn new(config: PeerReviewConfig, faults: FaultPlan) -> Result<Self, CoreError> {
-        // Event-driven deployments start sparse: links come up lazily on
-        // first use instead of eagerly materialising all n·(n-1) pairs
-        // (at n = 1000 the dense setup alone dwarfs the run).
-        let mut cluster = if config.event_driven {
-            Cluster::sparse(config.nodes, config.baseline, config.stack, config.seed)
-        } else {
-            Cluster::fully_connected(config.nodes, config.baseline, config.stack, config.seed)
-        };
+        // Links come up lazily on first use instead of eagerly materialising
+        // all n·(n-1) pairs (at n = 1000 the dense setup alone dwarfs the
+        // run).
+        let mut cluster = Cluster::sparse(config.nodes, config.baseline, config.stack, config.seed);
         let clock = cluster.clock();
         let nodes: Vec<NodeId> = cluster.nodes();
         let app = CounterApp::new(&nodes);
@@ -212,12 +266,6 @@ impl PeerReview {
     /// packet-level adversary on the delivery path).
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
-    }
-
-    /// The accountability engine driving this deployment.
-    #[must_use]
-    pub fn engine(&self) -> &AccountabilityEngine<CounterApp> {
-        &self.engine
     }
 
     /// Current virtual time.
@@ -303,8 +351,7 @@ impl PeerReview {
     ///
     /// Propagates attestation/session errors on the control traffic.
     pub fn run_audit_round(&mut self) -> Result<(), CoreError> {
-        self.engine
-            .run_audit_round(&mut self.cluster, &mut self.app)
+        Accountable::run_audit_round(self)
     }
 
     /// The commit step of an audit round (piggyback-pipelined drivers; see
@@ -314,7 +361,7 @@ impl PeerReview {
     ///
     /// Propagates attestation/session errors on the control traffic.
     pub fn begin_audit_round(&mut self) -> Result<(), CoreError> {
-        self.engine.begin_audit_round(&mut self.cluster)
+        Accountable::begin_audit_round(self)
     }
 
     /// Flush + challenge + classify after the commit step (see
@@ -324,8 +371,7 @@ impl PeerReview {
     ///
     /// Propagates attestation/session errors on the control traffic.
     pub fn finish_audit_round(&mut self) -> Result<(), CoreError> {
-        self.engine
-            .finish_audit_round(&mut self.cluster, &mut self.app)
+        Accountable::finish_audit_round(self)
     }
 
     /// Convenience scenario driver: `rounds` iterations of
@@ -353,7 +399,7 @@ impl PeerReview {
     ///
     /// Propagates attestation/session errors on the control traffic.
     pub fn drain_audits(&mut self) -> Result<(), CoreError> {
-        self.engine.drain_audits(&mut self.cluster, &mut self.app)
+        Accountable::drain_audits(self)
     }
 
     /// [`PeerReview::run_scenario`] with a configurable audit period: the
@@ -369,22 +415,9 @@ impl PeerReview {
         messages_per_round: u64,
         audit_period: u64,
     ) -> Result<(), CoreError> {
-        let period = audit_period.max(1);
-        for round in 0..rounds {
-            let audit = (round + 1) % period == 0;
-            if self.config.piggyback && audit {
-                self.engine.begin_audit_round(&mut self.cluster)?;
-                self.run_workload(messages_per_round)?;
-                self.engine
-                    .finish_audit_round(&mut self.cluster, &mut self.app)?;
-            } else {
-                self.run_workload(messages_per_round)?;
-                if audit {
-                    self.run_audit_round()?;
-                }
-            }
-        }
-        Ok(())
+        self.run_rounds(rounds, audit_period, |pr, _| {
+            pr.run_workload(messages_per_round)
+        })
     }
 
     /// `node`'s membership phase (see
@@ -893,7 +926,7 @@ mod tests {
         }
     }
 
-    // ---- scaling: sampling, sharding, event-driven parity --------------
+    // ---- scaling: sampling, link laziness ------------------------------
 
     fn fault_suite() -> Vec<FaultPlan> {
         vec![
@@ -906,21 +939,26 @@ mod tests {
 
     #[test]
     fn event_driven_mode_matches_dense_verdicts_and_message_counts() {
+        // Link laziness is an execution detail: a deployment whose every
+        // pair is connected before the first round (the dense set-up) and
+        // one whose links come up on first use agree on every verdict and
+        // every message count.
         for piggyback in [false, true] {
             for faults in fault_suite() {
-                let base = PeerReviewConfig {
+                let config = PeerReviewConfig {
                     piggyback,
                     witness_count: if piggyback { Some(2) } else { None },
                     ..PeerReviewConfig::default()
                 };
-                let mut dense = PeerReview::new(base, faults.clone()).unwrap();
+                let mut dense = PeerReview::new(config, faults.clone()).unwrap();
+                for i in 0..config.nodes {
+                    for j in (i + 1)..config.nodes {
+                        dense.cluster_mut().connect(NodeId(i), NodeId(j)).unwrap();
+                    }
+                }
                 dense.run_scenario(3, 8).unwrap();
                 dense.drain_audits().unwrap();
-                let sparse_config = PeerReviewConfig {
-                    event_driven: true,
-                    ..base
-                };
-                let mut sparse = PeerReview::new(sparse_config, faults.clone()).unwrap();
+                let mut sparse = PeerReview::new(config, faults.clone()).unwrap();
                 sparse.run_scenario(3, 8).unwrap();
                 sparse.drain_audits().unwrap();
                 assert_eq!(

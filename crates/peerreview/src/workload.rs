@@ -1,10 +1,10 @@
 //! The round-robin application workload schedule.
 //!
-//! `PeerReview::run_workload` (the accountable deployment) and
-//! `tnic_bench::run_bare_workload` (the bare-substrate comparison) must
-//! drive *identical* traffic — same payloads, same send/poll pattern — or
-//! overhead comparisons are meaningless. Historically the two mirrored each
-//! other by convention; this module is the single definition both use.
+//! `PeerReview::run_workload` sends it; anything that wants to compare
+//! against that deployment (a bare-substrate twin, a benchmark) must drive
+//! *identical* traffic — same payloads, same send/poll pattern — or the
+//! comparison is meaningless, so the schedule and the payload are defined
+//! here once.
 //!
 //! The schedule is a simple ring: message `k` goes from node `k mod n` to
 //! node `k+1 mod n`, with the cursor persisting across calls so partial

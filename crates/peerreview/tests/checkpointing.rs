@@ -12,6 +12,7 @@
 
 use tnic_net::adversary::{FaultPlan, NodeFault};
 use tnic_peerreview::audit::{Misbehavior, Verdict};
+use tnic_peerreview::deployment::Accountable;
 use tnic_peerreview::system::{PeerReview, PeerReviewConfig};
 use tnic_peerreview::Envelope;
 

@@ -8,10 +8,9 @@
 
 use crate::rng::DetRng;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A stochastic latency model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LatencyModel {
     /// Always the same delay.
     Constant {
@@ -156,7 +155,7 @@ impl LatencyModel {
 /// per-operation cost plus a per-byte cost. Used for DMA transfers, HMAC
 /// computation (which the paper notes cannot be parallelised, §8.2) and wire
 /// serialisation at 100 Gbps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeDependentLatency {
     /// Fixed cost charged per operation.
     pub base: SimDuration,

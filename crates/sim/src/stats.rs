@@ -2,10 +2,9 @@
 //! latency histograms with percentiles, and throughput meters.
 
 use crate::time::{SimDuration, SimInstant};
-use serde::{Deserialize, Serialize};
 
 /// Online mean/variance/min/max accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -100,7 +99,7 @@ impl OnlineStats {
 /// The paper reports average and occasionally tail behaviour (Figure 7); we
 /// keep all samples (experiments are short) so exact percentiles can be
 /// reported.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
     samples_us: Vec<f64>,
 }
@@ -197,7 +196,7 @@ impl Histogram {
 /// overflowing, so a single absurd outlier cannot corrupt the distribution.
 /// Long-running recorders (the observability layer) use this; short
 /// experiments keep the exact [`Histogram`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BoundedHistogram {
     buckets: [u64; BoundedHistogram::BUCKETS],
     count: u64,
@@ -319,7 +318,7 @@ impl BoundedHistogram {
 }
 
 /// Counts completed operations over a span of virtual time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThroughputMeter {
     started_at: SimInstant,
     operations: u64,

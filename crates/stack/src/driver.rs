@@ -6,14 +6,18 @@
 //! address space as one page per device (`/dev/fpga<ID>`).
 
 use crate::regs::MappedRegsPage;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use tnic_device::device::TnicDevice;
 use tnic_device::regs::Register;
 
 /// A device shared between the driver, the mapped register page and the ibv
 /// library (all user-space components of the same host).
 pub type SharedDevice = Arc<Mutex<TnicDevice>>;
+
+/// Locks a shared device.
+pub(crate) fn lock_device(device: &SharedDevice) -> MutexGuard<'_, TnicDevice> {
+    device.lock().expect("a holder of the device lock panicked")
+}
 
 /// The TNIC kernel driver.
 #[derive(Debug)]
@@ -30,7 +34,7 @@ impl TnicDriver {
         let path = format!("/dev/fpga{}", device.id().0);
         let shared: SharedDevice = Arc::new(Mutex::new(device));
         {
-            let mut dev = shared.lock();
+            let mut dev = lock_device(&shared);
             let cfg = *dev.config();
             let mut mac = [0u8; 8];
             mac[..6].copy_from_slice(&cfg.mac_addr.0);
@@ -86,7 +90,7 @@ mod tests {
         let driver = TnicDriver::probe(test_device(3));
         assert_eq!(driver.pseudo_device_path(), "/dev/fpga3");
         let dev = driver.device();
-        let dev = dev.lock();
+        let dev = lock_device(&dev);
         assert_eq!(dev.read_register(Register::Control), 1);
         assert_eq!(dev.read_register(Register::UdpPort), 4791);
         assert_ne!(dev.read_register(Register::MacAddr), 0);
@@ -99,7 +103,7 @@ mod tests {
         let regs = driver.map_regs();
         regs.write(Register::RequestLen, 77);
         assert_eq!(
-            driver.device().lock().read_register(Register::RequestLen),
+            lock_device(&driver.device()).read_register(Register::RequestLen),
             77
         );
     }

@@ -6,7 +6,7 @@
 //! connection metadata with the peer, and the post/poll data path that drives
 //! the device through the mapped register page.
 
-use crate::driver::SharedDevice;
+use crate::driver::{lock_device, SharedDevice};
 use crate::regs::MappedRegsPage;
 use std::collections::HashMap;
 use tnic_device::attestation::AttestedMessage;
@@ -181,7 +181,7 @@ impl IbvContext {
             .queue_pairs
             .get(&local_qp)
             .ok_or(DeviceError::UnknownQueuePair(local_qp))?;
-        let dev = self.device.lock();
+        let dev = lock_device(&self.device);
         Ok(IbvConnectionInfo {
             ip: dev.config().ip_addr,
             mac: dev.config().mac_addr,
@@ -208,7 +208,7 @@ impl IbvContext {
             .get_mut(&local_qp)
             .ok_or(DeviceError::UnknownQueuePair(local_qp))?;
         qp.remote = Some(peer);
-        let mut dev = self.device.lock();
+        let mut dev = lock_device(&self.device);
         dev.add_peer(peer.ip, peer.mac);
         dev.create_queue_pair(local_qp, peer.ip, peer.qp);
         Ok(())
@@ -236,7 +236,7 @@ impl IbvContext {
             .write(Register::RequestSession, u64::from(qp.session.0));
         self.regs.write(Register::RequestLen, payload.len() as u64);
         self.regs.write(Register::Doorbell, 1);
-        let mut dev = self.device.lock();
+        let mut dev = lock_device(&self.device);
         dev.send_attested(local_qp, qp.session, payload, now)
     }
 
@@ -251,12 +251,12 @@ impl IbvContext {
         packet: &RocePacket,
         now: SimInstant,
     ) -> Result<ReceiveOutcome, DeviceError> {
-        self.device.lock().receive_packet(local_qp, packet, now)
+        lock_device(&self.device).receive_packet(local_qp, packet, now)
     }
 
     /// `poll()`: drains completion entries from the device.
     pub fn poll(&mut self) -> Vec<CompletionEntry> {
-        self.device.lock().poll_completions()
+        lock_device(&self.device).poll_completions()
     }
 
     /// `local_send()`: generates an attested message without transmitting it.
@@ -269,7 +269,7 @@ impl IbvContext {
         session: SessionId,
         payload: &[u8],
     ) -> Result<(AttestedMessage, SimDuration), DeviceError> {
-        self.device.lock().local_send(session, payload)
+        lock_device(&self.device).local_send(session, payload)
     }
 
     /// `local_verify()`: verifies the binding of an attested message.
@@ -278,7 +278,7 @@ impl IbvContext {
     ///
     /// Propagates device errors.
     pub fn local_verify(&mut self, message: &AttestedMessage) -> Result<SimDuration, DeviceError> {
-        self.device.lock().local_verify(message)
+        lock_device(&self.device).local_verify(message)
     }
 
     /// The queue pairs created on this context.

@@ -6,9 +6,8 @@
 //! hardware in isolation. Requests are scheduled FIFO per device.
 
 use crate::regs::MappedRegsPage;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use tnic_device::regs::Register;
 use tnic_device::types::{QueuePairId, SessionId};
 
@@ -40,34 +39,45 @@ impl TnicProcess {
         }
     }
 
+    fn regs(&self) -> MutexGuard<'_, MappedRegsPage> {
+        self.regs
+            .lock()
+            .expect("a holder of the REG-page lock panicked")
+    }
+
+    fn queue(&self) -> MutexGuard<'_, VecDeque<PostedRequest>> {
+        self.pending
+            .lock()
+            .expect("a holder of the request-queue lock panicked")
+    }
+
     /// Enqueues a request; the doorbell is rung while holding the REG-page
     /// lock so concurrent posters cannot interleave register writes.
     pub fn post(&self, request: PostedRequest) {
         {
-            let regs = self.regs.lock();
+            let regs = self.regs();
             regs.write(Register::RequestQp, u64::from(request.qp.0));
             regs.write(Register::RequestSession, u64::from(request.session.0));
             regs.write(Register::RequestLen, request.payload.len() as u64);
             regs.write(Register::Doorbell, 1);
         }
-        self.pending.lock().push_back(request);
+        self.queue().push_back(request);
     }
 
     /// Removes the next request to execute (FIFO order).
     pub fn next_request(&self) -> Option<PostedRequest> {
-        self.pending.lock().pop_front()
+        self.queue().pop_front()
     }
 
     /// Number of requests waiting to be executed.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.pending.lock().len()
+        self.queue().len()
     }
 
     /// Runs `f` with exclusive access to the mapped register page.
     pub fn with_regs<R>(&self, f: impl FnOnce(&MappedRegsPage) -> R) -> R {
-        let regs = self.regs.lock();
-        f(&regs)
+        f(&self.regs())
     }
 }
 

@@ -4,7 +4,7 @@
 //! are reads and writes of the device's control and status registers, letting
 //! applications drive the control path without entering the kernel.
 
-use crate::driver::SharedDevice;
+use crate::driver::{lock_device, SharedDevice};
 use tnic_device::regs::Register;
 
 /// Size of the mapped register page in bytes.
@@ -33,12 +33,12 @@ impl MappedRegsPage {
     /// Reads a control/status register.
     #[must_use]
     pub fn read(&self, reg: Register) -> u64 {
-        self.device.lock().read_register(reg)
+        lock_device(&self.device).read_register(reg)
     }
 
     /// Writes a control/status register.
     pub fn write(&self, reg: Register, value: u64) {
-        self.device.lock().write_register(reg, value);
+        lock_device(&self.device).write_register(reg, value);
     }
 
     /// The underlying shared device (used by the ibv library's data path).
@@ -51,8 +51,7 @@ impl MappedRegsPage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use tnic_crypto::ed25519::Keypair;
     use tnic_device::device::TnicDevice;
     use tnic_device::types::DeviceId;

@@ -1,12 +1,11 @@
 //! Baseline profiles: who is TEE-free, who is tamper-proof, and what an
 //! `Attest()` invocation costs on each (paper Table 2 and Figures 5–6).
 
-use serde::{Deserialize, Serialize};
 use tnic_sim::latency::LatencyModel;
 use tnic_sim::time::SimDuration;
 
 /// The attestation baselines evaluated by the paper, plus TNIC itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Baseline {
     /// OpenSSL HMAC linked directly into the application (no isolation).
     SslLib,
@@ -73,7 +72,7 @@ impl std::fmt::Display for Baseline {
 }
 
 /// Latency profile of one baseline, calibrated to Figures 5–7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineProfile {
     /// Which baseline this profile describes.
     pub baseline: Baseline,

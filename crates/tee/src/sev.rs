@@ -6,13 +6,12 @@
 //! that SEV can keep its log in untrusted host memory (unlike SGX), so lookups
 //! do not pay a paging penalty (Table 3).
 
-use serde::{Deserialize, Serialize};
 use tnic_sim::latency::LatencyModel;
 use tnic_sim::rng::DetRng;
 use tnic_sim::time::SimDuration;
 
 /// Cost model for an AMD SEV confidential VM hosting the attestation service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SevModel {
     /// Cost of entering/leaving the VM and moving the request (per call).
     pub world_switch: LatencyModel,

@@ -7,7 +7,6 @@
 //! shows large latency spikes for HMAC executed inside scone. This module
 //! models both effects.
 
-use serde::{Deserialize, Serialize};
 use tnic_sim::latency::LatencyModel;
 use tnic_sim::rng::DetRng;
 use tnic_sim::time::SimDuration;
@@ -16,7 +15,7 @@ use tnic_sim::time::SimDuration;
 pub const EPC_BYTES: u64 = 94 * 1024 * 1024;
 
 /// Cost model for memory accesses from inside an SGX enclave.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgxMemoryModel {
     /// Usable EPC size in bytes.
     pub epc_bytes: u64,

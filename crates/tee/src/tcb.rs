@@ -4,11 +4,10 @@
 //! the application codebase (over 2 M lines); TNIC trusts only its 2 114-line
 //! hardware attestation kernel.
 
-use serde::{Deserialize, Serialize};
 use tnic_device::resources::ATTESTATION_KERNEL_TCB_LOC;
 
 /// The threat model a system operates under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreatModel {
     /// Crash fault tolerant: the TEE-hosted protocol itself can only crash.
     Cft,
@@ -26,7 +25,7 @@ impl std::fmt::Display for ThreatModel {
 }
 
 /// TCB size report for one system (Table 4 row).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcbReport {
     /// System name as printed in the paper.
     pub system: String,
