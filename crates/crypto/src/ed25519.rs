@@ -73,10 +73,10 @@ impl VerifyingKey {
         hasher.update(message);
         let k = Scalar::from_bytes_mod_order_wide(&hasher.finalize());
 
-        // Check [S]B == R + [k]A.
-        let lhs = EdwardsPoint::basepoint_mul(&s.to_bytes());
-        let rhs = r_point.add(&a_point.scalar_mul(&k.to_bytes()));
-        if lhs == rhs {
+        // Check [S]B == R + [k]A as [k](−A) + [S]B == R: one joint pass.
+        let expected_r =
+            EdwardsPoint::double_scalar_mul_basepoint(&k.to_bytes(), &a_point.neg(), &s.to_bytes());
+        if expected_r == r_point {
             Ok(())
         } else {
             Err(CryptoError::InvalidSignature)
@@ -94,7 +94,8 @@ impl VerifyingKey {
 #[derive(Clone)]
 pub struct SigningKey {
     seed: [u8; SEED_LEN],
-    clamped: [u8; 32],
+    /// The clamped secret scalar of RFC 8032 §5.1.5, reduced modulo ℓ.
+    secret: Scalar,
     prefix: [u8; 32],
     public: VerifyingKey,
 }
@@ -125,7 +126,7 @@ impl SigningKey {
         let public_point = EdwardsPoint::basepoint_mul(&clamped);
         SigningKey {
             seed: *seed,
-            clamped,
+            secret: Scalar::from_bytes_mod_order(&clamped),
             prefix,
             public: VerifyingKey(public_point.compress()),
         }
@@ -159,8 +160,7 @@ impl SigningKey {
         h2.update(message);
         let k = Scalar::from_bytes_mod_order_wide(&h2.finalize());
 
-        let s_scalar = Scalar::from_bytes_mod_order(&self.clamped);
-        let s = k.mul_add(&s_scalar, &r);
+        let s = k.mul_add(&self.secret, &r);
 
         let mut sig = [0u8; SIGNATURE_LEN];
         sig[..32].copy_from_slice(&r_bytes);

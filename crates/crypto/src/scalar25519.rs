@@ -22,13 +22,19 @@ impl Scalar {
     /// Reduces 32 little-endian bytes modulo ℓ.
     #[must_use]
     pub fn from_bytes_mod_order(bytes: &[u8; 32]) -> Scalar {
-        Scalar::reduce_be_bytes(&reversed(bytes))
+        let mut wide = [0u8; 64];
+        wide[..32].copy_from_slice(bytes);
+        Scalar::from_bytes_mod_order_wide(&wide)
     }
 
     /// Reduces 64 little-endian bytes (e.g. a SHA-512 output) modulo ℓ.
     #[must_use]
     pub fn from_bytes_mod_order_wide(bytes: &[u8; 64]) -> Scalar {
-        Scalar::reduce_be_bytes(&reversed(bytes))
+        let mut limbs = [0u64; 8];
+        for (limb, chunk) in limbs.iter_mut().zip(bytes.chunks_exact(8)) {
+            *limb = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        }
+        Scalar::reduce_wide(&limbs)
     }
 
     /// Returns `Some(scalar)` if the 32 little-endian bytes already encode a
@@ -63,33 +69,36 @@ impl Scalar {
         false
     }
 
-    /// Horner-style reduction of an arbitrary-length big-endian byte string.
+    /// Reduces a 512-bit little-endian value modulo ℓ, limb-wise.
+    ///
+    /// ℓ = 2²⁵² + c with c < 2¹²⁵, so 2²⁵² ≡ −c: split x = lo + 2²⁵²·hi and
+    /// x ≡ lo − c·hi, where the product is 127 bits shorter than x was.
+    /// Three splits take 512 bits to 385, 258 and 131, leaving
+    /// x ≡ lo₀ − lo₁ + lo₂ − c·hi₂ with every term below 2²⁵².
+    fn reduce_wide(x: &[u64; 8]) -> Scalar {
+        let (lo0, product) = split_and_fold(x);
+        let (lo1, product) = split_and_fold(&product);
+        let (lo2, product) = split_and_fold(&product);
+        debug_assert_eq!(product[4..], [0; 4], "c·hi₂ is below 2¹³¹");
+        let last = Scalar([product[0], product[1], product[2], product[3]]);
+        // Each sum of two terms is below 2²⁵³ < 2ℓ: one subtraction reduces it.
+        let plus = Scalar(lo0).add(&Scalar(lo2));
+        let minus = Scalar(lo1).add(&last);
+        plus.sub(&minus)
+    }
+
+    /// The bit-serial reduction the limb-wise one replaced, kept as its
+    /// oracle: Horner over a big-endian byte string, one doubling per bit.
+    #[cfg(test)]
     fn reduce_be_bytes(bytes: &[u8]) -> Scalar {
         let mut acc = Scalar::ZERO;
         for &byte in bytes {
-            // acc = acc * 256 + byte (mod L)
             for _ in 0..8 {
-                acc = acc.double_mod();
+                acc = acc.add(&acc);
             }
-            acc = acc.add(&Scalar::small(u64::from(byte)));
+            acc = acc.add(&Scalar([u64::from(byte), 0, 0, 0]));
         }
         acc
-    }
-
-    fn small(v: u64) -> Scalar {
-        // v < 256 << L, already canonical.
-        Scalar([v, 0, 0, 0])
-    }
-
-    fn double_mod(&self) -> Scalar {
-        let mut out = [0u64; 4];
-        let mut carry = 0u64;
-        for (o, limb) in out.iter_mut().zip(&self.0) {
-            *o = (limb << 1) | carry;
-            carry = limb >> 63;
-        }
-        debug_assert_eq!(carry, 0, "canonical scalars are < 2^253");
-        Scalar(out).conditional_sub_l()
     }
 
     fn conditional_sub_l(self) -> Scalar {
@@ -158,12 +167,7 @@ impl Scalar {
             }
             t[i + 4] = carry as u64;
         }
-        // Serialise the 512-bit product big-endian and reduce.
-        let mut be = [0u8; 64];
-        for i in 0..8 {
-            be[(7 - i) * 8..(7 - i) * 8 + 8].copy_from_slice(&t[i].to_be_bytes());
-        }
-        Scalar::reduce_be_bytes(&be)
+        Scalar::reduce_wide(&t)
     }
 
     /// Computes `self * b + c` modulo ℓ (the core of Ed25519 signing).
@@ -189,10 +193,26 @@ impl Scalar {
     }
 }
 
-fn reversed(bytes: &[u8]) -> Vec<u8> {
-    let mut v = bytes.to_vec();
-    v.reverse();
-    v
+/// c = ℓ − 2²⁵², the low two limbs of ℓ.
+const C: [u64; 2] = [L[0], L[1]];
+
+/// Splits x = lo + 2²⁵²·hi and returns (lo, c·hi). The product fits eight
+/// limbs for any x: hi < 2²⁶⁰ and c < 2¹²⁵.
+fn split_and_fold(x: &[u64; 8]) -> ([u64; 4], [u64; 8]) {
+    let lo = [x[0], x[1], x[2], x[3] & (u64::MAX >> 4)];
+    let mut product = [0u64; 8];
+    for i in 0..5 {
+        let above = if i < 4 { x[i + 4] } else { 0 };
+        let hi = (x[i + 3] >> 60) | (above << 4);
+        let mut carry: u128 = 0;
+        for (j, c) in C.iter().enumerate() {
+            let v = (product[i + j] as u128) + (hi as u128) * (*c as u128) + carry;
+            product[i + j] = v as u64;
+            carry = v >> 64;
+        }
+        product[i + 2] = carry as u64;
+    }
+    (lo, product)
 }
 
 #[cfg(test)]
@@ -247,6 +267,91 @@ mod tests {
             Scalar::from_bytes_mod_order_wide(&wide),
             Scalar::from_bytes_mod_order(&narrow)
         );
+    }
+
+    /// The oracle sees the same number: little-endian input, big-endian walk.
+    fn bit_serial(le: &[u8]) -> Scalar {
+        let be: Vec<u8> = le.iter().rev().copied().collect();
+        Scalar::reduce_be_bytes(&be)
+    }
+
+    #[test]
+    fn limbwise_reduction_matches_bit_serial_on_seeded_inputs() {
+        for chunk in crate::test_util::seeded_bytes(5, 512 * 64).chunks_exact(64) {
+            let wide: [u8; 64] = chunk.try_into().unwrap();
+            let reduced = Scalar::from_bytes_mod_order_wide(&wide);
+            assert!(reduced.is_canonical());
+            assert_eq!(reduced, bit_serial(&wide), "{wide:02x?}");
+            let narrow: [u8; 32] = wide[..32].try_into().unwrap();
+            assert_eq!(Scalar::from_bytes_mod_order(&narrow), bit_serial(&narrow));
+        }
+    }
+
+    #[test]
+    fn limbwise_reduction_matches_bit_serial_around_multiples_of_l() {
+        // ℓ·k − 1, ℓ·k and ℓ·k + 1 for small k, for k a power of two up to the
+        // top of 512 bits, and the all-ones ends of both input widths.
+        let mut multipliers: Vec<[u64; 5]> = (1..=40).map(|k| [k, 0, 0, 0, 0]).collect();
+        multipliers.extend((6..259).step_by(7).map(|bit| {
+            let mut k = [0u64; 5];
+            k[bit / 64] = 1 << (bit % 64);
+            k
+        }));
+        for k in multipliers {
+            let mut product = [0u64; 9];
+            for (i, ki) in k.iter().enumerate() {
+                let mut carry: u128 = 0;
+                for (j, lj) in L.iter().enumerate() {
+                    let v = (product[i + j] as u128) + (*ki as u128) * (*lj as u128) + carry;
+                    product[i + j] = v as u64;
+                    carry = v >> 64;
+                }
+                product[i + 4] = carry as u64;
+            }
+            assert_eq!(product[8], 0);
+            let mut bytes = [0u8; 64];
+            for (chunk, limb) in bytes.chunks_exact_mut(8).zip(product) {
+                chunk.copy_from_slice(&limb.to_le_bytes());
+            }
+            assert!(
+                Scalar::from_bytes_mod_order_wide(&bytes).is_zero(),
+                "{k:x?}"
+            );
+            let mut plus_one = bytes;
+            for byte in &mut plus_one {
+                *byte = byte.wrapping_add(1);
+                if *byte != 0 {
+                    break;
+                }
+            }
+            assert_eq!(Scalar::from_bytes_mod_order_wide(&plus_one), Scalar::ONE);
+            assert_eq!(bit_serial(&plus_one), Scalar::ONE);
+            let mut minus_one = bytes;
+            for byte in &mut minus_one {
+                *byte = byte.wrapping_sub(1);
+                if *byte != 255 {
+                    break;
+                }
+            }
+            let l_minus_1 = Scalar(L).sub(&Scalar::ONE);
+            assert_eq!(Scalar::from_bytes_mod_order_wide(&minus_one), l_minus_1);
+            assert_eq!(bit_serial(&minus_one), l_minus_1);
+        }
+        assert_eq!(
+            Scalar::from_bytes_mod_order_wide(&[0xff; 64]),
+            bit_serial(&[0xff; 64])
+        );
+        assert_eq!(
+            Scalar::from_bytes_mod_order(&[0xff; 32]),
+            bit_serial(&[0xff; 32])
+        );
+    }
+
+    #[test]
+    fn largest_product_reduces_to_one() {
+        // (ℓ − 1)² is the largest product `mul` hands to the reduction: (−1)² = 1.
+        let l_minus_1 = Scalar(L).sub(&Scalar::ONE);
+        assert_eq!(l_minus_1.mul(&l_minus_1), Scalar::ONE);
     }
 
     #[test]
