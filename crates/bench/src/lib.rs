@@ -2216,6 +2216,38 @@ mod tests {
     }
 
     #[test]
+    fn every_baseline_reads_its_pinned_virtual_time() {
+        // `BENCH_report.json` commits TNIC rows only; this pins what the
+        // five host baselines charge for the same two runs, to the µs.
+        let pinned = [
+            (Baseline::SslLib, 1_300, 1_210),
+            (Baseline::SslServerIntel, 2_781, 2_611),
+            (Baseline::SslServerAmd, 5_794, 5_463),
+            (Baseline::Sgx, 8_213, 7_755),
+            (Baseline::AmdSev, 15_840, 15_021),
+            (Baseline::Tnic, 2_695, 2_498),
+        ];
+        let suite = Scenario::suite();
+        let mode = CommitMode::Piggyback { witnesses: 2 };
+        for (baseline, fault_free_us, exec_tampering_us) in pinned {
+            for (name, virtual_time_us, control, replayed) in [
+                ("fault-free", fault_free_us, 40, 136),
+                ("exec-tampering", exec_tampering_us, 36, 114),
+            ] {
+                let scenario = suite.iter().find(|s| s.name == name).unwrap();
+                let result = run_scenario_mode(scenario, baseline, mode).unwrap();
+                assert_eq!(
+                    result.virtual_time_us, virtual_time_us,
+                    "{name} on {baseline}"
+                );
+                // The baseline moves the clock and nothing else.
+                assert_eq!(result.control_messages, control, "{name} on {baseline}");
+                assert_eq!(result.entries_replayed, replayed, "{name} on {baseline}");
+            }
+        }
+    }
+
+    #[test]
     fn relay_refusing_witness_costs_bounded_detection_latency() {
         let mode = CommitMode::Piggyback { witnesses: 2 };
         let tamper = FaultPlan::single(1, NodeFault::TamperLogEntry { seq: 0 });

@@ -4,7 +4,7 @@
 //! up with `ibv_qp_conn`/`alloc_mem`/`init_lqueue`/`ibv_sync` (wrapped here in
 //! [`Cluster::connect`]), and the network APIs are `local_send`/`local_verify`,
 //! `auth_send`, `poll` and `rem_read`/`rem_write`. A [`Cluster`] owns one
-//! [`Endpoint`] per node and the shared virtual clock, and — once a test
+//! endpoint per node and the shared virtual clock, and — once a test
 //! asks with [`Cluster::record_facts`] — the action facts the lemma checker
 //! reads.
 //!
@@ -17,7 +17,7 @@ use crate::error::CoreError;
 use crate::provider::Provider;
 use crate::verification::{ActionFact, TraceLog};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use tnic_crypto::ed25519::{Keypair, Signature, VerifyingKey};
+use tnic_crypto::ed25519::{Keypair, Signature};
 use tnic_crypto::sha256::sha256;
 use tnic_device::attestation::AttestedMessage;
 use tnic_device::dma::DmaRegion;
@@ -62,32 +62,11 @@ pub struct Delivered {
 /// Per-node state: the attestation provider, client-facing signing key,
 /// registered memory and the inbox filled by `auth_send`.
 #[derive(Debug)]
-pub struct Endpoint {
-    node: NodeId,
+struct Endpoint {
     provider: Provider,
     signer: Keypair,
     memory: DmaRegion,
     inbox: VecDeque<Delivered>,
-}
-
-impl Endpoint {
-    /// The node this endpoint belongs to.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The attestation provider backing this endpoint.
-    #[must_use]
-    pub fn provider(&self) -> &Provider {
-        &self.provider
-    }
-
-    /// Number of messages waiting in the inbox.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.inbox.len()
-    }
 }
 
 /// Aggregate timing statistics of a cluster run.
@@ -130,7 +109,6 @@ pub struct Cluster {
     sessions: HashMap<(NodeId, NodeId), SessionId>,
     group_sessions: HashMap<NodeId, SessionId>,
     local_sessions: HashMap<NodeId, SessionId>,
-    client_keys: HashMap<NodeId, VerifyingKey>,
     next_session: u32,
     /// The action facts of every send and acceptance since
     /// [`Cluster::record_facts`]; `None` until then.
@@ -182,7 +160,6 @@ impl Cluster {
             sessions: HashMap::new(),
             group_sessions: HashMap::new(),
             local_sessions: HashMap::new(),
-            client_keys: HashMap::new(),
             next_session: 1,
             trace: None,
             stats: ClusterStats::default(),
@@ -325,11 +302,6 @@ impl Cluster {
         self.adversary = Some((adversary, DetRng::new(seed)));
     }
 
-    /// Removes the installed packet-level adversary, if any.
-    pub fn clear_adversary(&mut self) -> Option<Adversary> {
-        self.adversary.take().map(|(a, _)| a)
-    }
-
     /// Marks `node` unreachable (departed or crash-stopped): every later
     /// send touching it is refused with [`CoreError::Unreachable`] — counted
     /// and traced, never silently lost — *before* the attested channel's
@@ -355,11 +327,6 @@ impl Cluster {
     /// [`Cluster::set_partition_round`].
     pub fn set_partition(&mut self, schedule: PartitionSchedule) {
         self.partition = Some(schedule);
-    }
-
-    /// Removes the installed partition schedule, if any.
-    pub fn clear_partition(&mut self) -> Option<PartitionSchedule> {
-        self.partition.take()
     }
 
     /// Advances the round the partition schedule is evaluated against,
@@ -448,11 +415,9 @@ impl Cluster {
         signer_seed[..8].copy_from_slice(&seed.to_le_bytes());
         signer_seed[8..12].copy_from_slice(&node.0.to_le_bytes());
         let signer = Keypair::from_seed(&signer_seed);
-        self.client_keys.insert(node, signer.verifying);
         self.endpoints.insert(
             node,
             Endpoint {
-                node,
                 provider: Provider::new(self.baseline, node.device(), seed),
                 signer,
                 memory: DmaRegion::new(1 << 20),
@@ -550,18 +515,6 @@ impl Cluster {
             .install_session_key(session, key);
         self.local_sessions.insert(node, session);
         Ok(session)
-    }
-
-    /// The session shared by `a` and `b`, if connected.
-    #[must_use]
-    pub fn session_between(&self, a: NodeId, b: NodeId) -> Option<SessionId> {
-        self.sessions.get(&(a, b)).copied()
-    }
-
-    /// The group session rooted at `sender`, if established.
-    #[must_use]
-    pub fn group_session(&self, sender: NodeId) -> Option<SessionId> {
-        self.group_sessions.get(&sender).copied()
     }
 
     fn notify_sent(&mut self, from: NodeId, to: NodeId, msg: &AttestedMessage) {
@@ -702,7 +655,20 @@ impl Cluster {
         let (msg, attest_cost) = self.endpoint_mut(from)?.provider.attest(session, payload)?;
         self.clock.advance(attest_cost);
         self.record_sent(from, &msg);
-        self.notify_sent(from, to, &msg);
+        self.transmit(from, to, &msg)?;
+        Ok(msg)
+    }
+
+    /// Ships the attested `msg` from `from` to one receiver: the send is
+    /// observed, counted and traced, the network latency charged, and the
+    /// message delivered — through the adversary if one is installed.
+    fn transmit(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        msg: &AttestedMessage,
+    ) -> Result<(), CoreError> {
+        self.notify_sent(from, to, msg);
         self.stats.messages_sent += 1;
         // The (sender, attestation counter) pair recorded as (node, seq) is
         // the message's cross-node trace identity: the matching Recv event on
@@ -720,11 +686,10 @@ impl Cluster {
         let latency = self.network_latency(msg.wire_len());
         self.clock.advance(latency);
         if self.adversary.is_some() {
-            self.deliver_via_adversary(from, to, &msg)?;
+            self.deliver_via_adversary(from, to, msg)
         } else {
-            self.deliver(from, to, msg.clone())?;
+            self.deliver(from, to, msg.clone())
         }
-        Ok(msg)
     }
 
     /// Frames `msg` as a RoCE packet, runs it through the installed
@@ -899,23 +864,7 @@ impl Cluster {
         self.clock.advance(attest_cost);
         self.record_sent(from, &msg);
         for &to in receivers {
-            self.notify_sent(from, to, &msg);
-            self.stats.messages_sent += 1;
-            tnic_obs::trace_event!(
-                tnic_obs::EventKind::Send,
-                at_us: self.clock.now().as_micros(),
-                node: from.0,
-                peer: to.0,
-                seq: msg.counter,
-                aux: msg.payload.len() as u64
-            );
-            let latency = self.network_latency(msg.wire_len());
-            self.clock.advance(latency);
-            if self.adversary.is_some() {
-                self.deliver_via_adversary(from, to, &msg)?;
-            } else {
-                self.deliver(from, to, msg.clone())?;
-            }
+            self.transmit(from, to, &msg)?;
         }
         Ok(msg)
     }
@@ -1043,23 +992,6 @@ impl Cluster {
         Ok(data)
     }
 
-    /// Writes directly into a node's own registered memory (host access).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bounds errors.
-    pub fn write_local_memory(
-        &mut self,
-        node: NodeId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), CoreError> {
-        self.endpoint_mut(node)?
-            .memory
-            .write(offset, data)
-            .map_err(CoreError::Device)
-    }
-
     /// Signs `payload` with `node`'s client-facing key (Appendix C.1: replies
     /// to Byzantine clients are signed because clients cannot hold the shared
     /// session keys).
@@ -1075,19 +1007,9 @@ impl Cluster {
     /// Verifies a client-facing signature produced by `node`.
     #[must_use]
     pub fn verify_reply(&self, node: NodeId, payload: &[u8], signature: &Signature) -> bool {
-        self.client_keys
+        self.endpoints
             .get(&node)
-            .map(|key| key.verify(payload, signature).is_ok())
-            .unwrap_or(false)
-    }
-
-    /// Access to a node's endpoint (read-only).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownNode`] for unknown nodes.
-    pub fn endpoint_of(&self, node: NodeId) -> Result<&Endpoint, CoreError> {
-        self.endpoint(node)
+            .is_some_and(|e| e.signer.verifying.verify(payload, signature).is_ok())
     }
 }
 
@@ -1367,6 +1289,10 @@ mod tests {
         assert!(c.verify_reply(NodeId(0), b"result=5", &sig));
         assert!(!c.verify_reply(NodeId(0), b"result=6", &sig));
         assert!(!c.verify_reply(NodeId(1), b"result=5", &sig));
+        assert!(
+            !c.verify_reply(NodeId(9), b"result=5", &sig),
+            "unknown node"
+        );
     }
 
     #[test]
@@ -1391,6 +1317,29 @@ mod tests {
             c.auth_send(NodeId(0), NodeId(1), b"generic").unwrap();
             assert_eq!(c.poll(NodeId(1)).unwrap().len(), 1, "{baseline}");
         }
+    }
+
+    #[test]
+    fn host_baselines_count_and_trace_attestations_like_tnic() {
+        let attest_and_verify_events = |baseline| {
+            let recorder = tnic_obs::RecorderGuard::install(64);
+            let mut c = Cluster::fully_connected(2, baseline, NetworkStackKind::Tnic, 7);
+            c.auth_send(NodeId(0), NodeId(1), b"traced").unwrap();
+            assert_eq!(c.poll(NodeId(1)).unwrap().len(), 1);
+            let count = |kind| {
+                recorder
+                    .snapshot()
+                    .iter()
+                    .filter(|e| e.kind == kind)
+                    .count()
+            };
+            (
+                count(tnic_obs::EventKind::Attest),
+                count(tnic_obs::EventKind::Verify),
+            )
+        };
+        assert_eq!(attest_and_verify_events(Baseline::Tnic), (1, 1));
+        assert_eq!(attest_and_verify_events(Baseline::Sgx), (1, 1));
     }
 
     #[test]

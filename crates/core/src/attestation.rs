@@ -21,7 +21,7 @@
 use crate::error::CoreError;
 use crate::verification::{ActionFact, TraceLog};
 use std::collections::HashMap;
-use tnic_crypto::ed25519::{Keypair, Signature, VerifyingKey};
+use tnic_crypto::ed25519::{Keypair, VerifyingKey};
 use tnic_crypto::hkdf::hkdf;
 use tnic_crypto::secretbox::SecretBox;
 use tnic_crypto::x25519;
@@ -303,12 +303,6 @@ pub fn provision_device(
         &mut trace,
     )?;
     Ok((device, report, trace))
-}
-
-/// A dummy signature accessor used in tests to exercise tampering.
-#[doc(hidden)]
-pub fn forge_signature() -> Signature {
-    Signature([0u8; 64])
 }
 
 #[cfg(test)]

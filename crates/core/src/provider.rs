@@ -1,51 +1,132 @@
-//! The attestation provider abstraction.
+//! The attestation provider: one kernel, and the cost its baseline charges.
 //!
-//! The paper evaluates every distributed system over five attestation
+//! The paper evaluates every distributed system over several attestation
 //! back-ends (§8.3): the SSL library, the native SSL server, SGX, AMD SEV and
-//! TNIC itself. A [`Provider`] hides which back-end generates and verifies
-//! attestations so the systems in `tnic-a2m`/`tnic-bft`/`tnic-cr`/
-//! `tnic-peerreview` are written once and measured against all of them —
-//! exactly the paper's methodology of swapping the attestation component.
+//! TNIC itself. What it swaps is *where* Algorithm 1 runs and what an
+//! invocation costs, never what it computes, and the TEE back-ends are
+//! emulated by injecting their measured delays (§8.1). A [`Provider`] is
+//! that: the one [`AttestationKernel`] — keys, counters, the MAC, the
+//! in-order check, its statistics and trace events — plus a private cost.
+//! On [`Baseline::Tnic`] the cost is the kernel's own HMAC time between two
+//! DMA transfers; on a host baseline the kernel is built with zero timing
+//! and each invocation draws the baseline's [`BaselineProfile`].
+//!
+//! A host service has done its work — reached over its socket or enclave
+//! transition, the HMAC computed — before it can tell that a message does
+//! not verify, so the host cost is drawn as soon as the session key is
+//! found, whatever the comparison then says: a rejected message advances
+//! the baseline's generator like an accepted one, and only an unknown
+//! session draws nothing. On [`Baseline::Tnic`] a rejected message returns
+//! its error and no cost.
 
-use tnic_device::attestation::{AttestationKernel, AttestationTiming, AttestedMessage};
+use tnic_device::attestation::{
+    AttestationKernel, AttestationTiming, AttestedMessage, WIRE_OVERHEAD,
+};
 use tnic_device::dma::{DmaEngine, DmaMode};
 use tnic_device::error::DeviceError;
 use tnic_device::types::{DeviceId, SessionId};
+use tnic_sim::rng::DetRng;
 use tnic_sim::time::SimDuration;
-use tnic_tee::attestor::TeeAttestor;
-use tnic_tee::profile::Baseline;
+use tnic_tee::profile::{Baseline, BaselineProfile};
 
-/// An attestation provider: either the (simulated) TNIC hardware or one of the
-/// host-side baselines.
+/// An attestation provider: the attestation kernel, charged as the
+/// (simulated) TNIC hardware or as one of the host-side baselines.
 #[derive(Debug, Clone)]
 pub struct Provider {
     baseline: Baseline,
-    inner: Inner,
+    kernel: AttestationKernel,
+    cost: Cost,
 }
 
+/// What one kernel invocation costs on the provider's baseline.
 #[derive(Debug, Clone)]
-enum Inner {
-    /// The TNIC data path: attestation kernel + kernel-bypass DMA.
-    Hardware {
-        kernel: AttestationKernel,
-        dma: DmaEngine,
+enum Cost {
+    /// The TNIC data path: kernel-bypass DMA around the in-fabric HMAC.
+    Hardware(DmaEngine),
+    /// A host-side service (native or TEE-hosted): the baseline's measured
+    /// delays, drawn per invocation.
+    Host {
+        profile: BaselineProfile,
+        rng: DetRng,
     },
-    /// A host-side baseline (native or TEE-hosted service).
-    Host(TeeAttestor),
+}
+
+impl Cost {
+    /// The cost `baseline` charges, and the timing its kernel runs with: the
+    /// calibrated in-fabric HMAC on TNIC, none on a host baseline, whose
+    /// profile already contains the computation.
+    fn new(baseline: Baseline, seed: u64) -> (Self, AttestationTiming) {
+        match baseline {
+            Baseline::Tnic => (
+                Cost::Hardware(DmaEngine::paper_calibrated(DmaMode::Asynchronous)),
+                AttestationTiming::paper_calibrated(),
+            ),
+            host => (
+                Cost::Host {
+                    profile: host.profile(),
+                    rng: DetRng::new(seed),
+                },
+                AttestationTiming::zero(),
+            ),
+        }
+    }
+
+    /// The cost of an `Attest()` whose in-kernel HMAC took `hmac`.
+    fn attest(&mut self, payload_len: usize, hmac: SimDuration) -> SimDuration {
+        match self {
+            Cost::Hardware(dma) => {
+                dma.host_to_device(payload_len)
+                    + hmac
+                    + dma.device_to_host(WIRE_OVERHEAD + payload_len)
+            }
+            Cost::Host { profile, rng } => invocation_cost(profile, rng, payload_len),
+        }
+    }
+
+    /// The cost of a verification the kernel answered with `outcome` (its
+    /// HMAC time, or why it refused the message).
+    fn verify(
+        &mut self,
+        payload_len: usize,
+        outcome: Result<SimDuration, DeviceError>,
+    ) -> Result<SimDuration, DeviceError> {
+        match self {
+            Cost::Hardware(dma) => {
+                let hmac = outcome?;
+                Ok(dma.host_to_device(WIRE_OVERHEAD + payload_len) + hmac)
+            }
+            Cost::Host { profile, rng } => {
+                if let Err(DeviceError::UnknownSession(_)) = outcome {
+                    return outcome;
+                }
+                let cost = invocation_cost(profile, rng, payload_len);
+                outcome.map(|_| cost)
+            }
+        }
+    }
+}
+
+/// One invocation of a host-side service: reach it, compute the HMAC of a
+/// 64 B payload, and the per-byte term for what the payload has beyond that.
+fn invocation_cost(profile: &BaselineProfile, rng: &mut DetRng, payload_len: usize) -> SimDuration {
+    let access = profile.access_transfer.sample(rng);
+    let compute = profile.computation.sample(rng);
+    let per_byte = SimDuration::from_nanos(
+        (profile.computation_per_byte_ns * payload_len.saturating_sub(64) as f64) as u64,
+    );
+    access + compute + per_byte
 }
 
 impl Provider {
     /// Creates a provider of the given flavour for logical node `node`.
     #[must_use]
     pub fn new(baseline: Baseline, node: DeviceId, seed: u64) -> Self {
-        let inner = match baseline {
-            Baseline::Tnic => Inner::Hardware {
-                kernel: AttestationKernel::new(node, AttestationTiming::paper_calibrated()),
-                dma: DmaEngine::paper_calibrated(DmaMode::Asynchronous),
-            },
-            other => Inner::Host(TeeAttestor::new(other, node, seed)),
-        };
-        Provider { baseline, inner }
+        let (cost, timing) = Cost::new(baseline, seed);
+        Provider {
+            baseline,
+            kernel: AttestationKernel::new(node, timing),
+            cost,
+        }
     }
 
     /// Which baseline this provider emulates.
@@ -57,27 +138,18 @@ impl Provider {
     /// The node identity stamped into attestations.
     #[must_use]
     pub fn node(&self) -> DeviceId {
-        match &self.inner {
-            Inner::Hardware { kernel, .. } => kernel.device(),
-            Inner::Host(att) => att.node(),
-        }
+        self.kernel.device()
     }
 
     /// Installs a per-session symmetric key.
     pub fn install_session_key(&mut self, session: SessionId, key: [u8; 32]) {
-        match &mut self.inner {
-            Inner::Hardware { kernel, .. } => kernel.install_session_key(session, key),
-            Inner::Host(att) => att.install_session_key(session, key),
-        }
+        self.kernel.install_session_key(session, key);
     }
 
     /// Returns `true` if a key is installed for `session`.
     #[must_use]
     pub fn has_session(&self, session: SessionId) -> bool {
-        match &self.inner {
-            Inner::Hardware { kernel, .. } => kernel.has_session(session),
-            Inner::Host(att) => att.has_session(session),
-        }
+        self.kernel.has_session(session)
     }
 
     /// Generates an attestation for `payload` on `session`.
@@ -90,45 +162,8 @@ impl Provider {
         session: SessionId,
         payload: &[u8],
     ) -> Result<(AttestedMessage, SimDuration), DeviceError> {
-        match &mut self.inner {
-            Inner::Hardware { kernel, dma } => {
-                let h2d = dma.host_to_device(payload.len());
-                let (msg, hmac) = kernel.attest(session, payload)?;
-                let d2h = dma.device_to_host(msg.wire_len());
-                Ok((msg, h2d + hmac + d2h))
-            }
-            Inner::Host(att) => att.attest(session, payload),
-        }
-    }
-
-    /// Generates an attestation for `payload`, appending the wire format to
-    /// `out` (the allocation-free transmit path — callers reuse the buffer).
-    /// The TNIC back-end writes the wire bytes in one pass with no
-    /// intermediate message; host baselines fall back to attest-then-encode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::UnknownSession`] when no key is installed.
-    pub fn attest_into(
-        &mut self,
-        session: SessionId,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<SimDuration, DeviceError> {
-        match &mut self.inner {
-            Inner::Hardware { kernel, dma } => {
-                let h2d = dma.host_to_device(payload.len());
-                let hmac = kernel.attest_into(session, payload, out)?;
-                let wire_len = tnic_device::attestation::WIRE_OVERHEAD + payload.len();
-                let d2h = dma.device_to_host(wire_len);
-                Ok(h2d + hmac + d2h)
-            }
-            Inner::Host(att) => {
-                let (msg, cost) = att.attest(session, payload)?;
-                msg.encode_into(out);
-                Ok(cost)
-            }
-        }
+        let (msg, hmac) = self.kernel.attest(session, payload)?;
+        Ok((msg, self.cost.attest(payload.len(), hmac)))
     }
 
     /// Verifies an attested message, enforcing receive-counter order.
@@ -137,14 +172,8 @@ impl Provider {
     ///
     /// Propagates [`DeviceError::BadAttestation`] / [`DeviceError::CounterMismatch`].
     pub fn verify(&mut self, message: &AttestedMessage) -> Result<SimDuration, DeviceError> {
-        match &mut self.inner {
-            Inner::Hardware { kernel, dma } => {
-                let h2d = dma.host_to_device(message.wire_len());
-                let cost = kernel.verify(message)?;
-                Ok(h2d + cost)
-            }
-            Inner::Host(att) => att.verify(message),
-        }
+        let outcome = self.kernel.verify(message);
+        self.cost.verify(message.payload.len(), outcome)
     }
 
     /// Verifies only the cryptographic binding (for out-of-order log audits).
@@ -156,27 +185,8 @@ impl Provider {
         &mut self,
         message: &AttestedMessage,
     ) -> Result<SimDuration, DeviceError> {
-        match &mut self.inner {
-            Inner::Hardware { kernel, dma } => {
-                let h2d = dma.host_to_device(message.wire_len());
-                let cost = kernel.verify_binding(message)?;
-                Ok(h2d + cost)
-            }
-            Inner::Host(att) => att.verify_binding(message),
-        }
-    }
-
-    /// The counter that will be assigned to the next message sent on `session`
-    /// (used by state-simulation in the transformation and by the BFT
-    /// replicas to predict peers' counters).
-    #[must_use]
-    pub fn peek_send_counter(&self, session: SessionId) -> u64 {
-        match &self.inner {
-            Inner::Hardware { kernel, .. } => kernel.peek_send_counter(session),
-            // Host baselines mirror the same counter discipline; expose it via
-            // a dedicated kernel query for hardware and recompute for hosts.
-            Inner::Host(_) => 0,
-        }
+        let outcome = self.kernel.verify_binding(message);
+        self.cost.verify(message.payload.len(), outcome)
     }
 }
 
@@ -196,22 +206,31 @@ mod tests {
     fn all_baselines_round_trip() {
         for baseline in Baseline::ALL {
             let (mut a, mut b) = provider_pair(baseline);
+            assert_eq!(a.node(), DeviceId(1));
             let (msg, cost) = a.attest(SessionId(1), b"request").unwrap();
             assert!(cost > SimDuration::ZERO, "{baseline}");
-            b.verify(&msg).unwrap_or_else(|e| panic!("{baseline}: {e}"));
+            assert_eq!(AttestedMessage::decode(&msg.encode()).unwrap(), msg);
+            let cost = b.verify(&msg).unwrap_or_else(|e| panic!("{baseline}: {e}"));
+            assert!(cost > SimDuration::ZERO, "{baseline}");
         }
     }
 
     #[test]
     fn hardware_and_host_providers_interoperate() {
-        // A TNIC sender can be verified by an SGX-hosted verifier holding the
-        // same session key (transferable authentication across back-ends).
-        let mut tnic = Provider::new(Baseline::Tnic, DeviceId(1), 1);
-        let mut sgx = Provider::new(Baseline::Sgx, DeviceId(2), 2);
-        tnic.install_session_key(SessionId(3), [4u8; 32]);
-        sgx.install_session_key(SessionId(3), [4u8; 32]);
-        let (msg, _) = tnic.attest(SessionId(3), b"cross-backend").unwrap();
-        sgx.verify(&msg).unwrap();
+        // One wire format and one MAC whatever the baseline charges: a
+        // message attested on any of them verifies on any other holding the
+        // session key (transferable authentication across back-ends).
+        for sender in Baseline::ALL {
+            for verifier in Baseline::ALL {
+                let mut tx = Provider::new(sender, DeviceId(1), 1);
+                let mut rx = Provider::new(verifier, DeviceId(2), 2);
+                tx.install_session_key(SessionId(3), [4u8; 32]);
+                rx.install_session_key(SessionId(3), [4u8; 32]);
+                let (msg, _) = tx.attest(SessionId(3), b"cross-backend").unwrap();
+                rx.verify(&msg)
+                    .unwrap_or_else(|e| panic!("{sender} -> {verifier}: {e}"));
+            }
+        }
     }
 
     #[test]
@@ -227,52 +246,114 @@ mod tests {
         }
         assert!(totals["TNIC"] < totals["SGX"]);
         assert!(totals["TNIC"] > totals["SSL-lib"]);
+        assert!(totals["SGX"] > totals["SSL-lib"] * 5);
     }
 
     #[test]
     fn counter_discipline_enforced_by_all_backends() {
-        for baseline in [Baseline::Tnic, Baseline::AmdSev] {
+        for baseline in Baseline::ALL {
             let (mut a, mut b) = provider_pair(baseline);
             let (m0, _) = a.attest(SessionId(1), b"0").unwrap();
             let (m1, _) = a.attest(SessionId(1), b"1").unwrap();
-            assert!(b.verify(&m1).is_err(), "{baseline}: gap must be rejected");
+            assert_eq!((m0.counter, m1.counter), (0, 1), "{baseline}");
+            assert_eq!(
+                b.verify(&m1),
+                Err(DeviceError::CounterMismatch {
+                    received: 1,
+                    expected: 0
+                }),
+                "{baseline}: gap must be rejected"
+            );
             b.verify(&m0).unwrap();
             b.verify(&m1).unwrap();
-            assert!(
-                b.verify(&m1).is_err(),
+            assert_eq!(
+                b.verify(&m1),
+                Err(DeviceError::CounterMismatch {
+                    received: 1,
+                    expected: 2
+                }),
                 "{baseline}: replay must be rejected"
             );
         }
     }
 
     #[test]
-    fn attest_into_matches_owned_encoding_on_every_backend() {
+    fn tampering_detected_by_all_backends() {
         for baseline in Baseline::ALL {
-            // Two providers with identical identity and state: the in-place
-            // wire bytes must equal the owned attest-then-encode bytes.
-            let mut owned = Provider::new(baseline, DeviceId(1), 1);
-            let mut inplace = Provider::new(baseline, DeviceId(1), 1);
-            let mut verifier = Provider::new(baseline, DeviceId(2), 2);
-            for p in [&mut owned, &mut inplace, &mut verifier] {
-                p.install_session_key(SessionId(1), [9u8; 32]);
-            }
-            let (msg, owned_cost) = owned.attest(SessionId(1), b"in place").unwrap();
-            let mut wire = Vec::new();
-            let cost = inplace
-                .attest_into(SessionId(1), b"in place", &mut wire)
-                .unwrap();
-            assert_eq!(wire, msg.encode(), "{baseline}");
-            assert_eq!(cost, owned_cost, "{baseline}: same latency model");
-            verifier
-                .verify(&tnic_device::attestation::AttestedMessage::decode(&wire).unwrap())
-                .unwrap_or_else(|e| panic!("{baseline}: {e}"));
+            let (mut a, mut b) = provider_pair(baseline);
+            let (mut msg, _) = a.attest(SessionId(1), b"payload").unwrap();
+            msg.payload[0] ^= 1;
+            assert_eq!(b.verify(&msg), Err(DeviceError::BadAttestation));
+            assert_eq!(b.verify_binding(&msg), Err(DeviceError::BadAttestation));
+        }
+    }
+
+    #[test]
+    fn binding_verification_ignores_order() {
+        for baseline in Baseline::ALL {
+            let (mut a, mut b) = provider_pair(baseline);
+            let (m0, _) = a.attest(SessionId(1), b"0").unwrap();
+            let (m1, _) = a.attest(SessionId(1), b"1").unwrap();
+            b.verify_binding(&m1).unwrap();
+            b.verify_binding(&m0).unwrap();
+            b.verify_binding(&m0).unwrap();
         }
     }
 
     #[test]
     fn missing_session_reported() {
-        let mut p = Provider::new(Baseline::Tnic, DeviceId(1), 1);
-        assert!(!p.has_session(SessionId(9)));
-        assert!(p.attest(SessionId(9), b"x").is_err());
+        for baseline in Baseline::ALL {
+            let mut p = Provider::new(baseline, DeviceId(1), 1);
+            assert!(!p.has_session(SessionId(9)));
+            assert_eq!(
+                p.attest(SessionId(9), b"x").unwrap_err(),
+                DeviceError::UnknownSession(SessionId(9))
+            );
+        }
+    }
+
+    /// What the first `attest` of 64 B costs, in ns, on the verifier of
+    /// `provider_pair` once it has refused one tampered 64 B message —
+    /// dumped from the commit that still had a separate host-side
+    /// implementation. A refused message has consumed one access and one
+    /// computation sample.
+    const ATTEST_NS_AFTER_ONE_REJECTION: [(Baseline, u64); 5] = [
+        (Baseline::SslLib, 1_099),
+        (Baseline::SslServerIntel, 11_064),
+        (Baseline::SslServerAmd, 31_150),
+        (Baseline::Sgx, 43_454),
+        (Baseline::AmdSev, 86_907),
+    ];
+
+    #[test]
+    fn host_cost_is_drawn_for_a_rejected_message_and_not_for_an_unknown_session() {
+        for (baseline, expected_ns) in ATTEST_NS_AFTER_ONE_REJECTION {
+            let (mut a, mut b) = provider_pair(baseline);
+            let mut undisturbed = b.clone();
+            let (mut msg, _) = a.attest(SessionId(1), &[0u8; 64]).unwrap();
+
+            // A session nobody installed: refused before any service ran.
+            let mut stray = msg.clone();
+            stray.session = SessionId(8);
+            assert_eq!(
+                b.verify(&stray),
+                Err(DeviceError::UnknownSession(SessionId(8)))
+            );
+            assert_eq!(
+                b.clone().attest(SessionId(1), &[0u8; 64]).unwrap(),
+                undisturbed
+                    .clone()
+                    .attest(SessionId(1), &[0u8; 64])
+                    .unwrap(),
+                "{baseline}: an unknown session draws nothing"
+            );
+
+            msg.payload[0] ^= 1;
+            assert_eq!(b.verify(&msg), Err(DeviceError::BadAttestation));
+            let (_, cost) = b.attest(SessionId(1), &[0u8; 64]).unwrap();
+            assert_eq!(cost.as_nanos(), expected_ns, "{baseline}");
+            let (_, first) = undisturbed.attest(SessionId(1), &[0u8; 64]).unwrap();
+            assert_ne!(cost, first, "{baseline}: the rejection drew its samples");
+        }
     }
 }

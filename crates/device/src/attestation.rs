@@ -202,18 +202,12 @@ fn encode_parts(
 /// the session key — in the prepared form [`Keystore::prepared`] hands out —
 /// over the payload, the little-endian `u32` id of the attesting device and
 /// the little-endian `u64` send counter, streamed without an intermediate
-/// buffer.
-///
-/// Public so that every attestation back-end — this kernel and the
-/// host-side TEE baselines in `tnic-tee` — authenticates exactly the same
-/// bytes; the wire format around the tag is [`AttestedMessage`]'s.
+/// buffer. The one place these bytes are chosen: every baseline attests and
+/// verifies through this kernel (`tnic_core::provider::Provider` only
+/// changes what an invocation costs). The wire format around the tag is
+/// [`AttestedMessage`]'s.
 #[must_use]
-pub fn compute_mac(
-    key: &HmacSha256Key,
-    payload: &[u8],
-    device: DeviceId,
-    counter: u64,
-) -> [u8; 32] {
+fn compute_mac(key: &HmacSha256Key, payload: &[u8], device: DeviceId, counter: u64) -> [u8; 32] {
     let mut mac = key.start();
     mac.update(payload);
     mac.update(&device.0.to_le_bytes());
@@ -314,16 +308,7 @@ impl AttestationKernel {
         session: SessionId,
         payload: &[u8],
     ) -> Result<(AttestedMessage, SimDuration), DeviceError> {
-        let key = self.keystore.prepared(session)?;
-        let counter = self.counters.next_send(session);
-        let mac = compute_mac(key, payload, self.device, counter);
-        self.stats.attested += 1;
-        tnic_obs::trace_event!(
-            tnic_obs::EventKind::Attest,
-            node: self.device.0,
-            seq: counter,
-            aux: payload.len() as u64
-        );
+        let (mac, counter) = self.seal(session, payload)?;
         let cost = self.timing.hmac.cost(payload.len());
         Ok((
             AttestedMessage {
@@ -335,6 +320,27 @@ impl AttestationKernel {
             },
             cost,
         ))
+    }
+
+    /// What both `Attest()` entry points do before they differ in output:
+    /// takes the session's next send counter and MACs `payload` under it,
+    /// counting and tracing the attestation.
+    fn seal(
+        &mut self,
+        session: SessionId,
+        payload: &[u8],
+    ) -> Result<([u8; ATTESTATION_LEN], u64), DeviceError> {
+        let key = self.keystore.prepared(session)?;
+        let counter = self.counters.next_send(session);
+        let mac = compute_mac(key, payload, self.device, counter);
+        self.stats.attested += 1;
+        tnic_obs::trace_event!(
+            tnic_obs::EventKind::Attest,
+            node: self.device.0,
+            seq: counter,
+            aux: payload.len() as u64
+        );
+        Ok((mac, counter))
     }
 
     /// `Attest()` writing the wire format straight into `out` (appending):
@@ -352,16 +358,7 @@ impl AttestationKernel {
         payload: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<SimDuration, DeviceError> {
-        let key = self.keystore.prepared(session)?;
-        let counter = self.counters.next_send(session);
-        let mac = compute_mac(key, payload, self.device, counter);
-        self.stats.attested += 1;
-        tnic_obs::trace_event!(
-            tnic_obs::EventKind::Attest,
-            node: self.device.0,
-            seq: counter,
-            aux: payload.len() as u64
-        );
+        let (mac, counter) = self.seal(session, payload)?;
         out.reserve(WIRE_OVERHEAD + payload.len());
         encode_parts(&mac, session, self.device, counter, payload, out);
         Ok(self.timing.hmac.cost(payload.len()))
@@ -451,12 +448,6 @@ impl AttestationKernel {
         }
         self.stats.verified += 1;
         Ok(cost)
-    }
-
-    /// The counter that will be assigned to the next outgoing message.
-    #[must_use]
-    pub fn peek_send_counter(&self, session: SessionId) -> u64 {
-        self.counters.peek_send(session)
     }
 
     /// The counter expected on the next received message.

@@ -11,7 +11,7 @@
 
 use crate::error::DeviceError;
 use crate::types::DeviceId;
-use tnic_crypto::ed25519::{Keypair, Signature, SigningKey, VerifyingKey};
+use tnic_crypto::ed25519::{Keypair, Signature, VerifyingKey};
 use tnic_crypto::hmac::{hmac_sha256, verify_hmac_sha256};
 use tnic_crypto::sha256::sha256;
 
@@ -181,12 +181,6 @@ impl DeviceController {
         self.ip_vendor_public
     }
 
-    /// The measurement of the loaded controller binary.
-    #[must_use]
-    pub fn binary_measurement(&self) -> [u8; 32] {
-        self.binary.measurement()
-    }
-
     /// Produces the `Ctrl_bin cert`: the measurement signed with the hardware
     /// key (done once by the firmware during bootstrapping).
     #[must_use]
@@ -218,12 +212,6 @@ impl DeviceController {
     #[must_use]
     pub fn sign(&self, data: &[u8]) -> Signature {
         self.keypair.signing.sign(data)
-    }
-
-    /// Gives read access to the signing key holder for the handshake.
-    #[must_use]
-    pub fn signing_key(&self) -> &SigningKey {
-        &self.keypair.signing
     }
 
     /// Installs the decrypted TNIC bitstream received from the IP vendor

@@ -52,22 +52,6 @@ impl CounterStore {
             false
         }
     }
-
-    /// Current (next unassigned) send counter without advancing it.
-    #[must_use]
-    pub fn peek_send(&self, session: SessionId) -> u64 {
-        *self.send_cnts.get(&session).unwrap_or(&0)
-    }
-
-    /// Number of sessions with any counter state.
-    #[must_use]
-    pub fn session_count(&self) -> usize {
-        let mut ids: Vec<SessionId> = self.send_cnts.keys().copied().collect();
-        ids.extend(self.recv_cnts.keys().copied());
-        ids.sort();
-        ids.dedup();
-        ids.len()
-    }
 }
 
 #[cfg(test)]
@@ -80,8 +64,8 @@ mod tests {
         assert_eq!(c.next_send(SessionId(1)), 0);
         assert_eq!(c.next_send(SessionId(1)), 1);
         assert_eq!(c.next_send(SessionId(2)), 0);
-        assert_eq!(c.peek_send(SessionId(1)), 2);
-        assert_eq!(c.peek_send(SessionId(2)), 1);
+        assert_eq!(c.next_send(SessionId(1)), 2);
+        assert_eq!(c.next_send(SessionId(2)), 1);
     }
 
     #[test]
@@ -102,14 +86,5 @@ mod tests {
         let s = SessionId(4);
         assert!(!c.check_and_advance_recv(s, 7));
         assert_eq!(c.expected_recv(s), 0);
-    }
-
-    #[test]
-    fn session_count_merges_send_and_recv() {
-        let mut c = CounterStore::new();
-        c.next_send(SessionId(1));
-        c.check_and_advance_recv(SessionId(2), 0);
-        c.next_send(SessionId(2));
-        assert_eq!(c.session_count(), 2);
     }
 }

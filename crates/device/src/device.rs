@@ -3,13 +3,12 @@
 
 use crate::arp::ArpServer;
 use crate::attestation::{
-    AttestationKernel, AttestationStats, AttestationTiming, AttestedMessage, AttestedView,
-    WIRE_OVERHEAD,
+    AttestationKernel, AttestationTiming, AttestedMessage, AttestedView, WIRE_OVERHEAD,
 };
 use crate::controller::{ControllerBinary, DeviceController, HardwareKey};
-use crate::dma::{DmaEngine, DmaMode, DmaStats};
+use crate::dma::{DmaEngine, DmaMode};
 use crate::error::DeviceError;
-use crate::mac::{EthernetMac, MacStats};
+use crate::mac::EthernetMac;
 use crate::regs::{Register, RegisterFile};
 use crate::resources::TnicResourceModel;
 use crate::roce::packet::{RdmaOpcode, RocePacket};
@@ -305,35 +304,10 @@ impl TnicDevice {
         self.regs.write(reg, value);
     }
 
-    /// Attestation-kernel statistics.
-    #[must_use]
-    pub fn attestation_stats(&self) -> AttestationStats {
-        self.attestation.stats()
-    }
-
-    /// MAC statistics.
-    #[must_use]
-    pub fn mac_stats(&self) -> MacStats {
-        self.mac.stats()
-    }
-
-    /// DMA statistics.
-    #[must_use]
-    pub fn dma_stats(&self) -> DmaStats {
-        self.dma.stats()
-    }
-
     /// Number of retransmitted packets.
     #[must_use]
     pub fn retransmissions(&self) -> u64 {
         self.transport.total_retransmissions()
-    }
-
-    /// The next send counter for `session` (used by application-level state
-    /// simulation in the transformation recipe).
-    #[must_use]
-    pub fn peek_send_counter(&self, session: SessionId) -> u64 {
-        self.attestation.peek_send_counter(session)
     }
 
     /// The next expected receive counter for `session`.

@@ -8,7 +8,7 @@
 //! What the HMAC unit reads is the *prepared* key
 //! ([`HmacSha256Key`]: the hash state after the key's ipad and opad blocks),
 //! so a MAC does not re-derive both blocks from the raw key.
-//! [`Keystore::prepared`] is the one lookup every attestation back-end uses.
+//! [`Keystore::prepared`] is the one lookup the attestation kernel uses.
 //! It prepares a session's key the first time that session is used on this
 //! store and keeps the result until the session is re-[`install`]ed or
 //! [`remove`]d; a hit allocates nothing. Nothing is prepared at `install`:

@@ -7,7 +7,7 @@
 //! functional, latency-calibrated model:
 //!
 //! * [`attestation`] — the attestation kernel (Algorithm 1): HMAC unit,
-//!   [`keystore`] and monotonic [`counters`], plus the attested wire format.
+//!   [`keystore`] and monotonic counters, plus the attested wire format.
 //! * [`roce`] — the RoCE protocol kernel: queue pairs, PSN/MSN tracking,
 //!   cumulative ACKs, retransmission and in-order delivery.
 //! * [`dma`] — the PCIe DMA/bridge model and registered host-memory regions.
@@ -42,7 +42,7 @@
 pub mod arp;
 pub mod attestation;
 pub mod controller;
-pub mod counters;
+mod counters;
 pub mod device;
 pub mod dma;
 pub mod error;

@@ -36,11 +36,6 @@ impl ReliableTransport {
         }
     }
 
-    /// Overrides the retransmission timeout.
-    pub fn set_retransmit_timeout(&mut self, timeout: SimDuration) {
-        self.retransmit_timeout = timeout;
-    }
-
     /// Creates a queue pair connected to a remote endpoint.
     pub fn create_queue_pair(
         &mut self,

@@ -178,10 +178,10 @@
 //! answer), and the challenge/response path tolerates transient silence
 //! via timeout–retry–backoff: with [`EngineConfig::challenge_retries`] set,
 //! an unanswered challenge is re-sent up to that many times with
-//! exponentially growing round gaps ([`EngineConfig::retry_backoff_rounds`]
-//! doubling per attempt) before the witness downgrades the auditee to
-//! suspected — bounded escalation, since suspicion without evidence never
-//! exceeds [`Verdict::Suspected`].
+//! exponentially growing round gaps (one round, doubling per attempt)
+//! before the witness downgrades the auditee to suspected — bounded
+//! escalation, since suspicion without evidence never exceeds
+//! [`Verdict::Suspected`].
 //!
 //! # Scaling knobs (n ≥ 1000)
 //!
@@ -383,10 +383,6 @@ pub struct EngineConfig {
     /// gracefully across transient outages — crashes that recover,
     /// partitions that heal — instead of stalling on one lost response.
     pub challenge_retries: u32,
-    /// Base gap, in audit rounds, before the first challenge retry; the gap
-    /// doubles per attempt (exponential backoff). Values below 1 are
-    /// treated as 1.
-    pub retry_backoff_rounds: u64,
     /// **Sampled auditing** (scaling knob): how many of its charges each
     /// witness audits per round (`None` = all of them, the classic
     /// behaviour; full audit is exactly the `sample_size ≥ charges` special
@@ -429,7 +425,6 @@ impl Default for EngineConfig {
             checkpoint_interval: None,
             rotate_witnesses: false,
             challenge_retries: 0,
-            retry_backoff_rounds: 1,
             audit_sample_size: None,
             audit_sample_seed: 0,
             audit_coverage_window: 0,
@@ -1518,17 +1513,6 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             .unwrap_or(MemberPhase::Active)
     }
 
-    /// The node ids that are currently full members (Active, Joining,
-    /// Leaving or Recovering — everyone but the crashed and the departed).
-    #[must_use]
-    pub fn live_nodes(&self) -> Vec<u32> {
-        self.nodes
-            .iter()
-            .map(|n| n.0)
-            .filter(|&n| !self.is_down(n))
-            .collect()
-    }
-
     /// Whether `node` is currently unable to participate (crashed or
     /// departed): not challenged, not committing, unreachable.
     fn is_down(&self, node: u32) -> bool {
@@ -2514,10 +2498,12 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     }
 
     fn finish_round(&mut self) {
+        /// Gap, in audit rounds, before the first challenge retry; it
+        /// doubles per attempt (exponential backoff).
+        const RETRY_BACKOFF_ROUNDS: u64 = 1;
         let at_us = self.clock.now().as_micros();
         let round = self.audit_rounds_done;
         let retries = self.config.challenge_retries;
-        let backoff = self.config.retry_backoff_rounds.max(1);
         for (&(witness, node), record) in &mut self.records {
             if record.pending_challenge.is_none() {
                 continue;
@@ -2538,7 +2524,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             }
             if state.attempts < retries {
                 state.attempts += 1;
-                let gap = backoff.saturating_mul(1 << (state.attempts - 1).min(16));
+                let gap = RETRY_BACKOFF_ROUNDS << (state.attempts - 1).min(16);
                 state.resume_round = round + gap;
                 continue;
             }

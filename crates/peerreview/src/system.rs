@@ -97,9 +97,6 @@ pub struct PeerReviewConfig {
     /// downgrading the silent node to suspected (0 = classic single-shot
     /// behavior).
     pub challenge_retries: u32,
-    /// Base backoff between challenge retries in audit rounds (doubles per
-    /// attempt; clamped to at least 1).
-    pub retry_backoff_rounds: u64,
     /// Sampled auditing: each witness challenges only this many of its
     /// charges per round, on a seeded rotating schedule (`None` = every
     /// charge every round). See [`EngineConfig::audit_sample_size`].
@@ -129,7 +126,6 @@ impl Default for PeerReviewConfig {
             checkpoint_interval: None,
             rotate_witnesses: false,
             challenge_retries: 0,
-            retry_backoff_rounds: 1,
             audit_sample_size: None,
             audit_sample_seed: 0,
             audit_coverage_window: 0,
@@ -150,7 +146,6 @@ impl PeerReviewConfig {
             checkpoint_interval: self.checkpoint_interval,
             rotate_witnesses: self.rotate_witnesses,
             challenge_retries: self.challenge_retries,
-            retry_backoff_rounds: self.retry_backoff_rounds,
             audit_sample_size: self.audit_sample_size,
             audit_sample_seed: self.audit_sample_seed,
             audit_coverage_window: self.audit_coverage_window,
@@ -171,7 +166,6 @@ impl PeerReviewConfig {
             checkpoint_interval: engine.checkpoint_interval,
             rotate_witnesses: engine.rotate_witnesses,
             challenge_retries: engine.challenge_retries,
-            retry_backoff_rounds: engine.retry_backoff_rounds,
             audit_sample_size: engine.audit_sample_size,
             audit_sample_seed: engine.audit_sample_seed,
             audit_coverage_window: engine.audit_coverage_window,

@@ -6,14 +6,15 @@
 //! on Intel x86 or AMD (TEE-free but not tamper-proof), and the same server
 //! hosted inside Intel SGX (via scone) or an AMD SEV VM (tamper-proof).
 //! The paper itself emulates TEE latencies in the distributed-systems
-//! experiments by injecting measured delays (§8.3); this crate reproduces that
-//! methodology: HMACs are computed for real, while latency comes from models
-//! calibrated to the paper's Figures 5–7.
+//! experiments by injecting measured delays (§8.3); this crate holds those
+//! delays and the paper's tables about the baselines, calibrated to its
+//! Figures 5–7. It holds no attestation *service*: every baseline runs
+//! Algorithm 1 on the one `tnic_device::attestation::AttestationKernel`, and
+//! `tnic_core::provider::Provider` charges each invocation the baseline's
+//! [`BaselineProfile`].
 //!
 //! Modules:
 //! * [`profile`] — the latency/security profile of each baseline.
-//! * [`attestor`] — a TEE-hosted attestation service producing the same wire
-//!   format as the TNIC attestation kernel.
 //! * [`sgx`] — SGX specifics: EPC capacity and paging cost model (Table 3's
 //!   66× lookup collapse), scone-style latency spikes (Figure 7).
 //! * [`sev`] — AMD SEV specifics.
@@ -22,11 +23,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attestor;
 pub mod profile;
 pub mod sev;
 pub mod sgx;
 pub mod tcb;
 
-pub use attestor::TeeAttestor;
 pub use profile::{Baseline, BaselineProfile};
