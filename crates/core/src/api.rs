@@ -16,6 +16,7 @@ use crate::accountability::SharedAccountability;
 use crate::error::CoreError;
 use crate::provider::Provider;
 use crate::verification::{ActionFact, TraceLog};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use tnic_crypto::ed25519::{Keypair, Signature};
 use tnic_crypto::sha256::sha256;
@@ -61,12 +62,22 @@ pub struct Delivered {
 
 /// Per-node state: the attestation provider, client-facing signing key,
 /// registered memory and the inbox filled by `auth_send`.
-#[derive(Debug)]
 struct Endpoint {
     provider: Provider,
-    signer: Keypair,
+    /// The client key's seed, drawn from the cluster rng in `add_node`;
+    /// the key itself is derived on first use (most deployments never
+    /// sign a client reply).
+    signer_seed: [u8; 32],
+    signer: OnceCell<Keypair>,
     memory: DmaRegion,
     inbox: VecDeque<Delivered>,
+}
+
+impl Endpoint {
+    fn signer(&self) -> &Keypair {
+        self.signer
+            .get_or_init(|| Keypair::from_seed(&self.signer_seed))
+    }
 }
 
 /// Aggregate timing statistics of a cluster run.
@@ -414,12 +425,12 @@ impl Cluster {
         let mut signer_seed = [0u8; 32];
         signer_seed[..8].copy_from_slice(&seed.to_le_bytes());
         signer_seed[8..12].copy_from_slice(&node.0.to_le_bytes());
-        let signer = Keypair::from_seed(&signer_seed);
         self.endpoints.insert(
             node,
             Endpoint {
                 provider: Provider::new(self.baseline, node.device(), seed),
-                signer,
+                signer_seed,
+                signer: OnceCell::new(),
                 memory: DmaRegion::new(1 << 20),
                 inbox: VecDeque::new(),
             },
@@ -1001,7 +1012,7 @@ impl Cluster {
     /// Returns [`CoreError::UnknownNode`] for unknown nodes.
     pub fn sign_reply(&mut self, node: NodeId, payload: &[u8]) -> Result<Signature, CoreError> {
         let endpoint = self.endpoint(node)?;
-        Ok(endpoint.signer.signing.sign(payload))
+        Ok(endpoint.signer().signing.sign(payload))
     }
 
     /// Verifies a client-facing signature produced by `node`.
@@ -1009,7 +1020,7 @@ impl Cluster {
     pub fn verify_reply(&self, node: NodeId, payload: &[u8], signature: &Signature) -> bool {
         self.endpoints
             .get(&node)
-            .is_some_and(|e| e.signer.verifying.verify(payload, signature).is_ok())
+            .is_some_and(|e| e.signer().verifying.verify(payload, signature).is_ok())
     }
 }
 
@@ -1293,6 +1304,21 @@ mod tests {
             !c.verify_reply(NodeId(9), b"result=5", &sig),
             "unknown node"
         );
+    }
+
+    /// The client key of a node depends on the cluster seed and the node
+    /// only, not on when it is first used; the bytes were dumped from the
+    /// build that generated every key inside `add_node`.
+    #[test]
+    fn client_reply_signature_is_pinned_and_verifies_before_any_signing() {
+        let sig = cluster(3).sign_reply(NodeId(2), b"result=5").unwrap();
+        let hex: String = sig.0.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "04ce4ed0dfe836ee72421d5f8d111fc8e3d22c1a40506ba409a276862cf5117f\
+             862c6ad1c68f773fc8af7a2a9f024e282b9561f54084cce0ab133b0858124202"
+        );
+        assert!(cluster(3).verify_reply(NodeId(2), b"result=5", &sig));
     }
 
     #[test]

@@ -455,6 +455,12 @@ impl<S: StateMachine> WitnessRecord<S> {
     /// it on the reference machine. On success the audited prefix advances
     /// and the verdict (unless already `Exposed`) returns to `Trusted`.
     ///
+    /// It trusts nothing but the record's audited head and the sealed
+    /// `upto`: starting from the audited head, each entry must carry the
+    /// expected `seq` and link to the running head, and the witness
+    /// computes the entry's own link itself as it replays. So the check is
+    /// sound for any `entries`, decoded off the wire or built by hand.
+    ///
     /// # Errors
     ///
     /// Returns the detected [`Misbehavior`]; the caller decides how to
@@ -516,7 +522,7 @@ impl<S: StateMachine> WitnessRecord<S> {
         let mut head = self.audited_head;
         for (offset, entry) in entries.iter().enumerate() {
             let seq = self.audited_seq + offset as u64;
-            if entry.seq != seq || entry.prev != head || !entry.is_consistent() {
+            if entry.seq != seq || entry.prev != head {
                 return Err(Misbehavior::BrokenChain { at_seq: seq });
             }
             match entry.kind {
@@ -562,7 +568,7 @@ impl<S: StateMachine> WitnessRecord<S> {
                 }
                 crate::log::EntryKind::Send { .. } => {}
             }
-            head = entry.hash;
+            head = crate::log::chain_hash(&head, seq, entry.kind, &entry.content);
         }
         if head != upto.head {
             return Err(Misbehavior::HeadMismatch {
@@ -859,16 +865,33 @@ mod tests {
 
     #[test]
     fn broken_chain_exposes() {
+        // Entry 1's content is replaced after the fact and nothing is
+        // re-chained: the entry that follows no longer links to it, and
+        // with no entry following, the head misses the sealed one.
         let mut kernel = node_kernel(1);
         let mut machine = CounterMachine::new();
-        let log = honest_log(&mut machine);
-        let auth = seal(&mut kernel, 1, log.len(), log.head());
-        let mut entries = log.entries().to_vec();
-        entries[1].content = b"inconsistent".to_vec(); // hash no longer matches
-        let mut record = WitnessRecord::new(CounterMachine::new());
-        record.store_commitment(auth.clone());
-        let err = record.check_response(&auth, &entries).unwrap_err();
-        assert!(matches!(err, Misbehavior::BrokenChain { at_seq: 1 }));
+        let mut log = SecureLog::new();
+        let command = Envelope::App(b"incr".to_vec()).encode();
+        log.append(
+            EntryKind::Recv { from: 9 },
+            crate::log::content_full(&command),
+        );
+        log.append(
+            EntryKind::Send { to: 2 },
+            crate::log::content_digest(b"ctl"),
+        );
+        log.append(EntryKind::Exec, machine.execute(b"incr"));
+        for (len, expected) in [
+            (3, Misbehavior::BrokenChain { at_seq: 2 }),
+            (2, Misbehavior::HeadMismatch { committed_seq: 2 }),
+        ] {
+            let auth = seal(&mut kernel, 1, len, log.head_at(len).unwrap());
+            let mut entries = log.segment(0, len).to_vec();
+            entries[1].content = crate::log::content_digest(b"forged");
+            let mut record = WitnessRecord::new(CounterMachine::new());
+            record.store_commitment(auth.clone());
+            assert_eq!(record.check_response(&auth, &entries), Err(expected));
+        }
     }
 
     #[test]

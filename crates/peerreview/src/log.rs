@@ -354,6 +354,14 @@ pub fn chain_hash(prev: &[u8; 32], seq: u64, kind: EntryKind, content: &[u8]) ->
 }
 
 /// One entry of a tamper-evident log.
+///
+/// The stored form is the wire form: exactly the fields an audit response
+/// carries. The entry's own link, `chain_hash(prev, seq, kind, content)`,
+/// is not stored. Each side computes it once: the appender, as the log's
+/// new head and the next entry's `prev`; the witness, while it replays
+/// ([`crate::audit::WitnessRecord::check_response`]). A stored copy would
+/// cost one more hash on every decode, and a witness could not trust it
+/// anyway, since the audited node supplies it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
     /// Position in the log (0-based).
@@ -364,17 +372,9 @@ pub struct LogEntry {
     pub content: Vec<u8>,
     /// Hash of the previous entry ([`GENESIS_HEAD`] for the first).
     pub prev: [u8; 32],
-    /// This entry's chained hash.
-    pub hash: [u8; 32],
 }
 
 impl LogEntry {
-    /// Whether the entry's hash matches its own fields.
-    #[must_use]
-    pub fn is_consistent(&self) -> bool {
-        self.hash == chain_hash(&self.prev, self.seq, self.kind, &self.content)
-    }
-
     /// Serialises the entry for audit responses:
     /// `seq ‖ tag ‖ peer ‖ prev ‖ len ‖ content`.
     #[must_use]
@@ -390,9 +390,9 @@ impl LogEntry {
     }
 
     /// Parses an entry and returns it with the number of bytes consumed.
-    /// The hash is recomputed from the parsed fields, so a transported entry
-    /// is consistent by construction — witnesses check *linkage*, not
-    /// self-consistency.
+    /// A pure parse, so `decode(encode(e)) == e` with no hashing: whether
+    /// the entry links to its predecessor and to the sealed head is the
+    /// witness's to compute during replay, once per entry.
     #[must_use]
     pub fn decode(bytes: &[u8]) -> Option<(Self, usize)> {
         if bytes.len() < 8 + 1 + 4 + 32 + 4 {
@@ -409,14 +409,12 @@ impl LogEntry {
             return None;
         }
         let content = bytes[49..49 + len].to_vec();
-        let hash = chain_hash(&prev, seq, kind, &content);
         Some((
             LogEntry {
                 seq,
                 kind,
                 content,
                 prev,
-                hash,
             },
             49 + len,
         ))
@@ -441,6 +439,9 @@ pub struct SecureLog {
     /// The head hash after `base_seq` entries ([`GENESIS_HEAD`] before any
     /// prune) — the chain root of the retained suffix.
     base_head: [u8; 32],
+    /// The head hash after all `len()` entries; the head after an earlier
+    /// retained entry is the next entry's `prev`.
+    head: [u8; 32],
     /// Total entries dropped by [`SecureLog::prune_to`] over the log's
     /// lifetime (equal to `base_seq`; kept separate for clarity in stats).
     pruned: u64,
@@ -474,13 +475,15 @@ impl SecureLog {
         self.entries.len() as u64
     }
 
-    /// Approximate bytes held by the retained entries (content plus the
-    /// fixed per-entry fields: seq, kind/peer, prev and hash).
+    /// Approximate bytes held by the retained entries: per entry, its
+    /// content plus the fixed fields it stores — seq (8), kind tag (1),
+    /// peer (4) and prev (32), the sizes they have on the wire. Allocator
+    /// and `Vec` overhead are not counted.
     #[must_use]
     pub fn retained_bytes(&self) -> u64 {
         self.entries
             .iter()
-            .map(|e| 8 + 1 + 4 + 32 + 32 + e.content.len() as u64)
+            .map(|e| 8 + 1 + 4 + 32 + e.content.len() as u64)
             .sum()
     }
 
@@ -500,7 +503,7 @@ impl SecureLog {
     /// The current head hash ([`GENESIS_HEAD`] when empty).
     #[must_use]
     pub fn head(&self) -> [u8; 32] {
-        self.entries.last().map_or(self.base_head, |e| e.hash)
+        self.head
     }
 
     /// Appends an entry and returns a reference to it. Equivalent to
@@ -523,14 +526,13 @@ impl SecureLog {
         let class = EntryClass::of(kind, &content, audit_protocol);
         self.composition.count(class, content.len() as u64);
         let seq = self.len();
-        let prev = self.head();
-        let hash = chain_hash(&prev, seq, kind, &content);
+        let prev = self.head;
+        self.head = chain_hash(&prev, seq, kind, &content);
         self.entries.push(LogEntry {
             seq,
             kind,
             content,
             prev,
-            hash,
         });
         (self.entries.last().expect("just pushed"), class)
     }
@@ -583,14 +585,14 @@ impl SecureLog {
     /// away (the chain below [`SecureLog::base_seq`] is gone).
     #[must_use]
     pub fn head_at(&self, seq: u64) -> Option<[u8; 32]> {
-        if seq == self.base_seq {
-            Some(self.base_head)
+        if seq == self.len() {
+            Some(self.head)
         } else if seq < self.base_seq {
             None
         } else {
             self.entries
-                .get((seq - self.base_seq) as usize - 1)
-                .map(|e| e.hash)
+                .get((seq - self.base_seq) as usize)
+                .map(|e| e.prev)
         }
     }
 
@@ -605,7 +607,7 @@ impl SecureLog {
         if drop == 0 {
             return 0;
         }
-        self.base_head = self.entries[drop - 1].hash;
+        self.base_head = self.head_at(cut).expect("cut lies in the retained range");
         self.entries.drain(..drop);
         self.base_seq = cut;
         self.pruned += drop as u64;
@@ -617,6 +619,9 @@ impl SecureLog {
     /// committed to.
     pub fn truncate_tail(&mut self, n: u64) {
         let keep = self.entries.len().saturating_sub(n as usize);
+        if let Some(first_dropped) = self.entries.get(keep) {
+            self.head = first_dropped.prev;
+        }
         self.entries.truncate(keep);
     }
 
@@ -635,20 +640,12 @@ impl SecureLog {
             return false;
         }
         self.entries[idx].content = new_content;
-        for i in idx..self.entries.len() {
-            let prev = if i == 0 {
-                self.base_head
-            } else {
-                self.entries[i - 1].hash
-            };
-            self.entries[i].prev = prev;
-            self.entries[i].hash = chain_hash(
-                &prev,
-                self.entries[i].seq,
-                self.entries[i].kind,
-                &self.entries[i].content,
-            );
+        let mut head = self.entries[idx].prev;
+        for entry in &mut self.entries[idx..] {
+            entry.prev = head;
+            head = chain_hash(&head, entry.seq, entry.kind, &entry.content);
         }
+        self.head = head;
         true
     }
 
@@ -831,16 +828,25 @@ mod tests {
         }
     }
 
+    /// The chained hash of `entry` — the head after it.
+    fn link(entry: &LogEntry) -> [u8; 32] {
+        chain_hash(&entry.prev, entry.seq, entry.kind, &entry.content)
+    }
+
+    /// Every retained entry links to its predecessor and the last to the head.
+    fn assert_chained(log: &SecureLog) {
+        for pair in log.entries().windows(2) {
+            assert_eq!(pair[1].prev, link(&pair[0]));
+        }
+        assert_eq!(log.entries().last().map(link), Some(log.head()));
+    }
+
     #[test]
     fn appends_chain_from_genesis() {
         let log = sample_log();
         assert_eq!(log.len(), 3);
         assert_eq!(log.entries()[0].prev, GENESIS_HEAD);
-        for pair in log.entries().windows(2) {
-            assert_eq!(pair[1].prev, pair[0].hash);
-        }
-        assert!(log.entries().iter().all(LogEntry::is_consistent));
-        assert_eq!(log.head(), log.entries()[2].hash);
+        assert_chained(&log);
         assert_eq!(log.head_at(3), Some(log.head()));
         assert_eq!(log.head_at(0), Some(GENESIS_HEAD));
         assert_eq!(log.head_at(4), None);
@@ -913,6 +919,7 @@ mod tests {
         log.truncate_tail(1);
         assert_eq!(log.len(), 2);
         assert_ne!(log.head(), full_head);
+        assert_chained(&log);
     }
 
     #[test]
@@ -920,10 +927,7 @@ mod tests {
         let mut log = sample_log();
         let original_head = log.head();
         assert!(log.tamper_and_rechain(1, b"forged".to_vec()));
-        assert!(log.entries().iter().all(LogEntry::is_consistent));
-        for pair in log.entries().windows(2) {
-            assert_eq!(pair[1].prev, pair[0].hash);
-        }
+        assert_chained(&log);
         assert_ne!(
             log.head(),
             original_head,
@@ -984,7 +988,7 @@ mod tests {
         let head_before = log.head();
         assert!(log.tamper_and_rechain(2, b"forged".to_vec()));
         assert_ne!(log.head(), head_before);
-        assert!(log.entries().iter().all(LogEntry::is_consistent));
+        assert_chained(&log);
         assert_eq!(log.entries()[0].prev, log.head_at(2).unwrap());
     }
 

@@ -1116,68 +1116,177 @@ mod tests {
         assert_eq!(Envelope::app_command(&twice), None);
     }
 
-    #[test]
-    fn truncation_and_bitflip_fuzz_never_panics_and_truncations_fail_clean() {
-        use tnic_sim::rng::DetRng;
-        let mut rng = DetRng::new(0xF022);
+    /// A three-entry log whose entries the `Response`, `Leave` and
+    /// `ResponseBatch` exemplars carry.
+    fn exemplar_entries() -> Vec<LogEntry> {
         let mut log = SecureLog::new();
         log.append(EntryKind::Recv { from: 1 }, b"payload".to_vec());
         log.append(EntryKind::Exec, b"out".to_vec());
+        log.append(EntryKind::Send { to: 2 }, b"fwd".to_vec());
+        log.entries().to_vec()
+    }
+
+    /// Exemplars of the application, piggyback, checkpoint and membership
+    /// tags.
+    fn structured_exemplars() -> Vec<(u8, Envelope)> {
+        let entries = exemplar_entries();
         let mark = sealed_mark(1);
-        let samples = [
-            Envelope::App(b"incr".to_vec()).encode(),
-            Envelope::Piggyback {
-                riders: vec![rider(1, false)],
-                inner: Box::new(Envelope::App(b"incr".to_vec())),
-            }
-            .encode(),
-            Envelope::Piggyback {
-                riders: vec![rider(2, true), rider(3, false), rider(1, true)],
-                inner: Box::new(Envelope::Response {
+        vec![
+            (TAG_APP, Envelope::App(b"incr".to_vec())),
+            (
+                TAG_PIGGYBACK,
+                Envelope::Piggyback {
+                    riders: vec![rider(1, false)],
+                    inner: Box::new(Envelope::App(b"incr".to_vec())),
+                },
+            ),
+            (
+                TAG_PIGGYBACK,
+                Envelope::Piggyback {
+                    riders: vec![rider(2, true), rider(3, false), rider(1, true)],
+                    inner: Box::new(Envelope::Response {
+                        from_seq: 0,
+                        entries: entries[..2].to_vec(),
+                    }),
+                },
+            ),
+            (TAG_CKPT_PROPOSE, Envelope::CheckpointPropose(mark.clone())),
+            (
+                TAG_CKPT_COSIGN,
+                Envelope::CheckpointCosign(sealed_cosign(2, &mark)),
+            ),
+            (
+                TAG_CKPT_COMMIT,
+                Envelope::CheckpointCommit {
+                    mark: mark.clone(),
+                    cosigs: vec![sealed_cosign(2, &mark), sealed_cosign(3, &mark)],
+                },
+            ),
+            (TAG_JOIN, Envelope::Join(sealed_auth(4))),
+            (
+                TAG_LEAVE,
+                Envelope::Leave {
+                    auth: sealed_auth(1),
+                    entries: entries[..2].to_vec(),
+                },
+            ),
+            (TAG_RECOVER, Envelope::Recover(sealed_auth(2))),
+        ]
+    }
+
+    /// Exemplars of the two batch tags, bare and riding a piggyback.
+    fn batch_exemplars() -> Vec<(u8, Envelope)> {
+        let entries = exemplar_entries();
+        vec![
+            (
+                TAG_CHALLENGE_BATCH,
+                Envelope::ChallengeBatch {
+                    challenges: vec![(0, 2), (2, 5), (5, 9)],
+                },
+            ),
+            (
+                TAG_RESPONSE_BATCH,
+                Envelope::ResponseBatch {
+                    responses: vec![(0, entries[..2].to_vec()), (2, entries.clone())],
+                },
+            ),
+            (
+                TAG_PIGGYBACK,
+                Envelope::Piggyback {
+                    riders: vec![rider(2, true)],
+                    inner: Box::new(Envelope::ChallengeBatch {
+                        challenges: vec![(0, 1)],
+                    }),
+                },
+            ),
+        ]
+    }
+
+    /// Exemplars of the commitment, single-audit and evidence tags.
+    fn bare_exemplars() -> Vec<(u8, Envelope)> {
+        vec![
+            (TAG_ANNOUNCE, Envelope::Announce(sealed_auth(2))),
+            (TAG_GOSSIP, Envelope::Gossip(sealed_auth(3))),
+            (
+                TAG_CHALLENGE,
+                Envelope::Challenge {
+                    from_seq: 2,
+                    upto_seq: 9,
+                },
+            ),
+            (
+                TAG_RESPONSE,
+                Envelope::Response {
                     from_seq: 0,
-                    entries: log.entries().to_vec(),
-                }),
-            }
-            .encode(),
-            Envelope::CheckpointPropose(mark.clone()).encode(),
-            Envelope::CheckpointCosign(sealed_cosign(2, &mark)).encode(),
-            Envelope::CheckpointCommit {
-                mark: mark.clone(),
-                cosigs: vec![sealed_cosign(2, &mark), sealed_cosign(3, &mark)],
-            }
-            .encode(),
-            Envelope::Join(sealed_auth(4)).encode(),
-            Envelope::Leave {
-                auth: sealed_auth(1),
-                entries: log.entries().to_vec(),
-            }
-            .encode(),
-            Envelope::Recover(sealed_auth(2)).encode(),
-        ];
-        for bytes in &samples {
-            // Every strict prefix must either fail to decode or decode to
-            // an envelope that re-encodes to exactly that prefix (a cut
-            // inside an `App` command is a legal, shorter command — every
-            // structured field is length-delimited and rejects truncation).
+                    entries: exemplar_entries(),
+                },
+            ),
+            (
+                TAG_EVIDENCE,
+                Envelope::Evidence {
+                    a: sealed_auth(1),
+                    b: sealed_auth(1),
+                },
+            ),
+        ]
+    }
+
+    /// Decoder totality: each exemplar goes through every strict
+    /// truncation and every single-bit flip. Decoding may fail or succeed
+    /// (a flip inside a command or a digest is legal), but `decode`,
+    /// `app_command` and `is_audit_traffic` never panic, a truncation that
+    /// decodes re-encodes to exactly that prefix (a cut inside an `App`
+    /// command is a legal, shorter command — every structured field is
+    /// length-delimited), and every successful decode survives its own
+    /// re-encoding unchanged.
+    fn assert_decodes_totally(exemplars: &[(u8, Envelope)]) {
+        let survives_reencoding = |bytes: &[u8]| -> Option<Envelope> {
+            let _ = Envelope::app_command(bytes);
+            let _ = Envelope::is_audit_traffic(bytes);
+            let env = Envelope::decode(bytes).ok()?;
+            assert_eq!(Envelope::decode(&env.encode()).ok().as_ref(), Some(&env));
+            Some(env)
+        };
+        for (tag, exemplar) in exemplars {
+            let bytes = exemplar.encode();
+            assert_eq!(bytes[2], *tag);
+            assert_eq!(survives_reencoding(&bytes).as_ref(), Some(exemplar));
             for cut in 0..bytes.len() {
-                if let Ok(env) = Envelope::decode(&bytes[..cut]) {
-                    assert_eq!(env.encode(), &bytes[..cut], "prefix of len {cut}");
+                if let Some(env) = survives_reencoding(&bytes[..cut]) {
+                    assert_eq!(env.encode(), &bytes[..cut], "tag {tag}, prefix {cut}");
                 }
-                let _ = Envelope::app_command(&bytes[..cut]);
             }
-            // Random single-bit flips: decoding may fail or succeed (a flip
-            // in payload bytes is legal), but must never panic and a
-            // successful decode must re-encode consistently.
-            for _ in 0..200 {
-                let mut mutated = bytes.clone();
-                let idx = rng.next_below(mutated.len() as u64) as usize;
-                mutated[idx] ^= 1 << rng.next_below(8);
-                if let Ok(env) = Envelope::decode(&mutated) {
-                    let _ = env.encode();
-                }
-                let _ = Envelope::app_command(&mutated);
+            let mut mutated = bytes.clone();
+            for bit in 0..bytes.len() * 8 {
+                mutated[bit / 8] ^= 1 << (bit % 8);
+                survives_reencoding(&mutated);
+                mutated[bit / 8] ^= 1 << (bit % 8);
             }
         }
+    }
+
+    /// The three exemplar tables together hold every wire tag; this test
+    /// runs the tags the other two totality tests do not.
+    #[test]
+    fn every_tag_decodes_totally_under_truncation_and_bit_flips() {
+        use std::collections::BTreeSet;
+        let covered: BTreeSet<u8> = [structured_exemplars(), batch_exemplars(), bare_exemplars()]
+            .iter()
+            .flatten()
+            .map(|(tag, _)| *tag)
+            .collect();
+        assert_eq!(covered, (TAG_APP..=TAG_RESPONSE_BATCH).collect());
+        assert_decodes_totally(&bare_exemplars());
+    }
+
+    #[test]
+    fn truncation_and_bitflip_fuzz_never_panics_and_truncations_fail_clean() {
+        assert_decodes_totally(&structured_exemplars());
+    }
+
+    #[test]
+    fn batch_truncation_and_bitflip_fuzz_never_panics() {
+        assert_decodes_totally(&batch_exemplars());
     }
 
     /// Proptest-style fuzz of hostile evidence envelopes: truncations,
@@ -1579,49 +1688,6 @@ mod tests {
         .encode();
         forged[3..7].copy_from_slice(&3u32.to_le_bytes());
         assert!(Envelope::decode(&forged).is_err());
-    }
-
-    #[test]
-    fn batch_truncation_and_bitflip_fuzz_never_panics() {
-        use tnic_sim::rng::DetRng;
-        let mut rng = DetRng::new(0xBA7C4);
-        let mut log = SecureLog::new();
-        log.append(EntryKind::Recv { from: 1 }, b"payload".to_vec());
-        log.append(EntryKind::Exec, b"out".to_vec());
-        let samples = [
-            Envelope::ChallengeBatch {
-                challenges: vec![(0, 2), (2, 5), (5, 9)],
-            }
-            .encode(),
-            Envelope::ResponseBatch {
-                responses: vec![(0, log.entries().to_vec()), (2, log.entries().to_vec())],
-            }
-            .encode(),
-            Envelope::Piggyback {
-                riders: vec![rider(2, true)],
-                inner: Box::new(Envelope::ChallengeBatch {
-                    challenges: vec![(0, 1)],
-                }),
-            }
-            .encode(),
-        ];
-        for bytes in &samples {
-            for cut in 0..bytes.len() {
-                if let Ok(env) = Envelope::decode(&bytes[..cut]) {
-                    assert_eq!(env.encode(), &bytes[..cut], "prefix of len {cut}");
-                }
-                let _ = Envelope::app_command(&bytes[..cut]);
-            }
-            for _ in 0..300 {
-                let mut mutated = bytes.clone();
-                let idx = rng.next_below(mutated.len() as u64) as usize;
-                mutated[idx] ^= 1 << rng.next_below(8);
-                if let Ok(env) = Envelope::decode(&mutated) {
-                    let _ = env.encode();
-                }
-                let _ = Envelope::app_command(&mutated);
-            }
-        }
     }
 
     #[test]
