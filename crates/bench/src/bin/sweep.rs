@@ -2,53 +2,66 @@
 //! count × audit period, for dedicated and piggybacked commitments, emitting
 //! CSV (the data behind the overhead-scaling figures). Besides the raw
 //! PeerReview substrate, the grid sweeps the engine stacked under the BFT
-//! counter and the replicated KV chain (`app` column = `bft` / `cr`).
-//! PeerReview rows additionally carry a detection-latency column
-//! (`exposure_latency_rounds`): audit rounds until every correct witness
-//! exposes a seq-0 log tamperer in a twin run of the same configuration.
+//! counter, the replicated KV chain and the replicated A2M (`app` column).
+//! PeerReview rows additionally carry two detection-latency columns: audit
+//! rounds until every correct witness exposes a seq-0 log tamperer in a
+//! twin run of the same configuration, under full auditing
+//! (`exposure_latency_rounds`) and under the row's own sampling
+//! (`detection_latency_rounds`).
 //!
-//! Usage: `cargo run --release -p tnic-bench --bin sweep [--full] [--out FILE]
+//! Usage: `cargo run --release -p tnic-bench --bin sweep [--out FILE]
 //! [--report FILE]`
 //!
-//! The default grid keeps CI fast; `--full` sweeps the complete grid. Rows go
-//! to stdout unless `--out` is given; `--report` additionally writes a
-//! markdown summary table of the swept rows. `BENCH_sweep.csv` in the
-//! repository root is a committed snapshot of the default grid.
+//! Rows go to stdout unless `--out` is given; `--report` additionally
+//! writes a markdown summary table of the swept rows. `BENCH_sweep.csv` in
+//! the repository root is a committed snapshot of the grid.
 
-use std::io::Write;
-use tnic_bench::{report, run_sweep_point, CommitMode, SweepApp, SweepPoint, SWEEP_CSV_HEADER};
-use tnic_peerreview::engine::EngineConfig;
+use std::fmt::Write as _;
+use std::io::Write as _;
+use tnic_bench::{
+    report, sweep_csv, App, ChurnAction, ChurnPlan, CommitMode, Experiment, Outcome,
+    SWEEP_CSV_HEADER,
+};
+use tnic_core::error::CoreError;
+use tnic_net::adversary::{FaultPlan, NodeFault, PartitionSchedule};
 
-fn grid(full: bool) -> Vec<SweepPoint> {
-    let payloads: &[usize] = if full {
-        &[4, 256, 1024, 4096]
-    } else {
-        &[4, 1024]
-    };
-    let node_counts: &[u32] = if full { &[2, 4, 6, 8] } else { &[4, 8] };
-    let periods: &[u64] = if full { &[1, 2, 4] } else { &[1, 4] };
+/// Per-row wall-clock budget for n >= 1000 rows, probes included. Sized
+/// for the n = 10 000 sampled rows: the 512-shard row pays ~w² replay work
+/// per audit round (rotation period × per-round control digests both grow
+/// with w) and measures ~200-250s on a quiet host — the budget doubles that
+/// to absorb shared-runner noise while still catching order-of-magnitude
+/// regressions like an accidental full-audit run.
+const MAX_LARGE_N_SECONDS: f64 = 480.0;
 
+/// A measured grid point: the fault-free run and the detection latencies
+/// of its tamperer twins (full audit, own sampling).
+type Row = (Experiment, Outcome, Option<u64>, Option<u64>);
+
+fn grid() -> Vec<Experiment> {
     let mut points = Vec::new();
-    for &payload in payloads {
-        for &nodes in node_counts {
+    // The fault-free rows run undrained.
+    let base = |app, mode| Experiment {
+        drain: false,
+        ..Experiment::new(app, mode)
+    };
+    for payload in [4, 1024] {
+        for nodes in [4, 8] {
             // Witness counts: minimal, an intermediate value, and all-to-all.
             let mut witness_counts = vec![1, 2, nodes - 1];
             witness_counts.sort_unstable();
             witness_counts.dedup();
-            for &period in periods {
-                let point = |mode| SweepPoint {
+            for period in [1, 4] {
+                let point = |mode| Experiment {
                     payload,
                     nodes,
                     audit_period: period,
                     rounds: 4 * period,
-                    messages_per_round: 2 * u64::from(nodes),
-                    ..SweepPoint::new(SweepApp::PeerReview, mode)
+                    ops_per_round: 2 * u64::from(nodes),
+                    ..base(App::PeerReview, mode)
                 };
                 points.push(point(CommitMode::Dedicated));
-                for &w in &witness_counts {
-                    if w >= 1 {
-                        points.push(point(CommitMode::Piggyback { witnesses: w }));
-                    }
+                for &witnesses in &witness_counts {
+                    points.push(point(CommitMode::Piggyback { witnesses }));
                 }
                 // The long-running configuration: piggybacked commitments
                 // plus cosigned checkpointing every other audit round
@@ -60,70 +73,80 @@ fn grid(full: bool) -> Vec<SweepPoint> {
             }
         }
     }
-    // Robustness rows: crash-recover churn cycles and a healed partition
-    // window on node 1 of the PeerReview substrate — the `churn_rate` /
-    // `partition_rounds` columns carry the schedule, the exposure-latency
-    // column shows detection still lands once the node is back.
-    let churn_schedules: &[(f64, u64)] = if full {
-        &[(0.25, 0), (0.5, 0), (0.0, 2), (0.25, 2)]
-    } else {
-        &[(0.25, 0), (0.0, 2)]
-    };
-    for &(churn_rate, partition_rounds) in churn_schedules {
+    // Robustness rows, drained: one crash-recover cycle on node 1 every
+    // four audit rounds (`churn_rate` 0.25), then a two-round partition
+    // window isolating node 1 that opens after the first audit round (the
+    // run gets enough challenge retries for healing to clear suspicion).
+    // The exposure-latency column shows detection still lands once the
+    // node is back.
+    let crash_cycles = [1, 5]
+        .into_iter()
+        .flat_map(|round| {
+            [
+                (round, ChurnAction::Crash { node: 1 }),
+                (round + 1, ChurnAction::Recover { node: 1 }),
+            ]
+        })
+        .collect();
+    let partition = PartitionSchedule::new([1], 1, 3);
+    let retries = partition.outage_rounds() + 1;
+    for (actions, partition, retries) in [
+        (crash_cycles, None, 0),
+        (Vec::new(), Some(partition), retries),
+    ] {
         for mode in [
             CommitMode::Dedicated,
             CommitMode::Piggyback { witnesses: 2 },
         ] {
-            points.push(SweepPoint {
+            let mut point = Experiment {
                 payload: 256,
                 rounds: 8,
-                churn_rate,
-                partition_rounds,
-                ..SweepPoint::new(SweepApp::PeerReview, mode)
-            });
+                churn: ChurnPlan {
+                    actions: actions.clone(),
+                    partition: partition.clone(),
+                },
+                ..Experiment::new(App::PeerReview, mode)
+            };
+            point.engine.challenge_retries = retries as u32;
+            points.push(point);
         }
     }
     // Accountability stacked on the BFT / CR transforms and the replicated
     // A2M: the payload column is the request-context size (BFT) / value
     // size (CR) / entry size (A2M).
-    let acct_payloads: &[usize] = if full { &[16, 256, 1024] } else { &[16, 256] };
-    let acct_nodes: &[u32] = if full { &[3, 5] } else { &[3] };
-    for app in [SweepApp::Bft, SweepApp::Cr, SweepApp::A2m] {
-        for &payload in acct_payloads {
-            for &nodes in acct_nodes {
-                for &period in periods {
-                    let point = |mode| SweepPoint {
-                        payload,
-                        nodes,
-                        audit_period: period,
-                        rounds: 4 * period,
-                        messages_per_round: 4,
-                        ..SweepPoint::new(app, mode)
-                    };
-                    points.push(point(CommitMode::Dedicated));
-                    points.push(point(CommitMode::Piggyback { witnesses: 2 }));
-                    points.push(point(CommitMode::Checkpointed {
-                        witnesses: 2,
-                        interval: 2,
-                    }));
-                }
+    for app in [App::Bft, App::Cr, App::A2m] {
+        for payload in [16, 256] {
+            for period in [1, 4] {
+                let point = |mode| Experiment {
+                    payload,
+                    nodes: 3,
+                    audit_period: period,
+                    rounds: 4 * period,
+                    ops_per_round: 4,
+                    ..base(app, mode)
+                };
+                points.push(point(CommitMode::Dedicated));
+                points.push(point(CommitMode::Piggyback { witnesses: 2 }));
+                points.push(point(CommitMode::Checkpointed {
+                    witnesses: 2,
+                    interval: 2,
+                }));
             }
         }
     }
     // The scaling frontier: sharded PeerReview rows at n = 1000 and
     // n = 10 000.
-    let frontier = |nodes, witnesses, shards, audit_sample_size, rounds| {
-        let base = SweepPoint::new(SweepApp::PeerReview, CommitMode::Piggyback { witnesses });
-        SweepPoint {
+    let frontier = |nodes, witnesses, shards, audit_sample_size, rounds, ops_per_round| {
+        let mut point = Experiment {
             nodes,
+            payload: 64,
             rounds,
-            engine: EngineConfig {
-                audit_sample_size,
-                shards,
-                ..base.engine
-            },
-            ..base
-        }
+            ops_per_round,
+            ..base(App::PeerReview, CommitMode::Piggyback { witnesses })
+        };
+        point.engine.audit_sample_size = audit_sample_size;
+        point.engine.shards = shards;
+        point
     };
     // n = 1000: a full-audit baseline row and a sampled row. The pair
     // quantifies the headline trade: sampled auditing cuts audit messages
@@ -136,10 +159,7 @@ fn grid(full: bool) -> Vec<SweepPoint> {
     // per-round rate); longer sampled run so the rotating sample completes
     // a full coverage cycle and the detection probe can land.
     for (audit_sample_size, rounds) in [(None, 3), (Some(1), 28)] {
-        points.push(SweepPoint {
-            messages_per_round: 1000,
-            ..frontier(1000, 24, 8, audit_sample_size, rounds)
-        });
+        points.push(frontier(1000, 24, 8, audit_sample_size, rounds, 1000));
     }
     // Pushing the wall an order of magnitude: n = 10 000, sampled-only
     // (k = 1). A full-audit row at this scale is the wall itself — 2·w·n
@@ -148,40 +168,79 @@ fn grid(full: bool) -> Vec<SweepPoint> {
     // count while round-digest batching keeps the audit share of the log
     // flat. Round counts cover the k = 1 rotation (detection lands within
     // ~w + 1 audit rounds plus slack).
-    let frontier10k = |witnesses, shards, rounds| SweepPoint {
-        messages_per_round: 2_500,
-        ..frontier(10_000, witnesses, shards, Some(1), rounds)
-    };
-    points.push(frontier10k(12, 512, 12));
-    points.push(frontier10k(9, 1024, 10));
-    points.push(frontier10k(4, 2048, 8));
+    for (witnesses, shards, rounds) in [(12, 512, 12), (9, 1024, 10), (4, 2048, 8)] {
+        points.push(frontier(10_000, witnesses, shards, Some(1), rounds, 2_500));
+    }
     points
+}
+
+/// Runs one grid point and, on the PeerReview substrate, its tamperer
+/// twins at node 1: the same point with a seq-0 log tamperer, under full
+/// auditing and under the point's own sampling.
+fn measure(point: Experiment) -> Result<Row, CoreError> {
+    // The measured deployment is gone once `run` returns; at n = 10 000 it
+    // is most of the process's memory, and the twins below are as large.
+    let outcome = point.run()?;
+    if point.app != App::PeerReview {
+        return Ok((point, outcome, None, None));
+    }
+    let tamperer = 1u32.min(point.nodes.saturating_sub(1));
+    let twin = |audit_sample_size| {
+        let mut twin = Experiment {
+            faults: FaultPlan::single(tamperer, NodeFault::TamperLogEntry { seq: 0 }),
+            ..point.clone()
+        };
+        twin.engine.audit_sample_size = audit_sample_size;
+        twin.detection_latency(tamperer)
+    };
+    let sampled = point.engine.audit_sample_size.is_some();
+    // The full-audit twin is the baseline the sampled detection column is
+    // compared against — but at n >= 10 000 a full-audit run (every witness
+    // replaying every charge every round) is exactly the wall the
+    // sampled-only rows exist to avoid, so the column stays empty there
+    // instead of burning the row's wall-clock budget on it.
+    let exposure = if sampled && point.nodes >= 10_000 {
+        None
+    } else {
+        twin(None)?
+    };
+    // Without sampling the second twin would be identical.
+    let detection = if sampled {
+        twin(point.engine.audit_sample_size)?
+    } else {
+        exposure
+    };
+    Ok((point, outcome, exposure, detection))
+}
+
+/// Audit wire messages per node per audit round of a measured row.
+fn audit_rate((point, outcome, ..): &Row) -> f64 {
+    outcome.per_node_round(outcome.stats.audit_messages, point.nodes)
 }
 
 /// The ≥10× headline check: at the n = 1000 frontier the sampled row must
 /// cut audit messages per node per round by at least 10× against the
 /// full-audit row, and its detection probe must land.
-fn check_frontier(rows: &[tnic_bench::SweepRow]) -> Result<(), String> {
-    let frontier: Vec<_> = rows.iter().filter(|r| r.point.nodes == 1000).collect();
-    let full = frontier
-        .iter()
-        .find(|r| r.point.engine.audit_sample_size.is_none())
-        .ok_or("no full-audit frontier row")?;
-    let sampled = frontier
-        .iter()
-        .find(|r| r.point.engine.audit_sample_size.is_some())
-        .ok_or("no sampled frontier row")?;
-    let ratio = full.audit_msgs_per_node_round() / sampled.audit_msgs_per_node_round().max(1e-9);
+fn check_frontier(rows: &[Row]) -> Result<(), String> {
+    let frontier: Vec<&Row> = rows.iter().filter(|r| r.0.nodes == 1000).collect();
+    let find = |sampled: bool| {
+        frontier
+            .iter()
+            .find(|r| r.0.engine.audit_sample_size.is_some() == sampled)
+    };
+    let full = find(false).ok_or("no full-audit frontier row")?;
+    let sampled = find(true).ok_or("no sampled frontier row")?;
+    let ratio = audit_rate(full) / audit_rate(sampled).max(1e-9);
     if ratio < 10.0 {
         return Err(format!(
             "sampled auditing only cut audit traffic {ratio:.1}x at n = 1000 \
              ({:.2} vs {:.2} audit msgs/node/round); the headline requires >= 10x",
-            full.audit_msgs_per_node_round(),
-            sampled.audit_msgs_per_node_round()
+            audit_rate(full),
+            audit_rate(sampled)
         ));
     }
     let latency = sampled
-        .detection_latency_rounds
+        .3
         .ok_or("sampled frontier row never detected its tamperer twin")?;
     eprintln!(
         "frontier: {ratio:.1}x audit-traffic cut at n = 1000, \
@@ -190,84 +249,96 @@ fn check_frontier(rows: &[tnic_bench::SweepRow]) -> Result<(), String> {
     // The n = 10 000 rows are sampled-only (a full audit at that scale is
     // the wall being demonstrated): every row's detection probe must land,
     // and the witness/shard trade is reported as latency-vs-shard-count.
-    let rows10k: Vec<_> = rows.iter().filter(|r| r.point.nodes == 10_000).collect();
+    let rows10k: Vec<&Row> = rows.iter().filter(|r| r.0.nodes == 10_000).collect();
     if rows10k.is_empty() {
         return Err("no n = 10000 frontier rows".to_string());
     }
     for row in rows10k {
-        let latency = row.detection_latency_rounds.ok_or_else(|| {
+        let (point, ..) = row;
+        let latency = row.3.ok_or_else(|| {
             format!(
                 "n = 10000 row (shards {}, {}) never detected its tamperer twin",
-                row.point.engine.shards,
-                row.point.mode.label()
+                point.engine.shards,
+                point.mode().label()
             )
         })?;
         eprintln!(
             "frontier n = 10000: shards {:>4}, {}: {:.2} audit msgs/node/round, \
              detection in {latency} audit rounds",
-            row.point.engine.shards,
-            row.point.mode.label(),
-            row.audit_msgs_per_node_round()
+            point.engine.shards,
+            point.mode().label(),
+            audit_rate(row)
         );
     }
     Ok(())
 }
 
+/// The sweep table (a compact markdown mirror of the CSV).
+fn sweep_section(rows: &[Row]) -> String {
+    let dash = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
+    let mut out = String::from(
+        "## Parameter sweep\n\n\
+         | app | mode | payload B | nodes | witnesses | sample | shards | ctl/app | retained | \
+         audit msgs/node/rd | audit p50 µs | audit p99 µs | exposure rounds | detection rounds |\n\
+         |---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n",
+    );
+    for row @ (point, outcome, exposure, detection) in rows {
+        let stats = &outcome.stats;
+        let _ = writeln!(
+            out,
+            "| {} | {} | {} | {} | {} | {} | {} | {:.2} | {} | {:.2} | {:.1} | {:.1} | {} | {} |",
+            point.app.label(),
+            point.mode().label(),
+            point.payload,
+            point.nodes,
+            outcome.verdicts.keys().filter(|&&(_, n)| n == 0).count(),
+            dash(point.engine.audit_sample_size.map(u64::from)),
+            point.engine.shards.max(1),
+            stats.control_overhead_ratio(),
+            stats.retained_log_entries,
+            audit_rate(row),
+            stats.audit_latency.percentile_us(0.5),
+            stats.audit_latency.percentile_us(0.99),
+            dash(*exposure),
+            dash(*detection),
+        );
+    }
+    out
+}
+
 fn main() {
-    let mut full = false;
     let mut out_path: Option<String> = None;
     let mut report_path: Option<String> = None;
-    // Per-row wall-clock budget for n >= 1000 rows. Sized for the
-    // n = 10 000 sampled rows: the 512-shard row pays ~w² replay work per
-    // audit round (rotation period × per-round control digests both grow
-    // with w) and measures ~200-250s on a quiet host — the budget doubles
-    // that to absorb shared-runner noise while still catching order-of-
-    // magnitude regressions like an accidental full-audit run.
-    let mut max_large_n_seconds: f64 = 480.0;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--full" => full = true,
-            "--out" => match args.next() {
-                Some(path) => out_path = Some(path),
-                None => {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            "--report" => match args.next() {
-                Some(path) => report_path = Some(path),
-                None => {
-                    eprintln!("--report requires a path");
-                    std::process::exit(2);
-                }
-            },
-            "--max-large-n-seconds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => max_large_n_seconds = v,
-                None => {
-                    eprintln!("--max-large-n-seconds requires a number");
-                    std::process::exit(2);
-                }
-            },
+        let target = match arg.as_str() {
+            "--out" => &mut out_path,
+            "--report" => &mut report_path,
             other => {
-                eprintln!(
-                    "unknown argument: {other}\n\
-                     usage: sweep [--full] [--out FILE] [--report FILE] \
-                     [--max-large-n-seconds SECS]"
-                );
+                eprintln!("unknown argument: {other}\nusage: sweep [--out FILE] [--report FILE]");
                 std::process::exit(2);
             }
-        }
+        };
+        *target = Some(args.next().unwrap_or_else(|| {
+            eprintln!("{arg} requires a path");
+            std::process::exit(2);
+        }));
     }
 
-    let mut rows = vec![SWEEP_CSV_HEADER.to_string()];
-    let mut measured = Vec::new();
+    let mut lines = vec![SWEEP_CSV_HEADER.to_string()];
+    let mut measured: Vec<Row> = Vec::new();
     let mut failure_lines: Vec<String> = Vec::new();
-    for point in grid(full) {
+    for point in grid() {
         let started = std::time::Instant::now();
-        match run_sweep_point(point) {
+        let (nodes, shards, rounds, mode) = (
+            point.nodes,
+            point.engine.shards,
+            point.rounds,
+            point.mode().label(),
+        );
+        match measure(point.clone()) {
             Ok(row) => {
-                rows.push(row.to_csv());
+                lines.push(sweep_csv(&row.0, &row.1, row.2, row.3));
                 measured.push(row);
             }
             Err(err) => {
@@ -276,38 +347,32 @@ fn main() {
                 failure_lines.push(line);
             }
         }
-        // The wall-clock budget: an n >= 1000 row must stay inside CI time
-        // (the budget is per row, probes included).
+        // The wall-clock budget: an n >= 1000 row must stay inside CI time.
         let elapsed = started.elapsed().as_secs_f64();
-        if point.nodes >= 1000 {
+        if nodes >= 1000 {
             eprintln!(
-                "sweep point n={} ({}, shards {}, rounds {}): {elapsed:.1}s \
-                 (budget {max_large_n_seconds:.1}s)",
-                point.nodes,
-                point.mode.label(),
-                point.engine.shards,
-                point.rounds
+                "sweep point n={nodes} ({mode}, shards {shards}, rounds {rounds}): {elapsed:.1}s \
+                 (budget {MAX_LARGE_N_SECONDS:.1}s)"
             );
-        }
-        if point.nodes >= 1000 && elapsed > max_large_n_seconds {
-            let line = format!(
-                "sweep point n={} took {elapsed:.1}s, over the \
-                 --max-large-n-seconds budget of {max_large_n_seconds:.1}s",
-                point.nodes
-            );
-            eprintln!("{line}");
-            failure_lines.push(line);
+            if elapsed > MAX_LARGE_N_SECONDS {
+                let line = format!(
+                    "sweep point n={nodes} took {elapsed:.1}s, over the budget of \
+                     {MAX_LARGE_N_SECONDS:.1}s"
+                );
+                eprintln!("{line}");
+                failure_lines.push(line);
+            }
         }
     }
     if let Err(err) = check_frontier(&measured) {
         eprintln!("ERROR: {err}");
         failure_lines.push(format!("frontier check: {err}"));
     }
-    let csv = rows.join("\n") + "\n";
+    let csv = lines.join("\n") + "\n";
 
     if let Some(path) = report_path {
         let path = std::path::PathBuf::from(path);
-        let sections = [report::sweep_section(&measured)];
+        let sections = [sweep_section(&measured)];
         match report::write_report(&path, "TNIC accountability parameter sweep", &sections) {
             Ok(()) => eprintln!("report written to {}", path.display()),
             Err(err) => {
@@ -324,7 +389,7 @@ fn main() {
                 std::process::exit(1);
             });
             file.write_all(csv.as_bytes()).expect("write CSV");
-            eprintln!("{} rows written to {path}", rows.len() - 1);
+            eprintln!("{} rows written to {path}", lines.len() - 1);
         }
         None => print!("{csv}"),
     }
@@ -334,23 +399,17 @@ fn main() {
         // The sweep installs no recorder (tracing would skew the timing
         // rows), so the flight record carries the failure details and the
         // measured rows instead of an event tail.
-        let failures_json = format!(
-            "[{}]",
-            failure_lines
+        let json_list = |items: &[String]| {
+            let quoted: Vec<String> = items
                 .iter()
                 .map(|l| format!("\"{}\"", tnic_obs::export::json_escape(l)))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let rows_json = format!(
-            "[{}]",
-            measured
-                .iter()
-                .map(|r| format!("\"{}\"", tnic_obs::export::json_escape(&r.to_csv())))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let sections = [("failures", failures_json), ("sweep_rows", rows_json)];
+                .collect();
+            format!("[{}]", quoted.join(","))
+        };
+        let sections = [
+            ("failures", json_list(&failure_lines)),
+            ("sweep_rows", json_list(&lines[1..])),
+        ];
         let reason = format!("{failures} sweep point(s) failed");
         match tnic_obs::flight::write_flight_record(
             std::path::Path::new("reports"),

@@ -1,19 +1,16 @@
-//! Named CI gates over the reproduction results.
+//! Named CI gates over the reproduction outcomes.
 //!
-//! `reproduce --check` used to lump every failure into two flat lists; a
-//! broken run printed *a* reason but not *which gate* tripped, and a gate
-//! that failed after the first one could hide entirely. Each gate here is
-//! a pure function from collected results to a [`GateOutcome`] carrying
-//! the gate's stable name and the full list of violations, so the runner
-//! can evaluate **every** gate, print each failing one by name, and exit
-//! non-zero if any failed.
+//! Each gate is a pure function from collected outcomes to its violation
+//! lines; `reproduce` names each list ([`GateOutcome::from_violations`]),
+//! evaluates **every** gate, prints each failing one by name — never just
+//! the first — and exits non-zero if any failed.
 
-use crate::{AcctScenarioResult, ChurnScenarioResult, CommitMode, RetentionReport, ScenarioResult};
+use crate::{Case, CommitMode, Outcome};
 
 /// The verdict of one named gate: pass/fail plus every violation it found.
 #[derive(Debug, Clone)]
 pub struct GateOutcome {
-    /// Stable gate name (`scenario-verdicts`, `retention`, …).
+    /// Stable gate name (`scenario-verdicts`, `retention-bounds`, …).
     pub name: &'static str,
     /// Whether the gate passed.
     pub passed: bool,
@@ -62,463 +59,223 @@ pub fn render_summary(gates: &[GateOutcome]) -> String {
     out
 }
 
-/// Every scenario's verdict matches its expected classification (with
-/// unanimity where the scenario requires it).
+/// Every [`Outcome::check`] line of every case: the whole oracle.
 #[must_use]
-pub fn verdict_gate(results: &[ScenarioResult]) -> GateOutcome {
-    let violations = results
-        .iter()
-        .filter(|r| (r.requires_unanimity && !r.unanimous) || r.verdict != r.expected)
-        .map(|r| {
-            format!(
-                "{} [{} / {}]: expected {}, got {}{}",
-                r.name,
-                r.baseline.label(),
-                r.mode.label(),
-                r.expected,
-                r.verdict,
-                if r.unanimous { "" } else { " (split)" }
-            )
+pub fn oracle(rows: &[(Case, Outcome)]) -> Vec<String> {
+    rows.iter()
+        .flat_map(|(case, outcome)| {
+            outcome
+                .check(&case.expect)
+                .into_iter()
+                .map(move |v| format!("{}: {v}", case.label()))
         })
-        .collect();
-    GateOutcome::from_violations("scenario-verdicts", violations)
+        .collect()
 }
 
-/// No correct node ever loses its clean record, whatever the injected
-/// fault (the accuracy half of the accountability claim).
+/// The accuracy half of the oracle on its own: no correct node ever loses
+/// its clean record, whatever the injected fault or churn.
 #[must_use]
-pub fn accuracy_gate(results: &[ScenarioResult]) -> GateOutcome {
-    let violations = results
-        .iter()
-        .filter(|r| !r.accuracy)
-        .map(|r| {
-            format!(
-                "{} [{} / {}]: a correct node lost its clean record",
-                r.name,
-                r.baseline.label(),
-                r.mode.label()
-            )
+pub fn accuracy(rows: &[(Case, Outcome)]) -> Vec<String> {
+    rows.iter()
+        .flat_map(|(case, outcome)| {
+            outcome
+                .accuracy(&case.expect.may_suspect)
+                .into_iter()
+                .map(move |v| format!("{}: {v}", case.label()))
         })
-        .collect();
-    GateOutcome::from_violations("accuracy", violations)
+        .collect()
+}
+
+/// The fault-free rows in `mode`'s shape, with their ctl/app ratios.
+fn fault_free<'a>(
+    rows: &'a [(Case, Outcome)],
+    in_mode: impl Fn(CommitMode) -> bool + 'a,
+) -> impl Iterator<Item = (&'a Case, f64)> + 'a {
+    rows.iter()
+        .filter(move |(case, outcome)| {
+            outcome.byzantine.is_empty() && in_mode(case.experiment.mode())
+        })
+        .map(|(case, outcome)| (case, outcome.stats.control_overhead_ratio()))
 }
 
 /// Fault-free piggyback rows stay under the absolute ctl/app bound.
 #[must_use]
-pub fn piggyback_overhead_gate(results: &[ScenarioResult], max_ctl_app: f64) -> GateOutcome {
-    let violations = results
-        .iter()
-        .filter(|r| {
-            r.name == "fault-free"
-                && matches!(r.mode, CommitMode::Piggyback { .. })
-                && r.overhead_ratio > max_ctl_app
-        })
-        .map(|r| {
+pub fn piggyback_overhead(rows: &[(Case, Outcome)], max_ctl_app: f64) -> Vec<String> {
+    fault_free(rows, |mode| matches!(mode, CommitMode::Piggyback { .. }))
+        .filter(|&(_, ratio)| ratio > max_ctl_app)
+        .map(|(case, ratio)| {
             format!(
-                "fault-free [{} / {}]: ctl/app {:.2} exceeds {max_ctl_app:.2}",
-                r.baseline.label(),
-                r.mode.label(),
-                r.overhead_ratio
+                "{}: ctl/app {ratio:.2} exceeds {max_ctl_app:.2}",
+                case.label()
             )
         })
-        .collect();
-    GateOutcome::from_violations("piggyback-overhead", violations)
+        .collect()
 }
 
 /// Fault-free checkpointed rows cost at most `factor`× the matching
 /// piggyback row (a missing piggyback row trips the gate rather than
 /// silently passing it).
 #[must_use]
-pub fn checkpoint_overhead_gate(results: &[ScenarioResult], factor: f64) -> GateOutcome {
+pub fn checkpoint_overhead(rows: &[(Case, Outcome)], factor: f64) -> Vec<String> {
     let mut violations = Vec::new();
-    for r in results {
-        if r.name != "fault-free" || !matches!(r.mode, CommitMode::Checkpointed { .. }) {
-            continue;
-        }
-        let piggy = results
-            .iter()
-            .find(|d| {
-                d.name == r.name
-                    && d.baseline == r.baseline
-                    && matches!(d.mode, CommitMode::Piggyback { .. })
+    for (case, ratio) in fault_free(rows, |mode| matches!(mode, CommitMode::Checkpointed { .. })) {
+        let piggy = fault_free(rows, |mode| matches!(mode, CommitMode::Piggyback { .. }))
+            .find(|(d, _)| {
+                d.name == case.name
+                    && d.experiment.engine.baseline == case.experiment.engine.baseline
             })
-            .map_or(f64::NAN, |d| d.overhead_ratio);
-        if piggy.is_nan() || r.overhead_ratio > factor * piggy {
+            .map_or(f64::NAN, |(_, ratio)| ratio);
+        if piggy.is_nan() || ratio > factor * piggy {
             violations.push(format!(
-                "fault-free [{} / {}]: ctl/app {:.2} exceeds {factor:.1}x the piggyback \
-                 row's {piggy:.2}",
-                r.baseline.label(),
-                r.mode.label(),
-                r.overhead_ratio
+                "{}: ctl/app {ratio:.2} exceeds {factor:.1}x the piggyback row's {piggy:.2}",
+                case.label()
             ));
         }
     }
-    GateOutcome::from_violations("checkpoint-overhead", violations)
+    violations
 }
 
-/// The accountability-as-middleware rows classify correctly and keep the
-/// protocol healthy (liveness + replica parity).
+/// Every case lands within `max_rounds` audit rounds; `None` (never within
+/// the case's round budget) always violates. With `u64::MAX` this is the
+/// completeness check: a lying witness may delay exposure but never
+/// prevent it.
 #[must_use]
-pub fn acct_verdict_gate(results: &[AcctScenarioResult]) -> GateOutcome {
-    let mut violations = Vec::new();
-    for r in results {
-        let expected = if r.name.ends_with("fault-free") {
-            "trusted"
-        } else {
-            "exposed"
-        };
-        if !r.unanimous || r.verdict != expected {
-            violations.push(format!(
-                "{} [{}]: expected {expected}, got {}{}",
-                r.name,
-                r.mode.label(),
-                r.verdict,
-                if r.unanimous { "" } else { " (split)" }
-            ));
-        }
-        if !r.protocol_committed {
-            violations.push(format!(
-                "{} [{}]: protocol lost liveness under accountability",
-                r.name,
-                r.mode.label()
-            ));
-        }
-        if !r.state_parity {
-            violations.push(format!(
-                "{} [{}]: replicas diverged under accountability",
-                r.name,
-                r.mode.label()
-            ));
-        }
-    }
-    GateOutcome::from_violations("acct-verdicts", violations)
-}
-
-/// Fault-free middleware rows stay under the stacked ctl/app bound
-/// (absolute for piggyback, `factor`× the piggyback row for checkpointed).
-#[must_use]
-pub fn acct_overhead_gate(
-    results: &[AcctScenarioResult],
-    max_acct_ctl_app: f64,
-    factor: f64,
-) -> GateOutcome {
-    let mut violations = Vec::new();
-    for r in results {
-        if !r.name.ends_with("fault-free") {
-            continue;
-        }
-        match r.mode {
-            CommitMode::Piggyback { .. } if r.overhead_ratio > max_acct_ctl_app => {
-                violations.push(format!(
-                    "{} [{}]: ctl/app {:.2} exceeds {max_acct_ctl_app:.2}",
-                    r.name,
-                    r.mode.label(),
-                    r.overhead_ratio
-                ));
-            }
-            CommitMode::Checkpointed { .. } => {
-                let piggy = results
-                    .iter()
-                    .find(|d| d.name == r.name && matches!(d.mode, CommitMode::Piggyback { .. }))
-                    .map_or(f64::NAN, |d| d.overhead_ratio);
-                if piggy.is_nan() || r.overhead_ratio > factor * piggy {
-                    violations.push(format!(
-                        "{} [{}]: ctl/app {:.2} exceeds {factor:.1}x the piggyback row's \
-                         {piggy:.2}",
-                        r.name,
-                        r.mode.label(),
-                        r.overhead_ratio
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-    GateOutcome::from_violations("acct-overhead", violations)
-}
-
-/// Every churn scenario reaches its expected verdict (faulty churners
-/// exposed, honest ones not) — a deviation, fatal with or without
-/// `--check`. Settle timing lives in [`churn_delay_gate`].
-#[must_use]
-pub fn churn_verdict_gate(results: &[ChurnScenarioResult]) -> GateOutcome {
-    let violations = results
-        .iter()
-        .filter(|r| r.verdict != r.expected)
-        .map(|r| {
-            format!(
-                "{} [{}]: expected {}, got {}",
-                r.name,
-                r.mode.label(),
-                r.expected,
-                r.verdict
-            )
-        })
-        .collect();
-    GateOutcome::from_violations("churn-verdicts", violations)
-}
-
-/// No correct node is ever exposed under churn, crash-recovery or
-/// partition healing — the accuracy half of the accountability claim must
-/// survive membership change (fatal with or without `--check`).
-#[must_use]
-pub fn churn_accuracy_gate(results: &[ChurnScenarioResult]) -> GateOutcome {
-    let violations = results
-        .iter()
-        .filter(|r| !r.accuracy)
-        .map(|r| {
-            format!(
-                "{} [{}]: a correct node was exposed under churn",
-                r.name,
-                r.mode.label()
-            )
-        })
-        .collect();
-    GateOutcome::from_violations("churn-accuracy", violations)
-}
-
-/// Every churn scenario's verdicts settle within `max_rounds` audit rounds
-/// after the churn schedule completes (a bound, enforced under `--check`
-/// via `--max-verdict-delay-rounds`).
-#[must_use]
-pub fn churn_delay_gate(results: &[ChurnScenarioResult], max_rounds: u64) -> GateOutcome {
-    let violations = results
-        .iter()
-        .filter_map(|r| match r.settle_delay_rounds {
-            Some(delay) if delay > max_rounds => Some(format!(
-                "{} [{}]: settled {delay} rounds after the churn schedule, bound is {max_rounds}",
-                r.name,
-                r.mode.label()
-            )),
-            None => Some(format!(
-                "{} [{}]: verdicts never settled within the round budget",
-                r.name,
-                r.mode.label()
-            )),
-            _ => None,
-        })
-        .collect();
-    GateOutcome::from_violations("churn-verdict-delay", violations)
-}
-
-/// Every exposure-latency case detects its tamperer *at all* — a lying
-/// witness may delay exposure but never prevent it (a completeness
-/// deviation, fatal with or without `--check`).
-#[must_use]
-pub fn exposure_completeness_gate(cases: &[(String, Option<u64>)]) -> GateOutcome {
-    let violations = cases
-        .iter()
-        .filter(|(_, latency)| latency.is_none())
-        .map(|(case, _)| {
-            format!("{case}: tamperer never exposed — a lying witness prevented detection")
-        })
-        .collect();
-    GateOutcome::from_violations("exposure-completeness", violations)
-}
-
-/// Every exposing case stays within the round bound (a perf bound,
-/// enforced under `--check`).
-#[must_use]
-pub fn exposure_latency_gate(cases: &[(String, Option<u64>)], max_rounds: u64) -> GateOutcome {
-    let violations = cases
+pub fn latency(cases: &[(String, Option<u64>)], max_rounds: u64) -> Vec<String> {
+    cases
         .iter()
         .filter_map(|(case, latency)| match latency {
             Some(rounds) if *rounds > max_rounds => {
                 Some(format!("{case}: {rounds} rounds exceed {max_rounds}"))
             }
+            None => Some(format!("{case}: never within the round budget")),
             _ => None,
         })
-        .collect();
-    GateOutcome::from_violations("exposure-latency", violations)
+        .collect()
 }
 
 /// Every audit-traffic case stays under the per-node-per-audit-round wire
-/// bound — the overhead axis of the sampled-auditing frontier (a bound,
-/// enforced under `--check` via `--max-audit-msgs-per-node-round`).
+/// bound — the overhead axis of the sampled-auditing frontier.
 #[must_use]
-pub fn audit_traffic_gate(cases: &[(String, f64)], max_per_node_round: f64) -> GateOutcome {
-    let violations = cases
+pub fn audit_traffic(cases: &[(String, f64)], max_per_node_round: f64) -> Vec<String> {
+    cases
         .iter()
         .filter(|(_, rate)| *rate > max_per_node_round)
         .map(|(case, rate)| {
             format!("{case}: {rate:.2} audit msgs/node/round exceed {max_per_node_round:.2}")
         })
-        .collect();
-    GateOutcome::from_violations("audit-traffic", violations)
+        .collect()
 }
 
-/// Every scenario's logs keep their audit-protocol share under
-/// `max_fraction` — the storage axis of the audit-log inflation feedback:
-/// without round-digest batching, every challenge/response envelope lands
-/// a per-message control digest in both endpoint logs, the next audit
-/// replays those entries, and the audit share compounds with witness count
-/// (a bound, enforced under `--check` via `--max-audit-log-fraction`).
+/// Every case's logs keep their audit-protocol share under `max_fraction`
+/// — the storage axis of the audit-log inflation feedback: without
+/// round-digest batching, every challenge/response envelope lands a
+/// per-message control digest in both endpoint logs, the next audit
+/// replays those entries, and the audit share compounds with witness count.
 #[must_use]
-pub fn audit_log_share_gate(results: &[ScenarioResult], max_fraction: f64) -> GateOutcome {
-    let violations = results
-        .iter()
-        .filter_map(|r| {
-            let total = r.log_app_entries + r.log_ctl_entries + r.log_audit_entries;
+pub fn audit_log_share(rows: &[(Case, Outcome)], max_fraction: f64) -> Vec<String> {
+    rows.iter()
+        .filter_map(|(case, outcome)| {
+            let stats = &outcome.stats;
+            let audit = stats.log_audit_digest_entries;
+            let total = stats.log_app_payload_entries + stats.log_control_digest_entries + audit;
             if total == 0 {
                 return None;
             }
             #[allow(clippy::cast_precision_loss)]
-            let share = r.log_audit_entries as f64 / total as f64;
+            let share = audit as f64 / total as f64;
             (share > max_fraction).then(|| {
                 format!(
-                    "{} [{} / {}]: audit entries are {:.0}% of the log ({} of {}), bound is {:.0}%",
-                    r.name,
-                    r.baseline.label(),
-                    r.mode.label(),
+                    "{}: audit entries are {:.0}% of the log ({audit} of {total}), bound is {:.0}%",
+                    case.label(),
                     share * 100.0,
-                    r.log_audit_entries,
-                    total,
                     max_fraction * 100.0
                 )
             })
         })
-        .collect();
-    GateOutcome::from_violations("audit-log-share", violations)
+        .collect()
 }
 
-/// Every sampled-auditing case still detects its tamperer within the
-/// round bound — sampling trades detection latency for audit traffic but
-/// must never lose detection outright (`None` always violates).
-#[must_use]
-pub fn sampled_detection_latency_gate(
-    cases: &[(String, Option<u64>)],
-    max_rounds: u64,
-) -> GateOutcome {
-    let violations = cases
-        .iter()
-        .filter_map(|(case, latency)| match latency {
-            Some(rounds) if *rounds > max_rounds => Some(format!(
-                "{case}: sampled detection took {rounds} rounds, bound is {max_rounds}"
-            )),
-            None => Some(format!(
-                "{case}: sampled auditing never detected the tamperer"
-            )),
-            _ => None,
-        })
-        .collect();
-    GateOutcome::from_violations("sampled-detection-latency", violations)
-}
-
-/// The long-running checkpointed deployment keeps its verdicts clean and
+/// The long-running checkpointed deployment keeps every node trusted and
 /// actually certifies checkpoints.
 #[must_use]
-pub fn retention_verdict_gate(report: &RetentionReport) -> GateOutcome {
-    let mut violations = Vec::new();
-    if !report.verdicts_clean {
-        violations.push("false verdict in a fault-free long run".to_string());
-    }
-    if report.checkpoints_completed == 0 {
+pub fn retention(outcome: &Outcome) -> Vec<String> {
+    let mut violations = outcome.accuracy(&[]);
+    if outcome.stats.checkpoints_completed == 0 {
         violations.push("no checkpoint ever certified".to_string());
     }
-    GateOutcome::from_violations("retention-verdicts", violations)
+    violations
 }
 
 /// The long-running checkpointed deployment keeps memory O(interval), not
-/// O(rounds) (a bound, enforced under `--check`).
+/// O(rounds): retained entries and stored commitments stay within
+/// `max_retained` at every audit boundary.
 #[must_use]
-pub fn retention_bounds_gate(report: &RetentionReport, max_retained_entries: u64) -> GateOutcome {
-    let mut violations = Vec::new();
-    if report.max_retained_entries > max_retained_entries {
-        violations.push(format!(
-            "{} retained entries exceed {max_retained_entries}",
-            report.max_retained_entries
-        ));
-    }
-    if report.max_retained_commitments > max_retained_entries {
-        violations.push(format!(
-            "{} stored commitments exceed {max_retained_entries}",
-            report.max_retained_commitments
-        ));
-    }
-    GateOutcome::from_violations("retention-bounds", violations)
-}
-
-/// Every scheduled run actually executed (no scenario erred out).
-#[must_use]
-pub fn execution_gate(failed_runs: &[String]) -> GateOutcome {
-    GateOutcome::from_violations("execution", failed_runs.to_vec())
+pub fn retention_bounds(outcome: &Outcome, max_retained: u64) -> Vec<String> {
+    [
+        (outcome.peak_retained_entries, "retained entries"),
+        (outcome.peak_retained_commitments, "stored commitments"),
+    ]
+    .into_iter()
+    .filter(|&(peak, _)| peak > max_retained)
+    .map(|(peak, what)| format!("{peak} {what} exceed {max_retained}"))
+    .collect()
 }
 
 /// Recording with the event ring enabled stays within the named wall-clock
-/// budget over the identical untraced run (a bound, enforced under
-/// `--check` via `--max-trace-overhead-pct`). `measured_pct` is the
-/// relative slowdown in percent (`(traced/untraced - 1) * 100`, min-of-N
-/// on both sides to shed scheduler noise); `None` — the measurement could
-/// not run — passes, the gate bounds a measured regression rather than
-/// requiring the measurement.
+/// budget over the identical untraced run. `measured_pct` is the relative
+/// slowdown in percent (`(traced/untraced - 1) * 100`, min-of-N on both
+/// sides to shed scheduler noise); `None` — the measurement could not run —
+/// passes, the gate bounds a measured regression rather than requiring the
+/// measurement.
 #[must_use]
-pub fn trace_overhead_gate(measured_pct: Option<f64>, max_pct: f64) -> GateOutcome {
-    let violations = match measured_pct {
+pub fn trace_overhead(measured_pct: Option<f64>, max_pct: f64) -> Vec<String> {
+    match measured_pct {
         Some(pct) if pct > max_pct => vec![format!(
             "enabled-recorder overhead {pct:.1}% exceeds {max_pct:.1}%"
         )],
         _ => Vec::new(),
-    };
-    GateOutcome::from_violations("trace-overhead", violations)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tnic_tee::profile::Baseline;
+    use crate::tests::{fixture, Fixture};
+    use tnic_peerreview::audit::Verdict;
 
-    fn row(
-        name: &'static str,
-        mode: CommitMode,
-        verdict: &'static str,
-        expected: &'static str,
-        overhead_ratio: f64,
-    ) -> ScenarioResult {
-        ScenarioResult {
+    /// A fault-free row in `mode` whose control traffic is `ratio`× its 24
+    /// application messages.
+    fn fault_free_row(name: &'static str, mode: CommitMode, ratio: f64) -> (Case, Outcome) {
+        let mut row = fixture(Fixture {
             name,
-            baseline: Baseline::Tnic,
             mode,
-            piggybacked: 0,
-            verdict,
-            unanimous: true,
-            expected,
-            requires_unanimity: true,
-            accuracy: true,
-            app_messages: 24,
-            control_messages: 24,
-            overhead_ratio,
-            audit_p50_us: 0.0,
-            audit_p99_us: 0.0,
-            virtual_time_us: 1,
-            log_app_entries: 0,
-            log_ctl_entries: 0,
-            log_audit_entries: 0,
-            entries_replayed: 0,
-        }
+            ..Fixture::default()
+        });
+        row.1.stats.app_messages = 24;
+        row.1.stats.control_messages = (24.0 * ratio) as u64;
+        row
     }
 
     #[test]
     fn trace_overhead_gate_bounds_the_measured_slowdown() {
-        assert!(trace_overhead_gate(Some(12.0), 50.0).passed);
-        assert!(trace_overhead_gate(None, 50.0).passed, "unmeasured passes");
-        let gate = trace_overhead_gate(Some(80.0), 50.0);
-        assert!(!gate.passed);
-        assert!(gate.violations[0].contains("80.0% exceeds 50.0%"));
+        assert!(trace_overhead(Some(12.0), 50.0).is_empty());
+        assert!(trace_overhead(None, 50.0).is_empty(), "unmeasured passes");
+        let violations = trace_overhead(Some(80.0), 50.0);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].contains("80.0% exceeds 50.0%"));
     }
 
     #[test]
     fn passing_gates_report_ok() {
-        let results = [row(
+        let rows = [fault_free_row(
             "fault-free",
             CommitMode::Piggyback { witnesses: 2 },
-            "trusted",
-            "trusted",
             1.0,
         )];
         let gates = [
-            verdict_gate(&results),
-            accuracy_gate(&results),
-            piggyback_overhead_gate(&results, 2.0),
+            GateOutcome::from_violations("scenario-verdicts", oracle(&rows)),
+            GateOutcome::from_violations("accuracy", accuracy(&rows)),
+            GateOutcome::from_violations("piggyback-overhead", piggyback_overhead(&rows, 2.0)),
         ];
         assert!(gates.iter().all(|g| g.passed));
         assert!(failed(&gates).is_empty());
@@ -529,31 +286,23 @@ mod tests {
 
     #[test]
     fn every_failing_gate_is_named_not_just_the_first() {
-        // Two independent gates broken at once: the verdict deviates AND the
-        // piggyback overhead bound is blown. Both must surface by name.
-        let results = [
-            row(
-                "equivocation",
-                CommitMode::Dedicated,
-                "trusted",
-                "exposed",
-                1.0,
-            ),
-            row(
-                "fault-free",
-                CommitMode::Piggyback { witnesses: 2 },
-                "trusted",
-                "trusted",
-                9.5,
-            ),
+        // Two independent gates broken at once: the equivocator stays
+        // trusted AND the piggyback overhead bound is blown. Both must
+        // surface by name.
+        let rows = [
+            fixture(Fixture {
+                name: "equivocation",
+                faulty: Some((1, Verdict::Exposed)),
+                ..Fixture::default()
+            }),
+            fault_free_row("fault-free", CommitMode::Piggyback { witnesses: 2 }, 9.5),
         ];
         let gates = [
-            verdict_gate(&results),
-            accuracy_gate(&results),
-            piggyback_overhead_gate(&results, 2.0),
+            GateOutcome::from_violations("scenario-verdicts", oracle(&rows)),
+            GateOutcome::from_violations("accuracy", accuracy(&rows)),
+            GateOutcome::from_violations("piggyback-overhead", piggyback_overhead(&rows, 2.0)),
         ];
-        let failing = failed(&gates);
-        assert_eq!(failing.len(), 2);
+        assert_eq!(failed(&gates).len(), 2);
         let summary = render_summary(&gates);
         assert!(summary.contains("scenario-verdicts"), "{summary}");
         assert!(summary.contains("piggyback-overhead"), "{summary}");
@@ -568,18 +317,20 @@ mod tests {
 
     #[test]
     fn checkpoint_gate_trips_on_missing_piggyback_row() {
-        let results = [row(
-            "fault-free",
-            CommitMode::Checkpointed {
-                witnesses: 2,
-                interval: 1,
-            },
-            "trusted",
-            "trusted",
-            1.5,
-        )];
-        let gate = checkpoint_overhead_gate(&results, 3.0);
-        assert!(!gate.passed, "NaN piggyback baseline must trip the gate");
+        let ckpt = CommitMode::Checkpointed {
+            witnesses: 2,
+            interval: 1,
+        };
+        let rows = [fault_free_row("fault-free", ckpt, 1.5)];
+        assert!(
+            !checkpoint_overhead(&rows, 3.0).is_empty(),
+            "NaN piggyback baseline must trip the gate"
+        );
+        let with_piggy = [
+            rows[0].clone(),
+            fault_free_row("fault-free", CommitMode::Piggyback { witnesses: 2 }, 1.0),
+        ];
+        assert!(checkpoint_overhead(&with_piggy, 3.0).is_empty());
     }
 
     #[test]
@@ -589,14 +340,12 @@ mod tests {
             ("silent witness".to_string(), Some(9)),
             ("withhold-gossip witness".to_string(), None),
         ];
-        let latency = exposure_latency_gate(&cases, 6);
-        assert!(!latency.passed);
-        assert_eq!(latency.violations.len(), 1);
-        assert!(latency.violations[0].contains("9 rounds exceed 6"));
-        let completeness = exposure_completeness_gate(&cases);
-        assert!(!completeness.passed);
-        assert_eq!(completeness.violations.len(), 1);
-        assert!(completeness.violations[0].contains("never exposed"));
+        let bound = latency(&cases, 6);
+        assert_eq!(bound.len(), 2, "{bound:?}");
+        assert!(bound[0].contains("silent witness: 9 rounds exceed 6"));
+        let completeness = latency(&cases, u64::MAX);
+        assert_eq!(completeness.len(), 1);
+        assert!(completeness[0].contains("withhold-gossip witness: never"));
     }
 
     #[test]
@@ -605,42 +354,31 @@ mod tests {
             ("full audit".to_string(), 12.5),
             ("sampled (k=1)".to_string(), 1.2),
         ];
-        let gate = audit_traffic_gate(&cases, 4.0);
-        assert!(!gate.passed);
-        assert_eq!(gate.violations.len(), 1);
+        let violations = audit_traffic(&cases, 4.0);
+        assert_eq!(violations.len(), 1);
         assert!(
-            gate.violations[0].contains("12.50 audit msgs/node/round exceed 4.00"),
-            "{:?}",
-            gate.violations
+            violations[0].contains("12.50 audit msgs/node/round exceed 4.00"),
+            "{violations:?}"
         );
-        assert!(audit_traffic_gate(&cases[1..], 4.0).passed);
+        assert!(audit_traffic(&cases[1..], 4.0).is_empty());
     }
 
     #[test]
     fn audit_log_share_gate_bounds_the_storage_fraction() {
-        let mut inflated = row(
-            "fault-free",
-            CommitMode::Dedicated,
-            "trusted",
-            "trusted",
-            1.0,
-        );
-        inflated.log_app_entries = 100;
-        inflated.log_ctl_entries = 50;
-        inflated.log_audit_entries = 450; // 75% of the log is audit digests
+        let mut inflated = fixture(Fixture::default());
+        inflated.1.stats.log_app_payload_entries = 100;
+        inflated.1.stats.log_control_digest_entries = 50;
+        inflated.1.stats.log_audit_digest_entries = 450; // 75% of the log is audit digests
         let mut batched = inflated.clone();
-        batched.name = "fault-free-batched";
-        batched.log_audit_entries = 10; // ~6%
-        let empty = row("no-logs", CommitMode::Dedicated, "trusted", "trusted", 1.0);
-        let gate = audit_log_share_gate(&[inflated, batched.clone(), empty], 0.5);
-        assert!(!gate.passed);
-        assert_eq!(gate.violations.len(), 1, "{:?}", gate.violations);
+        batched.1.stats.log_audit_digest_entries = 10; // ~6%
+        let empty = fixture(Fixture::default());
+        let violations = audit_log_share(&[inflated, batched.clone(), empty], 0.5);
+        assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
-            gate.violations[0].contains("75% of the log (450 of 600), bound is 50%"),
-            "{:?}",
-            gate.violations
+            violations[0].contains("75% of the log (450 of 600), bound is 50%"),
+            "{violations:?}"
         );
-        assert!(audit_log_share_gate(&[batched], 0.5).passed);
+        assert!(audit_log_share(&[batched], 0.5).is_empty());
     }
 
     #[test]
@@ -650,96 +388,61 @@ mod tests {
             ("sampled (k=1)".to_string(), Some(11)),
             ("sampled (k=1, hostile)".to_string(), None),
         ];
-        let gate = sampled_detection_latency_gate(&cases, 8);
-        assert!(!gate.passed);
-        assert_eq!(gate.violations.len(), 2, "{:?}", gate.violations);
-        assert!(gate.violations.iter().any(|v| v.contains("11 rounds")));
-        assert!(gate.violations.iter().any(|v| v.contains("never detected")));
-        assert!(sampled_detection_latency_gate(&cases[..1], 8).passed);
-    }
-
-    fn churn_row(
-        name: &'static str,
-        verdict: &'static str,
-        expected: &'static str,
-        delay: Option<u64>,
-        accuracy: bool,
-    ) -> ChurnScenarioResult {
-        ChurnScenarioResult {
-            name,
-            mode: CommitMode::Piggyback { witnesses: 2 },
-            verdict,
-            expected,
-            settled: delay.is_some(),
-            settle_delay_rounds: delay,
-            accuracy,
-            joins: 0,
-            departures: 0,
-            crashes: 1,
-            recoveries: 1,
-            challenge_retries: 0,
-            messages_unreachable: 4,
-            messages_partitioned: 0,
-        }
+        let violations = latency(&cases, 8);
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations.iter().any(|v| v.contains("11 rounds")));
+        assert!(violations.iter().any(|v| v.contains("never")));
+        assert!(latency(&cases[..1], 8).is_empty());
     }
 
     #[test]
     fn churn_gates_check_verdicts_accuracy_and_settle_delay() {
-        let results = [
-            churn_row("churn/crash-rejoin", "trusted", "trusted", Some(1), true),
-            churn_row(
-                "churn/leave-tamper",
-                "NOT exposed",
-                "exposed",
-                Some(0),
-                false,
-            ),
-            churn_row("churn/partition-heal", "suspected", "trusted", None, true),
-            churn_row("churn/join", "trusted", "trusted", Some(9), true),
+        let clean = fixture(Fixture {
+            name: "churn/crash-rejoin",
+            ..Fixture::default()
+        });
+        // The tampering leaver escapes exposure and a correct node is
+        // exposed in its place.
+        let mut escaped = fixture(Fixture {
+            name: "churn/leave-tamper",
+            faulty: Some((2, Verdict::Exposed)),
+            ..Fixture::default()
+        });
+        escaped.1.verdicts.insert((1, 3), Verdict::Exposed);
+        let rows = [clean.clone(), escaped];
+        let verdicts = oracle(&rows);
+        assert_eq!(verdicts.len(), 2, "{verdicts:?}");
+        assert!(verdicts.iter().all(|v| v.contains("leave-tamper")));
+        let exposed = accuracy(&rows);
+        assert_eq!(exposed.len(), 1);
+        assert!(exposed[0].contains("exposed on correct node 3"));
+        let delays = vec![
+            ("churn/partition-heal".to_string(), None),
+            ("churn/join".to_string(), Some(9)),
+            ("churn/crash-rejoin".to_string(), Some(1)),
         ];
-        let verdicts = churn_verdict_gate(&results);
-        assert!(!verdicts.passed);
-        assert_eq!(verdicts.violations.len(), 2, "{:?}", verdicts.violations);
-        let accuracy = churn_accuracy_gate(&results);
-        assert!(!accuracy.passed);
-        assert_eq!(accuracy.violations.len(), 1);
-        assert!(accuracy.violations[0].contains("leave-tamper"));
-        let delay = churn_delay_gate(&results, 6);
-        assert!(!delay.passed);
-        assert_eq!(delay.violations.len(), 2, "{:?}", delay.violations);
-        assert!(delay.violations.iter().any(|v| v.contains("never settled")));
-        assert!(delay.violations.iter().any(|v| v.contains("bound is 6")));
+        let delay = latency(&delays, 6);
+        assert_eq!(delay.len(), 2, "{delay:?}");
+        assert!(delay.iter().any(|v| v.contains("never")));
+        assert!(delay.iter().any(|v| v.contains("9 rounds exceed 6")));
         // The clean subset passes all three gates.
-        let clean = [churn_row(
-            "churn/crash-rejoin",
-            "trusted",
-            "trusted",
-            Some(1),
-            true,
-        )];
-        assert!(churn_verdict_gate(&clean).passed);
-        assert!(churn_accuracy_gate(&clean).passed);
-        assert!(churn_delay_gate(&clean, 6).passed);
+        assert!(oracle(std::slice::from_ref(&clean)).is_empty());
+        assert!(accuracy(&[clean]).is_empty());
+        assert!(latency(&delays[2..], 6).is_empty());
     }
 
     #[test]
     fn retention_gates_check_every_bound() {
-        let report = RetentionReport {
-            rounds: 200,
-            checkpoint_interval: 4,
-            max_retained_entries: 900,
-            max_retained_commitments: 10,
-            final_retained_entries: 20,
-            final_retained_bytes: 1000,
-            total_log_entries: 5000,
-            checkpoints_completed: 0,
-            verdicts_clean: true,
-        };
-        let bounds = retention_bounds_gate(&report, 600);
-        assert!(!bounds.passed);
-        assert_eq!(bounds.violations.len(), 1, "{:?}", bounds.violations);
-        let verdicts = retention_verdict_gate(&report);
-        assert!(!verdicts.passed, "zero certified checkpoints must trip");
-        assert!(verdicts.violations[0].contains("no checkpoint"));
+        let (_, mut outcome) = fixture(Fixture::default());
+        outcome.peak_retained_entries = 900;
+        outcome.peak_retained_commitments = 10;
+        let bounds = retention_bounds(&outcome, 600);
+        assert_eq!(bounds, ["900 retained entries exceed 600"]);
+        let verdicts = retention(&outcome);
+        assert_eq!(
+            verdicts,
+            ["no checkpoint ever certified"],
+            "zero certified checkpoints must trip"
+        );
     }
 }

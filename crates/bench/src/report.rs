@@ -1,14 +1,16 @@
 //! Generated markdown perf reports for the reproduction runs.
 //!
-//! `reproduce` and `sweep` render what they measured — verdict tables,
-//! throughput, control/app overhead, latency percentiles, allocation
-//! counts, and the per-phase exposure-latency breakdown reconstructed
-//! from the [`tnic_obs`] event recorder — into `reports/<name>.md`. The
-//! sections are plain functions from results to markdown so the binaries
-//! and tests compose exactly the report they need.
+//! `reproduce` renders what it measured — verdict tables, throughput,
+//! control/app overhead, latency percentiles, allocation counts, and the
+//! per-phase exposure-latency breakdown reconstructed from the
+//! [`tnic_obs`] event recorder — into `reports/<name>.md`, and prints the
+//! same sections. Each section is a plain function from `(Case, Outcome)`
+//! rows (or the probe's `(Experiment, Outcome, detection)` rows) to
+//! markdown, so the binaries and tests compose exactly the report they
+//! need.
 
 use crate::gates::GateOutcome;
-use crate::{AcctScenarioResult, ChurnScenarioResult, SampledProbeRow, ScenarioResult, SweepRow};
+use crate::{Case, Experiment, Outcome};
 use std::fmt::Write as _;
 use std::path::Path;
 use tnic_obs::metrics::MetricsRegistry;
@@ -16,85 +18,107 @@ use tnic_obs::timeline::{explain_verdict, verdict_transitions, VerdictChain};
 use tnic_obs::{codes, Event};
 
 /// Virtual throughput of a run in application messages per virtual second.
-#[must_use]
-pub fn virtual_throughput(app_messages: u64, virtual_time_us: u64) -> f64 {
-    if virtual_time_us == 0 {
+fn virtual_throughput(outcome: &Outcome) -> f64 {
+    if outcome.virtual_time_us == 0 {
         0.0
     } else {
-        app_messages as f64 * 1e6 / virtual_time_us as f64
+        outcome.stats.app_messages as f64 * 1e6 / outcome.virtual_time_us as f64
+    }
+}
+
+/// A row's summary verdict, marked `(split)` when the witnesses behind it
+/// disagree.
+fn verdict_cell(case: &Case, outcome: &Outcome) -> String {
+    let (verdict, unanimous) = outcome.summary(&case.expect);
+    if unanimous {
+        verdict.label().to_string()
+    } else {
+        format!("{} (split)", verdict.label())
+    }
+}
+
+/// The verdict a case expects on its faulty node (`trusted` without one).
+fn expected_cell(case: &Case) -> &'static str {
+    case.expect
+        .faulty
+        .map_or(tnic_peerreview::audit::Verdict::Trusted, |(_, class)| class)
+        .label()
+}
+
+/// `"ok"` or `"FAIL"`.
+fn ok(pass: bool) -> &'static str {
+    if pass {
+        "ok"
+    } else {
+        "FAIL"
     }
 }
 
 /// The scenario verdict/overhead table: one row per (scenario, mode) with
 /// throughput, ctl/app overhead and audit-latency percentiles.
 #[must_use]
-pub fn scenario_section(results: &[ScenarioResult]) -> String {
+pub fn scenario_section(rows: &[(Case, Outcome)]) -> String {
     let mut out = String::from(
         "## PeerReview fault-injection scenarios\n\n\
          | scenario | baseline | mode | verdict | expected | app msgs | ctl msgs | ctl/app | \
          msgs/vsec | audit p50 µs | audit p99 µs |\n\
          |---|---|---|---|---|---:|---:|---:|---:|---:|---:|\n",
     );
-    for r in results {
-        let verdict = if r.unanimous {
-            r.verdict.to_string()
-        } else {
-            format!("{} (split)", r.verdict)
-        };
+    for (case, outcome) in rows {
+        let stats = &outcome.stats;
         let _ = writeln!(
             out,
             "| {} | {} | {} | {} | {} | {} | {} | {:.2} | {:.0} | {:.1} | {:.1} |",
-            r.name,
-            r.baseline.label(),
-            r.mode.label(),
-            verdict,
-            r.expected,
-            r.app_messages,
-            r.control_messages,
-            r.overhead_ratio,
-            virtual_throughput(r.app_messages, r.virtual_time_us),
-            r.audit_p50_us,
-            r.audit_p99_us,
+            case.name,
+            case.experiment.engine.baseline.label(),
+            case.experiment.mode().label(),
+            verdict_cell(case, outcome),
+            expected_cell(case),
+            stats.app_messages,
+            stats.control_messages,
+            stats.control_overhead_ratio(),
+            virtual_throughput(outcome),
+            stats.audit_latency.percentile_us(0.5),
+            stats.audit_latency.percentile_us(0.99),
         );
     }
     out
 }
 
 /// The accountability-as-middleware table: the engine stacked under
-/// BFT / chain replication / A2M.
+/// BFT / chain replication / A2M, with its virtual-time cost against the
+/// engine-free twin.
 #[must_use]
-pub fn acct_section(results: &[AcctScenarioResult]) -> String {
+pub fn acct_section(rows: &[(Case, Outcome)]) -> String {
     let mut out = String::from(
         "## Accountability as middleware\n\n\
          | scenario | mode | verdict | ctl/app | time overhead | msgs/vsec | commit | parity |\n\
          |---|---|---|---:|---:|---:|---|---|\n",
     );
-    for r in results {
-        let verdict = if r.unanimous {
-            r.verdict.to_string()
-        } else {
-            format!("{} (split)", r.verdict)
+    for (case, outcome) in rows {
+        let time_overhead = match outcome.bare_time_us {
+            Some(bare) if bare > 0 => outcome.virtual_time_us as f64 / bare as f64,
+            _ => f64::NAN,
         };
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {:.2} | {:.2}x | {:.0} | {} | {} |",
-            r.name,
-            r.mode.label(),
-            verdict,
-            r.overhead_ratio,
-            r.time_overhead,
-            virtual_throughput(r.app_messages, r.virtual_time_us),
-            if r.protocol_committed { "ok" } else { "FAIL" },
-            if r.state_parity { "ok" } else { "FAIL" },
+            "| {} | {} | {} | {:.2} | {time_overhead:.2}x | {:.0} | {} | {} |",
+            case.name,
+            case.experiment.mode().label(),
+            verdict_cell(case, outcome),
+            outcome.stats.control_overhead_ratio(),
+            virtual_throughput(outcome),
+            ok(outcome.committed),
+            ok(outcome.replicas_agree),
         );
     }
     out
 }
 
-/// The membership-churn robustness table: verdicts, settle delay and
-/// churn/drop counters per scenario × commit mode.
+/// The membership-churn robustness table: verdicts, settle delay (one
+/// entry of `delays` per row) and churn/drop counters per case.
 #[must_use]
-pub fn churn_section(results: &[ChurnScenarioResult]) -> String {
+pub fn churn_section(rows: &[(Case, Outcome)], delays: &[(String, Option<u64>)]) -> String {
     let mut out = String::from(
         "## Membership churn, crash-recovery and partition healing\n\n\
          Settle delay counts audit rounds past the churn schedule until every \
@@ -104,73 +128,46 @@ pub fn churn_section(results: &[ChurnScenarioResult]) -> String {
          joins | leaves | crashes | recoveries | retries | drops |\n\
          |---|---|---|---|---:|---|---:|---:|---:|---:|---:|---:|\n",
     );
-    for r in results {
+    for ((case, outcome), (_, delay)) in rows.iter().zip(delays) {
+        let stats = &outcome.stats;
         let _ = writeln!(
             out,
             "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            r.name,
-            r.mode.label(),
-            r.verdict,
-            r.expected,
-            r.settle_delay_rounds
-                .map_or_else(|| "never".to_string(), |d| format!("+{d}")),
-            if r.accuracy { "ok" } else { "FAIL" },
-            r.joins,
-            r.departures,
-            r.crashes,
-            r.recoveries,
-            r.challenge_retries,
-            r.messages_unreachable + r.messages_partitioned,
+            case.name,
+            case.experiment.mode().label(),
+            outcome.summary(&case.expect).0.label(),
+            expected_cell(case),
+            delay.map_or_else(|| "never".to_string(), |d| format!("+{d}")),
+            ok(outcome.accuracy(&case.expect.may_suspect).is_empty()),
+            stats.joins,
+            stats.departures,
+            stats.crashes,
+            stats.recoveries,
+            stats.challenge_retries,
+            outcome.messages_unreachable + outcome.messages_partitioned,
         );
     }
     out
 }
 
-/// The sweep table rendered from CSV rows (a compact markdown mirror of
-/// the CSV the sweep emits).
+/// The sampled-auditing probe's label for an experiment: `full audit` or
+/// `sampled (k=…)`.
 #[must_use]
-pub fn sweep_section(rows: &[SweepRow]) -> String {
-    let mut out = String::from(
-        "## Parameter sweep\n\n\
-         | app | mode | payload B | nodes | witnesses | sample | shards | ctl/app | retained | \
-         audit msgs/node/rd | audit p50 µs | audit p99 µs | exposure rounds | detection rounds |\n\
-         |---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} | {:.2} | {} | {:.2} | {:.1} | {:.1} | {} | {} |",
-            r.point.app.label(),
-            r.point.mode.label(),
-            r.point.payload,
-            r.point.nodes,
-            r.witnesses,
-            r.point
-                .engine
-                .audit_sample_size
-                .map_or_else(|| "-".to_string(), |s| s.to_string()),
-            r.point.engine.shards.max(1),
-            r.ctl_per_app(),
-            r.retained_entries,
-            r.audit_msgs_per_node_round(),
-            r.audit_p50_us,
-            r.audit_p99_us,
-            r.exposure_latency_rounds
-                .map_or_else(|| "-".to_string(), |n| n.to_string()),
-            r.detection_latency_rounds
-                .map_or_else(|| "-".to_string(), |n| n.to_string()),
-        );
-    }
-    out
+pub fn sample_label(experiment: &Experiment) -> String {
+    experiment
+        .engine
+        .audit_sample_size
+        .map_or_else(|| "full audit".to_string(), |k| format!("sampled (k={k})"))
 }
 
 /// The scaling-frontier section: audit traffic vs detection latency per
-/// audit configuration of the sampled-auditing probe. The frontier the
+/// audit configuration of the sampled-auditing probe — each fault-free run
+/// with the detection latency of its log-tamperer twin. The frontier the
 /// sweep's n ≥ 1000 rows plot in full is summarised here at probe scale:
 /// each sampled row buys its audit-traffic cut with a bounded detection
 /// delay (never a missed detection).
 #[must_use]
-pub fn scaling_section(rows: &[SampledProbeRow]) -> String {
+pub fn scaling_section(rows: &[(Experiment, Outcome, Option<u64>)]) -> String {
     let mut out = String::from(
         "## Scaling frontier — sampled auditing\n\n\
          Audit traffic (wire messages per node per audit round) against the \
@@ -181,33 +178,35 @@ pub fn scaling_section(rows: &[SampledProbeRow]) -> String {
          detection rounds |\n\
          |---|---:|---:|---:|---:|---:|\n",
     );
-    for r in rows {
+    let rate = |(exp, outcome, _): &(Experiment, Outcome, Option<u64>)| {
+        outcome.per_node_round(outcome.stats.audit_messages, exp.nodes)
+    };
+    for row @ (exp, outcome, detection) in rows {
         let _ = writeln!(
             out,
             "| {} | {} | {:.2} | {} | {} | {} |",
-            r.label,
-            r.audit_sample_size
+            sample_label(exp),
+            exp.engine
+                .audit_sample_size
                 .map_or_else(|| "-".to_string(), |s| s.to_string()),
-            r.audit_msgs_per_node_round,
-            r.messages_audit,
-            r.messages_batched,
-            r.detection_latency_rounds
-                .map_or_else(|| "never".to_string(), |n| n.to_string()),
+            rate(row),
+            outcome.messages_audit,
+            outcome.messages_batched,
+            detection.map_or_else(|| "never".to_string(), |n| n.to_string()),
         );
     }
+    let sampled =
+        |row: &&(Experiment, Outcome, Option<u64>)| row.0.engine.audit_sample_size.is_some();
     if let (Some(full), Some(best)) = (
-        rows.iter().find(|r| r.audit_sample_size.is_none()),
+        rows.iter().find(|row| !sampled(row)),
         rows.iter()
-            .filter(|r| r.audit_sample_size.is_some())
-            .min_by(|a, b| {
-                a.audit_msgs_per_node_round
-                    .total_cmp(&b.audit_msgs_per_node_round)
-            }),
+            .filter(sampled)
+            .min_by(|a, b| rate(a).total_cmp(&rate(b))),
     ) {
         let _ = writeln!(
             out,
             "\nBest sampled configuration cuts audit traffic {:.1}x vs full audit.",
-            full.audit_msgs_per_node_round / best.audit_msgs_per_node_round.max(1e-9),
+            rate(full) / rate(best).max(1e-9),
         );
     }
     out
@@ -221,7 +220,7 @@ pub fn scaling_section(rows: &[SampledProbeRow]) -> String {
 /// cover, and under full auditing every witness replays every audited
 /// node's whole window.
 #[must_use]
-pub fn log_composition_section(results: &[ScenarioResult]) -> String {
+pub fn log_composition_section(rows: &[(Case, Outcome)]) -> String {
     let mut out = String::from(
         "## Log composition and replay work\n\n\
          Entry classes across all node logs (everything ever appended) and \
@@ -232,29 +231,31 @@ pub fn log_composition_section(results: &[ScenarioResult]) -> String {
          audit share | replayed | replayed/app |\n\
          |---|---|---|---:|---:|---:|---:|---:|---:|\n",
     );
-    for r in results {
-        let total = r.log_app_entries + r.log_ctl_entries + r.log_audit_entries;
+    for (case, outcome) in rows {
+        let s = &outcome.stats;
+        let total =
+            s.log_app_payload_entries + s.log_control_digest_entries + s.log_audit_digest_entries;
         let audit_share = if total == 0 {
             0.0
         } else {
-            100.0 * r.log_audit_entries as f64 / total as f64
+            100.0 * s.log_audit_digest_entries as f64 / total as f64
         };
-        let replayed_per_app = if r.app_messages == 0 {
+        let replayed_per_app = if s.app_messages == 0 {
             0.0
         } else {
-            r.entries_replayed as f64 / r.app_messages as f64
+            s.entries_replayed as f64 / s.app_messages as f64
         };
         let _ = writeln!(
             out,
             "| {} | {} | {} | {} | {} | {} | {:.1}% | {} | {:.2} |",
-            r.name,
-            r.baseline.label(),
-            r.mode.label(),
-            r.log_app_entries,
-            r.log_ctl_entries,
-            r.log_audit_entries,
+            case.name,
+            case.experiment.engine.baseline.label(),
+            case.experiment.mode().label(),
+            s.log_app_payload_entries,
+            s.log_control_digest_entries,
+            s.log_audit_digest_entries,
             audit_share,
-            r.entries_replayed,
+            s.entries_replayed,
             replayed_per_app,
         );
     }
@@ -264,20 +265,21 @@ pub fn log_composition_section(results: &[ScenarioResult]) -> String {
 /// The log-composition breakdown as a JSON array (one object per scenario
 /// row) — the flight recorder's `log_composition` section.
 #[must_use]
-pub fn log_composition_json(results: &[ScenarioResult]) -> String {
+pub fn log_composition_json(rows: &[(Case, Outcome)]) -> String {
     use tnic_obs::export::json_escape;
-    let rows: Vec<String> = results
+    let rows: Vec<String> = rows
         .iter()
-        .map(|r| {
+        .map(|(case, outcome)| {
+            let s = &outcome.stats;
             format!(
                 "{{\"name\":\"{}\",\"mode\":\"{}\",\"app_payload\":{},\
                  \"control_digest\":{},\"audit_digest\":{},\"replayed\":{}}}",
-                json_escape(r.name),
-                json_escape(&r.mode.label()),
-                r.log_app_entries,
-                r.log_ctl_entries,
-                r.log_audit_entries,
-                r.entries_replayed,
+                json_escape(case.name),
+                json_escape(&case.experiment.mode().label()),
+                s.log_app_payload_entries,
+                s.log_control_digest_entries,
+                s.log_audit_digest_entries,
+                s.entries_replayed,
             )
         })
         .collect();
@@ -340,8 +342,7 @@ pub fn accumulate_events(registry: &mut MetricsRegistry, scope: &str, events: &[
 
 /// The final reconstructed verdict chain for every `(witness, node)` pair
 /// that recorded a verdict transition.
-#[must_use]
-pub fn final_chains(events: &[Event]) -> Vec<VerdictChain> {
+fn final_chains(events: &[Event]) -> Vec<VerdictChain> {
     let mut pairs: Vec<(u32, u32)> = verdict_transitions(events)
         .iter()
         .map(|e| (e.node, e.peer))
@@ -432,7 +433,7 @@ pub fn timeline_section(scenario: &str, events: &[Event], dropped: u64) -> Strin
 #[must_use]
 pub fn report_json(
     gates: &[GateOutcome],
-    results: &[ScenarioResult],
+    results: &[(Case, Outcome)],
     registry: &MetricsRegistry,
     headline: &[(&str, String)],
 ) -> String {
@@ -455,7 +456,9 @@ pub fn report_json(
         .collect();
     let scenarios_json: Vec<String> = results
         .iter()
-        .map(|r| {
+        .map(|(case, outcome)| {
+            let s = &outcome.stats;
+            let (verdict, unanimous) = outcome.summary(&case.expect);
             format!(
                 "{{\"name\":\"{}\",\"baseline\":\"{}\",\"mode\":\"{}\",\
                  \"verdict\":\"{}\",\"expected\":\"{}\",\"unanimous\":{},\
@@ -464,24 +467,24 @@ pub fn report_json(
                  \"audit_p99_us\":{:.1},\"virtual_time_us\":{},\
                  \"log_app_entries\":{},\"log_ctl_entries\":{},\
                  \"log_audit_entries\":{},\"entries_replayed\":{}}}",
-                json_escape(r.name),
-                json_escape(r.baseline.label()),
-                json_escape(&r.mode.label()),
-                json_escape(r.verdict),
-                json_escape(r.expected),
-                r.unanimous,
-                r.accuracy,
-                r.app_messages,
-                r.control_messages,
-                r.overhead_ratio,
-                r.piggybacked,
-                r.audit_p50_us,
-                r.audit_p99_us,
-                r.virtual_time_us,
-                r.log_app_entries,
-                r.log_ctl_entries,
-                r.log_audit_entries,
-                r.entries_replayed,
+                json_escape(case.name),
+                json_escape(case.experiment.engine.baseline.label()),
+                json_escape(&case.experiment.mode().label()),
+                json_escape(verdict.label()),
+                json_escape(expected_cell(case)),
+                unanimous,
+                outcome.accuracy(&case.expect.may_suspect).is_empty(),
+                s.app_messages,
+                s.control_messages,
+                s.control_overhead_ratio(),
+                s.piggybacked_commitments,
+                s.audit_latency.percentile_us(0.5),
+                s.audit_latency.percentile_us(0.99),
+                outcome.virtual_time_us,
+                s.log_app_payload_entries,
+                s.log_control_digest_entries,
+                s.log_audit_digest_entries,
+                s.entries_replayed,
             )
         })
         .collect();

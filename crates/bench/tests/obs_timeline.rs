@@ -8,30 +8,41 @@
 //! transition carrying `forged-accusation`), and `explain_verdict` must
 //! reconstruct it from the snapshot alone.
 
-use tnic_bench::{run_scenario_traced, CommitMode, Scenario};
+use tnic_bench::{scenario_suite, Case, CommitMode, Outcome};
 use tnic_obs::timeline::{explain_verdict, verdict_transitions};
-use tnic_obs::{codes, EventKind};
+use tnic_obs::{codes, Event, EventKind};
 use tnic_tee::profile::Baseline;
 
-fn scenario(name: &str) -> Scenario {
-    Scenario::suite()
+/// The piggybacked `name` case of the TNIC scenario suite.
+fn scenario(name: &str) -> Case {
+    scenario_suite(Baseline::Tnic)
         .into_iter()
-        .find(|s| s.name == name)
+        .find(|c| c.name == name && c.experiment.mode() == CommitMode::Piggyback { witnesses: 2 })
         .unwrap_or_else(|| panic!("{name} scenario in the suite"))
+}
+
+/// Runs `case` with the event recorder installed: its outcome, the
+/// snapshot and the ring's drop count.
+fn traced(case: &Case) -> (Outcome, Vec<Event>, u64) {
+    let guard = tnic_obs::RecorderGuard::install(1 << 18);
+    let outcome = case.experiment.run().expect("traced run");
+    (outcome, guard.snapshot(), guard.dropped())
+}
+
+/// The faulty node of `case`.
+fn faulty(case: &Case) -> u32 {
+    case.expect.faulty.expect("a faulty node").0
 }
 
 #[test]
 fn forged_accusation_counter_conviction_chain_is_recorded_end_to_end() {
     let scenario = scenario("forge-evidence");
-    let forger = scenario.faulty_node;
-    let (result, events, dropped, _) = run_scenario_traced(
-        &scenario,
-        Baseline::Tnic,
-        CommitMode::Piggyback { witnesses: 2 },
-        1 << 18,
-    )
-    .expect("traced run");
-    assert_eq!(result.verdict, "exposed", "the accuser is convicted");
+    let forger = faulty(&scenario);
+    let (outcome, events, dropped) = traced(&scenario);
+    assert!(
+        outcome.check(&scenario.expect).is_empty(),
+        "the accuser is convicted"
+    );
     assert_eq!(dropped, 0, "ring must be large enough for the whole run");
 
     // The fabricated evidence was rejected somewhere (aux = 1).
@@ -94,15 +105,9 @@ fn forged_accusation_counter_conviction_chain_is_recorded_end_to_end() {
 #[test]
 fn exec_tampering_chain_carries_the_audit_phases() {
     let scenario = scenario("exec-tampering");
-    let tamperer = scenario.faulty_node;
-    let (result, events, _, _) = run_scenario_traced(
-        &scenario,
-        Baseline::Tnic,
-        CommitMode::Piggyback { witnesses: 2 },
-        1 << 18,
-    )
-    .expect("traced run");
-    assert_eq!(result.verdict, "exposed");
+    let tamperer = faulty(&scenario);
+    let (outcome, events, _) = traced(&scenario);
+    assert!(outcome.check(&scenario.expect).is_empty());
 
     // At least one witness exposed the tamperer through the full audit
     // path: challenge → response → replay → verdict.
@@ -136,13 +141,8 @@ fn tracing_is_off_outside_a_recorder_guard() {
     // thread-local recorder is unset, tracing_enabled() is false).
     assert!(!tnic_obs::tracing_enabled());
     let scenario = scenario("fault-free");
-    let result = tnic_bench::run_scenario_mode(
-        &scenario,
-        Baseline::Tnic,
-        CommitMode::Piggyback { witnesses: 2 },
-    )
-    .expect("untraced run");
-    assert_eq!(result.verdict, "trusted");
+    let outcome = scenario.experiment.run().expect("untraced run");
+    assert!(outcome.check(&scenario.expect).is_empty());
     assert!(tnic_obs::snapshot().is_empty());
     assert!(!tnic_obs::tracing_enabled());
 }

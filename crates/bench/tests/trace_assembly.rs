@@ -11,32 +11,34 @@
 
 use std::collections::BTreeMap;
 
-use tnic_bench::{
-    gates, run_churn_scenario, run_scenario_traced, ChurnScenario, CommitMode, Scenario,
-};
+use tnic_bench::{churn_suite, gates, scenario_suite, Case, CommitMode};
 use tnic_obs::assemble::TraceAssembler;
 use tnic_obs::{Event, EventKind, NONE};
 use tnic_tee::profile::Baseline;
 
-fn scenario(name: &str) -> Scenario {
-    Scenario::suite()
+const PIGGYBACK: CommitMode = CommitMode::Piggyback { witnesses: 2 };
+
+/// The piggybacked `name` case of `suite`.
+fn find(suite: Vec<Case>, name: &str) -> Case {
+    suite
         .into_iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("{name} scenario in the suite"))
+        .find(|c| c.name == name && c.experiment.mode() == PIGGYBACK)
+        .unwrap_or_else(|| panic!("{name} in the suite"))
+}
+
+/// Runs `case` with the event recorder installed, asserting the oracle
+/// holds and the ring held the whole run.
+fn traced(case: &Case) -> Vec<Event> {
+    let guard = tnic_obs::RecorderGuard::install(1 << 18);
+    let outcome = case.experiment.run().expect("traced run");
+    let violations = outcome.check(&case.expect);
+    assert!(violations.is_empty(), "{violations:?} under tracing");
+    assert_eq!(guard.dropped(), 0, "ring must hold the whole run");
+    guard.snapshot()
 }
 
 fn traced_exec_tampering() -> Vec<Event> {
-    let scenario = scenario("exec-tampering");
-    let (result, events, dropped, _) = run_scenario_traced(
-        &scenario,
-        Baseline::Tnic,
-        CommitMode::Piggyback { witnesses: 2 },
-        1 << 18,
-    )
-    .expect("traced run");
-    assert_eq!(result.verdict, "exposed");
-    assert_eq!(dropped, 0, "ring must hold the whole run");
-    events
+    traced(&find(scenario_suite(Baseline::Tnic), "exec-tampering"))
 }
 
 /// The causal-order property over a real run: in [`TraceAssembler::ordered`]
@@ -153,19 +155,7 @@ fn batched_envelopes_fan_out_to_per_pair_spans() {
 /// outcome is intact, and the assembled timeline keeps causality.
 #[test]
 fn churn_timeline_places_membership_on_the_right_node_track() {
-    let scenario = ChurnScenario::suite()
-        .into_iter()
-        .find(|s| s.name == "churn/crash-rejoin")
-        .expect("crash-rejoin scenario in the churn suite");
-    let guard = tnic_obs::RecorderGuard::install(1 << 18);
-    let result = run_churn_scenario(&scenario, CommitMode::Piggyback { witnesses: 2 }, 8)
-        .expect("churn run");
-    let events = guard.snapshot();
-    drop(guard);
-    assert_eq!(
-        result.verdict, result.expected,
-        "churn verdict intact under tracing"
-    );
+    let events = traced(&find(churn_suite(), "churn/crash-rejoin"));
 
     let memberships: Vec<&Event> = events
         .iter()
@@ -263,7 +253,10 @@ fn tamper_exposure_chrome_trace_carries_the_full_protocol_chain() {
 #[test]
 fn forced_gate_failure_writes_a_bounded_flight_record() {
     // Force the enabled-recorder overhead gate to fail.
-    let gate = gates::trace_overhead_gate(Some(900.0), 150.0);
+    let gate = gates::GateOutcome::from_violations(
+        "trace-overhead",
+        gates::trace_overhead(Some(900.0), 150.0),
+    );
     assert!(!gate.passed);
     let reason = format!(
         "failing gates: {} ({})",

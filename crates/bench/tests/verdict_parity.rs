@@ -1,6 +1,6 @@
-//! Verdict-parity scenarios on the reusable harness (ISSUE 5).
+//! Verdict-parity scenarios on the reusable harness.
 //!
-//! [`tnic_bench::run_verdict_matrix`] drives any accounted application ×
+//! [`tnic_bench::Experiment::run`] drives any accounted application ×
 //! fault plan × commit mode and returns its `(witness, node)` verdict
 //! matrix; [`tnic_bench::assert_verdict_parity`] compares a run against a
 //! *twin* — same seed, different environment. Three twin axes are covered
@@ -19,32 +19,32 @@
 //!   exposed (or even suspected) by a correct witness, and the verdicts on
 //!   correct nodes match a fault-free twin exactly.
 
-use tnic_bench::{
-    assert_verdict_parity, run_verdict_matrix, CommitMode, ParityOutcome, ParitySpec, SweepApp,
-};
+use tnic_bench::{assert_verdict_parity, App, CommitMode, Expect, Experiment, Outcome};
 use tnic_net::adversary::{Adversary, FaultPlan, NodeFault};
 use tnic_peerreview::audit::Verdict;
 
-fn peerreview_spec(faults: FaultPlan) -> ParitySpec {
-    ParitySpec::new(SweepApp::PeerReview, CommitMode::Dedicated, faults)
+fn peerreview_spec(faults: FaultPlan) -> Experiment {
+    Experiment {
+        faults,
+        ..Experiment::new(App::PeerReview, CommitMode::Dedicated)
+    }
+}
+
+/// Whether every correct node is `Trusted` at every correct witness (and
+/// the protocol stayed healthy).
+fn accurate(outcome: &Outcome) -> bool {
+    outcome.check(&Expect::default()).is_empty()
 }
 
 /// Runs the same PeerReview fault plan twice — clean network vs
 /// packet-level adversary — and returns both outcomes.
-fn clean_and_adversarial(
-    faults: FaultPlan,
-    adversary: Adversary,
-    seed: u64,
-) -> (ParityOutcome, ParityOutcome) {
+fn clean_and_adversarial(faults: FaultPlan, adversary: Adversary, seed: u64) -> (Outcome, Outcome) {
     let mut clean = peerreview_spec(faults.clone());
     clean.engine.seed = seed;
     clean.drain = false;
     let mut hostile = clean.clone();
     hostile.adversary = Some(adversary);
-    (
-        run_verdict_matrix(&clean).unwrap(),
-        run_verdict_matrix(&hostile).unwrap(),
-    )
+    (clean.run().unwrap(), hostile.run().unwrap())
 }
 
 #[test]
@@ -65,7 +65,7 @@ fn equivocation_exposure_is_stable_under_packet_drops() {
             assert!(!hostile.evidence_of(w, 2).is_empty());
         }
         // Accuracy: no correct node is ever exposed, drops notwithstanding.
-        assert!(hostile.accuracy_clean(), "seed {seed}");
+        assert!(accurate(&hostile), "seed {seed}");
         // The lossy network costs retransmission latency, nothing else.
         assert!(
             hostile.virtual_time_us > clean.virtual_time_us,
@@ -93,7 +93,7 @@ fn tampering_exposure_is_stable_under_packet_tampering() {
         assert_eq!(hostile.verdict_of(w, 1), Verdict::Exposed, "witness {w}");
         assert!(hostile.evidence_of(w, 1).contains(&"exec-divergence"));
     }
-    assert!(hostile.accuracy_clean());
+    assert!(accurate(&hostile));
 }
 
 #[test]
@@ -126,7 +126,7 @@ fn fault_free_run_under_lossy_network_produces_no_evidence() {
         11,
     );
     assert_verdict_parity(&hostile, &clean, "drop 25% fault-free");
-    assert!(hostile.accuracy_clean(), "accuracy under packet loss");
+    assert!(accurate(&hostile), "accuracy under packet loss");
     assert!(hostile.evidence.is_empty());
     assert_eq!(hostile.stats.unanswered_challenges, 0);
     assert_eq!(hostile.stats.responses, hostile.stats.challenges);
@@ -146,7 +146,7 @@ fn replay_duplicates_on_the_wire_do_not_corrupt_audit_state() {
     // Every single message was duplicated once; every duplicate rejected.
     assert!(hostile.messages_rejected > 0, "duplicates rejected");
     assert_eq!(hostile.messages_rejected, hostile.messages_sent);
-    assert!(hostile.accuracy_clean());
+    assert!(accurate(&hostile));
     assert_eq!(hostile.stats.unanswered_challenges, 0);
     assert_eq!(hostile.stats.responses, hostile.stats.challenges);
 }
@@ -175,13 +175,19 @@ fn verdict_parity_with_no_pruning_twin_across_fault_suite() {
             ),
         ] {
             let faults = FaultPlan::single(node, fault);
-            let mut plain_spec = ParitySpec::new(SweepApp::PeerReview, plain_mode, faults.clone());
-            plain_spec.rounds = 4;
-            let mut ckpt_spec = ParitySpec::new(SweepApp::PeerReview, ckpt_mode, faults);
-            ckpt_spec.rounds = 4;
+            let plain_spec = Experiment {
+                faults: faults.clone(),
+                rounds: 4,
+                ..Experiment::new(App::PeerReview, plain_mode)
+            };
+            let mut ckpt_spec = Experiment {
+                faults,
+                rounds: 4,
+                ..Experiment::new(App::PeerReview, ckpt_mode)
+            };
             ckpt_spec.engine.checkpoint_interval = Some(1);
-            let plain = run_verdict_matrix(&plain_spec).unwrap();
-            let ckpt = run_verdict_matrix(&ckpt_spec).unwrap();
+            let plain = plain_spec.run().unwrap();
+            let ckpt = ckpt_spec.run().unwrap();
             assert!(
                 fault == NodeFault::Correct || ckpt.stats.checkpoints_completed > 0,
                 "correct nodes keep checkpointing around the faulty one"
@@ -217,20 +223,19 @@ fn witness_fault_matrix_preserves_accuracy_in_every_app_and_mode() {
             interval: 1,
         },
     ];
-    for app in [
-        SweepApp::PeerReview,
-        SweepApp::Bft,
-        SweepApp::Cr,
-        SweepApp::A2m,
-    ] {
+    for app in [App::PeerReview, App::Bft, App::Cr, App::A2m] {
         for fault in witness_faults {
             for mode in modes {
-                let mut spec = ParitySpec::new(app, mode, FaultPlan::single(1, fault));
-                spec.ops_per_round = 4;
-                let outcome = run_verdict_matrix(&spec).unwrap();
+                let outcome = Experiment {
+                    faults: FaultPlan::single(1, fault),
+                    ops_per_round: 4,
+                    ..Experiment::new(app, mode)
+                }
+                .run()
+                .unwrap();
                 let context = format!("{} / {fault:?} / {}", app.label(), mode.label());
                 assert!(
-                    outcome.accuracy_clean(),
+                    accurate(&outcome),
                     "{context}: a lying witness produced a false verdict"
                 );
                 // No correct node carries evidence of any kind.
@@ -280,9 +285,13 @@ fn withholding_witness_cannot_shield_an_equivocator() {
     ] {
         let mut faults = FaultPlan::single(1, NodeFault::Equivocate);
         faults.set(2, NodeFault::WithholdGossip);
-        let mut spec = ParitySpec::new(SweepApp::PeerReview, mode, faults);
-        spec.rounds = 4;
-        let outcome = run_verdict_matrix(&spec).unwrap();
+        let outcome = Experiment {
+            faults,
+            rounds: 4,
+            ..Experiment::new(App::PeerReview, mode)
+        }
+        .run()
+        .unwrap();
         for w in outcome.correct_witnesses_of(1) {
             assert_eq!(
                 outcome.verdict_of(w, 1),
@@ -292,6 +301,6 @@ fn withholding_witness_cannot_shield_an_equivocator() {
             );
             assert!(!outcome.evidence_of(w, 1).is_empty());
         }
-        assert!(outcome.accuracy_clean(), "{}", mode.label());
+        assert!(accurate(&outcome), "{}", mode.label());
     }
 }
