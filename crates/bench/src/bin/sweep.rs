@@ -181,6 +181,7 @@ fn measure(point: Experiment) -> Result<Row, CoreError> {
     // The measured deployment is gone once `run` returns; at n = 10 000 it
     // is most of the process's memory, and the twins below are as large.
     let outcome = point.run()?;
+    outcome.lemmas_held()?;
     if point.app != App::PeerReview {
         return Ok((point, outcome, None, None));
     }

@@ -7,10 +7,11 @@
 //! audited how often. [`Experiment::run`] builds the deployment, drives it
 //! through the one audit-round loop ([`Accountable::run_rounds`]) and reads
 //! one [`Outcome`] off it; [`Experiment::detection_latency`] drives the same
-//! run until a target node is exposed. [`Outcome::check`] is the oracle:
-//! given an [`Expect`] it returns one line per violated invariant —
-//! accuracy, the faulty node's class and unanimity, protocol liveness,
-//! replica agreement.
+//! run until a target node is exposed. Every run is watched by the cluster's
+//! §4.4 lemma monitor. [`Outcome::check`] is the oracle: given an [`Expect`]
+//! it returns one line per violated invariant — accuracy, the faulty node's
+//! class and unanimity, protocol liveness, replica agreement and the
+//! lemmas.
 //!
 //! The suites ([`scenario_suite`], [`acct_suite`], [`churn_suite`]) are lists
 //! of named [`Case`]s, an experiment plus what it must show.
@@ -314,13 +315,16 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Propagates cluster/session errors from the run.
+    /// Propagates cluster/session errors from the run, and fails as
+    /// [`Outcome::lemmas_held`] does.
     ///
     /// # Panics
     ///
     /// As [`Experiment::run`].
     pub fn detection_latency(&self, target: u32) -> Result<Option<u64>, CoreError> {
-        Ok(self.execute(Some(target))?.1)
+        let (outcome, latency) = self.execute(Some(target))?;
+        outcome.lemmas_held()?;
+        Ok(latency)
     }
 
     /// The BFT shape of the experiment: `f` from the cluster size, the
@@ -445,15 +449,15 @@ impl Experiment {
         }
     }
 
-    /// The app-independent run: installs the adversary and the partition
-    /// schedule, then runs `rounds` rounds of `ops_per_round` calls of `op`
-    /// (which reports whether the protocol committed the operation), audited
-    /// every `audit_period` rounds, one audit period at a time. Between audit
-    /// periods it samples the retained-memory peaks, stops once `target` is
-    /// exposed, and applies the churn plan through `churn` — exactly where
-    /// an operator would. Rounds past the last audit boundary run
-    /// unaudited; the pipeline is drained when the experiment asks for it
-    /// or a target is still unexposed.
+    /// The app-independent run: attaches the lemma monitor, installs the
+    /// adversary and the partition schedule, then runs `rounds` rounds of
+    /// `ops_per_round` calls of `op` (which reports whether the protocol
+    /// committed the operation), audited every `audit_period` rounds, one
+    /// audit period at a time. Between audit periods it samples the
+    /// retained-memory peaks, stops once `target` is exposed, and applies the
+    /// churn plan through `churn` — exactly where an operator would. Rounds
+    /// past the last audit boundary run unaudited; the pipeline is drained
+    /// when the experiment asks for it or a target is still unexposed.
     fn drive<D: Accountable>(
         &self,
         system: &mut D,
@@ -463,6 +467,7 @@ impl Experiment {
         replicas_agree: impl Fn(&D) -> bool,
     ) -> Result<(Outcome, Option<u64>), CoreError> {
         let cluster = system.parts().1;
+        cluster.monitor_lemmas();
         if let Some(adversary) = self.adversary.clone() {
             cluster.set_adversary(adversary, self.engine.seed ^ 0xAD5A);
         }
@@ -534,6 +539,7 @@ impl Experiment {
             }
         }
         let transport = cluster.stats();
+        let lemmas = cluster.lemmas().expect("attached at the start of the run");
         let outcome = Outcome {
             byzantine: engine.faults().byzantine_nodes(),
             verdicts,
@@ -552,6 +558,8 @@ impl Experiment {
             replicas_agree,
             peak_retained_entries: peak_entries,
             peak_retained_commitments: peak_commitments,
+            lemma_violations: lemmas.violations().to_vec(),
+            trace_hash: lemmas.trace_hash(),
         };
         Ok((outcome, exposed_at))
     }
@@ -654,6 +662,12 @@ pub struct Outcome {
     pub peak_retained_entries: u64,
     /// Maximum stored witness commitments seen at an audit boundary.
     pub peak_retained_commitments: u64,
+    /// The first §4.4 lemma violations the cluster's monitor observed
+    /// (empty: every lemma held on every message of the run).
+    pub lemma_violations: Vec<String>,
+    /// The lemma monitor's hash of every action fact of the run, in order
+    /// (see `LemmaMonitor::trace_hash`).
+    pub trace_hash: [u8; 32],
 }
 
 /// What a run must show: the invariants [`Outcome::check`] applies beyond
@@ -717,8 +731,8 @@ impl Outcome {
     /// **The oracle**: one line per invariant the run violates — accuracy
     /// (every correct node `Trusted` at every correct witness, bar
     /// [`Expect::may_suspect`]), the faulty node's class (and unanimity
-    /// where required), protocol liveness and replica agreement. Empty =
-    /// the run shows everything `expect` asks for.
+    /// where required), protocol liveness, replica agreement and the §4.4
+    /// lemmas. Empty = the run shows everything `expect` asks for.
     #[must_use]
     pub fn check(&self, expect: &Expect) -> Vec<String> {
         let mut violations = self.accuracy(&expect.may_suspect);
@@ -739,7 +753,26 @@ impl Outcome {
         if !self.replicas_agree {
             violations.push("replicas diverged".to_string());
         }
+        if let Err(err) = self.lemmas_held() {
+            violations.push(err.to_string());
+        }
         violations
+    }
+
+    /// Whether the §4.4 lemmas held on every message of the run.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::PropertyViolation`] naming the first violations.
+    pub fn lemmas_held(&self) -> Result<(), CoreError> {
+        if self.lemma_violations.is_empty() {
+            Ok(())
+        } else {
+            Err(CoreError::PropertyViolation(format!(
+                "§4.4 lemmas: {}",
+                self.lemma_violations.join("; ")
+            )))
+        }
     }
 
     /// The accuracy half of [`Outcome::check`]: one line per correct pair
@@ -1213,6 +1246,8 @@ pub(crate) mod tests {
             replicas_agree: true,
             peak_retained_entries: 0,
             peak_retained_commitments: 0,
+            lemma_violations: Vec::new(),
+            trace_hash: [0; 32],
         };
         (case, outcome)
     }
@@ -1304,7 +1339,14 @@ pub(crate) mod tests {
         );
         outcome.committed = false;
         outcome.replicas_agree = false;
-        assert_eq!(outcome.check(&case.expect).len(), 3);
+        outcome.lemma_violations = vec!["non-equivocation: a duplicate".to_string(); 2];
+        let violations = outcome.check(&case.expect);
+        assert_eq!(violations.len(), 4);
+        assert_eq!(
+            violations[3],
+            "property violation: §4.4 lemmas: non-equivocation: a duplicate; \
+             non-equivocation: a duplicate"
+        );
     }
 
     #[test]
@@ -1327,10 +1369,23 @@ pub(crate) mod tests {
         });
         experiments.push(case(churn_suite(), "churn/cr-failover-rejoin", PIGGYBACK).experiment);
         for experiment in experiments {
-            let first = format!("{:?}", experiment.run().unwrap());
+            let first = experiment.run().unwrap();
+            assert!(first.lemma_violations.is_empty(), "{experiment:?}");
             let second = format!("{:?}", experiment.run().unwrap());
-            assert_eq!(first, second, "{experiment:?}");
+            assert_eq!(format!("{first:?}"), second, "{experiment:?}");
         }
+        // The trace hash pins event order, not nothing: a node that drops
+        // each audit with probability ½ draws its choices from the seed, so
+        // another seed runs another trace.
+        let run = |seed| {
+            let mut experiment = Experiment {
+                faults: FaultPlan::single(2, NodeFault::SuppressAudits { probability: 0.5 }),
+                ..Experiment::new(App::PeerReview, PIGGYBACK)
+            };
+            experiment.engine.seed = seed;
+            experiment.run().unwrap().trace_hash
+        };
+        assert_ne!(run(1), run(2));
     }
 
     #[test]

@@ -314,11 +314,13 @@ pub fn allocs_section(total_allocs: u64, app_messages: u64) -> String {
     };
     format!(
         "## Allocations\n\n\
-         Whole-process heap allocations across every scenario run (engine \
-         setup, control plane and reporting included — the *datapath* \
-         zero-alloc guarantee is gated separately by the `zerocopy` bench \
-         with tracing enabled): **{total_allocs}** allocations over \
-         **{app_messages}** application messages ({per_msg:.1} allocs/msg).\n"
+         Heap allocations from the first experiment to the last (engine \
+         setup, control plane, lemma monitor and per-run summaries \
+         included; argument parsing, trace export and report writing not — \
+         the *datapath* zero-alloc guarantee is gated separately by the \
+         `zerocopy` bench with tracing enabled): **{total_allocs}** \
+         allocations over **{app_messages}** application messages \
+         ({per_msg:.1} allocs/msg).\n"
     )
 }
 

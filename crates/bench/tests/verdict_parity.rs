@@ -8,8 +8,11 @@
 //!
 //! * **Clean vs hostile network** (ported from
 //!   `tnic-peerreview/tests/accountability.rs`): a packet-level adversary
-//!   (drops, tampering, duplication) must cost retransmission latency only
-//!   — every witness reaches exactly the clean-network verdict.
+//!   (drops, tampering, duplication, stale replay) must cost retransmission
+//!   latency only — every witness reaches exactly the clean-network
+//!   verdict, on PeerReview as on BFT multicast legs and CR chain hops, and
+//!   the §4.4 lemma monitor every run carries sees no forged, duplicated or
+//!   skipped acceptance.
 //! * **Pruning vs no-pruning twin** (ported from
 //!   `tnic-peerreview/tests/checkpointing.rs`): cosigned checkpointing and
 //!   garbage collection must not change a single verdict across the fault
@@ -149,6 +152,50 @@ fn replay_duplicates_on_the_wire_do_not_corrupt_audit_state() {
     assert!(accurate(&hostile));
     assert_eq!(hostile.stats.unanswered_challenges, 0);
     assert_eq!(hostile.stats.responses, hostile.stats.challenges);
+}
+
+#[test]
+fn replays_on_multicast_legs_and_chain_hops_keep_verdicts_and_lemmas() {
+    // BFT's proofs of execution are multicast legs of one group session,
+    // CR's operations hop down the chain: a duplicated or stale packet on
+    // either is refused by the receive counter, never accepted twice.
+    let cases = [
+        (App::Bft, 1, NodeFault::Equivocate),
+        (App::Cr, 2, NodeFault::TamperLogEntry { seq: 0 }),
+    ];
+    let adversaries = [
+        Adversary::Replay { probability: 0.5 },
+        Adversary::ReplayStale {
+            probability: 0.5,
+            recorded: None,
+        },
+    ];
+    for (app, node, fault) in cases {
+        let clean = Experiment {
+            nodes: 3,
+            ops_per_round: 4,
+            faults: FaultPlan::single(node, fault),
+            ..Experiment::new(app, CommitMode::Piggyback { witnesses: 2 })
+        };
+        let expect = Expect {
+            faulty: Some((node, Verdict::Exposed)),
+            unanimous: true,
+            may_suspect: Vec::new(),
+        };
+        let twin = clean.run().unwrap();
+        for adversary in &adversaries {
+            let hostile = Experiment {
+                adversary: Some(adversary.clone()),
+                ..clean.clone()
+            }
+            .run()
+            .unwrap();
+            let context = format!("{} / {adversary:?}", app.label());
+            assert_verdict_parity(&hostile, &twin, &context);
+            assert!(hostile.messages_rejected > 0, "{context}: nothing replayed");
+            assert_eq!(hostile.check(&expect), Vec::<String>::new(), "{context}");
+        }
+    }
 }
 
 #[test]

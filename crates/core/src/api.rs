@@ -4,9 +4,9 @@
 //! up with `ibv_qp_conn`/`alloc_mem`/`init_lqueue`/`ibv_sync` (wrapped here in
 //! [`Cluster::connect`]), and the network APIs are `local_send`/`local_verify`,
 //! `auth_send`, `poll` and `rem_read`/`rem_write`. A [`Cluster`] owns one
-//! endpoint per node and the shared virtual clock, and — once a test
-//! asks with [`Cluster::record_facts`] — the action facts the lemma checker
-//! reads.
+//! endpoint per node and the shared virtual clock, and — once asked with
+//! [`Cluster::monitor_lemmas`] — the [`LemmaMonitor`] that decides the §4.4
+//! lemmas over every message it attests and accepts.
 //!
 //! Every message flows through an attestation [`Provider`], so the same
 //! application code runs over TNIC hardware or any of the TEE baselines —
@@ -15,11 +15,10 @@
 use crate::accountability::SharedAccountability;
 use crate::error::CoreError;
 use crate::provider::Provider;
-use crate::verification::{ActionFact, TraceLog};
+use crate::verification::{ActionFact, LemmaMonitor};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use tnic_crypto::ed25519::{Keypair, PreparedVerifyingKey, Signature};
-use tnic_crypto::sha256::sha256;
 use tnic_device::attestation::AttestedMessage;
 use tnic_device::dma::DmaRegion;
 use tnic_device::roce::packet::{PacketHeader, RdmaOpcode, RocePacket};
@@ -129,9 +128,9 @@ pub struct Cluster {
     group_sessions: HashMap<NodeId, SessionId>,
     local_sessions: HashMap<NodeId, SessionId>,
     next_session: u32,
-    /// The action facts of every send and acceptance since
-    /// [`Cluster::record_facts`]; `None` until then.
-    trace: Option<TraceLog>,
+    /// The monitor [`Cluster::monitor_lemmas`] attached; `None` until then.
+    /// Boxed, so a cluster without one stays as small as before it.
+    lemmas: Option<Box<LemmaMonitor>>,
     stats: ClusterStats,
     accountability: Option<SharedAccountability>,
     adversary: Option<(Adversary, DetRng)>,
@@ -180,7 +179,7 @@ impl Cluster {
             group_sessions: HashMap::new(),
             local_sessions: HashMap::new(),
             next_session: 1,
-            trace: None,
+            lemmas: None,
             stats: ClusterStats::default(),
             accountability: None,
             adversary: None,
@@ -258,30 +257,47 @@ impl Cluster {
         self.endpoints.keys().copied().collect()
     }
 
-    /// Records an action fact for every message attested and every message
-    /// accepted from now on, for [`TraceChecker`](crate::TraceChecker) to
-    /// check the §4.4 lemmas over. Call it before the first send: a message
-    /// sent earlier has no `Sent` fact, so its acceptance would read as a
-    /// forgery.
+    /// Attaches a [`LemmaMonitor`] that decides the §4.4 lemmas over every
+    /// message attested and every message accepted from now on, told the
+    /// key holders of every group and node-local session established so far
+    /// (a pairwise session's two are the monitor's default). Calling it
+    /// again keeps the monitor attached.
     ///
-    /// Recording is an observer like [`Cluster::attach_accountability`] and
-    /// [`Cluster::set_adversary`]: it changes no message, counter, clock or
-    /// statistic. It is off until asked for because each fact costs a
-    /// SHA-256 of the whole payload and 64 B that are never freed, which is
-    /// a verification aid's price, not the datapath's. There is no way to
-    /// stop recording, and the log is not a bounded ring: a `Sent` fact that
-    /// had wrapped away would turn the matching acceptance into a false
-    /// transferable-authentication violation.
-    pub fn record_facts(&mut self) {
-        self.trace.get_or_insert_with(TraceLog::new);
+    /// The monitor is an observer like [`Cluster::attach_accountability`]
+    /// and [`Cluster::set_adversary`]: it changes no message, counter, clock,
+    /// random draw or statistic. Its state is bounded by the sessions and
+    /// the messages in flight, but each message costs a few table lookups
+    /// and a copy of its payload while in flight, a verification aid's
+    /// price, so it is off until asked for.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a first attach comes after any node attested a message:
+    /// a monitor that missed a `Sent` fact would decide on a partial stream.
+    pub fn monitor_lemmas(&mut self) {
+        if self.lemmas.is_some() {
+            return;
+        }
+        assert!(
+            !self.endpoints.values().any(|e| e.provider.has_attested()),
+            "the lemma monitor must be attached before the first attestation"
+        );
+        let mut monitor = LemmaMonitor::default();
+        for &session in self
+            .local_sessions
+            .values()
+            .chain(self.group_sessions.values())
+        {
+            monitor.keyed(session, self.holders(session));
+        }
+        self.lemmas = Some(Box::new(monitor));
     }
 
-    /// The recorded action-fact trace (input to the lemma checker): `None`
-    /// unless [`Cluster::record_facts`] was called, so that a lemma check
-    /// cannot pass on a log nobody filled.
+    /// The lemma monitor: `None` unless [`Cluster::monitor_lemmas`] attached
+    /// one, so that a lemma check cannot pass on facts nobody observed.
     #[must_use]
-    pub fn trace(&self) -> Option<&TraceLog> {
-        self.trace.as_ref()
+    pub fn lemmas(&self) -> Option<&LemmaMonitor> {
+        self.lemmas.as_deref()
     }
 
     /// Aggregate statistics.
@@ -515,6 +531,7 @@ impl Cluster {
                 .install_session_key(session, key);
         }
         self.group_sessions.insert(sender, session);
+        self.key_session(session);
         Ok(session)
     }
 
@@ -534,6 +551,7 @@ impl Cluster {
             .provider
             .install_session_key(session, key);
         self.local_sessions.insert(node, session);
+        self.key_session(session);
         Ok(session)
     }
 
@@ -543,32 +561,43 @@ impl Cluster {
         }
     }
 
-    fn record_sent(&mut self, node: NodeId, msg: &AttestedMessage) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(
-                self.clock.now(),
-                ActionFact::Sent {
-                    endpoint: node.device(),
-                    session: msg.session,
-                    counter: msg.counter,
-                    digest: sha256(&msg.payload),
-                },
-            );
+    /// How many endpoints hold the key of `session`.
+    fn holders(&self, session: SessionId) -> u32 {
+        let endpoints = self.endpoints.values();
+        endpoints
+            .filter(|e| e.provider.has_session(session))
+            .count() as u32
+    }
+
+    /// Tells the lemma monitor, if one is attached, who holds the key of
+    /// `session`.
+    fn key_session(&mut self, session: SessionId) {
+        if let Some(mut monitor) = self.lemmas.take() {
+            monitor.keyed(session, self.holders(session));
+            self.lemmas = Some(monitor);
         }
     }
 
-    fn record_accepted(&mut self, node: NodeId, msg: &AttestedMessage) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(
-                self.clock.now(),
-                ActionFact::Accepted {
-                    endpoint: node.device(),
-                    session: msg.session,
-                    sender: msg.device,
-                    counter: msg.counter,
-                    digest: sha256(&msg.payload),
-                },
-            );
+    fn observe_sent(&mut self, node: NodeId, msg: &AttestedMessage) {
+        if let Some(monitor) = &mut self.lemmas {
+            monitor.observe(ActionFact::Sent {
+                endpoint: node.device(),
+                session: msg.session,
+                counter: msg.counter,
+                payload: &msg.payload,
+            });
+        }
+    }
+
+    fn observe_accepted(&mut self, node: NodeId, msg: &AttestedMessage) {
+        if let Some(monitor) = &mut self.lemmas {
+            monitor.observe(ActionFact::Accepted {
+                endpoint: node.device(),
+                session: msg.session,
+                sender: msg.device,
+                counter: msg.counter,
+                payload: &msg.payload,
+            });
         }
     }
 
@@ -595,7 +624,7 @@ impl Cluster {
         let endpoint = self.endpoint_mut(node)?;
         let (msg, cost) = endpoint.provider.attest(session, payload)?;
         self.clock.advance(cost);
-        self.record_sent(node, &msg);
+        self.observe_sent(node, &msg);
         Ok(msg)
     }
 
@@ -674,7 +703,7 @@ impl Cluster {
         let payload = wrapped.as_deref().unwrap_or(payload);
         let (msg, attest_cost) = self.endpoint_mut(from)?.provider.attest(session, payload)?;
         self.clock.advance(attest_cost);
-        self.record_sent(from, &msg);
+        self.observe_sent(from, &msg);
         self.transmit(from, to, &msg)?;
         Ok(msg)
     }
@@ -807,7 +836,7 @@ impl Cluster {
         match verify_result {
             Ok(cost) => {
                 self.clock.advance(cost);
-                self.record_accepted(to, &message);
+                self.observe_accepted(to, &message);
                 let at = self.clock.now();
                 tnic_obs::trace_event!(
                     tnic_obs::EventKind::Recv,
@@ -882,7 +911,7 @@ impl Cluster {
         let payload = wrapped.as_deref().unwrap_or(payload);
         let (msg, attest_cost) = self.endpoint_mut(from)?.provider.attest(session, payload)?;
         self.clock.advance(attest_cost);
-        self.record_sent(from, &msg);
+        self.observe_sent(from, &msg);
         for &to in receivers {
             self.transmit(from, to, &msg)?;
         }
@@ -1042,21 +1071,10 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verification::{TraceChecker, VerificationReport};
     use tnic_device::error::DeviceError;
 
     fn cluster(n: u32) -> Cluster {
         Cluster::fully_connected(n, Baseline::Tnic, NetworkStackKind::Tnic, 42)
-    }
-
-    /// Checks every lemma over the facts `c` recorded, and that they are all
-    /// there: one acceptance per message sent (these tests refuse none).
-    fn lemmas_hold(c: &Cluster) -> VerificationReport {
-        let report = TraceChecker::check(c.trace().expect("record_facts() came first"));
-        assert!(report.holds(), "{:?}", report.violations);
-        assert_ne!(c.stats().messages_sent, 0);
-        assert_eq!(report.accepts as u64, c.stats().messages_sent);
-        report
     }
 
     #[test]
@@ -1075,16 +1093,22 @@ mod tests {
     #[test]
     fn trace_of_honest_run_satisfies_lemmas() {
         let mut c = cluster(3);
-        c.record_facts();
+        c.monitor_lemmas();
         for i in 0..5 {
             c.auth_send(NodeId(0), NodeId(1), format!("m{i}").as_bytes())
                 .unwrap();
             c.auth_send(NodeId(1), NodeId(2), format!("f{i}").as_bytes())
                 .unwrap();
         }
-        let report = lemmas_hold(&c);
-        assert_eq!(report.sends, 10);
-        assert_eq!(report.accepts, 10);
+        let monitor = c.lemmas().expect("monitor_lemmas() came first");
+        assert!(
+            monitor.violations().is_empty(),
+            "{:?}",
+            monitor.violations()
+        );
+        assert_eq!(c.stats().messages_sent, 10);
+        // Both links seen, nothing left in flight.
+        assert_eq!((monitor.in_flight(), monitor.links()), (0, 2));
     }
 
     /// Everything a caller can observe of a run.
@@ -1096,7 +1120,7 @@ mod tests {
         now: SimInstant,
     }
 
-    /// One seeded run over every path that records a fact — unicast,
+    /// One seeded run over every path that emits a fact — unicast,
     /// multicast, `local_send`, a forwarded delivery, a tampered one.
     fn observed_run(c: &mut Cluster) -> Observed {
         let mut rng = DetRng::new(9);
@@ -1136,13 +1160,13 @@ mod tests {
     }
 
     #[test]
-    fn recording_facts_is_a_pure_observer() {
-        let mut recording = cluster(3);
-        recording.record_facts();
+    fn monitoring_lemmas_is_a_pure_observer() {
+        let mut monitored = cluster(3);
+        monitored.monitor_lemmas();
         let mut plain = cluster(3);
-        let observed = observed_run(&mut recording);
+        let observed = observed_run(&mut monitored);
         assert_eq!(observed, observed_run(&mut plain));
-        assert!(plain.trace().is_none());
+        assert!(plain.lemmas().is_none());
 
         let Observed {
             returned,
@@ -1154,30 +1178,47 @@ mod tests {
         assert_eq!(returned.iter().filter(|r| r.is_err()).count(), 6);
         // 2 unicasts and 1 `local_send` a round and 6 multicasts attested;
         // 12 unicasts, 3 × 2 + 3 multicast legs and 3 forwards accepted.
-        let report = TraceChecker::check(recording.trace().unwrap());
-        assert!(report.holds(), "{:?}", report.violations);
-        assert_eq!(report.sends, 24);
-        assert_eq!(report.accepts, 24);
+        let monitor = monitored.lemmas().unwrap();
+        assert!(
+            monitor.violations().is_empty(),
+            "{:?}",
+            monitor.violations()
+        );
+        assert_eq!(monitor.in_flight(), 0, "every payload forgotten");
         assert_eq!(stats.messages_sent, 21, "the forwards are not sends");
         assert_eq!(inboxes.iter().map(Vec::len).sum::<usize>(), 24);
 
-        // The checker is not vacuous on this log: had node 1 accepted the
-        // tampered copy, two lemmas would say so.
+        // The monitor is not vacuous on this run: had node 1 accepted the
+        // tampered copy of its first message, lemma 3 would say so; had node
+        // 2 accepted a tampered copy of a multicast it is still owed,
+        // lemma 2 would.
         let mut tampered = returned[0].clone().unwrap();
         tampered.payload.push(0xff);
-        recording.record_accepted(NodeId(1), &tampered);
-        let report = TraceChecker::check(recording.trace().unwrap());
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("transferable authentication")));
-        assert!(report.violations.iter().any(|v| v.contains("twice")));
+        monitored.observe_accepted(NodeId(1), &tampered);
+        let mut leg = monitored
+            .multicast(NodeId(0), &[NodeId(1)], b"leg")
+            .unwrap();
+        assert_eq!(monitored.lemmas().unwrap().in_flight(), 1);
+        leg.payload.push(0xff);
+        monitored.observe_accepted(NodeId(2), &leg);
+        let violations = monitored.lemmas().unwrap().violations();
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].contains("twice"));
+        assert!(violations[1].contains("transferable authentication"));
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first attestation")]
+    fn the_lemma_monitor_refuses_a_partial_stream() {
+        let mut c = cluster(2);
+        c.establish_local(NodeId(0)).unwrap();
+        c.local_send(NodeId(0), b"unobserved").unwrap();
+        c.monitor_lemmas();
     }
 
     #[test]
     fn replayed_message_rejected_and_not_double_delivered() {
         let mut c = cluster(2);
-        c.record_facts();
         let msg = c.auth_send(NodeId(0), NodeId(1), b"pay").unwrap();
         let err = c.deliver(NodeId(0), NodeId(1), msg).unwrap_err();
         assert!(matches!(
@@ -1186,8 +1227,6 @@ mod tests {
         ));
         assert_eq!(c.poll(NodeId(1)).unwrap().len(), 1);
         assert_eq!(c.stats().messages_rejected, 1);
-        // The replay left no second acceptance behind.
-        assert_eq!(lemmas_hold(&c).sends, 1);
     }
 
     #[test]
@@ -1206,7 +1245,6 @@ mod tests {
     #[test]
     fn blocked_sends_are_counted_not_silently_lost() {
         let mut c = cluster(3);
-        c.record_facts();
         c.auth_send(NodeId(0), NodeId(1), b"before").unwrap();
         c.mark_unreachable(NodeId(1), "crashed");
         assert!(!c.is_reachable(NodeId(1)));
@@ -1230,8 +1268,6 @@ mod tests {
         let delivered = c.poll(NodeId(1)).unwrap();
         assert_eq!(delivered.len(), 2);
         assert_eq!(delivered[1].message.payload, b"after");
-        // A refused send attests nothing: two facts of each kind, no gap.
-        assert_eq!(lemmas_hold(&c).sends, 2);
     }
 
     #[test]
@@ -1259,7 +1295,6 @@ mod tests {
     #[test]
     fn multicast_delivers_same_counter_to_all() {
         let mut c = cluster(3);
-        c.record_facts();
         c.establish_group(NodeId(0), &[NodeId(1), NodeId(2)])
             .unwrap();
         let msg = c
@@ -1272,8 +1307,6 @@ mod tests {
             assert_eq!(delivered[0].message.counter, 0);
             assert_eq!(delivered[0].message.payload, b"bcast");
         }
-        // One attestation, accepted once by each receiver.
-        assert_eq!(lemmas_hold(&c).sends, 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   operational.
 
 use crate::error::CoreError;
-use crate::verification::{ActionFact, TraceLog};
+use crate::verification::{ActionFact, LemmaMonitor};
 use std::collections::HashMap;
 use tnic_crypto::ed25519::{Keypair, VerifyingKey};
 use tnic_crypto::hkdf::hkdf;
@@ -28,7 +28,6 @@ use tnic_crypto::x25519;
 use tnic_device::controller::{ControllerBinary, HardwareKey};
 use tnic_device::device::TnicDevice;
 use tnic_device::types::{DeviceId, SessionId};
-use tnic_sim::clock::SimClock;
 use tnic_sim::rng::DetRng;
 
 /// The device manufacturer: burns hardware keys and discloses them only to
@@ -123,8 +122,8 @@ pub struct AttestationReport {
 }
 
 /// Runs the full bootstrapping + remote-attestation protocol between `vendor`
-/// and `device`, installing the designer's session keys on success. Action
-/// facts are recorded into `trace` so the §4.4 lemmas can be checked.
+/// and `device`, installing the designer's session keys on success. Its
+/// action facts go to `monitor`, which decides lemma (1) of §4.4.
 ///
 /// # Errors
 ///
@@ -134,8 +133,7 @@ pub fn run_remote_attestation(
     device: &mut TnicDevice,
     config: &DesignerConfig,
     rng: &mut DetRng,
-    clock: &SimClock,
-    trace: &mut TraceLog,
+    monitor: &mut LemmaMonitor,
 ) -> Result<AttestationReport, CoreError> {
     let device_id = device.id();
     let connection = rng.next_u64();
@@ -204,13 +202,10 @@ pub fn run_remote_attestation(
     let nonce_secrets: [u8; 12] = channel_okm[44..56].try_into().expect("sized");
 
     // The device half of the attestation is now complete.
-    trace.record(
-        clock.now(),
-        ActionFact::DeviceAttested {
-            device: device_id,
-            connection,
-        },
-    );
+    monitor.observe(ActionFact::DeviceAttested {
+        device: device_id,
+        connection,
+    });
 
     // (7)-(8) Vendor seals the bitstream and the designer's secrets; the
     // controller opens them, loads the bitstream and installs the session keys.
@@ -240,13 +235,10 @@ pub fn run_remote_attestation(
     }
 
     // Vendor-side completion.
-    trace.record(
-        clock.now(),
-        ActionFact::VendorAttested {
-            device: device_id,
-            connection,
-        },
-    );
+    monitor.observe(ActionFact::VendorAttested {
+        device: device_id,
+        connection,
+    });
 
     let bitstream_hash = device
         .controller()
@@ -261,7 +253,7 @@ pub fn run_remote_attestation(
 
 /// A convenience helper: manufactures a device, builds the matching vendor and
 /// runs remote attestation end to end. Returns the provisioned device, the
-/// report and the recorded trace.
+/// report and the monitor that observed the protocol.
 ///
 /// # Errors
 ///
@@ -270,10 +262,9 @@ pub fn provision_device(
     device_id: DeviceId,
     sessions: u32,
     seed: u64,
-) -> Result<(TnicDevice, AttestationReport, TraceLog), CoreError> {
+) -> Result<(TnicDevice, AttestationReport, LemmaMonitor), CoreError> {
     let mut rng = DetRng::new(seed);
-    let clock = SimClock::new();
-    let mut trace = TraceLog::new();
+    let mut monitor = LemmaMonitor::default();
 
     let mut manufacturer = Manufacturer::new();
     let hw_key = manufacturer.burn_hw_key(device_id, &mut rng);
@@ -294,41 +285,35 @@ pub fn provision_device(
     );
 
     let config = DesignerConfig::with_sessions(sessions, &mut rng);
-    let report = run_remote_attestation(
-        &mut vendor,
-        &mut device,
-        &config,
-        &mut rng,
-        &clock,
-        &mut trace,
-    )?;
-    Ok((device, report, trace))
+    let report = run_remote_attestation(&mut vendor, &mut device, &config, &mut rng, &mut monitor)?;
+    Ok((device, report, monitor))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verification::TraceChecker;
     use tnic_device::types::DeviceConfig;
 
     #[test]
     fn end_to_end_provisioning_succeeds() {
-        let (device, report, trace) = provision_device(DeviceId(7), 3, 99).unwrap();
+        let (device, report, monitor) = provision_device(DeviceId(7), 3, 99).unwrap();
         assert_eq!(report.device, DeviceId(7));
         assert_eq!(report.sessions_installed, 3);
         assert!(device.controller().is_provisioned());
         assert!(device.has_session(SessionId(1)));
         assert!(device.has_session(SessionId(3)));
         assert!(!device.has_session(SessionId(4)));
-        let check = TraceChecker::check(&trace);
-        assert!(check.holds(), "{:?}", check.violations);
+        assert!(
+            monitor.violations().is_empty(),
+            "{:?}",
+            monitor.violations()
+        );
     }
 
     #[test]
     fn wrong_hardware_key_fails_attestation() {
         let mut rng = DetRng::new(5);
-        let clock = SimClock::new();
-        let mut trace = TraceLog::new();
+        let mut monitor = LemmaMonitor::default();
         let binary = ControllerBinary::reference("1.0");
         // Vendor knows a *different* hardware key than the one in the device.
         let mut hw_keys = HashMap::new();
@@ -341,15 +326,8 @@ mod tests {
             rng.bytes32(),
         );
         let config = DesignerConfig::with_sessions(1, &mut rng);
-        let err = run_remote_attestation(
-            &mut vendor,
-            &mut device,
-            &config,
-            &mut rng,
-            &clock,
-            &mut trace,
-        )
-        .unwrap_err();
+        let err = run_remote_attestation(&mut vendor, &mut device, &config, &mut rng, &mut monitor)
+            .unwrap_err();
         assert_eq!(
             err,
             CoreError::AttestationFailed("certificate verification")
@@ -360,8 +338,7 @@ mod tests {
     #[test]
     fn wrong_binary_measurement_fails_attestation() {
         let mut rng = DetRng::new(6);
-        let clock = SimClock::new();
-        let mut trace = TraceLog::new();
+        let mut monitor = LemmaMonitor::default();
         let mut manufacturer = Manufacturer::new();
         let hw_key = manufacturer.burn_hw_key(DeviceId(2), &mut rng);
         // The vendor expects version 2.0 but the device runs 1.0.
@@ -379,22 +356,16 @@ mod tests {
             rng.bytes32(),
         );
         let config = DesignerConfig::with_sessions(1, &mut rng);
-        assert!(run_remote_attestation(
-            &mut vendor,
-            &mut device,
-            &config,
-            &mut rng,
-            &clock,
-            &mut trace
-        )
-        .is_err());
+        assert!(
+            run_remote_attestation(&mut vendor, &mut device, &config, &mut rng, &mut monitor)
+                .is_err()
+        );
     }
 
     #[test]
     fn unknown_device_fails_attestation() {
         let mut rng = DetRng::new(7);
-        let clock = SimClock::new();
-        let mut trace = TraceLog::new();
+        let mut monitor = LemmaMonitor::default();
         let binary = ControllerBinary::reference("1.0");
         let mut vendor = IpVendor::new(rng.bytes32(), HashMap::new(), &binary, b"bits".to_vec());
         let mut device = TnicDevice::new(
@@ -404,15 +375,8 @@ mod tests {
             rng.bytes32(),
         );
         let config = DesignerConfig::default();
-        let err = run_remote_attestation(
-            &mut vendor,
-            &mut device,
-            &config,
-            &mut rng,
-            &clock,
-            &mut trace,
-        )
-        .unwrap_err();
+        let err = run_remote_attestation(&mut vendor, &mut device, &config, &mut rng, &mut monitor)
+            .unwrap_err();
         assert_eq!(err, CoreError::AttestationFailed("unknown device"));
     }
 
@@ -421,8 +385,7 @@ mod tests {
         // Two devices provisioned with the same designer config can exchange
         // attested messages on the shared sessions.
         let mut rng = DetRng::new(8);
-        let clock = SimClock::new();
-        let mut trace = TraceLog::new();
+        let mut monitor = LemmaMonitor::default();
         let mut manufacturer = Manufacturer::new();
         let binary = ControllerBinary::reference("1.0");
         let k1 = manufacturer.burn_hw_key(DeviceId(1), &mut rng);
@@ -446,12 +409,10 @@ mod tests {
             rng.bytes32(),
         );
         let config = DesignerConfig::with_sessions(1, &mut rng);
-        run_remote_attestation(&mut vendor, &mut d1, &config, &mut rng, &clock, &mut trace)
-            .unwrap();
-        run_remote_attestation(&mut vendor, &mut d2, &config, &mut rng, &clock, &mut trace)
-            .unwrap();
+        run_remote_attestation(&mut vendor, &mut d1, &config, &mut rng, &mut monitor).unwrap();
+        run_remote_attestation(&mut vendor, &mut d2, &config, &mut rng, &mut monitor).unwrap();
         let (msg, _) = d1.local_send(SessionId(1), b"cross-device").unwrap();
         d2.local_verify(&msg).unwrap();
-        assert!(TraceChecker::check(&trace).holds());
+        assert!(monitor.violations().is_empty());
     }
 }

@@ -20,7 +20,8 @@
 //!   logs of every attested send and verified delivery.
 //! * [`attestation`] — device bootstrapping and remote attestation (Figure 3).
 //! * [`verification`] — the executable counterpart of the paper's Tamarin
-//!   lemmas (§4.4): trace recording and checking.
+//!   lemmas (§4.4): an online monitor that decides them fact by fact, on
+//!   any cluster that asks with [`Cluster::monitor_lemmas`].
 //! * [`error`] — the library error type.
 //!
 //! # Quick start
@@ -52,7 +53,7 @@ pub use accountability::{AccountabilityLayer, SharedAccountability};
 pub use api::{Cluster, Delivered, NodeId};
 pub use error::CoreError;
 pub use provider::Provider;
-pub use verification::{ActionFact, TraceChecker, TraceLog};
+pub use verification::{ActionFact, LemmaMonitor};
 
 /// Re-export of the attested message type carried by every API.
 pub use tnic_device::attestation::AttestedMessage;

@@ -152,6 +152,11 @@ impl Provider {
         self.kernel.has_session(session)
     }
 
+    /// Whether this provider has attested any message yet.
+    pub(crate) fn has_attested(&self) -> bool {
+        self.kernel.stats().attested > 0
+    }
+
     /// Generates an attestation for `payload` on `session`.
     ///
     /// # Errors

@@ -2,10 +2,10 @@
 //!
 //! The paper proves its protocols with the Tamarin prover over a symbolic
 //! model. Tamarin is not available here, so this module provides the runtime
-//! counterpart: protocol executions record *action facts* (the same facts the
-//! Tamarin model uses — attestation completion, message send, message accept)
-//! into a [`TraceLog`], and [`TraceChecker`] checks the paper's lemmas over
-//! the recorded trace:
+//! counterpart: protocol executions emit *action facts* (the same facts the
+//! Tamarin model uses — attestation completion, message send, message
+//! accept), and a [`LemmaMonitor`] decides the paper's lemmas as each fact
+//! arrives:
 //!
 //! 1. **Remote attestation** (Eq. 1): whenever the IP vendor finishes
 //!    attesting a device, the device finished its part earlier.
@@ -14,36 +14,64 @@
 //! 3. **Non-equivocation** (Eq. 3–5): no accepted message skips earlier sent
 //!    messages, no reordering, no duplicate acceptance.
 //!
-//! Honest executions must satisfy every lemma; adversarial executions (tests
-//! inject tampering, replay and equivocation) must either satisfy them or have
-//! the offending message rejected before it is ever *accepted* — which is
-//! exactly what the checker validates.
+//! Honest executions must satisfy every lemma; adversarial executions
+//! (tampering, replay, equivocation) must either satisfy them or have the
+//! offending message rejected before it is ever *accepted* — which is
+//! exactly what the monitor validates.
 //!
-//! # When facts are recorded
+//! # State
 //!
-//! The remote-attestation protocol ([`crate::attestation`]) always records
-//! into the [`TraceLog`] its caller passes. A [`Cluster`](crate::Cluster)
-//! records nothing until a test calls
-//! [`Cluster::record_facts`](crate::Cluster::record_facts) — before the first
-//! send, for the life of the cluster — because a `Sent` / `Accepted` pair
-//! costs two SHA-256 passes over the payload and 128 B that stay allocated,
-//! and nothing but a lemma check ever reads them.
-//! [`Cluster::trace`](crate::Cluster::trace) is `None` on a cluster that was
-//! never asked, so a check cannot hold by finding no facts; a test that
-//! checks the lemmas also compares [`VerificationReport::sends`] /
-//! [`VerificationReport::accepts`] with the cluster's own message count.
+//! The monitor is online: one fact costs O(1) map operations, and its state
+//! is O(sessions + messages in flight), not O(facts).
+//! - Lemma 1: the set of device-attested `(device, connection)` pairs.
+//! - Lemma 3: per `(receiver, session, sender)`, the next counter it must
+//!   accept. An acceptance below it is a duplicate, above it a gap or a
+//!   reorder.
+//! - Lemma 2: per `(sender, session, counter)`, a copy of the payload of
+//!   each message in flight, until the forget rule below drops it. An
+//!   acceptance is compared with it byte for byte, which costs less than
+//!   hashing the payload on both sides.
 //!
-//! The log keeps every fact. A bounded ring would be unsound, not merely
-//! lossy: lemma (2) looks for the `Sent` fact behind each `Accepted` one, and
-//! an acceptance whose send had wrapped away is indistinguishable from a
-//! forgery.
+//! # The forget rule, and why it is sound
+//!
+//! A message is forgotten once **every holder of its session's key other
+//! than the sender** has accepted past its counter. A pairwise session has
+//! two holders; others are declared when they are keyed
+//! ([`LemmaMonitor::keyed`]), so a multicast leg or a forwarded delivery to
+//! a member that has not accepted yet still finds the payload, and a
+//! node-local message (no other holder) is never held.
+//!
+//! Forgetting loses nothing. Accepting a message means verifying the
+//! session's MAC, which only a key holder can do, and after the rule fires
+//! every holder's lemma-3 counter is past the forgotten one. Any later
+//! acceptance of it is therefore a duplicate, which lemma 3 flags on that
+//! very fact. A bounded ring would be unsound instead: it drops messages by
+//! age, so an acceptance still owed to some holder would read as a forgery.
+//! In a run that already violates lemma 3 with a gap, the skipped counters
+//! are never forgotten; the state grows only in runs already reported.
+//!
+//! # Where facts come from
+//!
+//! The remote-attestation protocol ([`crate::attestation`]) feeds the
+//! monitor its caller passes. A [`Cluster`](crate::Cluster) feeds one only
+//! after [`Cluster::monitor_lemmas`](crate::Cluster::monitor_lemmas), which
+//! is refused once a message has been attested, so a monitor never decides
+//! on a partial stream; [`Cluster::lemmas`](crate::Cluster::lemmas) is
+//! `None` on a cluster that was never asked. Every fact's kind, parties and
+//! counter (and a sent payload's length) are also folded, in order, into
+//! one running SHA-256 ([`LemmaMonitor::trace_hash`]): two runs with the
+//! same hash observed the same messages in the same order.
 
+use std::collections::{HashMap, HashSet};
+use tnic_crypto::sha256::Sha256;
 use tnic_device::types::{DeviceId, SessionId};
-use tnic_sim::time::SimInstant;
 
-/// An action fact recorded during protocol execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ActionFact {
+/// Violation lines a monitor keeps; later violations are not recorded.
+const REPORTED: usize = 8;
+
+/// An action fact emitted during protocol execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ActionFact<'a> {
     /// A device finished the remote-attestation protocol (`D_tnic(c)`).
     DeviceAttested {
         /// The attested device.
@@ -66,8 +94,8 @@ pub enum ActionFact {
         session: SessionId,
         /// The attestation counter bound to the message.
         counter: u64,
-        /// Digest of the payload (for equivocation detection).
-        digest: [u8; 32],
+        /// The attested payload.
+        payload: &'a [u8],
     },
     /// An endpoint accepted (verified and delivered) a message (`A_e(m)`).
     Accepted {
@@ -79,181 +107,165 @@ pub enum ActionFact {
         sender: DeviceId,
         /// The attestation counter bound to the message.
         counter: u64,
-        /// Digest of the payload.
-        digest: [u8; 32],
+        /// The accepted payload.
+        payload: &'a [u8],
     },
 }
 
-/// A timestamped trace of action facts.
+/// The online §4.4 lemma monitor (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
-pub struct TraceLog {
-    events: Vec<(SimInstant, ActionFact)>,
+pub struct LemmaMonitor {
+    /// Lemma 1: device-side attestations completed.
+    device_attested: HashSet<(DeviceId, u64)>,
+    /// Key holders per declared session.
+    holders: HashMap<SessionId, u32>,
+    /// Lemma 3: the next counter each `(receiver, session, sender)` accepts.
+    next: HashMap<(DeviceId, SessionId, DeviceId), u64>,
+    /// Lemma 2: `(sender, session, counter)` → the payload sent and the
+    /// number of other holders yet to accept it.
+    in_flight: HashMap<(DeviceId, SessionId, u64), (Vec<u8>, u32)>,
+    /// Payload buffers of forgotten messages, for later sends to reuse.
+    spare: Vec<Vec<u8>>,
+    /// The first [`REPORTED`] violations.
+    violations: Vec<String>,
+    hash: Sha256,
 }
 
-impl TraceLog {
-    /// Creates an empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        TraceLog { events: Vec::new() }
+impl LemmaMonitor {
+    /// Declares that `holders` devices (the sender among them) hold the key
+    /// of `session`. A session never declared has two holders, as every
+    /// pairwise session does; keeping those out of the table keeps a send's
+    /// lookup in a small, cache-resident map.
+    pub fn keyed(&mut self, session: SessionId, holders: u32) {
+        self.holders.insert(session, holders);
     }
 
-    /// Appends a fact observed at `at`.
-    pub fn record(&mut self, at: SimInstant, fact: ActionFact) {
-        self.events.push((at, fact));
-    }
-
-    /// All recorded events in recording order.
-    #[must_use]
-    pub fn events(&self) -> &[(SimInstant, ActionFact)] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` if nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-/// Result of checking all lemmas over a trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerificationReport {
-    /// Violations found, one human-readable line each. Empty means all lemmas
-    /// hold.
-    pub violations: Vec<String>,
-    /// Number of send facts examined.
-    pub sends: usize,
-    /// Number of accept facts examined.
-    pub accepts: usize,
-}
-
-impl VerificationReport {
-    /// Returns `true` when every lemma holds.
-    #[must_use]
-    pub fn holds(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// The lemma checker.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceChecker;
-
-impl TraceChecker {
-    /// Checks all lemmas over `trace`.
-    #[must_use]
-    pub fn check(trace: &TraceLog) -> VerificationReport {
-        let mut violations = Vec::new();
-        violations.extend(Self::check_remote_attestation(trace));
-        violations.extend(Self::check_transferable_authentication(trace));
-        violations.extend(Self::check_non_equivocation(trace));
-        let sends = trace
-            .events()
-            .iter()
-            .filter(|(_, f)| matches!(f, ActionFact::Sent { .. }))
-            .count();
-        let accepts = trace
-            .events()
-            .iter()
-            .filter(|(_, f)| matches!(f, ActionFact::Accepted { .. }))
-            .count();
-        VerificationReport {
-            violations,
-            sends,
-            accepts,
-        }
-    }
-
-    /// Lemma (1): `D_ipv(c) @ ti ⇒ ∃ tj < ti. D_tnic(c) @ tj`.
-    fn check_remote_attestation(trace: &TraceLog) -> Vec<String> {
-        let mut violations = Vec::new();
-        for (i, (at, fact)) in trace.events().iter().enumerate() {
-            if let ActionFact::VendorAttested { device, connection } = fact {
-                let preceded = trace.events()[..i].iter().any(|(tj, f)| {
-                    tj <= at
-                        && matches!(f, ActionFact::DeviceAttested { device: d, connection: c }
-                            if d == device && c == connection)
-                });
-                if !preceded {
-                    violations.push(format!(
+    /// Decides every lemma the fact bears on.
+    pub fn observe(&mut self, fact: ActionFact<'_>) {
+        match fact {
+            ActionFact::DeviceAttested { device, connection } => {
+                self.fold([0, device.0, 0, 0], connection);
+                self.device_attested.insert((device, connection));
+            }
+            ActionFact::VendorAttested { device, connection } => {
+                self.fold([1, device.0, 0, 0], connection);
+                if !self.device_attested.contains(&(device, connection)) {
+                    self.violate(format!(
                         "remote attestation: vendor attested {device} (connection {connection}) \
                          without a prior device-side attestation"
                     ));
                 }
             }
-        }
-        violations
-    }
-
-    /// Lemma (2): every accepted message was sent before by some endpoint,
-    /// with the same session, counter and payload digest.
-    fn check_transferable_authentication(trace: &TraceLog) -> Vec<String> {
-        let mut violations = Vec::new();
-        for (i, (at, fact)) in trace.events().iter().enumerate() {
-            if let ActionFact::Accepted {
+            ActionFact::Sent {
+                endpoint,
                 session,
-                sender,
                 counter,
-                digest,
-                ..
-            } = fact
-            {
-                let matched = trace.events()[..i].iter().any(|(tj, f)| {
-                    tj <= at
-                        && matches!(f, ActionFact::Sent { endpoint, session: s, counter: c, digest: d }
-                            if endpoint == sender && s == session && c == counter && d == digest)
-                });
-                if !matched {
-                    violations.push(format!(
-                        "transferable authentication: accepted counter {counter} on {session} \
-                         claiming sender {sender} was never sent by it"
-                    ));
+                payload,
+            } => {
+                self.fold([2, endpoint.0, session.0, payload.len() as u32], counter);
+                let others = self
+                    .holders
+                    .get(&session)
+                    .map_or(1, |h| h.saturating_sub(1));
+                if others > 0 {
+                    let mut copy = self.spare.pop().unwrap_or_default();
+                    copy.clear();
+                    copy.extend_from_slice(payload);
+                    self.in_flight
+                        .insert((endpoint, session, counter), (copy, others));
                 }
             }
-        }
-        violations
-    }
-
-    /// Lemmas (3)–(5): per (receiver, session, sender): counters are accepted
-    /// in exactly increasing order starting from 0 with no gaps (no lost
-    /// messages, no reordering) and no counter is accepted twice.
-    fn check_non_equivocation(trace: &TraceLog) -> Vec<String> {
-        use std::collections::HashMap;
-        let mut violations = Vec::new();
-        let mut next_expected: HashMap<(DeviceId, SessionId, DeviceId), u64> = HashMap::new();
-        for (_, fact) in trace.events() {
-            if let ActionFact::Accepted {
+            ActionFact::Accepted {
                 endpoint,
                 session,
                 sender,
                 counter,
-                ..
-            } = fact
-            {
-                let key = (*endpoint, *session, *sender);
-                let expected = next_expected.entry(key).or_insert(0);
-                if *counter < *expected {
-                    violations.push(format!(
+                payload,
+            } => {
+                self.fold([3, endpoint.0, session.0, sender.0], counter);
+                // Lemmas (3)-(5): counters accepted in order from 0, once.
+                let next = self.next.entry((endpoint, session, sender)).or_insert(0);
+                let expected = *next;
+                *next = expected.max(counter + 1);
+                let duplicate = counter < expected;
+                if duplicate {
+                    self.violate(format!(
                         "non-equivocation: {endpoint} accepted counter {counter} on {session} twice"
                     ));
-                } else if *counter > *expected {
-                    violations.push(format!(
+                } else if counter > expected {
+                    self.violate(format!(
                         "non-equivocation: {endpoint} accepted counter {counter} on {session} \
                          while messages {expected}..{counter} were never accepted (loss/reorder)"
                     ));
-                    *expected = counter + 1;
-                } else {
-                    *expected += 1;
+                }
+                // Lemma (2), then the forget rule. A forgotten message is
+                // accepted again only as a duplicate, flagged just above.
+                let key = (sender, session, counter);
+                match self.in_flight.get_mut(&key) {
+                    Some((sent, _)) if sent.as_slice() != payload => self.violate(format!(
+                        "transferable authentication: {endpoint} accepted counter {counter} on \
+                         {session} from {sender} with a payload {sender} never sent"
+                    )),
+                    Some((_, owed)) if !duplicate && endpoint != sender => {
+                        *owed -= 1;
+                        if *owed == 0 {
+                            let (copy, _) = self.in_flight.remove(&key).expect("held");
+                            self.spare.push(copy);
+                        }
+                    }
+                    None if !duplicate => self.violate(format!(
+                        "transferable authentication: accepted counter {counter} on {session} \
+                         claiming sender {sender} was never sent by it"
+                    )),
+                    _ => {}
                 }
             }
         }
-        violations
+    }
+
+    /// Folds a fact's kind, parties and counter into the trace hash. A
+    /// payload enters by its length only, which keeps the hash off the
+    /// per-byte path.
+    fn fold(&mut self, words: [u32; 4], counter: u64) {
+        let mut bytes = [0u8; 24];
+        for (chunk, word) in bytes.chunks_exact_mut(4).zip(words) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        bytes[16..].copy_from_slice(&counter.to_le_bytes());
+        self.hash.update(&bytes);
+    }
+
+    fn violate(&mut self, line: String) {
+        if self.violations.len() < REPORTED {
+            self.violations.push(line);
+        }
+    }
+
+    /// The first violations observed, one line each, in order; empty while
+    /// every lemma holds.
+    #[must_use]
+    pub fn violations(&self) -> &[String] {
+        &self.violations
+    }
+
+    /// Sent messages whose payload is still held: some other key holder has
+    /// not accepted them yet. 0 at quiescence.
+    #[must_use]
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    /// `(receiver, session, sender)` links with an accepted message.
+    #[must_use]
+    pub fn links(&self) -> usize {
+        self.next.len()
+    }
+
+    /// SHA-256 over the kind, parties and counter of every fact observed so
+    /// far (a sent payload by its length), in order.
+    #[must_use]
+    pub fn trace_hash(&self) -> [u8; 32] {
+        self.hash.clone().finalize()
     }
 }
 
@@ -261,177 +273,170 @@ impl TraceChecker {
 mod tests {
     use super::*;
 
-    fn digest(tag: u8) -> [u8; 32] {
-        [tag; 32]
+    /// A one-byte payload reading `tag`.
+    fn body(tag: u8) -> &'static [u8] {
+        static BODIES: [u8; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+        &BODIES[usize::from(tag)..=usize::from(tag)]
     }
 
-    fn t(us: u64) -> SimInstant {
-        SimInstant::from_nanos(us * 1_000)
-    }
-
-    fn honest_trace() -> TraceLog {
-        let mut log = TraceLog::new();
-        log.record(
-            t(0),
-            ActionFact::DeviceAttested {
-                device: DeviceId(1),
-                connection: 7,
-            },
-        );
-        log.record(
-            t(1),
-            ActionFact::VendorAttested {
-                device: DeviceId(1),
-                connection: 7,
-            },
-        );
-        for counter in 0..3u64 {
-            log.record(
-                t(10 + counter),
-                ActionFact::Sent {
-                    endpoint: DeviceId(1),
-                    session: SessionId(1),
-                    counter,
-                    digest: digest(counter as u8),
-                },
-            );
-            log.record(
-                t(20 + counter),
-                ActionFact::Accepted {
-                    endpoint: DeviceId(2),
-                    session: SessionId(1),
-                    sender: DeviceId(1),
-                    counter,
-                    digest: digest(counter as u8),
-                },
-            );
+    fn sent(counter: u64, tag: u8) -> ActionFact<'static> {
+        ActionFact::Sent {
+            endpoint: DeviceId(1),
+            session: SessionId(1),
+            counter,
+            payload: body(tag),
         }
-        log
+    }
+
+    fn accepted(counter: u64, tag: u8) -> ActionFact<'static> {
+        ActionFact::Accepted {
+            endpoint: DeviceId(2),
+            session: SessionId(1),
+            sender: DeviceId(1),
+            counter,
+            payload: body(tag),
+        }
+    }
+
+    /// A monitor over session 1, keyed to devices 1 and 2.
+    fn monitor() -> LemmaMonitor {
+        let mut monitor = LemmaMonitor::default();
+        monitor.keyed(SessionId(1), 2);
+        monitor
+    }
+
+    fn honest_trace() -> LemmaMonitor {
+        let mut monitor = monitor();
+        monitor.observe(ActionFact::DeviceAttested {
+            device: DeviceId(1),
+            connection: 7,
+        });
+        monitor.observe(ActionFact::VendorAttested {
+            device: DeviceId(1),
+            connection: 7,
+        });
+        for counter in 0..3u64 {
+            monitor.observe(sent(counter, counter as u8));
+            monitor.observe(accepted(counter, counter as u8));
+        }
+        monitor
+    }
+
+    fn flagged(monitor: &LemmaMonitor, what: &str) -> bool {
+        monitor.violations().iter().any(|v| v.contains(what))
     }
 
     #[test]
     fn honest_trace_satisfies_all_lemmas() {
-        let report = TraceChecker::check(&honest_trace());
-        assert!(report.holds(), "{:?}", report.violations);
-        assert_eq!(report.sends, 3);
-        assert_eq!(report.accepts, 3);
+        let monitor = honest_trace();
+        assert!(
+            monitor.violations().is_empty(),
+            "{:?}",
+            monitor.violations()
+        );
+        assert_eq!((monitor.in_flight(), monitor.links()), (0, 1));
     }
 
     #[test]
     fn vendor_attestation_without_device_is_flagged() {
-        let mut log = TraceLog::new();
-        log.record(
-            t(0),
-            ActionFact::VendorAttested {
-                device: DeviceId(1),
-                connection: 1,
-            },
-        );
-        let report = TraceChecker::check(&log);
-        assert!(!report.holds());
-        assert!(report.violations[0].contains("remote attestation"));
+        let mut monitor = LemmaMonitor::default();
+        monitor.observe(ActionFact::VendorAttested {
+            device: DeviceId(1),
+            connection: 1,
+        });
+        assert!(monitor.violations()[0].contains("remote attestation"));
     }
 
     #[test]
     fn forged_acceptance_is_flagged() {
-        let mut log = TraceLog::new();
-        log.record(
-            t(5),
-            ActionFact::Accepted {
-                endpoint: DeviceId(2),
-                session: SessionId(1),
-                sender: DeviceId(1),
-                counter: 0,
-                digest: digest(9),
-            },
-        );
-        let report = TraceChecker::check(&log);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("transferable authentication")));
+        let mut monitor = monitor();
+        monitor.observe(accepted(0, 9));
+        assert!(flagged(&monitor, "transferable authentication"));
     }
 
     #[test]
     fn equivocation_different_payload_same_counter_is_flagged() {
-        let mut log = honest_trace();
+        let mut monitor = honest_trace();
         // The sender "sent" counter 3 with one payload but the receiver
         // accepted a different payload under that counter.
-        log.record(
-            t(40),
-            ActionFact::Sent {
-                endpoint: DeviceId(1),
-                session: SessionId(1),
-                counter: 3,
-                digest: digest(10),
-            },
-        );
-        log.record(
-            t(41),
-            ActionFact::Accepted {
-                endpoint: DeviceId(2),
-                session: SessionId(1),
-                sender: DeviceId(1),
-                counter: 3,
-                digest: digest(11),
-            },
-        );
-        let report = TraceChecker::check(&log);
-        assert!(!report.holds());
+        monitor.observe(sent(3, 10));
+        monitor.observe(accepted(3, 11));
+        assert_eq!(monitor.violations().len(), 1);
+        assert!(flagged(&monitor, "transferable authentication"));
     }
 
     #[test]
     fn double_acceptance_is_flagged() {
-        let mut log = honest_trace();
-        log.record(
-            t(50),
-            ActionFact::Accepted {
-                endpoint: DeviceId(2),
-                session: SessionId(1),
-                sender: DeviceId(1),
-                counter: 0,
-                digest: digest(0),
-            },
+        let mut monitor = honest_trace();
+        monitor.observe(accepted(0, 0));
+        assert!(flagged(&monitor, "twice"));
+        assert_eq!(
+            monitor.violations().len(),
+            1,
+            "a forgotten duplicate is no forgery"
         );
-        let report = TraceChecker::check(&log);
-        assert!(report.violations.iter().any(|v| v.contains("twice")));
     }
 
     #[test]
     fn gap_in_accepted_counters_is_flagged() {
-        let mut log = TraceLog::new();
+        let mut monitor = monitor();
         for counter in [0u64, 2] {
-            log.record(
-                t(counter),
-                ActionFact::Sent {
-                    endpoint: DeviceId(1),
-                    session: SessionId(1),
-                    counter,
-                    digest: digest(counter as u8),
-                },
-            );
-            log.record(
-                t(10 + counter),
-                ActionFact::Accepted {
-                    endpoint: DeviceId(2),
-                    session: SessionId(1),
-                    sender: DeviceId(1),
-                    counter,
-                    digest: digest(counter as u8),
-                },
-            );
+            monitor.observe(sent(counter, counter as u8));
+            monitor.observe(accepted(counter, counter as u8));
         }
-        let report = TraceChecker::check(&log);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("never accepted")));
+        assert!(flagged(&monitor, "never accepted"));
     }
 
     #[test]
     fn empty_trace_trivially_holds() {
-        let report = TraceChecker::check(&TraceLog::new());
-        assert!(report.holds());
-        assert!(TraceLog::new().is_empty());
+        let monitor = LemmaMonitor::default();
+        assert!(monitor.violations().is_empty());
+        assert_eq!(monitor.links(), 0);
+        assert_ne!(monitor.trace_hash(), honest_trace().trace_hash());
+    }
+
+    #[test]
+    fn a_payload_is_kept_until_every_other_holder_accepted_it() {
+        // A group of three: device 1 sends, devices 2 and 3 accept.
+        let mut monitor = LemmaMonitor::default();
+        monitor.keyed(SessionId(1), 3);
+        monitor.observe(sent(0, 0));
+        monitor.observe(accepted(0, 0));
+        assert_eq!(monitor.in_flight(), 1, "device 3 has yet to accept");
+        let late = |tag| ActionFact::Accepted {
+            endpoint: DeviceId(3),
+            session: SessionId(1),
+            sender: DeviceId(1),
+            counter: 0,
+            payload: body(tag),
+        };
+        let mut forged = monitor.clone();
+        forged.observe(late(5));
+        assert!(flagged(&forged, "never sent"));
+        monitor.observe(late(0));
+        assert!(
+            monitor.violations().is_empty(),
+            "{:?}",
+            monitor.violations()
+        );
+        assert_eq!(monitor.in_flight(), 0);
+        // A node-local session has no other holder: nothing is kept.
+        monitor.keyed(SessionId(2), 1);
+        monitor.observe(ActionFact::Sent {
+            endpoint: DeviceId(1),
+            session: SessionId(2),
+            counter: 0,
+            payload: body(0),
+        });
+        assert_eq!(monitor.in_flight(), 0);
+    }
+
+    #[test]
+    fn only_the_first_violations_are_kept() {
+        let mut monitor = monitor();
+        for _ in 0..3 * REPORTED {
+            monitor.observe(accepted(0, 0));
+        }
+        assert_eq!(monitor.violations().len(), REPORTED);
     }
 }

@@ -598,7 +598,6 @@ impl Accountable for ChainReplication {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tnic_core::TraceChecker;
     use tnic_net::adversary::NodeFault;
     use tnic_peerreview::audit::{Misbehavior, Verdict};
 
@@ -626,7 +625,6 @@ mod tests {
     #[test]
     fn put_and_get_commit_through_the_chain() {
         let mut cr = chain();
-        cr.cluster.record_facts();
         let put = cr.put(b"key-1", b"value-1").unwrap();
         assert!(put.committed);
         assert_eq!(put.output.unwrap(), b"ok");
@@ -634,11 +632,7 @@ mod tests {
         let get = cr.get(b"key-1").unwrap();
         assert!(get.committed);
         assert_eq!(get.output.unwrap(), b"value-1");
-        let report = TraceChecker::check(cr.cluster().trace().expect("recording"));
-        assert!(report.holds(), "{:?}", report.violations);
-        // Every fact is there: two hops down the chain per operation.
-        assert_eq!(report.sends, 4);
-        assert_eq!(report.accepts, 4);
+        // Two hops down the chain per operation.
         assert_eq!(cr.cluster().stats().messages_sent, 4);
     }
 

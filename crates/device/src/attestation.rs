@@ -372,7 +372,8 @@ impl AttestationKernel {
     /// # Errors
     ///
     /// * [`DeviceError::UnknownSession`] — no key installed.
-    /// * [`DeviceError::BadAttestation`] — MAC mismatch.
+    /// * [`DeviceError::BadAttestation`] — MAC mismatch, or a message this
+    ///   device attested itself.
     /// * [`DeviceError::CounterMismatch`] — replay, gap or reordering.
     pub fn verify(&mut self, message: &AttestedMessage) -> Result<SimDuration, DeviceError> {
         self.verify_view(&message.as_view())
@@ -386,6 +387,13 @@ impl AttestationKernel {
     /// As [`AttestationKernel::verify`].
     pub fn verify_view(&mut self, message: &AttestedView<'_>) -> Result<SimDuration, DeviceError> {
         let key = self.keystore.prepared(message.session)?;
+        // A device never receives its own messages. A copy reflected back to
+        // its sender would otherwise pass whenever the session's receive
+        // counter, which counts the peer's traffic, equals the sender's own.
+        if message.device == self.device {
+            self.stats.rejected += 1;
+            return Err(DeviceError::BadAttestation);
+        }
         let cost = self.timing.hmac.cost(message.payload.len());
         let expected_mac = compute_mac(key, message.payload, message.device, message.counter);
         if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
@@ -512,6 +520,17 @@ mod tests {
         msg.counter = 5;
         // The MAC binds the counter, so this is caught as a bad attestation.
         assert_eq!(rx.verify(&msg), Err(DeviceError::BadAttestation));
+    }
+
+    #[test]
+    fn reflected_message_rejected() {
+        // Both ends of a session share its key: the sender's own message,
+        // carrying counter 0 like the first one the peer will send, must
+        // not pass at the sender as if the peer had sent it.
+        let (mut tx, _) = kernel_pair();
+        let (msg, _) = tx.attest(SessionId(7), b"pay").unwrap();
+        assert_eq!(tx.verify(&msg), Err(DeviceError::BadAttestation));
+        assert_eq!(tx.expected_recv_counter(SessionId(7)), 0);
     }
 
     #[test]

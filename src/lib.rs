@@ -57,7 +57,7 @@ pub use tnic_peerreview::{
 pub mod prelude {
     pub use tnic_core::api::{Cluster, Delivered, NodeId};
     pub use tnic_core::transform::{CounterMachine, StateMachine};
-    pub use tnic_core::verification::TraceChecker;
+    pub use tnic_core::verification::LemmaMonitor;
     pub use tnic_core::{Baseline, CoreError, NetworkStackKind};
     pub use tnic_net::adversary::{Adversary, FaultPlan, NodeFault};
     pub use tnic_peerreview::audit::Verdict;
