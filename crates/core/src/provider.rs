@@ -255,6 +255,29 @@ mod tests {
     }
 
     #[test]
+    fn tnic_profile_is_the_synchronous_stand_alone_device() {
+        // Fig. 5's TNIC `Attest()` is §8.1's stand-alone synchronous-DMA
+        // `local_send`; a provider charges the cheaper kernel-bypass path.
+        let vendor = tnic_crypto::ed25519::Keypair::from_seed(&[1u8; 32]);
+        let mut device = tnic_device::TnicDevice::for_tests(DeviceId(1), vendor.verifying);
+        device.provision_session(SessionId(1), [7u8; 32]);
+        device.set_dma_mode(DmaMode::Synchronous);
+        let mut total = SimDuration::ZERO;
+        for _ in 0..200 {
+            total += device.local_send(SessionId(1), &[0u8; 64]).unwrap().1;
+        }
+        let device_us = total.as_micros_f64() / 200.0;
+        let profile_us = Baseline::Tnic.profile().mean_total_us(64);
+        assert!(
+            (device_us / profile_us - 1.0).abs() <= 0.05,
+            "synchronous device {device_us:.2} us vs profile {profile_us:.2} us"
+        );
+        let (mut provider, _) = provider_pair(Baseline::Tnic);
+        let (_, datapath) = provider.attest(SessionId(1), &[0u8; 64]).unwrap();
+        assert!(datapath.as_micros_f64() < device_us / 2.0, "{datapath:?}");
+    }
+
+    #[test]
     fn counter_discipline_enforced_by_all_backends() {
         for baseline in Baseline::ALL {
             let (mut a, mut b) = provider_pair(baseline);

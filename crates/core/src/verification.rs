@@ -57,10 +57,13 @@
 //! after [`Cluster::monitor_lemmas`](crate::Cluster::monitor_lemmas), which
 //! is refused once a message has been attested, so a monitor never decides
 //! on a partial stream; [`Cluster::lemmas`](crate::Cluster::lemmas) is
-//! `None` on a cluster that was never asked. Every fact's kind, parties and
-//! counter (and a sent payload's length) are also folded, in order, into
-//! one running SHA-256 ([`LemmaMonitor::trace_hash`]): two runs with the
-//! same hash observed the same messages in the same order.
+//! `None` on a cluster that was never asked. No cluster runs remote
+//! attestation (its sessions are keyed directly), so runs check lemmas 2 and
+//! 3; lemma 1 is checked by the tests of [`crate::attestation`]. Every
+//! fact's kind, parties and counter (and a sent payload's length) are also
+//! folded, in order, into one running SHA-256
+//! ([`LemmaMonitor::trace_hash`]): two runs with the same hash observed the
+//! same messages in the same order.
 
 use std::collections::{HashMap, HashSet};
 use tnic_crypto::sha256::Sha256;

@@ -1,5 +1,5 @@
 //! The assembled TNIC device: attestation kernel + RoCE kernel + DMA + MAC +
-//! ARP + registers + controller + resource model (paper Figure 2).
+//! ARP + controller (paper Figure 2).
 
 use crate::arp::ArpServer;
 use crate::attestation::{
@@ -9,8 +9,6 @@ use crate::controller::{ControllerBinary, DeviceController, HardwareKey};
 use crate::dma::{DmaEngine, DmaMode};
 use crate::error::DeviceError;
 use crate::mac::EthernetMac;
-use crate::regs::{Register, RegisterFile};
-use crate::resources::TnicResourceModel;
 use crate::roce::packet::{RdmaOpcode, RocePacket};
 use crate::roce::qp::CompletionEntry;
 use crate::roce::transport::ReliableTransport;
@@ -39,9 +37,7 @@ pub struct TnicDevice {
     arp: ArpServer,
     mac: EthernetMac,
     dma: DmaEngine,
-    regs: RegisterFile,
     controller: DeviceController,
-    resources: TnicResourceModel,
 }
 
 impl TnicDevice {
@@ -60,14 +56,6 @@ impl TnicDevice {
             ip_vendor_public,
             controller_key_seed,
         );
-        let mut regs = RegisterFile::new();
-        regs.write(
-            Register::IpAddr,
-            u32::from_be_bytes(config.ip_addr.0) as u64,
-        );
-        regs.write(Register::UdpPort, u64::from(config.udp_port));
-        regs.write(Register::QsfpPort, u64::from(config.qsfp_port));
-        regs.write(Register::Status, 0b01);
         TnicDevice {
             config,
             attestation: AttestationKernel::new(
@@ -78,9 +66,7 @@ impl TnicDevice {
             arp: ArpServer::new(),
             mac: EthernetMac::new_100g(),
             dma: DmaEngine::paper_calibrated(DmaMode::Asynchronous),
-            regs,
             controller,
-            resources: TnicResourceModel::single(),
         }
     }
 
@@ -124,38 +110,15 @@ impl TnicDevice {
         &self.controller
     }
 
-    /// The resource model describing this design instance.
-    #[must_use]
-    pub fn resources(&self) -> TnicResourceModel {
-        self.resources
-    }
-
-    /// Reconfigures the design with `n` attestation kernels (Figure 13).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::ResourceExhausted`] if the design no longer fits
-    /// on the U280.
-    pub fn set_attestation_kernels(&mut self, n: u64) -> Result<(), DeviceError> {
-        let model = TnicResourceModel::with_attestation_kernels(n);
-        if !model.utilization().fits() {
-            return Err(DeviceError::ResourceExhausted("attestation kernels"));
-        }
-        self.resources = model;
-        Ok(())
-    }
-
     /// Switches the DMA transfer mode (synchronous for the stand-alone §8.1
     /// evaluation, asynchronous on the kernel-bypass data path).
     pub fn set_dma_mode(&mut self, mode: DmaMode) {
         self.dma.set_mode(mode);
     }
 
-    /// Installs a session key in the attestation kernel and marks the device
-    /// as provisioned once the controller has a bitstream.
+    /// Installs a session key in the attestation kernel.
     pub fn provision_session(&mut self, session: SessionId, key: [u8; 32]) {
         self.attestation.install_session_key(session, key);
-        self.regs.write(Register::Status, 0b11);
     }
 
     /// Returns `true` if a key is installed for `session`.
@@ -287,21 +250,7 @@ impl TnicDevice {
 
     /// Completion entries available to the host `poll()` call.
     pub fn poll_completions(&mut self) -> Vec<CompletionEntry> {
-        let completions = self.transport.take_completions();
-        self.regs
-            .write(Register::CompletionCount, completions.len() as u64);
-        completions
-    }
-
-    /// Reads a control/status register (the mapped REG page access path).
-    #[must_use]
-    pub fn read_register(&self, reg: Register) -> u64 {
-        self.regs.read(reg)
-    }
-
-    /// Writes a control/status register.
-    pub fn write_register(&mut self, reg: Register, value: u64) {
-        self.regs.write(reg, value);
+        self.transport.take_completions()
     }
 
     /// Number of retransmitted packets.
@@ -405,7 +354,6 @@ mod tests {
         assert!(ack_outcome.delivered.is_none());
         let completions = a.poll_completions();
         assert_eq!(completions.len(), 1);
-        assert_eq!(a.read_register(Register::CompletionCount), 1);
     }
 
     #[test]
@@ -435,31 +383,11 @@ mod tests {
     }
 
     #[test]
-    fn resource_reconfiguration_respects_capacity() {
-        let (mut a, _) = device_pair();
-        a.set_attestation_kernels(32).unwrap();
-        assert_eq!(a.resources().attestation_kernels, 32);
-        assert!(a.set_attestation_kernels(64).is_err());
-    }
-
-    #[test]
     fn sync_dma_mode_costs_more() {
         let (mut a, _) = device_pair();
         let (_, async_cost) = a.local_send(SessionId(1), &[0u8; 64]).unwrap();
         a.set_dma_mode(DmaMode::Synchronous);
         let (_, sync_cost) = a.local_send(SessionId(1), &[0u8; 64]).unwrap();
         assert!(sync_cost > async_cost);
-        // The synchronous path should land in the paper's ~23 µs ballpark.
-        let us = sync_cost.as_micros_f64();
-        assert!((18.0..=30.0).contains(&us), "sync Attest cost {us} us");
-    }
-
-    #[test]
-    fn status_register_reflects_provisioning() {
-        let vendor = Keypair::from_seed(&[1u8; 32]);
-        let mut dev = TnicDevice::for_tests(DeviceId(9), vendor.verifying);
-        assert_eq!(dev.read_register(Register::Status), 0b01);
-        dev.provision_session(SessionId(1), [0u8; 32]);
-        assert_eq!(dev.read_register(Register::Status), 0b11);
     }
 }

@@ -4,8 +4,8 @@
 //! that moves payloads between host memory and the device. The paper's
 //! latency breakdown (Figure 6) attributes roughly 16 µs of the 23 µs
 //! synchronous `Attest()` round trip to device access and data transfer; this
-//! module models exactly that cost and also provides a tiny host-memory
-//! abstraction used by the ibv memory registration path.
+//! module models exactly that cost and also provides [`DmaRegion`], the tiny
+//! host-memory abstraction behind each `Cluster` endpoint's registered memory.
 
 use crate::error::DeviceError;
 use tnic_sim::latency::SizeDependentLatency;

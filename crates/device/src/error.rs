@@ -29,8 +29,6 @@ pub enum DeviceError {
     ArpMiss,
     /// The device has not been bootstrapped / attested yet.
     NotProvisioned,
-    /// The device resources cannot accommodate the requested configuration.
-    ResourceExhausted(&'static str),
     /// DMA access outside a registered memory region.
     DmaOutOfBounds,
 }
@@ -48,7 +46,6 @@ impl fmt::Display for DeviceError {
             DeviceError::MalformedMessage(what) => write!(f, "malformed message: {what}"),
             DeviceError::ArpMiss => write!(f, "arp lookup failed"),
             DeviceError::NotProvisioned => write!(f, "device has not been provisioned"),
-            DeviceError::ResourceExhausted(what) => write!(f, "resource exhausted: {what}"),
             DeviceError::DmaOutOfBounds => write!(f, "dma access outside registered memory"),
         }
     }

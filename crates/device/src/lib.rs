@@ -13,10 +13,8 @@
 //! * [`dma`] — the PCIe DMA/bridge model and registered host-memory regions.
 //! * [`mac`] — the 100 Gb Ethernet MAC with line-rate serialisation costs.
 //! * [`arp`] — the ARP server used during request generation.
-//! * [`regs`] — the control/status registers mapped into user space.
 //! * [`controller`] — the bootstrapping controller, hardware key and
 //!   measurement certificates used by remote attestation.
-//! * [`resources`] — the analytic FPGA resource model (Table 5, Figure 13).
 //! * [`device`] — [`TnicDevice`], the assembled card.
 //!
 //! # Example
@@ -48,8 +46,6 @@ pub mod dma;
 pub mod error;
 pub mod keystore;
 pub mod mac;
-pub mod regs;
-pub mod resources;
 pub mod roce;
 pub mod types;
 

@@ -83,8 +83,8 @@ impl fmt::Display for Ipv4Addr {
     }
 }
 
-/// Static device configuration written by the driver at initialisation
-/// (paper §5.1: MAC address, QSFP port, IP address).
+/// Static device configuration (paper §5.1: MAC address, IP address and the
+/// RoCE v2 UDP port).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceConfig {
     /// The device identifier burnt into the attestation metadata.
@@ -93,8 +93,6 @@ pub struct DeviceConfig {
     pub mac_addr: MacAddr,
     /// The IP address used by the application.
     pub ip_addr: Ipv4Addr,
-    /// Which of the two QSFP28 ports is used (the paper uses a single port).
-    pub qsfp_port: u8,
     /// UDP port used by the RoCE v2 encapsulation.
     pub udp_port: u16,
 }
@@ -107,7 +105,6 @@ impl DeviceConfig {
             device_id,
             mac_addr: MacAddr::from_device(device_id),
             ip_addr: Ipv4Addr::from_device(device_id),
-            qsfp_port: 0,
             udp_port: 4791,
         }
     }

@@ -9,9 +9,9 @@
 //!   transport and the distributed systems.
 //! * [`adversary`] — Byzantine network adversaries (tampering, replay,
 //!   equivocation attempts) used by the property tests.
-//! * [`stack`] — latency/throughput models of the five evaluated network
-//!   stacks (RDMA-hw, DRCT-IO, DRCT-IO-att, TNIC, TNIC-att), calibrated to
-//!   Figures 8 and 9 of the paper.
+//! * [`stack`] — latency models of the five evaluated network stacks
+//!   (RDMA-hw, DRCT-IO, DRCT-IO-att, TNIC, TNIC-att), calibrated to
+//!   Figure 9 of the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

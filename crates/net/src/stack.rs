@@ -1,5 +1,5 @@
 //! Models of the five network stacks compared in the paper's software
-//! evaluation (§8.2, Figures 8 and 9).
+//! evaluation (§8.2, Figure 9).
 //!
 //! * **RDMA-hw** — the untrusted RoCE stack on the FPGA (Coyote-based).
 //! * **DRCT-IO** — an untrusted kernel-bypass software stack (eRPC/DPDK).
@@ -9,14 +9,12 @@
 //! * **TNIC-att** — TNIC without verification on the receive path.
 //!
 //! The per-packet-size latencies are taken directly from Figure 9 and
-//! interpolated between the measured points; throughput follows the Figure 8
-//! methodology (multiple outstanding operations, so the bottleneck stage —
-//! wire serialisation for the untrusted stacks, the non-parallelisable HMAC
-//! for the trusted ones — determines throughput).
+//! interpolated between the measured points. Figure 8's throughput is not
+//! modelled: no run charges it.
 
 use tnic_sim::time::SimDuration;
 
-/// The packet sizes (bytes) swept by Figures 8 and 9.
+/// The packet sizes (bytes) swept by Figure 9.
 pub const PACKET_SIZES: [usize; 9] = [128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768];
 
 /// The five evaluated network stacks.
@@ -66,15 +64,6 @@ impl NetworkStackKind {
     #[must_use]
     pub fn verifies(self) -> bool {
         matches!(self, NetworkStackKind::Tnic)
-    }
-
-    /// Whether the stack is offloaded to the NIC hardware.
-    #[must_use]
-    pub fn hardware_offloaded(self) -> bool {
-        matches!(
-            self,
-            NetworkStackKind::RdmaHw | NetworkStackKind::Tnic | NetworkStackKind::TnicAtt
-        )
     }
 
     /// The Figure 9 latency series (µs) for this stack at [`PACKET_SIZES`].
@@ -145,7 +134,7 @@ impl NetworkStackKind {
     /// the Figure 9 measurements (log-linear in packet size).
     ///
     /// For DRCT-IO-att beyond 512 B the paper reports "2 000 µs or more"; we
-    /// return 2 000 µs.
+    /// return 2 000 µs from 513 B on.
     #[must_use]
     pub fn send_latency(self, packet_size: usize) -> SimDuration {
         let series = self.figure9_series();
@@ -169,40 +158,10 @@ impl NetworkStackKind {
                     lo + (hi - lo) * t
                 }
             }
-            (Some(lo), None) => lo.max(2_000.0_f64.min(lo)),
+            (Some(lo), None) if PACKET_SIZES[lower] == packet_size => lo,
             _ => 2_000.0,
         };
         SimDuration::from_micros_f64(us)
-    }
-
-    /// Sustained send throughput in MB/s for a stream of `packet_size`-byte
-    /// messages with multiple outstanding operations (Figure 8 methodology).
-    ///
-    /// With pipelining, throughput is bounded by the slowest pipeline stage:
-    /// wire serialisation at 100 Gbps for the hardware stacks, per-packet
-    /// software processing for DRCT-IO, and the non-parallelisable HMAC for
-    /// the attested stacks.
-    #[must_use]
-    pub fn throughput_mbps(self, packet_size: usize) -> f64 {
-        let size = packet_size as f64;
-        let wire_100g_us = size * 8.0 / 100_000.0; // µs to serialise at 100 Gb/s
-        let bottleneck_us = match self {
-            NetworkStackKind::RdmaHw => wire_100g_us.max(0.35),
-            NetworkStackKind::DrctIo => (size * 8.0 / 25_000.0).max(1.8),
-            // HMAC throughput in the FPGA fabric: ~6.5 µs + 5 ns/B.
-            NetworkStackKind::Tnic => (6.5 + size * 0.005).max(wire_100g_us),
-            NetworkStackKind::TnicAtt => (4.0 + size * 0.0045).max(wire_100g_us),
-            // scone-based attestation: ~80 µs per message, degrading sharply
-            // past the MTU.
-            NetworkStackKind::DrctIoAtt => {
-                if packet_size <= 1460 {
-                    80.0
-                } else {
-                    2_000.0
-                }
-            }
-        };
-        size / bottleneck_us // bytes per µs == MB/s
     }
 }
 
@@ -264,6 +223,16 @@ mod tests {
     }
 
     #[test]
+    fn drct_io_att_collapses_past_512_bytes() {
+        let att = NetworkStackKind::DrctIoAtt;
+        assert_eq!(att.send_latency(512).as_micros_f64(), 84.0);
+        for size in [513, 768, 1023, 1024] {
+            let us = att.send_latency(size).as_micros_f64();
+            assert!(us >= 2_000.0, "size {size}: {us} us");
+        }
+    }
+
+    #[test]
     fn latency_grows_with_packet_size_for_trusted_stacks() {
         let mut last = 0.0;
         for size in PACKET_SIZES {
@@ -302,31 +271,11 @@ mod tests {
     }
 
     #[test]
-    fn figure8_throughput_ordering() {
-        // RDMA-hw > TNIC-att > TNIC for every packet size.
-        for size in PACKET_SIZES {
-            let hw = NetworkStackKind::RdmaHw.throughput_mbps(size);
-            let att = NetworkStackKind::TnicAtt.throughput_mbps(size);
-            let tnic = NetworkStackKind::Tnic.throughput_mbps(size);
-            assert!(hw >= att && att >= tnic, "size {size}: {hw} {att} {tnic}");
-        }
-    }
-
-    #[test]
-    fn rdma_hw_approaches_line_rate_for_large_packets() {
-        let t = NetworkStackKind::RdmaHw.throughput_mbps(32768);
-        // 100 Gb/s == 12 500 MB/s.
-        assert!(t > 10_000.0, "{t}");
-    }
-
-    #[test]
     fn security_classification() {
         assert!(!NetworkStackKind::RdmaHw.attests());
         assert!(NetworkStackKind::Tnic.attests() && NetworkStackKind::Tnic.verifies());
         assert!(NetworkStackKind::TnicAtt.attests() && !NetworkStackKind::TnicAtt.verifies());
         assert!(NetworkStackKind::DrctIoAtt.attests());
-        assert!(NetworkStackKind::Tnic.hardware_offloaded());
-        assert!(!NetworkStackKind::DrctIo.hardware_offloaded());
         assert_eq!(NetworkStackKind::ALL.len(), 5);
         assert_eq!(NetworkStackKind::Tnic.to_string(), "TNIC");
     }

@@ -1,9 +1,9 @@
-//! A metrics registry unifying the `tnic_sim::stats` primitives under
-//! labeled scopes.
+//! A metrics registry unifying counters, gauges and `tnic_sim::stats`
+//! histograms under labeled scopes.
 //!
 //! The simulator crates already produce good primitives — monotonically
-//! increasing counters, [`Histogram`] percentiles, [`ThroughputMeter`](tnic_sim::stats::ThroughputMeter) rates
-//! — but each harness wires them up ad hoc. The registry gives them a single
+//! increasing counters and [`Histogram`] percentiles — but each harness
+//! wires them up ad hoc. The registry gives them a single
 //! addressable home: a **scope** per (application, fault, configuration)
 //! triple (e.g. `peerreview/exec-tampering/piggyback(w=2)`), each holding
 //! named counters, per-node gauges and histograms. Report generators walk

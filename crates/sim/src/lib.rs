@@ -13,8 +13,8 @@
 //! * [`latency`] — latency models (constant, uniform, normal, spiking) used to
 //!   emulate device access, TEE world switches and network propagation.
 //! * [`event`] — a discrete-event queue for protocol simulations.
-//! * [`stats`] — online statistics, histograms and throughput meters used by
-//!   the benchmark harness to report the paper's tables and figures.
+//! * [`stats`] — a latency histogram with exact percentiles, used by the
+//!   `tnic-obs` metrics registry.
 //!
 //! # Example
 //!
@@ -44,5 +44,5 @@ pub mod time;
 pub use clock::SimClock;
 pub use latency::LatencyModel;
 pub use rng::DetRng;
-pub use stats::{Histogram, OnlineStats, ThroughputMeter};
+pub use stats::Histogram;
 pub use time::{SimDuration, SimInstant};

@@ -12,7 +12,6 @@
 //! | chain replication| `tnic-cr`            | [`tnic_cr`]      |
 //! | accountability   | `tnic-peerreview`    | [`tnic_peerreview`] |
 //! | hardware model   | `tnic-device`        | [`tnic_device`]  |
-//! | software stack   | `tnic-stack`         | [`tnic_stack`]   |
 //! | network substrate| `tnic-net`           | [`tnic_net`]     |
 //! | observability    | `tnic-obs`           | [`tnic_obs`]     |
 //! | TEE baselines    | `tnic-tee`           | [`tnic_tee`]     |
@@ -45,7 +44,6 @@ pub use tnic_net;
 pub use tnic_obs;
 pub use tnic_peerreview;
 pub use tnic_sim;
-pub use tnic_stack;
 pub use tnic_tee;
 
 pub use tnic_core::{Baseline, Cluster, CoreError, NetworkStackKind, NodeId};
