@@ -8,9 +8,9 @@
 //! attestation (generated by the NIC) is trusted — shrinking the TCB and
 //! avoiding the enclave-paging collapse on lookups (Table 3).
 //!
-//! Operations: [`A2m::append`], [`A2m::lookup`], [`A2m::truncate`] and
-//! [`A2m::verify_lookup`]; log state changes are themselves recorded in a
-//! `manifest` log so truncation points can be audited.
+//! Operations: [`A2m::append`], [`A2m::lookup`] and [`A2m::verify_lookup`].
+//! The paper's `truncate` and its manifest log are not modelled: no run or
+//! application truncated a log.
 //!
 //! # Accountable replicated A2M
 //!
@@ -37,14 +37,10 @@ use tnic_net::adversary::FaultPlan;
 use tnic_peerreview::deployment::Accountable;
 use tnic_peerreview::engine::{AccountabilityEngine, AccountedApp, EngineConfig};
 use tnic_peerreview::wire::Envelope;
-use tnic_sim::time::SimInstant;
 
 /// Identifier of one append-only log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LogId(pub u32);
-
-/// The reserved log that records truncation events (the "manifest").
-pub const MANIFEST_LOG: LogId = LogId(u32::MAX);
 
 /// One entry of an attested log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,19 +57,13 @@ pub struct LogEntry {
     pub cumulative_digest: [u8; 32],
 }
 
-#[derive(Debug, Default)]
-struct LogState {
-    entries: Vec<LogEntry>,
-    head: u64,
-}
-
 /// An A2M instance: a single node whose TNIC generates attestations for log
 /// appends, with the log bodies stored in untrusted host memory.
 #[derive(Debug)]
 pub struct A2m {
     cluster: Cluster,
     node: NodeId,
-    logs: HashMap<LogId, LogState>,
+    logs: HashMap<LogId, Vec<LogEntry>>,
 }
 
 impl A2m {
@@ -94,12 +84,6 @@ impl A2m {
         })
     }
 
-    /// The virtual time consumed so far (used by the benchmark harness).
-    #[must_use]
-    pub fn now(&self) -> SimInstant {
-        self.cluster.now()
-    }
-
     /// `append(id, ctx)`: attests the entry, assigns it the next sequence
     /// number and stores it in the (untrusted) log.
     ///
@@ -109,9 +93,8 @@ impl A2m {
     pub fn append(&mut self, log: LogId, context: &[u8]) -> Result<LogEntry, CoreError> {
         let attested = self.cluster.local_send(self.node, context)?;
         let sequence = attested.counter;
-        let state = self.logs.entry(log).or_default();
-        let prev_digest = state
-            .entries
+        let entries = self.logs.entry(log).or_default();
+        let prev_digest = entries
             .last()
             .map(|e| e.cumulative_digest)
             .unwrap_or([0u8; 32]);
@@ -125,7 +108,7 @@ impl A2m {
             attested,
             cumulative_digest: sha256(&digest_input),
         };
-        state.entries.push(entry.clone());
+        entries.push(entry.clone());
         Ok(entry)
     }
 
@@ -133,91 +116,22 @@ impl A2m {
     /// host memory without touching the trusted hardware.
     #[must_use]
     pub fn lookup(&self, log: LogId, position: usize) -> Option<&LogEntry> {
-        self.logs.get(&log).and_then(|l| l.entries.get(position))
-    }
-
-    /// Number of entries currently stored in `log`.
-    #[must_use]
-    pub fn len(&self, log: LogId) -> usize {
-        self.logs.get(&log).map_or(0, |l| l.entries.len())
-    }
-
-    /// Returns `true` if `log` holds no entries.
-    #[must_use]
-    pub fn is_empty(&self, log: LogId) -> bool {
-        self.len(log) == 0
-    }
-
-    /// The lowest non-truncated sequence number of `log`.
-    #[must_use]
-    pub fn head(&self, log: LogId) -> u64 {
-        self.logs.get(&log).map_or(0, |l| l.head)
+        self.logs.get(&log).and_then(|l| l.get(position))
     }
 
     /// `verify_lookup(id, e)`: verifies that an entry is genuine (attestation
-    /// binding) and has not been truncated away.
+    /// binding). Entries carry their own binding, so `id` decides nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::TransformViolation`] for truncated entries and the
-    /// underlying attestation error for forged entries.
-    pub fn verify_lookup(&mut self, log: LogId, entry: &LogEntry) -> Result<(), CoreError> {
-        if entry.sequence < self.head(log) {
-            return Err(CoreError::TransformViolation("entry has been truncated"));
-        }
+    /// Returns [`CoreError::TransformViolation`] when the entry's metadata
+    /// disagrees with its attestation and the underlying attestation error
+    /// for forged entries.
+    pub fn verify_lookup(&mut self, _log: LogId, entry: &LogEntry) -> Result<(), CoreError> {
         if entry.attested.counter != entry.sequence || entry.attested.payload != entry.context {
             return Err(CoreError::TransformViolation("entry metadata mismatch"));
         }
         self.cluster.local_verify(self.node, &entry.attested)
-    }
-
-    /// `truncate(id, head, z)`: forgets all entries with sequence numbers
-    /// below `head`. The truncation itself is attested and recorded in the
-    /// manifest log together with the client's freshness nonce `z`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation errors.
-    pub fn truncate(&mut self, log: LogId, head: u64, nonce: u64) -> Result<LogEntry, CoreError> {
-        let mut record = Vec::new();
-        record.extend_from_slice(b"trnc");
-        record.extend_from_slice(&log.0.to_le_bytes());
-        record.extend_from_slice(&nonce.to_le_bytes());
-        record.extend_from_slice(&head.to_le_bytes());
-        let marker = self.append(log, &record)?;
-        let manifest_entry = self.append(MANIFEST_LOG, &marker.attested.encode())?;
-        let state = self.logs.entry(log).or_default();
-        state.head = head;
-        state.entries.retain(|e| e.sequence >= head);
-        Ok(manifest_entry)
-    }
-
-    /// Scans the manifest to recover the latest truncation point of `log`
-    /// (what a client does to learn the log boundaries).
-    #[must_use]
-    pub fn manifest_head(&self, log: LogId) -> u64 {
-        let Some(manifest) = self.logs.get(&MANIFEST_LOG) else {
-            return 0;
-        };
-        let mut head = 0;
-        for entry in &manifest.entries {
-            if let Ok(inner) = AttestedMessage::decode(&entry.context) {
-                let payload = &inner.payload;
-                if payload.len() >= 4 + 4 + 8 + 8 && &payload[..4] == b"trnc" {
-                    let target = LogId(u32::from_le_bytes(payload[4..8].try_into().unwrap()));
-                    if target == log {
-                        head = u64::from_le_bytes(payload[16..24].try_into().unwrap());
-                    }
-                }
-            }
-        }
-        head
-    }
-
-    /// The attestation baseline backing this instance.
-    #[must_use]
-    pub fn baseline(&self) -> Baseline {
-        self.cluster.baseline()
     }
 }
 
@@ -238,15 +152,6 @@ pub fn append_command(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Builds a lookup command for the replicated A2M workload.
-#[must_use]
-pub fn lookup_command(position: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9);
-    out.push(OP_LOOKUP);
-    out.extend_from_slice(&position.to_le_bytes());
-    out
-}
-
 /// The deterministic reference log the accountability engine replays: an
 /// append-only list of payloads with a chained digest. `execute` is the
 /// shared append/lookup step used identically by live replicas
@@ -256,26 +161,6 @@ pub fn lookup_command(position: u64) -> Vec<u8> {
 pub struct A2mMachine {
     entries: Vec<Vec<u8>>,
     digest: [u8; 32],
-}
-
-impl A2mMachine {
-    /// Number of appended entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the log holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The payload at `position`, if appended.
-    #[must_use]
-    pub fn entry(&self, position: u64) -> Option<&[u8]> {
-        self.entries.get(position as usize).map(Vec::as_slice)
-    }
 }
 
 impl StateMachine for A2mMachine {
@@ -452,15 +337,6 @@ impl AccountableA2m {
         self.replicate(&append_command(payload))
     }
 
-    /// `lookup(i)` across the replica set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors.
-    pub fn lookup(&mut self, position: u64) -> Result<A2mOpResult, CoreError> {
-        self.replicate(&lookup_command(position))
-    }
-
     /// Number of replicas (head included).
     #[must_use]
     pub fn replica_count(&self) -> usize {
@@ -471,12 +347,6 @@ impl AccountableA2m {
     #[must_use]
     pub fn replica_digest(&self, node: NodeId) -> [u8; 32] {
         self.app.snapshot_digest(node.0)
-    }
-
-    /// Current virtual time.
-    #[must_use]
-    pub fn now(&self) -> SimInstant {
-        self.cluster.now()
     }
 }
 
@@ -500,6 +370,14 @@ mod tests {
         A2m::new(Baseline::Tnic, 7).unwrap()
     }
 
+    fn len(log: &A2m, id: LogId) -> usize {
+        log.logs.get(&id).map_or(0, Vec::len)
+    }
+
+    fn lookup_command(position: u64) -> Vec<u8> {
+        [&[OP_LOOKUP][..], &position.to_le_bytes()].concat()
+    }
+
     #[test]
     fn append_assigns_monotonic_sequences() {
         let mut log = a2m();
@@ -507,18 +385,18 @@ mod tests {
         let e1 = log.append(LogId(1), b"second").unwrap();
         let e2 = log.append(LogId(1), b"third").unwrap();
         assert!(e0.sequence < e1.sequence && e1.sequence < e2.sequence);
-        assert_eq!(log.len(LogId(1)), 3);
+        assert_eq!(len(&log, LogId(1)), 3);
     }
 
     #[test]
     fn lookup_is_a_plain_memory_access() {
         let mut log = a2m();
         log.append(LogId(1), b"entry").unwrap();
-        let before = log.now();
+        let before = log.cluster.now();
         let entry = log.lookup(LogId(1), 0).unwrap();
         assert_eq!(entry.context, b"entry");
         // No virtual time passes: lookups never touch the trusted hardware.
-        assert_eq!(log.now(), before);
+        assert_eq!(log.cluster.now(), before);
         assert!(log.lookup(LogId(1), 5).is_none());
         assert!(log.lookup(LogId(9), 0).is_none());
     }
@@ -549,22 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_forgets_old_entries_and_updates_manifest() {
-        let mut log = a2m();
-        let entries: Vec<LogEntry> = (0..4)
-            .map(|i| log.append(LogId(1), format!("e{i}").as_bytes()).unwrap())
-            .collect();
-        let head = entries[2].sequence;
-        log.truncate(LogId(1), head, 0xfeed).unwrap();
-        // Truncated entries are gone and can no longer be verified.
-        assert!(log.verify_lookup(LogId(1), &entries[0]).is_err());
-        assert!(log.verify_lookup(LogId(1), &entries[3]).is_ok());
-        assert_eq!(log.manifest_head(LogId(1)), head);
-        assert_eq!(log.head(LogId(1)), head);
-        assert!(log.len(LogId(1)) < 4 + 1);
-    }
-
-    #[test]
     fn cumulative_digests_chain() {
         let mut log = a2m();
         log.append(LogId(1), b"a").unwrap();
@@ -583,9 +445,9 @@ mod tests {
         let mut log = a2m();
         log.append(LogId(1), b"log1").unwrap();
         log.append(LogId(2), b"log2").unwrap();
-        assert_eq!(log.len(LogId(1)), 1);
-        assert_eq!(log.len(LogId(2)), 1);
-        assert!(log.is_empty(LogId(3)));
+        assert_eq!(len(&log, LogId(1)), 1);
+        assert_eq!(len(&log, LogId(2)), 1);
+        assert_eq!(len(&log, LogId(3)), 0);
     }
 
     #[test]
@@ -594,7 +456,6 @@ mod tests {
             let mut log = A2m::new(baseline, 3).unwrap();
             let e = log.append(LogId(1), b"entry").unwrap();
             log.verify_lookup(LogId(1), &e).unwrap();
-            assert_eq!(log.baseline(), baseline);
         }
     }
 
@@ -627,8 +488,7 @@ mod tests {
             m.execute(&append_command(b"second"));
         }
         assert_eq!(a.state_digest(), b.state_digest());
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.entry(1), Some(b"second".as_slice()));
+        assert_eq!(a.entries, [b"first".to_vec(), b"second".to_vec()]);
         // Lookups are read-only and self-describing (found flag + payload).
         let found = a.execute(&lookup_command(0));
         assert_eq!(found, [&[1u8][..], b"first"].concat());
@@ -644,7 +504,7 @@ mod tests {
             for i in 0..4u64 {
                 let op = round * 4 + i;
                 if op % 4 == 3 {
-                    assert!(sys.lookup(op / 2)?.committed);
+                    assert!(sys.replicate(&lookup_command(op / 2))?.committed);
                 } else {
                     let result = sys.append(format!("e{op}").as_bytes())?;
                     assert!(result.committed, "replicas agree with the head");
@@ -742,15 +602,15 @@ mod tests {
     #[test]
     fn appends_advance_virtual_time_lookups_do_not() {
         let mut log = a2m();
-        let t0 = log.now();
+        let t0 = log.cluster.now();
         for i in 0..10u32 {
             log.append(LogId(1), &i.to_le_bytes()).unwrap();
         }
-        let t1 = log.now();
+        let t1 = log.cluster.now();
         assert!(t1 > t0);
         for i in 0..10 {
             let _ = log.lookup(LogId(1), i);
         }
-        assert_eq!(log.now(), t1);
+        assert_eq!(log.cluster.now(), t1);
     }
 }

@@ -1430,7 +1430,20 @@ pub(crate) mod tests {
         );
         let witness_faults: Vec<&Case> = suite
             .iter()
-            .filter(|c| fault(c).is_some_and(NodeFault::is_witness_fault))
+            .filter(|c| {
+                matches!(
+                    fault(c),
+                    Some(
+                        NodeFault::ForgeEvidence
+                            | NodeFault::FalseSuspicion
+                            | NodeFault::WithholdGossip
+                            | NodeFault::RefuseRelay
+                            | NodeFault::SilentWitness
+                            | NodeFault::WithholdCosignatures
+                            | NodeFault::ForgeCosignatures
+                    )
+                )
+            })
             .collect();
         assert_eq!(
             witness_faults.len(),

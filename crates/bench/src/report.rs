@@ -577,11 +577,14 @@ mod tests {
     fn accumulate_events_counts_kinds_and_phases() {
         let mut registry = MetricsRegistry::new();
         accumulate_events(&mut registry, "exec-tampering", &exposure_events());
-        let scope = registry.get("exec-tampering").expect("scope");
-        assert_eq!(scope.counter("challenge"), 1);
-        assert_eq!(scope.counter("verdict-transition"), 1);
-        let hist = scope
-            .histogram("phase:challenge→response")
+        let (label, scope) = registry.scopes().next().expect("scope");
+        assert_eq!(label, "exec-tampering");
+        let counter = |name| scope.counters().find(|&(k, _)| k == name).map(|(_, v)| v);
+        assert_eq!(counter("challenge"), Some(1));
+        assert_eq!(counter("verdict-transition"), Some(1));
+        let (_, hist) = scope
+            .histograms()
+            .find(|&(k, _)| k == "phase:challenge→response")
             .expect("phase histogram");
         assert!((hist.percentile_us(0.5) - 30.0).abs() < f64::EPSILON);
     }

@@ -75,7 +75,7 @@ fn forged_accusation_counter_conviction_chain_is_recorded_end_to_end() {
         let witness = conviction.node;
         let chain = explain_verdict(&events, witness, forger)
             .unwrap_or_else(|| panic!("chain for witness {witness} on forger {forger}"));
-        assert!(chain.is_exposure());
+        assert_eq!(chain.verdict, codes::VERDICT_EXPOSED);
         assert_eq!(chain.misbehavior, codes::MIS_FORGED_ACCUSATION);
         let evidence_pos = chain
             .chain

@@ -489,12 +489,6 @@ impl BftCounter {
             .collect()
     }
 
-    /// Digest of one replica's application state.
-    #[must_use]
-    pub fn snapshot_digest(&self, node: NodeId) -> [u8; 32] {
-        self.app.snapshot_digest(node.0)
-    }
-
     /// Executes one client round: the batch of `batch_size` increment
     /// requests flows leader → followers → client.
     ///
@@ -872,7 +866,7 @@ mod tests {
         }
         assert_eq!(
             replay.state_digest(),
-            system.snapshot_digest(NodeId(1)),
+            system.app.snapshot_digest(1),
             "replaying the PoE stream reproduces a follower's state"
         );
     }

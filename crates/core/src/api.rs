@@ -3,7 +3,7 @@
 //! The API mirrors the paper's RDMA-flavoured interface: connections are set
 //! up with `ibv_qp_conn`/`alloc_mem`/`init_lqueue`/`ibv_sync` (wrapped here in
 //! [`Cluster::connect`]), and the network APIs are `local_send`/`local_verify`,
-//! `auth_send`, `poll` and `rem_read`/`rem_write`. A [`Cluster`] owns one
+//! `auth_send` and `poll`. A [`Cluster`] owns one
 //! endpoint per node and the shared virtual clock, and — once asked with
 //! [`Cluster::monitor_lemmas`] — the [`LemmaMonitor`] that decides the §4.4
 //! lemmas over every message it attests and accepts.
@@ -20,7 +20,6 @@ use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use tnic_crypto::ed25519::{Keypair, PreparedVerifyingKey, Signature};
 use tnic_device::attestation::AttestedMessage;
-use tnic_device::dma::DmaRegion;
 use tnic_device::roce::packet::{PacketHeader, RdmaOpcode, RocePacket};
 use tnic_device::types::{DeviceId, Ipv4Addr, MacAddr, QueuePairId, SessionId};
 use tnic_net::adversary::{Adversary, PartitionSchedule};
@@ -59,8 +58,8 @@ pub struct Delivered {
     pub at: SimInstant,
 }
 
-/// Per-node state: the attestation provider, client-facing signing key,
-/// registered memory and the inbox filled by `auth_send`.
+/// Per-node state: the attestation provider, client-facing signing key and
+/// the inbox filled by `auth_send`.
 struct Endpoint {
     provider: Provider,
     /// The client key's seed, drawn from the cluster rng in `add_node`;
@@ -71,7 +70,6 @@ struct Endpoint {
     /// The client key's public half readied for many verifications, built
     /// on the first `verify_reply` that names this node.
     verifier: OnceCell<PreparedVerifyingKey>,
-    memory: DmaRegion,
     inbox: VecDeque<Delivered>,
 }
 
@@ -94,8 +92,6 @@ pub struct ClusterStats {
     pub messages_sent: u64,
     /// Messages rejected at verification.
     pub messages_rejected: u64,
-    /// Remote reads/writes executed.
-    pub remote_ops: u64,
     /// Sends refused because an endpoint had departed or crashed. Before
     /// membership tracking these were silent losses; now every one is
     /// counted, traced (net-drop with a reason) and surfaced as
@@ -227,18 +223,6 @@ impl Cluster {
         cluster
     }
 
-    /// The attestation baseline in use.
-    #[must_use]
-    pub fn baseline(&self) -> Baseline {
-        self.baseline
-    }
-
-    /// The network stack model in use.
-    #[must_use]
-    pub fn stack(&self) -> NetworkStackKind {
-        self.stack
-    }
-
     /// The shared virtual clock.
     #[must_use]
     pub fn clock(&self) -> SimClock {
@@ -313,11 +297,6 @@ impl Cluster {
         self.accountability = Some(layer);
     }
 
-    /// Detaches and returns the current accountability layer, if any.
-    pub fn detach_accountability(&mut self) -> Option<SharedAccountability> {
-        self.accountability.take()
-    }
-
     /// Installs a packet-level network [`Adversary`] on the delivery path:
     /// every message sent with [`Cluster::auth_send`] or
     /// [`Cluster::multicast`] is framed as a RoCE packet and run through the
@@ -349,12 +328,6 @@ impl Cluster {
     /// Restores reachability of a crash-recovered node.
     pub fn mark_reachable(&mut self, node: NodeId) {
         self.unreachable.remove(&node);
-    }
-
-    /// Whether `node` is currently reachable (known and not down).
-    #[must_use]
-    pub fn is_reachable(&self, node: NodeId) -> bool {
-        self.endpoints.contains_key(&node) && !self.unreachable.contains_key(&node)
     }
 
     /// Installs a healing-partition schedule (see [`PartitionSchedule`]);
@@ -437,12 +410,6 @@ impl Cluster {
         }
     }
 
-    /// The attached accountability layer, if any.
-    #[must_use]
-    pub fn accountability(&self) -> Option<&SharedAccountability> {
-        self.accountability.as_ref()
-    }
-
     /// Adds a node with a fresh endpoint.
     pub fn add_node(&mut self, node: NodeId) {
         let seed = self.rng.next_u64();
@@ -456,7 +423,6 @@ impl Cluster {
                 signer_seed,
                 signer: OnceCell::new(),
                 verifier: OnceCell::new(),
-                memory: DmaRegion::new(1 << 20),
                 inbox: VecDeque::new(),
             },
         );
@@ -918,23 +884,6 @@ impl Cluster {
         Ok(msg)
     }
 
-    /// Verifies a forwarded attested message at `node` without consuming a
-    /// receive counter (transferable authentication for third parties).
-    ///
-    /// # Errors
-    ///
-    /// Returns the verification error on MAC mismatch.
-    pub fn verify_forwarded(
-        &mut self,
-        node: NodeId,
-        message: &AttestedMessage,
-    ) -> Result<(), CoreError> {
-        let endpoint = self.endpoint_mut(node)?;
-        let cost = endpoint.provider.verify_binding(message)?;
-        self.clock.advance(cost);
-        Ok(())
-    }
-
     /// `poll()`: drains `node`'s inbox of verified messages.
     ///
     /// # Errors
@@ -964,81 +913,6 @@ impl Cluster {
     pub fn note_audit_message(&mut self, wire_messages: u64, elements: u64) {
         self.stats.messages_audit += wire_messages;
         self.stats.messages_batched += elements.saturating_sub(wire_messages);
-    }
-
-    /// Takes the request a one-sided operation just delivered to `to` back
-    /// out of its inbox: the NIC serves it, the host never polls it. The
-    /// active set follows the inbox, as it does in [`Cluster::poll`].
-    fn take_one_sided_request(&mut self, to: NodeId) -> Result<Option<Delivered>, CoreError> {
-        let inbox = &mut self.endpoint_mut(to)?.inbox;
-        let request = inbox.pop_back();
-        if inbox.is_empty() {
-            self.pending_nodes.remove(&to);
-        }
-        Ok(request)
-    }
-
-    /// `rem_write()`: writes into the remote node's registered memory over an
-    /// attested one-sided operation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates session, verification and bounds errors.
-    pub fn rem_write(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), CoreError> {
-        let mut payload = Vec::with_capacity(8 + data.len());
-        payload.extend_from_slice(&(offset as u64).to_le_bytes());
-        payload.extend_from_slice(data);
-        self.auth_send(from, to, &payload)?;
-        // Consume the delivered message and apply the write. Under an
-        // installed adversary the packet may have been lost in transit.
-        let delivered = self
-            .take_one_sided_request(to)?
-            .ok_or(CoreError::TransformViolation(
-                "remote write lost in transit",
-            ))?;
-        let body = &delivered.message.payload[8..];
-        self.endpoint_mut(to)?
-            .memory
-            .write(offset, body)
-            .map_err(CoreError::Device)?;
-        self.stats.remote_ops += 1;
-        Ok(())
-    }
-
-    /// `rem_read()`: reads from the remote node's registered memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates session and bounds errors.
-    pub fn rem_read(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, CoreError> {
-        // The read request travels attested; the response is a DMA from the
-        // target's registered memory.
-        let mut payload = [0u8; 16];
-        payload[..8].copy_from_slice(&(offset as u64).to_le_bytes());
-        payload[8..].copy_from_slice(&(len as u64).to_le_bytes());
-        self.auth_send(from, to, &payload)?;
-        self.take_one_sided_request(to)?;
-        let data = self
-            .endpoint(to)?
-            .memory
-            .read(offset, len)
-            .map_err(CoreError::Device)?;
-        let latency = self.network_latency(data.len());
-        self.clock.advance(latency);
-        self.stats.remote_ops += 1;
-        Ok(data)
     }
 
     /// Signs `payload` with `node`'s client-facing key (Appendix C.1: replies
@@ -1247,7 +1121,6 @@ mod tests {
         let mut c = cluster(3);
         c.auth_send(NodeId(0), NodeId(1), b"before").unwrap();
         c.mark_unreachable(NodeId(1), "crashed");
-        assert!(!c.is_reachable(NodeId(1)));
         let err = c.auth_send(NodeId(0), NodeId(1), b"lost").unwrap_err();
         assert!(matches!(
             err,
@@ -1263,7 +1136,6 @@ mod tests {
         assert_eq!(c.stats().messages_partitioned, 0);
         // Recovery restores the channel with counters intact.
         c.mark_reachable(NodeId(1));
-        assert!(c.is_reachable(NodeId(1)));
         c.auth_send(NodeId(0), NodeId(1), b"after").unwrap();
         let delivered = c.poll(NodeId(1)).unwrap();
         assert_eq!(delivered.len(), 2);
@@ -1310,16 +1182,6 @@ mod tests {
     }
 
     #[test]
-    fn forwarded_message_verifies_via_binding() {
-        let mut c = cluster(3);
-        c.establish_group(NodeId(0), &[NodeId(1), NodeId(2)])
-            .unwrap();
-        let msg = c.multicast(NodeId(0), &[NodeId(1)], b"to-forward").unwrap();
-        // Node 2 never received it directly but can verify the forwarded copy.
-        c.verify_forwarded(NodeId(2), &msg).unwrap();
-    }
-
-    #[test]
     fn local_send_verify_for_logs() {
         let mut c = cluster(1);
         c.establish_local(NodeId(0)).unwrap();
@@ -1329,16 +1191,6 @@ mod tests {
         assert_eq!(e1.counter, 1);
         c.local_verify(NodeId(0), &e1).unwrap();
         c.local_verify(NodeId(0), &e0).unwrap();
-    }
-
-    #[test]
-    fn rem_write_and_read_round_trip() {
-        let mut c = cluster(2);
-        c.rem_write(NodeId(0), NodeId(1), 64, b"remote value")
-            .unwrap();
-        let data = c.rem_read(NodeId(0), NodeId(1), 64, 12).unwrap();
-        assert_eq!(data, b"remote value");
-        assert_eq!(c.stats().remote_ops, 2);
     }
 
     #[test]
@@ -1450,15 +1302,6 @@ mod tests {
         assert_eq!(c.nodes_with_pending(), vec![NodeId(2)]);
         assert_eq!(c.poll(NodeId(2)).unwrap().len(), 1);
         assert!(c.nodes_with_pending().is_empty());
-        // One-sided operations consume their own request: they leave the
-        // set as they found it, empty or not.
-        c.rem_write(NodeId(0), NodeId(1), 0, b"w").unwrap();
-        c.rem_read(NodeId(0), NodeId(1), 0, 1).unwrap();
-        assert!(c.nodes_with_pending().is_empty());
-        c.auth_send(NodeId(2), NodeId(1), b"d").unwrap();
-        c.rem_write(NodeId(0), NodeId(1), 0, b"w").unwrap();
-        assert_eq!(c.nodes_with_pending(), vec![NodeId(1)]);
-        assert_eq!(c.poll(NodeId(1)).unwrap().len(), 1);
     }
 
     #[test]

@@ -240,10 +240,7 @@ pub fn run_remote_attestation(
         connection,
     });
 
-    let bitstream_hash = device
-        .controller()
-        .bitstream_measurement()
-        .map_err(CoreError::Device)?;
+    let bitstream_hash = device.controller().bitstream_measurement()?;
     Ok(AttestationReport {
         device: device_id,
         sessions_installed,

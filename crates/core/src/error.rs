@@ -25,8 +25,9 @@ pub enum CoreError {
     },
     /// Remote attestation failed at the named step.
     AttestationFailed(&'static str),
-    /// The transformation wrapper rejected a message (state divergence,
-    /// equivocation attempt or protocol violation).
+    /// An application's simulate-and-check step rejected a message (a
+    /// malformed proof or operation, or metadata that disagrees with its
+    /// attestation).
     TransformViolation(&'static str),
     /// A property lemma was violated on the recorded trace.
     PropertyViolation(String),

@@ -10,11 +10,13 @@
 //! * [`api`] — the programming API: [`api::Cluster`] wires nodes together over
 //!   an attestation [`provider::Provider`] (TNIC hardware or a TEE baseline)
 //!   and a modelled network stack, exposing `auth_send`, `local_send`,
-//!   `local_verify`, `poll`, `rem_read`/`rem_write` and equivocation-free
-//!   multicast.
+//!   `local_verify`, `poll` and equivocation-free multicast (Table 1's
+//!   one-sided `rem_read`/`rem_write` are not modelled: nothing used them).
 //! * [`provider`] — the attestation back-end abstraction (TNIC vs SSL-lib,
 //!   SSL-server, SGX, AMD-sev).
-//! * [`transform`] — the CFT→BFT transformation wrappers (Listing 1).
+//! * [`transform`] — the deterministic [`transform::StateMachine`] that the
+//!   CFT→BFT recipe (Listing 1) simulates; each application runs the
+//!   simulate-and-check step itself.
 //! * [`accountability`] — the pluggable accountability hook point used by the
 //!   PeerReview case study (`tnic-peerreview`) to maintain tamper-evident
 //!   logs of every attested send and verified delivery.

@@ -33,7 +33,6 @@ use tnic_tee::profile::{Baseline, BaselineProfile};
 /// (simulated) TNIC hardware or as one of the host-side baselines.
 #[derive(Debug, Clone)]
 pub struct Provider {
-    baseline: Baseline,
     kernel: AttestationKernel,
     cost: Cost,
 }
@@ -123,22 +122,9 @@ impl Provider {
     pub fn new(baseline: Baseline, node: DeviceId, seed: u64) -> Self {
         let (cost, timing) = Cost::new(baseline, seed);
         Provider {
-            baseline,
             kernel: AttestationKernel::new(node, timing),
             cost,
         }
-    }
-
-    /// Which baseline this provider emulates.
-    #[must_use]
-    pub fn baseline(&self) -> Baseline {
-        self.baseline
-    }
-
-    /// The node identity stamped into attestations.
-    #[must_use]
-    pub fn node(&self) -> DeviceId {
-        self.kernel.device()
     }
 
     /// Installs a per-session symmetric key.
@@ -211,7 +197,6 @@ mod tests {
     fn all_baselines_round_trip() {
         for baseline in Baseline::ALL {
             let (mut a, mut b) = provider_pair(baseline);
-            assert_eq!(a.node(), DeviceId(1));
             let (msg, cost) = a.attest(SessionId(1), b"request").unwrap();
             assert!(cost > SimDuration::ZERO, "{baseline}");
             assert_eq!(AttestedMessage::decode(&msg.encode()).unwrap(), msg);

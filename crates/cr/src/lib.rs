@@ -90,7 +90,9 @@ impl KvOperation {
                 key,
                 value: bytes[5 + key_len..].to_vec(),
             }),
-            1 => Ok(KvOperation::Get { key }),
+            // A read carries its key and nothing else: one operation, one
+            // byte string.
+            1 if bytes.len() == 5 + key_len => Ok(KvOperation::Get { key }),
             _ => Err(err()),
         }
     }
@@ -118,18 +120,6 @@ impl KvStore {
             }
             KvOperation::Get { key } => self.map.get(key).cloned().unwrap_or_default(),
         }
-    }
-
-    /// Number of keys stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` if the store holds no keys.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Digest of the full store contents.
@@ -201,6 +191,10 @@ impl ChainedProof {
             }
             outputs.push(bytes[off..off + len].to_vec());
             off += len;
+        }
+        // Trailing bytes would let two attested byte strings carry one proof.
+        if off != bytes.len() {
+            return Err(err());
         }
         Ok(ChainedProof {
             operation,
@@ -689,6 +683,7 @@ mod tests {
         let get = KvOperation::Get { key: b"k".to_vec() };
         assert_eq!(KvOperation::decode(&get.encode()).unwrap(), get);
         assert!(KvOperation::decode(&[9]).is_err());
+        assert!(KvOperation::decode(&[get.encode(), vec![0]].concat()).is_err());
 
         let proof = ChainedProof {
             operation: op.encode(),
@@ -697,6 +692,7 @@ mod tests {
         };
         assert_eq!(ChainedProof::decode(&proof.encode()).unwrap(), proof);
         assert!(ChainedProof::decode(&[0, 0]).is_err());
+        assert!(ChainedProof::decode(&[proof.encode(), vec![7, 7]].concat()).is_err());
     }
 
     #[test]
@@ -726,8 +722,7 @@ mod tests {
             value: b"v".to_vec(),
         });
         assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.len(), 1);
-        assert!(!a.is_empty());
+        assert_eq!(a.map.len(), 1);
     }
 
     #[test]

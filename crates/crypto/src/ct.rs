@@ -29,15 +29,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// Conditionally selects `b` when `choice` is 1 and `a` when `choice` is 0.
-///
-/// `choice` must be 0 or 1; any other value produces an unspecified mixture.
-#[must_use]
-pub fn ct_select_u64(a: u64, b: u64, choice: u64) -> u64 {
-    let mask = choice.wrapping_neg();
-    (a & !mask) | (b & mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,11 +44,5 @@ mod tests {
         assert!(!ct_eq(&[1, 2, 3], &[1, 2, 4]));
         assert!(!ct_eq(&[1, 2, 3], &[1, 2]));
         assert!(!ct_eq(&[0], &[]));
-    }
-
-    #[test]
-    fn select() {
-        assert_eq!(ct_select_u64(7, 9, 0), 7);
-        assert_eq!(ct_select_u64(7, 9, 1), 9);
     }
 }

@@ -28,20 +28,6 @@ impl Signature {
     pub fn to_bytes(self) -> [u8; SIGNATURE_LEN] {
         self.0
     }
-
-    /// Parses a signature from raw bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::InvalidLength`] if `bytes` is not 64 bytes long.
-    pub fn from_slice(bytes: &[u8]) -> Result<Self, CryptoError> {
-        if bytes.len() != SIGNATURE_LEN {
-            return Err(CryptoError::InvalidLength);
-        }
-        let mut sig = [0u8; SIGNATURE_LEN];
-        sig.copy_from_slice(bytes);
-        Ok(Signature(sig))
-    }
 }
 
 /// An Ed25519 verifying (public) key.
@@ -131,7 +117,6 @@ impl PreparedVerifyingKey {
 /// An Ed25519 signing (secret) key, derived from a 32-byte seed.
 #[derive(Clone)]
 pub struct SigningKey {
-    seed: [u8; SEED_LEN],
     /// The clamped secret scalar of RFC 8032 §5.1.5, reduced modulo ℓ.
     secret: Scalar,
     prefix: [u8; 32],
@@ -142,7 +127,7 @@ impl std::fmt::Debug for SigningKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SigningKey")
             .field("public", &self.public)
-            .field("seed", &"<redacted>")
+            .field("secret", &"<redacted>")
             .finish()
     }
 }
@@ -163,7 +148,6 @@ impl SigningKey {
         prefix.copy_from_slice(&digest[32..]);
         let public_point = EdwardsPoint::basepoint_mul(&clamped);
         SigningKey {
-            seed: *seed,
             secret: Scalar::from_bytes_mod_order(&clamped),
             prefix,
             public: VerifyingKey(public_point.compress()),
@@ -174,12 +158,6 @@ impl SigningKey {
     #[must_use]
     pub fn verifying_key(&self) -> VerifyingKey {
         self.public
-    }
-
-    /// Returns the seed this key was derived from.
-    #[must_use]
-    pub fn seed(&self) -> [u8; SEED_LEN] {
-        self.seed
     }
 
     /// Signs `message`, returning a detached signature.
@@ -330,12 +308,6 @@ mod tests {
             key.verifying_key().verify(b"msg", &Signature(sig)),
             Err(CryptoError::InvalidScalar)
         );
-    }
-
-    #[test]
-    fn signature_from_slice_length_check() {
-        assert!(Signature::from_slice(&[0u8; 63]).is_err());
-        assert!(Signature::from_slice(&[0u8; 64]).is_ok());
     }
 
     #[test]

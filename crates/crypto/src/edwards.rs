@@ -1,21 +1,17 @@
 //! The twisted Edwards curve −x² + y² = 1 + d·x²y² over GF(2²⁵⁵ − 19)
 //! (the Ed25519 curve), in extended homogeneous coordinates.
 //!
-//! Scalar multiplication in two shapes, each at its textbook operation
-//! count:
+//! Scalar multiplication is fixed-base, at its textbook operation count: a
+//! `Radix16Table` of (j + 1)·256ⁱ·P costs 32 KiB and 512 point operations
+//! to build; after that one signed radix-16 walk adds one entry per digit
+//! (64 additions and 4 doublings per scalar, and several scalars share the
+//! doublings). The process-wide table of B serves
+//! [`EdwardsPoint::basepoint_mul`] (key generation and `sign`), and every
+//! signature verification walks a table of −A beside it
+//! ([`PreparedVerifyingKey`]): BFT / CR clients build one per replica key
+//! and check every reply against it.
 //!
-//! * **Fixed base.** A `Radix16Table` of (j + 1)·256ⁱ·P costs 32 KiB and
-//!   512 point operations to build; after that one signed radix-16
-//!   walk adds one entry per digit (64 additions and 4 doublings per
-//!   scalar, and several scalars share the doublings). The process-wide
-//!   table of B serves [`EdwardsPoint::basepoint_mul`] (key generation and
-//!   `sign`), and every signature verification walks a table of −A beside
-//!   it ([`PreparedVerifyingKey`]): BFT / CR clients build one per replica
-//!   key and check every reply against it.
-//! * **Variable base, once.** [`EdwardsPoint::scalar_mul`] walks a width-5
-//!   non-adjacent form over the point's eight odd multiples.
-//!
-//! Both take the scalar as 256 unreduced bits. Table entries are chosen by
+//! The scalar is taken as 256 unreduced bits. Table entries are chosen by
 //! digit value, so none of this is constant-time (see the crate docs).
 //!
 //! [`PreparedVerifyingKey`]: crate::ed25519::PreparedVerifyingKey
@@ -70,7 +66,7 @@ impl Radix16Table {
     pub(crate) fn new(point: &EdwardsPoint) -> Radix16Table {
         let mut row_base = *point;
         Radix16Table(core::array::from_fn(|_| {
-            let row = row_base.multiples(&row_base);
+            let row = row_base.multiples();
             for _ in 0..8 {
                 row_base = row_base.double();
             }
@@ -101,45 +97,6 @@ fn radix16(scalar_le: &[u8; 32]) -> [i8; 65] {
         *digit -= carry << 4;
     }
     digits[64] = carry;
-    digits
-}
-
-/// Width-`w` non-adjacent form of a 256-bit scalar: the scalar is
-/// Σ digits[i]·2ⁱ, every non-zero digit is odd with |digit| < 2^(w−1), and
-/// any `w` consecutive digits hold at most one non-zero. 257 digits, because
-/// a scalar above 2²⁵⁶ − 2^(w−1) rounds up into bit 256.
-fn wnaf(scalar_le: &[u8; 32], w: u32) -> [i8; 257] {
-    debug_assert!((2..=8).contains(&w));
-    // Two limbs of headroom: windows are read up to bit 256 + w.
-    let mut limbs = [0u64; 6];
-    for (limb, chunk) in limbs.iter_mut().zip(scalar_le.chunks_exact(8)) {
-        *limb = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-    }
-    let width = 1u64 << w;
-    let mut digits = [0i8; 257];
-    let mut pos = 0;
-    let mut carry = 0;
-    while pos < 257 {
-        let (limb, bit) = (pos / 64, pos % 64);
-        let mut bits = limbs[limb] >> bit;
-        if bit != 0 {
-            bits |= limbs[limb + 1] << (64 - bit);
-        }
-        let window = carry + (bits & (width - 1));
-        if window & 1 == 0 {
-            // Zero here; a pending carry keeps rippling through set bits.
-            pos += 1;
-            continue;
-        }
-        if window < width / 2 {
-            carry = 0;
-            digits[pos] = window as i8;
-        } else {
-            carry = 1;
-            digits[pos] = (window as i64 - width as i64) as i8;
-        }
-        pos += w as usize;
-    }
     digits
 }
 
@@ -202,17 +159,12 @@ impl EdwardsPoint {
         }
     }
 
-    /// `self + digit·P` from a table with `table[i]` = (1 + i·STRIDE)·P:
-    /// stride 1 for consecutive multiples, 2 for odd multiples and odd digits.
-    fn add_multiple<const STRIDE: usize>(
-        &self,
-        table: &[PreparedPoint],
-        digit: i8,
-    ) -> EdwardsPoint {
+    /// `self + digit·P` from a table with `table[i]` = (i + 1)·P.
+    fn add_multiple(&self, table: &[PreparedPoint], digit: i8) -> EdwardsPoint {
         if digit == 0 {
             return *self;
         }
-        let multiple = &table[(digit.unsigned_abs() as usize - 1) / STRIDE];
+        let multiple = &table[digit.unsigned_abs() as usize - 1];
         if digit > 0 {
             self.add_prepared(multiple)
         } else {
@@ -220,10 +172,9 @@ impl EdwardsPoint {
         }
     }
 
-    /// `[P, P + S, P + 2S, …]` for this point P and a step S: S = P gives the
-    /// consecutive multiples of P, S = 2P the odd ones.
-    fn multiples<const N: usize>(&self, step: &EdwardsPoint) -> [PreparedPoint; N] {
-        let step = step.prepare();
+    /// `[P, 2P, 3P, …]` for this point P.
+    fn multiples<const N: usize>(&self) -> [PreparedPoint; N] {
+        let step = self.prepare();
         let mut multiple = *self;
         core::array::from_fn(|_| {
             let current = multiple.prepare();
@@ -268,25 +219,10 @@ impl EdwardsPoint {
         }
     }
 
-    /// Scalar multiplication by a 256-bit little-endian scalar: width-5
-    /// non-adjacent form over this point's eight odd multiples.
-    ///
-    /// The scalar is used as-is (no reduction, no clamping); callers decide
-    /// whether to clamp (X25519-style secret keys) or reduce (signature math).
-    #[must_use]
-    pub fn scalar_mul(&self, scalar_le: &[u8; 32]) -> EdwardsPoint {
-        let odd_multiples: [PreparedPoint; 8] = self.multiples(&self.double());
-        let mut result = EdwardsPoint::IDENTITY;
-        for &digit in wnaf(scalar_le, 5).iter().rev() {
-            result = result.double().add_multiple::<2>(&odd_multiples, digit);
-        }
-        result
-    }
-
     /// Multiplies the standard base point by a scalar: one addition from a
     /// process-wide table of (j + 1)·256ⁱ·B per signed radix-16 digit and
-    /// four doublings in all. The scalar is used as-is, like in
-    /// [`EdwardsPoint::scalar_mul`].
+    /// four doublings in all. The scalar is used as-is (no reduction, no
+    /// clamping).
     #[must_use]
     pub fn basepoint_mul(scalar_le: &[u8; 32]) -> EdwardsPoint {
         EdwardsPoint::fixed_base_mul([(Radix16Table::basepoint(), scalar_le)])
@@ -304,25 +240,25 @@ impl EdwardsPoint {
         let mut result = EdwardsPoint::IDENTITY;
         for ((Radix16Table(table), _), digits) in terms.iter().zip(&digits) {
             for (row, pair) in table.iter().zip(digits.chunks_exact(2)) {
-                result = result.add_multiple::<1>(row, pair[1]);
+                result = result.add_multiple(row, pair[1]);
             }
             if digits[64] != 0 {
                 // 2²⁵⁶ = 16·(16·256³¹): two more 8-folds of the last row.
-                result = result.add_multiple::<1>(&table[31], 8);
-                result = result.add_multiple::<1>(&table[31], 8);
+                result = result.add_multiple(&table[31], 8);
+                result = result.add_multiple(&table[31], 8);
             }
         }
         result = result.double().double().double().double();
         for ((Radix16Table(table), _), digits) in terms.iter().zip(&digits) {
             for (row, pair) in table.iter().zip(digits.chunks_exact(2)) {
-                result = result.add_multiple::<1>(row, pair[0]);
+                result = result.add_multiple(row, pair[0]);
             }
         }
         result
     }
 
-    /// Double-and-add over the public `add` and `double`: what `scalar_mul`
-    /// and the fixed-base walk are tested against.
+    /// Double-and-add over the public `add` and `double`: what the
+    /// fixed-base walk is tested against.
     #[cfg(test)]
     fn scalar_mul_reference(&self, scalar_le: &[u8; 32]) -> EdwardsPoint {
         let mut result = EdwardsPoint::IDENTITY;
@@ -459,18 +395,21 @@ mod tests {
     #[test]
     fn scalar_mul_small_values() {
         let b = EdwardsPoint::basepoint();
-        assert!(b.scalar_mul(&scalar_bytes(0)).is_identity());
-        assert_eq!(b.scalar_mul(&scalar_bytes(1)), b);
-        assert_eq!(b.scalar_mul(&scalar_bytes(2)), b.double());
-        assert_eq!(b.scalar_mul(&scalar_bytes(5)), b.double().double().add(&b));
+        assert!(b.scalar_mul_reference(&scalar_bytes(0)).is_identity());
+        assert_eq!(b.scalar_mul_reference(&scalar_bytes(1)), b);
+        assert_eq!(b.scalar_mul_reference(&scalar_bytes(2)), b.double());
+        assert_eq!(
+            b.scalar_mul_reference(&scalar_bytes(5)),
+            b.double().double().add(&b)
+        );
     }
 
     #[test]
     fn scalar_mul_distributes_over_addition() {
         let b = EdwardsPoint::basepoint();
-        let p3 = b.scalar_mul(&scalar_bytes(3));
-        let p7 = b.scalar_mul(&scalar_bytes(7));
-        let p10 = b.scalar_mul(&scalar_bytes(10));
+        let p3 = b.scalar_mul_reference(&scalar_bytes(3));
+        let p7 = b.scalar_mul_reference(&scalar_bytes(7));
+        let p10 = b.scalar_mul_reference(&scalar_bytes(10));
         assert_eq!(p3.add(&p7), p10);
     }
 
@@ -564,37 +503,12 @@ mod tests {
     }
 
     #[test]
-    fn wnaf_digits_resum_to_the_scalar_and_are_non_adjacent() {
-        let mut scalars = edge_and_clamped_scalars();
-        scalars.extend(full_width_scalars(4));
-        for w in [5u32, 8] {
-            let bound = 1i16 << (w - 1);
-            for s in &scalars {
-                let digits = wnaf(s, w);
-                for window in digits.windows(w as usize) {
-                    assert!(window.iter().filter(|&&d| d != 0).count() <= 1, "{s:02x?}");
-                }
-                for &d in digits.iter().filter(|&&d| d != 0) {
-                    assert!(d & 1 == 1 && i16::from(d).abs() < bound, "{d} in {s:02x?}");
-                }
-                assert_eq!(resum(&digits, 1), widened(s), "w = {w}, {s:02x?}");
-            }
-            assert_ne!(
-                wnaf(&[0xff; 32], w)[256],
-                0,
-                "2²⁵⁶ − 1 rounds up into bit 256"
-            );
-        }
-    }
-
-    #[test]
     fn basepoint_mul_matches_generic_scalar_mul() {
         let b = EdwardsPoint::basepoint();
         let scalars = edge_and_clamped_scalars();
         for s in &scalars {
             let expected = b.scalar_mul_reference(s);
             assert_eq!(EdwardsPoint::basepoint_mul(s), expected, "{s:02x?}");
-            assert_eq!(b.scalar_mul(s), expected, "{s:02x?}");
         }
         assert_eq!(EdwardsPoint::basepoint_mul(&scalars[2]), b.neg());
     }
@@ -610,7 +524,9 @@ mod tests {
                 unreachable!()
             };
             let a = b.scalar_mul_reference(a_scalar);
-            let expected = a.scalar_mul(k).add(&EdwardsPoint::basepoint_mul(s));
+            let expected = a
+                .scalar_mul_reference(k)
+                .add(&EdwardsPoint::basepoint_mul(s));
             assert_eq!(
                 EdwardsPoint::fixed_base_mul([
                     (&Radix16Table::new(&a), k),
@@ -634,8 +550,14 @@ mod tests {
         let order_two = EdwardsPoint::decompress(&minus_one).unwrap();
         let mixed = EdwardsPoint::basepoint().add(&order_two);
         for s in full_width_scalars(7).iter().take(16) {
-            assert_eq!(mixed.scalar_mul(s), mixed.scalar_mul_reference(s));
-            assert_eq!(order_two.scalar_mul(s), order_two.scalar_mul_reference(s));
+            let torsion = order_two.scalar_mul_reference(s);
+            if s[0] & 1 == 0 {
+                assert!(torsion.is_identity());
+            } else {
+                assert_eq!(torsion, order_two);
+            }
+            let prime_order = EdwardsPoint::basepoint().scalar_mul_reference(s);
+            assert_eq!(mixed.scalar_mul_reference(s), prime_order.add(&torsion));
         }
     }
 
@@ -652,8 +574,12 @@ mod tests {
             0x92, 0xac, 0x03, 0x7a,
         ])
         .unwrap();
-        assert!(order_eight.scalar_mul(&scalar_bytes(8)).is_identity());
-        assert!(!order_eight.scalar_mul(&scalar_bytes(4)).is_identity());
+        assert!(order_eight
+            .scalar_mul_reference(&scalar_bytes(8))
+            .is_identity());
+        assert!(!order_eight
+            .scalar_mul_reference(&scalar_bytes(4))
+            .is_identity());
         let mixed = b.double().add(&order_eight);
         let mut scalars = edge_and_clamped_scalars();
         assert_eq!(scalars.len(), 262);
@@ -674,7 +600,9 @@ mod tests {
             let [k, s] = pair else { unreachable!() };
             assert_eq!(
                 EdwardsPoint::fixed_base_mul([(&mixed_table, k), (b_table, s)]),
-                mixed.scalar_mul(k).add(&b.scalar_mul(s)),
+                mixed
+                    .scalar_mul_reference(k)
+                    .add(&b.scalar_mul_reference(s)),
                 "{k:02x?} {s:02x?}"
             );
         }
@@ -684,7 +612,7 @@ mod tests {
     fn compress_decompress_round_trip() {
         let b = EdwardsPoint::basepoint();
         for n in [1u64, 2, 3, 17, 255, 65537] {
-            let p = b.scalar_mul(&scalar_bytes(n));
+            let p = b.scalar_mul_reference(&scalar_bytes(n));
             let enc = p.compress();
             let dec = EdwardsPoint::decompress(&enc).expect("valid point");
             assert_eq!(dec, p, "n = {n}");

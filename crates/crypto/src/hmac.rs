@@ -1,4 +1,4 @@
-//! HMAC (RFC 2104) over SHA-256 and SHA-512.
+//! HMAC (RFC 2104) over SHA-256.
 //!
 //! The TNIC attestation kernel (paper §4.1, Algorithm 1) computes
 //! `α = hmac(keys[c_id], msg || ID || cnt)`; this module provides that
@@ -12,7 +12,6 @@
 //! leaves the message blocks and one outer block to compress.
 
 use crate::sha256::{self, Sha256};
-use crate::sha512::{self, Sha512};
 
 /// Computes `HMAC-SHA-256(key, message)`.
 ///
@@ -31,33 +30,6 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     let mut ctx = HmacSha256::new(key);
     ctx.update(message);
     ctx.finalize()
-}
-
-/// Computes `HMAC-SHA-512(key, message)`.
-#[must_use]
-pub fn hmac_sha512(key: &[u8], message: &[u8]) -> [u8; 64] {
-    const BLOCK: usize = sha512::BLOCK_LEN;
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        key_block[..64].copy_from_slice(&sha512::sha512(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0u8; BLOCK];
-    let mut opad = [0u8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] = key_block[i] ^ 0x36;
-        opad[i] = key_block[i] ^ 0x5c;
-    }
-    let mut inner = Sha512::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha512::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
 }
 
 /// An HMAC-SHA-256 key prepared for repeated use: the two SHA-256 chaining
@@ -201,11 +173,6 @@ mod tests {
             &key,
             data,
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
-        );
-        assert_eq!(
-            hex(&hmac_sha512(&key, data)),
-            "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde\
-             daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854"
         );
     }
 

@@ -124,7 +124,7 @@ pub mod sha512;
 pub mod x25519;
 
 pub use error::CryptoError;
-pub use hmac::{hmac_sha256, hmac_sha512};
+pub use hmac::hmac_sha256;
 pub use sha256::Sha256;
 pub use sha512::Sha512;
 

@@ -35,18 +35,6 @@ impl ArpServer {
     pub fn lookup(&self, ip: Ipv4Addr) -> Result<MacAddr, DeviceError> {
         self.table.get(&ip).copied().ok_or(DeviceError::ArpMiss)
     }
-
-    /// Number of entries in the table.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Returns `true` if the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -56,12 +44,12 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let mut arp = ArpServer::new();
-        assert!(arp.is_empty());
+        assert!(arp.table.is_empty());
         let ip = Ipv4Addr::new(10, 0, 0, 2);
         let mac = MacAddr([1, 2, 3, 4, 5, 6]);
         arp.insert(ip, mac);
         assert_eq!(arp.lookup(ip).unwrap(), mac);
-        assert_eq!(arp.len(), 1);
+        assert_eq!(arp.table.len(), 1);
     }
 
     #[test]

@@ -116,12 +116,6 @@ impl<'a> AttestedView<'a> {
             payload: self.payload.to_vec(),
         }
     }
-
-    /// Total size of the message on the wire.
-    #[must_use]
-    pub fn wire_len(&self) -> usize {
-        WIRE_OVERHEAD + self.payload.len()
-    }
 }
 
 impl AttestedMessage {
@@ -275,12 +269,6 @@ impl AttestationKernel {
             timing,
             stats: AttestationStats::default(),
         }
-    }
-
-    /// The device this kernel belongs to.
-    #[must_use]
-    pub fn device(&self) -> DeviceId {
-        self.device
     }
 
     /// Installs a session key (done by the bootstrapping/attestation protocol,
@@ -458,12 +446,6 @@ impl AttestationKernel {
         Ok(cost)
     }
 
-    /// The counter expected on the next received message.
-    #[must_use]
-    pub fn expected_recv_counter(&self, session: SessionId) -> u64 {
-        self.counters.expected_recv(session)
-    }
-
     /// Kernel statistics.
     #[must_use]
     pub fn stats(&self) -> AttestationStats {
@@ -501,7 +483,7 @@ mod tests {
             assert_eq!(msg.counter, expected);
             rx.verify(&msg).unwrap();
         }
-        assert_eq!(rx.expected_recv_counter(SessionId(7)), 5);
+        assert_eq!(rx.counters.expected_recv(SessionId(7)), 5);
     }
 
     #[test]
@@ -530,7 +512,7 @@ mod tests {
         let (mut tx, _) = kernel_pair();
         let (msg, _) = tx.attest(SessionId(7), b"pay").unwrap();
         assert_eq!(tx.verify(&msg), Err(DeviceError::BadAttestation));
-        assert_eq!(tx.expected_recv_counter(SessionId(7)), 0);
+        assert_eq!(tx.counters.expected_recv(SessionId(7)), 0);
     }
 
     #[test]
@@ -671,7 +653,6 @@ mod tests {
         let encoded = msg.encode();
         let view = AttestedView::parse(&encoded).unwrap();
         assert_eq!(view.payload, b"view payload");
-        assert_eq!(view.wire_len(), encoded.len());
         assert_eq!(view.to_owned(), msg);
         assert_eq!(msg.as_view(), view);
         rx.verify_binding_view(&view).unwrap();

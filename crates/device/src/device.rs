@@ -243,26 +243,9 @@ impl TnicDevice {
         })
     }
 
-    /// Packets whose retransmission timer expired.
-    pub fn poll_retransmissions(&mut self, now: SimInstant) -> Vec<RocePacket> {
-        self.transport.poll_retransmissions(now)
-    }
-
     /// Completion entries available to the host `poll()` call.
     pub fn poll_completions(&mut self) -> Vec<CompletionEntry> {
         self.transport.take_completions()
-    }
-
-    /// Number of retransmitted packets.
-    #[must_use]
-    pub fn retransmissions(&self) -> u64 {
-        self.transport.total_retransmissions()
-    }
-
-    /// The next expected receive counter for `session`.
-    #[must_use]
-    pub fn expected_recv_counter(&self, session: SessionId) -> u64 {
-        self.attestation.expected_recv_counter(session)
     }
 }
 

@@ -29,8 +29,6 @@ pub enum DeviceError {
     ArpMiss,
     /// The device has not been bootstrapped / attested yet.
     NotProvisioned,
-    /// DMA access outside a registered memory region.
-    DmaOutOfBounds,
 }
 
 impl fmt::Display for DeviceError {
@@ -46,7 +44,6 @@ impl fmt::Display for DeviceError {
             DeviceError::MalformedMessage(what) => write!(f, "malformed message: {what}"),
             DeviceError::ArpMiss => write!(f, "arp lookup failed"),
             DeviceError::NotProvisioned => write!(f, "device has not been provisioned"),
-            DeviceError::DmaOutOfBounds => write!(f, "dma access outside registered memory"),
         }
     }
 }

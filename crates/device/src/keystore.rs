@@ -10,8 +10,8 @@
 //! so a MAC does not re-derive both blocks from the raw key.
 //! [`Keystore::prepared`] is the one lookup the attestation kernel uses.
 //! It prepares a session's key the first time that session is used on this
-//! store and keeps the result until the session is re-[`install`]ed or
-//! [`remove`]d; a hit allocates nothing. Nothing is prepared at `install`:
+//! store and keeps the result until the session is re-[`install`]ed; a hit
+//! allocates nothing. Nothing is prepared at `install`:
 //! an accountability deployment installs every shard co-member's log key in
 //! every audit kernel (~125 k keys at n = 1000) and uses a few thousand of
 //! them, so eager preparation would cost set-up time and 64 B per key for
@@ -19,7 +19,6 @@
 //! and lives and dies with it.
 //!
 //! [`install`]: Keystore::install
-//! [`remove`]: Keystore::remove
 
 use crate::error::DeviceError;
 use crate::types::SessionId;
@@ -58,14 +57,8 @@ impl Keystore {
         self.prepared.remove(&session);
     }
 
-    /// Removes the key for `session`, returning `true` if one was present.
-    pub fn remove(&mut self, session: SessionId) -> bool {
-        self.prepared.remove(&session);
-        self.keys.remove(&session).is_some()
-    }
-
     /// The prepared key for `session`, ready to start a MAC; prepared on the
-    /// session's first use and kept until the key is replaced or removed.
+    /// session's first use and kept until the key is replaced.
     ///
     /// # Errors
     ///
@@ -88,24 +81,6 @@ impl Keystore {
     pub fn contains(&self, session: SessionId) -> bool {
         self.keys.contains_key(&session)
     }
-
-    /// Number of installed session keys.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Returns `true` if no keys are installed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The sessions with installed keys, in unspecified order.
-    #[must_use]
-    pub fn sessions(&self) -> Vec<SessionId> {
-        self.keys.keys().copied().collect()
-    }
 }
 
 #[cfg(test)]
@@ -122,19 +97,17 @@ mod tests {
     }
 
     #[test]
-    fn install_lookup_remove() {
+    fn install_and_lookup() {
         let mut ks = Keystore::new();
-        assert!(ks.is_empty());
-        ks.install(SessionId(1), [7u8; 32]);
-        assert!(ks.contains(SessionId(1)));
-        assert!(macs_under(&mut ks, SessionId(1), &[7u8; 32]));
-        assert_eq!(ks.len(), 1);
-        assert!(ks.remove(SessionId(1)));
-        assert!(!ks.remove(SessionId(1)));
+        assert!(ks.keys.is_empty());
         assert_eq!(
             ks.prepared(SessionId(1)).err(),
             Some(DeviceError::UnknownSession(SessionId(1)))
         );
+        ks.install(SessionId(1), [7u8; 32]);
+        assert!(ks.contains(SessionId(1)));
+        assert!(macs_under(&mut ks, SessionId(1), &[7u8; 32]));
+        assert_eq!(ks.keys.len(), 1);
     }
 
     #[test]
@@ -143,11 +116,11 @@ mod tests {
         ks.install(SessionId(2), [1u8; 32]);
         ks.install(SessionId(2), [2u8; 32]);
         assert!(macs_under(&mut ks, SessionId(2), &[2u8; 32]));
-        assert_eq!(ks.len(), 1);
+        assert_eq!(ks.keys.len(), 1);
     }
 
     #[test]
-    fn a_used_key_is_forgotten_when_replaced_or_removed() {
+    fn a_used_key_is_forgotten_when_replaced() {
         let (old, new, newer) = ([1u8; 32], [2u8; 32], [3u8; 32]);
         let mut ks = Keystore::new();
         ks.install(SessionId(2), old);
@@ -158,8 +131,6 @@ mod tests {
         ks.install(SessionId(2), new);
         assert!(macs_under(&mut ks, SessionId(2), &new));
         assert!(!macs_under(&mut ks, SessionId(2), &old));
-        assert!(ks.remove(SessionId(2)));
-        assert!(ks.prepared(SessionId(2)).is_err());
         ks.install(SessionId(2), newer);
         assert!(macs_under(&mut ks, SessionId(2), &newer));
         // The neighbouring session kept its key throughout.
@@ -171,7 +142,7 @@ mod tests {
         let mut ks = Keystore::new();
         assert!(ks.prepared(SessionId(9)).is_err());
         assert!(!ks.contains(SessionId(9)));
-        assert!(ks.is_empty());
+        assert!(ks.keys.is_empty() && ks.prepared.is_empty());
         ks.install(SessionId(9), [5u8; 32]);
         assert!(macs_under(&mut ks, SessionId(9), &[5u8; 32]));
     }
@@ -185,15 +156,5 @@ mod tests {
         // Raw or prepared, used or not: the session count and nothing else.
         assert_eq!(unused, "Keystore { sessions: 1 }");
         assert_eq!(format!("{ks:?}"), unused);
-    }
-
-    #[test]
-    fn sessions_lists_installed() {
-        let mut ks = Keystore::new();
-        ks.install(SessionId(1), [0u8; 32]);
-        ks.install(SessionId(9), [0u8; 32]);
-        let mut s = ks.sessions();
-        s.sort();
-        assert_eq!(s, vec![SessionId(1), SessionId(9)]);
     }
 }

@@ -5,9 +5,9 @@ use crate::types::{Ipv4Addr, MacAddr, QueuePairId};
 /// RDMA operation codes supported by the TNIC RoCE kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RdmaOpcode {
-    /// One-sided RDMA write (used by `auth_send`/`rem_write`).
+    /// One-sided RDMA write (the frame of every `auth_send`).
     Write,
-    /// One-sided RDMA read request (used by `rem_read`).
+    /// One-sided RDMA read request (no run issues one).
     Read,
     /// Response carrying data for a previous read request.
     ReadResponse,

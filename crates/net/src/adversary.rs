@@ -246,26 +246,6 @@ impl NodeFault {
             NodeFault::SilentWitness => "silent-witness",
         }
     }
-
-    /// Whether the behaviour is a *witness-side* audit fault: the node
-    /// deviates in its role as a witness (lying about, withholding or
-    /// skipping audit work) while still behaving correctly as an auditee.
-    /// Such a node is never provably faulty to *its own* witnesses — except
-    /// a [`NodeFault::ForgeEvidence`] accuser, whose unverifiable accusation
-    /// is itself the evidence against it.
-    #[must_use]
-    pub fn is_witness_fault(self) -> bool {
-        matches!(
-            self,
-            NodeFault::ForgeEvidence
-                | NodeFault::FalseSuspicion
-                | NodeFault::WithholdGossip
-                | NodeFault::RefuseRelay
-                | NodeFault::SilentWitness
-                | NodeFault::WithholdCosignatures
-                | NodeFault::ForgeCosignatures
-        )
-    }
 }
 
 /// Assignment of [`NodeFault`]s to nodes (by raw node id), the scenario input
@@ -406,12 +386,8 @@ mod tests {
             NodeFault::SilentWitness,
         ] {
             assert!(fault.is_byzantine());
-            assert!(fault.is_witness_fault());
             assert!(!fault.label().is_empty());
         }
-        assert!(!NodeFault::Equivocate.is_witness_fault());
-        assert!(!NodeFault::Correct.is_witness_fault());
-        assert!(NodeFault::WithholdCosignatures.is_witness_fault());
         assert_eq!(NodeFault::ForgeEvidence.label(), "forge-evidence");
     }
 

@@ -42,30 +42,6 @@ impl NetworkStackKind {
         NetworkStackKind::TnicAtt,
     ];
 
-    /// Label used in the paper's plots.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            NetworkStackKind::RdmaHw => "RDMA-hw",
-            NetworkStackKind::DrctIo => "DRCT-IO",
-            NetworkStackKind::DrctIoAtt => "DRCT-IO-att",
-            NetworkStackKind::Tnic => "TNIC",
-            NetworkStackKind::TnicAtt => "TNIC-att",
-        }
-    }
-
-    /// Whether the stack produces attested (trusted) messages.
-    #[must_use]
-    pub fn attests(self) -> bool {
-        !matches!(self, NetworkStackKind::RdmaHw | NetworkStackKind::DrctIo)
-    }
-
-    /// Whether the stack verifies attestations on reception.
-    #[must_use]
-    pub fn verifies(self) -> bool {
-        matches!(self, NetworkStackKind::Tnic)
-    }
-
     /// The Figure 9 latency series (µs) for this stack at [`PACKET_SIZES`].
     /// `None` marks points the paper omits (DRCT-IO-att exceeds 2 000 µs
     /// beyond 512 B).
@@ -165,9 +141,16 @@ impl NetworkStackKind {
     }
 }
 
+/// The label used in the paper's plots.
 impl std::fmt::Display for NetworkStackKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        f.write_str(match self {
+            NetworkStackKind::RdmaHw => "RDMA-hw",
+            NetworkStackKind::DrctIo => "DRCT-IO",
+            NetworkStackKind::DrctIoAtt => "DRCT-IO-att",
+            NetworkStackKind::Tnic => "TNIC",
+            NetworkStackKind::TnicAtt => "TNIC-att",
+        })
     }
 }
 
@@ -271,11 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn security_classification() {
-        assert!(!NetworkStackKind::RdmaHw.attests());
-        assert!(NetworkStackKind::Tnic.attests() && NetworkStackKind::Tnic.verifies());
-        assert!(NetworkStackKind::TnicAtt.attests() && !NetworkStackKind::TnicAtt.verifies());
-        assert!(NetworkStackKind::DrctIoAtt.attests());
+    fn five_stacks_with_paper_labels() {
         assert_eq!(NetworkStackKind::ALL.len(), 5);
         assert_eq!(NetworkStackKind::Tnic.to_string(), "TNIC");
     }

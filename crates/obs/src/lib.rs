@@ -516,24 +516,6 @@ impl RingRecorder {
             large_id_drops: Vec::new(),
         }
     }
-
-    /// Number of retained events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Ring capacity in events.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 impl Recorder for RingRecorder {
@@ -769,7 +751,7 @@ mod tests {
                 ..Event::EMPTY
             });
         }
-        assert_eq!(ring.len(), 4);
+        assert_eq!(ring.len, 4);
         assert_eq!(ring.dropped(), 6);
         let seqs: Vec<u64> = ring.snapshot().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);

@@ -26,26 +26,9 @@ impl Scope {
         *self.counters.entry(name.to_string()).or_insert(0) += by;
     }
 
-    /// Current value of a counter (0 if never incremented).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets a gauge to an absolute value.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
     /// Sets a per-node gauge (`name[node]`).
     pub fn set_node_gauge(&mut self, name: &str, node: u32, value: f64) {
         self.gauges.insert(format!("{name}[{node}]"), value);
-    }
-
-    /// Current value of a gauge, if set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// Records a microsecond sample into the named histogram.
@@ -54,21 +37,6 @@ impl Scope {
             .entry(name.to_string())
             .or_default()
             .record_us(value_us);
-    }
-
-    /// Merges an existing histogram (e.g. from `AccountabilityStats`) into
-    /// the named one.
-    pub fn merge_histogram(&mut self, name: &str, histogram: &Histogram) {
-        let slot = self.histograms.entry(name.to_string()).or_default();
-        for &sample in histogram.samples_us() {
-            slot.record_us(sample);
-        }
-    }
-
-    /// The named histogram, if any samples were recorded.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// Counter iterator in name order.
@@ -106,27 +74,9 @@ impl MetricsRegistry {
         self.scopes.entry(label.to_string()).or_default()
     }
 
-    /// Read-only lookup.
-    #[must_use]
-    pub fn get(&self, label: &str) -> Option<&Scope> {
-        self.scopes.get(label)
-    }
-
     /// Scope iterator in label order.
     pub fn scopes(&self) -> impl Iterator<Item = (&str, &Scope)> {
         self.scopes.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of scopes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.scopes.len()
-    }
-
-    /// Returns `true` if no scope was created.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.scopes.is_empty()
     }
 
     /// Renders every scope as a markdown fragment (counters, gauges and
@@ -229,28 +179,11 @@ mod tests {
         scope.set_node_gauge("retained_entries", 0, 42.0);
         scope.record_us("audit_latency", 100.0);
         scope.record_us("audit_latency", 300.0);
-        assert_eq!(scope.counter("control_messages"), 15);
-        assert_eq!(scope.counter("missing"), 0);
-        assert_eq!(scope.gauge("retained_entries[0]"), Some(42.0));
-        assert_eq!(
-            scope.histogram("audit_latency").map(Histogram::len),
-            Some(2)
-        );
-        assert_eq!(registry.len(), 1);
-    }
-
-    #[test]
-    fn merge_histogram_copies_samples() {
-        let mut source = Histogram::new();
-        source.record_us(1.0);
-        source.record_us(9.0);
-        let mut registry = MetricsRegistry::new();
-        registry.scope("s").merge_histogram("lat", &source);
-        registry.scope("s").record_us("lat", 5.0);
-        assert_eq!(
-            registry.get("s").unwrap().histogram("lat").unwrap().len(),
-            3
-        );
+        assert!(scope.counters().eq([("control_messages", 15)]));
+        assert!(scope.gauges().eq([("retained_entries[0]", 42.0)]));
+        let histograms: Vec<_> = scope.histograms().map(|(k, h)| (k, h.len())).collect();
+        assert_eq!(histograms, [("audit_latency", 2)]);
+        assert_eq!(registry.scopes().count(), 1);
     }
 
     #[test]
@@ -258,12 +191,12 @@ mod tests {
         let mut registry = MetricsRegistry::new();
         let scope = registry.scope("peerreview/x/y");
         scope.inc("events_dropped", 3);
-        scope.set_gauge("ratio", 1.5);
+        scope.set_node_gauge("ratio", 2, 1.5);
         scope.record_us("lat", 10.0);
         let json = registry.render_json();
         assert!(json.contains("\"peerreview/x/y\""));
         assert!(json.contains("\"events_dropped\":3"));
-        assert!(json.contains("\"ratio\":1.5"));
+        assert!(json.contains("\"ratio[2]\":1.5"));
         assert!(json.contains("\"p99_us\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

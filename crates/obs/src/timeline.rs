@@ -56,12 +56,6 @@ impl VerdictChain {
             _ => 0,
         }
     }
-
-    /// `true` if the verdict exposed the node.
-    #[must_use]
-    pub fn is_exposure(&self) -> bool {
-        self.verdict == codes::VERDICT_EXPOSED
-    }
 }
 
 /// All verdict transitions in the snapshot, in recording order.
@@ -188,7 +182,7 @@ mod tests {
             event(EventKind::Challenge, 50, 3, 1, 0),
         ];
         let chain = explain_verdict(&events, 2, 0).expect("chain");
-        assert!(chain.is_exposure());
+        assert_eq!(chain.verdict, codes::VERDICT_EXPOSED);
         assert_eq!(chain.misbehavior, codes::MIS_EXEC_DIVERGENCE);
         let kinds: Vec<EventKind> = chain.chain.iter().map(|e| e.kind).collect();
         assert_eq!(

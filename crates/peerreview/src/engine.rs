@@ -319,12 +319,6 @@ impl CounterApp {
             machines: nodes.iter().map(|n| (n.0, CounterMachine::new())).collect(),
         }
     }
-
-    /// The counter value at `node`.
-    #[must_use]
-    pub fn value(&self, node: u32) -> u64 {
-        self.machines.get(&node).map_or(0, CounterMachine::value)
-    }
 }
 
 impl AccountedApp for CounterApp {
@@ -675,12 +669,6 @@ impl CommitmentLayer {
         self.states.values().map(|s| s.log.retained_bytes()).sum()
     }
 
-    /// Total log entries garbage-collected by checkpoints across all logs.
-    #[must_use]
-    pub fn pruned_entries(&self) -> u64 {
-        self.states.values().map(|s| s.log.pruned()).sum()
-    }
-
     /// The entries `from_seq..upto_seq` of `node`'s log.
     #[must_use]
     pub fn segment(&self, node: u32, from_seq: u64, upto_seq: u64) -> Vec<LogEntry> {
@@ -774,13 +762,6 @@ impl CommitmentLayer {
                 at_us,
             );
         }
-    }
-
-    /// Digests currently accumulated towards `node`'s next round-digest
-    /// entry (test/diagnostic hook).
-    #[must_use]
-    pub fn pending_audit_digests(&self, node: u32) -> usize {
-        self.audit_accum.get(&node).map_or(0, Vec::len)
     }
 
     /// Queues `auth` for a piggyback ride on the next outbound message
@@ -1341,15 +1322,6 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             .map(|r| r.commitments.len() as u64)
             .sum();
         stats
-    }
-
-    /// Per-node application state digests, for cross-replica parity checks.
-    #[must_use]
-    pub fn snapshots(&self, app: &A) -> Vec<(u32, [u8; 32])> {
-        self.nodes
-            .iter()
-            .map(|n| (n.0, app.snapshot_digest(n.0)))
-            .collect()
     }
 
     /// Records one application message the driver sent through the cluster
@@ -3491,7 +3463,7 @@ mod tests {
     #[test]
     fn engine_logs_sends_receives_and_execs() {
         let (mut cluster, mut app, mut engine) = counter_deployment(FaultPlan::all_correct());
-        let payload = crate::workload::app_payload();
+        let payload = crate::workload::app_payload_sized(0);
         for i in 0..4u32 {
             let from = NodeId(i % 4);
             let to = NodeId((i + 1) % 4);
@@ -3502,13 +3474,13 @@ mod tests {
         }
         // Each message: Send at sender, Recv + Exec at receiver.
         assert_eq!(engine.stats().log_entries, 12);
-        assert_eq!(app.value(1), 1);
+        assert_eq!(app.machines[&1].value(), 1);
     }
 
     #[test]
     fn mismatched_response_from_seq_is_ignored_and_node_suspected() {
         let (mut cluster, mut app, mut engine) = counter_deployment(FaultPlan::all_correct());
-        let payload = crate::workload::app_payload();
+        let payload = crate::workload::app_payload_sized(0);
         for i in 0..8u32 {
             let from = NodeId(i % 4);
             let to = NodeId((i + 1) % 4);
@@ -3558,7 +3530,7 @@ mod tests {
             AccountabilityEngine::attach(&mut cluster, &app, config, FaultPlan::all_correct());
         let mut app = app;
         // Give node 0 something to commit to, then queue the commitment.
-        let payload = crate::workload::app_payload();
+        let payload = crate::workload::app_payload_sized(0);
         cluster.auth_send(NodeId(0), NodeId(1), &payload).unwrap();
         engine.poll(&mut cluster, &mut app, NodeId(1)).unwrap();
         engine.begin_audit_round(&mut cluster).unwrap();
@@ -3588,7 +3560,7 @@ mod tests {
             let (auth, _) = engine.layer.borrow_mut().seal(origin, 1, [head; 32]);
             engine.layer.borrow_mut().enqueue_ride(0, 2, auth, true);
         }
-        let payload = crate::workload::app_payload();
+        let payload = crate::workload::app_payload_sized(0);
         let wrapped = engine
             .layer
             .borrow_mut()
@@ -3644,7 +3616,7 @@ mod tests {
             EngineConfig::default(),
             FaultPlan::all_correct(),
         );
-        let payload = crate::workload::app_payload();
+        let payload = crate::workload::app_payload_sized(0);
         for i in 0..4u32 {
             cluster
                 .auth_send(NodeId(i % 4), NodeId((i + 1) % 4), &payload)
@@ -3697,7 +3669,7 @@ mod tests {
         engine: &mut AccountabilityEngine<CounterApp>,
         rounds: u64,
     ) {
-        let payload = crate::workload::app_payload();
+        let payload = crate::workload::app_payload_sized(0);
         let piggyback = engine.config.piggyback;
         for _ in 0..rounds {
             if piggyback {
@@ -3953,7 +3925,7 @@ mod tests {
             engine.layer.borrow_mut().enqueue_ride(0, 1, auth, false);
         }
         let queued = engine.layer.borrow().pending_rides();
-        let payload = crate::workload::app_payload();
+        let payload = crate::workload::app_payload_sized(0);
         let wrapped = engine
             .layer
             .borrow_mut()
@@ -3989,7 +3961,7 @@ mod tests {
         n: u32,
         rounds: u64,
     ) {
-        let payload = crate::workload::app_payload();
+        let payload = crate::workload::app_payload_sized(0);
         for _ in 0..rounds {
             for i in 0..(2 * n) {
                 let from = NodeId(i % n);
@@ -4096,7 +4068,7 @@ mod tests {
     #[test]
     fn challenge_batch_unrolls_and_is_answered_with_one_response_batch() {
         let (mut cluster, mut app, mut engine) = counter_deployment(FaultPlan::all_correct());
-        let payload = crate::workload::app_payload();
+        let payload = crate::workload::app_payload_sized(0);
         for i in 0..8u32 {
             let from = NodeId(i % 4);
             let to = NodeId((i + 1) % 4);
@@ -4261,7 +4233,12 @@ mod tests {
         run_rounds(&mut cluster, &mut app, &mut engine, rounds);
         for node in 0..4u32 {
             assert_eq!(
-                engine.layer.borrow().pending_audit_digests(node),
+                engine
+                    .layer
+                    .borrow()
+                    .audit_accum
+                    .get(&node)
+                    .map_or(0, Vec::len),
                 0,
                 "node {node}: the accumulator drains at round end"
             );
@@ -4299,7 +4276,7 @@ mod tests {
         run_rounds(&mut cluster, &mut app, &mut engine, 4);
         assert!(engine.stats().witness_rotations > 0, "rotation happened");
         assert!(
-            engine.layer.borrow().pruned_entries() > 0,
+            engine.stats().pruned_log_entries > 0,
             "checkpoints actually pruned"
         );
         let composition = engine.layer.borrow().composition();

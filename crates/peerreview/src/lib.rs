@@ -58,12 +58,13 @@
 //! ```
 //! use tnic_net::adversary::{FaultPlan, NodeFault};
 //! use tnic_peerreview::audit::Verdict;
+//! use tnic_peerreview::deployment::Accountable;
 //! use tnic_peerreview::system::{PeerReview, PeerReviewConfig};
 //!
 //! // 4 nodes, node 1 equivocates; every correct witness exposes it.
 //! let faults = FaultPlan::single(1, NodeFault::Equivocate);
 //! let mut pr = PeerReview::new(PeerReviewConfig::default(), faults).unwrap();
-//! pr.run_scenario(2, 6).unwrap();
+//! pr.run_rounds(2, 1, |pr, _| pr.run_workload(6)).unwrap();
 //! for witness in pr.correct_witnesses_of(1) {
 //!     assert_eq!(pr.verdict_of(witness, 1), Verdict::Exposed);
 //! }

@@ -316,12 +316,6 @@ impl LogComposition {
         self.audit_digest_bytes += other.audit_digest_bytes;
     }
 
-    /// Total classified entries (equals the log's `len`).
-    #[must_use]
-    pub fn total_entries(&self) -> u64 {
-        self.app_payload_entries + self.control_digest_entries + self.audit_digest_entries
-    }
-
     fn count(&mut self, class: EntryClass, content_len: u64) {
         match class {
             EntryClass::AppPayload => {
@@ -442,9 +436,6 @@ pub struct SecureLog {
     /// The head hash after all `len()` entries; the head after an earlier
     /// retained entry is the next entry's `prev`.
     head: [u8; 32],
-    /// Total entries dropped by [`SecureLog::prune_to`] over the log's
-    /// lifetime (equal to `base_seq`; kept separate for clarity in stats).
-    pruned: u64,
     /// Per-class composition account of everything ever appended.
     composition: LogComposition,
 }
@@ -492,12 +483,6 @@ impl SecureLog {
     #[must_use]
     pub fn base_seq(&self) -> u64 {
         self.base_seq
-    }
-
-    /// Total entries dropped by pruning over the log's lifetime.
-    #[must_use]
-    pub fn pruned(&self) -> u64 {
-        self.pruned
     }
 
     /// The current head hash ([`GENESIS_HEAD`] when empty).
@@ -610,7 +595,6 @@ impl SecureLog {
         self.base_head = self.head_at(cut).expect("cut lies in the retained range");
         self.entries.drain(..drop);
         self.base_seq = cut;
-        self.pruned += drop as u64;
         drop as u64
     }
 
@@ -740,6 +724,10 @@ impl Authenticator {
 mod tests {
     use super::*;
     use tnic_device::attestation::{AttestationKernel, AttestationTiming};
+
+    fn total(c: &LogComposition) -> u64 {
+        c.app_payload_entries + c.control_digest_entries + c.audit_digest_entries
+    }
 
     fn sample_log() -> SecureLog {
         let mut log = SecureLog::new();
@@ -874,7 +862,7 @@ mod tests {
         assert_eq!(composition.app_payload_entries, 2); // full send + exec
         assert_eq!(composition.control_digest_entries, 2); // digest recv + checkpoint
         assert_eq!(composition.audit_digest_entries, 1);
-        assert_eq!(composition.total_entries(), log.len());
+        assert_eq!(total(&composition), log.len());
         // A full-payload entry is app even when flagged audit (the flag only
         // disambiguates digests).
         assert_eq!(
@@ -887,7 +875,7 @@ mod tests {
         let mut sum = LogComposition::default();
         sum.merge(&composition);
         sum.merge(&composition);
-        assert_eq!(sum.total_entries(), 2 * composition.total_entries());
+        assert_eq!(total(&sum), 2 * total(&composition));
     }
 
     #[test]
@@ -946,7 +934,7 @@ mod tests {
         assert_eq!(log.len(), 3);
         assert_eq!(log.retained_len(), 1);
         assert_eq!(log.base_seq(), 2);
-        assert_eq!(log.pruned(), 2);
+        assert_eq!(log.base_seq, 2);
         assert_eq!(log.head(), full_head);
         assert_eq!(log.entries()[0].seq, 2);
         // The pruned chain is gone; the base head survives as the root.

@@ -146,12 +146,6 @@ impl AccountabilityStats {
         AccountabilityStats::default()
     }
 
-    /// Total messages, application plus control.
-    #[must_use]
-    pub fn total_messages(&self) -> u64 {
-        self.app_messages + self.control_messages
-    }
-
     /// Control messages per application message — the headline overhead
     /// ratio (0 when no application traffic was sent).
     #[must_use]
@@ -176,7 +170,6 @@ mod tests {
         stats.app_messages = 4;
         stats.control_messages = 10;
         assert!((stats.control_overhead_ratio() - 2.5).abs() < 1e-9);
-        assert_eq!(stats.total_messages(), 14);
         stats.audit_latency.record(SimDuration::from_micros(12));
         assert_eq!(stats.audit_latency.len(), 1);
     }

@@ -7,12 +7,13 @@
 //! audit/challenge/evidence handling, verdict tracking and the piggyback
 //! ride queue. This module contributes only what is specific to the
 //! PeerReview case study: the round-robin counter workload
-//! ([`crate::workload`] over [`CounterApp`]), a scenario driver that
-//! interleaves workload rounds with audit rounds, and the configuration
-//! surface the benchmarks sweep. The BFT (`tnic-bft`) and chain-replication
-//! (`tnic-cr`) deployments attach the *same* engine to their own clusters
-//! through their `with_accountability` constructors — see
-//! [`crate::engine::AccountedApp`] for the contract.
+//! ([`crate::workload`] over [`CounterApp`]) and the configuration surface
+//! the benchmarks sweep. Rounds are driven by [`Accountable::run_rounds`],
+//! the one driver of every deployment:
+//! `pr.run_rounds(rounds, 1, |pr, _| pr.run_workload(messages))`. The BFT
+//! (`tnic-bft`) and chain-replication (`tnic-cr`) deployments attach the
+//! *same* engine to their own clusters through their `with_accountability`
+//! constructors — see [`crate::engine::AccountedApp`] for the contract.
 //!
 //! In piggyback mode the audit pipeline runs one workload round behind the
 //! traffic it rides on (commitments sealed before round `k`'s workload cover
@@ -22,7 +23,7 @@
 //! under 2 with identical verdicts across the fault suite (gated by
 //! `tnic-bench`'s `reproduce --check`).
 
-use crate::audit::{Misbehavior, Verdict};
+use crate::audit::Verdict;
 use crate::deployment::Accountable;
 use crate::engine::{AccountabilityEngine, CounterApp, EngineConfig};
 use crate::stats::AccountabilityStats;
@@ -31,8 +32,6 @@ use tnic_core::api::{Cluster, NodeId};
 use tnic_core::error::CoreError;
 use tnic_net::adversary::FaultPlan;
 use tnic_net::stack::NetworkStackKind;
-use tnic_sim::clock::SimClock;
-use tnic_sim::time::SimInstant;
 use tnic_tee::profile::Baseline;
 
 /// Configuration of a PeerReview deployment: its shape (`nodes`, `stack`,
@@ -180,7 +179,6 @@ impl PeerReviewConfig {
 pub struct PeerReview {
     config: PeerReviewConfig,
     cluster: Cluster,
-    clock: SimClock,
     app: CounterApp,
     engine: AccountabilityEngine<CounterApp>,
     nodes: Vec<NodeId>,
@@ -228,7 +226,6 @@ impl PeerReview {
         // all n·(n-1) pairs (at n = 1000 the dense setup alone dwarfs the
         // run).
         let mut cluster = Cluster::sparse(config.nodes, config.baseline, config.stack, config.seed);
-        let clock = cluster.clock();
         let nodes: Vec<NodeId> = cluster.nodes();
         let app = CounterApp::new(&nodes);
         let engine =
@@ -236,18 +233,11 @@ impl PeerReview {
         Ok(PeerReview {
             config,
             cluster,
-            clock,
             app,
             engine,
             nodes,
             workload_cursor: 0,
         })
-    }
-
-    /// The deployment configuration.
-    #[must_use]
-    pub fn config(&self) -> PeerReviewConfig {
-        self.config
     }
 
     /// The underlying cluster (trace checking, stats).
@@ -260,12 +250,6 @@ impl PeerReview {
     /// packet-level adversary on the delivery path).
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
-    }
-
-    /// Current virtual time.
-    #[must_use]
-    pub fn now(&self) -> SimInstant {
-        self.clock.now()
     }
 
     /// The witness ids assigned to `node`.
@@ -287,22 +271,10 @@ impl PeerReview {
         self.engine.verdict_of(witness, node)
     }
 
-    /// The evidence `witness` holds against `node`.
-    #[must_use]
-    pub fn evidence_of(&self, witness: u32, node: u32) -> &[Misbehavior] {
-        self.engine.evidence_of(witness, node)
-    }
-
     /// Current log length of `node`.
     #[must_use]
     pub fn log_len(&self, node: u32) -> u64 {
         self.engine.log_len(node)
-    }
-
-    /// Per-node application state digests (parity checking in harnesses).
-    #[must_use]
-    pub fn snapshots(&self) -> Vec<(u32, [u8; 32])> {
-        self.engine.snapshots(&self.app)
     }
 
     /// Snapshot of the accountability counters.
@@ -323,7 +295,7 @@ impl PeerReview {
         let payload = crate::workload::app_payload_sized(self.config.app_payload_len);
         for _ in 0..messages {
             let (from, to) = crate::workload::next_pair(&self.nodes, &mut self.workload_cursor);
-            let t0 = self.clock.now();
+            let t0 = self.cluster.now();
             match self.cluster.auth_send(from, to, &payload) {
                 Ok(_) => {}
                 // Either endpoint down or partitioned off: the cluster
@@ -331,7 +303,7 @@ impl PeerReview {
                 Err(CoreError::Unreachable { .. }) => continue,
                 Err(e) => return Err(e),
             }
-            let latency = self.clock.now().duration_since(t0);
+            let latency = self.cluster.now().duration_since(t0);
             self.engine.record_app_send(latency);
             self.engine.poll(&mut self.cluster, &mut self.app, to)?;
         }
@@ -368,24 +340,6 @@ impl PeerReview {
         Accountable::finish_audit_round(self)
     }
 
-    /// Convenience scenario driver: `rounds` iterations of
-    /// `messages_per_round` application sends plus one audit round.
-    ///
-    /// In dedicated mode the audit follows the workload (commitments cover
-    /// the round's traffic). In piggyback mode the commit step runs *before*
-    /// the workload so authenticators can ride it: the audit pipeline runs
-    /// one round behind the workload, and the final round's traffic is
-    /// still unaudited when the driver returns — call
-    /// [`PeerReview::drain_audits`] to close the tail before inspecting
-    /// verdicts for faults injected late in a run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors.
-    pub fn run_scenario(&mut self, rounds: u64, messages_per_round: u64) -> Result<(), CoreError> {
-        self.run_scenario_ext(rounds, messages_per_round, 1)
-    }
-
     /// Audits everything still in the pipeline (see
     /// [`AccountabilityEngine::drain_audits`]).
     ///
@@ -394,31 +348,6 @@ impl PeerReview {
     /// Propagates attestation/session errors on the control traffic.
     pub fn drain_audits(&mut self) -> Result<(), CoreError> {
         Accountable::drain_audits(self)
-    }
-
-    /// [`PeerReview::run_scenario`] with a configurable audit period: the
-    /// audit round runs every `audit_period` workload rounds (clamped to at
-    /// least 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates attestation/session errors.
-    pub fn run_scenario_ext(
-        &mut self,
-        rounds: u64,
-        messages_per_round: u64,
-        audit_period: u64,
-    ) -> Result<(), CoreError> {
-        self.run_rounds(rounds, audit_period, |pr, _| {
-            pr.run_workload(messages_per_round)
-        })
-    }
-
-    /// `node`'s membership phase (see
-    /// [`crate::engine::MemberPhase`]).
-    #[must_use]
-    pub fn member_phase(&self, node: u32) -> crate::engine::MemberPhase {
-        self.engine.member_phase(node)
     }
 
     /// Crash-stops `node`: sends to and from it are refused (and counted)
@@ -484,6 +413,7 @@ impl PeerReview {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::Misbehavior;
     use tnic_net::adversary::NodeFault;
 
     fn deployment(faults: FaultPlan) -> PeerReview {
@@ -493,7 +423,7 @@ mod tests {
     #[test]
     fn honest_run_produces_no_suspicion_and_audits_pass() {
         let mut pr = deployment(FaultPlan::all_correct());
-        pr.run_scenario(3, 8).unwrap();
+        pr.run_rounds(3, 1, |pr, _| pr.run_workload(8)).unwrap();
         for node in 0..4 {
             for &w in pr.witnesses_of(node) {
                 assert_eq!(
@@ -501,7 +431,7 @@ mod tests {
                     Verdict::Trusted,
                     "witness {w} of node {node}"
                 );
-                assert!(pr.evidence_of(w, node).is_empty());
+                assert!(pr.engine().evidence_of(w, node).is_empty());
             }
         }
         let stats = pr.stats();
@@ -525,10 +455,10 @@ mod tests {
     #[test]
     fn equivocator_is_exposed_by_all_correct_witnesses() {
         let mut pr = deployment(FaultPlan::single(1, NodeFault::Equivocate));
-        pr.run_scenario(2, 6).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(6)).unwrap();
         for w in pr.correct_witnesses_of(1) {
             assert_eq!(pr.verdict_of(w, 1), Verdict::Exposed, "witness {w}");
-            assert!(!pr.evidence_of(w, 1).is_empty());
+            assert!(!pr.engine().evidence_of(w, 1).is_empty());
         }
     }
 
@@ -539,7 +469,7 @@ mod tests {
             ..PeerReviewConfig::default()
         };
         let mut pr = PeerReview::new(config, FaultPlan::single(1, NodeFault::Equivocate)).unwrap();
-        pr.run_scenario(2, 4).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(4)).unwrap();
         assert_eq!(pr.witnesses_of(1), &[0]);
         // No fellow witness to gossip with: exposure comes from the audit of
         // the forked commitment itself.
@@ -552,10 +482,13 @@ mod tests {
             2,
             NodeFault::SuppressAudits { probability: 1.0 },
         ));
-        pr.run_scenario(2, 6).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(6)).unwrap();
         for w in pr.correct_witnesses_of(2) {
             assert_eq!(pr.verdict_of(w, 2), Verdict::Suspected, "witness {w}");
-            assert!(pr.evidence_of(w, 2).is_empty(), "silence is not proof");
+            assert!(
+                pr.engine().evidence_of(w, 2).is_empty(),
+                "silence is not proof"
+            );
         }
         assert!(pr.stats().unanswered_challenges > 0);
     }
@@ -566,7 +499,7 @@ mod tests {
             3,
             NodeFault::TruncateLog { drop_tail: 4 },
         ));
-        pr.run_scenario(2, 8).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         for w in pr.correct_witnesses_of(3) {
             assert_eq!(pr.verdict_of(w, 3), Verdict::Exposed, "witness {w}");
         }
@@ -580,6 +513,7 @@ mod tests {
         for w in pr.correct_witnesses_of(1) {
             assert_eq!(pr.verdict_of(w, 1), Verdict::Exposed, "witness {w}");
             assert!(pr
+                .engine()
                 .evidence_of(w, 1)
                 .iter()
                 .any(|e| matches!(e, Misbehavior::ExecDivergence { .. })));
@@ -614,9 +548,11 @@ mod tests {
     #[test]
     fn piggybacked_fault_free_run_cuts_control_overhead() {
         let mut dedicated = deployment(FaultPlan::all_correct());
-        dedicated.run_scenario(3, 8).unwrap();
+        dedicated
+            .run_rounds(3, 1, |pr, _| pr.run_workload(8))
+            .unwrap();
         let mut piggy = PeerReview::new(piggyback_config(2), FaultPlan::all_correct()).unwrap();
-        piggy.run_scenario(3, 8).unwrap();
+        piggy.run_rounds(3, 1, |pr, _| pr.run_workload(8)).unwrap();
 
         for node in 0..4 {
             for &w in piggy.witnesses_of(node) {
@@ -649,10 +585,10 @@ mod tests {
             FaultPlan::single(1, NodeFault::Equivocate),
         )
         .unwrap();
-        pr.run_scenario(3, 8).unwrap();
+        pr.run_rounds(3, 1, |pr, _| pr.run_workload(8)).unwrap();
         for w in pr.correct_witnesses_of(1) {
             assert_eq!(pr.verdict_of(w, 1), Verdict::Exposed, "witness {w}");
-            assert!(!pr.evidence_of(w, 1).is_empty());
+            assert!(!pr.engine().evidence_of(w, 1).is_empty());
         }
     }
 
@@ -670,7 +606,7 @@ mod tests {
         for (node, fault, expected) in cases {
             let mut pr =
                 PeerReview::new(piggyback_config(2), FaultPlan::single(node, fault)).unwrap();
-            pr.run_scenario(3, 8).unwrap();
+            pr.run_rounds(3, 1, |pr, _| pr.run_workload(8)).unwrap();
             for w in pr.correct_witnesses_of(node) {
                 assert_eq!(
                     pr.verdict_of(w, node),
@@ -687,7 +623,7 @@ mod tests {
         // mode. Find node 1's log length at the final round boundary in a
         // clean twin (identical seed, so identical evolution up to there)...
         let mut probe = PeerReview::new(piggyback_config(2), FaultPlan::all_correct()).unwrap();
-        probe.run_scenario(2, 8).unwrap();
+        probe.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         let boundary = probe.log_len(1);
         // ...then tamper an execution that only happens in the final round.
         let mut pr = PeerReview::new(
@@ -695,7 +631,7 @@ mod tests {
             FaultPlan::single(1, NodeFault::TamperLogEntry { seq: boundary }),
         )
         .unwrap();
-        pr.run_scenario(3, 8).unwrap();
+        pr.run_rounds(3, 1, |pr, _| pr.run_workload(8)).unwrap();
         for w in pr.correct_witnesses_of(1) {
             assert_eq!(
                 pr.verdict_of(w, 1),
@@ -711,6 +647,7 @@ mod tests {
                 "witness {w}: drain must audit the tail"
             );
             assert!(pr
+                .engine()
                 .evidence_of(w, 1)
                 .iter()
                 .any(|e| matches!(e, Misbehavior::ExecDivergence { .. })));
@@ -725,10 +662,10 @@ mod tests {
     #[test]
     fn crashed_node_is_tolerated_and_rejoins_trusted() {
         let mut pr = deployment(FaultPlan::all_correct());
-        pr.run_scenario(2, 8).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         pr.crash_node(1);
-        assert_eq!(pr.member_phase(1), MemberPhase::Crashed);
-        pr.run_scenario(2, 8).unwrap();
+        assert_eq!(pr.engine().member_phase(1), MemberPhase::Crashed);
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         // Sends touching the crashed node were refused and counted, never
         // silently lost; its silence is tolerated, not punished.
         assert!(pr.cluster().stats().messages_unreachable > 0);
@@ -736,10 +673,10 @@ mod tests {
             assert_ne!(pr.verdict_of(w, 1), Verdict::Exposed, "witness {w}");
         }
         pr.recover_node(1).unwrap();
-        assert_eq!(pr.member_phase(1), MemberPhase::Recovering);
-        pr.run_scenario(2, 8).unwrap();
+        assert_eq!(pr.engine().member_phase(1), MemberPhase::Recovering);
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         pr.drain_audits().unwrap();
-        assert_eq!(pr.member_phase(1), MemberPhase::Active);
+        assert_eq!(pr.engine().member_phase(1), MemberPhase::Active);
         for node in 0..4 {
             for &w in pr.witnesses_of(node) {
                 assert_eq!(
@@ -761,7 +698,7 @@ mod tests {
         honest.run_workload(8).unwrap();
         honest.crash_node(1);
         honest.recover_node(1).unwrap();
-        honest.run_scenario(2, 8).unwrap();
+        honest.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         honest.drain_audits().unwrap();
         for &w in honest.witnesses_of(1) {
             assert_eq!(honest.verdict_of(w, 1), Verdict::Trusted, "witness {w}");
@@ -772,11 +709,11 @@ mod tests {
         pr.run_workload(8).unwrap();
         pr.crash_node(1);
         pr.recover_node(1).unwrap();
-        pr.run_scenario(2, 8).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         pr.drain_audits().unwrap();
         for w in pr.correct_witnesses_of(1) {
             assert_eq!(pr.verdict_of(w, 1), Verdict::Exposed, "witness {w}");
-            assert!(!pr.evidence_of(w, 1).is_empty());
+            assert!(!pr.engine().evidence_of(w, 1).is_empty());
         }
         for node in [0u32, 2, 3] {
             for w in pr.correct_witnesses_of(node) {
@@ -788,10 +725,10 @@ mod tests {
     #[test]
     fn departing_node_closes_its_audit_on_the_way_out() {
         let mut pr = deployment(FaultPlan::all_correct());
-        pr.run_scenario(1, 8).unwrap();
+        pr.run_rounds(1, 1, |pr, _| pr.run_workload(8)).unwrap();
         pr.run_workload(8).unwrap(); // leave an unaudited tail behind
         pr.depart_node(2).unwrap();
-        assert_eq!(pr.member_phase(2), MemberPhase::Departed);
+        assert_eq!(pr.engine().member_phase(2), MemberPhase::Departed);
         let stats = pr.stats();
         assert_eq!(stats.departures, 1);
         assert!(
@@ -803,11 +740,11 @@ mod tests {
         }
         // The survivors keep running; the leaver's sealed log and verdicts
         // stay with the witnesses.
-        pr.run_scenario(2, 8).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         pr.drain_audits().unwrap();
         for &w in pr.witnesses_of(2) {
             assert_eq!(pr.verdict_of(w, 2), Verdict::Trusted, "witness {w}");
-            assert!(pr.evidence_of(w, 2).is_empty());
+            assert!(pr.engine().evidence_of(w, 2).is_empty());
         }
         assert!(pr.cluster().stats().messages_unreachable > 0);
     }
@@ -820,6 +757,7 @@ mod tests {
         for w in pr.correct_witnesses_of(2) {
             assert_eq!(pr.verdict_of(w, 2), Verdict::Exposed, "witness {w}");
             assert!(pr
+                .engine()
                 .evidence_of(w, 2)
                 .iter()
                 .any(|e| matches!(e, Misbehavior::ExecDivergence { .. })));
@@ -829,11 +767,11 @@ mod tests {
     #[test]
     fn joined_node_is_audited_from_its_base_and_ends_trusted() {
         let mut pr = deployment(FaultPlan::all_correct());
-        pr.run_scenario(2, 8).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         pr.join_node(4).unwrap();
-        assert_eq!(pr.member_phase(4), MemberPhase::Active);
+        assert_eq!(pr.engine().member_phase(4), MemberPhase::Active);
         assert!(!pr.witnesses_of(4).is_empty());
-        pr.run_scenario(2, 10).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(10)).unwrap();
         pr.drain_audits().unwrap();
         assert!(pr.log_len(4) > 0, "the joiner took workload traffic");
         for node in 0..5 {
@@ -851,11 +789,11 @@ mod tests {
     #[test]
     fn piggyback_crash_rejoin_keeps_verdict_parity() {
         let mut pr = PeerReview::new(piggyback_config(2), FaultPlan::all_correct()).unwrap();
-        pr.run_scenario(2, 8).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         pr.crash_node(3);
-        pr.run_scenario(2, 8).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         pr.recover_node(3).unwrap();
-        pr.run_scenario(2, 8).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
         pr.drain_audits().unwrap();
         for node in 0..4 {
             for &w in pr.witnesses_of(node) {
@@ -879,19 +817,19 @@ mod tests {
             FaultPlan::single(2, NodeFault::SuppressAudits { probability: 1.0 }),
         )
         .unwrap();
-        pr.run_scenario(2, 6).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(6)).unwrap();
         // Within the retry budget the silent node is still only pending —
         // the witness re-sends instead of jumping to suspicion.
         for w in pr.correct_witnesses_of(2) {
             assert_eq!(pr.verdict_of(w, 2), Verdict::Trusted, "witness {w}");
         }
         assert!(pr.stats().challenge_retries > 0);
-        pr.run_scenario(4, 6).unwrap();
+        pr.run_rounds(4, 1, |pr, _| pr.run_workload(6)).unwrap();
         // Budget exhausted: downgraded to suspected — never exposed,
         // silence is not proof.
         for w in pr.correct_witnesses_of(2) {
             assert_eq!(pr.verdict_of(w, 2), Verdict::Suspected, "witness {w}");
-            assert!(pr.evidence_of(w, 2).is_empty());
+            assert!(pr.engine().evidence_of(w, 2).is_empty());
         }
     }
 
@@ -902,11 +840,11 @@ mod tests {
             ..PeerReviewConfig::default()
         };
         let mut pr = PeerReview::new(config, FaultPlan::all_correct()).unwrap();
-        pr.run_scenario(1, 8).unwrap();
+        pr.run_rounds(1, 1, |pr, _| pr.run_workload(8)).unwrap();
         // Cut node 1 off for audit rounds 1–2; the schedule heals at 3.
         pr.cluster_mut()
             .set_partition(PartitionSchedule::new([1], 1, 3));
-        pr.run_scenario(5, 8).unwrap();
+        pr.run_rounds(5, 1, |pr, _| pr.run_workload(8)).unwrap();
         pr.drain_audits().unwrap();
         assert!(pr.cluster().stats().messages_partitioned > 0);
         for node in 0..4 {
@@ -950,10 +888,10 @@ mod tests {
                         dense.cluster_mut().connect(NodeId(i), NodeId(j)).unwrap();
                     }
                 }
-                dense.run_scenario(3, 8).unwrap();
+                dense.run_rounds(3, 1, |pr, _| pr.run_workload(8)).unwrap();
                 dense.drain_audits().unwrap();
                 let mut sparse = PeerReview::new(config, faults.clone()).unwrap();
-                sparse.run_scenario(3, 8).unwrap();
+                sparse.run_rounds(3, 1, |pr, _| pr.run_workload(8)).unwrap();
                 sparse.drain_audits().unwrap();
                 assert_eq!(
                     dense.verdict_census(),
@@ -978,7 +916,7 @@ mod tests {
     fn sampled_auditing_matches_full_verdicts_on_the_fault_suite() {
         for faults in fault_suite() {
             let mut full = PeerReview::new(PeerReviewConfig::default(), faults.clone()).unwrap();
-            full.run_scenario(8, 8).unwrap();
+            full.run_rounds(8, 1, |pr, _| pr.run_workload(8)).unwrap();
             full.drain_audits().unwrap();
             let sampled_config = PeerReviewConfig {
                 audit_sample_size: Some(1),
@@ -986,7 +924,9 @@ mod tests {
                 ..PeerReviewConfig::default()
             };
             let mut sampled = PeerReview::new(sampled_config, faults.clone()).unwrap();
-            sampled.run_scenario(8, 8).unwrap();
+            sampled
+                .run_rounds(8, 1, |pr, _| pr.run_workload(8))
+                .unwrap();
             sampled.drain_audits().unwrap();
             assert_eq!(
                 full.verdict_census(),
@@ -1003,7 +943,7 @@ mod tests {
     #[test]
     fn accountability_adds_measurable_overhead() {
         let mut pr = deployment(FaultPlan::all_correct());
-        pr.run_scenario(2, 4).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(4)).unwrap();
         let stats = pr.stats();
         assert!(stats.control_messages > 0);
         assert!(stats.control_bytes > 0);
@@ -1012,6 +952,9 @@ mod tests {
             "audit traffic dominates a small workload"
         );
         // Cluster-level counters include both traffic classes.
-        assert_eq!(pr.cluster().stats().messages_sent, stats.total_messages());
+        assert_eq!(
+            pr.cluster().stats().messages_sent,
+            stats.app_messages + stats.control_messages
+        );
     }
 }

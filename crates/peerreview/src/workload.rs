@@ -32,12 +32,6 @@ pub fn next_pair(nodes: &[NodeId], cursor: &mut u64) -> (NodeId, NodeId) {
     (from, to)
 }
 
-/// The envelope-encoded workload payload at the default command size.
-#[must_use]
-pub fn app_payload() -> Vec<u8> {
-    app_payload_sized(APP_COMMAND.len())
-}
-
 /// The envelope-encoded workload payload with the command zero-padded to
 /// `len` bytes (clamped to at least the bare command).
 #[must_use]
@@ -67,7 +61,11 @@ mod tests {
 
     #[test]
     fn payload_padding_clamps_and_round_trips() {
-        assert_eq!(app_payload(), app_payload_sized(0), "clamped to command");
+        assert_eq!(
+            app_payload_sized(0),
+            app_payload_sized(APP_COMMAND.len()),
+            "clamped to command"
+        );
         let padded = app_payload_sized(64);
         let Envelope::App(command) = Envelope::decode(&padded).unwrap() else {
             panic!("workload payload must be an App envelope");

@@ -14,6 +14,7 @@
 use tnic_net::adversary::{FaultPlan, NodeFault};
 use tnic_net::stack::NetworkStackKind;
 use tnic_peerreview::audit::{Misbehavior, Verdict};
+use tnic_peerreview::deployment::Accountable;
 use tnic_peerreview::system::{PeerReview, PeerReviewConfig};
 use tnic_tee::profile::Baseline;
 
@@ -31,7 +32,7 @@ fn four_nodes(seed: u64) -> PeerReviewConfig {
 fn equivocating_node_is_exposed_by_every_correct_witness() {
     let faults = FaultPlan::single(2, NodeFault::Equivocate);
     let mut pr = PeerReview::new(four_nodes(7), faults).unwrap();
-    pr.run_scenario(3, 8).unwrap();
+    pr.run_rounds(3, 1, |pr, _| pr.run_workload(8)).unwrap();
 
     let correct: Vec<u32> = pr.correct_witnesses_of(2);
     assert_eq!(
@@ -47,7 +48,7 @@ fn equivocating_node_is_exposed_by_every_correct_witness() {
         );
         // The proof is verifiable: either conflicting sealed commitments
         // (via gossip / evidence transfer) or a failed audit of the fork.
-        assert!(!pr.evidence_of(w, 2).is_empty());
+        assert!(!pr.engine().evidence_of(w, 2).is_empty());
     }
     // Correct nodes keep clean records everywhere.
     for node in [0u32, 1, 3] {
@@ -64,7 +65,7 @@ fn equivocating_node_is_exposed_by_every_correct_witness() {
 #[test]
 fn fault_free_run_yields_no_suspected_or_exposed_nodes() {
     let mut pr = PeerReview::new(four_nodes(7), FaultPlan::all_correct()).unwrap();
-    pr.run_scenario(3, 8).unwrap();
+    pr.run_rounds(3, 1, |pr, _| pr.run_workload(8)).unwrap();
 
     for node in 0..4 {
         for &w in pr.witnesses_of(node) {
@@ -73,7 +74,7 @@ fn fault_free_run_yields_no_suspected_or_exposed_nodes() {
                 Verdict::Trusted,
                 "false positive: node {node} at witness {w}"
             );
-            assert!(pr.evidence_of(w, node).is_empty());
+            assert!(pr.engine().evidence_of(w, node).is_empty());
         }
     }
     let stats = pr.stats();
@@ -90,7 +91,7 @@ fn suppression_is_suspected_and_truncation_exposed_across_seeds() {
             FaultPlan::single(0, NodeFault::SuppressAudits { probability: 1.0 }),
         )
         .unwrap();
-        pr.run_scenario(2, 6).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(6)).unwrap();
         for w in pr.correct_witnesses_of(0) {
             assert_eq!(
                 pr.verdict_of(w, 0),
@@ -104,7 +105,7 @@ fn suppression_is_suspected_and_truncation_exposed_across_seeds() {
             FaultPlan::single(1, NodeFault::TruncateLog { drop_tail: 5 }),
         )
         .unwrap();
-        pr.run_scenario(2, 6).unwrap();
+        pr.run_rounds(2, 1, |pr, _| pr.run_workload(6)).unwrap();
         for w in pr.correct_witnesses_of(1) {
             assert_eq!(
                 pr.verdict_of(w, 1),
@@ -112,6 +113,7 @@ fn suppression_is_suspected_and_truncation_exposed_across_seeds() {
                 "seed {seed} witness {w}"
             );
             assert!(pr
+                .engine()
                 .evidence_of(w, 1)
                 .iter()
                 .any(|e| matches!(e, Misbehavior::Truncated { .. })));
@@ -123,8 +125,8 @@ fn suppression_is_suspected_and_truncation_exposed_across_seeds() {
 fn accountability_overhead_is_measurable_against_bare_substrate() {
     // Accountable run.
     let mut pr = PeerReview::new(four_nodes(11), FaultPlan::all_correct()).unwrap();
-    pr.run_scenario(2, 10).unwrap();
-    let accountable_time = pr.now();
+    pr.run_rounds(2, 1, |pr, _| pr.run_workload(10)).unwrap();
+    let accountable_time = pr.cluster().now();
     let stats = pr.stats();
 
     // Bare run: the same 20 application messages (identical envelope-encoded
@@ -153,7 +155,7 @@ fn accountability_overhead_is_measurable_against_bare_substrate() {
 #[test]
 fn works_over_tee_baselines_but_slower_than_tnic() {
     let mut tnic = PeerReview::new(four_nodes(3), FaultPlan::all_correct()).unwrap();
-    tnic.run_scenario(1, 4).unwrap();
+    tnic.run_rounds(1, 1, |pr, _| pr.run_workload(4)).unwrap();
 
     let sgx_config = PeerReviewConfig {
         baseline: Baseline::Sgx,
@@ -161,12 +163,15 @@ fn works_over_tee_baselines_but_slower_than_tnic() {
         ..four_nodes(3)
     };
     let mut sgx = PeerReview::new(sgx_config, FaultPlan::all_correct()).unwrap();
-    sgx.run_scenario(1, 4).unwrap();
+    sgx.run_rounds(1, 1, |pr, _| pr.run_workload(4)).unwrap();
 
     for node in 0..4 {
         for &w in sgx.witnesses_of(node) {
             assert_eq!(sgx.verdict_of(w, node), Verdict::Trusted);
         }
     }
-    assert!(sgx.now() > tnic.now(), "TEE-hosted attestation is slower");
+    assert!(
+        sgx.cluster().now() > tnic.cluster().now(),
+        "TEE-hosted attestation is slower"
+    );
 }

@@ -35,9 +35,12 @@ fn checkpointed(seed: u64, interval: u64) -> PeerReviewConfig {
 fn checkpointed_run_bounds_retained_memory() {
     let rounds = 24;
     let mut plain = PeerReview::new(base_config(5), FaultPlan::all_correct()).unwrap();
-    plain.run_scenario(rounds, 8).unwrap();
+    plain
+        .run_rounds(rounds, 1, |pr, _| pr.run_workload(8))
+        .unwrap();
     let mut ckpt = PeerReview::new(checkpointed(5, 2), FaultPlan::all_correct()).unwrap();
-    ckpt.run_scenario(rounds, 8).unwrap();
+    ckpt.run_rounds(rounds, 1, |pr, _| pr.run_workload(8))
+        .unwrap();
 
     let p = plain.stats();
     let c = ckpt.stats();
@@ -78,7 +81,8 @@ fn retained_entries_scale_with_interval_not_rounds() {
     // checkpoint interval is the only lever.
     let retained_after = |rounds: u64| {
         let mut pr = PeerReview::new(checkpointed(9, 2), FaultPlan::all_correct()).unwrap();
-        pr.run_scenario(rounds, 8).unwrap();
+        pr.run_rounds(rounds, 1, |pr, _| pr.run_workload(8))
+            .unwrap();
         pr.stats().retained_log_entries
     };
     let short = retained_after(12);
@@ -100,7 +104,7 @@ fn tamper_after_prune_is_exposed_from_checkpoint_relative_evidence() {
     // clean probe (identical seed ⇒ identical evolution), then tamper an
     // execution that happens entirely *after* the pruned prefix.
     let mut probe = PeerReview::new(checkpointed(7, 1), FaultPlan::all_correct()).unwrap();
-    probe.run_scenario(2, 8).unwrap();
+    probe.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
     let base = probe.engine().checkpoint_base(1);
     assert!(base > 0, "probe must actually have pruned");
     let boundary = probe.log_len(1);
@@ -111,7 +115,7 @@ fn tamper_after_prune_is_exposed_from_checkpoint_relative_evidence() {
         FaultPlan::single(1, NodeFault::TamperLogEntry { seq: boundary }),
     )
     .unwrap();
-    pr.run_scenario(4, 8).unwrap();
+    pr.run_rounds(4, 1, |pr, _| pr.run_workload(8)).unwrap();
     pr.drain_audits().unwrap();
     assert!(
         pr.engine().checkpoint_base(1) >= base,
@@ -120,7 +124,8 @@ fn tamper_after_prune_is_exposed_from_checkpoint_relative_evidence() {
     for w in pr.correct_witnesses_of(1) {
         assert_eq!(pr.verdict_of(w, 1), Verdict::Exposed, "witness {w}");
         assert!(
-            pr.evidence_of(w, 1)
+            pr.engine()
+                .evidence_of(w, 1)
                 .iter()
                 .any(|e| matches!(e, Misbehavior::ExecDivergence { at_seq } if *at_seq >= base)),
             "witness {w}: evidence anchors beyond the cosigned root"
@@ -143,7 +148,7 @@ fn withholding_witness_delays_nothing_with_a_quorum_left() {
         FaultPlan::single(0, NodeFault::WithholdCosignatures),
     )
     .unwrap();
-    pr.run_scenario(4, 8).unwrap();
+    pr.run_rounds(4, 1, |pr, _| pr.run_workload(8)).unwrap();
     let stats = pr.stats();
     assert!(
         stats.cosignatures_withheld > 0,
@@ -169,7 +174,7 @@ fn forged_cosignature_is_rejected_and_exposes_nobody() {
         FaultPlan::single(2, NodeFault::ForgeCosignatures),
     )
     .unwrap();
-    pr.run_scenario(4, 8).unwrap();
+    pr.run_rounds(4, 1, |pr, _| pr.run_workload(8)).unwrap();
     let stats = pr.stats();
     assert!(
         stats.cosignatures_rejected > 0,
@@ -202,11 +207,11 @@ fn epoch_rotation_changes_witness_sets_and_keeps_audits_clean() {
     let initial: Vec<u32> = pr.witnesses_of(0).to_vec();
     // Two epochs: the set has shifted and not yet cycled back (the ring has
     // n - 1 = 3 positions, so epoch 3 would reproduce epoch 0).
-    pr.run_scenario(2, 8).unwrap();
+    pr.run_rounds(2, 1, |pr, _| pr.run_workload(8)).unwrap();
     assert_eq!(pr.engine().epoch(), 2);
     let rotated: Vec<u32> = pr.witnesses_of(0).to_vec();
     assert_ne!(initial, rotated, "witness sets rotate across epochs");
-    pr.run_scenario(1, 8).unwrap();
+    pr.run_rounds(1, 1, |pr, _| pr.run_workload(8)).unwrap();
     let stats = pr.stats();
     assert!(stats.witness_rotations > 0);
     assert!(stats.witness_handovers > 0, "incoming witnesses took over");
@@ -269,14 +274,14 @@ fn exposure_survives_rotation_via_evidence_handover() {
         ..checkpointed(23, 1)
     };
     let mut pr = PeerReview::new(config, FaultPlan::single(1, NodeFault::Equivocate)).unwrap();
-    pr.run_scenario(4, 8).unwrap();
+    pr.run_rounds(4, 1, |pr, _| pr.run_workload(8)).unwrap();
     pr.drain_audits().unwrap();
     assert!(pr.stats().witness_rotations > 0);
     // The equivocator was exposed in epoch 1; its *current* witnesses — a
     // rotated set — must still hold the verdict and verifiable evidence.
     for w in pr.correct_witnesses_of(1) {
         assert_eq!(pr.verdict_of(w, 1), Verdict::Exposed, "witness {w}");
-        assert!(!pr.evidence_of(w, 1).is_empty(), "witness {w}");
+        assert!(!pr.engine().evidence_of(w, 1).is_empty(), "witness {w}");
     }
     for node in [0u32, 2, 3] {
         for w in pr.correct_witnesses_of(node) {
@@ -341,7 +346,7 @@ fn checkpoint_control_traffic_is_wrapped_in_envelopes() {
     // control traffic (fuzz lives in the wire module; this pins the
     // integration path).
     let mut pr = PeerReview::new(checkpointed(29, 1), FaultPlan::all_correct()).unwrap();
-    pr.run_scenario(1, 4).unwrap();
+    pr.run_rounds(1, 1, |pr, _| pr.run_workload(4)).unwrap();
     let stats = pr.stats();
     assert!(stats.checkpoints_proposed >= 4);
     assert_eq!(stats.checkpoints_proposed, 4, "one proposal per node");

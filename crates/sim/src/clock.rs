@@ -44,23 +44,6 @@ impl SimClock {
         let new = self.nanos.fetch_add(duration.as_nanos(), Ordering::SeqCst) + duration.as_nanos();
         SimInstant::from_nanos(new)
     }
-
-    /// Moves the clock forward to `instant` if it is in the future; otherwise
-    /// leaves it unchanged. Returns the (possibly unchanged) current time.
-    pub fn advance_to(&self, instant: SimInstant) -> SimInstant {
-        let target = instant.as_nanos();
-        let mut current = self.nanos.load(Ordering::SeqCst);
-        while current < target {
-            match self
-                .nanos
-                .compare_exchange(current, target, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return instant,
-                Err(observed) => current = observed,
-            }
-        }
-        SimInstant::from_nanos(current)
-    }
 }
 
 #[cfg(test)]
@@ -86,15 +69,5 @@ mod tests {
         let c2 = c.clone();
         c2.advance(SimDuration::from_nanos(10));
         assert_eq!(c.now().as_nanos(), 10);
-    }
-
-    #[test]
-    fn advance_to_only_moves_forward() {
-        let c = SimClock::new();
-        c.advance(SimDuration::from_micros(10));
-        c.advance_to(SimInstant::from_nanos(5_000));
-        assert_eq!(c.now().as_micros(), 10);
-        c.advance_to(SimInstant::from_nanos(20_000));
-        assert_eq!(c.now().as_micros(), 20);
     }
 }

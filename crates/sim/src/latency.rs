@@ -49,12 +49,6 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// A constant-delay model.
-    #[must_use]
-    pub fn constant(value: SimDuration) -> Self {
-        LatencyModel::Constant { value }
-    }
-
     /// A uniform model over `[lo, hi]`.
     #[must_use]
     pub fn uniform(lo: SimDuration, hi: SimDuration) -> Self {
@@ -193,10 +187,12 @@ mod tests {
 
     #[test]
     fn constant_model() {
-        let m = LatencyModel::constant(SimDuration::from_micros(23));
+        let m = LatencyModel::Constant {
+            value: SimDuration::from_micros(23),
+        };
         let mut rng = DetRng::new(1);
-        assert_eq!(m.sample(&mut rng).as_micros(), 23);
-        assert_eq!(m.mean().as_micros(), 23);
+        assert_eq!(m.sample(&mut rng), SimDuration::from_micros(23));
+        assert_eq!(m.mean(), SimDuration::from_micros(23));
     }
 
     #[test]
@@ -204,10 +200,10 @@ mod tests {
         let m = LatencyModel::uniform(SimDuration::from_micros(5), SimDuration::from_micros(10));
         let mut rng = DetRng::new(2);
         for _ in 0..1000 {
-            let s = m.sample(&mut rng).as_micros();
+            let s = m.sample(&mut rng).as_nanos() / 1_000;
             assert!((5..=10).contains(&s));
         }
-        assert_eq!(m.mean().as_micros(), 7);
+        assert_eq!(m.mean().as_nanos() / 1_000, 7);
     }
 
     #[test]
@@ -224,7 +220,9 @@ mod tests {
     fn spiky_model_produces_spikes() {
         let m = LatencyModel::spiky_us(45.0, 2.0, 0.05, 200.0, 500.0);
         let mut rng = DetRng::new(4);
-        let samples: Vec<u64> = (0..2000).map(|_| m.sample(&mut rng).as_micros()).collect();
+        let samples: Vec<u64> = (0..2000)
+            .map(|_| m.sample(&mut rng).as_nanos() / 1_000)
+            .collect();
         let spikes = samples.iter().filter(|&&s| s >= 200).count();
         assert!(spikes > 20, "expected spikes, got {spikes}");
         assert!(spikes < 400, "too many spikes: {spikes}");
@@ -242,7 +240,7 @@ mod tests {
     #[test]
     fn size_dependent_cost_scales() {
         let m = SizeDependentLatency::new(SimDuration::from_micros(1), 2.0);
-        assert_eq!(m.cost(0).as_micros(), 1);
+        assert_eq!(m.cost(0).as_nanos() / 1_000, 1);
         assert_eq!(m.cost(1000).as_nanos(), 1_000 + 2_000);
         let line = SizeDependentLatency::from_line_rate_gbps(SimDuration::ZERO, 100.0);
         // 1 KiB at 100 Gbps is ~82 ns.

@@ -25,7 +25,7 @@
 //! use tnic_sim::time::SimDuration;
 //!
 //! let clock = SimClock::new();
-//! let model = LatencyModel::constant(SimDuration::from_micros(23));
+//! let model = LatencyModel::uniform(SimDuration::from_micros(23), SimDuration::from_micros(23));
 //! let mut rng = DetRng::new(42);
 //! clock.advance(model.sample(&mut rng));
 //! assert_eq!(clock.now().as_micros(), 23);

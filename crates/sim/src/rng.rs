@@ -85,12 +85,6 @@ impl DetRng {
         mean + std_dev * mag * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Samples an exponentially distributed value with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        -mean * u.ln()
-    }
-
     /// Fills `buf` with random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         for chunk in buf.chunks_mut(8) {
@@ -104,16 +98,6 @@ impl DetRng {
         let mut out = [0u8; 32];
         self.fill_bytes(&mut out);
         out
-    }
-
-    /// Chooses a random element of `slice`, or `None` if it is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            let idx = self.next_below(slice.len() as u64) as usize;
-            Some(&slice[idx])
-        }
     }
 }
 
@@ -173,22 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn exponential_is_positive() {
-        let mut rng = DetRng::new(13);
-        for _ in 0..1000 {
-            assert!(rng.exponential(10.0) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn fill_bytes_and_choose() {
+    fn fill_bytes_covers_a_partial_last_word() {
         let mut rng = DetRng::new(17);
         let b = rng.bytes32();
         assert_ne!(b, [0u8; 32]);
-        let items = [1, 2, 3];
-        assert!(items.contains(rng.choose(&items).unwrap()));
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
+        let mut odd = [0u8; 11];
+        DetRng::new(17).fill_bytes(&mut odd);
+        assert_eq!(odd, b[..11]);
     }
 
     #[test]

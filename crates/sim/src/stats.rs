@@ -13,14 +13,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Histogram {
-            samples_us: Vec::new(),
-        }
-    }
-
     /// Records a duration sample.
     pub fn record(&mut self, value: SimDuration) {
         self.record_us(value.as_micros_f64());
@@ -88,12 +80,6 @@ impl Histogram {
     pub fn max_us(&self) -> f64 {
         self.samples_us.iter().copied().fold(0.0, f64::max)
     }
-
-    /// Raw samples (time-ordered), used for Figure 7 style plots.
-    #[must_use]
-    pub fn samples_us(&self) -> &[f64] {
-        &self.samples_us
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +88,7 @@ mod tests {
 
     #[test]
     fn histogram_percentiles() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         assert!(h.is_empty());
         for i in 1..=100u64 {
             h.record(SimDuration::from_micros(i));
@@ -117,7 +103,7 @@ mod tests {
 
     #[test]
     fn histogram_empty_is_zero() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.mean_us(), 0.0);
         assert_eq!(h.percentile_us(0.5), 0.0);
         assert_eq!(h.percentile_us(0.99), 0.0);
@@ -127,7 +113,7 @@ mod tests {
 
     #[test]
     fn histogram_single_sample_all_percentiles() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         h.record_us(42.0);
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(h.percentile_us(q), 42.0, "q={q}");
@@ -138,7 +124,7 @@ mod tests {
 
     #[test]
     fn histogram_saturates_non_finite_samples() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         h.record_us(f64::NAN); // dropped
         h.record_us(f64::INFINITY); // clamped to f64::MAX
         h.record_us(f64::NEG_INFINITY); // clamped to 0

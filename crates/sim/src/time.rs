@@ -23,18 +23,6 @@ impl SimDuration {
         SimDuration(micros * 1_000)
     }
 
-    /// Creates a duration from milliseconds.
-    #[must_use]
-    pub const fn from_millis(millis: u64) -> Self {
-        SimDuration(millis * 1_000_000)
-    }
-
-    /// Creates a duration from seconds.
-    #[must_use]
-    pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1_000_000_000)
-    }
-
     /// Creates a duration from a floating-point number of microseconds.
     #[must_use]
     pub fn from_micros_f64(micros: f64) -> Self {
@@ -47,28 +35,10 @@ impl SimDuration {
         self.0
     }
 
-    /// The duration in whole microseconds (truncating).
-    #[must_use]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// The duration as fractional microseconds.
     #[must_use]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
-    }
-
-    /// The duration as fractional seconds.
-    #[must_use]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
-    }
-
-    /// Saturating subtraction.
-    #[must_use]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -109,7 +79,7 @@ impl Div<u64> for SimDuration {
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= 1_000_000_000 {
-            write!(f, "{:.3}s", self.as_secs_f64())
+            write!(f, "{:.3}s", self.0 as f64 / 1_000_000_000.0)
         } else if self.0 >= 1_000_000 {
             write!(f, "{:.3}ms", self.0 as f64 / 1_000_000.0)
         } else if self.0 >= 1_000 {
@@ -178,8 +148,6 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
-        assert_eq!(SimDuration::from_millis(2).as_micros(), 2_000);
-        assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
         assert_eq!(SimDuration::from_micros_f64(-3.0), SimDuration::ZERO);
     }
@@ -188,18 +156,17 @@ mod tests {
     fn arithmetic() {
         let a = SimDuration::from_micros(10);
         let b = SimDuration::from_micros(3);
-        assert_eq!((a + b).as_micros(), 13);
-        assert_eq!((a - b).as_micros(), 7);
-        assert_eq!((a * 4).as_micros(), 40);
-        assert_eq!((a / 2).as_micros(), 5);
-        assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
+        assert_eq!((a + b).as_nanos(), 13_000);
+        assert_eq!((a - b).as_nanos(), 7_000);
+        assert_eq!((a * 4).as_nanos(), 40_000);
+        assert_eq!((a / 2).as_nanos(), 5_000);
     }
 
     #[test]
     fn instants() {
         let start = SimInstant::EPOCH;
         let later = start + SimDuration::from_micros(7);
-        assert_eq!(later.duration_since(start).as_micros(), 7);
+        assert_eq!(later.duration_since(start).as_nanos(), 7_000);
         assert!(later > start);
     }
 
@@ -215,8 +182,8 @@ mod tests {
     fn display_formats() {
         assert_eq!(SimDuration::from_nanos(500).to_string(), "500ns");
         assert_eq!(SimDuration::from_micros(23).to_string(), "23.00us");
-        assert_eq!(SimDuration::from_millis(3).to_string(), "3.000ms");
-        assert_eq!(SimDuration::from_secs(2).to_string(), "2.000s");
+        assert_eq!(SimDuration::from_micros(3_000).to_string(), "3.000ms");
+        assert_eq!(SimDuration::from_micros(2_000_000).to_string(), "2.000s");
         assert!(SimInstant::EPOCH.to_string().starts_with("t+"));
     }
 }

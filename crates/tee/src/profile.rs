@@ -47,19 +47,6 @@ impl Baseline {
         }
     }
 
-    /// Whether the baseline avoids CPU TEEs entirely (Table 2).
-    #[must_use]
-    pub fn tee_free(self) -> bool {
-        !matches!(self, Baseline::Sgx | Baseline::AmdSev)
-    }
-
-    /// Whether the attestation state is tamper-proof against a compromised
-    /// host (Table 2).
-    #[must_use]
-    pub fn tamper_proof(self) -> bool {
-        matches!(self, Baseline::Sgx | Baseline::AmdSev | Baseline::Tnic)
-    }
-
     /// The latency/breakdown profile for this baseline.
     #[must_use]
     pub fn profile(self) -> BaselineProfile {
@@ -155,15 +142,6 @@ impl BaselineProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table2_security_properties() {
-        assert!(Baseline::SslLib.tee_free() && !Baseline::SslLib.tamper_proof());
-        assert!(Baseline::SslServerIntel.tee_free() && !Baseline::SslServerIntel.tamper_proof());
-        assert!(!Baseline::Sgx.tee_free() && Baseline::Sgx.tamper_proof());
-        assert!(!Baseline::AmdSev.tee_free() && Baseline::AmdSev.tamper_proof());
-        assert!(Baseline::Tnic.tee_free() && Baseline::Tnic.tamper_proof());
-    }
 
     #[test]
     fn figure5_mean_latencies_are_reproduced() {

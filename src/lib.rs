@@ -67,12 +67,13 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use tnic_peerreview::deployment::Accountable;
 
     #[test]
     fn umbrella_wires_substrate_and_applications_together() {
         let faults = FaultPlan::single(1, NodeFault::Equivocate);
         let mut pr = PeerReview::new(PeerReviewConfig::default(), faults).unwrap();
-        pr.run_scenario(1, 4).unwrap();
+        pr.run_rounds(1, 1, |pr, _| pr.run_workload(4)).unwrap();
         assert!(pr
             .correct_witnesses_of(1)
             .iter()
