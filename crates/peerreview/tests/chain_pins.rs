@@ -1,11 +1,13 @@
 //! The log's hash chain, pinned from outside the crate.
 //!
-//! Both tables below were dumped from a build in which every `LogEntry`
-//! still carried its own chained hash. They pin (i) every head a log
-//! reports through append, prune, tamper, truncate and append again, and
-//! (ii) the verdict a witness reaches on an audit response whose wire bytes
-//! had one field of one entry altered: who stores or recomputes a link may
-//! change, the chain and the verdicts may not.
+//! The two tables below pin (i) every head a log reports through append,
+//! prune, tamper, truncate and append again, and (ii) the verdict a witness
+//! reaches on an audit response whose wire bytes had one field of one entry
+//! altered: who stores or recomputes a link may change, the chain and the
+//! verdicts may not. The verdict table was dumped from a build in which
+//! every `LogEntry` still carried its own chained hash. The head table was
+//! computed by a Python `hashlib` model of the same operations over the
+//! one-pass link `sha256(prev ‖ seq_le ‖ tag ‖ peer_le ‖ content)`.
 
 use tnic_core::transform::{CounterMachine, StateMachine};
 use tnic_device::attestation::{AttestationKernel, AttestationTiming};
@@ -65,21 +67,21 @@ fn heads_through_append_prune_tamper_truncate_append() {
 /// After append ×12, `prune_to(5)`, `tamper_and_rechain(7, …)`,
 /// `truncate_tail(2)` and append ×3 (first 8 bytes of each hash).
 const HEADS: [&str; 5] = [
-    "head 6aff4729ebc001bd fork 112ab8e5f05b306f at 0000000000000000 d70cc405a3928ba4 \
-     0296bee46619c090 3c25207b3c901ce2 b38f591096c51f07 a54fedfffcffa94b a7d33ed2ac25df07 \
-     6129c8a4fc310aee 1a1f32b041b5d038 faa1584fe658772b adce6624524cba26 55d74f9ff02ef1c3 \
-     6aff4729ebc001bd -",
-    "head 6aff4729ebc001bd fork 112ab8e5f05b306f at - - - - - a54fedfffcffa94b \
-     a7d33ed2ac25df07 6129c8a4fc310aee 1a1f32b041b5d038 faa1584fe658772b adce6624524cba26 \
-     55d74f9ff02ef1c3 6aff4729ebc001bd -",
-    "head f907e9db29ab1516 fork 2a0438433a5853e7 at - - - - - a54fedfffcffa94b \
-     a7d33ed2ac25df07 6129c8a4fc310aee 9a660137f40c1c34 0ea91e86dad5cf9d 87b476d0e21d38d3 \
-     f48e5b76e426a535 f907e9db29ab1516 -",
-    "head 87b476d0e21d38d3 fork d24d2503c5b36dc1 at - - - - - a54fedfffcffa94b \
-     a7d33ed2ac25df07 6129c8a4fc310aee 9a660137f40c1c34 0ea91e86dad5cf9d 87b476d0e21d38d3 -",
-    "head d3a95fe9befc3632 fork 828b605f8c7f895b at - - - - - a54fedfffcffa94b \
-     a7d33ed2ac25df07 6129c8a4fc310aee 9a660137f40c1c34 0ea91e86dad5cf9d 87b476d0e21d38d3 \
-     0f308e2ff47b8dad 5dbb0ecadde1e63e d3a95fe9befc3632 -",
+    "head 35e78d6fc0d31993 fork 622f78e233bce829 at 0000000000000000 4b40f4aae7f49d71 \
+     3f8b3fd3537afc84 6a47ef3451a1867b 777cbc2775d9dda5 3c2410fd3eff4fac 02d31961b740c8e8 \
+     a98c9ae2555efc8d a90758436d0f9bd0 c10b65f9b96f06f7 6216d494a5de43ca 3ff46f522b076c8f \
+     35e78d6fc0d31993 -",
+    "head 35e78d6fc0d31993 fork 622f78e233bce829 at - - - - - 3c2410fd3eff4fac \
+     02d31961b740c8e8 a98c9ae2555efc8d a90758436d0f9bd0 c10b65f9b96f06f7 6216d494a5de43ca \
+     3ff46f522b076c8f 35e78d6fc0d31993 -",
+    "head c83ac0561b887e76 fork 098d22440ab6a65c at - - - - - 3c2410fd3eff4fac \
+     02d31961b740c8e8 a98c9ae2555efc8d 991ee60fbcdebf73 6ff70a3c49777917 534b5e02163c4967 \
+     4c75a997d6bc2840 c83ac0561b887e76 -",
+    "head 534b5e02163c4967 fork c1bb6d68c9dc32df at - - - - - 3c2410fd3eff4fac \
+     02d31961b740c8e8 a98c9ae2555efc8d 991ee60fbcdebf73 6ff70a3c49777917 534b5e02163c4967 -",
+    "head fcbe18e87df727ca fork 6aee2ed8f05982bf at - - - - - 3c2410fd3eff4fac \
+     02d31961b740c8e8 a98c9ae2555efc8d 991ee60fbcdebf73 6ff70a3c49777917 534b5e02163c4967 \
+     e450ac965e9ac7ee 41c006c84d767336 fcbe18e87df727ca -",
 ];
 
 /// An 8-entry segment of every kind a replay distinguishes, sealed at its
