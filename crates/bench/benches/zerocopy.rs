@@ -18,7 +18,8 @@
 //! round, so allocations per audit round must stay flat in steady state —
 //! later rounds may not allocate more than earlier (warm) rounds beyond a
 //! small tolerance, or the scratch reuse has regressed into per-message
-//! buffer churn.
+//! buffer churn — and below an absolute bound of
+//! `MAX_ALLOCS_PER_AUDIT_ROUND` in every window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -171,11 +172,16 @@ fn main() {
 /// Scratch-buffer reuse in the challenge/response encoder means the second
 /// window must not allocate more than the first beyond a small tolerance
 /// (per-round log growth is bounded, so steady-state rounds do equal
-/// work). Returns `true` on failure.
+/// work), and neither window may average more than
+/// `MAX_ALLOCS_PER_AUDIT_ROUND`. Returns `true` on failure.
 fn audit_path_probe() -> bool {
     const WARM_ROUNDS: u64 = 3;
     const WINDOW_ROUNDS: u64 = 4;
     const MSGS_PER_ROUND: u64 = 8;
+    /// Steady-state allocations per audit round (workload included): 850
+    /// with responses encoded in place, consistency checks that build no
+    /// payload and every control envelope folded into the round digest.
+    const MAX_ALLOCS_PER_AUDIT_ROUND: u64 = 1_000;
 
     let config = PeerReviewConfig {
         nodes: 8,
@@ -230,6 +236,16 @@ fn audit_path_probe() -> bool {
              scratch-buffer reuse has regressed"
         );
         failed = true;
+    }
+    for (label, spent) in [("A", first), ("B", second)] {
+        if spent > MAX_ALLOCS_PER_AUDIT_ROUND * WINDOW_ROUNDS {
+            eprintln!(
+                "FAIL: audit window {label} allocated {:.0} times per audit round, \
+                 above the bound of {MAX_ALLOCS_PER_AUDIT_ROUND}",
+                spent as f64 / WINDOW_ROUNDS as f64
+            );
+            failed = true;
+        }
     }
     if first == 0 {
         eprintln!("suspicious: audit window allocated 0 times — accounting may be broken");

@@ -96,10 +96,10 @@ const MAX_VERDICT_DELAY_ROUNDS: u64 = 6;
 /// messages per node per audit round.
 const MAX_AUDIT_MSGS_PER_NODE_ROUND: f64 = 4.0;
 
-/// `audit-log-share`: audit-protocol digests stay under this fraction of
-/// every scenario's log — with round-digest batching one `AuditRound`
-/// entry per audit round replaces the per-envelope digest flood, so audit
-/// metadata cannot dominate the very logs being audited.
+/// `audit-log-share`: round digests stay under this fraction of every
+/// scenario's log — one `AuditRound` entry per node and audit round
+/// replaces the per-envelope digest flood, so protocol metadata cannot
+/// dominate the very logs being audited.
 const MAX_AUDIT_LOG_FRACTION: f64 = 0.5;
 
 /// `trace-overhead`: recording with the event ring enabled slows the

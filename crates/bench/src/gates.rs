@@ -166,11 +166,11 @@ pub fn audit_traffic(cases: &[(String, f64)], max_per_node_round: f64) -> Vec<St
         .collect()
 }
 
-/// Every case's logs keep their audit-protocol share under `max_fraction`
+/// Every case's logs keep their round-digest share under `max_fraction`
 /// — the storage axis of the audit-log inflation feedback: without
-/// round-digest batching, every challenge/response envelope lands a
-/// per-message control digest in both endpoint logs, the next audit
-/// replays those entries, and the audit share compounds with witness count.
+/// round digests, every challenge/response envelope lands a per-message
+/// control digest in both endpoint logs, the next audit replays those
+/// entries, and the audit share compounds with witness count.
 #[must_use]
 pub fn audit_log_share(rows: &[(Case, Outcome)], max_fraction: f64) -> Vec<String> {
     rows.iter()

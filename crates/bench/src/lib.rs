@@ -1491,17 +1491,17 @@ pub(crate) mod tests {
         // `BENCH_report.json` commits TNIC rows only; this pins what the
         // five host baselines charge for the same two runs, to the µs.
         let pinned = [
-            (Baseline::SslLib, 1_300, 1_210),
-            (Baseline::SslServerIntel, 2_781, 2_611),
-            (Baseline::SslServerAmd, 5_794, 5_463),
-            (Baseline::Sgx, 8_213, 7_755),
-            (Baseline::AmdSev, 15_840, 15_021),
-            (Baseline::Tnic, 2_695, 2_498),
+            (Baseline::SslLib, 1_273, 1_189),
+            (Baseline::SslServerIntel, 2_753, 2_591),
+            (Baseline::SslServerAmd, 5_765, 5_441),
+            (Baseline::Sgx, 8_166, 7_721),
+            (Baseline::AmdSev, 15_786, 14_981),
+            (Baseline::Tnic, 2_636, 2_454),
         ];
         for (baseline, fault_free_us, exec_tampering_us) in pinned {
             for (name, virtual_time_us, control, replayed) in [
-                ("fault-free", fault_free_us, 40, 136),
-                ("exec-tampering", exec_tampering_us, 36, 114),
+                ("fault-free", fault_free_us, 40, 104),
+                ("exec-tampering", exec_tampering_us, 36, 90),
             ] {
                 let run = case(scenario_suite(baseline), name, PIGGYBACK)
                     .experiment

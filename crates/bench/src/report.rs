@@ -213,10 +213,10 @@ pub fn scaling_section(rows: &[(Experiment, Outcome, Option<u64>)]) -> String {
 }
 
 /// The log-composition and replay-work section: what the per-node logs
-/// actually hold (app payloads vs control digests vs audit-protocol
-/// digests) and how many entries audit replay ground through — the
-/// measured face of the O(w²) full-audit wall: every audit-protocol
-/// message a witness sends becomes a log entry the *next* audit round must
+/// actually hold (app payloads vs checkpoint marks vs round digests) and
+/// how many entries audit replay ground through — the measured face of the
+/// O(w²) full-audit wall: without round digests every protocol message a
+/// witness sends would become a log entry the *next* audit round must
 /// cover, and under full auditing every witness replays every audited
 /// node's whole window.
 #[must_use]
@@ -224,9 +224,11 @@ pub fn log_composition_section(rows: &[(Case, Outcome)]) -> String {
     let mut out = String::from(
         "## Log composition and replay work\n\n\
          Entry classes across all node logs (everything ever appended) and \
-         the entries fed through audit replay. The audit-digest column is \
-         the log growth the audit machinery inflicts on itself; replayed/app \
-         is the replay-work amplification of full auditing.\n\n\
+         the entries fed through audit replay. The ctl-digest column counts \
+         checkpoint marks. The audit-digest column counts round digests, one \
+         entry per node and audit round that folds every envelope without an \
+         app command: the log growth the protocol inflicts on itself. \
+         Replayed/app is the replay-work amplification of full auditing.\n\n\
          | scenario | baseline | mode | app payload | ctl digest | audit digest | \
          audit share | replayed | replayed/app |\n\
          |---|---|---|---:|---:|---:|---:|---:|---:|\n",

@@ -388,12 +388,13 @@ pub mod codes {
     /// Log-entry class: application payload logged in full (witnesses
     /// replay it against the reference machine).
     pub const LOG_APP_PAYLOAD: u64 = 0;
-    /// Log-entry class: non-audit control message logged by digest
-    /// (commitments, checkpoint traffic, membership, evidence).
+    /// Log-entry class: a checkpoint mark, or a send/receive entry that
+    /// does not carry a full payload.
     pub const LOG_CONTROL_DIGEST: u64 = 1;
-    /// Log-entry class: audit-protocol message (challenge/response,
-    /// batched or not) logged by digest — the class behind the O(w²)
-    /// audit-log-inflation feedback.
+    /// Log-entry class: a round digest, one entry per node and audit round
+    /// folding every envelope without an application command (audit,
+    /// commitment, checkpoint, evidence and membership traffic) — the
+    /// class behind the O(w²) audit-log-inflation feedback.
     pub const LOG_AUDIT_DIGEST: u64 = 2;
 
     /// Human-readable log-entry-class label.

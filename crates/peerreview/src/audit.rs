@@ -708,10 +708,9 @@ mod tests {
     /// An honest log that also closes one audit round over `digests`.
     fn log_with_audit_round(machine: &mut CounterMachine, digests: &[[u8; 32]]) -> SecureLog {
         let mut log = honest_log(machine);
-        log.append_classified(
+        log.append(
             EntryKind::AuditRound,
             crate::log::audit_round_content(0, digests),
-            true,
         );
         log
     }
@@ -732,21 +731,18 @@ mod tests {
         assert_eq!(record.audited_seq, log.len());
     }
 
-    #[test]
-    fn round_digest_replay_rejects_any_single_envelope_tamper() {
-        // The batching safety property: for EVERY envelope position and
-        // every tamper mode — drop, reorder, substitute — replay rejects
-        // the round. Two forgery strategies exist and both convict: leave
-        // the committed accumulator in place (the entry is internally
-        // inconsistent → RoundDigestMismatch), or re-encode the entry
-        // self-consistently (the re-chained head diverges from the sealed
-        // commitment → HeadMismatch). Batching therefore does not weaken
-        // per-envelope tamper-evidence.
-        let digests: Vec<[u8; 32]> = (0u8..5).map(|i| [i + 1; 32]).collect();
-        let committed_acc = crate::log::accumulate_audit_digests(&digests);
+    /// The batching safety property over one round's `digests`: for EVERY
+    /// envelope position and every tamper mode — drop, reorder, substitute
+    /// — replay rejects the round. Two forgery strategies exist and both
+    /// convict: leave the committed accumulator in place (the entry is
+    /// internally inconsistent → RoundDigestMismatch), or re-encode the
+    /// entry self-consistently (the re-chained head diverges from the
+    /// sealed commitment → HeadMismatch).
+    fn assert_every_single_digest_tamper_convicts(digests: &[[u8; 32]]) {
+        let committed_acc = crate::log::accumulate_audit_digests(digests);
         for pos in 0..digests.len() {
             for tamper in ["drop", "reorder", "substitute"] {
-                let mut tampered = digests.clone();
+                let mut tampered = digests.to_vec();
                 match tamper {
                     "drop" => {
                         tampered.remove(pos);
@@ -762,7 +758,7 @@ mod tests {
                 // accumulator both recomputed, log re-chained.
                 let mut kernel = node_kernel(1);
                 let mut machine = CounterMachine::new();
-                let mut log = log_with_audit_round(&mut machine, &digests);
+                let mut log = log_with_audit_round(&mut machine, digests);
                 let auth = seal(&mut kernel, 1, log.len(), log.head());
                 let entry_seq = log.len() - 1;
                 assert!(log
@@ -782,7 +778,7 @@ mod tests {
                 // but the committed accumulator is kept.
                 let mut kernel = node_kernel(1);
                 let mut machine = CounterMachine::new();
-                let mut log = log_with_audit_round(&mut machine, &digests);
+                let mut log = log_with_audit_round(&mut machine, digests);
                 let auth = seal(&mut kernel, 1, log.len(), log.head());
                 let mut forged = crate::log::audit_round_content(0, &tampered);
                 let len = forged.len();
@@ -801,6 +797,82 @@ mod tests {
                 assert_eq!(err.label(), "round-digest-mismatch");
             }
         }
+    }
+
+    #[test]
+    fn round_digest_replay_rejects_any_single_envelope_tamper() {
+        // Batching therefore does not weaken per-envelope tamper-evidence.
+        let digests: Vec<[u8; 32]> = (0u8..5).map(|i| [i + 1; 32]).collect();
+        assert_every_single_digest_tamper_convicts(&digests);
+    }
+
+    /// The digests of one round of commitment and checkpoint traffic, as a
+    /// node folds them: an announcement and a relayed gossip of a sealed
+    /// commitment, then a checkpoint proposal, a cosignature and the
+    /// certificate that carries both.
+    fn commitment_and_checkpoint_digests() -> Vec<[u8; 32]> {
+        use crate::checkpoint::{CheckpointMark, Cosignature};
+        let (head, state_digest) = ([7u8; 32], [9u8; 32]);
+        let mut kernel = node_kernel(1);
+        let auth = seal(&mut kernel, 1, 2, head);
+        let (attestation, _) = kernel
+            .attest(
+                log_session(1),
+                &CheckpointMark::payload(1, 0, 2, &head, &state_digest),
+            )
+            .unwrap();
+        let mark = CheckpointMark {
+            node: 1,
+            epoch: 0,
+            cut: 2,
+            head,
+            state_digest,
+            attestation,
+        };
+        let (attestation, _) = node_kernel(2)
+            .attest(
+                log_session(2),
+                &Cosignature::payload(2, 1, 0, 2, &head, &state_digest),
+            )
+            .unwrap();
+        let cosig = Cosignature {
+            witness: 2,
+            node: 1,
+            epoch: 0,
+            cut: 2,
+            head,
+            state_digest,
+            attestation,
+        };
+        assert!(mark.consistent() && cosig.consistent() && cosig.covers(&mark));
+        [
+            Envelope::Announce(auth.clone()),
+            Envelope::Gossip(auth),
+            Envelope::CheckpointPropose(mark.clone()),
+            Envelope::CheckpointCosign(cosig.clone()),
+            Envelope::CheckpointCommit {
+                mark,
+                cosigs: vec![cosig],
+            },
+        ]
+        .iter()
+        .map(|envelope| tnic_crypto::sha256::sha256(&envelope.encode()))
+        .collect()
+    }
+
+    #[test]
+    fn round_digest_replay_rejects_any_commitment_or_checkpoint_digest_tamper() {
+        let digests = commitment_and_checkpoint_digests();
+        let mut kernel = node_kernel(1);
+        let mut machine = CounterMachine::new();
+        let log = log_with_audit_round(&mut machine, &digests);
+        let auth = seal(&mut kernel, 1, log.len(), log.head());
+        let mut record = WitnessRecord::new(CounterMachine::new());
+        record.store_commitment(auth.clone());
+        record
+            .check_response(&auth, log.segment(0, auth.seq))
+            .unwrap();
+        assert_every_single_digest_tamper_convicts(&digests);
     }
 
     #[test]
@@ -876,10 +948,7 @@ mod tests {
             EntryKind::Recv { from: 9 },
             crate::log::content_full(&command),
         );
-        log.append(
-            EntryKind::Send { to: 2 },
-            crate::log::content_digest(b"ctl"),
-        );
+        log.append(EntryKind::Send { to: 2 }, b"ctl".to_vec());
         log.append(EntryKind::Exec, machine.execute(b"incr"));
         for (len, expected) in [
             (3, Misbehavior::BrokenChain { at_seq: 2 }),
@@ -887,7 +956,7 @@ mod tests {
         ] {
             let auth = seal(&mut kernel, 1, len, log.head_at(len).unwrap());
             let mut entries = log.segment(0, len).to_vec();
-            entries[1].content = crate::log::content_digest(b"forged");
+            entries[1].content = b"forged".to_vec();
             let mut record = WitnessRecord::new(CounterMachine::new());
             record.store_commitment(auth.clone());
             assert_eq!(record.check_response(&auth, &entries), Err(expected));

@@ -151,6 +151,20 @@ fn mark_fields(payload: &[u8], domain: &[u8; 12]) -> Option<MarkFields> {
     Some((node, epoch, cut, head, digest))
 }
 
+/// The fields of a cosignature payload: `(witness, mark fields)`.
+fn cosign_fields(payload: &[u8]) -> Option<(u32, MarkFields)> {
+    if payload.len() != 12 + 4 + 4 + 8 + 8 + 32 + 32 || &payload[..12] != COSIGN_DOMAIN {
+        return None;
+    }
+    let witness = u32::from_le_bytes(payload[12..16].try_into().ok()?);
+    let node = u32::from_le_bytes(payload[16..20].try_into().ok()?);
+    let epoch = u64::from_le_bytes(payload[20..28].try_into().ok()?);
+    let cut = u64::from_le_bytes(payload[28..36].try_into().ok()?);
+    let head = payload[36..68].try_into().ok()?;
+    let digest = payload[68..100].try_into().ok()?;
+    Some((witness, (node, epoch, cut, head, digest)))
+}
+
 impl CheckpointMark {
     /// The canonical attestation payload for a checkpoint mark. The same
     /// bytes are recorded as the content of the node's
@@ -186,14 +200,14 @@ impl CheckpointMark {
     /// verification is separate (the witness's kernel).
     #[must_use]
     pub fn consistent(&self) -> bool {
-        self.attestation.payload
-            == Self::payload(
+        mark_fields(&self.attestation.payload, CHECKPOINT_DOMAIN)
+            == Some((
                 self.node,
                 self.epoch,
                 self.cut,
-                &self.head,
-                &self.state_digest,
-            )
+                self.head,
+                self.state_digest,
+            ))
             && self.attestation.device == DeviceId(self.node)
             && self.attestation.session == log_session(self.node)
     }
@@ -289,15 +303,17 @@ impl Cosignature {
     /// handed, but it cannot be made to *lie* about what it sealed.
     #[must_use]
     pub fn consistent(&self) -> bool {
-        self.attestation.payload
-            == Self::payload(
+        cosign_fields(&self.attestation.payload)
+            == Some((
                 self.witness,
-                self.node,
-                self.epoch,
-                self.cut,
-                &self.head,
-                &self.state_digest,
-            )
+                (
+                    self.node,
+                    self.epoch,
+                    self.cut,
+                    self.head,
+                    self.state_digest,
+                ),
+            ))
             && self.attestation.device == DeviceId(self.witness)
             && self.attestation.session == log_session(self.witness)
     }
@@ -317,18 +333,8 @@ impl Cosignature {
     /// attested payload are malformed.
     pub fn decode(bytes: &[u8]) -> Result<Self, DeviceError> {
         let attestation = AttestedMessage::decode(bytes)?;
-        let p = &attestation.payload;
-        if p.len() != 12 + 4 + 4 + 8 + 8 + 32 + 32 || &p[..12] != COSIGN_DOMAIN {
-            return Err(DeviceError::MalformedMessage("bad cosignature payload"));
-        }
-        let witness = u32::from_le_bytes(p[12..16].try_into().expect("sized"));
-        let node = u32::from_le_bytes(p[16..20].try_into().expect("sized"));
-        let epoch = u64::from_le_bytes(p[20..28].try_into().expect("sized"));
-        let cut = u64::from_le_bytes(p[28..36].try_into().expect("sized"));
-        let mut head = [0u8; 32];
-        head.copy_from_slice(&p[36..68]);
-        let mut state_digest = [0u8; 32];
-        state_digest.copy_from_slice(&p[68..100]);
+        let (witness, (node, epoch, cut, head, state_digest)) = cosign_fields(&attestation.payload)
+            .ok_or(DeviceError::MalformedMessage("bad cosignature payload"))?;
         Ok(Cosignature {
             witness,
             node,

@@ -221,16 +221,19 @@
 //!   endpoints per pass, and [`crate::system::PeerReview`] builds its
 //!   cluster with lazy pairwise sessions ([`Cluster::sparse`]), so a link
 //!   costs a key exchange only once something is sent over it.
-//! * **Round digests**: a node's audit-protocol traffic (challenges and
-//!   responses, batched or not) is not logged one control digest per
-//!   envelope. Each envelope's SHA-256 goes into a per-node accumulator
-//!   that is folded into one [`EntryKind::AuditRound`] entry per audit
-//!   round, after the round's audit traffic has quiesced. That breaks the
-//!   audit-log inflation feedback — audit traffic no longer grows the logs
-//!   whose replay the next audit pays for — without weakening
-//!   tamper-evidence (see [`crate::log::audit_round_content`]). An envelope
-//!   that carries an application command is always logged in full, because
-//!   witnesses must replay the command.
+//! * **Round digests**: an envelope that carries no application command —
+//!   audit traffic (challenges and responses, batched or not),
+//!   announcements, gossip, evidence, checkpoint and membership traffic —
+//!   is not logged one control digest per envelope. Its SHA-256 goes into
+//!   a per-node accumulator that is folded into one
+//!   [`EntryKind::AuditRound`] entry, the node's round digest, per audit
+//!   round, after the round's audit traffic has quiesced: a Pregel-style
+//!   combiner per (node, round). That breaks the audit-log inflation
+//!   feedback — protocol traffic no longer grows the logs whose replay the
+//!   next audit pays for — without weakening tamper-evidence (see
+//!   [`crate::log::audit_round_content`]). An envelope that carries an
+//!   application command is always logged in full, because witnesses must
+//!   replay the command.
 
 use crate::audit::{commitments_conflict, Misbehavior, TraceCtx, Verdict, WitnessRecord};
 use crate::checkpoint::{
@@ -511,12 +514,13 @@ pub struct CommitmentLayer {
     pending: BTreeMap<(u32, u32), VecDeque<PendingRide>>,
     /// Commitments that found a ride on outbound traffic.
     piggybacked: u64,
-    /// Round-digest batching: per-node SHA-256 digests of the audit-protocol
-    /// envelopes sent/received since the last flush, in local order. Flushed
-    /// into one [`EntryKind::AuditRound`] entry per node per audit round by
-    /// [`CommitmentLayer::flush_audit_round_digests`]. Lives outside the
-    /// logs, so checkpoint pruning and witness rotation never disturb it.
-    audit_accum: BTreeMap<u32, Vec<[u8; 32]>>,
+    /// Round digests: per-node SHA-256 digests of the envelopes without an
+    /// application command sent/received since the last flush, in local
+    /// order. Flushed into one [`EntryKind::AuditRound`] entry per node per
+    /// audit round by [`CommitmentLayer::flush_round_digests`]. Lives
+    /// outside the logs, so checkpoint pruning and witness rotation never
+    /// disturb it.
+    round_digests: BTreeMap<u32, Vec<[u8; 32]>>,
 }
 
 impl CommitmentLayer {
@@ -552,27 +556,24 @@ impl CommitmentLayer {
     /// log as an `Exec` entry — the record witnesses replay against the
     /// reference machine.
     pub fn record_exec(&mut self, node: u32, output: Vec<u8>, at_us: u64) {
-        self.append_traced(node, tnic_obs::NONE, EntryKind::Exec, output, false, at_us);
+        self.append_traced(node, tnic_obs::NONE, EntryKind::Exec, output, at_us);
     }
 
-    /// Appends an entry via [`crate::log::SecureLog::append_classified`] and
-    /// emits the [`tnic_obs::EventKind::LogAppend`] trace event that links
-    /// the append into the message's cross-node trace (aux = the entry
-    /// class). Allocation-free beyond the log append itself.
+    /// Appends an entry via [`crate::log::SecureLog::append`] and emits the
+    /// [`tnic_obs::EventKind::LogAppend`] trace event that links the append
+    /// into the message's cross-node trace (aux = the entry class).
+    /// Allocation-free beyond the log append itself.
     fn append_traced(
         &mut self,
         node: u32,
         peer: u32,
         kind: EntryKind,
         content: Vec<u8>,
-        audit_protocol: bool,
         at_us: u64,
     ) {
-        let (entry, class) =
-            self.state_mut(node)
-                .log
-                .append_classified(kind, content, audit_protocol);
+        let entry = self.state_mut(node).log.append(kind, content);
         let seq = entry.seq;
+        let class = crate::log::EntryClass::of(entry.kind, &entry.content);
         tnic_obs::trace_event!(
             tnic_obs::EventKind::LogAppend,
             at_us: at_us,
@@ -631,7 +632,6 @@ impl CommitmentLayer {
             tnic_obs::NONE,
             EntryKind::Checkpoint,
             mark_payload,
-            false,
             at_us,
         );
     }
@@ -710,8 +710,8 @@ impl CommitmentLayer {
     }
 
     /// Per-class log composition summed across all logs — what the entries
-    /// ever appended actually hold (app payloads vs control digests vs
-    /// audit-protocol digests); see [`crate::log::LogComposition`].
+    /// ever appended actually hold (app payloads vs checkpoint marks vs
+    /// round digests); see [`crate::log::LogComposition`].
     #[must_use]
     pub fn composition(&self) -> crate::log::LogComposition {
         let mut total = crate::log::LogComposition::default();
@@ -721,46 +721,37 @@ impl CommitmentLayer {
         total
     }
 
-    /// Round-digest batching: absorbs an audit-protocol payload into the
-    /// node's running accumulator instead of appending a per-envelope
-    /// control digest. Returns `true` when the payload was diverted.
-    ///
-    /// Only digest-logged audit traffic is diverted: an envelope carrying an
-    /// application command (a piggyback ride on app traffic) is always logged
-    /// in full, because witnesses must replay the command.
-    fn divert_audit(&mut self, node: u32, payload: &[u8]) -> bool {
-        if !Envelope::is_audit_traffic(payload) || Envelope::app_command(payload).is_some() {
-            return false;
+    /// Logs a sent or delivered payload on `node`'s log. An envelope that
+    /// carries an application command is appended in full, because
+    /// witnesses replay the command; every other payload is folded into the
+    /// node's round digest instead of a per-envelope entry.
+    fn log_payload(&mut self, node: u32, peer: u32, kind: EntryKind, payload: &[u8], at_us: u64) {
+        if Envelope::app_command(payload).is_some() {
+            let content = crate::log::content_full(payload);
+            self.append_traced(node, peer, kind, content, at_us);
+        } else {
+            self.round_digests
+                .entry(node)
+                .or_default()
+                .push(tnic_crypto::sha256::sha256(payload));
         }
-        self.audit_accum
-            .entry(node)
-            .or_default()
-            .push(tnic_crypto::sha256::sha256(payload));
-        true
     }
 
     /// Flushes each non-empty per-node accumulator into a single
-    /// [`EntryKind::AuditRound`] entry recording the round's audit-protocol
-    /// traffic (see [`crate::log::audit_round_content`] for the format).
-    /// Nodes with no audit traffic this round append nothing, so a sampled
-    /// or sharded configuration pays only for the pairs actually audited.
-    pub fn flush_audit_round_digests(&mut self, round: u64, at_us: u64) {
+    /// [`EntryKind::AuditRound`] entry, the node's round digest (see
+    /// [`crate::log::audit_round_content`] for the format). Nodes with no
+    /// control traffic this round append nothing, so a sampled or sharded
+    /// configuration pays only for the nodes actually involved.
+    pub fn flush_round_digests(&mut self, round: u64, at_us: u64) {
         let flushable: Vec<(u32, Vec<[u8; 32]>)> = self
-            .audit_accum
+            .round_digests
             .iter_mut()
             .filter(|(node, digests)| !digests.is_empty() && self.states.contains_key(node))
             .map(|(&node, digests)| (node, std::mem::take(digests)))
             .collect();
         for (node, digests) in flushable {
             let content = crate::log::audit_round_content(round, &digests);
-            self.append_traced(
-                node,
-                tnic_obs::NONE,
-                EntryKind::AuditRound,
-                content,
-                true,
-                at_us,
-            );
+            self.append_traced(node, tnic_obs::NONE, EntryKind::AuditRound, content, at_us);
         }
     }
 
@@ -853,23 +844,6 @@ impl CommitmentLayer {
     }
 }
 
-/// What a log entry records about a message payload.
-///
-/// Application payloads are logged in full — witnesses must replay the
-/// commands against the reference state machine. Control payloads
-/// (commitments, challenges, audit responses, evidence) are logged by
-/// digest only: logging an audit response verbatim would make the *next*
-/// response contain it, growing the log geometrically. PeerReview makes the
-/// same choice — the log commits to `H(message)`, full content is kept only
-/// where replay needs it.
-fn logged_content(payload: &[u8]) -> Vec<u8> {
-    if Envelope::app_command(payload).is_some() {
-        crate::log::content_full(payload)
-    } else {
-        crate::log::content_digest(payload)
-    }
-}
-
 impl AccountabilityLayer for CommitmentLayer {
     fn on_sent(
         &mut self,
@@ -878,31 +852,22 @@ impl AccountabilityLayer for CommitmentLayer {
         message: &tnic_device::attestation::AttestedMessage,
         at: SimInstant,
     ) {
-        if self.divert_audit(from.0, &message.payload) {
-            return;
-        }
-        self.append_traced(
+        self.log_payload(
             from.0,
             to.0,
             EntryKind::Send { to: to.0 },
-            logged_content(&message.payload),
-            Envelope::is_audit_traffic(&message.payload),
+            &message.payload,
             at.as_micros(),
         );
     }
 
     fn on_delivered(&mut self, to: NodeId, delivered: &Delivered) {
-        if self.divert_audit(to.0, &delivered.message.payload) {
-            return;
-        }
-        self.append_traced(
+        let from = delivered.from.0;
+        self.log_payload(
             to.0,
-            delivered.from.0,
-            EntryKind::Recv {
-                from: delivered.from.0,
-            },
-            logged_content(&delivered.message.payload),
-            Envelope::is_audit_traffic(&delivered.message.payload),
+            from,
+            EntryKind::Recv { from },
+            &delivered.message.payload,
             delivered.at.as_micros(),
         );
     }
@@ -1412,7 +1377,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         self.fabricate_evidence(cluster)?;
         self.issue_challenges(cluster)?;
         self.sweep_until_quiet(cluster, app)?;
-        // Round-digest batching: fold the round's accumulated audit-protocol
+        // Round digests: fold the round's accumulated control-envelope
         // digests into one AuditRound entry per node, *after* the audit
         // traffic has quiesced (so the entry covers the whole round) and
         // *before* the round counter advances (commitments sealed at the
@@ -1420,7 +1385,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let at_us = self.clock.now().as_micros();
         self.layer
             .borrow_mut()
-            .flush_audit_round_digests(self.audit_rounds_done, at_us);
+            .flush_round_digests(self.audit_rounds_done, at_us);
         self.finish_round();
         self.audit_rounds_done += 1;
         // The audit round is the partition schedule's clock: advancing it
@@ -3708,7 +3673,7 @@ mod tests {
     }
 
     /// Every correct witness of every correct node must trust it.
-    fn assert_accuracy(engine: &AccountabilityEngine<CounterApp>) {
+    fn assert_accuracy<A: AccountedApp>(engine: &AccountabilityEngine<A>) {
         for node in 0..4u32 {
             if engine.faults.fault_of(node).is_byzantine() {
                 continue;
@@ -4236,7 +4201,7 @@ mod tests {
                 engine
                     .layer
                     .borrow()
-                    .audit_accum
+                    .round_digests
                     .get(&node)
                     .map_or(0, Vec::len),
                 0,
@@ -4286,6 +4251,109 @@ mod tests {
         );
         // Accuracy is the preservation property: a flush entry lost across
         // pruning or handover would make some witness's replay diverge.
+        assert_accuracy(&engine);
+    }
+
+    /// Records the SHA-256 of every commitment and checkpoint envelope a
+    /// node receives, as the envelope's receiver folds it.
+    #[derive(Default)]
+    struct FoldTapApp {
+        inner: CounterApp,
+        commitments: BTreeSet<(u32, [u8; 32])>,
+        checkpoints: BTreeSet<(u32, [u8; 32])>,
+    }
+
+    impl AccountedApp for FoldTapApp {
+        type Machine = CounterMachine;
+
+        fn replay_machine(&self) -> CounterMachine {
+            self.inner.replay_machine()
+        }
+
+        fn execute(&mut self, node: u32, command: &[u8]) -> Vec<u8> {
+            self.inner.execute(node, command)
+        }
+
+        fn snapshot_digest(&self, node: u32) -> [u8; 32] {
+            self.inner.snapshot_digest(node)
+        }
+
+        fn on_control(&mut self, node: u32, _from: u32, envelope: &Envelope) {
+            let digest = tnic_crypto::sha256::sha256(&envelope.encode());
+            match envelope {
+                Envelope::Announce(_) | Envelope::Gossip(_) => {
+                    self.commitments.insert((node, digest));
+                }
+                Envelope::CheckpointPropose(_)
+                | Envelope::CheckpointCosign(_)
+                | Envelope::CheckpointCommit { .. } => {
+                    self.checkpoints.insert((node, digest));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn round_digest_with_commitment_and_checkpoint_envelopes_replays_across_prune_and_rotation() {
+        // Dedicated mode sends every commitment and checkpoint envelope
+        // bare, so the tap's re-encoding is the folded payload.
+        let config = EngineConfig {
+            witness_count: Some(2),
+            checkpoint_interval: Some(1),
+            rotate_witnesses: true,
+            ..EngineConfig::default()
+        };
+        let mut cluster = Cluster::fully_connected(4, Baseline::Tnic, NetworkStackKind::Tnic, 42);
+        let mut app = FoldTapApp {
+            inner: CounterApp::new(&cluster.nodes()),
+            ..FoldTapApp::default()
+        };
+        let mut engine =
+            AccountabilityEngine::attach(&mut cluster, &app, config, FaultPlan::all_correct());
+        let payload = crate::workload::app_payload_sized(0);
+        // Every round entry any node ever held: (node, seq) -> digests.
+        let mut round_entries: BTreeMap<(u32, u64), Vec<u8>> = BTreeMap::new();
+        for _ in 0..5 {
+            for i in 0..8u32 {
+                let to = NodeId((i + 1) % 4);
+                cluster.auth_send(NodeId(i % 4), to, &payload).unwrap();
+                engine.poll(&mut cluster, &mut app, to).unwrap();
+            }
+            engine.run_audit_round(&mut cluster, &mut app).unwrap();
+            let layer = engine.layer.borrow();
+            for node in 0..4u32 {
+                for entry in layer.segment_ref(node, 0, layer.log_len(node)) {
+                    if entry.kind == EntryKind::AuditRound {
+                        let (_, digests, _) =
+                            crate::log::parse_audit_round_content(&entry.content).unwrap();
+                        round_entries.insert((node, entry.seq), digests.to_vec());
+                    }
+                }
+            }
+        }
+        assert!(engine.stats().witness_rotations > 0, "rotation happened");
+        // A round entry that folded both a received commitment and a
+        // received checkpoint envelope, and that a certified checkpoint
+        // has since pruned: its node's witnesses replayed it.
+        let folds = |node: u32, digests: &[u8], tapped: &BTreeSet<(u32, [u8; 32])>| {
+            digests
+                .chunks_exact(32)
+                .any(|d| tapped.contains(&(node, d.try_into().unwrap())))
+        };
+        let carrying: Vec<(u32, u64)> = round_entries
+            .iter()
+            .filter(|(&(node, _), digests)| {
+                folds(node, digests, &app.commitments) && folds(node, digests, &app.checkpoints)
+            })
+            .map(|(&key, _)| key)
+            .collect();
+        assert!(
+            carrying
+                .iter()
+                .any(|&(node, seq)| seq < engine.layer.borrow().base_seq(node)),
+            "a pruned round entry carries commitment and checkpoint digests: {carrying:?}"
+        );
         assert_accuracy(&engine);
     }
 

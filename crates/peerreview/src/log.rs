@@ -2,11 +2,11 @@
 //!
 //! Every node keeps an append-only log of its protocol actions (sends,
 //! verified receives, local executions). Entries are chained by hash —
-//! `h_k = H(h_{k-1} ‖ k ‖ kind ‖ peer ‖ content)`, one pass per link (see
-//! [`chain_hash`]) — so the log as a whole is
-//! committed by its *head* hash, and a node commits to a log prefix by
-//! publishing an [`Authenticator`]: the pair `(seq, head)` sealed by the
-//! node's TNIC attestation kernel ([`AttestedMessage`]).
+//! `h_k = H(h_{k-1} ‖ k ‖ kind ‖ peer ‖ content)`, one SHA-256 pass per
+//! link (see [`chain_hash`]) — so the log as a whole is committed by its
+//! *head* hash, and a node commits to a log prefix by publishing an
+//! [`Authenticator`]: the pair `(seq, head)` sealed by the node's TNIC
+//! attestation kernel ([`AttestedMessage`]).
 //!
 //! Compared to classic PeerReview (which seals authenticators with software
 //! signatures), the TNIC seal adds non-equivocation *hardware* counters: a
@@ -16,13 +16,16 @@
 //! conflicting pair is transferable, independently verifiable proof of
 //! misbehaviour (see [`crate::audit`]).
 //!
-//! Audit-protocol traffic (challenges, responses and their batched forms)
-//! is *not* logged one digest per envelope — that would let auditing
-//! inflate the very logs being audited (the O(w²) replay wall). Each node
-//! instead accumulates the round's audit envelopes and appends a single
-//! [`EntryKind::AuditRound`] entry per audit round; see
-//! [`audit_round_content`] for the wire format and its tamper-evidence
-//! argument.
+//! Only envelopes that carry an application command are logged one entry
+//! each, in full, because witnesses replay them. Every other envelope —
+//! challenges and responses, announcements and gossip, evidence,
+//! checkpoint propose/cosign/commit, join/leave/recover — is *not* logged
+//! one digest per envelope: that would let the protocol inflate the very
+//! logs being audited (the O(w²) replay wall). Each node instead
+//! accumulates the SHA-256 of every such envelope it sends or receives and
+//! appends a single [`EntryKind::AuditRound`] entry, its *round digest*,
+//! per audit round; see [`audit_round_content`] for the wire format and its
+//! tamper-evidence argument.
 
 use tnic_crypto::sha256::{sha256, Sha256};
 use tnic_device::attestation::AttestedMessage;
@@ -67,13 +70,13 @@ pub enum EntryKind {
     /// their reference machine, so a forged checkpoint is as detectable as a
     /// forged execution output.
     Checkpoint,
-    /// The node's accumulated audit-protocol traffic for one audit round,
-    /// batched into a single entry (see [`audit_round_content`] for the
-    /// format and the module docs for why). Witnesses replaying a segment
-    /// re-verify the accumulated digest against the carried per-envelope
-    /// digest list, so dropping, reordering or substituting any audit
-    /// envelope inside a round is as detectable as it was with one entry
-    /// per envelope.
+    /// The node's round digest: every envelope without an application
+    /// command that it sent or received during one audit round, batched
+    /// into a single entry (see [`audit_round_content`] for the format and
+    /// the module docs for why). Witnesses replaying a segment re-verify
+    /// the accumulated digest against the carried per-envelope digest list,
+    /// so dropping, reordering or substituting any envelope inside a round
+    /// is as detectable as it was with one entry per envelope.
     AuditRound,
 }
 
@@ -109,12 +112,10 @@ impl EntryKind {
 }
 
 /// Content-kind prefix: the entry stores the full message payload
-/// (application traffic — witnesses replay it).
+/// (application traffic — witnesses replay it). Control traffic is not
+/// logged per envelope but folded into the round digest
+/// ([`EntryKind::AuditRound`]).
 pub const CONTENT_FULL: u8 = 1;
-/// Content-kind prefix: the entry stores only the payload's SHA-256 digest
-/// (control traffic — logging audit responses verbatim would grow the log
-/// geometrically, since responses contain log entries).
-pub const CONTENT_DIGEST: u8 = 0;
 
 /// Encodes a `Send`/`Recv` entry content carrying the full payload.
 #[must_use]
@@ -122,15 +123,6 @@ pub fn content_full(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + payload.len());
     out.push(CONTENT_FULL);
     out.extend_from_slice(payload);
-    out
-}
-
-/// Encodes a `Send`/`Recv` entry content carrying only the payload digest.
-#[must_use]
-pub fn content_digest(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(33);
-    out.push(CONTENT_DIGEST);
-    out.extend_from_slice(&sha256(payload));
     out
 }
 
@@ -143,7 +135,7 @@ pub fn content_payload(content: &[u8]) -> Option<&[u8]> {
     }
 }
 
-/// Domain-separation seed of the per-round audit-traffic accumulator.
+/// Domain-separation prefix of the round digest.
 pub const AUDIT_ROUND_DOMAIN: &[u8; 12] = b"TNIC-PR-ARND";
 
 /// Folds an ordered list of per-envelope digests into the round's
@@ -169,16 +161,22 @@ fn round_digest(digest_bytes: &[u8]) -> [u8; 32] {
 ///
 /// # Round-digest entry format
 ///
-/// Instead of appending one control digest per audit-protocol envelope
-/// (challenge, response, or their batched forms — the traffic class that
-/// feeds the audit-log inflation loop), a node accumulates the round's
-/// audit envelopes and appends **one** entry per audit round:
+/// Instead of appending one control digest per envelope, a node
+/// accumulates the round's envelopes that carry no application command
+/// and appends **one** entry per audit round. It covers the audit protocol
+/// (challenges and responses, batched or not, the traffic class that feeds
+/// the audit-log inflation loop) and every other control envelope:
+/// announcements, gossip, evidence, checkpoint propose/cosign/commit and
+/// join/leave/recover. An envelope that carries an application command is
+/// logged in full as a `Send`/`Recv` entry instead, because witnesses
+/// replay the command.
 ///
 /// ```text
 /// round      u64 le   — the audit round the entry closes
-/// count      u32 le   — number of audit envelopes accumulated
-/// digests    count × 32 bytes — SHA-256 of each envelope, send order
+/// count      u32 le   — number of envelopes accumulated
+/// digests    count × 32 bytes — SHA-256 of each envelope, in local order
 /// accumulated 32 bytes — accumulate_audit_digests(digests)
+///                        = SHA-256(AUDIT_ROUND_DOMAIN ‖ digests)
 /// ```
 ///
 /// The entry is chained into the log head like any other, so it is covered
@@ -203,9 +201,10 @@ pub fn audit_round_content(round: u64, digests: &[[u8; 32]]) -> Vec<u8> {
 }
 
 /// Decodes an [`EntryKind::AuditRound`] content into
-/// `(round, digests, accumulated)` without verifying the accumulation.
+/// `(round, digest bytes, accumulated)` without verifying the accumulation;
+/// the digest bytes are the `count × 32` carried digests, borrowed in place.
 #[must_use]
-pub fn parse_audit_round_content(content: &[u8]) -> Option<(u64, Vec<[u8; 32]>, [u8; 32])> {
+pub fn parse_audit_round_content(content: &[u8]) -> Option<(u64, &[u8], [u8; 32])> {
     if content.len() < 8 + 4 + 32 {
         return None;
     }
@@ -215,50 +214,41 @@ pub fn parse_audit_round_content(content: &[u8]) -> Option<(u64, Vec<[u8; 32]>, 
     if rest.len() != count * 32 + 32 {
         return None;
     }
-    let digests: Vec<[u8; 32]> = rest[..count * 32]
-        .chunks_exact(32)
-        .map(|c| c.try_into().expect("exact 32-byte chunk"))
-        .collect();
-    let accumulated = rest[count * 32..].try_into().ok()?;
-    Some((round, digests, accumulated))
+    let (digests, accumulated) = rest.split_at(count * 32);
+    Some((round, digests, accumulated.try_into().ok()?))
 }
 
 /// Whether an [`EntryKind::AuditRound`] content is well-formed *and*
 /// internally consistent: the carried accumulated digest equals the
-/// recomputed accumulation of the carried per-envelope digests.
+/// accumulation of the carried per-envelope digests, hashed in place.
 #[must_use]
 pub fn verify_audit_round_content(content: &[u8]) -> bool {
-    parse_audit_round_content(content)
-        .is_some_and(|(_, digests, acc)| accumulate_audit_digests(&digests) == acc)
+    parse_audit_round_content(content).is_some_and(|(_, digests, acc)| round_digest(digests) == acc)
 }
 
 /// The composition class of one log entry — what kind of work it represents
 /// for the audit protocol. Full app payloads are the entries witnesses
-/// *replay*; digest entries are hashed-through bookkeeping, split into
-/// ordinary control traffic and the audit protocol's own
-/// challenge/response traffic (the class that feeds the O(w²)
-/// audit-log-inflation loop: auditing creates messages, messages create
-/// entries, entries make the next audit bigger).
+/// *replay*; the rest is hashed-through bookkeeping: checkpoint marks, and
+/// the round digests that fold every control envelope (the audit
+/// protocol's own challenge/response traffic among them, the class that
+/// feeds the O(w²) audit-log-inflation loop: auditing creates messages,
+/// messages create entries, entries make the next audit bigger).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryClass {
     /// Full application payload (or a claimed `Exec` output) — replayed by
     /// witnesses against the reference machine.
     AppPayload,
-    /// Non-audit control message logged by digest (commitments, checkpoint,
-    /// membership, evidence traffic) or a checkpoint mark.
+    /// A checkpoint mark, or a `Send`/`Recv` entry that does not carry a
+    /// full payload.
     ControlDigest,
-    /// Audit-protocol message (challenge/response, batched or not) logged
-    /// by digest.
+    /// A round digest ([`EntryKind::AuditRound`]).
     AuditDigest,
 }
 
 impl EntryClass {
-    /// Classifies an entry from its kind, its encoded content and whether
-    /// the logged wire payload was audit-protocol traffic (the log cannot
-    /// tell a control digest from an audit digest on its own — the caller
-    /// saw the envelope tag; see `Envelope::is_audit_traffic`).
+    /// Classifies an entry from its kind and its encoded content.
     #[must_use]
-    pub fn of(kind: EntryKind, content: &[u8], audit_protocol: bool) -> Self {
+    pub fn of(kind: EntryKind, content: &[u8]) -> Self {
         match kind {
             EntryKind::Exec => EntryClass::AppPayload,
             EntryKind::Checkpoint => EntryClass::ControlDigest,
@@ -266,8 +256,6 @@ impl EntryClass {
             EntryKind::Send { .. } | EntryKind::Recv { .. } => {
                 if content.first() == Some(&CONTENT_FULL) {
                     EntryClass::AppPayload
-                } else if audit_protocol {
-                    EntryClass::AuditDigest
                 } else {
                     EntryClass::ControlDigest
                 }
@@ -298,11 +286,11 @@ pub struct LogComposition {
     pub app_payload_entries: u64,
     /// Content bytes of those entries.
     pub app_payload_bytes: u64,
-    /// Non-audit control entries logged by digest.
+    /// Checkpoint marks and `Send`/`Recv` entries without a full payload.
     pub control_digest_entries: u64,
     /// Content bytes of those entries.
     pub control_digest_bytes: u64,
-    /// Audit-protocol entries logged by digest.
+    /// Round-digest entries.
     pub audit_digest_entries: u64,
     /// Content bytes of those entries.
     pub audit_digest_bytes: u64,
@@ -374,24 +362,23 @@ pub struct LogEntry {
 }
 
 impl LogEntry {
-    /// Serialises the entry for audit responses:
-    /// `seq ‖ tag ‖ peer ‖ prev ‖ len ‖ content`.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 1 + 4 + 32 + 4 + self.content.len());
+    /// Appends the entry's audit-response form to `out`:
+    /// `seq ‖ tag ‖ peer ‖ prev ‖ len ‖ content`. Writing into the caller's
+    /// buffer lets a response be encoded in place, with no `Vec` per entry.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.push(self.kind.tag());
         out.extend_from_slice(&self.kind.peer().to_le_bytes());
         out.extend_from_slice(&self.prev);
         out.extend_from_slice(&(self.content.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.content);
-        out
     }
 
     /// Parses an entry and returns it with the number of bytes consumed.
-    /// A pure parse, so `decode(encode(e)) == e` with no hashing: whether
-    /// the entry links to its predecessor and to the sealed head is the
-    /// witness's to compute during replay, once per entry.
+    /// A pure parse, so decoding what [`LogEntry::encode_into`] wrote gives
+    /// back the entry, with no hashing: whether the entry links to its
+    /// predecessor and to the sealed head is the witness's to compute
+    /// during replay, once per entry.
     #[must_use]
     pub fn decode(bytes: &[u8]) -> Option<(Self, usize)> {
         if bytes.len() < 8 + 1 + 4 + 32 + 4 {
@@ -496,25 +483,11 @@ impl SecureLog {
         self.head
     }
 
-    /// Appends an entry and returns a reference to it. Equivalent to
-    /// [`SecureLog::append_classified`] with `audit_protocol = false` —
-    /// callers that logged an audit-protocol payload must say so there, or
-    /// the composition account files it under control traffic.
+    /// Appends an entry, counts it in the composition account
+    /// ([`SecureLog::composition`], by [`EntryClass::of`]) and returns it.
     pub fn append(&mut self, kind: EntryKind, content: Vec<u8>) -> &LogEntry {
-        self.append_classified(kind, content, false).0
-    }
-
-    /// Appends an entry, classifying it for the composition account
-    /// ([`SecureLog::composition`]); `audit_protocol` marks digest entries
-    /// of audit-protocol wire traffic. Returns the entry and its class.
-    pub fn append_classified(
-        &mut self,
-        kind: EntryKind,
-        content: Vec<u8>,
-        audit_protocol: bool,
-    ) -> (&LogEntry, EntryClass) {
-        let class = EntryClass::of(kind, &content, audit_protocol);
-        self.composition.count(class, content.len() as u64);
+        self.composition
+            .count(EntryClass::of(kind, &content), content.len() as u64);
         let seq = self.len();
         let prev = self.head;
         self.head = chain_hash(&prev, seq, kind, &content);
@@ -524,7 +497,7 @@ impl SecureLog {
             content,
             prev,
         });
-        (self.entries.last().expect("just pushed"), class)
+        self.entries.last().expect("just pushed")
     }
 
     /// The per-class composition account of everything ever appended
@@ -671,6 +644,17 @@ pub struct Authenticator {
     pub attestation: AttestedMessage,
 }
 
+/// The `(node, seq, head)` an authenticator payload commits to.
+fn authenticator_fields(payload: &[u8]) -> Option<(u32, u64, [u8; 32])> {
+    if payload.len() != 12 + 4 + 8 + 32 || &payload[..12] != AUTHENTICATOR_DOMAIN {
+        return None;
+    }
+    let node = u32::from_le_bytes(payload[12..16].try_into().ok()?);
+    let seq = u64::from_le_bytes(payload[16..24].try_into().ok()?);
+    let head = payload[24..56].try_into().ok()?;
+    Some((node, seq, head))
+}
+
 impl Authenticator {
     /// The canonical attestation payload for a commitment.
     #[must_use]
@@ -688,7 +672,7 @@ impl Authenticator {
     /// Cryptographic verification is separate (the witness's kernel).
     #[must_use]
     pub fn consistent(&self) -> bool {
-        self.attestation.payload == Self::payload(self.node, self.seq, &self.head)
+        authenticator_fields(&self.attestation.payload) == Some((self.node, self.seq, self.head))
             && self.attestation.device == DeviceId(self.node)
             && self.attestation.session == log_session(self.node)
     }
@@ -708,14 +692,8 @@ impl Authenticator {
     /// attested payload are malformed.
     pub fn decode(bytes: &[u8]) -> Result<Self, DeviceError> {
         let attestation = AttestedMessage::decode(bytes)?;
-        let p = &attestation.payload;
-        if p.len() != 12 + 4 + 8 + 32 || &p[..12] != AUTHENTICATOR_DOMAIN {
-            return Err(DeviceError::MalformedMessage("bad authenticator payload"));
-        }
-        let node = u32::from_le_bytes(p[12..16].try_into().expect("sized"));
-        let seq = u64::from_le_bytes(p[16..24].try_into().expect("sized"));
-        let mut head = [0u8; 32];
-        head.copy_from_slice(&p[24..56]);
+        let (node, seq, head) = authenticator_fields(&attestation.payload)
+            .ok_or(DeviceError::MalformedMessage("bad authenticator payload"))?;
         Ok(Authenticator {
             node,
             seq,
@@ -740,6 +718,12 @@ mod tests {
         log.append(EntryKind::Recv { from: 2 }, b"m1".to_vec());
         log.append(EntryKind::Exec, b"out".to_vec());
         log
+    }
+
+    fn encoded(entry: &LogEntry) -> Vec<u8> {
+        let mut out = Vec::new();
+        entry.encode_into(&mut out);
+        out
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -852,31 +836,25 @@ mod tests {
     fn content_helpers_are_self_describing() {
         let payload = vec![0u8; 40]; // starts with the App envelope tag
         assert_eq!(content_payload(&content_full(&payload)), Some(&payload[..]));
-        // A digest is never mistaken for a full payload, even if its bytes
-        // happen to resemble one.
-        assert_eq!(content_payload(&content_digest(&payload)), None);
-        assert_eq!(content_digest(&payload).len(), 33);
+        // Only the full-payload prefix yields a payload, even if the bytes
+        // after another prefix happen to resemble one.
+        assert_eq!(content_payload(&[&[0u8][..], &payload].concat()), None);
+        assert_eq!(content_payload(&[]), None);
     }
 
     #[test]
     fn composition_classifies_and_survives_pruning() {
         let mut log = SecureLog::new();
-        log.append_classified(EntryKind::Send { to: 1 }, content_full(b"app"), false);
-        log.append_classified(EntryKind::Recv { from: 1 }, content_digest(b"ctl"), false);
-        log.append_classified(EntryKind::Send { to: 2 }, content_digest(b"chal"), true);
+        log.append(EntryKind::Send { to: 1 }, content_full(b"app"));
+        log.append(EntryKind::Recv { from: 1 }, vec![0u8; 33]);
+        log.append(EntryKind::AuditRound, audit_round_content(0, &[[1u8; 32]]));
         log.append(EntryKind::Exec, b"output".to_vec());
         log.append(EntryKind::Checkpoint, b"mark".to_vec());
         let composition = log.composition();
         assert_eq!(composition.app_payload_entries, 2); // full send + exec
-        assert_eq!(composition.control_digest_entries, 2); // digest recv + checkpoint
+        assert_eq!(composition.control_digest_entries, 2); // bare recv + checkpoint
         assert_eq!(composition.audit_digest_entries, 1);
         assert_eq!(total(&composition), log.len());
-        // A full-payload entry is app even when flagged audit (the flag only
-        // disambiguates digests).
-        assert_eq!(
-            EntryClass::of(EntryKind::Send { to: 3 }, &content_full(b"x"), true),
-            EntryClass::AppPayload
-        );
         // Pruning does not rewrite history.
         log.prune_to(3);
         assert_eq!(log.composition(), composition);
@@ -890,7 +868,7 @@ mod tests {
     fn entry_wire_round_trip() {
         let log = sample_log();
         for entry in log.entries() {
-            let bytes = entry.encode();
+            let bytes = encoded(entry);
             let (decoded, used) = LogEntry::decode(&bytes).unwrap();
             assert_eq!(used, bytes.len());
             assert_eq!(&decoded, entry);
@@ -1009,7 +987,7 @@ mod tests {
         let content = audit_round_content(7, &digests);
         let (round, parsed, acc) = parse_audit_round_content(&content).unwrap();
         assert_eq!(round, 7);
-        assert_eq!(parsed, digests);
+        assert_eq!(parsed, digests.as_flattened());
         assert_eq!(acc, accumulate_audit_digests(&digests));
         assert!(verify_audit_round_content(&content));
         // The empty round is well-formed too (a node that saw no audit
@@ -1043,17 +1021,16 @@ mod tests {
     fn audit_round_entry_kind_round_trips_and_classifies() {
         let mut log = SecureLog::new();
         let content = audit_round_content(3, &[[5u8; 32]]);
-        let (_, class) = log.append_classified(EntryKind::AuditRound, content, true);
-        assert_eq!(class, EntryClass::AuditDigest);
+        log.append(EntryKind::AuditRound, content);
         assert_eq!(log.composition().audit_digest_entries, 1);
         let entry = &log.entries()[0];
-        let (decoded, used) = LogEntry::decode(&entry.encode()).unwrap();
-        assert_eq!(used, entry.encode().len());
+        let (decoded, used) = LogEntry::decode(&encoded(entry)).unwrap();
+        assert_eq!(used, encoded(entry).len());
         assert_eq!(&decoded, entry);
         assert_eq!(decoded.kind, EntryKind::AuditRound);
-        // The class holds regardless of the audit flag — the kind decides.
+        // The kind decides the class, whatever the content looks like.
         assert_eq!(
-            EntryClass::of(EntryKind::AuditRound, &decoded.content, false),
+            EntryClass::of(EntryKind::AuditRound, &content_full(b"x")),
             EntryClass::AuditDigest
         );
     }
@@ -1063,8 +1040,8 @@ mod tests {
         let mut log = SecureLog::new();
         log.append(EntryKind::Checkpoint, b"mark".to_vec());
         let entry = &log.entries()[0];
-        let (decoded, used) = LogEntry::decode(&entry.encode()).unwrap();
-        assert_eq!(used, entry.encode().len());
+        let (decoded, used) = LogEntry::decode(&encoded(entry)).unwrap();
+        assert_eq!(used, encoded(entry).len());
         assert_eq!(&decoded, entry);
         assert_eq!(decoded.kind, EntryKind::Checkpoint);
     }

@@ -124,12 +124,13 @@ pub struct AccountabilityStats {
     pub entries_replayed: u64,
     /// Log entries holding a full application payload (replayed by audits).
     pub log_app_payload_entries: u64,
-    /// Log entries holding only a digest of ordinary control traffic
-    /// (announce/gossip/checkpoint/membership — hashed, not replayed).
+    /// Checkpoint marks (and send/receive entries without a full payload,
+    /// which honest nodes do not write) — hashed, not replayed.
     pub log_control_digest_entries: u64,
-    /// Log entries holding only a digest of audit-protocol traffic
-    /// (challenges/responses, batched or not) — the log-growth cost the
-    /// audit machinery inflicts on itself.
+    /// Round-digest entries: one per node and audit round, folding every
+    /// envelope without an application command (audit, commitment,
+    /// checkpoint, evidence and membership traffic) — the log-growth cost
+    /// the accountability protocol inflicts on itself.
     pub log_audit_digest_entries: u64,
     /// Virtual-time latency of one complete audit (challenge sent → verdict),
     /// in microseconds.

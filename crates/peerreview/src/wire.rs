@@ -213,8 +213,18 @@ fn read_block(bytes: &[u8]) -> Option<(&[u8], usize)> {
 fn encode_response_body(out: &mut Vec<u8>, from_seq: u64, entries: &[LogEntry]) {
     out.extend_from_slice(&from_seq.to_le_bytes());
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    push_entry_blocks(out, entries);
+}
+
+/// One length-prefixed block per entry, each written straight into `out`
+/// (the block's length is patched in after the entry).
+fn push_entry_blocks(out: &mut Vec<u8>, entries: &[LogEntry]) {
     for entry in entries {
-        push_block(out, &entry.encode());
+        let start = out.len();
+        out.extend_from_slice(&0u32.to_le_bytes());
+        entry.encode_into(out);
+        let len = (out.len() - start - 4) as u32;
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -273,11 +283,7 @@ impl Envelope {
             }
             Envelope::Response { from_seq, entries } => {
                 out.push(TAG_RESPONSE);
-                out.extend_from_slice(&from_seq.to_le_bytes());
-                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for entry in entries {
-                    push_block(&mut out, &entry.encode());
-                }
+                encode_response_body(&mut out, *from_seq, entries);
             }
             Envelope::Evidence { a, b } => {
                 out.push(TAG_EVIDENCE);
@@ -319,9 +325,7 @@ impl Envelope {
                 out.push(TAG_LEAVE);
                 push_block(&mut out, &auth.encode());
                 out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for entry in entries {
-                    push_block(&mut out, &entry.encode());
-                }
+                push_entry_blocks(&mut out, entries);
             }
             Envelope::Recover(auth) => {
                 out.push(TAG_RECOVER);
@@ -638,61 +642,6 @@ impl Envelope {
                 Envelope::app_command(rest)
             }
             _ => None,
-        }
-    }
-
-    /// Whether `raw` is audit-protocol traffic — a challenge or response
-    /// (batched or not), directly, under any number of
-    /// [`Envelope::Piggyback`] wrappers, or *riding* one as a relayed
-    /// block. Used to classify `Send`/`Recv` log entries by what they cost
-    /// the auditor: audit-protocol digests are self-inflicted
-    /// accountability load, distinct from app payloads (replayed) and
-    /// ordinary control digests. Unlike [`Envelope::app_command`] (which
-    /// mirrors `decode`'s one-level validation because replay must execute
-    /// exactly what dispatch would), the classifier is deliberately more
-    /// permissive than `decode`: a nested or rider-borne audit envelope is
-    /// still audit load even if the carrier would be rejected on delivery,
-    /// and undercounting it would hide the audit-log inflation this class
-    /// exists to measure. Allocation-free; recursion depth is bounded by
-    /// the payload length (every level consumes header bytes).
-    #[must_use]
-    pub fn is_audit_traffic(raw: &[u8]) -> bool {
-        const AUDIT_TAGS: [u8; 4] = [
-            TAG_CHALLENGE,
-            TAG_RESPONSE,
-            TAG_CHALLENGE_BATCH,
-            TAG_RESPONSE_BATCH,
-        ];
-        match raw
-            .strip_prefix(&ENVELOPE_MAGIC)
-            .and_then(<[u8]>::split_first)
-        {
-            Some((tag, _)) if AUDIT_TAGS.contains(tag) => true,
-            Some((&TAG_PIGGYBACK, rest)) => {
-                let Some((&count, mut rest)) = rest.split_first() else {
-                    return false;
-                };
-                if count == 0 || count as usize > MAX_PIGGYBACK_RIDERS {
-                    return false;
-                }
-                for _ in 0..count {
-                    let Some((_, after_flag)) = rest.split_first() else {
-                        return false;
-                    };
-                    let Some((block, used)) = read_block(after_flag) else {
-                        return false;
-                    };
-                    // A rider block that is itself an audit-protocol
-                    // envelope (e.g. a gossip-relayed challenge flush)
-                    // makes the whole carrier audit traffic.
-                    if Envelope::is_audit_traffic(block) {
-                        return true;
-                    }
-                    rest = &after_flag[used..];
-                }
-                Envelope::is_audit_traffic(rest)
-            }
-            _ => false,
         }
     }
 }
@@ -1023,91 +972,6 @@ mod tests {
     }
 
     #[test]
-    fn audit_traffic_classification_sees_through_one_piggyback_level() {
-        // Bare audit envelopes.
-        let challenge = Envelope::Challenge {
-            from_seq: 0,
-            upto_seq: 4,
-        };
-        assert!(Envelope::is_audit_traffic(&challenge.encode()));
-        let response = Envelope::Response {
-            from_seq: 0,
-            entries: Vec::new(),
-        };
-        assert!(Envelope::is_audit_traffic(&response.encode()));
-        let batch = Envelope::ChallengeBatch {
-            challenges: vec![(0, 4)],
-        };
-        assert!(Envelope::is_audit_traffic(&batch.encode()));
-        // Non-audit envelopes, bare and wrapped.
-        assert!(!Envelope::is_audit_traffic(
-            &Envelope::App(b"incr".to_vec()).encode()
-        ));
-        assert!(!Envelope::is_audit_traffic(
-            &Envelope::Announce(sealed_auth(1)).encode()
-        ));
-        assert!(!Envelope::is_audit_traffic(&[0u8, 0, 0, 42]));
-        // Piggyback levels are peeled; classification follows the inner.
-        let riders = vec![rider(2, false)];
-        let ridden_challenge = Envelope::piggyback_raw(&riders, &challenge.encode());
-        assert!(Envelope::is_audit_traffic(&ridden_challenge));
-        let ridden_app = Envelope::piggyback_raw(&riders, &Envelope::App(b"x".to_vec()).encode());
-        assert!(!Envelope::is_audit_traffic(&ridden_app));
-        // Nesting is invalid on decode, but the audit load inside is real:
-        // the classifier keeps peeling rather than miscounting it as an
-        // ordinary control digest.
-        let twice = Envelope::piggyback_raw(&riders, &ridden_challenge);
-        assert!(Envelope::is_audit_traffic(&twice));
-        let twice_app = Envelope::piggyback_raw(&riders, &ridden_app);
-        assert!(!Envelope::is_audit_traffic(&twice_app));
-    }
-
-    /// Hand-builds a piggyback carrier whose rider *blocks* are arbitrary
-    /// bytes (the enum encoder only ever riders authenticators).
-    fn piggyback_with_rider_blocks(blocks: &[&[u8]], inner: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&ENVELOPE_MAGIC);
-        out.push(TAG_PIGGYBACK);
-        out.push(blocks.len() as u8);
-        for block in blocks {
-            out.push(0); // gossip flag
-            out.extend_from_slice(&(block.len() as u32).to_le_bytes());
-            out.extend_from_slice(block);
-        }
-        out.extend_from_slice(inner);
-        out
-    }
-
-    #[test]
-    fn audit_traffic_classification_sees_riders_and_nested_wrappers() {
-        let challenge = Envelope::Challenge {
-            from_seq: 0,
-            upto_seq: 4,
-        }
-        .encode();
-        let app = Envelope::App(b"incr".to_vec()).encode();
-        let auth_block = sealed_auth(2).encode();
-        // A gossip-relayed challenge flush riding a piggyback is audit
-        // traffic even though the carrier's inner payload is app traffic.
-        let relayed = piggyback_with_rider_blocks(&[&auth_block, &challenge], &app);
-        assert!(Envelope::is_audit_traffic(&relayed));
-        // Ordinary commitment riders stay control/app classified.
-        let commitments_only = piggyback_with_rider_blocks(&[&auth_block, &auth_block], &app);
-        assert!(!Envelope::is_audit_traffic(&commitments_only));
-        // An audit rider buried one piggyback level down is still found.
-        let nested = piggyback_with_rider_blocks(&[&auth_block], &relayed);
-        assert!(Envelope::is_audit_traffic(&nested));
-        // Malformed rider batches never classify as audit (or panic).
-        let mut truncated = relayed.clone();
-        truncated.truncate(6);
-        assert!(!Envelope::is_audit_traffic(&truncated));
-        assert!(!Envelope::is_audit_traffic(&piggyback_with_rider_blocks(
-            &[],
-            &challenge
-        )));
-    }
-
-    #[test]
     fn nested_piggyback_rejected() {
         let riders = vec![rider(1, false)];
         let once = Envelope::piggyback_raw(&riders, &Envelope::App(b"x".to_vec()).encode());
@@ -1233,8 +1097,8 @@ mod tests {
 
     /// Decoder totality: each exemplar goes through every strict
     /// truncation and every single-bit flip. Decoding may fail or succeed
-    /// (a flip inside a command or a digest is legal), but `decode`,
-    /// `app_command` and `is_audit_traffic` never panic, a truncation that
+    /// (a flip inside a command or a digest is legal), but `decode` and
+    /// `app_command` never panic, a truncation that
     /// decodes re-encodes to exactly that prefix (a cut inside an `App`
     /// command is a legal, shorter command — every structured field is
     /// length-delimited), and every successful decode survives its own
@@ -1242,7 +1106,6 @@ mod tests {
     fn assert_decodes_totally(exemplars: &[(u8, Envelope)]) {
         let survives_reencoding = |bytes: &[u8]| -> Option<Envelope> {
             let _ = Envelope::app_command(bytes);
-            let _ = Envelope::is_audit_traffic(bytes);
             let env = Envelope::decode(bytes).ok()?;
             assert_eq!(Envelope::decode(&env.encode()).ok().as_ref(), Some(&env));
             Some(env)
