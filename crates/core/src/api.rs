@@ -1,9 +1,10 @@
 //! The TNIC programming API (paper §6.1, Table 1).
 //!
 //! The API mirrors the paper's RDMA-flavoured interface: connections are set
-//! up with `ibv_qp_conn`/`alloc_mem`/`init_lqueue`/`ibv_sync` (wrapped here in
-//! [`Cluster::connect`]), and the network APIs are `local_send`/`local_verify`,
-//! `auth_send` and `poll`. A [`Cluster`] owns one
+//! up with `ibv_qp_conn`/`init_lqueue`/`ibv_sync` (wrapped here in
+//! [`Cluster::connect`], which keys each session from the cluster's seeded
+//! RNG: the §4.3 bootstrap is not modelled), and the network APIs are
+//! `local_send`/`local_verify`, `auth_send` and `poll`. A [`Cluster`] owns one
 //! endpoint per node and the shared virtual clock, and — once asked with
 //! [`Cluster::monitor_lemmas`] — the [`LemmaMonitor`] that decides the §4.4
 //! lemmas over every message it attests and accepts.
@@ -447,9 +448,10 @@ impl Cluster {
     }
 
     /// Establishes a connection between `a` and `b`: the ibv handshake
-    /// (`ibv_qp_conn`, `alloc_mem`, `init_lqueue`, `ibv_sync`) plus the
-    /// installation of the shared session key on both devices (done by the
-    /// system designer / attestation protocol, never by untrusted software).
+    /// (`ibv_qp_conn`, `init_lqueue`, `ibv_sync`) plus a fresh session key
+    /// drawn from the cluster's seeded RNG and installed on both providers.
+    /// No §4.3 bootstrap is modelled: the key reaches the providers
+    /// directly, not over an attested channel.
     ///
     /// # Errors
     ///

@@ -5,8 +5,7 @@ use std::fmt;
 use tnic_crypto::CryptoError;
 use tnic_device::DeviceError;
 
-/// Errors surfaced by the TNIC programming API, the transformation recipe and
-/// the remote-attestation protocol.
+/// Errors surfaced by the TNIC programming API and the transformation recipe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CoreError {
@@ -23,8 +22,6 @@ pub enum CoreError {
         /// The peer node.
         to: u32,
     },
-    /// Remote attestation failed at the named step.
-    AttestationFailed(&'static str),
     /// An application's simulate-and-check step rejected a message (a
     /// malformed proof or operation, or metadata that disagrees with its
     /// attestation).
@@ -57,7 +54,6 @@ impl fmt::Display for CoreError {
                     "no session established between node {from} and node {to}"
                 )
             }
-            CoreError::AttestationFailed(step) => write!(f, "remote attestation failed: {step}"),
             CoreError::TransformViolation(what) => write!(f, "transformation violation: {what}"),
             CoreError::PropertyViolation(what) => write!(f, "property violation: {what}"),
             CoreError::Unreachable { from, to, reason } => {

@@ -20,7 +20,6 @@
 //! * [`accountability`] — the pluggable accountability hook point used by the
 //!   PeerReview case study (`tnic-peerreview`) to maintain tamper-evident
 //!   logs of every attested send and verified delivery.
-//! * [`attestation`] — device bootstrapping and remote attestation (Figure 3).
 //! * [`verification`] — the executable counterpart of the paper's Tamarin
 //!   lemmas (§4.4): an online monitor that decides them fact by fact, on
 //!   any cluster that asks with [`Cluster::monitor_lemmas`].
@@ -45,7 +44,6 @@
 
 pub mod accountability;
 pub mod api;
-pub mod attestation;
 pub mod error;
 pub mod provider;
 pub mod transform;

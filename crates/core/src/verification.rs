@@ -2,13 +2,13 @@
 //!
 //! The paper proves its protocols with the Tamarin prover over a symbolic
 //! model. Tamarin is not available here, so this module provides the runtime
-//! counterpart: protocol executions emit *action facts* (the same facts the
-//! Tamarin model uses — attestation completion, message send, message
-//! accept), and a [`LemmaMonitor`] decides the paper's lemmas as each fact
-//! arrives:
+//! counterpart: protocol executions emit *action facts* (the message send
+//! and message accept facts the Tamarin model uses), and a [`LemmaMonitor`]
+//! decides the paper's lemmas as each fact arrives:
 //!
-//! 1. **Remote attestation** (Eq. 1): whenever the IP vendor finishes
-//!    attesting a device, the device finished its part earlier.
+//! 1. **Remote attestation** (Eq. 1): not checked. Its facts come from the
+//!    §4.3 bootstrap, which the model does not run: every session key is
+//!    installed directly, so nothing produces a lemma-1 fact.
 //! 2. **Transferable authentication** (Eq. 2): every accepted message was
 //!    previously sent by an authentic endpoint.
 //! 3. **Non-equivocation** (Eq. 3–5): no accepted message skips earlier sent
@@ -23,7 +23,6 @@
 //!
 //! The monitor is online: one fact costs O(1) map operations, and its state
 //! is O(sessions + messages in flight), not O(facts).
-//! - Lemma 1: the set of device-attested `(device, connection)` pairs.
 //! - Lemma 3: per `(receiver, session, sender)`, the next counter it must
 //!   accept. An acceptance below it is a duplicate, above it a gap or a
 //!   reorder.
@@ -52,20 +51,18 @@
 //!
 //! # Where facts come from
 //!
-//! The remote-attestation protocol ([`crate::attestation`]) feeds the
-//! monitor its caller passes. A [`Cluster`](crate::Cluster) feeds one only
-//! after [`Cluster::monitor_lemmas`](crate::Cluster::monitor_lemmas), which
-//! is refused once a message has been attested, so a monitor never decides
-//! on a partial stream; [`Cluster::lemmas`](crate::Cluster::lemmas) is
-//! `None` on a cluster that was never asked. No cluster runs remote
-//! attestation (its sessions are keyed directly), so runs check lemmas 2 and
-//! 3; lemma 1 is checked by the tests of [`crate::attestation`]. Every
-//! fact's kind, parties and counter (and a sent payload's length) are also
-//! folded, in order, into one running SHA-256
-//! ([`LemmaMonitor::trace_hash`]): two runs with the same hash observed the
-//! same messages in the same order.
+//! A [`Cluster`](crate::Cluster) feeds a monitor only after
+//! [`Cluster::monitor_lemmas`](crate::Cluster::monitor_lemmas), which is
+//! refused once a message has been attested, so a monitor never decides on
+//! a partial stream; [`Cluster::lemmas`](crate::Cluster::lemmas) is `None`
+//! on a cluster that was never asked. A cluster keys its sessions directly
+//! and runs no remote attestation, so every run checks lemmas 2 and 3, and
+//! lemma 1 has no fact source in the model. Every fact's kind, parties and
+//! counter (and a sent payload's length) are also folded, in order, into
+//! one running SHA-256 ([`LemmaMonitor::trace_hash`]): two runs with the
+//! same hash observed the same messages in the same order.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use tnic_crypto::sha256::Sha256;
 use tnic_device::types::{DeviceId, SessionId};
 
@@ -75,20 +72,6 @@ const REPORTED: usize = 8;
 /// An action fact emitted during protocol execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActionFact<'a> {
-    /// A device finished the remote-attestation protocol (`D_tnic(c)`).
-    DeviceAttested {
-        /// The attested device.
-        device: DeviceId,
-        /// Connection/configuration identifier.
-        connection: u64,
-    },
-    /// The IP vendor finished attesting a device (`D_ipv(c)`).
-    VendorAttested {
-        /// The attested device.
-        device: DeviceId,
-        /// Connection/configuration identifier.
-        connection: u64,
-    },
     /// An endpoint sent message `counter` on `session` (`S_e(m)`).
     Sent {
         /// The sending endpoint.
@@ -118,8 +101,6 @@ pub enum ActionFact<'a> {
 /// The online §4.4 lemma monitor (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
 pub struct LemmaMonitor {
-    /// Lemma 1: device-side attestations completed.
-    device_attested: HashSet<(DeviceId, u64)>,
     /// Key holders per declared session.
     holders: HashMap<SessionId, u32>,
     /// Lemma 3: the next counter each `(receiver, session, sender)` accepts.
@@ -145,20 +126,9 @@ impl LemmaMonitor {
 
     /// Decides every lemma the fact bears on.
     pub fn observe(&mut self, fact: ActionFact<'_>) {
+        // `Sent` and `Accepted` fold as tags 2 and 3: renumbering them would
+        // change every trace hash (`trace_hash_encoding_is_pinned`).
         match fact {
-            ActionFact::DeviceAttested { device, connection } => {
-                self.fold([0, device.0, 0, 0], connection);
-                self.device_attested.insert((device, connection));
-            }
-            ActionFact::VendorAttested { device, connection } => {
-                self.fold([1, device.0, 0, 0], connection);
-                if !self.device_attested.contains(&(device, connection)) {
-                    self.violate(format!(
-                        "remote attestation: vendor attested {device} (connection {connection}) \
-                         without a prior device-side attestation"
-                    ));
-                }
-            }
             ActionFact::Sent {
                 endpoint,
                 session,
@@ -310,14 +280,6 @@ mod tests {
 
     fn honest_trace() -> LemmaMonitor {
         let mut monitor = monitor();
-        monitor.observe(ActionFact::DeviceAttested {
-            device: DeviceId(1),
-            connection: 7,
-        });
-        monitor.observe(ActionFact::VendorAttested {
-            device: DeviceId(1),
-            connection: 7,
-        });
         for counter in 0..3u64 {
             monitor.observe(sent(counter, counter as u8));
             monitor.observe(accepted(counter, counter as u8));
@@ -338,16 +300,6 @@ mod tests {
             monitor.violations()
         );
         assert_eq!((monitor.in_flight(), monitor.links()), (0, 1));
-    }
-
-    #[test]
-    fn vendor_attestation_without_device_is_flagged() {
-        let mut monitor = LemmaMonitor::default();
-        monitor.observe(ActionFact::VendorAttested {
-            device: DeviceId(1),
-            connection: 1,
-        });
-        assert!(monitor.violations()[0].contains("remote attestation"));
     }
 
     #[test]
@@ -441,5 +393,46 @@ mod tests {
             monitor.observe(accepted(0, 0));
         }
         assert_eq!(monitor.violations().len(), REPORTED);
+    }
+
+    /// The trace hash of a fixed `Sent` / `Accepted` stream, pinned. Equal
+    /// hashes mean equal streams only while the encoding stays put: the fact
+    /// tags (`Sent` 2, `Accepted` 3), the order of the four words and the
+    /// little-endian layout of each 24-byte fold.
+    #[test]
+    fn trace_hash_encoding_is_pinned() {
+        let mut monitor = monitor();
+        monitor.keyed(SessionId(3), 3);
+        monitor.observe(sent(0, 4));
+        monitor.observe(accepted(0, 4));
+        // A three-holder session: device 1 sends, devices 2 and 3 accept.
+        monitor.observe(ActionFact::Sent {
+            endpoint: DeviceId(1),
+            session: SessionId(3),
+            counter: 0,
+            payload: b"group",
+        });
+        for endpoint in [DeviceId(2), DeviceId(3)] {
+            monitor.observe(ActionFact::Accepted {
+                endpoint,
+                session: SessionId(3),
+                sender: DeviceId(1),
+                counter: 0,
+                payload: b"group",
+            });
+        }
+        // Device 2 accepts its first message on session 1 again.
+        monitor.observe(accepted(0, 4));
+        assert_eq!(monitor.violations().len(), 1, "{:?}", monitor.violations());
+        assert!(flagged(&monitor, "twice"));
+        let hex: String = monitor
+            .trace_hash()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "fbaaba4e675b6304861347615ff9642192c79c76a11e6673d5fb99af24138d2e"
+        );
     }
 }

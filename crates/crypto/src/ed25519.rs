@@ -2,9 +2,9 @@
 //!
 //! TNIC uses signatures in two places (paper §4.3 and Appendix C.1): the
 //! controller key pair `Ctrl_pub/priv` that signs attestation certificates
-//! during bootstrapping, and the per-device client key pair `C_pub/priv` used
-//! to sign replies to (Byzantine) clients that cannot hold the symmetric
-//! session keys.
+//! during bootstrapping, which is not modelled, and the per-device client
+//! key pair `C_pub/priv` used to sign replies to (Byzantine) clients that
+//! cannot hold the symmetric session keys.
 
 use crate::edwards::{EdwardsPoint, Radix16Table};
 use crate::error::CryptoError;

@@ -13,12 +13,6 @@ pub enum CryptoError {
     InvalidPoint,
     /// An encoded scalar was out of range or malformed.
     InvalidScalar,
-    /// A key had the wrong length.
-    InvalidKeyLength,
-    /// An authenticated ciphertext failed its integrity check.
-    InvalidCiphertext,
-    /// A buffer had an unexpected length.
-    InvalidLength,
 }
 
 impl fmt::Display for CryptoError {
@@ -27,9 +21,6 @@ impl fmt::Display for CryptoError {
             CryptoError::InvalidSignature => "signature verification failed",
             CryptoError::InvalidPoint => "invalid curve point encoding",
             CryptoError::InvalidScalar => "invalid scalar encoding",
-            CryptoError::InvalidKeyLength => "invalid key length",
-            CryptoError::InvalidCiphertext => "ciphertext failed authentication",
-            CryptoError::InvalidLength => "invalid buffer length",
         };
         f.write_str(msg)
     }
@@ -47,9 +38,6 @@ mod tests {
             CryptoError::InvalidSignature,
             CryptoError::InvalidPoint,
             CryptoError::InvalidScalar,
-            CryptoError::InvalidKeyLength,
-            CryptoError::InvalidCiphertext,
-            CryptoError::InvalidLength,
         ];
         for v in variants {
             let s = v.to_string();

@@ -165,12 +165,6 @@ impl FieldElement {
         0x2b83_2480_4fc1_df0b,
     ]);
 
-    /// Constructs a small field element from a `u64`.
-    #[must_use]
-    pub fn from_u64(value: u64) -> Self {
-        FieldElement([value, 0, 0, 0])
-    }
-
     /// Decodes 32 little-endian bytes, ignoring the top bit (bit 255). Values
     /// in `[p, 2²⁵⁵)` are accepted as the residues they represent.
     #[must_use]
@@ -368,7 +362,7 @@ mod tests {
     use std::cmp::Ordering::Less;
 
     fn fe(n: u64) -> FieldElement {
-        FieldElement::from_u64(n)
+        FieldElement([n, 0, 0, 0])
     }
 
     /// Every 256-bit pattern is an element: all four limbs from the stream.

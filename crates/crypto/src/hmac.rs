@@ -134,12 +134,6 @@ impl std::fmt::Debug for HmacSha256 {
     }
 }
 
-/// Verifies an HMAC-SHA-256 tag in constant time.
-#[must_use]
-pub fn verify_hmac_sha256(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-    crate::ct::ct_eq(&hmac_sha256(key, message), tag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,17 +307,6 @@ mod tests {
             ctx.update(p);
         }
         assert_eq!(ctx.finalize(), hmac_sha256(key, &joined));
-    }
-
-    #[test]
-    fn verify_accepts_and_rejects() {
-        let tag = hmac_sha256(b"k", b"m");
-        assert!(verify_hmac_sha256(b"k", b"m", &tag));
-        assert!(!verify_hmac_sha256(b"k", b"m2", &tag));
-        assert!(!verify_hmac_sha256(b"k2", b"m", &tag));
-        let mut bad = tag;
-        bad[0] ^= 1;
-        assert!(!verify_hmac_sha256(b"k", b"m", &bad));
     }
 
     #[test]

@@ -1,21 +1,19 @@
 //! Cryptographic substrate for the TNIC reproduction.
 //!
 //! The TNIC paper's attestation kernel is built around HMAC over message
-//! payloads, its remote-attestation protocol (Fig. 3) around device key pairs,
-//! signatures and a mutually authenticated encrypted channel. This crate
-//! provides all of those primitives implemented from scratch so the trusted
-//! computing base of the simulated hardware is self-contained:
+//! payloads, and its replies to Byzantine clients (Appendix C.1) around
+//! signatures. This crate provides those primitives implemented from
+//! scratch so the trusted computing base of the simulated hardware is
+//! self-contained:
 //!
 //! * [`sha256`] / [`sha512`] — FIPS 180-4 hash functions.
-//! * [`hmac`] — HMAC (RFC 2104) over either hash.
-//! * [`hkdf`] — HKDF (RFC 5869) key derivation for session keys.
-//! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439).
-//! * [`secretbox`] — authenticated encryption via ChaCha20 + HMAC-SHA-256
-//!   (encrypt-then-MAC), used for bitstream/secret delivery.
+//! * [`hmac`] — HMAC-SHA-256 (RFC 2104).
+//! * [`ct`] — constant-time comparison of attestation MACs.
 //! * [`field25519`], [`scalar25519`], [`edwards`] — Curve25519 arithmetic.
-//! * [`ed25519`] — Ed25519 signatures (RFC 8032) for controller and client
-//!   certificates.
-//! * [`x25519`] — X25519 Diffie–Hellman (RFC 7748) for the attestation channel.
+//! * [`ed25519`] — Ed25519 signatures (RFC 8032) for client replies.
+//!
+//! The §4.3 bootstrap's channel (X25519 agreement, key derivation, sealed
+//! key shipment) is not modelled: every session key is installed directly.
 //!
 //! # Hardware dispatch and the one `unsafe` block
 //!
@@ -74,9 +72,9 @@
 //! doublings. A client keeps one prepared key per replica in
 //! `Cluster::verify_reply`, where the same few keys check every reply;
 //! [`ed25519::VerifyingKey::verify`] prepares its key for a single use, at
-//! the price of about four verifications, which only keys checked once (the
-//! bootstrap certificate chain) pay. The process-wide table of B is built
-//! once behind `std::sync::OnceLock` (no `unsafe`). The double-and-add,
+//! the price of about four verifications, which suits only a key checked
+//! once. The process-wide table of B is built once behind
+//! `std::sync::OnceLock` (no `unsafe`). The double-and-add,
 //! generic `pow` and bit-serial reduction they replaced survive under
 //! `#[cfg(test)]` as oracles, and `tests/` pins the result from outside,
 //! through both verify entry points: keys and signatures byte-identical to
@@ -109,19 +107,15 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
-pub mod chacha20;
 pub mod ct;
 pub mod ed25519;
 pub mod edwards;
 pub mod error;
 pub mod field25519;
-pub mod hkdf;
 pub mod hmac;
 pub mod scalar25519;
-pub mod secretbox;
 pub mod sha256;
 pub mod sha512;
-pub mod x25519;
 
 pub use error::CryptoError;
 pub use hmac::hmac_sha256;
@@ -130,11 +124,20 @@ pub use sha512::Sha512;
 
 #[cfg(test)]
 mod test_util {
-    /// `len` deterministic pseudo-random bytes (the ChaCha20 keystream under
-    /// a key made of `seed`), for tests that need inputs no hash produced.
+    /// `len` deterministic pseudo-random bytes (SplitMix64 from `seed`), for
+    /// tests that need inputs no hash produced. Every caller compares two
+    /// computations on them; none pins a value derived from them.
     pub(crate) fn seeded_bytes(seed: u8, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        crate::chacha20::chacha20_xor(&[seed; 32], &[0u8; 12], 0, &mut out);
+        let mut state = u64::from(seed);
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
         out
     }
 }

@@ -1,7 +1,7 @@
 //! SHA-256 (FIPS 180-4).
 //!
-//! Used by the attestation kernel's HMAC, by the tamper-evident logs of the
-//! A2M and PeerReview systems, and by the remote-attestation measurements.
+//! Used by the attestation kernel's HMAC and by the tamper-evident logs of
+//! the A2M and PeerReview systems.
 //!
 //! Every compression goes through one private function, `compress_blocks`,
 //! which runs a whole run of 64-byte blocks on the x86-64 SHA extensions

@@ -271,8 +271,8 @@ impl AttestationKernel {
         }
     }
 
-    /// Installs a session key (done by the bootstrapping/attestation protocol,
-    /// never by the untrusted host software).
+    /// Installs a session key. In the paper the §4.3 bootstrap does this,
+    /// never the untrusted host software; here the cluster installs it.
     pub fn install_session_key(&mut self, session: SessionId, key: [u8; 32]) {
         self.keystore.install(session, key);
     }

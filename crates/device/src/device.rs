@@ -1,11 +1,10 @@
 //! The assembled TNIC device: attestation kernel + RoCE kernel + DMA + MAC +
-//! ARP + controller (paper Figure 2).
+//! ARP (paper Figure 2; the bootstrapping controller is not modelled).
 
 use crate::arp::ArpServer;
 use crate::attestation::{
     AttestationKernel, AttestationTiming, AttestedMessage, AttestedView, WIRE_OVERHEAD,
 };
-use crate::controller::{ControllerBinary, DeviceController, HardwareKey};
 use crate::dma::{DmaEngine, DmaMode};
 use crate::error::DeviceError;
 use crate::mac::EthernetMac;
@@ -37,25 +36,12 @@ pub struct TnicDevice {
     arp: ArpServer,
     mac: EthernetMac,
     dma: DmaEngine,
-    controller: DeviceController,
 }
 
 impl TnicDevice {
-    /// Creates a device with paper-calibrated timing and a booted controller.
+    /// Creates a device with paper-calibrated timing and no session keys.
     #[must_use]
-    pub fn new(
-        config: DeviceConfig,
-        hw_key: HardwareKey,
-        ip_vendor_public: VerifyingKey,
-        controller_key_seed: [u8; 32],
-    ) -> Self {
-        let controller = DeviceController::boot(
-            config.device_id,
-            hw_key,
-            ControllerBinary::reference("1.0"),
-            ip_vendor_public,
-            controller_key_seed,
-        );
+    pub fn new(config: DeviceConfig) -> Self {
         TnicDevice {
             config,
             attestation: AttestationKernel::new(
@@ -66,48 +52,21 @@ impl TnicDevice {
             arp: ArpServer::new(),
             mac: EthernetMac::new_100g(),
             dma: DmaEngine::paper_calibrated(DmaMode::Asynchronous),
-            controller,
         }
     }
 
-    /// A convenience constructor for tests and examples: derives the hardware
-    /// key and controller seed from the device id.
+    /// A convenience constructor for tests and examples: the default
+    /// configuration of `device_id`.
     #[must_use]
-    pub fn for_tests(device_id: DeviceId, ip_vendor_public: VerifyingKey) -> Self {
-        let mut hw = [0u8; 32];
-        hw[..4].copy_from_slice(&device_id.0.to_le_bytes());
-        let mut seed = [0xA5u8; 32];
-        seed[..4].copy_from_slice(&device_id.0.to_le_bytes());
-        TnicDevice::new(
-            DeviceConfig::for_device(device_id),
-            HardwareKey(hw),
-            ip_vendor_public,
-            seed,
-        )
+    pub fn for_tests(device_id: DeviceId, _ip_vendor_public: VerifyingKey) -> Self {
+        // Unused: kept only because the benchmark's adapter passes a key.
+        TnicDevice::new(DeviceConfig::for_device(device_id))
     }
 
     /// The static device configuration.
     #[must_use]
     pub fn config(&self) -> &DeviceConfig {
         &self.config
-    }
-
-    /// The device identifier.
-    #[must_use]
-    pub fn id(&self) -> DeviceId {
-        self.config.device_id
-    }
-
-    /// Mutable access to the device controller (used by the remote-attestation
-    /// protocol).
-    pub fn controller_mut(&mut self) -> &mut DeviceController {
-        &mut self.controller
-    }
-
-    /// Shared access to the device controller.
-    #[must_use]
-    pub fn controller(&self) -> &DeviceController {
-        &self.controller
     }
 
     /// Switches the DMA transfer mode (synchronous for the stand-alone §8.1
@@ -119,12 +78,6 @@ impl TnicDevice {
     /// Installs a session key in the attestation kernel.
     pub fn provision_session(&mut self, session: SessionId, key: [u8; 32]) {
         self.attestation.install_session_key(session, key);
-    }
-
-    /// Returns `true` if a key is installed for `session`.
-    #[must_use]
-    pub fn has_session(&self, session: SessionId) -> bool {
-        self.attestation.has_session(session)
     }
 
     /// Adds an ARP mapping for a peer device.

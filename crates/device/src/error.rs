@@ -27,8 +27,6 @@ pub enum DeviceError {
     MalformedMessage(&'static str),
     /// ARP lookup failed for the destination address.
     ArpMiss,
-    /// The device has not been bootstrapped / attested yet.
-    NotProvisioned,
 }
 
 impl fmt::Display for DeviceError {
@@ -43,7 +41,6 @@ impl fmt::Display for DeviceError {
             ),
             DeviceError::MalformedMessage(what) => write!(f, "malformed message: {what}"),
             DeviceError::ArpMiss => write!(f, "arp lookup failed"),
-            DeviceError::NotProvisioned => write!(f, "device has not been provisioned"),
         }
     }
 }

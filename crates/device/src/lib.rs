@@ -10,11 +10,9 @@
 //!   [`keystore`] and monotonic counters, plus the attested wire format.
 //! * [`roce`] — the RoCE protocol kernel: queue pairs, PSN/MSN tracking,
 //!   cumulative ACKs, retransmission and in-order delivery.
-//! * [`dma`] — the PCIe DMA/bridge model and registered host-memory regions.
+//! * [`dma`] — the PCIe DMA/bridge model and its transfer costs (Fig. 6).
 //! * [`mac`] — the 100 Gb Ethernet MAC with line-rate serialisation costs.
 //! * [`arp`] — the ARP server used during request generation.
-//! * [`controller`] — the bootstrapping controller, hardware key and
-//!   measurement certificates used by remote attestation.
 //! * [`device`] — [`TnicDevice`], the assembled card.
 //!
 //! # Example
@@ -39,7 +37,6 @@
 
 pub mod arp;
 pub mod attestation;
-pub mod controller;
 mod counters;
 pub mod device;
 pub mod dma;
