@@ -172,7 +172,8 @@ mod tests {
         let mut cluster = Cluster::fully_connected(2, Baseline::Tnic, NetworkStackKind::Tnic, 5);
         let layer = Rc::new(RefCell::new(CountingLayer::default()));
         cluster.attach_accountability(layer.clone());
-        let msg = cluster.auth_send(NodeId(0), NodeId(1), b"ok").unwrap();
+        cluster.auth_send(NodeId(0), NodeId(1), b"ok").unwrap();
+        let msg = cluster.poll(NodeId(1)).unwrap().remove(0).message;
         // Replay: the verification path rejects it, so the layer must not see
         // a second delivery (it does see the send attempt's first delivery).
         assert!(cluster.deliver(NodeId(0), NodeId(1), msg).is_err());

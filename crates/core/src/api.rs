@@ -59,6 +59,16 @@ pub struct Delivered {
     pub at: SimInstant,
 }
 
+/// What a successful [`Cluster::auth_send`] or [`Cluster::multicast`]
+/// reports back: the attested message itself went into the receivers'
+/// inboxes, and a caller that needs it takes it from [`Cluster::poll`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SendReceipt {
+    /// Bytes the attested message occupies on the wire
+    /// ([`AttestedMessage::wire_len`]).
+    pub wire_len: usize,
+}
+
 /// Per-node state: the attestation provider, client-facing signing key and
 /// the inbox filled by `auth_send`.
 struct Endpoint {
@@ -614,16 +624,18 @@ impl Cluster {
     }
 
     fn network_latency(&mut self, payload_len: usize) -> SimDuration {
-        // One-way latency of the configured stack for this message size, with
-        // a little jitter so runs are not perfectly deterministic in time.
+        // One-way latency of the configured stack for this message size, plus
+        // up to 5 % jitter drawn from the cluster's seeded RNG: virtual times
+        // spread like a real network's, yet every run of a seed reads the same.
         let base = self.stack.send_latency(payload_len);
         let jitter = self.rng.range(0, 1 + base.as_nanos() / 20);
         base + SimDuration::from_nanos(jitter)
     }
 
     /// `auth_send()`: attests `payload` at `from`, ships it over the network
-    /// stack and verifies it at `to`; on success the message lands in `to`'s
-    /// inbox (to be fetched with [`Cluster::poll`]).
+    /// stack and verifies it at `to`; on success the message moves into
+    /// `to`'s inbox (to be fetched with [`Cluster::poll`]) and the caller
+    /// gets a [`SendReceipt`], not a copy of the message.
     ///
     /// If an accountability layer is attached, the payload is first offered to
     /// [`AccountabilityLayer::wrap_outbound`](crate::accountability::AccountabilityLayer::wrap_outbound)
@@ -639,7 +651,7 @@ impl Cluster {
         from: NodeId,
         to: NodeId,
         payload: &[u8],
-    ) -> Result<AttestedMessage, CoreError> {
+    ) -> Result<SendReceipt, CoreError> {
         // Churn/partition drops happen here, before the session counter
         // advances: the attested channel's strict receive counters cannot
         // tolerate a delivery gap, so a blocked link must refuse the send
@@ -672,20 +684,24 @@ impl Cluster {
         let (msg, attest_cost) = self.endpoint_mut(from)?.provider.attest(session, payload)?;
         self.clock.advance(attest_cost);
         self.observe_sent(from, &msg);
-        self.transmit(from, to, &msg)?;
-        Ok(msg)
+        let receipt = SendReceipt {
+            wire_len: msg.wire_len(),
+        };
+        self.transmit(from, to, msg)?;
+        Ok(receipt)
     }
 
     /// Ships the attested `msg` from `from` to one receiver: the send is
     /// observed, counted and traced, the network latency charged, and the
-    /// message delivered — through the adversary if one is installed.
+    /// message moved into the receiver's inbox — through the adversary if
+    /// one is installed.
     fn transmit(
         &mut self,
         from: NodeId,
         to: NodeId,
-        msg: &AttestedMessage,
+        msg: AttestedMessage,
     ) -> Result<(), CoreError> {
-        self.notify_sent(from, to, msg);
+        self.notify_sent(from, to, &msg);
         self.stats.messages_sent += 1;
         // The (sender, attestation counter) pair recorded as (node, seq) is
         // the message's cross-node trace identity: the matching Recv event on
@@ -705,7 +721,7 @@ impl Cluster {
         if self.adversary.is_some() {
             self.deliver_via_adversary(from, to, msg)
         } else {
-            self.deliver(from, to, msg.clone())
+            self.deliver(from, to, msg)
         }
     }
 
@@ -721,7 +737,7 @@ impl Cluster {
         &mut self,
         from: NodeId,
         to: NodeId,
-        msg: &AttestedMessage,
+        msg: AttestedMessage,
     ) -> Result<(), CoreError> {
         // Retransmission bound: keeps the simulation finite against an
         // adversary that censors every attempt (e.g. drop probability 1.0);
@@ -769,7 +785,7 @@ impl Cluster {
             let latency = self.network_latency(msg.wire_len());
             self.clock.advance(latency);
         }
-        self.deliver(from, to, msg.clone())
+        self.deliver(from, to, msg)
     }
 
     /// Delivers an already-attested message to `to`, verifying it there. Used
@@ -838,7 +854,9 @@ impl Cluster {
     }
 
     /// Equivocation-free multicast (§6.1): the same attested message generated
-    /// on the sender's group session is unicast to every receiver.
+    /// on the sender's group session is unicast to every receiver. Every
+    /// receiver but the last gets a clone, the last the message itself;
+    /// the caller gets a [`SendReceipt`], as from [`Cluster::auth_send`].
     ///
     /// If an accountability layer is attached, the payload is offered *once*
     /// to
@@ -856,7 +874,7 @@ impl Cluster {
         from: NodeId,
         receivers: &[NodeId],
         payload: &[u8],
-    ) -> Result<AttestedMessage, CoreError> {
+    ) -> Result<SendReceipt, CoreError> {
         // Same pre-attestation discipline as `auth_send`: a multicast with
         // any blocked leg is refused whole before the group counter moves.
         for &to in std::iter::once(&from).chain(receivers) {
@@ -880,10 +898,16 @@ impl Cluster {
         let (msg, attest_cost) = self.endpoint_mut(from)?.provider.attest(session, payload)?;
         self.clock.advance(attest_cost);
         self.observe_sent(from, &msg);
-        for &to in receivers {
-            self.transmit(from, to, &msg)?;
+        let receipt = SendReceipt {
+            wire_len: msg.wire_len(),
+        };
+        if let Some((&last, rest)) = receivers.split_last() {
+            for &to in rest {
+                self.transmit(from, to, msg.clone())?;
+            }
+            self.transmit(from, last, msg)?;
         }
-        Ok(msg)
+        Ok(receipt)
     }
 
     /// `poll()`: drains `node`'s inbox of verified messages.
@@ -898,12 +922,14 @@ impl Cluster {
         Ok(drained)
     }
 
-    /// The nodes with at least one undrained inbox message, in id order —
-    /// the scheduler's active set. Maintained incrementally wherever an
-    /// inbox grows or shrinks, so reading it is O(pending), not O(n).
-    #[must_use]
-    pub fn nodes_with_pending(&self) -> Vec<NodeId> {
-        self.pending_nodes.iter().copied().collect()
+    /// Fills `into` with the nodes with at least one undrained inbox
+    /// message, in id order — the scheduler's active set — replacing what
+    /// it held. Maintained incrementally wherever an inbox grows or shrinks,
+    /// so reading it is O(pending), not O(n), and a caller that keeps its
+    /// buffer allocates nothing per read.
+    pub fn nodes_with_pending(&self, into: &mut Vec<NodeId>) {
+        into.clear();
+        into.extend(self.pending_nodes.iter().copied());
     }
 
     /// Attributes the most recent sends to the audit plane: `wire_messages`
@@ -987,10 +1013,11 @@ mod tests {
         assert_eq!((monitor.in_flight(), monitor.links()), (0, 2));
     }
 
-    /// Everything a caller can observe of a run.
+    /// Everything a caller can observe of a run: the wire length of every
+    /// message each call sent, attested or forwarded, and every delivery.
     #[derive(Debug, PartialEq)]
     struct Observed {
-        returned: Vec<Result<AttestedMessage, CoreError>>,
+        returned: Vec<Result<usize, CoreError>>,
         inboxes: Vec<Vec<Delivered>>,
         stats: ClusterStats,
         now: SimInstant,
@@ -998,6 +1025,8 @@ mod tests {
 
     /// One seeded run over every path that emits a fact — unicast,
     /// multicast, `local_send`, a forwarded delivery, a tampered one.
+    /// Node 1's inbox is drained every round, so the messages it was sent
+    /// can be forwarded and tampered with.
     fn observed_run(c: &mut Cluster) -> Observed {
         let mut rng = DetRng::new(9);
         let mut payload = |max: u64| {
@@ -1009,27 +1038,42 @@ mod tests {
         c.establish_group(NodeId(0), &everyone).unwrap();
         c.establish_local(NodeId(2)).unwrap();
         let mut returned = Vec::new();
+        let mut inboxes = vec![Vec::new(); 3];
         for round in 0..6 {
-            returned.push(c.auth_send(NodeId(0), NodeId(1), &payload(300)));
-            returned.push(c.auth_send(NodeId(1), NodeId(2), &payload(9000)));
-            returned.push(c.local_send(NodeId(2), &payload(100)));
+            returned.push(
+                c.auth_send(NodeId(0), NodeId(1), &payload(300))
+                    .map(|r| r.wire_len),
+            );
+            returned.push(
+                c.auth_send(NodeId(1), NodeId(2), &payload(9000))
+                    .map(|r| r.wire_len),
+            );
+            returned.push(c.local_send(NodeId(2), &payload(100)).map(|m| m.wire_len()));
             if round % 2 == 0 {
-                returned.push(c.multicast(NodeId(0), &everyone, &payload(300)));
+                returned.push(
+                    c.multicast(NodeId(0), &everyone, &payload(300))
+                        .map(|r| r.wire_len),
+                );
+                inboxes[1].extend(c.poll(NodeId(1)).unwrap());
             } else {
                 // Node 2 is left out and gets the message forwarded by node 1.
-                let msg = c.multicast(NodeId(0), &[NodeId(1)], &payload(300)).unwrap();
-                returned.push(c.deliver(NodeId(1), NodeId(2), msg.clone()).map(|()| msg));
+                c.multicast(NodeId(0), &[NodeId(1)], &payload(300)).unwrap();
+                inboxes[1].extend(c.poll(NodeId(1)).unwrap());
+                let msg = inboxes[1].last().unwrap().message.clone();
+                let len = msg.wire_len();
+                returned.push(c.deliver(NodeId(1), NodeId(2), msg).map(|()| len));
             }
-            let mut tampered = returned[0].clone().unwrap();
+            let mut tampered = inboxes[1][0].message.clone();
             tampered.payload.push(round);
-            returned.push(
-                c.deliver(NodeId(0), NodeId(1), tampered.clone())
-                    .map(|()| tampered),
-            );
+            let len = tampered.wire_len();
+            returned.push(c.deliver(NodeId(0), NodeId(1), tampered).map(|()| len));
+        }
+        for (n, inbox) in inboxes.iter_mut().enumerate() {
+            inbox.extend(c.poll(NodeId(n as u32)).unwrap());
         }
         Observed {
             returned,
-            inboxes: (0..3).map(|n| c.poll(NodeId(n)).unwrap()).collect(),
+            inboxes,
             stats: c.stats(),
             now: c.now(),
         }
@@ -1068,12 +1112,13 @@ mod tests {
         // tampered copy of its first message, lemma 3 would say so; had node
         // 2 accepted a tampered copy of a multicast it is still owed,
         // lemma 2 would.
-        let mut tampered = returned[0].clone().unwrap();
+        let mut tampered = inboxes[1][0].message.clone();
         tampered.payload.push(0xff);
         monitored.observe_accepted(NodeId(1), &tampered);
-        let mut leg = monitored
+        monitored
             .multicast(NodeId(0), &[NodeId(1)], b"leg")
             .unwrap();
+        let mut leg = monitored.poll(NodeId(1)).unwrap().remove(0).message;
         assert_eq!(monitored.lemmas().unwrap().in_flight(), 1);
         leg.payload.push(0xff);
         monitored.observe_accepted(NodeId(2), &leg);
@@ -1095,21 +1140,24 @@ mod tests {
     #[test]
     fn replayed_message_rejected_and_not_double_delivered() {
         let mut c = cluster(2);
-        let msg = c.auth_send(NodeId(0), NodeId(1), b"pay").unwrap();
+        c.auth_send(NodeId(0), NodeId(1), b"pay").unwrap();
+        let mut delivered = c.poll(NodeId(1)).unwrap();
+        assert_eq!(delivered.len(), 1);
+        let msg = delivered.remove(0).message;
         let err = c.deliver(NodeId(0), NodeId(1), msg).unwrap_err();
         assert!(matches!(
             err,
             CoreError::Device(DeviceError::CounterMismatch { .. })
         ));
-        assert_eq!(c.poll(NodeId(1)).unwrap().len(), 1);
+        assert!(c.poll(NodeId(1)).unwrap().is_empty(), "nothing redelivered");
         assert_eq!(c.stats().messages_rejected, 1);
     }
 
     #[test]
     fn tampered_message_rejected() {
         let mut c = cluster(2);
-        let mut msg = c.auth_send(NodeId(0), NodeId(1), b"a").unwrap();
-        let _ = c.poll(NodeId(1)).unwrap();
+        c.auth_send(NodeId(0), NodeId(1), b"a").unwrap();
+        let mut msg = c.poll(NodeId(1)).unwrap().remove(0).message;
         msg.payload = b"b".to_vec();
         msg.counter = 1;
         assert!(matches!(
@@ -1171,15 +1219,15 @@ mod tests {
         let mut c = cluster(3);
         c.establish_group(NodeId(0), &[NodeId(1), NodeId(2)])
             .unwrap();
-        let msg = c
+        let receipt = c
             .multicast(NodeId(0), &[NodeId(1), NodeId(2)], b"bcast")
             .unwrap();
-        assert_eq!(msg.counter, 0);
         for node in [NodeId(1), NodeId(2)] {
             let delivered = c.poll(node).unwrap();
             assert_eq!(delivered.len(), 1);
             assert_eq!(delivered[0].message.counter, 0);
             assert_eq!(delivered[0].message.payload, b"bcast");
+            assert_eq!(delivered[0].message.wire_len(), receipt.wire_len);
         }
     }
 
@@ -1295,15 +1343,21 @@ mod tests {
     #[test]
     fn pending_nodes_track_undrained_inboxes() {
         let mut c = Cluster::sparse(4, Baseline::Tnic, NetworkStackKind::Tnic, 7);
-        assert!(c.nodes_with_pending().is_empty());
+        // The buffer starts dirty: a read replaces its contents.
+        let mut pending = vec![NodeId(9)];
+        let mut read = |c: &Cluster| {
+            c.nodes_with_pending(&mut pending);
+            pending.clone()
+        };
+        assert!(read(&c).is_empty());
         c.auth_send(NodeId(0), NodeId(2), b"a").unwrap();
         c.auth_send(NodeId(1), NodeId(3), b"b").unwrap();
         c.auth_send(NodeId(0), NodeId(3), b"c").unwrap();
-        assert_eq!(c.nodes_with_pending(), vec![NodeId(2), NodeId(3)]);
+        assert_eq!(read(&c), vec![NodeId(2), NodeId(3)]);
         assert_eq!(c.poll(NodeId(3)).unwrap().len(), 2);
-        assert_eq!(c.nodes_with_pending(), vec![NodeId(2)]);
+        assert_eq!(read(&c), vec![NodeId(2)]);
         assert_eq!(c.poll(NodeId(2)).unwrap().len(), 1);
-        assert!(c.nodes_with_pending().is_empty());
+        assert!(read(&c).is_empty());
     }
 
     #[test]

@@ -142,10 +142,11 @@
 //! ```
 //!
 //! * **Joining → Active** ([`AccountabilityEngine::join_node`]): the
-//!   cluster gains an endpoint and sessions, the key-bootstrap installs the
-//!   joiner's log-session key on every audit kernel (and every existing key
-//!   on the joiner's), witness sets are re-derived over the grown
-//!   membership, and the joiner announces its initial sealed head
+//!   cluster gains an endpoint and sessions, the joiner's log-session key —
+//!   drawn from the engine's `DetRng` — is installed directly on every
+//!   audit kernel (and every existing key on the joiner's), witness sets
+//!   are re-derived over the grown membership, and the joiner announces
+//!   its initial sealed head
 //!   ([`Envelope::Join`]) to its new witnesses. Where the joiner itself
 //!   becomes a witness it bootstraps from the latest *cosigned checkpoint
 //!   certificate* (verified donor handover — the same mechanism epoch
@@ -250,6 +251,7 @@ use tnic_core::api::{Cluster, Delivered, NodeId};
 use tnic_core::error::CoreError;
 use tnic_core::provider::Provider;
 use tnic_core::transform::{CounterMachine, StateMachine};
+use tnic_device::attestation::AttestedMessage;
 use tnic_device::types::DeviceId;
 use tnic_net::adversary::{FaultPlan, NodeFault};
 use tnic_sim::clock::SimClock;
@@ -521,6 +523,11 @@ pub struct CommitmentLayer {
     /// outside the logs, so checkpoint pruning and witness rotation never
     /// disturb it.
     round_digests: BTreeMap<u32, Vec<[u8; 32]>>,
+    /// `(mac, digest)` of the last control envelope hashed into a round
+    /// digest. The sender's `on_sent`, the receiver's `on_delivered` and
+    /// every further multicast leg log the same attested message back to
+    /// back, so only the first of them hashes it.
+    last_digest: Option<([u8; 32], [u8; 32])>,
 }
 
 impl CommitmentLayer {
@@ -721,19 +728,43 @@ impl CommitmentLayer {
         total
     }
 
-    /// Logs a sent or delivered payload on `node`'s log. An envelope that
+    /// Logs a sent or delivered message on `node`'s log. An envelope that
     /// carries an application command is appended in full, because
     /// witnesses replay the command; every other payload is folded into the
     /// node's round digest instead of a per-envelope entry.
-    fn log_payload(&mut self, node: u32, peer: u32, kind: EntryKind, payload: &[u8], at_us: u64) {
+    fn log_payload(
+        &mut self,
+        node: u32,
+        peer: u32,
+        kind: EntryKind,
+        message: &AttestedMessage,
+        at_us: u64,
+    ) {
+        let payload = &message.payload;
         if Envelope::app_command(payload).is_some() {
             let content = crate::log::content_full(payload);
             self.append_traced(node, peer, kind, content, at_us);
         } else {
-            self.round_digests
-                .entry(node)
-                .or_default()
-                .push(tnic_crypto::sha256::sha256(payload));
+            let digest = self.envelope_digest(&message.mac, payload);
+            self.round_digests.entry(node).or_default().push(digest);
+        }
+    }
+
+    /// SHA-256 of a control envelope's `payload`, hashed once per attested
+    /// message. A `mac` equal to the memo's names the same message: the
+    /// sender's kernel computed that MAC over these payload bytes, and the
+    /// receiver's kernel verified it over them before `on_delivered` runs.
+    fn envelope_digest(&mut self, mac: &[u8; 32], payload: &[u8]) -> [u8; 32] {
+        match self.last_digest {
+            Some((memo_mac, digest)) if memo_mac == *mac => {
+                debug_assert_eq!(digest, tnic_crypto::sha256::sha256(payload));
+                digest
+            }
+            _ => {
+                let digest = tnic_crypto::sha256::sha256(payload);
+                self.last_digest = Some((*mac, digest));
+                digest
+            }
         }
     }
 
@@ -845,18 +876,12 @@ impl CommitmentLayer {
 }
 
 impl AccountabilityLayer for CommitmentLayer {
-    fn on_sent(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        message: &tnic_device::attestation::AttestedMessage,
-        at: SimInstant,
-    ) {
+    fn on_sent(&mut self, from: NodeId, to: NodeId, message: &AttestedMessage, at: SimInstant) {
         self.log_payload(
             from.0,
             to.0,
             EntryKind::Send { to: to.0 },
-            &message.payload,
+            message,
             at.as_micros(),
         );
     }
@@ -867,7 +892,7 @@ impl AccountabilityLayer for CommitmentLayer {
             to.0,
             from,
             EntryKind::Recv { from },
-            &delivered.message.payload,
+            &delivered.message,
             delivered.at.as_micros(),
         );
     }
@@ -1028,8 +1053,7 @@ pub struct AccountabilityEngine<A: AccountedApp> {
     /// challenge (only populated with [`EngineConfig::challenge_retries`]).
     retry_state: BTreeMap<(u32, u32), RetryState>,
     /// Per node: its log-session key, kept so a joiner's audit kernel can
-    /// be provisioned with every existing key (the bootstrap protocol's
-    /// key-distribution step).
+    /// be provisioned with every existing key.
     seal_keys: BTreeMap<u32, [u8; 32]>,
     /// (witness, auditee) → last round the pair was selected for audit
     /// (sampled auditing's coverage-window backstop; unused without
@@ -1039,6 +1063,9 @@ pub struct AccountabilityEngine<A: AccountedApp> {
     /// sends at n = 1000 would otherwise allocate one `Vec` per message per
     /// round).
     wire_scratch: Vec<u8>,
+    /// Reused buffer for the active set each `sweep_until_quiet` pass
+    /// reads from [`Cluster::nodes_with_pending`].
+    pending_scratch: Vec<NodeId>,
 }
 
 impl<A: AccountedApp> std::fmt::Debug for AccountabilityEngine<A> {
@@ -1062,8 +1089,8 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let nodes: Vec<NodeId> = cluster.nodes();
         let mut rng = DetRng::new(config.seed ^ 0x005e_edac_0123);
 
-        // Log-session keys: generated by the bootstrapping protocol and
-        // installed on each node's device and on every witness's
+        // Log-session keys: drawn from the engine's `DetRng` and installed
+        // directly on each node's device and on every witness's
         // verification kernel (the witnesses are exactly the parties
         // entitled to audit).
         let mut layer = CommitmentLayer::new();
@@ -1153,6 +1180,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             seal_keys,
             last_audit_round: BTreeMap::new(),
             wire_scratch: Vec::new(),
+            pending_scratch: Vec::new(),
         }
     }
 
@@ -1582,8 +1610,9 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     }
 
     /// Adds a new node `id` to the running deployment: cluster endpoint and
-    /// sessions, log-session key bootstrap (the joiner's key reaches every
-    /// audit kernel; every existing key reaches the joiner's), witness sets
+    /// sessions, a log-session key drawn from the engine's `DetRng` (the
+    /// joiner's key is installed on every audit kernel, every existing key
+    /// on the joiner's), witness sets
     /// re-derived over the grown membership, and the joiner's initial
     /// sealed head announced to its new witnesses ([`Envelope::Join`]).
     /// Where the joiner itself becomes a witness it bootstraps from the
@@ -1609,16 +1638,17 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let node = NodeId(id);
         assert!(!self.nodes.contains(&node), "node {id} is already a member");
         cluster.add_node(node);
-        // Sessions with every existing member, reachable or not: session
-        // keys come from the bootstrap authority, so a currently-crashed
+        // Sessions with every existing member, reachable or not: the
+        // cluster installs session keys directly, so a currently-crashed
         // node can talk to the joiner after it recovers.
         for peer in self.nodes.clone() {
             cluster.connect(node, peer)?;
         }
         self.set_phase(id, MemberPhase::Joining);
-        // Key bootstrap: the joiner's log-session key is installed on its
-        // own sealer and on every verification kernel; the joiner's kernel
-        // learns every existing key so it can verify seals as a witness.
+        // Log-session keys: the joiner's, drawn from the engine's `DetRng`,
+        // is installed on its own sealer and on every verification kernel;
+        // the joiner's kernel learns every existing key so it can verify
+        // seals as a witness.
         let key = self.rng.bytes32();
         self.seal_keys.insert(id, key);
         self.layer
@@ -2485,23 +2515,26 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// Dispatches until no live node has a queued delivery. Each pass asks
     /// the cluster for its active set — the nodes with queued deliveries, in
     /// id order — instead of scanning all n endpoints (quadratic across a
-    /// round at n = 1000).
+    /// round at n = 1000), into one buffer the engine keeps across passes.
     fn sweep_until_quiet(&mut self, cluster: &mut Cluster, app: &mut A) -> Result<(), CoreError> {
-        loop {
-            let pending: Vec<NodeId> = cluster
-                .nodes_with_pending()
-                .into_iter()
-                // A crashed node's inbox stays queued until recovery; a
-                // departed node's is never drained.
-                .filter(|&n| !self.is_down(n.0))
-                .collect();
+        let mut pending = std::mem::take(&mut self.pending_scratch);
+        let result = loop {
+            cluster.nodes_with_pending(&mut pending);
+            // A crashed node's inbox stays queued until recovery; a
+            // departed node's is never drained.
+            pending.retain(|&n| !self.is_down(n.0));
             if pending.is_empty() {
-                return Ok(());
+                break Ok(());
             }
-            for node in pending {
-                self.dispatch(cluster, app, node)?;
+            if let Err(e) = pending
+                .iter()
+                .try_for_each(|&node| self.dispatch(cluster, app, node))
+            {
+                break Err(e);
             }
-        }
+        };
+        self.pending_scratch = pending;
+        result
     }
 
     /// Drains `node`'s inbox and runs the protocol handlers.
@@ -3392,9 +3425,9 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         audit_elements: u64,
     ) -> Result<(), CoreError> {
         match cluster.auth_send(from, to, payload) {
-            Ok(msg) => {
+            Ok(receipt) => {
                 self.stats.control_messages += 1;
-                self.stats.control_bytes += msg.wire_len() as u64;
+                self.stats.control_bytes += receipt.wire_len as u64;
                 if audit_elements > 0 {
                     self.stats.audit_messages += 1;
                     cluster.note_audit_message(1, audit_elements);
@@ -4223,6 +4256,63 @@ mod tests {
                     crate::log::verify_audit_round_content(&entry.content),
                     "node {node}: flushed entry self-verifies"
                 );
+            }
+        }
+    }
+
+    /// A control envelope is hashed once per attested message: the
+    /// receiver's entry and every further multicast leg reuse the sender's
+    /// digest. Here node 0 multicasts its own announcement to the other
+    /// three nodes every round, over a network that corrupts or duplicates
+    /// packets, so rejected copies fall between a send and its delivery.
+    /// Every verdict stays `Trusted`, every round digest verifies, and the
+    /// digest logged for the multicast is the SHA-256 of its bytes: three
+    /// times at the sender (once per leg), once at each receiver.
+    #[test]
+    fn round_digests_hash_each_envelope_once_under_multicast_and_a_hostile_network() {
+        use tnic_net::adversary::Adversary;
+        for adversary in [
+            Adversary::TamperPayload { probability: 0.3 },
+            Adversary::Replay { probability: 0.3 },
+        ] {
+            let label = format!("{adversary:?}");
+            let (mut cluster, mut app, mut engine) =
+                engine_deployment(EngineConfig::default(), FaultPlan::all_correct());
+            cluster.set_adversary(adversary, 11);
+            let group = [NodeId(1), NodeId(2), NodeId(3)];
+            cluster.establish_group(NodeId(0), &group).unwrap();
+            let mut multicast_digests = Vec::new();
+            for _ in 0..4 {
+                let (seq, head, _) = engine.layer.borrow().commitment_data(0);
+                let (auth, _) = engine.layer.borrow_mut().seal(0, seq, head);
+                let announce = Envelope::Announce(auth).encode();
+                multicast_digests.push(tnic_crypto::sha256::sha256(&announce));
+                cluster.multicast(NodeId(0), &group, &announce).unwrap();
+                run_rounds(&mut cluster, &mut app, &mut engine, 1);
+            }
+            assert!(
+                cluster.stats().messages_rejected > 0,
+                "{label}: copies rejected"
+            );
+            assert_accuracy(&engine);
+            for node in 0..4u32 {
+                let len = engine.layer.borrow().log_len(node);
+                let entries = engine.layer.borrow().segment(node, 0, len);
+                let mut logged = Vec::new();
+                for entry in entries.iter().filter(|e| e.kind == EntryKind::AuditRound) {
+                    assert!(
+                        crate::log::verify_audit_round_content(&entry.content),
+                        "{label}: node {node}'s round digest verifies"
+                    );
+                    let (_, digests, _) =
+                        crate::log::parse_audit_round_content(&entry.content).unwrap();
+                    logged.extend(digests.chunks_exact(32).map(<[u8]>::to_vec));
+                }
+                let legs = if node == 0 { group.len() } else { 1 };
+                for digest in &multicast_digests {
+                    let copies = logged.iter().filter(|d| d[..] == digest[..]).count();
+                    assert_eq!(copies, legs, "{label}: node {node}");
+                }
             }
         }
     }

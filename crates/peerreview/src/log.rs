@@ -40,8 +40,8 @@ pub const AUTHENTICATOR_DOMAIN: &[u8; 12] = b"TNIC-PR-AUTH";
 
 /// The dedicated attestation session on which a node's device seals its log
 /// commitments. Disjoint from the cluster's messaging sessions; the session
-/// key is installed on the node's device and distributed to its witnesses by
-/// the same bootstrapping protocol that installs messaging keys.
+/// key is drawn from the accountability engine's `DetRng` and installed
+/// directly on the node's device and on its witnesses' audit kernels.
 #[must_use]
 pub fn log_session(node: u32) -> SessionId {
     SessionId(0x5A00_0000 + node)
