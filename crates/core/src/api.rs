@@ -59,16 +59,6 @@ pub struct Delivered {
     pub at: SimInstant,
 }
 
-/// What a successful [`Cluster::auth_send`] or [`Cluster::multicast`]
-/// reports back: the attested message itself went into the receivers'
-/// inboxes, and a caller that needs it takes it from [`Cluster::poll`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendReceipt {
-    /// Bytes the attested message occupies on the wire
-    /// ([`AttestedMessage::wire_len`]).
-    pub wire_len: usize,
-}
-
 /// Per-node state: the attestation provider, client-facing signing key and
 /// the inbox filled by `auth_send`.
 struct Endpoint {
@@ -635,7 +625,8 @@ impl Cluster {
     /// `auth_send()`: attests `payload` at `from`, ships it over the network
     /// stack and verifies it at `to`; on success the message moves into
     /// `to`'s inbox (to be fetched with [`Cluster::poll`]) and the caller
-    /// gets a [`SendReceipt`], not a copy of the message.
+    /// gets the bytes it occupied on the wire
+    /// ([`AttestedMessage::wire_len`]), not a copy of the message.
     ///
     /// If an accountability layer is attached, the payload is first offered to
     /// [`AccountabilityLayer::wrap_outbound`](crate::accountability::AccountabilityLayer::wrap_outbound)
@@ -651,7 +642,7 @@ impl Cluster {
         from: NodeId,
         to: NodeId,
         payload: &[u8],
-    ) -> Result<SendReceipt, CoreError> {
+    ) -> Result<usize, CoreError> {
         // Churn/partition drops happen here, before the session counter
         // advances: the attested channel's strict receive counters cannot
         // tolerate a delivery gap, so a blocked link must refuse the send
@@ -684,11 +675,9 @@ impl Cluster {
         let (msg, attest_cost) = self.endpoint_mut(from)?.provider.attest(session, payload)?;
         self.clock.advance(attest_cost);
         self.observe_sent(from, &msg);
-        let receipt = SendReceipt {
-            wire_len: msg.wire_len(),
-        };
+        let wire_len = msg.wire_len();
         self.transmit(from, to, msg)?;
-        Ok(receipt)
+        Ok(wire_len)
     }
 
     /// Ships the attested `msg` from `from` to one receiver: the send is
@@ -856,7 +845,7 @@ impl Cluster {
     /// Equivocation-free multicast (§6.1): the same attested message generated
     /// on the sender's group session is unicast to every receiver. Every
     /// receiver but the last gets a clone, the last the message itself;
-    /// the caller gets a [`SendReceipt`], as from [`Cluster::auth_send`].
+    /// the caller gets its wire length, as from [`Cluster::auth_send`].
     ///
     /// If an accountability layer is attached, the payload is offered *once*
     /// to
@@ -874,7 +863,7 @@ impl Cluster {
         from: NodeId,
         receivers: &[NodeId],
         payload: &[u8],
-    ) -> Result<SendReceipt, CoreError> {
+    ) -> Result<usize, CoreError> {
         // Same pre-attestation discipline as `auth_send`: a multicast with
         // any blocked leg is refused whole before the group counter moves.
         for &to in std::iter::once(&from).chain(receivers) {
@@ -898,16 +887,14 @@ impl Cluster {
         let (msg, attest_cost) = self.endpoint_mut(from)?.provider.attest(session, payload)?;
         self.clock.advance(attest_cost);
         self.observe_sent(from, &msg);
-        let receipt = SendReceipt {
-            wire_len: msg.wire_len(),
-        };
+        let wire_len = msg.wire_len();
         if let Some((&last, rest)) = receivers.split_last() {
             for &to in rest {
                 self.transmit(from, to, msg.clone())?;
             }
             self.transmit(from, last, msg)?;
         }
-        Ok(receipt)
+        Ok(wire_len)
     }
 
     /// `poll()`: drains `node`'s inbox of verified messages.
@@ -1013,11 +1000,14 @@ mod tests {
         assert_eq!((monitor.in_flight(), monitor.links()), (0, 2));
     }
 
-    /// Everything a caller can observe of a run: the wire length of every
-    /// message each call sent, attested or forwarded, and every delivery.
+    /// Everything a caller can observe of a run: the wire length each send
+    /// returned, each `local_send` and forwarded or tampered message in
+    /// full, and every delivery.
     #[derive(Debug, PartialEq)]
     struct Observed {
-        returned: Vec<Result<usize, CoreError>>,
+        sent: Vec<Result<usize, CoreError>>,
+        local: Vec<Result<AttestedMessage, CoreError>>,
+        forwarded: Vec<Result<AttestedMessage, CoreError>>,
         inboxes: Vec<Vec<Delivered>>,
         stats: ClusterStats,
         now: SimInstant,
@@ -1037,42 +1027,36 @@ mod tests {
         let everyone = [NodeId(1), NodeId(2)];
         c.establish_group(NodeId(0), &everyone).unwrap();
         c.establish_local(NodeId(2)).unwrap();
-        let mut returned = Vec::new();
+        let (mut sent, mut local, mut forwarded) = (Vec::new(), Vec::new(), Vec::new());
         let mut inboxes = vec![Vec::new(); 3];
         for round in 0..6 {
-            returned.push(
-                c.auth_send(NodeId(0), NodeId(1), &payload(300))
-                    .map(|r| r.wire_len),
-            );
-            returned.push(
-                c.auth_send(NodeId(1), NodeId(2), &payload(9000))
-                    .map(|r| r.wire_len),
-            );
-            returned.push(c.local_send(NodeId(2), &payload(100)).map(|m| m.wire_len()));
+            sent.push(c.auth_send(NodeId(0), NodeId(1), &payload(300)));
+            sent.push(c.auth_send(NodeId(1), NodeId(2), &payload(9000)));
+            local.push(c.local_send(NodeId(2), &payload(100)));
             if round % 2 == 0 {
-                returned.push(
-                    c.multicast(NodeId(0), &everyone, &payload(300))
-                        .map(|r| r.wire_len),
-                );
+                sent.push(c.multicast(NodeId(0), &everyone, &payload(300)));
                 inboxes[1].extend(c.poll(NodeId(1)).unwrap());
             } else {
                 // Node 2 is left out and gets the message forwarded by node 1.
                 c.multicast(NodeId(0), &[NodeId(1)], &payload(300)).unwrap();
                 inboxes[1].extend(c.poll(NodeId(1)).unwrap());
                 let msg = inboxes[1].last().unwrap().message.clone();
-                let len = msg.wire_len();
-                returned.push(c.deliver(NodeId(1), NodeId(2), msg).map(|()| len));
+                forwarded.push(c.deliver(NodeId(1), NodeId(2), msg.clone()).map(|()| msg));
             }
             let mut tampered = inboxes[1][0].message.clone();
             tampered.payload.push(round);
-            let len = tampered.wire_len();
-            returned.push(c.deliver(NodeId(0), NodeId(1), tampered).map(|()| len));
+            forwarded.push(
+                c.deliver(NodeId(0), NodeId(1), tampered.clone())
+                    .map(|()| tampered),
+            );
         }
         for (n, inbox) in inboxes.iter_mut().enumerate() {
             inbox.extend(c.poll(NodeId(n as u32)).unwrap());
         }
         Observed {
-            returned,
+            sent,
+            local,
+            forwarded,
             inboxes,
             stats: c.stats(),
             now: c.now(),
@@ -1089,13 +1073,16 @@ mod tests {
         assert!(plain.lemmas().is_none());
 
         let Observed {
-            returned,
+            sent,
+            local,
+            forwarded,
             inboxes,
             stats,
             ..
         } = observed;
         assert_eq!(stats.messages_rejected, 6, "every tampered copy refused");
-        assert_eq!(returned.iter().filter(|r| r.is_err()).count(), 6);
+        assert!(sent.iter().all(Result::is_ok) && local.iter().all(Result::is_ok));
+        assert_eq!(forwarded.iter().filter(|r| r.is_err()).count(), 6);
         // 2 unicasts and 1 `local_send` a round and 6 multicasts attested;
         // 12 unicasts, 3 × 2 + 3 multicast legs and 3 forwards accepted.
         let monitor = monitored.lemmas().unwrap();
@@ -1219,7 +1206,7 @@ mod tests {
         let mut c = cluster(3);
         c.establish_group(NodeId(0), &[NodeId(1), NodeId(2)])
             .unwrap();
-        let receipt = c
+        let wire_len = c
             .multicast(NodeId(0), &[NodeId(1), NodeId(2)], b"bcast")
             .unwrap();
         for node in [NodeId(1), NodeId(2)] {
@@ -1227,7 +1214,7 @@ mod tests {
             assert_eq!(delivered.len(), 1);
             assert_eq!(delivered[0].message.counter, 0);
             assert_eq!(delivered[0].message.payload, b"bcast");
-            assert_eq!(delivered[0].message.wire_len(), receipt.wire_len);
+            assert_eq!(delivered[0].message.wire_len(), wire_len);
         }
     }
 

@@ -34,12 +34,12 @@
 //!
 //! // Two nodes with TNIC-backed attestation over the TNIC network stack.
 //! let mut cluster = Cluster::fully_connected(2, Baseline::Tnic, NetworkStackKind::Tnic, 7);
-//! // The attested message moves into node 1's inbox; the sender gets a
-//! // receipt carrying its wire length.
-//! let receipt = cluster.auth_send(NodeId(0), NodeId(1), b"client request").unwrap();
+//! // The attested message moves into node 1's inbox; the sender gets its
+//! // wire length.
+//! let wire_len = cluster.auth_send(NodeId(0), NodeId(1), b"client request").unwrap();
 //! let delivered = cluster.poll(NodeId(1)).unwrap();
 //! assert_eq!(delivered[0].message.payload, b"client request");
-//! assert_eq!(delivered[0].message.wire_len(), receipt.wire_len);
+//! assert_eq!(delivered[0].message.wire_len(), wire_len);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,7 +53,7 @@ pub mod transform;
 pub mod verification;
 
 pub use accountability::{AccountabilityLayer, SharedAccountability};
-pub use api::{Cluster, Delivered, NodeId, SendReceipt};
+pub use api::{Cluster, Delivered, NodeId};
 pub use error::CoreError;
 pub use provider::Provider;
 pub use verification::{ActionFact, LemmaMonitor};

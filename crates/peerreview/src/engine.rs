@@ -2518,23 +2518,19 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// round at n = 1000), into one buffer the engine keeps across passes.
     fn sweep_until_quiet(&mut self, cluster: &mut Cluster, app: &mut A) -> Result<(), CoreError> {
         let mut pending = std::mem::take(&mut self.pending_scratch);
-        let result = loop {
+        loop {
             cluster.nodes_with_pending(&mut pending);
             // A crashed node's inbox stays queued until recovery; a
             // departed node's is never drained.
             pending.retain(|&n| !self.is_down(n.0));
             if pending.is_empty() {
-                break Ok(());
+                self.pending_scratch = pending;
+                return Ok(());
             }
-            if let Err(e) = pending
-                .iter()
-                .try_for_each(|&node| self.dispatch(cluster, app, node))
-            {
-                break Err(e);
+            for &node in &pending {
+                self.dispatch(cluster, app, node)?;
             }
-        };
-        self.pending_scratch = pending;
-        result
+        }
     }
 
     /// Drains `node`'s inbox and runs the protocol handlers.
@@ -3425,9 +3421,9 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         audit_elements: u64,
     ) -> Result<(), CoreError> {
         match cluster.auth_send(from, to, payload) {
-            Ok(receipt) => {
+            Ok(wire_len) => {
                 self.stats.control_messages += 1;
-                self.stats.control_bytes += receipt.wire_len as u64;
+                self.stats.control_bytes += wire_len as u64;
                 if audit_elements > 0 {
                     self.stats.audit_messages += 1;
                     cluster.note_audit_message(1, audit_elements);
