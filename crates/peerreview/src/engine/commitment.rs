@@ -1,0 +1,469 @@
+//! The commitment layer: one tamper-evident log per node, fed by the
+//! cluster's send/deliver hooks, plus the round-digest fold and the
+//! piggyback ride queue.
+
+use crate::log::{log_session, Authenticator, EntryKind, LogEntry, SecureLog};
+use crate::wire::{Envelope, PiggybackRider, MAX_PIGGYBACK_RIDERS};
+use std::collections::{BTreeMap, VecDeque};
+use tnic_core::accountability::AccountabilityLayer;
+use tnic_core::api::{Delivered, NodeId};
+use tnic_core::provider::Provider;
+use tnic_device::attestation::AttestedMessage;
+use tnic_device::types::DeviceId;
+use tnic_sim::time::{SimDuration, SimInstant};
+use tnic_tee::profile::Baseline;
+
+/// Per-node state held by the commitment layer.
+#[derive(Debug)]
+struct NodeState {
+    log: SecureLog,
+    /// The node's attestation provider sealing its log commitments (honest
+    /// by assumption — the paper's trust model keeps the device inside the
+    /// TCB). Using the provider abstraction keeps commitment-seal costs on
+    /// the configured baseline's latency model, not hardwired to TNIC.
+    sealer: Provider,
+}
+
+/// A commitment waiting for a ride on outbound traffic (piggyback mode).
+#[derive(Debug, Clone)]
+struct PendingRide {
+    auth: Authenticator,
+    /// `true` for witness-to-witness relays, `false` for a node's own
+    /// announcement.
+    gossip: bool,
+}
+
+/// The commitment protocol: an [`AccountabilityLayer`] maintaining one
+/// tamper-evident [`SecureLog`] per node, fed by the cluster's send/deliver
+/// hooks, plus the node-local operations (execution logging, commitment
+/// sealing, audit-segment extraction and the Byzantine host operations used
+/// by fault injection). In piggyback mode it additionally queues pending
+/// authenticators per `(sender, receiver)` pair and splices batches of up
+/// to [`MAX_PIGGYBACK_RIDERS`] onto outbound envelopes through
+/// [`AccountabilityLayer::wrap_outbound`] /
+/// [`AccountabilityLayer::wrap_multicast`].
+#[derive(Debug, Default)]
+pub(super) struct CommitmentLayer {
+    states: BTreeMap<u32, NodeState>,
+    /// Commitments waiting for a ride, per directed pair.
+    pending: BTreeMap<(u32, u32), VecDeque<PendingRide>>,
+    /// Commitments that found a ride on outbound traffic.
+    piggybacked: u64,
+    /// Round digests: per-node SHA-256 digests of the envelopes without an
+    /// application command sent/received since the last flush, in local
+    /// order. Flushed into one [`EntryKind::AuditRound`] entry per node per
+    /// audit round by [`CommitmentLayer::flush_round_digests`]. Lives
+    /// outside the logs, so checkpoint pruning and witness rotation never
+    /// disturb it.
+    pub(super) round_digests: BTreeMap<u32, Vec<[u8; 32]>>,
+    /// `(mac, digest)` of the last control envelope hashed into a round
+    /// digest. The sender's `on_sent`, the receiver's `on_delivered` and
+    /// every further multicast leg log the same attested message back to
+    /// back, so only the first of them hashes it.
+    last_digest: Option<([u8; 32], [u8; 32])>,
+}
+
+impl CommitmentLayer {
+    /// Registers `node` with its log-session key; commitments are sealed by
+    /// an attestation provider of the given `baseline`.
+    pub(super) fn register_node(&mut self, node: u32, baseline: Baseline, key: [u8; 32]) {
+        let mut sealer = Provider::new(baseline, DeviceId(node), u64::from(node) + 1);
+        sealer.install_session_key(log_session(node), key);
+        self.states.insert(
+            node,
+            NodeState {
+                log: SecureLog::new(),
+                sealer,
+            },
+        );
+    }
+
+    fn state_mut(&mut self, node: u32) -> &mut NodeState {
+        self.states.get_mut(&node).expect("node registered")
+    }
+
+    fn state(&self, node: u32) -> &NodeState {
+        self.states.get(&node).expect("node registered")
+    }
+
+    /// Appends the claimed output of an application execution to `node`'s
+    /// log as an `Exec` entry — the record witnesses replay against the
+    /// reference machine.
+    pub(super) fn record_exec(&mut self, node: u32, output: Vec<u8>, at_us: u64) {
+        self.append_traced(node, tnic_obs::NONE, EntryKind::Exec, output, at_us);
+    }
+
+    /// Appends an entry via [`crate::log::SecureLog::append`] and emits the
+    /// [`tnic_obs::EventKind::LogAppend`] trace event that links the append
+    /// into the message's cross-node trace (aux = the entry class).
+    /// Allocation-free beyond the log append itself.
+    fn append_traced(
+        &mut self,
+        node: u32,
+        peer: u32,
+        kind: EntryKind,
+        content: Vec<u8>,
+        at_us: u64,
+    ) {
+        let entry = self.state_mut(node).log.append(kind, content);
+        let seq = entry.seq;
+        let class = crate::log::EntryClass::of(entry.kind, &entry.content);
+        tnic_obs::trace_event!(
+            tnic_obs::EventKind::LogAppend,
+            at_us: at_us,
+            node: node,
+            peer: peer,
+            seq: seq,
+            aux: class.code()
+        );
+    }
+
+    /// `(seq, head, forked_head)` of `node`'s log — the data a commitment
+    /// covers, plus the head an equivocator would commit towards part of its
+    /// witness set.
+    #[must_use]
+    pub(super) fn commitment_data(&self, node: u32) -> (u64, [u8; 32], [u8; 32]) {
+        let log = &self.state(node).log;
+        (log.len(), log.head(), log.forked_head())
+    }
+
+    /// Seals an arbitrary payload on `node`'s TNIC log session (commitments,
+    /// checkpoint marks, cosignatures); returns the attestation and the
+    /// virtual time the in-fabric attestation took.
+    pub(super) fn seal_payload(
+        &mut self,
+        node: u32,
+        payload: &[u8],
+    ) -> (AttestedMessage, SimDuration) {
+        self.state_mut(node)
+            .sealer
+            .attest(log_session(node), payload)
+            .expect("log session installed")
+    }
+
+    /// Seals a commitment on `node`'s TNIC; returns the authenticator and
+    /// the virtual time the in-fabric attestation took.
+    pub(super) fn seal(
+        &mut self,
+        node: u32,
+        seq: u64,
+        head: [u8; 32],
+    ) -> (Authenticator, SimDuration) {
+        let payload = Authenticator::payload(node, seq, &head);
+        let (attestation, cost) = self.seal_payload(node, &payload);
+        (
+            Authenticator {
+                node,
+                seq,
+                head,
+                attestation,
+            },
+            cost,
+        )
+    }
+
+    /// Appends a checkpoint mark to `node`'s log (the retained root-to-be):
+    /// the entry content is the mark's canonical payload, so witnesses
+    /// replaying it re-verify the embedded state digest.
+    pub(super) fn record_checkpoint(&mut self, node: u32, mark_payload: Vec<u8>, at_us: u64) {
+        self.append_traced(
+            node,
+            tnic_obs::NONE,
+            EntryKind::Checkpoint,
+            mark_payload,
+            at_us,
+        );
+    }
+
+    /// Garbage-collects `node`'s log prefix below `upto_seq` (covered by a
+    /// certified checkpoint); returns the number of entries dropped.
+    pub(super) fn prune_to(&mut self, node: u32, upto_seq: u64) -> u64 {
+        self.state_mut(node).log.prune_to(upto_seq)
+    }
+
+    /// Absolute sequence number of the first retained entry of `node`'s log.
+    #[must_use]
+    pub(super) fn base_seq(&self, node: u32) -> u64 {
+        self.state(node).log.base_seq()
+    }
+
+    /// The head `node`'s log had after `seq` entries, or `None` when pruned
+    /// or out of range.
+    #[must_use]
+    pub(super) fn head_at(&self, node: u32, seq: u64) -> Option<[u8; 32]> {
+        self.state(node).log.head_at(seq)
+    }
+
+    /// Entries currently held in memory across all logs (the bounded-memory
+    /// metric; [`CommitmentLayer::total_entries`] counts everything ever
+    /// appended).
+    #[must_use]
+    pub(super) fn retained_entries(&self) -> u64 {
+        self.states.values().map(|s| s.log.retained_len()).sum()
+    }
+
+    /// Approximate bytes held by retained log entries across all logs.
+    #[must_use]
+    pub(super) fn retained_bytes(&self) -> u64 {
+        self.states.values().map(|s| s.log.retained_bytes()).sum()
+    }
+
+    /// Borrowed view of the entries `from_seq..upto_seq` of `node`'s log.
+    /// The audit send path encodes responses straight from this slice into
+    /// a reused wire buffer; callers that need ownership clone it.
+    #[must_use]
+    pub(super) fn segment_ref(&self, node: u32, from_seq: u64, upto_seq: u64) -> &[LogEntry] {
+        self.state(node).log.segment(from_seq, upto_seq)
+    }
+
+    /// Like [`Self::segment_ref`], but surfaces a `from_seq` below the
+    /// pruned base as `Err(base_seq)` instead of silently clamping — the
+    /// audit send path uses this to detect a challenge range straddling a
+    /// concurrent prune (see [`crate::log::SecureLog::segment_checked`]).
+    pub(super) fn segment_checked(
+        &self,
+        node: u32,
+        from_seq: u64,
+        upto_seq: u64,
+    ) -> Result<&[LogEntry], u64> {
+        self.state(node).log.segment_checked(from_seq, upto_seq)
+    }
+
+    /// Current log length of `node`.
+    #[must_use]
+    pub(super) fn log_len(&self, node: u32) -> u64 {
+        self.state(node).log.len()
+    }
+
+    /// Total entries across all logs (commitment-protocol volume).
+    #[must_use]
+    pub(super) fn total_entries(&self) -> u64 {
+        self.states.values().map(|s| s.log.len()).sum()
+    }
+
+    /// Per-class log composition summed across all logs — what the entries
+    /// ever appended actually hold (app payloads vs checkpoint marks vs
+    /// round digests); see [`crate::log::LogComposition`].
+    #[must_use]
+    pub(super) fn composition(&self) -> crate::log::LogComposition {
+        let mut total = crate::log::LogComposition::default();
+        for state in self.states.values() {
+            total.merge(&state.log.composition());
+        }
+        total
+    }
+
+    /// Logs a sent or delivered message on `node`'s log. An envelope that
+    /// carries an application command is appended in full, because
+    /// witnesses replay the command; every other payload is folded into the
+    /// node's round digest instead of a per-envelope entry.
+    fn log_payload(
+        &mut self,
+        node: u32,
+        peer: u32,
+        kind: EntryKind,
+        message: &AttestedMessage,
+        at_us: u64,
+    ) {
+        let payload = &message.payload;
+        if Envelope::app_command(payload).is_some() {
+            let content = crate::log::content_full(payload);
+            self.append_traced(node, peer, kind, content, at_us);
+        } else {
+            let digest = self.envelope_digest(&message.mac, payload);
+            self.round_digests.entry(node).or_default().push(digest);
+        }
+    }
+
+    /// SHA-256 of a control envelope's `payload`, hashed once per attested
+    /// message. A `mac` equal to the memo's names the same message: the
+    /// sender's kernel computed that MAC over these payload bytes, and the
+    /// receiver's kernel verified it over them before `on_delivered` runs.
+    fn envelope_digest(&mut self, mac: &[u8; 32], payload: &[u8]) -> [u8; 32] {
+        match self.last_digest {
+            Some((memo_mac, digest)) if memo_mac == *mac => {
+                debug_assert_eq!(digest, tnic_crypto::sha256::sha256(payload));
+                digest
+            }
+            _ => {
+                let digest = tnic_crypto::sha256::sha256(payload);
+                self.last_digest = Some((*mac, digest));
+                digest
+            }
+        }
+    }
+
+    /// Flushes each non-empty per-node accumulator into a single
+    /// [`EntryKind::AuditRound`] entry, the node's round digest (see
+    /// [`crate::log::audit_round_content`] for the format). Nodes with no
+    /// control traffic this round append nothing, so a sampled or sharded
+    /// configuration pays only for the nodes actually involved.
+    pub(super) fn flush_round_digests(&mut self, round: u64, at_us: u64) {
+        let flushable: Vec<(u32, Vec<[u8; 32]>)> = self
+            .round_digests
+            .iter_mut()
+            .filter(|(node, digests)| !digests.is_empty() && self.states.contains_key(node))
+            .map(|(&node, digests)| (node, std::mem::take(digests)))
+            .collect();
+        for (node, digests) in flushable {
+            let content = crate::log::audit_round_content(round, &digests);
+            self.append_traced(node, tnic_obs::NONE, EntryKind::AuditRound, content, at_us);
+        }
+    }
+
+    /// Queues `auth` for a piggyback ride on the next outbound message
+    /// `from → to`. Commitments are cumulative, so a newer commitment by the
+    /// same origin supersedes a queued older one for the same pair — unless
+    /// the heads conflict at the same sequence number, in which case both
+    /// are kept (the pair *is* the evidence an equivocator produces).
+    pub(super) fn enqueue_ride(&mut self, from: u32, to: u32, auth: Authenticator, gossip: bool) {
+        let queue = self.pending.entry((from, to)).or_default();
+        if queue
+            .iter()
+            .any(|p| p.auth.node == auth.node && p.auth.seq == auth.seq && p.auth.head == auth.head)
+        {
+            return; // identical content already waiting
+        }
+        queue.retain(|p| p.auth.node != auth.node || p.auth.seq >= auth.seq);
+        queue.push_back(PendingRide { auth, gossip });
+    }
+
+    /// Pops up to `limit` queued commitments for the directed pair, in
+    /// queue order. Entries beyond the limit stay queued (they ride later
+    /// traffic or the end-of-round dedicated flush).
+    fn pop_riders(&mut self, from: u32, to: u32, limit: usize) -> Vec<PiggybackRider> {
+        let Some(queue) = self.pending.get_mut(&(from, to)) else {
+            return Vec::new();
+        };
+        let take = queue.len().min(limit);
+        let riders: Vec<PiggybackRider> = queue
+            .drain(..take)
+            .map(|r| PiggybackRider {
+                auth: r.auth,
+                gossip: r.gossip,
+            })
+            .collect();
+        if queue.is_empty() {
+            self.pending.remove(&(from, to));
+        }
+        riders
+    }
+
+    /// Drains every queued commitment (the end-of-workload dedicated flush):
+    /// `((from, to), auth, gossip)` triples in deterministic order.
+    pub(super) fn drain_pending(&mut self) -> Vec<((u32, u32), Authenticator, bool)> {
+        let mut out = Vec::new();
+        for (&pair, queue) in &mut self.pending {
+            for ride in queue.drain(..) {
+                out.push((pair, ride.auth, ride.gossip));
+            }
+        }
+        self.pending.retain(|_, q| !q.is_empty());
+        out
+    }
+
+    /// Number of commitments still waiting for a ride.
+    #[must_use]
+    pub(super) fn pending_rides(&self) -> usize {
+        self.pending.values().map(VecDeque::len).sum()
+    }
+
+    /// Number of commitments that found a ride on outbound traffic.
+    #[must_use]
+    pub(super) fn piggybacked(&self) -> u64 {
+        self.piggybacked
+    }
+
+    /// **Fault injection**: truncates the tail of `node`'s log.
+    pub(super) fn truncate_tail(&mut self, node: u32, n: u64) {
+        self.state_mut(node).log.truncate_tail(n);
+    }
+
+    /// **Fault injection**: rewrites the first `Exec` entry at or after
+    /// `seq` (re-chaining the hashes) so the node's logged output diverges
+    /// from the deterministic specification. Returns `false` when no such
+    /// entry exists yet.
+    pub(super) fn tamper_exec_at_or_after(&mut self, node: u32, seq: u64) -> bool {
+        let state = self.state_mut(node);
+        let target = state
+            .log
+            .entries()
+            .iter()
+            .find(|e| e.seq >= seq && e.kind == EntryKind::Exec)
+            .map(|e| e.seq);
+        match target {
+            Some(seq) => state
+                .log
+                .tamper_and_rechain(seq, b"<tampered output>".to_vec()),
+            None => false,
+        }
+    }
+}
+
+impl AccountabilityLayer for CommitmentLayer {
+    fn on_sent(&mut self, from: NodeId, to: NodeId, message: &AttestedMessage, at: SimInstant) {
+        self.log_payload(
+            from.0,
+            to.0,
+            EntryKind::Send { to: to.0 },
+            message,
+            at.as_micros(),
+        );
+    }
+
+    fn on_delivered(&mut self, to: NodeId, delivered: &Delivered) {
+        let from = delivered.from.0;
+        self.log_payload(
+            to.0,
+            from,
+            EntryKind::Recv { from },
+            &delivered.message,
+            delivered.at.as_micros(),
+        );
+    }
+
+    fn wrap_outbound(&mut self, from: NodeId, to: NodeId, payload: &[u8]) -> Option<Vec<u8>> {
+        // Only protocol envelopes can carry a ride, and rides never nest.
+        if !Envelope::is_envelope(payload) || Envelope::is_piggyback(payload) {
+            return None;
+        }
+        let riders = self.pop_riders(from.0, to.0, MAX_PIGGYBACK_RIDERS);
+        if riders.is_empty() {
+            return None;
+        }
+        self.piggybacked += riders.len() as u64;
+        Some(Envelope::piggyback_raw(&riders, payload))
+    }
+
+    fn wrap_multicast(
+        &mut self,
+        from: NodeId,
+        receivers: &[NodeId],
+        payload: &[u8],
+    ) -> Option<Vec<u8>> {
+        if !Envelope::is_envelope(payload) || Envelope::is_piggyback(payload) {
+            return None;
+        }
+        // One batch serves every receiver: gather pending rides addressed to
+        // any of them (the identical wrapped bytes reach all, and witnesses
+        // ignore commitments for nodes they do not audit — extra copies only
+        // speed up propagation).
+        let mut riders = Vec::new();
+        for &to in receivers {
+            let budget = MAX_PIGGYBACK_RIDERS - riders.len();
+            if budget == 0 {
+                break;
+            }
+            riders.extend(self.pop_riders(from.0, to.0, budget));
+        }
+        if riders.is_empty() {
+            return None;
+        }
+        self.piggybacked += riders.len() as u64;
+        Some(Envelope::piggyback_raw(&riders, payload))
+    }
+
+    fn label(&self) -> &'static str {
+        "accountability-engine"
+    }
+}

@@ -1,0 +1,930 @@
+//! The application-agnostic accountability engine.
+//!
+//! This module is the reusable middleware half of the PeerReview split: the
+//! commitment protocol (the crate-private `CommitmentLayer`), the witness
+//! audit machinery
+//! (challenge/verify/classify over [`WitnessRecord`]s), verdict tracking,
+//! evidence transfer and the piggyback ride queue — everything that is *not*
+//! specific to a particular workload. Applications plug in through the
+//! [`AccountedApp`] trait and drive the engine over their own
+//! [`Cluster`]; the `tnic-peerreview` crate's own [`crate::system::PeerReview`]
+//! is just one such client, alongside the BFT (`tnic-bft`) and chain
+//! replication (`tnic-cr`) deployments.
+//!
+//! # Protocol
+//!
+//! The engine attaches a `CommitmentLayer` to the cluster (every
+//! `auth_send` appends a `Send` entry to the sender's log, every verified
+//! delivery a `Recv` entry to the receiver's — see
+//! [`tnic_core::accountability`]), assigns every node a witness set, and
+//! drives the audit protocol in explicit rounds:
+//!
+//! 1. **Commit** — every node seals its current log head per witness and
+//!    announces it ([`Envelope::Announce`]); witnesses verify the seal,
+//!    gossip commitments to fellow witnesses and cross-check for conflicts.
+//! 2. **Challenge** — each witness challenges its auditee for the log
+//!    segment between the last audited commitment and the newest one.
+//! 3. **Verify** — responses are length- and chain-checked and replayed
+//!    against the application's reference machine ([`AccountedApp::Machine`]);
+//!    unanswered challenges downgrade the node to *suspected*, verifiable
+//!    failures to *exposed*, and equivocation evidence is broadcast so every
+//!    correct witness convicts.
+//!
+//! Byzantine behaviours are injected through
+//! [`tnic_net::adversary::FaultPlan`], keeping the audit machinery itself
+//! identical for honest and adversarial runs. That includes audit-side
+//! Byzantine *witnesses*: a forging witness fabricates evidence (rejected
+//! and turned against it — see the [`crate::audit`] evidence-verification
+//! rules), a falsely suspecting witness lies only to itself, and a
+//! gossip-withholding / relay-refusing / silent witness suppresses its
+//! forwarding or audit duties — which the per-round rotation of the
+//! piggyback announcement target turns into bounded detection latency
+//! instead of a propagation blackout. A challenge below a pruned log base
+//! is answered with the checkpoint commit certificate itself, so a witness
+//! behind a reordering transport verifies and fast-forwards instead of
+//! suspecting.
+//!
+//! # Attaching accountability to a new application
+//!
+//! 1. Implement [`AccountedApp`] for the application state: a deterministic
+//!    [`AccountedApp::execute`] for delivered commands, a
+//!    [`AccountedApp::snapshot_digest`] of per-node state, and a fresh
+//!    [`AccountedApp::replay_machine`] witnesses replay.
+//! 2. Wrap the application's protocol payloads as [`Envelope::App`] before
+//!    sending them through the cluster.
+//! 3. Build the engine with [`AccountabilityEngine::attach`] over the
+//!    application's cluster, and route every `Cluster::poll` through
+//!    [`AccountabilityEngine::poll`]: the engine peels piggybacked
+//!    commitments, consumes audit control traffic, registers executions in
+//!    the tamper-evident log and hands back the application's own messages
+//!    as [`AppDelivery`] records.
+//! 4. Implement [`crate::deployment::Accountable`] for the deployment (the
+//!    engine, the cluster and the application, borrowed together) and run
+//!    the workload through its `run_rounds`: it interleaves
+//!    [`AccountabilityEngine::run_audit_round`] with the work — or, in
+//!    piggyback mode, [`AccountabilityEngine::begin_audit_round`] before it
+//!    and [`AccountabilityEngine::finish_audit_round`] after it, so
+//!    commitments can ride the traffic. Call `drain_audits` at teardown.
+//!
+//! # Witness sets and rotation
+//!
+//! By default every node is witnessed by all other nodes (`w = n - 1`).
+//! [`EngineConfig::witness_count`] shrinks the set to `w < n - 1` witnesses
+//! assigned by deterministic rotation: node `i` is audited by nodes
+//! `i+1, …, i+w (mod n)`. The rotation keeps assignments balanced (every
+//! node witnesses exactly `w` others) and the exposure guarantees hold as
+//! long as at least one correct witness audits each node — witness gossip
+//! and evidence transfer then propagate verdicts to the rest of the set.
+//!
+//! # Commitment piggybacking
+//!
+//! With [`EngineConfig::piggyback`] enabled, the commit step stops sending
+//! dedicated `Announce`/`Gossip` messages. Instead each node seals its
+//! commitment *before* the round's application workload and queues it for
+//! its first witness; the cluster's
+//! [`wrap_outbound`](tnic_core::accountability::AccountabilityLayer::wrap_outbound)
+//! (and, for group traffic,
+//! [`wrap_multicast`](tnic_core::accountability::AccountabilityLayer::wrap_multicast))
+//! hook splices up to
+//! [`MAX_PIGGYBACK_RIDERS`](crate::wire::MAX_PIGGYBACK_RIDERS) pending
+//! authenticators onto the next outbound envelope
+//! ([`Envelope::Piggyback`]). Witnesses relay
+//! directly received commitments to fellow witnesses the same way (on their
+//! own application sends and audit replies). Pending items that found no
+//! ride by the end of the workload are flushed in dedicated messages —
+//! repeatedly, until no relay is outstanding — before challenges are
+//! issued, so *every* witness audits in *every* round. The audit pipeline
+//! runs one workload round behind the traffic it rides on (commitments
+//! sealed before round `k`'s workload cover rounds `< k`); a finite run
+//! therefore leaves its final round unaudited until
+//! [`AccountabilityEngine::drain_audits`] closes the tail.
+//!
+//! # Checkpoints, garbage collection and epoch rotation
+//!
+//! With [`EngineConfig::checkpoint_interval`] set, every that-many audit
+//! rounds end in a checkpoint round (see [`crate::checkpoint`] for the full
+//! lifecycle): **propose** — each node seals a [`CheckpointMark`] over its
+//! last committed boundary (the log-driven state digest captured when the
+//! commitment was sealed) and records a matching
+//! [`EntryKind::Checkpoint`](crate::log::EntryKind::Checkpoint) entry in
+//! its own log; **cosign** — witnesses return sealed [`Cosignature`]s for
+//! exactly the prefixes they have audited and replayed themselves;
+//! **prune** — a quorum certificate lets the node garbage-collect the
+//! covered prefix and its witnesses drop the covered commitments, making
+//! audits, replays and evidence checkpoint-relative; **rotate** — with
+//! [`EngineConfig::rotate_witnesses`], the epoch advance re-derives every
+//! witness set ([`witness_set`](crate::checkpoint::witness_set)) so no
+//! slow or Byzantine witness shadows the same auditee forever, with the cosigned checkpoint handing incoming
+//! witnesses a verified starting state.
+//!
+//! Epoch rotation composes with piggybacked commitments: the audit
+//! pipeline's one-round lag means a commitment sealed before rotation may
+//! still be queued for (or gossiped among) the *outgoing* set when the
+//! epoch turns. That is safe by construction — commitments are
+//! self-describing, commitment processing drops any commitment whose
+//! receiver no longer witnesses the origin, and
+//! the incoming set starts from the certified boundary, so the next
+//! commitment it receives covers everything since the cosigned root.
+//! Checkpoint control traffic itself travels as ordinary envelopes and can
+//! carry piggyback riders like any other message.
+//!
+//! # Membership lifecycle
+//!
+//! Membership is dynamic: nodes join, leave, crash and recover while the
+//! audit machinery keeps running. Each node moves through the phases of
+//! [`MemberPhase`] along two paths:
+//!
+//! ```text
+//!   join_node              depart_node
+//!  ──────────▶ Joining ──▶ Active ──▶ Leaving ──▶ Departed (terminal)
+//!                            │  ▲
+//!                 crash_node │  │ end of the next audit round
+//!                            ▼  │
+//!                        Crashed ──▶ Recovering
+//!                              recover_node
+//! ```
+//!
+//! * **Joining → Active** ([`AccountabilityEngine::join_node`]): the
+//!   cluster gains an endpoint and sessions, the joiner's log-session key —
+//!   drawn from the engine's `DetRng` — is installed directly on every
+//!   audit kernel (and every existing key on the joiner's), witness sets
+//!   are re-derived over the grown membership, and the joiner announces
+//!   its initial sealed head
+//!   ([`Envelope::Join`]) to its new witnesses. Where the joiner itself
+//!   becomes a witness it bootstraps from the latest *cosigned checkpoint
+//!   certificate* (verified donor handover — the same mechanism epoch
+//!   rotation uses), so it audits from a quorum-vouched boundary instead of
+//!   replaying history it never saw.
+//! * **Active → Leaving → Departed** ([`AccountabilityEngine::depart_node`]):
+//!   the leaver seals a final commitment and ships it *with its unaudited
+//!   log tail* ([`Envelope::Leave`]) to every witness, which closes the
+//!   audit (tampered tails convict, honest tails advance the audited
+//!   prefix) before the node becomes unreachable. The sealed log and every
+//!   verdict remain held by the witnesses — departure never launders
+//!   misbehaviour.
+//! * **Active → Crashed → Recovering → Active**
+//!   ([`AccountabilityEngine::crash_node`] /
+//!   [`AccountabilityEngine::recover_node`]): a crash-stopped node stops
+//!   sending and receiving (the cluster refuses the sends — see
+//!   `tnic_core::api::Cluster::mark_unreachable` — rather than losing
+//!   attested messages). Its witnesses may transiently *suspect* it
+//!   (silence is never proof), but never expose it. On recovery the node
+//!   re-announces its current sealed head ([`Envelope::Recover`]): an
+//!   honest recovery is consistent with the pre-crash commitments the
+//!   witnesses still hold, so the next audit replays it and the verdict
+//!   returns to trusted; a *tampered* recovery either conflicts with a held
+//!   commitment (equivocation — exposed on arrival) or fails audit replay
+//!   (exec divergence — exposed with the replay evidence). The phase
+//!   returns to Active at the end of the audit round that processed the
+//!   recovery.
+//!
+//! Challenges to crashed or departed auditees are withheld (they cannot
+//! answer), and the challenge/response path tolerates transient silence
+//! via timeout–retry–backoff: with [`EngineConfig::challenge_retries`] set,
+//! an unanswered challenge is re-sent up to that many times with
+//! exponentially growing round gaps (one round, doubling per attempt)
+//! before the witness downgrades the auditee to suspected — bounded
+//! escalation, since suspicion without evidence never exceeds
+//! [`Verdict::Suspected`].
+//!
+//! # Scaling knobs (n ≥ 1000)
+//!
+//! Full PeerReview audits every (witness, auditee) pair every round — at
+//! n = 1000 that is O(n·w) challenges plus responses per round, and the
+//! per-round cost dwarfs the protocol itself. Two orthogonal knobs trade
+//! detection latency for audit traffic; both default to off, reproducing
+//! the classic protocol bit-for-bit:
+//!
+//! * **Sampled auditing** ([`EngineConfig::audit_sample_size`]): each
+//!   witness challenges only `k` of its charges per round, on a seeded
+//!   rotating schedule ([`EngineConfig::audit_sample_seed`]) that covers
+//!   every charge within `ceil(charges/k)` rounds;
+//!   [`EngineConfig::audit_coverage_window`] adds a hard upper bound on a
+//!   pair's audit gap. Safety is untouched — an unsampled pair is simply
+//!   not challenged, and only an outstanding challenge can time out into
+//!   suspicion — while exposure of a tamperer is delayed by at most the
+//!   coverage bound (the measured detection-latency/overhead frontier
+//!   lives in `tnic-bench`'s sweep report).
+//! * **Witness sharding** ([`EngineConfig::shards`]): consistent hashing
+//!   (see [`crate::checkpoint::shard_members`]) partitions the membership
+//!   into groups that witness each other exclusively, so each witness
+//!   tracks O(n/shards) charges instead of O(n); composes with epoch
+//!   rotation, which re-derives witness sets *within* each shard.
+//!
+//! Three more things keep the engine's own cost off the quadratic path, and
+//! are simply how it works:
+//!
+//! * **Challenge batching**: consecutive challenges or responses to the
+//!   same destination coalesce into one
+//!   [`Envelope::ChallengeBatch`]/[`Envelope::ResponseBatch`] wire message,
+//!   and audit responses are encoded straight from borrowed log segments
+//!   into a reused scratch buffer (no per-response allocation).
+//! * **Active-set dispatch**: settling a round drains inboxes by walking
+//!   the cluster's active set — the nodes with queued deliveries, in id
+//!   order ([`Cluster::nodes_with_pending`]) — instead of scanning all n
+//!   endpoints per pass, and [`crate::system::PeerReview`] builds its
+//!   cluster with lazy pairwise sessions ([`Cluster::sparse`]), so a link
+//!   costs a key exchange only once something is sent over it.
+//! * **Round digests**: an envelope that carries no application command —
+//!   audit traffic (challenges and responses, batched or not),
+//!   announcements, gossip, evidence, checkpoint and membership traffic —
+//!   is not logged one control digest per envelope. Its SHA-256 goes into
+//!   a per-node accumulator that is folded into one
+//!   [`EntryKind::AuditRound`](crate::log::EntryKind::AuditRound) entry,
+//!   the node's round digest, per audit round, after the round's audit traffic has quiesced: a Pregel-style
+//!   combiner per (node, round). That breaks the audit-log inflation
+//!   feedback — protocol traffic no longer grows the logs whose replay the
+//!   next audit pays for — without weakening tamper-evidence after
+//!   sealing (see [`crate::log::audit_round_content`]). An envelope that
+//!   carries an application command is always logged in full, because
+//!   witnesses must replay the command. What the fold does not give is a
+//!   check that the logged digests are true: a witness checks an
+//!   `AuditRound` entry only for self-consistency and its place in the
+//!   sealed chain, never its per-envelope digests against the envelopes
+//!   the node sent or received, so a node that logs wrong control-traffic
+//!   digests *before* sealing stays [`Verdict::Trusted`].
+//!
+//! # Layout
+//!
+//! One file per role, all over the one engine struct: `commitment` (the
+//! per-node logs, round digests and ride queue), `audit_round` (commit,
+//! flush, challenge, sweep and the batched send path), `witness` (the
+//! handlers a witness runs on commitments, challenges, responses,
+//! evidence and membership envelopes), `checkpoint_round` (propose,
+//! cosign, commit and the witness handover), `membership` (join, depart,
+//! crash, recover and witness-set reassignment) and `byzantine`, the one
+//! place that looks up a node's fault in the [`FaultPlan`]: each question
+//! a fault can change the answer to is a method there.
+
+mod audit_round;
+mod byzantine;
+mod checkpoint_round;
+mod commitment;
+mod membership;
+#[cfg(test)]
+mod tests;
+mod witness;
+
+use crate::audit::{Misbehavior, TraceCtx, Verdict, WitnessRecord};
+use crate::checkpoint::{CheckpointMark, Cosignature};
+use crate::log::log_session;
+use crate::stats::AccountabilityStats;
+use crate::wire::Envelope;
+use audit_round::RetryState;
+use checkpoint_round::PendingCheckpoint;
+use commitment::CommitmentLayer;
+use membership::witness_width;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
+use tnic_core::accountability::AccountabilityLayer;
+use tnic_core::api::{Cluster, NodeId};
+use tnic_core::error::CoreError;
+use tnic_core::provider::Provider;
+use tnic_core::transform::{CounterMachine, StateMachine};
+use tnic_net::adversary::FaultPlan;
+use tnic_sim::clock::SimClock;
+use tnic_sim::rng::DetRng;
+use tnic_sim::time::{SimDuration, SimInstant};
+use tnic_tee::profile::Baseline;
+
+/// An application whose execution the engine holds accountable.
+///
+/// The engine observes the application's cluster traffic through its
+/// commitment layer; this trait supplies the pieces only the application
+/// knows: how to execute a delivered command (and what output to commit to
+/// the tamper-evident log), how to summarise per-node state, and a fresh
+/// deterministic reference machine witnesses replay during audits.
+///
+/// `execute` **must** be a deterministic function of the per-node command
+/// stream, and [`AccountedApp::replay_machine`] must reproduce it exactly —
+/// a divergence between the two is indistinguishable from a Byzantine
+/// execution and would falsely expose an honest node.
+pub trait AccountedApp {
+    /// The deterministic reference machine witnesses replay. One fresh
+    /// instance audits one node's log from genesis.
+    type Machine: StateMachine;
+
+    /// A fresh reference machine at the application's genesis state.
+    fn replay_machine(&self) -> Self::Machine;
+
+    /// Executes a delivered application command on `node`'s live state and
+    /// returns the output, which the engine appends to `node`'s log as an
+    /// `Exec` entry (the claim witnesses replay).
+    fn execute(&mut self, node: u32, command: &[u8]) -> Vec<u8>;
+
+    /// Digest of `node`'s current application state (used for cross-replica
+    /// parity checks in scenario harnesses).
+    fn snapshot_digest(&self, node: u32) -> [u8; 32];
+
+    /// Tap: an audit-protocol envelope was delivered to `node` from `from`.
+    /// Default: ignored. Applications can observe the control plane (e.g.
+    /// for instrumentation) without owning it.
+    fn on_control(&mut self, node: u32, from: u32, envelope: &Envelope) {
+        let _ = (node, from, envelope);
+    }
+
+    /// A node joined the cluster ([`AccountabilityEngine::join_node`]):
+    /// allocate its application state at genesis. Default: ignored —
+    /// applications with per-node state maps must override this or the
+    /// joiner's first command will find no machine.
+    fn on_join(&mut self, node: u32) {
+        let _ = node;
+    }
+
+    /// Human-readable name used in diagnostics.
+    fn label(&self) -> &'static str {
+        "accounted-app"
+    }
+}
+
+/// The plain replicated-counter application: the original PeerReview
+/// workload, and the simplest possible [`AccountedApp`].
+#[derive(Debug, Default)]
+pub struct CounterApp {
+    machines: BTreeMap<u32, CounterMachine>,
+}
+
+impl CounterApp {
+    /// A counter per node id in `nodes`.
+    #[must_use]
+    pub fn new(nodes: &[NodeId]) -> Self {
+        CounterApp {
+            machines: nodes.iter().map(|n| (n.0, CounterMachine::new())).collect(),
+        }
+    }
+}
+
+impl AccountedApp for CounterApp {
+    type Machine = CounterMachine;
+
+    fn replay_machine(&self) -> CounterMachine {
+        CounterMachine::new()
+    }
+
+    fn execute(&mut self, node: u32, command: &[u8]) -> Vec<u8> {
+        self.machines
+            .get_mut(&node)
+            .expect("node registered")
+            .execute(command)
+    }
+
+    fn snapshot_digest(&self, node: u32) -> [u8; 32] {
+        self.machines
+            .get(&node)
+            .map_or([0u8; 32], CounterMachine::state_digest)
+    }
+
+    fn on_join(&mut self, node: u32) {
+        self.machines.entry(node).or_default();
+    }
+
+    fn label(&self) -> &'static str {
+        "counter"
+    }
+}
+
+/// Engine configuration — the accountability knobs shared by every driver.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EngineConfig {
+    /// Attestation back-end sealing log commitments.
+    pub baseline: Baseline,
+    /// Determinism seed (log-session keys, suppression coin flips).
+    pub seed: u64,
+    /// Witnesses per node, assigned by deterministic rotation (`None` =
+    /// all-to-all, i.e. `n - 1`). Values are clamped to `1..=n-1`.
+    pub witness_count: Option<u32>,
+    /// Piggyback commitments on application traffic instead of dedicated
+    /// announce/gossip messages (see the module docs).
+    pub piggyback: bool,
+    /// Run a cosigned checkpoint round (propose → cosign → prune, see
+    /// [`crate::checkpoint`]) after every this many audit rounds (`None` =
+    /// never; logs and stored commitments then grow without bound).
+    pub checkpoint_interval: Option<u64>,
+    /// Rotate witness sets at checkpoint epochs (only meaningful with
+    /// `witness_count < n - 1`; all-to-all sets are rotation-invariant).
+    /// Requires `checkpoint_interval` — epochs are the rotation boundary.
+    pub rotate_witnesses: bool,
+    /// How many times an unanswered challenge is re-sent before the witness
+    /// downgrades the auditee to suspected (0 = immediate suspicion at
+    /// round end, the classic behaviour). Retries let audits degrade
+    /// gracefully across transient outages — crashes that recover,
+    /// partitions that heal — instead of stalling on one lost response.
+    pub challenge_retries: u32,
+    /// **Sampled auditing** (scaling knob): how many of its charges each
+    /// witness audits per round (`None` = all of them, the classic
+    /// behaviour; full audit is exactly the `sample_size ≥ charges` special
+    /// case). The sample is a seeded rotating window over a per-witness
+    /// shuffle, so consecutive rounds cover disjoint charges and every
+    /// charge is audited within `⌈charges / sample_size⌉` rounds even
+    /// before the [`EngineConfig::audit_coverage_window`] backstop kicks
+    /// in. Unsampled pairs are *never* suspected — only a pair with an
+    /// outstanding challenge can time out — so sampling trades detection
+    /// latency, not accuracy.
+    pub audit_sample_size: Option<u32>,
+    /// Seed of the per-witness sampling shuffle, independent of
+    /// [`EngineConfig::seed`] so sampling decisions can be re-rolled
+    /// without perturbing key material or suppression coin flips.
+    pub audit_sample_seed: u64,
+    /// **Coverage window** (scaling knob): with sampling enabled, force-
+    /// select any charge not audited in the last this-many rounds, staggered
+    /// per pair, guaranteeing every active node is audited at least once
+    /// per window regardless of shuffle drift or membership churn (0 = rely
+    /// on window rotation alone, whose bound is `⌈charges/sample_size⌉`
+    /// rounds between consecutive audits of one charge).
+    pub audit_coverage_window: u64,
+    /// **Witness sharding** (scaling knob): partition the membership into
+    /// this many witness shards by consistent hashing
+    /// ([`crate::checkpoint::shard_members`]); witnesses are then drawn
+    /// from the node's shard co-members, so each witness tracks
+    /// O(n / shards) charges instead of O(n). `0` or `1` disables sharding
+    /// (byte-identical to the classic assignment). Composes with epoch
+    /// rotation (the rotation ring is the shard) and checkpoint handover.
+    pub shards: u32,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        EngineConfig {
+            baseline: Baseline::Tnic,
+            seed: 42,
+            witness_count: None,
+            piggyback: false,
+            checkpoint_interval: None,
+            rotate_witnesses: false,
+            challenge_retries: 0,
+            audit_sample_size: None,
+            audit_sample_seed: 0,
+            audit_coverage_window: 0,
+            shards: 1,
+        }
+    }
+}
+
+/// Where a node stands in the membership lifecycle (see the module docs'
+/// state machine). Nodes never observed by a lifecycle operation are
+/// implicitly [`MemberPhase::Active`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemberPhase {
+    /// Mid-[`AccountabilityEngine::join_node`]: endpoint and keys exist,
+    /// the initial commitment is being announced.
+    Joining,
+    /// Full member: audited every round, eligible as a witness.
+    Active,
+    /// Mid-[`AccountabilityEngine::depart_node`]: the farewell commitment
+    /// and log tail are being shipped to the witnesses.
+    Leaving,
+    /// Gone for good. The sealed log and all verdicts remain with the
+    /// witnesses; sends to (or from) the node are refused by the cluster.
+    Departed,
+    /// Crash-stopped: unreachable, not challenged, possibly suspected —
+    /// never exposed for silence alone.
+    Crashed,
+    /// Back up after a crash: reachable again, its recovery commitment
+    /// announced; promoted to Active at the end of the next audit round.
+    Recovering,
+}
+
+impl MemberPhase {
+    /// The `tnic-obs` membership code traced for this phase.
+    #[must_use]
+    pub fn code(self) -> u64 {
+        match self {
+            MemberPhase::Joining => tnic_obs::codes::MEMBER_JOINING,
+            MemberPhase::Active => tnic_obs::codes::MEMBER_ACTIVE,
+            MemberPhase::Leaving => tnic_obs::codes::MEMBER_LEAVING,
+            MemberPhase::Departed => tnic_obs::codes::MEMBER_DEPARTED,
+            MemberPhase::Crashed => tnic_obs::codes::MEMBER_CRASHED,
+            MemberPhase::Recovering => tnic_obs::codes::MEMBER_RECOVERING,
+        }
+    }
+}
+
+/// An application message the engine unwrapped and executed while
+/// processing a node's inbox — handed back to the driving protocol.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AppDelivery {
+    /// The sending node.
+    pub from: NodeId,
+    /// The delivered application command (the [`Envelope::App`] payload).
+    pub command: Vec<u8>,
+    /// The output [`AccountedApp::execute`] produced (already committed to
+    /// the receiving node's tamper-evident log).
+    pub output: Vec<u8>,
+}
+
+/// The accountability engine: witness protocol + commitment layer over one
+/// application's cluster. See the module docs for the protocol and for how
+/// to attach the engine to a new application.
+pub struct AccountabilityEngine<A: AccountedApp> {
+    config: EngineConfig,
+    clock: SimClock,
+    layer: Rc<RefCell<CommitmentLayer>>,
+    faults: FaultPlan,
+    nodes: Vec<NodeId>,
+    /// Effective witnesses per node (the clamped `witness_count`).
+    witness_width: u32,
+    /// witness ids per audited node (every other node by default).
+    witnesses: BTreeMap<u32, Vec<u32>>,
+    /// (witness, audited node) → record.
+    records: BTreeMap<(u32, u32), WitnessRecord<A::Machine>>,
+    /// Witness-side verification providers holding every log-session key.
+    audit_kernels: BTreeMap<u32, Provider>,
+    challenge_started: BTreeMap<(u32, u32), SimInstant>,
+    tamper_applied: BTreeSet<u32>,
+    truncation_applied: BTreeSet<u32>,
+    /// (forger, auditee) pairs a `ForgeEvidence` witness already accused —
+    /// one fabricated accusation per pair bounds the forged traffic.
+    evidence_forged: BTreeSet<(u32, u32)>,
+    rng: DetRng,
+    stats: AccountabilityStats,
+    /// Application messages unwrapped during dispatch, per node, until the
+    /// driver collects them through [`AccountabilityEngine::poll`].
+    app_inbox: BTreeMap<u32, Vec<AppDelivery>>,
+    /// Completed checkpoint epochs (also the witness-rotation boundary).
+    epoch: u64,
+    /// Audit rounds completed (drives the checkpoint interval).
+    audit_rounds_done: u64,
+    /// Per node: the engine's own replay of the node's *logged* command
+    /// stream. Its digest is what a checkpoint certifies: exactly the state
+    /// a witness's reference machine reaches by replaying the log (live
+    /// application state can additionally contain non-logged client-ingress
+    /// executions, e.g. at a chain or A2M head, which are outside the
+    /// audited log and therefore outside the checkpoint).
+    shadows: BTreeMap<u32, A::Machine>,
+    /// Per node: `(seq, state digest)` captured when the round's commitment
+    /// was sealed — the boundary a checkpoint proposal covers.
+    commit_snapshots: BTreeMap<u32, (u64, [u8; 32])>,
+    /// Per node: the checkpoint proposal collecting cosignatures.
+    pending_checkpoints: BTreeMap<u32, PendingCheckpoint>,
+    /// Per node: the latest certified checkpoint (the verifiable log root).
+    completed_checkpoints: BTreeMap<u32, CheckpointMark>,
+    /// Per node: the latest full commit certificate (mark + cosignature
+    /// quorum), kept so a challenge below the pruned base can be answered
+    /// with the certificate itself instead of an uncoverable log segment.
+    certificates: BTreeMap<u32, (CheckpointMark, Vec<Cosignature>)>,
+    /// Per node: its membership phase; absent = [`MemberPhase::Active`].
+    membership: BTreeMap<u32, MemberPhase>,
+    /// (witness, auditee) → retry/backoff state for the outstanding
+    /// challenge (only populated with [`EngineConfig::challenge_retries`]).
+    retry_state: BTreeMap<(u32, u32), RetryState>,
+    /// Per node: its log-session key, kept so a joiner's audit kernel can
+    /// be provisioned with every existing key.
+    seal_keys: BTreeMap<u32, [u8; 32]>,
+    /// (witness, auditee) → last round the pair was selected for audit
+    /// (sampled auditing's coverage-window backstop; unused without
+    /// sampling).
+    last_audit_round: BTreeMap<(u32, u32), u64>,
+    /// Reused wire-encode buffer for the audit hot loop (challenge/response
+    /// sends at n = 1000 would otherwise allocate one `Vec` per message per
+    /// round).
+    wire_scratch: Vec<u8>,
+    /// Reused buffer for the active set each `sweep_until_quiet` pass
+    /// reads from [`Cluster::nodes_with_pending`].
+    pending_scratch: Vec<NodeId>,
+}
+
+impl<A: AccountedApp> std::fmt::Debug for AccountabilityEngine<A> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AccountabilityEngine")
+            .field("config", &self.config)
+            .field("faults", &self.faults)
+            .field("nodes", &self.nodes.len())
+            .finish()
+    }
+}
+
+impl<A: AccountedApp> AccountabilityEngine<A> {
+    /// Builds the engine over `cluster` and attaches its commitment layer:
+    /// from here on every attested send and verified delivery lands in a
+    /// tamper-evident log. Witness sets are assigned by deterministic
+    /// rotation: node `i` is audited by `i+1, …, i+w (mod n)` where `w` is
+    /// [`EngineConfig::witness_count`] (all other nodes by default).
+    pub fn attach(cluster: &mut Cluster, app: &A, config: EngineConfig, faults: FaultPlan) -> Self {
+        let clock = cluster.clock();
+        let nodes: Vec<NodeId> = cluster.nodes();
+        let mut rng = DetRng::new(config.seed ^ 0x005e_edac_0123);
+
+        // Log-session keys: drawn from the engine's `DetRng` and installed
+        // directly on each node's device and on every witness's
+        // verification kernel (the witnesses are exactly the parties
+        // entitled to audit).
+        let mut layer = CommitmentLayer::default();
+        let mut audit_kernels: BTreeMap<u32, Provider> = nodes
+            .iter()
+            .map(|n| (n.0, Provider::new(config.baseline, n.device(), config.seed)))
+            .collect();
+        let ids: Vec<u32> = nodes.iter().map(|n| n.0).collect();
+        let shard_groups = Self::shard_groups(&ids, config.shards, config.seed);
+        let mut seal_keys = BTreeMap::new();
+        for node in &nodes {
+            let key = rng.bytes32();
+            seal_keys.insert(node.0, key);
+            layer.register_node(node.0, config.baseline, key);
+        }
+        // Key distribution: unsharded, every kernel can verify every node
+        // (O(n²) installs — the cost sharding exists to avoid); sharded,
+        // witnesses are drawn in-shard, so each kernel only needs its shard
+        // co-members' keys (O(n²/shards) total).
+        match &shard_groups {
+            None => {
+                for node in &nodes {
+                    let key = seal_keys[&node.0];
+                    for kernel in audit_kernels.values_mut() {
+                        kernel.install_session_key(log_session(node.0), key);
+                    }
+                }
+            }
+            Some(groups) => {
+                for group in groups {
+                    for &member in group {
+                        let kernel = audit_kernels.get_mut(&member).expect("member kernel");
+                        for &peer in group {
+                            kernel.install_session_key(log_session(peer), seal_keys[&peer]);
+                        }
+                    }
+                }
+            }
+        }
+
+        let w = witness_width(config.witness_count, nodes.len());
+        let sets = Self::derive_witness_sets(&ids, w, 0, shard_groups.as_deref());
+        let mut witnesses = BTreeMap::new();
+        let mut records = BTreeMap::new();
+        for node in &nodes {
+            let set = sets.get(&node.0).cloned().unwrap_or_default();
+            for &witness in &set {
+                records.insert((witness, node.0), WitnessRecord::new(app.replay_machine()));
+            }
+            witnesses.insert(node.0, set);
+        }
+
+        let layer = Rc::new(RefCell::new(layer));
+        cluster.attach_accountability(layer.clone() as Rc<RefCell<dyn AccountabilityLayer>>);
+        let shadows = nodes.iter().map(|n| (n.0, app.replay_machine())).collect();
+
+        AccountabilityEngine {
+            config,
+            clock,
+            layer,
+            faults,
+            nodes,
+            witness_width: w,
+            witnesses,
+            records,
+            audit_kernels,
+            challenge_started: BTreeMap::new(),
+            tamper_applied: BTreeSet::new(),
+            truncation_applied: BTreeSet::new(),
+            evidence_forged: BTreeSet::new(),
+            rng,
+            stats: AccountabilityStats::new(),
+            app_inbox: BTreeMap::new(),
+            epoch: 0,
+            audit_rounds_done: 0,
+            shadows,
+            commit_snapshots: BTreeMap::new(),
+            pending_checkpoints: BTreeMap::new(),
+            completed_checkpoints: BTreeMap::new(),
+            certificates: BTreeMap::new(),
+            membership: BTreeMap::new(),
+            retry_state: BTreeMap::new(),
+            seal_keys,
+            last_audit_round: BTreeMap::new(),
+            wire_scratch: Vec::new(),
+            pending_scratch: Vec::new(),
+        }
+    }
+
+    /// The engine configuration.
+    #[must_use]
+    pub fn config(&self) -> EngineConfig {
+        self.config
+    }
+
+    /// The fault plan driving Byzantine behaviour injection.
+    #[must_use]
+    pub fn faults(&self) -> &FaultPlan {
+        &self.faults
+    }
+
+    /// The trace context of the pair `(witness, node)` at the current
+    /// virtual time and audit round.
+    fn trace_ctx(&self, witness: u32, node: u32) -> TraceCtx {
+        TraceCtx {
+            witness,
+            node,
+            at_us: self.clock.now().as_micros(),
+            round: self.audit_rounds_done,
+        }
+    }
+
+    /// The witness ids assigned to `node`.
+    #[must_use]
+    pub fn witnesses_of(&self, node: u32) -> &[u32] {
+        self.witnesses.get(&node).map_or(&[], Vec::as_slice)
+    }
+
+    /// `witness`'s verdict on `node`.
+    #[must_use]
+    pub fn verdict_of(&self, witness: u32, node: u32) -> Verdict {
+        self.records
+            .get(&(witness, node))
+            .map_or(Verdict::Trusted, |r| r.verdict)
+    }
+
+    /// The evidence `witness` holds against `node`.
+    #[must_use]
+    pub fn evidence_of(&self, witness: u32, node: u32) -> &[Misbehavior] {
+        self.records
+            .get(&(witness, node))
+            .map_or(&[], |r| r.evidence.as_slice())
+    }
+
+    /// Current log length of `node` (the next commitment's coverage).
+    #[must_use]
+    pub fn log_len(&self, node: u32) -> u64 {
+        self.layer.borrow().log_len(node)
+    }
+
+    /// Snapshot of the accountability counters (including the retained
+    /// memory footprint: log entries, bytes and stored commitments).
+    #[must_use]
+    pub fn stats(&self) -> AccountabilityStats {
+        let mut stats = self.stats.clone();
+        let layer = self.layer.borrow();
+        stats.log_entries = layer.total_entries();
+        stats.piggybacked_commitments = layer.piggybacked();
+        stats.retained_log_entries = layer.retained_entries();
+        stats.retained_log_bytes = layer.retained_bytes();
+        let composition = layer.composition();
+        stats.log_app_payload_entries = composition.app_payload_entries;
+        stats.log_control_digest_entries = composition.control_digest_entries;
+        stats.log_audit_digest_entries = composition.audit_digest_entries;
+        stats.retained_commitments = self
+            .records
+            .values()
+            .map(|r| r.commitments.len() as u64)
+            .sum();
+        stats
+    }
+
+    /// Records one application message the driver sent through the cluster
+    /// (the engine counts control traffic itself; application traffic is
+    /// the driver's to report, since only it knows which sends are
+    /// workload).
+    pub fn record_app_send(&mut self, latency: SimDuration) {
+        self.stats.app_messages += 1;
+        self.stats.app_latency.record(latency);
+    }
+
+    /// Drains `node`'s cluster inbox through the engine: audit control
+    /// traffic is consumed, piggybacked commitments are peeled and stored,
+    /// and [`Envelope::App`] commands are executed through `app` (with the
+    /// output committed to the node's tamper-evident log) and returned for
+    /// the driving protocol to act on.
+    ///
+    /// # Errors
+    ///
+    /// Propagates attestation/session errors on generated control replies.
+    pub fn poll(
+        &mut self,
+        cluster: &mut Cluster,
+        app: &mut A,
+        node: NodeId,
+    ) -> Result<Vec<AppDelivery>, CoreError> {
+        self.dispatch(cluster, app, node)?;
+        Ok(self.app_inbox.remove(&node.0).unwrap_or_default())
+    }
+
+    /// Runs one full audit round: commit, gossip, challenge, verify,
+    /// classify. In piggyback mode the commit step queues authenticators
+    /// for rides instead of sending them; called standalone (with no
+    /// workload in between) they are flushed as dedicated messages
+    /// immediately, so the round is self-contained either way.
+    ///
+    /// # Errors
+    ///
+    /// Propagates attestation/session errors on the control traffic.
+    pub fn run_audit_round(&mut self, cluster: &mut Cluster, app: &mut A) -> Result<(), CoreError> {
+        self.begin_audit_round(cluster)?;
+        self.finish_audit_round(cluster, app)
+    }
+
+    /// The commit step of an audit round: scheduled log tampering is
+    /// applied (a forging host rewrites *before* committing), then every
+    /// node seals and announces its commitment — queued for piggyback rides
+    /// in piggyback mode, sent as dedicated messages otherwise. The
+    /// log-driven state digest at the committed boundary is captured
+    /// alongside the seal (it is what a later checkpoint of this boundary
+    /// certifies). In piggyback mode, run the application workload between
+    /// this and [`AccountabilityEngine::finish_audit_round`] so commitments
+    /// ride it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates attestation/session errors on the control traffic.
+    pub fn begin_audit_round(&mut self, cluster: &mut Cluster) -> Result<(), CoreError> {
+        self.apply_scheduled_tampering();
+        self.announce_commitments(cluster)
+    }
+
+    /// Flush + challenge + classify: the audit round after the commit step.
+    ///
+    /// Flushing is looped until no ride is pending: delivering a dedicated
+    /// announcement enqueues gossip relays, which must also reach their
+    /// fellows *before* challenges are issued — otherwise witnesses beyond
+    /// the first would audit a round late. The loop terminates because
+    /// relays are never re-relayed (at most announce → relay → stored).
+    /// When every commitment found a ride during the workload, the loop
+    /// sends nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates attestation/session errors on the control traffic.
+    pub fn finish_audit_round(
+        &mut self,
+        cluster: &mut Cluster,
+        app: &mut A,
+    ) -> Result<(), CoreError> {
+        loop {
+            self.flush_pending(cluster)?;
+            self.sweep_until_quiet(cluster, app)?;
+            if self.layer.borrow().pending_rides() == 0 {
+                break;
+            }
+        }
+        self.fabricate_evidence(cluster)?;
+        self.issue_challenges(cluster)?;
+        self.sweep_until_quiet(cluster, app)?;
+        // Round digests: fold the round's accumulated control-envelope
+        // digests into one AuditRound entry per node, *after* the audit
+        // traffic has quiesced (so the entry covers the whole round) and
+        // *before* the round counter advances (commitments sealed at the
+        // next round's start are the first to cover the flush entry).
+        let at_us = self.clock.now().as_micros();
+        self.layer
+            .borrow_mut()
+            .flush_round_digests(self.audit_rounds_done, at_us);
+        self.finish_round();
+        self.audit_rounds_done += 1;
+        // The audit round is the partition schedule's clock: advancing it
+        // opens/heals any installed cut for the next round's traffic.
+        cluster.set_partition_round(self.audit_rounds_done);
+        // A recovery that survived this round's audit traffic is a full
+        // member again.
+        let recovering: Vec<u32> = self
+            .membership
+            .iter()
+            .filter(|&(_, &p)| p == MemberPhase::Recovering)
+            .map(|(&n, _)| n)
+            .collect();
+        for node in recovering {
+            self.set_phase(node, MemberPhase::Active);
+        }
+        if let Some(interval) = self.config.checkpoint_interval {
+            if interval > 0 && self.audit_rounds_done.is_multiple_of(interval) {
+                self.run_checkpoint_round(cluster, app)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Audits everything still in the pipeline: one extra audit round whose
+    /// commit step covers every log entry that exists when it is called —
+    /// in particular, in piggyback mode, the final workload round that the
+    /// pipelined drivers leave unaudited (the audit pipeline runs one round
+    /// behind the traffic it rides on). The commitments have no later
+    /// traffic to ride, so this round pays dedicated announcements;
+    /// steady-state deployments only pay it at teardown.
+    ///
+    /// # Errors
+    ///
+    /// Propagates attestation/session errors on the control traffic.
+    pub fn drain_audits(&mut self, cluster: &mut Cluster, app: &mut A) -> Result<(), CoreError> {
+        self.run_audit_round(cluster, app)
+    }
+
+    /// Completed checkpoint epochs (each one a potential rotation boundary).
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The latest certified checkpoint boundary of `node`'s log (0 before
+    /// the first completed checkpoint) — everything below it has been
+    /// garbage-collected.
+    #[must_use]
+    pub fn checkpoint_base(&self, node: u32) -> u64 {
+        self.completed_checkpoints.get(&node).map_or(0, |m| m.cut)
+    }
+
+    /// Where `node` stands in the membership lifecycle.
+    #[must_use]
+    pub fn member_phase(&self, node: u32) -> MemberPhase {
+        self.membership
+            .get(&node)
+            .copied()
+            .unwrap_or(MemberPhase::Active)
+    }
+}

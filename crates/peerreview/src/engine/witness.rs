@@ -1,0 +1,350 @@
+//! The witness side: the handlers a node runs on commitments, challenges,
+//! responses, evidence and membership envelopes.
+
+use super::audit_round::Outbound;
+use super::byzantine::Forwarding;
+use super::*;
+use crate::audit::commitments_conflict;
+use crate::log::{Authenticator, LogEntry};
+use tnic_device::attestation::AttestedMessage;
+
+impl<A: AccountedApp> AccountabilityEngine<A> {
+    /// Witness side of a node's announcement of its own head: a joiner's
+    /// first announcement ([`Envelope::Join`]) or a recovered node's
+    /// re-announcement ([`Envelope::Recover`]). Only the node itself may
+    /// announce its head (the attested channel guarantees origin); the
+    /// commitment is then stored and gossiped like any other direct one.
+    /// A joiner is audited from this base. An honest recovery extends the
+    /// pre-crash chain and the next audit round resumes from the stalled
+    /// prefix; a tampered one conflicts with a held commitment
+    /// (equivocation, exposed on arrival) or fails the subsequent replay
+    /// (exec divergence).
+    pub(super) fn handle_own_announcement(
+        &mut self,
+        witness: u32,
+        from: u32,
+        auth: Authenticator,
+        outgoing: &mut Vec<(NodeId, NodeId, Outbound)>,
+    ) {
+        if auth.node != from {
+            return; // nobody announces on another node's behalf
+        }
+        self.handle_commitment(witness, auth, true, outgoing);
+    }
+
+    /// Witness side of a departure: the leaver's final sealed commitment
+    /// plus its unaudited log tail. The witness stores the commitment
+    /// (conflict checks included), aligns the tail to its own audited
+    /// prefix and closes the audit on the spot — an honest tail advances
+    /// the audited prefix (clearing a transient suspicion), a tampered one
+    /// convicts on the way out. A tail that cannot be aligned (e.g. the
+    /// witness lags a pruned base) is skipped rather than guessed at: a
+    /// correct node is never convicted on a replay the witness cannot
+    /// ground.
+    pub(super) fn handle_leave(
+        &mut self,
+        witness: u32,
+        from: u32,
+        auth: Authenticator,
+        entries: &[LogEntry],
+        outgoing: &mut Vec<(NodeId, NodeId, Outbound)>,
+    ) {
+        if auth.node != from {
+            return; // only the leaver seals its own farewell
+        }
+        let node = auth.node;
+        let seq = auth.seq;
+        self.handle_commitment(witness, auth.clone(), true, outgoing);
+        let ctx = self.trace_ctx(witness, node);
+        let Some(record) = self.records.get_mut(&(witness, node)) else {
+            return;
+        };
+        if record.verdict != Verdict::Exposed && seq > record.audited_seq {
+            let tail: Vec<LogEntry> = entries
+                .iter()
+                .filter(|e| e.seq >= record.audited_seq && e.seq < seq)
+                .cloned()
+                .collect();
+            let aligned = tail.first().is_some_and(|e| e.seq == record.audited_seq)
+                && tail.len() as u64 == seq - record.audited_seq;
+            if aligned {
+                record.trace = ctx;
+                self.stats.leave_audits += 1;
+                self.stats.audit_replays += 1;
+                self.stats.entries_replayed += tail.len() as u64;
+                let _ = record.check_response(&auth, &tail);
+            }
+        }
+        // The farewell subsumes any challenge it covers.
+        if record
+            .pending_challenge
+            .as_ref()
+            .is_some_and(|t| t.seq <= seq)
+        {
+            record.pending_challenge = None;
+            self.challenge_started.remove(&(witness, node));
+            self.retry_state.remove(&(witness, node));
+        }
+    }
+
+    /// Cryptographically verifies a TNIC seal on `verifier`'s kernel (which
+    /// holds every log-session key).
+    pub(super) fn attestation_verifies(
+        &mut self,
+        verifier: u32,
+        attestation: &AttestedMessage,
+    ) -> bool {
+        let kernel = self
+            .audit_kernels
+            .get_mut(&verifier)
+            .expect("verifier kernel");
+        match kernel.verify_binding(attestation) {
+            Ok(cost) => {
+                self.clock.advance(cost);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Verifies a commitment's TNIC seal and structural claims.
+    fn seal_verifies(&mut self, witness: u32, auth: &Authenticator) -> bool {
+        auth.consistent() && self.attestation_verifies(witness, &auth.attestation)
+    }
+
+    pub(super) fn handle_commitment(
+        &mut self,
+        witness: u32,
+        auth: Authenticator,
+        direct: bool,
+        outgoing: &mut Vec<(NodeId, NodeId, Outbound)>,
+    ) {
+        let accused = auth.node;
+        if !self.witnesses_of(accused).contains(&witness) || !self.seal_verifies(witness, &auth) {
+            return;
+        }
+        let ctx = self.trace_ctx(witness, accused);
+        let record = self
+            .records
+            .get_mut(&(witness, accused))
+            .expect("record exists");
+        record.trace = ctx;
+        let conflict = record.store_commitment(auth.clone());
+        // Suppressed forwarding never affects the witness's own verdicts:
+        // the suppressed messages are pure forwarding.
+        let forwarding = self.forwarding(witness);
+        if let Some(Misbehavior::ConflictingCommitments { a, b }) = conflict {
+            // Evidence transfer: the pair convinces any correct third party.
+            for &fellow in self.witnesses.get(&accused).expect("witness set") {
+                if fellow != witness && fellow != accused {
+                    if forwarding == Forwarding::Nothing {
+                        self.stats.gossip_withheld += 1;
+                        continue;
+                    }
+                    self.stats.evidence_transfers += 1;
+                    outgoing.push((
+                        NodeId(witness),
+                        NodeId(fellow),
+                        Envelope::Evidence {
+                            a: (*a).clone(),
+                            b: (*b).clone(),
+                        }
+                        .into(),
+                    ));
+                }
+            }
+        }
+        if direct {
+            // Gossip the directly received commitment to fellow witnesses so
+            // an equivocator cannot keep its witness set partitioned. In
+            // piggyback mode the relay rides the witness's own outbound
+            // traffic (or the next dedicated flush) instead of costing a
+            // message now.
+            for &fellow in self.witnesses.get(&accused).expect("witness set") {
+                if fellow != witness && fellow != accused {
+                    match forwarding {
+                        Forwarding::Nothing => self.stats.gossip_withheld += 1,
+                        Forwarding::NoRelays => self.stats.relays_refused += 1,
+                        Forwarding::All if self.config.piggyback => {
+                            self.layer.borrow_mut().enqueue_ride(
+                                witness,
+                                fellow,
+                                auth.clone(),
+                                true,
+                            );
+                        }
+                        Forwarding::All => outgoing.push((
+                            NodeId(witness),
+                            NodeId(fellow),
+                            Envelope::Gossip(auth.clone()).into(),
+                        )),
+                    }
+                }
+            }
+        }
+    }
+
+    pub(super) fn handle_challenge(
+        &mut self,
+        node: u32,
+        witness: u32,
+        from_seq: u64,
+        upto_seq: u64,
+        outgoing: &mut Vec<(NodeId, NodeId, Outbound)>,
+    ) {
+        // Fault-free fast path mirroring `issue_challenges`: skip the
+        // question (and its RNG draw) when the plan is empty.
+        if !self.faults.is_all_correct() && !self.answers_challenge(node, upto_seq) {
+            return; // the node stays silent
+        }
+        // A challenge below the pruned base cannot be answered with log
+        // entries any more — the covered prefix is gone. In-sim no witness
+        // normally challenges there (laggards fast-forward on the commit
+        // certificate first), but a reordering transport can deliver the
+        // challenge before the certificate; the honest answer is the
+        // certificate itself, which the witness verifies (quorum of seals)
+        // and fast-forwards from instead of suspecting.
+        // `segment_checked` makes the clamp explicit: `SecureLog::segment`
+        // would silently re-base the range and the response would start at
+        // the wrong sequence.
+        if self
+            .layer
+            .borrow()
+            .segment_checked(node, from_seq, upto_seq)
+            .is_err()
+        {
+            if let Some((mark, cosigs)) = self.certificates.get(&node) {
+                if from_seq < mark.cut {
+                    self.stats.certificate_responses += 1;
+                    outgoing.push((
+                        NodeId(node),
+                        NodeId(witness),
+                        Envelope::CheckpointCommit {
+                            mark: mark.clone(),
+                            cosigs: cosigs.clone(),
+                        }
+                        .into(),
+                    ));
+                    return;
+                }
+            }
+        }
+        // Defer the response body: the send path borrows the log segment
+        // and encodes it straight into the reused wire buffer (and batches
+        // consecutive responses to the same witness).
+        outgoing.push((
+            NodeId(node),
+            NodeId(witness),
+            Outbound::Segment { from_seq, upto_seq },
+        ));
+    }
+
+    pub(super) fn handle_response(
+        &mut self,
+        witness: u32,
+        node: u32,
+        from_seq: u64,
+        entries: &[LogEntry],
+    ) {
+        let ctx = self.trace_ctx(witness, node);
+        let Some(record) = self.records.get_mut(&(witness, node)) else {
+            return;
+        };
+        // The response must answer the outstanding challenge: its `from_seq`
+        // echoes the challenged range start, which is exactly the witness's
+        // audited prefix (challenges are issued with `from_seq =
+        // audited_seq`, and the prefix only advances on a valid response).
+        // A stale or forged range is ignored — the challenge stays pending
+        // and unresponsiveness handling takes over at round end.
+        if record.pending_challenge.is_some() && from_seq != record.audited_seq {
+            return;
+        }
+        let Some(target) = record.pending_challenge.take() else {
+            return;
+        };
+        self.stats.responses += 1;
+        self.stats.audit_replays += 1;
+        self.stats.entries_replayed += entries.len() as u64;
+        record.trace = ctx;
+        tnic_obs::trace_event!(
+            tnic_obs::EventKind::Response,
+            at_us: ctx.at_us,
+            node: witness,
+            peer: node,
+            seq: target.seq,
+            round: ctx.round,
+            aux: entries.len() as u64
+        );
+        // The verdict transition happens inside the record; failures are
+        // locally verified evidence, so no further transfer is needed —
+        // every witness audits independently.
+        let _ = record.check_response(&target, entries);
+        self.retry_state.remove(&(witness, node));
+        if let Some(started) = self.challenge_started.remove(&(witness, node)) {
+            self.stats
+                .audit_latency
+                .record(self.clock.now().duration_since(started));
+        }
+    }
+
+    /// An evidence message is adopted only when it is independently
+    /// verifiable (a genuinely conflicting, seal-valid commitment pair —
+    /// see the [`crate::audit`] module docs for the full rules). Anything
+    /// else is a fabricated accusation, and since the attested channel
+    /// guarantees its origin, it convicts the *accuser* — never the
+    /// accused.
+    pub(super) fn handle_evidence(
+        &mut self,
+        witness: u32,
+        from: u32,
+        a: &Authenticator,
+        b: &Authenticator,
+    ) {
+        let verifiable = commitments_conflict(a, b)
+            && self.seal_verifies(witness, a)
+            && self.seal_verifies(witness, b);
+        let ctx = self.trace_ctx(witness, a.node);
+        tnic_obs::trace_event!(
+            tnic_obs::EventKind::Evidence,
+            at_us: ctx.at_us,
+            node: witness,
+            peer: from,
+            seq: a.seq,
+            round: ctx.round,
+            aux: u64::from(!verifiable)
+        );
+        if !verifiable {
+            self.stats.evidence_rejected += 1;
+            if from != witness && self.witnesses_of(from).contains(&witness) {
+                let accused = a.node;
+                let Some(record) = self.records.get_mut(&(witness, from)) else {
+                    return;
+                };
+                let already_convicted = record
+                    .evidence
+                    .iter()
+                    .any(|e| matches!(e, Misbehavior::ForgedAccusation { .. }));
+                if !already_convicted {
+                    self.stats.accusations_turned += 1;
+                    record.trace = TraceCtx { node: from, ..ctx };
+                    record.convict(Misbehavior::ForgedAccusation { accused });
+                }
+            }
+            return;
+        }
+        let Some(record) = self.records.get_mut(&(witness, a.node)) else {
+            return;
+        };
+        let already_convicted = record
+            .evidence
+            .iter()
+            .any(|e| matches!(e, Misbehavior::ConflictingCommitments { .. }));
+        if !already_convicted {
+            record.trace = ctx;
+            record.convict(Misbehavior::ConflictingCommitments {
+                a: Box::new(a.clone()),
+                b: Box::new(b.clone()),
+            });
+        }
+    }
+}

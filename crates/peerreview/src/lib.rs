@@ -86,9 +86,7 @@ pub mod workload;
 pub use audit::{Misbehavior, Verdict, WitnessRecord};
 pub use checkpoint::{cosign_quorum, CheckpointMark, Cosignature};
 pub use deployment::Accountable;
-pub use engine::{
-    AccountabilityEngine, AccountedApp, AppDelivery, CommitmentLayer, CounterApp, EngineConfig,
-};
+pub use engine::{AccountabilityEngine, AccountedApp, AppDelivery, CounterApp, EngineConfig};
 pub use log::{Authenticator, EntryKind, LogEntry, SecureLog};
 pub use stats::AccountabilityStats;
 pub use system::{PeerReview, PeerReviewConfig};

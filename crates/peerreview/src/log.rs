@@ -188,6 +188,13 @@ fn round_digest(digest_bytes: &[u8]) -> [u8; 32] {
 /// dropping, reordering or substituting an envelope — diverges the chained
 /// head from the sealed commitment and convicts as `HeadMismatch`, exactly
 /// as tampering with a per-envelope digest entry would.
+///
+/// Both checks catch a node that changes the entry *after* sealing it.
+/// Neither checks that the digests were true when the node logged them: a
+/// witness checks the entry only for self-consistency and its place in the
+/// sealed chain, never the per-envelope digests against the envelopes the
+/// node sent or received. A node that logs wrong digests for its control
+/// traffic *before* sealing therefore stays trusted.
 #[must_use]
 pub fn audit_round_content(round: u64, digests: &[[u8; 32]]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + 4 + digests.len() * 32 + 32);

@@ -1,11 +1,10 @@
 //! The PeerReview workload driver — a thin client of the accountability
 //! engine.
 //!
-//! Everything protocol-shaped lives in [`crate::engine`]: the
-//! [`CommitmentLayer`](crate::engine::CommitmentLayer) feeding tamper-evident
-//! logs from the cluster's send/deliver hooks, witness
-//! audit/challenge/evidence handling, verdict tracking and the piggyback
-//! ride queue. This module contributes only what is specific to the
+//! Everything protocol-shaped lives in [`crate::engine`]: the commitment
+//! layer feeding tamper-evident logs from the cluster's send/deliver hooks,
+//! witness audit/challenge/evidence handling, verdict tracking and the
+//! piggyback ride queue. This module contributes only what is specific to the
 //! PeerReview case study: the round-robin counter workload
 //! ([`crate::workload`] over [`CounterApp`]) and the configuration surface
 //! the benchmarks sweep. Rounds are driven by [`Accountable::run_rounds`],
