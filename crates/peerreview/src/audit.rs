@@ -263,8 +263,6 @@ pub struct WitnessRecord<S: StateMachine> {
     pub verdict: Verdict,
     /// Evidence collected so far.
     pub evidence: Vec<Misbehavior>,
-    /// The commitment currently under challenge, if any.
-    pub pending_challenge: Option<Authenticator>,
     /// Trace identity/clock context, refreshed by the engine before calls
     /// (see [`TraceCtx`]).
     pub trace: TraceCtx,
@@ -286,7 +284,6 @@ impl<S: StateMachine> WitnessRecord<S> {
             machine: initial_machine,
             verdict: Verdict::Trusted,
             evidence: Vec::new(),
-            pending_challenge: None,
             trace: TraceCtx::default(),
             expected_outputs: std::collections::VecDeque::new(),
         }
@@ -403,7 +400,6 @@ impl<S: StateMachine> WitnessRecord<S> {
         self.audited_head = head;
         self.machine = machine;
         self.expected_outputs = pending.into();
-        self.pending_challenge = None;
         if self.verdict == Verdict::Suspected {
             self.verdict = Verdict::Trusted;
             self.trace_verdict(Verdict::Suspected, tnic_obs::codes::MIS_NONE);
@@ -445,7 +441,6 @@ impl<S: StateMachine> WitnessRecord<S> {
             machine,
             verdict,
             evidence,
-            pending_challenge: None,
             trace: TraceCtx::default(),
             expected_outputs: pending.into(),
         }

@@ -347,41 +347,18 @@ impl Cosignature {
     }
 }
 
-/// The deterministic witness assignment for a checkpoint epoch: node `i` is
-/// audited by `w` consecutive members of the ring `i+1, …, i+n-1 (mod n)`,
-/// starting at an offset that advances with the epoch. Epoch 0 reproduces
-/// the classic static rotation (`i+1, …, i+w`); with `w = n - 1` every
-/// epoch yields the full set (rotation is the identity).
-#[must_use]
-pub fn witness_set(node: u32, n: u32, w: u32, epoch: u64) -> Vec<u32> {
-    if n <= 1 {
-        return Vec::new();
-    }
-    let ring = n - 1;
-    let w = w.clamp(1, ring);
-    // An all-to-all set is rotation-invariant; pin the offset so epochs
-    // produce identical assignments (not just identical membership).
-    let start = if w == ring {
-        0
-    } else {
-        (epoch % u64::from(ring)) as u32
-    };
-    (0..w)
-        .map(|j| (node + 1 + (start + j) % ring) % n)
-        .collect()
-}
-
-/// The witness assignment for a node inside a *shard* — the consistent-hash
-/// witness-sharding counterpart of [`witness_set`]. `members` is the sorted
-/// member list of the node's shard (including the node itself); witnesses
-/// are `w` consecutive shard co-members on the ring that starts just after
-/// the node, rotated by the epoch exactly like [`witness_set`]. With the
-/// full, contiguous membership `0..n` this reproduces `witness_set(node, n,
-/// w, epoch)` byte-for-byte, so `shards = 1` is not a special case — it is
-/// the same function.
+/// The deterministic witness assignment for a checkpoint epoch. `members`
+/// is the sorted member list of the node's shard — the whole membership
+/// when unsharded — including the node itself. The node is audited by `w`
+/// consecutive co-members of the ring that starts just after it, starting
+/// at an offset that advances with the epoch. Over the membership `0..n`,
+/// epoch 0 gives the classic static rotation (node `i` is audited by
+/// `i+1, …, i+w (mod n)`); with `w` equal to the ring (every other member)
+/// each epoch yields the same set (rotation is the identity). A node
+/// outside `members`, or alone in it, has no witnesses.
 #[must_use]
 pub fn sharded_witness_set(node: u32, members: &[u32], w: u32, epoch: u64) -> Vec<u32> {
-    let Some(pos) = members.iter().position(|&m| m == node) else {
+    let Ok(pos) = members.binary_search(&node) else {
         return Vec::new();
     };
     if members.len() <= 1 {
@@ -389,6 +366,8 @@ pub fn sharded_witness_set(node: u32, members: &[u32], w: u32, epoch: u64) -> Ve
     }
     let ring = (members.len() - 1) as u32;
     let w = w.clamp(1, ring);
+    // An all-to-all set is rotation-invariant; pin the offset so epochs
+    // produce identical assignments (not just identical membership).
     let start = if w == ring {
         0
     } else {
@@ -530,24 +509,6 @@ mod tests {
         assert_eq!(cosign_quorum(3), 2);
         assert_eq!(cosign_quorum(4), 3);
         assert_eq!(cosign_quorum(7), 4);
-    }
-
-    #[test]
-    fn sharded_witness_set_on_full_membership_matches_witness_set() {
-        for n in 2..=12u32 {
-            let members: Vec<u32> = (0..n).collect();
-            for w in 1..n {
-                for epoch in 0..5u64 {
-                    for node in 0..n {
-                        assert_eq!(
-                            sharded_witness_set(node, &members, w, epoch),
-                            witness_set(node, n, w, epoch),
-                            "n={n} w={w} epoch={epoch} node={node}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -702,14 +663,15 @@ mod tests {
     fn witness_sets_rotate_per_epoch_and_stay_balanced() {
         let n = 5u32;
         let w = 2u32;
+        let all: Vec<u32> = (0..n).collect();
         // Epoch 0 reproduces the static assignment.
-        assert_eq!(witness_set(0, n, w, 0), vec![1, 2]);
-        assert_eq!(witness_set(3, n, w, 0), vec![4, 0]);
+        assert_eq!(sharded_witness_set(0, &all, w, 0), vec![1, 2]);
+        assert_eq!(sharded_witness_set(3, &all, w, 0), vec![4, 0]);
         // Sets shift by one each epoch and never contain the node itself.
         for epoch in 0..8u64 {
             let mut load = vec![0u32; n as usize];
             for node in 0..n {
-                let set = witness_set(node, n, w, epoch);
+                let set = sharded_witness_set(node, &all, w, epoch);
                 assert_eq!(set.len(), w as usize);
                 assert!(!set.contains(&node));
                 let mut dedup = set.clone();
@@ -723,20 +685,24 @@ mod tests {
             // Balanced: every node witnesses exactly w others.
             assert!(load.iter().all(|&l| l == w));
             assert_ne!(
-                witness_set(0, n, w, epoch),
-                witness_set(0, n, w, epoch + 1),
+                sharded_witness_set(0, &all, w, epoch),
+                sharded_witness_set(0, &all, w, epoch + 1),
                 "consecutive epochs differ when w < n - 1"
             );
         }
         // Over n-1 epochs every other node serves as a witness of node 0.
         let mut seen: Vec<u32> = (0..u64::from(n - 1))
-            .flat_map(|e| witness_set(0, n, w, e))
+            .flat_map(|e| sharded_witness_set(0, &all, w, e))
             .collect();
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen, vec![1, 2, 3, 4]);
         // All-to-all sets are rotation-invariant.
-        assert_eq!(witness_set(2, 4, 3, 0), witness_set(2, 4, 3, 5));
-        assert!(witness_set(0, 1, 1, 0).is_empty());
+        let four: Vec<u32> = (0..4).collect();
+        assert_eq!(
+            sharded_witness_set(2, &four, 3, 0),
+            sharded_witness_set(2, &four, 3, 5)
+        );
+        assert!(sharded_witness_set(0, &[0], 1, 0).is_empty());
     }
 }

@@ -7,15 +7,6 @@ use super::*;
 use crate::log::{Authenticator, LogEntry};
 use crate::wire::{PiggybackRider, MAX_PIGGYBACK_RIDERS};
 
-/// Per-(witness, auditee) challenge retry bookkeeping.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct RetryState {
-    /// Round-end timeouts seen for the outstanding challenge so far.
-    attempts: u32,
-    /// The audit round at which the challenge is re-sent next.
-    resume_round: u64,
-}
-
 /// One queued outbound control message produced by a protocol handler.
 ///
 /// Handlers push these instead of sending directly so the send path can
@@ -123,21 +114,20 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         // the same prefix, and sending an announcement itself appends `Send`
         // entries to the log.
         let mut outgoing: Vec<(NodeId, NodeId, Envelope)> = Vec::new();
-        for node in self.nodes.clone() {
-            if is_down(&self.membership, node.0) {
+        for node in self.ids() {
+            if is_down(&self.members, node) {
                 continue; // a crashed or departed node announces nothing
             }
-            let (seq, head, forked_head) = self.layer.borrow().commitment_data(node.0);
+            let (seq, head, forked_head) = self.layer.borrow().commitment_data(node);
+            let member = &mut self.members[node as usize];
             if seq > 0 {
-                let digest = self.shadows[&node.0].state_digest();
-                self.commit_snapshots.insert(node.0, (seq, digest));
+                member.commit_snapshot = Some((seq, member.shadow.state_digest()));
             }
-            let witness_set = self.witnesses_of(node.0).to_vec();
-            for (idx, &witness) in witness_set.iter().enumerate() {
-                let committed =
-                    self.committed_head(node.0, idx, witness_set.len(), head, forked_head);
-                let auth = self.publish_commitment(node.0, seq, committed);
-                outgoing.push((node, NodeId(witness), Envelope::Announce(auth)));
+            let witnesses = member.witnesses.clone();
+            for (idx, &witness) in witnesses.iter().enumerate() {
+                let committed = self.committed_head(node, idx, witnesses.len(), head, forked_head);
+                let auth = self.publish_commitment(node, seq, committed);
+                outgoing.push((NodeId(node), NodeId(witness), Envelope::Announce(auth)));
             }
         }
         for (from, to, env) in outgoing {
@@ -158,30 +148,30 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// gossip cross-checking. With a single witness the fork goes to it
     /// directly and is exposed by the audit (head mismatch).
     fn queue_commitments(&mut self) {
-        for node in self.nodes.clone() {
-            if is_down(&self.membership, node.0) {
+        for node in self.ids() {
+            if is_down(&self.members, node) {
                 continue; // a crashed or departed node commits nothing
             }
-            let (seq, head, forked_head) = self.layer.borrow().commitment_data(node.0);
-            let witness_set = self.witnesses_of(node.0).to_vec();
-            if seq == 0 || witness_set.is_empty() {
+            let (seq, head, forked_head) = self.layer.borrow().commitment_data(node);
+            let member = &mut self.members[node as usize];
+            if seq == 0 || member.witnesses.is_empty() {
                 continue; // nothing to commit / nobody to commit to
             }
-            let digest = self.shadows[&node.0].state_digest();
-            self.commit_snapshots.insert(node.0, (seq, digest));
+            member.commit_snapshot = Some((seq, member.shadow.state_digest()));
+            let witnesses = member.witnesses.clone();
             // The node's first (and, unless it equivocates, only)
             // commitment of the round.
-            let primary_head = self.committed_head(node.0, 0, witness_set.len(), head, forked_head);
-            let target = (self.audit_rounds_done as usize) % witness_set.len();
-            let auth = self.publish_commitment(node.0, seq, primary_head);
+            let primary_head = self.committed_head(node, 0, witnesses.len(), head, forked_head);
+            let target = (self.audit_rounds_done as usize) % witnesses.len();
+            let auth = self.publish_commitment(node, seq, primary_head);
             self.layer
                 .borrow_mut()
-                .enqueue_ride(node.0, witness_set[target], auth, false);
-            if let Some(fork_target) = self.fork_target(node.0, target, witness_set.len()) {
-                let fork = self.publish_commitment(node.0, seq, forked_head);
+                .enqueue_ride(node, witnesses[target], auth, false);
+            if let Some(fork_target) = self.fork_target(node, target, witnesses.len()) {
+                let fork = self.publish_commitment(node, seq, forked_head);
                 self.layer
                     .borrow_mut()
-                    .enqueue_ride(node.0, witness_set[fork_target], fork, false);
+                    .enqueue_ride(node, witnesses[fork_target], fork, false);
             }
         }
     }
@@ -206,12 +196,12 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 aux: selected.len() as u64
             );
         }
-        for (&(witness, node), record) in &mut self.records {
+        for (&(witness, node), pair) in &mut self.pairs {
             // Down witnesses challenge nobody; down auditees cannot answer
             // (challenging them would only manufacture suspicion while an
             // in-flight challenge from before the crash already covers the
             // transient-suspicion semantics).
-            if is_down(&self.membership, witness) || is_down(&self.membership, node) {
+            if is_down(&self.members, witness) || is_down(&self.members, node) {
                 continue;
             }
             let ctx = TraceCtx {
@@ -220,39 +210,38 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 at_us,
                 round,
             };
-            if !no_faults && !Self::performs_audit_duty(&self.faults, &mut self.stats, record, ctx)
+            if !no_faults
+                && !Self::performs_audit_duty(&self.faults, &mut self.stats, &mut pair.record, ctx)
             {
                 continue;
             }
-            if record.verdict == Verdict::Exposed {
+            if pair.record.verdict == Verdict::Exposed {
                 continue;
             }
-            if let Some(pending) = record.pending_challenge.clone() {
+            if let Some(out) = &pair.outstanding {
                 // Retry firing: a still-outstanding challenge whose backoff
                 // gap has elapsed is re-sent (the response may have been
                 // lost to a crash or an open partition).
-                if let Some(rs) = self.retry_state.get(&(witness, node)) {
-                    if round >= rs.resume_round {
-                        outgoing.push((
-                            NodeId(witness),
-                            NodeId(node),
-                            Envelope::Challenge {
-                                from_seq: record.audited_seq,
-                                upto_seq: pending.seq,
-                            }
-                            .into(),
-                        ));
-                        tnic_obs::trace_event!(
-                            tnic_obs::EventKind::Retry,
-                            at_us: at_us,
-                            node: witness,
-                            peer: node,
-                            seq: pending.seq,
-                            round: round,
-                            aux: u64::from(rs.attempts)
-                        );
-                        self.stats.challenge_retries += 1;
-                    }
+                if round >= out.resume_round {
+                    outgoing.push((
+                        NodeId(witness),
+                        NodeId(node),
+                        Envelope::Challenge {
+                            from_seq: pair.record.audited_seq,
+                            upto_seq: out.target.seq,
+                        }
+                        .into(),
+                    ));
+                    tnic_obs::trace_event!(
+                        tnic_obs::EventKind::Retry,
+                        at_us: at_us,
+                        node: witness,
+                        peer: node,
+                        seq: out.target.seq,
+                        round: round,
+                        aux: u64::from(out.attempts)
+                    );
+                    self.stats.challenge_retries += 1;
                 }
                 continue;
             }
@@ -265,19 +254,19 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                     self.stats.audits_sampled_out += 1;
                     continue;
                 }
-                self.last_audit_round.insert((witness, node), round);
+                pair.last_selected = Some(round);
             }
-            if let Some(target) = record.next_audit_target().cloned() {
+            if let Some(target) = pair.record.next_audit_target().cloned() {
                 outgoing.push((
                     NodeId(witness),
                     NodeId(node),
                     Envelope::Challenge {
-                        from_seq: record.audited_seq,
+                        from_seq: pair.record.audited_seq,
                         upto_seq: target.seq,
                     }
                     .into(),
                 ));
-                record.trace = ctx;
+                pair.record.trace = ctx;
                 tnic_obs::trace_event!(
                     tnic_obs::EventKind::Challenge,
                     at_us: at_us,
@@ -286,8 +275,14 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                     seq: target.seq,
                     round: round
                 );
-                record.pending_challenge = Some(target);
-                self.challenge_started.insert((witness, node), now);
+                // The first round-end timeout (in `finish_round`, this same
+                // round) starts the retry clock.
+                pair.outstanding = Some(Outstanding {
+                    target,
+                    started: now,
+                    attempts: 0,
+                    resume_round: round,
+                });
                 self.stats.challenges += 1;
             }
         }
@@ -309,16 +304,20 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     fn sample_audit_pairs(&self, round: u64) -> Option<BTreeSet<(u32, u32)>> {
         let k = (self.config.audit_sample_size? as usize).max(1);
         let window = self.config.audit_coverage_window;
-        let mut by_witness: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for &(witness, node) in self.records.keys() {
-            by_witness.entry(witness).or_default().push(node);
+        // Charges per witness, each with the round it was last selected.
+        let mut by_witness: BTreeMap<u32, Vec<(u32, Option<u64>)>> = BTreeMap::new();
+        for (&(witness, node), pair) in &self.pairs {
+            by_witness
+                .entry(witness)
+                .or_default()
+                .push((node, pair.last_selected));
         }
         let mut selected = BTreeSet::new();
         for (witness, mut charges) in by_witness {
             let len = charges.len();
             if len <= k {
                 // The sample covers the full charge list: full auditing.
-                selected.extend(charges.into_iter().map(|n| (witness, n)));
+                selected.extend(charges.into_iter().map(|(n, _)| (witness, n)));
                 continue;
             }
             // A per-witness Fisher–Yates shuffle decorrelates the rotating
@@ -333,12 +332,12 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             }
             let start = (round as usize).wrapping_mul(k) % len;
             for offset in 0..k {
-                selected.insert((witness, charges[(start + offset) % len]));
+                selected.insert((witness, charges[(start + offset) % len].0));
             }
             if window > 0 {
-                for &node in &charges {
-                    let due = match self.last_audit_round.get(&(witness, node)) {
-                        Some(&last) => round.saturating_sub(last) >= window,
+                for &(node, last_selected) in &charges {
+                    let due = match last_selected {
+                        Some(last) => round.saturating_sub(last) >= window,
                         None => round % window == pair_stagger(witness, node, window),
                     };
                     if due {
@@ -357,43 +356,35 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let now = self.trace_ctx(tnic_obs::NONE, tnic_obs::NONE);
         let round = now.round;
         let retries = self.config.challenge_retries;
-        for (&(witness, node), record) in &mut self.records {
-            if record.pending_challenge.is_none() {
+        for (&(witness, node), pair) in &mut self.pairs {
+            let Some(out) = &mut pair.outstanding else {
                 continue;
-            }
+            };
             // Timeout–retry–backoff: while retry budget remains, keep the
-            // challenge pending and schedule the next (exponentially later)
-            // re-send instead of suspecting immediately. An entry waiting
-            // out its backoff gap (not yet due) has not timed out again.
-            let state = self
-                .retry_state
-                .entry((witness, node))
-                .or_insert(RetryState {
-                    attempts: 0,
-                    resume_round: round,
-                });
-            if round < state.resume_round {
+            // challenge outstanding and schedule the next (exponentially
+            // later) re-send instead of suspecting immediately. A challenge
+            // waiting out its backoff gap (not yet due) has not timed out
+            // again.
+            if round < out.resume_round {
                 continue; // still backing off; nothing fired this round
             }
-            if state.attempts < retries {
-                state.attempts += 1;
-                let gap = RETRY_BACKOFF_ROUNDS << (state.attempts - 1).min(16);
-                state.resume_round = round + gap;
+            if out.attempts < retries {
+                out.attempts += 1;
+                let gap = RETRY_BACKOFF_ROUNDS << (out.attempts - 1).min(16);
+                out.resume_round = round + gap;
                 continue;
             }
             // Retry budget exhausted (or zero): the classic downgrade.
             // Suspicion is bounded — without evidence the verdict never
             // exceeds Suspected, and a later valid response clears it.
-            record.pending_challenge = None;
+            pair.outstanding = None;
             self.stats.unanswered_challenges += 1;
-            record.trace = TraceCtx {
+            pair.record.trace = TraceCtx {
                 witness,
                 node,
                 ..now
             };
-            record.mark_unresponsive();
-            self.challenge_started.remove(&(witness, node));
-            self.retry_state.remove(&(witness, node));
+            pair.record.mark_unresponsive();
         }
     }
 
@@ -411,7 +402,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             cluster.nodes_with_pending(&mut pending);
             // A crashed node's inbox stays queued until recovery; a
             // departed node's is never drained.
-            pending.retain(|&n| !is_down(&self.membership, n.0));
+            pending.retain(|&n| !is_down(&self.members, n.0));
             if pending.is_empty() {
                 self.pending_scratch = pending;
                 return Ok(());
@@ -507,8 +498,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                         let (_, _, Outbound::Env(env)) = &group[i] else {
                             unreachable!("run starts at a challenge envelope")
                         };
-                        let env = env.clone();
-                        self.send_control(cluster, from, to, &env)?;
+                        self.send_control(cluster, from, to, env)?;
                     }
                     i = j;
                 }
@@ -524,8 +514,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                     i = j;
                 }
                 Outbound::Env(env) => {
-                    let env = env.clone();
-                    self.send_control(cluster, from, to, &env)?;
+                    self.send_control(cluster, from, to, env)?;
                     i += 1;
                 }
             }
@@ -570,7 +559,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             }
         }
         if straddled {
-            if let Some((mark, cosigs)) = self.certificates.get(&from.0) {
+            if let Some((mark, cosigs)) = &self.members[from.0 as usize].certificate {
                 self.stats.certificate_responses += 1;
                 let env = Envelope::CheckpointCommit {
                     mark: mark.clone(),
@@ -627,16 +616,14 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         match envelope {
             Envelope::App(command) => {
                 let output = app.execute(node.0, &command);
-                self.shadows
-                    .get_mut(&node.0)
-                    .expect("shadow registered")
-                    .execute(&command);
+                let member = &mut self.members[node.0 as usize];
+                member.shadow.execute(&command);
                 self.layer.borrow_mut().record_exec(
                     node.0,
                     output.clone(),
                     self.clock.now().as_micros(),
                 );
-                self.app_inbox.entry(node.0).or_default().push(AppDelivery {
+                member.inbox.push(AppDelivery {
                     from: NodeId(from),
                     command,
                     output,

@@ -78,7 +78,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// lie that stays local, because suspicion carries no evidence and is
     /// never transferred (see the `audit` module docs). An associated
     /// function over the fields it touches, because its caller iterates
-    /// the witness records mutably.
+    /// the audit pairs mutably.
     pub(super) fn performs_audit_duty(
         faults: &FaultPlan,
         stats: &mut AccountabilityStats,
@@ -203,11 +203,10 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         }
         let mut outgoing: Vec<(NodeId, NodeId, Envelope)> = Vec::new();
         for forger in forgers {
-            let auditees: Vec<u32> = self
-                .witnesses
-                .iter()
-                .filter(|(_, set)| set.contains(&forger))
-                .map(|(&node, _)| node)
+            let auditees: Vec<u32> = (0..)
+                .zip(&self.members)
+                .filter(|(_, member)| member.witnesses.contains(&forger))
+                .map(|(node, _)| node)
                 .collect();
             for auditee in auditees {
                 if self.evidence_forged.contains(&(forger, auditee)) {
@@ -217,9 +216,9 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 // held (the more plausible lie); fabricate from thin air
                 // otherwise.
                 let real = self
-                    .records
+                    .pairs
                     .get(&(forger, auditee))
-                    .and_then(|r| r.commitments.iter().max_by_key(|a| a.seq))
+                    .and_then(|p| p.record.commitments.iter().max_by_key(|a| a.seq))
                     .cloned();
                 let (seq, head) = real.as_ref().map_or((1, [0x5Au8; 32]), |a| (a.seq, a.head));
                 // A commitment to `head` in the auditee's name, sealed on
@@ -242,7 +241,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 // No genuine half available: forge that one too.
                 let a = real.unwrap_or_else(|| forge(head));
                 self.evidence_forged.insert((forger, auditee));
-                for &fellow in self.witnesses.get(&auditee).expect("witness set") {
+                for &fellow in &self.members[auditee as usize].witnesses {
                     if fellow != forger && fellow != auditee {
                         self.stats.forged_evidence_sent += 1;
                         outgoing.push((

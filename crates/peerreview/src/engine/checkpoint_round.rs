@@ -39,21 +39,21 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         // mark is also recorded in the node's own log (the retained root),
         // where later audits re-verify it during replay.
         let mut outgoing: Vec<(NodeId, NodeId, Envelope)> = Vec::new();
-        for node in self.nodes.clone() {
-            if is_down(&self.membership, node.0) {
+        for node in self.ids() {
+            if is_down(&self.members, node) {
                 continue; // the down propose nothing (their log is frozen)
             }
-            let Some(&(cut, state_digest)) = self.commit_snapshots.get(&node.0) else {
+            let Some((cut, state_digest)) = self.members[node as usize].commit_snapshot else {
                 continue; // nothing committed yet
             };
-            if cut <= self.layer.borrow().base_seq(node.0) {
+            if cut <= self.layer.borrow().base_seq(node) {
                 continue; // boundary already covered by an earlier checkpoint
             }
-            let witness_set = self.witnesses_of(node.0).to_vec();
-            if witness_set.is_empty() {
+            let witnesses = self.witnesses_of(node).to_vec();
+            if witnesses.is_empty() {
                 continue;
             }
-            let Some(head) = self.layer.borrow().head_at(node.0, cut) else {
+            let Some(head) = self.layer.borrow().head_at(node, cut) else {
                 continue;
             };
             // The *mark* certifies the log-driven state at the audited
@@ -63,22 +63,22 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             // differ by the workload that rode between commit and
             // checkpoint.
             let entry_payload = CheckpointMark::payload(
-                node.0,
+                node,
                 epoch,
                 cut,
                 &head,
-                &self.shadows[&node.0].state_digest(),
+                &self.members[node as usize].shadow.state_digest(),
             );
             self.layer.borrow_mut().record_checkpoint(
-                node.0,
+                node,
                 entry_payload,
                 self.clock.now().as_micros(),
             );
-            let payload = CheckpointMark::payload(node.0, epoch, cut, &head, &state_digest);
-            let (attestation, cost) = self.layer.borrow_mut().seal_payload(node.0, &payload);
+            let payload = CheckpointMark::payload(node, epoch, cut, &head, &state_digest);
+            let (attestation, cost) = self.layer.borrow_mut().seal_payload(node, &payload);
             self.clock.advance(cost);
             let mark = CheckpointMark {
-                node: node.0,
+                node,
                 epoch,
                 cut,
                 head,
@@ -88,21 +88,18 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             self.stats.checkpoints_proposed += 1;
             crate::checkpoint::trace_mark(
                 tnic_obs::codes::CKPT_PROPOSE,
-                node.0,
+                node,
                 tnic_obs::NONE,
                 &mark,
                 self.clock.now().as_micros(),
             );
-            self.pending_checkpoints.insert(
-                node.0,
-                PendingCheckpoint {
-                    mark: mark.clone(),
-                    cosigners: BTreeMap::new(),
-                },
-            );
-            for &witness in &witness_set {
+            self.members[node as usize].pending_checkpoint = Some(PendingCheckpoint {
+                mark: mark.clone(),
+                cosigners: BTreeMap::new(),
+            });
+            for &witness in &witnesses {
                 outgoing.push((
-                    node,
+                    NodeId(node),
                     NodeId(witness),
                     Envelope::CheckpointPropose(mark.clone()),
                 ));
@@ -118,24 +115,23 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         // keeps the full log (a withheld quorum delays the prune — it never
         // blocks it, because the next epoch re-proposes, possibly to a
         // rotated set).
-        let certified: Vec<(u32, CheckpointMark, Vec<Cosignature>, Vec<u32>)> = self
-            .pending_checkpoints
-            .iter()
-            .filter_map(|(&node, pending)| {
-                let witness_set = self.witnesses.get(&node).cloned().unwrap_or_default();
-                (pending.cosigners.len() >= cosign_quorum(witness_set.len())).then(|| {
+        let certified: Vec<(u32, CheckpointMark, Vec<Cosignature>, Vec<u32>)> = (0..)
+            .zip(&self.members)
+            .filter_map(|(node, member)| {
+                let pending = member.pending_checkpoint.as_ref()?;
+                (pending.cosigners.len() >= cosign_quorum(member.witnesses.len())).then(|| {
                     (
                         node,
                         pending.mark.clone(),
                         pending.cosigners.values().cloned().collect(),
-                        witness_set,
+                        member.witnesses.clone(),
                     )
                 })
             })
             .collect();
         let mut commits: Vec<(NodeId, NodeId, Envelope)> = Vec::new();
-        for (node, mark, cosigs, witness_set) in certified {
-            for &witness in &witness_set {
+        for (node, mark, cosigs, witnesses) in certified {
+            for &witness in &witnesses {
                 commits.push((
                     NodeId(node),
                     NodeId(witness),
@@ -163,17 +159,18 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 seq: mark.cut,
                 aux: dropped
             );
-            self.certificates.insert(node, (mark.clone(), cosigs));
-            self.completed_checkpoints.insert(node, mark);
+            self.members[node as usize].certificate = Some((mark, cosigs));
         }
         for (from, to, env) in commits {
             self.send_control(cluster, from, to, &env)?;
         }
         self.sweep_until_quiet(cluster, app)?;
-        self.pending_checkpoints.clear();
+        for member in &mut self.members {
+            member.pending_checkpoint = None;
+        }
         self.epoch = epoch;
         // Epoch-boundary rotation; all-to-all sets are rotation-invariant.
-        let all_to_all = self.witness_width >= (self.nodes.len() as u32).saturating_sub(1);
+        let all_to_all = self.witness_width >= (self.members.len() as u32).saturating_sub(1);
         if self.config.rotate_witnesses && !all_to_all {
             self.reassign_witness_sets(app);
             self.stats.witness_rotations += 1;
@@ -187,14 +184,19 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         app: &A,
         node: u32,
         old_set: &[u32],
-        old_records: &BTreeMap<(u32, u32), WitnessRecord<A::Machine>>,
+        old_pairs: &BTreeMap<(u32, u32), AuditPair<A::Machine>>,
         handover: &[Misbehavior],
     ) -> WitnessRecord<A::Machine> {
-        let outgoing = || old_set.iter().filter_map(|&w| old_records.get(&(w, node)));
+        let outgoing = || {
+            old_set
+                .iter()
+                .filter_map(|&w| old_pairs.get(&(w, node)).map(|p| &p.record))
+        };
         // Preferred: take over at the latest certified checkpoint, with the
         // replay state of an outgoing record whose machine digest matches
         // the cosigned digest (verified handover).
-        let certified = self.completed_checkpoints.get(&node).and_then(|mark| {
+        let certificate = self.members[node as usize].certificate.as_ref();
+        let certified = certificate.and_then(|(mark, _)| {
             outgoing()
                 .find(|r| {
                     r.audited_seq == mark.cut && r.machine.state_digest() == mark.state_digest
@@ -250,7 +252,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             self.stats.cosignatures_withheld += 1;
             return;
         }
-        let Some(record) = self.records.get(&(witness, node)) else {
+        let Some(record) = self.pairs.get(&(witness, node)).map(|p| &p.record) else {
             return;
         };
         if record.verdict == Verdict::Exposed
@@ -304,7 +306,11 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// its seal verifies — a forged or tampered cosignature is rejected
     /// here without any effect on verdicts (accuracy is never at stake).
     pub(super) fn handle_checkpoint_cosign(&mut self, node: u32, cosig: &Cosignature) {
-        let Some(pending) = self.pending_checkpoints.get(&node) else {
+        let Some(pending) = self
+            .members
+            .get(node as usize)
+            .and_then(|m| m.pending_checkpoint.as_ref())
+        else {
             return;
         };
         let mark = pending.mark.clone();
@@ -318,8 +324,9 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             return;
         }
         self.stats.cosignatures_collected += 1;
-        self.pending_checkpoints
-            .get_mut(&node)
+        self.members[node as usize]
+            .pending_checkpoint
+            .as_mut()
             .expect("pending checked")
             .cosigners
             .insert(cosig.witness, cosig.clone());
@@ -337,8 +344,8 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         cosigs: &[Cosignature],
     ) {
         let node = mark.node;
-        let witness_set = self.witnesses_of(node).to_vec();
-        if !witness_set.contains(&witness)
+        let witnesses = self.witnesses_of(node).to_vec();
+        if !witnesses.contains(&witness)
             || !mark.consistent()
             || !self.attestation_verifies(witness, &mark.attestation)
         {
@@ -348,46 +355,44 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         for cosig in cosigs {
             if cosig.covers(mark)
                 && cosig.consistent()
-                && witness_set.contains(&cosig.witness)
+                && witnesses.contains(&cosig.witness)
                 && self.attestation_verifies(witness, &cosig.attestation)
             {
                 signers.insert(cosig.witness);
             }
         }
-        if signers.len() < cosign_quorum(witness_set.len()) {
+        if signers.len() < cosign_quorum(witnesses.len()) {
             return;
         }
         let ctx = self.trace_ctx(witness, node);
-        let lagging = self
-            .records
-            .get(&(witness, node))
-            .is_some_and(|r| r.audited_seq < mark.cut && r.verdict != Verdict::Exposed);
+        let lagging = self.pairs.get(&(witness, node)).is_some_and(|p| {
+            p.record.audited_seq < mark.cut && p.record.verdict != Verdict::Exposed
+        });
         if lagging {
             // Adopt the replay state of a fellow record that sits exactly at
             // the certified boundary with the cosigned digest (the state
             // fetch a real witness performs, verified against the
             // certificate).
-            let donor = witness_set.iter().find_map(|&w| {
-                self.records.get(&(w, node)).filter(|r| {
+            let donor = witnesses.iter().find_map(|&w| {
+                self.pairs.get(&(w, node)).map(|p| &p.record).filter(|r| {
                     r.audited_seq == mark.cut && r.machine.state_digest() == mark.state_digest
                 })
             });
             if let Some(donor) = donor {
                 let machine = donor.machine.clone();
                 let pending = donor.pending_outputs();
-                if let Some(record) = self.records.get_mut(&(witness, node)) {
-                    record.trace = ctx;
-                    record.fast_forward(mark.cut, mark.head, machine, pending);
+                if let Some(pair) = self.pairs.get_mut(&(witness, node)) {
+                    pair.record.trace = ctx;
+                    pair.record
+                        .fast_forward(mark.cut, mark.head, machine, pending);
                     // The fast-forward subsumes any in-flight challenge (a
-                    // certificate may arrive as the *answer* to one); drop
-                    // its latency and retry bookkeeping with it.
-                    self.challenge_started.remove(&(witness, node));
-                    self.retry_state.remove(&(witness, node));
+                    // certificate may arrive as the *answer* to one).
+                    pair.outstanding = None;
                 }
             }
         }
-        if let Some(record) = self.records.get_mut(&(witness, node)) {
-            let dropped = record.drop_commitments_upto(mark.cut) as u64;
+        if let Some(pair) = self.pairs.get_mut(&(witness, node)) {
+            let dropped = pair.record.drop_commitments_upto(mark.cut) as u64;
             self.stats.commitments_pruned += dropped;
             tnic_obs::trace_event!(
                 tnic_obs::EventKind::Prune,

@@ -71,10 +71,15 @@
 //! By default every node is witnessed by all other nodes (`w = n - 1`).
 //! [`EngineConfig::witness_count`] shrinks the set to `w < n - 1` witnesses
 //! assigned by deterministic rotation: node `i` is audited by nodes
-//! `i+1, …, i+w (mod n)`. The rotation keeps assignments balanced (every
-//! node witnesses exactly `w` others) and the exposure guarantees hold as
-//! long as at least one correct witness audits each node — witness gossip
-//! and evidence transfer then propagate verdicts to the rest of the set.
+//! `i+1, …, i+w (mod n)`. One function assigns every set,
+//! [`sharded_witness_set`](crate::checkpoint::sharded_witness_set), over
+//! the node's shard group — the whole membership `0..n` when unsharded,
+//! so one shard is not a special case. The rotation keeps assignments
+//! balanced (every node witnesses exactly `w` others) and the exposure
+//! guarantees hold as long as at least one correct witness audits each
+//! node — witness gossip and evidence transfer then propagate verdicts to
+//! the rest of the set. Epoch rotation re-derives the sets with the same
+//! function at a later epoch.
 //!
 //! # Commitment piggybacking
 //!
@@ -113,9 +118,9 @@
 //! covered prefix and its witnesses drop the covered commitments, making
 //! audits, replays and evidence checkpoint-relative; **rotate** — with
 //! [`EngineConfig::rotate_witnesses`], the epoch advance re-derives every
-//! witness set ([`witness_set`](crate::checkpoint::witness_set)) so no
-//! slow or Byzantine witness shadows the same auditee forever, with the cosigned checkpoint handing incoming
-//! witnesses a verified starting state.
+//! witness set so no slow or Byzantine witness shadows the same auditee
+//! forever, with the cosigned checkpoint handing incoming witnesses a
+//! verified starting state.
 //!
 //! Epoch rotation composes with piggybacked commitments: the audit
 //! pipeline's one-round lag means a commitment sealed before rotation may
@@ -255,6 +260,19 @@
 //! crash, recover and witness-set reassignment) and `byzantine`, the one
 //! place that looks up a node's fault in the [`FaultPlan`]: each question
 //! a fault can change the answer to is a method there.
+//!
+//! The engine keeps its state in two collections, each holding everything
+//! about one key. A `Member` per node, indexed by node id (ids are
+//! contiguous, `0..n`, which `attach` and `join_node` assert), holds the
+//! node's membership phase, witness set, verification kernel and seal key,
+//! its shadow replay machine and application inbox, and its checkpoint
+//! state: the committed boundary, the proposal collecting cosignatures and
+//! the latest commit certificate. An `AuditPair` per (witness, auditee),
+//! in that order, holds the witness's [`WitnessRecord`], the round
+//! sampled auditing last selected the pair, and the outstanding challenge
+//! with its retry and backoff state. Answering, timing out or subsuming a
+//! challenge clears it in one assignment, and dropping a pair at
+//! reassignment drops all of its state.
 
 mod audit_round;
 mod byzantine;
@@ -266,14 +284,14 @@ mod tests;
 mod witness;
 
 use crate::audit::{Misbehavior, TraceCtx, Verdict, WitnessRecord};
+use crate::checkpoint::shard_members;
 use crate::checkpoint::{CheckpointMark, Cosignature};
-use crate::log::log_session;
+use crate::log::{log_session, Authenticator};
 use crate::stats::AccountabilityStats;
 use crate::wire::Envelope;
-use audit_round::RetryState;
 use checkpoint_round::PendingCheckpoint;
 use commitment::CommitmentLayer;
-use membership::witness_width;
+use membership::{witness_sets, witness_width};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -438,7 +456,7 @@ pub struct EngineConfig {
     /// ([`crate::checkpoint::shard_members`]); witnesses are then drawn
     /// from the node's shard co-members, so each witness tracks
     /// O(n / shards) charges instead of O(n). `0` or `1` disables sharding
-    /// (byte-identical to the classic assignment). Composes with epoch
+    /// (one group: the whole membership). Composes with epoch
     /// rotation (the rotation ring is the shard) and checkpoint handover.
     pub shards: u32,
 }
@@ -462,8 +480,7 @@ impl Default for EngineConfig {
 }
 
 /// Where a node stands in the membership lifecycle (see the module docs'
-/// state machine). Nodes never observed by a lifecycle operation are
-/// implicitly [`MemberPhase::Active`].
+/// state machine). A member starts [`MemberPhase::Active`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberPhase {
     /// Mid-[`AccountabilityEngine::join_node`]: endpoint and keys exist,
@@ -513,6 +530,93 @@ pub struct AppDelivery {
     pub output: Vec<u8>,
 }
 
+/// Everything the engine keeps about one member, at index `node` of
+/// [`AccountabilityEngine`]'s member list.
+struct Member<M> {
+    /// Where the node stands in the membership lifecycle.
+    phase: MemberPhase,
+    /// The node's witness ids (every other node by default).
+    witnesses: Vec<u32>,
+    /// The node's witness-side verification provider, holding the
+    /// log-session key of every node it may audit.
+    kernel: Provider,
+    /// The node's log-session key, kept so a joiner's kernel can be
+    /// provisioned with every existing key.
+    seal_key: [u8; 32],
+    /// The engine's own replay of the node's *logged* command stream. Its
+    /// digest is what a checkpoint certifies: exactly the state a witness's
+    /// reference machine reaches by replaying the log (live application
+    /// state can additionally contain non-logged client-ingress executions,
+    /// e.g. at a chain or A2M head, which are outside the audited log and
+    /// therefore outside the checkpoint).
+    shadow: M,
+    /// Application messages unwrapped during dispatch, until the driver
+    /// collects them through [`AccountabilityEngine::poll`].
+    inbox: Vec<AppDelivery>,
+    /// `(seq, state digest)` captured when the round's commitment was
+    /// sealed — the boundary a checkpoint proposal covers.
+    commit_snapshot: Option<(u64, [u8; 32])>,
+    /// The checkpoint proposal collecting cosignatures.
+    pending_checkpoint: Option<PendingCheckpoint>,
+    /// The latest commit certificate (mark + cosignature quorum): the
+    /// verifiable log root, also kept so a challenge below the pruned base
+    /// can be answered with the certificate itself instead of an
+    /// uncoverable log segment.
+    certificate: Option<(CheckpointMark, Vec<Cosignature>)>,
+}
+
+impl<M> Member<M> {
+    /// An active member with no witnesses yet.
+    fn new(kernel: Provider, seal_key: [u8; 32], shadow: M) -> Self {
+        Member {
+            phase: MemberPhase::Active,
+            witnesses: Vec::new(),
+            kernel,
+            seal_key,
+            shadow,
+            inbox: Vec::new(),
+            commit_snapshot: None,
+            pending_checkpoint: None,
+            certificate: None,
+        }
+    }
+}
+
+/// Everything the engine keeps about one (witness, auditee) pair.
+#[derive(Clone)]
+struct AuditPair<M: StateMachine> {
+    /// The witness's view of the auditee.
+    record: WitnessRecord<M>,
+    /// The last round sampled auditing selected the pair (the
+    /// coverage-window backstop; unused without sampling).
+    last_selected: Option<u64>,
+    /// The challenge awaiting an answer, if any.
+    outstanding: Option<Outstanding>,
+}
+
+impl<M: StateMachine> AuditPair<M> {
+    fn new(record: WitnessRecord<M>) -> Self {
+        AuditPair {
+            record,
+            last_selected: None,
+            outstanding: None,
+        }
+    }
+}
+
+/// A challenge awaiting its answer, with its timeout–retry–backoff state.
+#[derive(Clone)]
+struct Outstanding {
+    /// The commitment under challenge.
+    target: Authenticator,
+    /// When the challenge was first sent (audit latency).
+    started: SimInstant,
+    /// Round-end timeouts seen so far.
+    attempts: u32,
+    /// The audit round at which the challenge is re-sent next.
+    resume_round: u64,
+}
+
 /// The accountability engine: witness protocol + commitment layer over one
 /// application's cluster. See the module docs for the protocol and for how
 /// to attach the engine to a new application.
@@ -521,16 +625,12 @@ pub struct AccountabilityEngine<A: AccountedApp> {
     clock: SimClock,
     layer: Rc<RefCell<CommitmentLayer>>,
     faults: FaultPlan,
-    nodes: Vec<NodeId>,
     /// Effective witnesses per node (the clamped `witness_count`).
     witness_width: u32,
-    /// witness ids per audited node (every other node by default).
-    witnesses: BTreeMap<u32, Vec<u32>>,
-    /// (witness, audited node) → record.
-    records: BTreeMap<(u32, u32), WitnessRecord<A::Machine>>,
-    /// Witness-side verification providers holding every log-session key.
-    audit_kernels: BTreeMap<u32, Provider>,
-    challenge_started: BTreeMap<(u32, u32), SimInstant>,
+    /// Per member, indexed by node id (ids are contiguous, `0..n`).
+    members: Vec<Member<A::Machine>>,
+    /// Per (witness, auditee) pair, in that order.
+    pairs: BTreeMap<(u32, u32), AuditPair<A::Machine>>,
     tamper_applied: BTreeSet<u32>,
     truncation_applied: BTreeSet<u32>,
     /// (forger, auditee) pairs a `ForgeEvidence` witness already accused —
@@ -538,43 +638,10 @@ pub struct AccountabilityEngine<A: AccountedApp> {
     evidence_forged: BTreeSet<(u32, u32)>,
     rng: DetRng,
     stats: AccountabilityStats,
-    /// Application messages unwrapped during dispatch, per node, until the
-    /// driver collects them through [`AccountabilityEngine::poll`].
-    app_inbox: BTreeMap<u32, Vec<AppDelivery>>,
     /// Completed checkpoint epochs (also the witness-rotation boundary).
     epoch: u64,
     /// Audit rounds completed (drives the checkpoint interval).
     audit_rounds_done: u64,
-    /// Per node: the engine's own replay of the node's *logged* command
-    /// stream. Its digest is what a checkpoint certifies: exactly the state
-    /// a witness's reference machine reaches by replaying the log (live
-    /// application state can additionally contain non-logged client-ingress
-    /// executions, e.g. at a chain or A2M head, which are outside the
-    /// audited log and therefore outside the checkpoint).
-    shadows: BTreeMap<u32, A::Machine>,
-    /// Per node: `(seq, state digest)` captured when the round's commitment
-    /// was sealed — the boundary a checkpoint proposal covers.
-    commit_snapshots: BTreeMap<u32, (u64, [u8; 32])>,
-    /// Per node: the checkpoint proposal collecting cosignatures.
-    pending_checkpoints: BTreeMap<u32, PendingCheckpoint>,
-    /// Per node: the latest certified checkpoint (the verifiable log root).
-    completed_checkpoints: BTreeMap<u32, CheckpointMark>,
-    /// Per node: the latest full commit certificate (mark + cosignature
-    /// quorum), kept so a challenge below the pruned base can be answered
-    /// with the certificate itself instead of an uncoverable log segment.
-    certificates: BTreeMap<u32, (CheckpointMark, Vec<Cosignature>)>,
-    /// Per node: its membership phase; absent = [`MemberPhase::Active`].
-    membership: BTreeMap<u32, MemberPhase>,
-    /// (witness, auditee) → retry/backoff state for the outstanding
-    /// challenge (only populated with [`EngineConfig::challenge_retries`]).
-    retry_state: BTreeMap<(u32, u32), RetryState>,
-    /// Per node: its log-session key, kept so a joiner's audit kernel can
-    /// be provisioned with every existing key.
-    seal_keys: BTreeMap<u32, [u8; 32]>,
-    /// (witness, auditee) → last round the pair was selected for audit
-    /// (sampled auditing's coverage-window backstop; unused without
-    /// sampling).
-    last_audit_round: BTreeMap<(u32, u32), u64>,
     /// Reused wire-encode buffer for the audit hot loop (challenge/response
     /// sends at n = 1000 would otherwise allocate one `Vec` per message per
     /// round).
@@ -589,7 +656,7 @@ impl<A: AccountedApp> std::fmt::Debug for AccountabilityEngine<A> {
         f.debug_struct("AccountabilityEngine")
             .field("config", &self.config)
             .field("faults", &self.faults)
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.members.len())
             .finish()
     }
 }
@@ -600,9 +667,17 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// tamper-evident log. Witness sets are assigned by deterministic
     /// rotation: node `i` is audited by `i+1, …, i+w (mod n)` where `w` is
     /// [`EngineConfig::witness_count`] (all other nodes by default).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the cluster's node ids are contiguous, `0..n`.
     pub fn attach(cluster: &mut Cluster, app: &A, config: EngineConfig, faults: FaultPlan) -> Self {
         let clock = cluster.clock();
         let nodes: Vec<NodeId> = cluster.nodes();
+        assert!(
+            (0..).zip(&nodes).all(|(i, node)| node.0 == i),
+            "node ids must be contiguous from 0"
+        );
         let mut rng = DetRng::new(config.seed ^ 0x005e_edac_0123);
 
         // Log-session keys: drawn from the engine's `DetRng` and installed
@@ -610,90 +685,69 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         // verification kernel (the witnesses are exactly the parties
         // entitled to audit).
         let mut layer = CommitmentLayer::default();
-        let mut audit_kernels: BTreeMap<u32, Provider> = nodes
+        let mut members: Vec<Member<A::Machine>> = nodes
             .iter()
-            .map(|n| (n.0, Provider::new(config.baseline, n.device(), config.seed)))
+            .map(|node| {
+                let seal_key = rng.bytes32();
+                layer.register_node(node.0, config.baseline, seal_key);
+                let kernel = Provider::new(config.baseline, node.device(), config.seed);
+                Member::new(kernel, seal_key, app.replay_machine())
+            })
             .collect();
+        // Key distribution: witnesses are drawn within a shard group, so
+        // each kernel needs its group co-members' keys — O(n²) installs
+        // with one group, the cost sharding exists to avoid (O(n²/shards)).
         let ids: Vec<u32> = nodes.iter().map(|n| n.0).collect();
-        let shard_groups = Self::shard_groups(&ids, config.shards, config.seed);
-        let mut seal_keys = BTreeMap::new();
-        for node in &nodes {
-            let key = rng.bytes32();
-            seal_keys.insert(node.0, key);
-            layer.register_node(node.0, config.baseline, key);
-        }
-        // Key distribution: unsharded, every kernel can verify every node
-        // (O(n²) installs — the cost sharding exists to avoid); sharded,
-        // witnesses are drawn in-shard, so each kernel only needs its shard
-        // co-members' keys (O(n²/shards) total).
-        match &shard_groups {
-            None => {
-                for node in &nodes {
-                    let key = seal_keys[&node.0];
-                    for kernel in audit_kernels.values_mut() {
-                        kernel.install_session_key(log_session(node.0), key);
-                    }
-                }
-            }
-            Some(groups) => {
-                for group in groups {
-                    for &member in group {
-                        let kernel = audit_kernels.get_mut(&member).expect("member kernel");
-                        for &peer in group {
-                            kernel.install_session_key(log_session(peer), seal_keys[&peer]);
-                        }
-                    }
+        let groups = shard_members(&ids, config.shards, config.seed);
+        for group in &groups {
+            for &member in group {
+                for &peer in group {
+                    let key = members[peer as usize].seal_key;
+                    members[member as usize]
+                        .kernel
+                        .install_session_key(log_session(peer), key);
                 }
             }
         }
 
         let w = witness_width(config.witness_count, nodes.len());
-        let sets = Self::derive_witness_sets(&ids, w, 0, shard_groups.as_deref());
-        let mut witnesses = BTreeMap::new();
-        let mut records = BTreeMap::new();
-        for node in &nodes {
-            let set = sets.get(&node.0).cloned().unwrap_or_default();
+        let mut pairs = BTreeMap::new();
+        for ((node, member), set) in (0..).zip(&mut members).zip(witness_sets(&groups, w, 0)) {
             for &witness in &set {
-                records.insert((witness, node.0), WitnessRecord::new(app.replay_machine()));
+                pairs.insert(
+                    (witness, node),
+                    AuditPair::new(WitnessRecord::new(app.replay_machine())),
+                );
             }
-            witnesses.insert(node.0, set);
+            member.witnesses = set;
         }
 
         let layer = Rc::new(RefCell::new(layer));
         cluster.attach_accountability(layer.clone() as Rc<RefCell<dyn AccountabilityLayer>>);
-        let shadows = nodes.iter().map(|n| (n.0, app.replay_machine())).collect();
 
         AccountabilityEngine {
             config,
             clock,
             layer,
             faults,
-            nodes,
             witness_width: w,
-            witnesses,
-            records,
-            audit_kernels,
-            challenge_started: BTreeMap::new(),
+            members,
+            pairs,
             tamper_applied: BTreeSet::new(),
             truncation_applied: BTreeSet::new(),
             evidence_forged: BTreeSet::new(),
             rng,
             stats: AccountabilityStats::new(),
-            app_inbox: BTreeMap::new(),
             epoch: 0,
             audit_rounds_done: 0,
-            shadows,
-            commit_snapshots: BTreeMap::new(),
-            pending_checkpoints: BTreeMap::new(),
-            completed_checkpoints: BTreeMap::new(),
-            certificates: BTreeMap::new(),
-            membership: BTreeMap::new(),
-            retry_state: BTreeMap::new(),
-            seal_keys,
-            last_audit_round: BTreeMap::new(),
             wire_scratch: Vec::new(),
             pending_scratch: Vec::new(),
         }
+    }
+
+    /// The member ids, `0..n`.
+    fn ids(&self) -> std::ops::Range<u32> {
+        0..self.members.len() as u32
     }
 
     /// The engine configuration.
@@ -722,23 +776,25 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// The witness ids assigned to `node`.
     #[must_use]
     pub fn witnesses_of(&self, node: u32) -> &[u32] {
-        self.witnesses.get(&node).map_or(&[], Vec::as_slice)
+        self.members
+            .get(node as usize)
+            .map_or(&[], |m| m.witnesses.as_slice())
     }
 
     /// `witness`'s verdict on `node`.
     #[must_use]
     pub fn verdict_of(&self, witness: u32, node: u32) -> Verdict {
-        self.records
+        self.pairs
             .get(&(witness, node))
-            .map_or(Verdict::Trusted, |r| r.verdict)
+            .map_or(Verdict::Trusted, |p| p.record.verdict)
     }
 
     /// The evidence `witness` holds against `node`.
     #[must_use]
     pub fn evidence_of(&self, witness: u32, node: u32) -> &[Misbehavior] {
-        self.records
+        self.pairs
             .get(&(witness, node))
-            .map_or(&[], |r| r.evidence.as_slice())
+            .map_or(&[], |p| p.record.evidence.as_slice())
     }
 
     /// Current log length of `node` (the next commitment's coverage).
@@ -762,9 +818,9 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         stats.log_control_digest_entries = composition.control_digest_entries;
         stats.log_audit_digest_entries = composition.audit_digest_entries;
         stats.retained_commitments = self
-            .records
+            .pairs
             .values()
-            .map(|r| r.commitments.len() as u64)
+            .map(|p| p.record.commitments.len() as u64)
             .sum();
         stats
     }
@@ -794,7 +850,11 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         node: NodeId,
     ) -> Result<Vec<AppDelivery>, CoreError> {
         self.dispatch(cluster, app, node)?;
-        Ok(self.app_inbox.remove(&node.0).unwrap_or_default())
+        Ok(self
+            .members
+            .get_mut(node.0 as usize)
+            .map(|m| std::mem::take(&mut m.inbox))
+            .unwrap_or_default())
     }
 
     /// Runs one full audit round: commit, gossip, challenge, verify,
@@ -873,14 +933,10 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         cluster.set_partition_round(self.audit_rounds_done);
         // A recovery that survived this round's audit traffic is a full
         // member again.
-        let recovering: Vec<u32> = self
-            .membership
-            .iter()
-            .filter(|&(_, &p)| p == MemberPhase::Recovering)
-            .map(|(&n, _)| n)
-            .collect();
-        for node in recovering {
-            self.set_phase(node, MemberPhase::Active);
+        for node in self.ids() {
+            if self.members[node as usize].phase == MemberPhase::Recovering {
+                self.set_phase(node, MemberPhase::Active);
+            }
         }
         if let Some(interval) = self.config.checkpoint_interval {
             if interval > 0 && self.audit_rounds_done.is_multiple_of(interval) {
@@ -916,15 +972,17 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// garbage-collected.
     #[must_use]
     pub fn checkpoint_base(&self, node: u32) -> u64 {
-        self.completed_checkpoints.get(&node).map_or(0, |m| m.cut)
+        self.members
+            .get(node as usize)
+            .and_then(|m| m.certificate.as_ref())
+            .map_or(0, |(mark, _)| mark.cut)
     }
 
     /// Where `node` stands in the membership lifecycle.
     #[must_use]
     pub fn member_phase(&self, node: u32) -> MemberPhase {
-        self.membership
-            .get(&node)
-            .copied()
-            .unwrap_or(MemberPhase::Active)
+        self.members
+            .get(node as usize)
+            .map_or(MemberPhase::Active, |m| m.phase)
     }
 }

@@ -51,23 +51,13 @@ fn mismatched_response_from_seq_is_ignored_and_node_suspected() {
     let mut outgoing = Vec::new();
     engine.handle_commitment(0, auth, false, &mut outgoing);
     engine.issue_challenges(&mut cluster).unwrap();
-    assert!(engine
-        .records
-        .get(&(0, 1))
-        .unwrap()
-        .pending_challenge
-        .is_some());
+    assert!(engine.pairs[&(0, 1)].outstanding.is_some());
     // A response whose `from_seq` does not match the challenged range
     // start must be ignored: the challenge stays pending and round end
     // downgrades the node.
     let entries = engine.layer.borrow().segment_ref(1, 0, seq).to_vec();
     engine.handle_response(0, 1, 7, &entries);
-    assert!(engine
-        .records
-        .get(&(0, 1))
-        .unwrap()
-        .pending_challenge
-        .is_some());
+    assert!(engine.pairs[&(0, 1)].outstanding.is_some());
     engine.finish_round();
     assert_eq!(engine.verdict_of(0, 1), Verdict::Suspected);
 }
@@ -431,7 +421,7 @@ fn below_base_challenge_answered_with_certificate_not_suspicion() {
     run_rounds(&mut cluster, &mut app, &mut engine, 2);
     let base = engine.layer.borrow().base_seq(1);
     assert!(base > 0, "node 1 actually pruned");
-    let cut = engine.completed_checkpoints.get(&1).unwrap().cut;
+    let cut = engine.members[1].certificate.as_ref().unwrap().0.cut;
     // ...then a reordering transport delivers witness 0 a challenge
     // answer *request* for a range below the pruned base (the witness
     // never saw the commit certificate). The node must answer with the
@@ -451,18 +441,24 @@ fn below_base_challenge_answered_with_certificate_not_suspicion() {
     // Rewind witness 0 to a pre-checkpoint view with the challenge
     // outstanding (what the reordered transport left behind).
     let (seal, _) = engine.layer.borrow_mut().seal(1, base + 1, [9u8; 32]);
+    let (started, round) = (engine.clock.now(), engine.audit_rounds_done);
     {
-        let record = engine.records.get_mut(&(0, 1)).unwrap();
-        *record = WitnessRecord::new(CounterMachine::new());
-        record.pending_challenge = Some(seal);
+        let pair = engine.pairs.get_mut(&(0, 1)).unwrap();
+        pair.record = WitnessRecord::new(CounterMachine::new());
+        pair.outstanding = Some(Outstanding {
+            target: seal,
+            started,
+            attempts: 0,
+            resume_round: round,
+        });
     }
     // Delivering the certificate fast-forwards the witness to the
     // cosigned boundary instead of leaving it to suspect the node.
     let mut relays = Vec::new();
     engine.handle_envelope(&mut app, NodeId(0), 1, answer, &mut relays);
-    let record = engine.records.get(&(0, 1)).unwrap();
-    assert_eq!(record.audited_seq, cut, "fast-forwarded to the cut");
-    assert!(record.pending_challenge.is_none());
+    let pair = &engine.pairs[&(0, 1)];
+    assert_eq!(pair.record.audited_seq, cut, "fast-forwarded to the cut");
+    assert!(pair.outstanding.is_none());
     engine.finish_round();
     assert_eq!(
         engine.verdict_of(0, 1),
@@ -570,9 +566,9 @@ fn sampled_run_keeps_every_verdict_trusted() {
     run_rounds(&mut cluster, &mut app, &mut engine, 8);
     assert_accuracy(&engine);
     // The rotating window plus backstop audited every pair at least once.
-    for (&pair, record) in &engine.records {
+    for (&pair, audit) in &engine.pairs {
         assert!(
-            engine.last_audit_round.contains_key(&pair) || record.audited_seq > 0,
+            audit.last_selected.is_some() || audit.record.audited_seq > 0,
             "pair {pair:?} was never selected"
         );
     }
@@ -714,7 +710,12 @@ fn single_shard_matches_unsharded_witness_sets() {
         ..EngineConfig::default()
     };
     let (_c2, _a2, unsharded) = sized_deployment(8, config, FaultPlan::all_correct());
-    assert_eq!(sharded.witnesses, unsharded.witnesses);
+    let sets = |engine: &AccountabilityEngine<CounterApp>| {
+        (0..8)
+            .map(|n| engine.witnesses_of(n).to_vec())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(sets(&sharded), sets(&unsharded));
 }
 
 #[test]
@@ -728,7 +729,7 @@ fn sharded_witnesses_stay_inside_their_shard() {
     let ids: Vec<u32> = (0..8).collect();
     let groups = shard_members(&ids, 2, EngineConfig::default().seed);
     let shard_of = |n: u32| groups.iter().position(|g| g.contains(&n)).unwrap();
-    for &(witness, node) in engine.records.keys() {
+    for &(witness, node) in engine.pairs.keys() {
         assert_eq!(
             shard_of(witness),
             shard_of(node),
@@ -737,7 +738,7 @@ fn sharded_witnesses_stay_inside_their_shard() {
     }
     // Sharding actually shrinks the per-witness charge list.
     let max_charges = (0..8u32)
-        .map(|w| engine.records.keys().filter(|(x, _)| *x == w).count())
+        .map(|w| engine.pairs.keys().filter(|(x, _)| *x == w).count())
         .max()
         .unwrap();
     assert!(
@@ -1005,8 +1006,8 @@ fn round_digest_with_commitment_and_checkpoint_envelopes_replays_across_prune_an
 
 #[test]
 fn witness_rotation_carries_the_sampled_audit_clock_through_handover() {
-    // The coverage-window backstop keys off `last_audit_round`; an
-    // incoming witness starting with no entry restarts the never-sampled
+    // The coverage-window backstop keys off a pair's last selection; an
+    // incoming witness starting with none restarts the never-sampled
     // stagger, so a node's unaudited stretch can exceed the configured
     // window across rotations. The handover must carry the outgoing
     // set's most recent audit round into every incoming pair.
@@ -1024,9 +1025,9 @@ fn witness_rotation_carries_the_sampled_audit_clock_through_handover() {
     // Every sampled pair carries an audit clock — including pairs whose
     // witness joined at the last rotation and has not sampled the node
     // itself yet (those must have inherited the outgoing set's offset).
-    for &(witness, node) in engine.records.keys() {
+    for (&(witness, node), pair) in &engine.pairs {
         assert!(
-            engine.last_audit_round.contains_key(&(witness, node)),
+            pair.last_selected.is_some(),
             "pair ({witness}, {node}) lost its audit clock across rotation"
         );
     }
@@ -1066,45 +1067,58 @@ fn segment_straddling_a_concurrent_prune_is_answered_with_the_certificate() {
     );
 }
 
-/// A pair that rotation drops takes its retry state with it. Otherwise a
-/// pair the ring later hands back would resume the old challenge's
-/// attempts and backoff instead of starting a fresh retry budget.
+/// A pair that rotation drops takes all its state with it. When the ring
+/// hands the pair back, its witness challenges afresh and re-sends the
+/// full `challenge_retries` times before suspecting the auditee, instead
+/// of resuming the old challenge's attempts and backoff.
 #[test]
 fn rotation_drops_the_retry_state_of_every_pair_it_drops() {
+    let retries = 2;
     let config = EngineConfig {
-        witness_count: Some(2),
-        checkpoint_interval: Some(1),
+        witness_count: Some(1),
+        checkpoint_interval: Some(1_000),
         rotate_witnesses: true,
-        challenge_retries: 2,
+        challenge_retries: retries,
         ..EngineConfig::default()
     };
-    let (mut cluster, mut app, mut engine) = sized_deployment(6, config, FaultPlan::all_correct());
-    run_rounds_n(&mut cluster, &mut app, &mut engine, 6, 1);
-    // Commit and challenge, then crash node 1 before it can answer: each of
-    // its witnesses is left with an outstanding challenge and a retry.
-    engine.begin_audit_round(&mut cluster).unwrap();
-    engine.sweep_until_quiet(&mut cluster, &mut app).unwrap();
-    engine.issue_challenges(&mut cluster).unwrap();
-    engine.crash_node(&mut cluster, 1);
-    engine.sweep_until_quiet(&mut cluster, &mut app).unwrap();
-    engine.finish_round();
-    let before = engine.witnesses_of(1).to_vec();
-    for &w in &before {
-        assert!(
-            engine.retry_state.contains_key(&(w, 1)),
-            "witness {w} holds a retry for its challenge to the crashed node"
-        );
-    }
-    // The epoch turns and the ring rotates node 1's witness set.
+    // Node 1 never answers a challenge, and with one witness per node
+    // every re-sent challenge is that witness's.
+    let faults = FaultPlan::single(1, NodeFault::SuppressAudits { probability: 1.0 });
+    let (mut cluster, mut app, mut engine) = sized_deployment(6, config, faults);
+    let witness = engine.witnesses_of(1)[0];
+    // A challenge and one re-send: the pair still has retry budget left.
+    run_rounds_n(&mut cluster, &mut app, &mut engine, 6, 2);
+    assert_eq!(engine.stats().challenge_retries, 1);
+    assert_eq!(engine.verdict_of(witness, 1), Verdict::Trusted);
+    // The ring turns the pair away and, a full cycle later, hands it back.
     engine.run_checkpoint_round(&mut cluster, &mut app).unwrap();
-    assert_eq!(engine.stats().witness_rotations, 2);
-    assert_ne!(engine.witnesses_of(1), before.as_slice(), "the set rotated");
-    for pair in engine.retry_state.keys() {
-        assert!(
-            engine.records.contains_key(pair),
-            "retry state outlived the pair {pair:?}"
-        );
+    assert!(
+        !engine.witnesses_of(1).contains(&witness),
+        "the pair was dropped"
+    );
+    while !engine.witnesses_of(1).contains(&witness) {
+        engine.run_checkpoint_round(&mut cluster, &mut app).unwrap();
     }
+    let before = engine.stats().challenge_retries;
+    for _ in 0..8 {
+        if engine.verdict_of(witness, 1) != Verdict::Trusted {
+            break;
+        }
+        run_rounds_n(&mut cluster, &mut app, &mut engine, 6, 1);
+    }
+    assert_eq!(engine.verdict_of(witness, 1), Verdict::Suspected);
+    assert_eq!(
+        engine.stats().challenge_retries - before,
+        u64::from(retries),
+        "the handed-back pair re-sends its full retry budget before suspecting"
+    );
+}
+
+#[test]
+#[should_panic(expected = "is not the next unused node id")]
+fn join_node_rejects_a_non_contiguous_id() {
+    let (mut cluster, mut app, mut engine) = counter_deployment(FaultPlan::all_correct());
+    let _ = engine.join_node(&mut cluster, &mut app, 5);
 }
 
 /// A copy of `cosig` whose fields still match its sealed payload, so
@@ -1125,17 +1139,14 @@ fn proposer_rejects_a_consistent_cosignature_whose_seal_fails() {
     };
     let (mut cluster, mut app, mut engine) = engine_deployment(config, FaultPlan::all_correct());
     run_rounds(&mut cluster, &mut app, &mut engine, 2);
-    let (mark, cosigs) = engine.certificates[&1].clone();
+    let (mark, cosigs) = engine.members[1].certificate.clone().unwrap();
     let genuine = cosigs[0].clone();
     let forged = with_flipped_mac(&genuine);
     // Node 1 collects cosignatures for its certified mark once more.
-    engine.pending_checkpoints.insert(
-        1,
-        PendingCheckpoint {
-            mark,
-            cosigners: BTreeMap::new(),
-        },
-    );
+    engine.members[1].pending_checkpoint = Some(PendingCheckpoint {
+        mark,
+        cosigners: BTreeMap::new(),
+    });
     let before = engine.stats();
     engine.handle_checkpoint_cosign(1, &forged);
     let after = engine.stats();
@@ -1144,7 +1155,15 @@ fn proposer_rejects_a_consistent_cosignature_whose_seal_fails() {
         before.cosignatures_rejected + 1
     );
     assert_eq!(after.cosignatures_collected, before.cosignatures_collected);
-    assert!(engine.pending_checkpoints[&1].cosigners.is_empty());
+    let pending = |engine: &AccountabilityEngine<CounterApp>| {
+        engine.members[1]
+            .pending_checkpoint
+            .as_ref()
+            .unwrap()
+            .cosigners
+            .clone()
+    };
+    assert!(pending(&engine).is_empty());
     // The same cosignature with its seal intact is collected.
     engine.handle_checkpoint_cosign(1, &genuine);
     let after = engine.stats();
@@ -1156,9 +1175,7 @@ fn proposer_rejects_a_consistent_cosignature_whose_seal_fails() {
         after.cosignatures_collected,
         before.cosignatures_collected + 1
     );
-    assert!(engine.pending_checkpoints[&1]
-        .cosigners
-        .contains_key(&genuine.witness));
+    assert!(pending(&engine).contains_key(&genuine.witness));
 }
 
 /// A witness counts a certificate's cosignature toward the quorum only if
@@ -1172,25 +1189,25 @@ fn witness_ignores_a_certificate_whose_cosignature_seals_fail() {
     };
     let (mut cluster, mut app, mut engine) = engine_deployment(config, FaultPlan::all_correct());
     run_rounds(&mut cluster, &mut app, &mut engine, 2);
-    let (mark, cosigs) = engine.certificates[&1].clone();
+    let (mark, cosigs) = engine.members[1].certificate.clone().unwrap();
     let forged: Vec<Cosignature> = cosigs.iter().map(with_flipped_mac).collect();
     // Rewind witness 0 to before the checkpoint: nothing audited, one
     // stored commitment that the certificate covers.
     let (covered, _) = engine.layer.borrow_mut().seal(1, mark.cut, mark.head);
     {
-        let record = engine.records.get_mut(&(0, 1)).unwrap();
+        let record = &mut engine.pairs.get_mut(&(0, 1)).unwrap().record;
         *record = WitnessRecord::new(CounterMachine::new());
         assert!(record.store_commitment(covered).is_none());
     }
     let pruned = engine.stats().commitments_pruned;
     engine.handle_checkpoint_commit(0, &mark, &forged);
-    let record = &engine.records[&(0, 1)];
+    let record = &engine.pairs[&(0, 1)].record;
     assert_eq!(record.audited_seq, 0, "no fast-forward on failed seals");
     assert_eq!(record.commitments.len(), 1, "no prune on failed seals");
     assert_eq!(engine.stats().commitments_pruned, pruned);
     // The genuine certificate does both.
     engine.handle_checkpoint_commit(0, &mark, &cosigs);
-    let record = &engine.records[&(0, 1)];
+    let record = &engine.pairs[&(0, 1)].record;
     assert_eq!(record.audited_seq, mark.cut, "fast-forwarded to the cut");
     assert!(
         record.commitments.is_empty(),

@@ -56,9 +56,10 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let seq = auth.seq;
         self.handle_commitment(witness, auth.clone(), true, outgoing);
         let ctx = self.trace_ctx(witness, node);
-        let Some(record) = self.records.get_mut(&(witness, node)) else {
+        let Some(pair) = self.pairs.get_mut(&(witness, node)) else {
             return;
         };
+        let record = &mut pair.record;
         if record.verdict != Verdict::Exposed && seq > record.audited_seq {
             let tail: Vec<LogEntry> = entries
                 .iter()
@@ -76,14 +77,12 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             }
         }
         // The farewell subsumes any challenge it covers.
-        if record
-            .pending_challenge
+        if pair
+            .outstanding
             .as_ref()
-            .is_some_and(|t| t.seq <= seq)
+            .is_some_and(|out| out.target.seq <= seq)
         {
-            record.pending_challenge = None;
-            self.challenge_started.remove(&(witness, node));
-            self.retry_state.remove(&(witness, node));
+            pair.outstanding = None;
         }
     }
 
@@ -94,11 +93,10 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         verifier: u32,
         attestation: &AttestedMessage,
     ) -> bool {
-        let kernel = self
-            .audit_kernels
-            .get_mut(&verifier)
-            .expect("verifier kernel");
-        match kernel.verify_binding(attestation) {
+        match self.members[verifier as usize]
+            .kernel
+            .verify_binding(attestation)
+        {
             Ok(cost) => {
                 self.clock.advance(cost);
                 true
@@ -124,10 +122,11 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             return;
         }
         let ctx = self.trace_ctx(witness, accused);
-        let record = self
-            .records
+        let record = &mut self
+            .pairs
             .get_mut(&(witness, accused))
-            .expect("record exists");
+            .expect("pair exists")
+            .record;
         record.trace = ctx;
         let conflict = record.store_commitment(auth.clone());
         // Suppressed forwarding never affects the witness's own verdicts:
@@ -135,7 +134,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let forwarding = self.forwarding(witness);
         if let Some(Misbehavior::ConflictingCommitments { a, b }) = conflict {
             // Evidence transfer: the pair convinces any correct third party.
-            for &fellow in self.witnesses.get(&accused).expect("witness set") {
+            for &fellow in &self.members[accused as usize].witnesses {
                 if fellow != witness && fellow != accused {
                     if forwarding == Forwarding::Nothing {
                         self.stats.gossip_withheld += 1;
@@ -160,7 +159,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             // piggyback mode the relay rides the witness's own outbound
             // traffic (or the next dedicated flush) instead of costing a
             // message now.
-            for &fellow in self.witnesses.get(&accused).expect("witness set") {
+            for &fellow in &self.members[accused as usize].witnesses {
                 if fellow != witness && fellow != accused {
                     match forwarding {
                         Forwarding::Nothing => self.stats.gossip_withheld += 1,
@@ -213,7 +212,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             .segment_checked(node, from_seq, upto_seq)
             .is_err()
         {
-            if let Some((mark, cosigs)) = self.certificates.get(&node) {
+            if let Some((mark, cosigs)) = &self.members[node as usize].certificate {
                 if from_seq < mark.cut {
                     self.stats.certificate_responses += 1;
                     outgoing.push((
@@ -247,44 +246,39 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         entries: &[LogEntry],
     ) {
         let ctx = self.trace_ctx(witness, node);
-        let Some(record) = self.records.get_mut(&(witness, node)) else {
+        let Some(pair) = self.pairs.get_mut(&(witness, node)) else {
             return;
         };
         // The response must answer the outstanding challenge: its `from_seq`
         // echoes the challenged range start, which is exactly the witness's
         // audited prefix (challenges are issued with `from_seq =
         // audited_seq`, and the prefix only advances on a valid response).
-        // A stale or forged range is ignored — the challenge stays pending
-        // and unresponsiveness handling takes over at round end.
-        if record.pending_challenge.is_some() && from_seq != record.audited_seq {
-            return;
-        }
-        let Some(target) = record.pending_challenge.take() else {
+        // A stale or forged range is ignored — the challenge stays
+        // outstanding and unresponsiveness handling takes over at round end.
+        let audited_seq = pair.record.audited_seq;
+        let Some(out) = pair.outstanding.take_if(|_| from_seq == audited_seq) else {
             return;
         };
         self.stats.responses += 1;
         self.stats.audit_replays += 1;
         self.stats.entries_replayed += entries.len() as u64;
-        record.trace = ctx;
+        pair.record.trace = ctx;
         tnic_obs::trace_event!(
             tnic_obs::EventKind::Response,
             at_us: ctx.at_us,
             node: witness,
             peer: node,
-            seq: target.seq,
+            seq: out.target.seq,
             round: ctx.round,
             aux: entries.len() as u64
         );
         // The verdict transition happens inside the record; failures are
         // locally verified evidence, so no further transfer is needed —
         // every witness audits independently.
-        let _ = record.check_response(&target, entries);
-        self.retry_state.remove(&(witness, node));
-        if let Some(started) = self.challenge_started.remove(&(witness, node)) {
-            self.stats
-                .audit_latency
-                .record(self.clock.now().duration_since(started));
-        }
+        let _ = pair.record.check_response(&out.target, entries);
+        self.stats
+            .audit_latency
+            .record(self.clock.now().duration_since(out.started));
     }
 
     /// An evidence message is adopted only when it is independently
@@ -317,7 +311,8 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             self.stats.evidence_rejected += 1;
             if from != witness && self.witnesses_of(from).contains(&witness) {
                 let accused = a.node;
-                let Some(record) = self.records.get_mut(&(witness, from)) else {
+                let Some(record) = self.pairs.get_mut(&(witness, from)).map(|p| &mut p.record)
+                else {
                     return;
                 };
                 let already_convicted = record
@@ -332,7 +327,11 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             }
             return;
         }
-        let Some(record) = self.records.get_mut(&(witness, a.node)) else {
+        let Some(record) = self
+            .pairs
+            .get_mut(&(witness, a.node))
+            .map(|p| &mut p.record)
+        else {
             return;
         };
         let already_convicted = record
