@@ -33,6 +33,13 @@ use tnic_net::adversary::{FaultPlan, NodeFault, PartitionSchedule};
 /// regressions like an accidental full-audit run.
 const MAX_LARGE_N_SECONDS: f64 = 480.0;
 
+/// Bound on the whole sweep's peak resident set (`VmHWM`), in MB, read once
+/// after the last row. About 1.5× the 683 MB the grid peaks at on
+/// a 2-vCPU Linux host, most of it in the n = 10 000 rows: wide enough for
+/// allocator and host noise, tight enough to catch per-pair or per-key
+/// state growing by half again before it reaches a runner's memory limit.
+const MAX_SWEEP_PEAK_RSS_MB: f64 = 1024.0;
+
 /// A measured grid point: the fault-free run and the detection latencies
 /// of its tamperer twins (full audit, own sampling).
 type Row = (Experiment, Outcome, Option<u64>, Option<u64>);
@@ -307,6 +314,14 @@ fn sweep_section(rows: &[Row]) -> String {
     out
 }
 
+/// This process's peak resident set so far (`VmHWM`), in MB.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 fn main() {
     let mut out_path: Option<String> = None;
     let mut report_path: Option<String> = None;
@@ -368,6 +383,19 @@ fn main() {
     if let Err(err) = check_frontier(&measured) {
         eprintln!("ERROR: {err}");
         failure_lines.push(format!("frontier check: {err}"));
+    }
+    // The memory guard: printed beside the row timings, never written to
+    // the CSV or the report, which must not vary with the host.
+    match peak_rss_mb() {
+        Some(peak) => {
+            eprintln!("sweep peak RSS: {peak:.0} MB (bound {MAX_SWEEP_PEAK_RSS_MB:.0} MB)");
+            if peak > MAX_SWEEP_PEAK_RSS_MB {
+                failure_lines.push(format!(
+                    "sweep peak RSS {peak:.0} MB is over the bound of {MAX_SWEEP_PEAK_RSS_MB:.0} MB"
+                ));
+            }
+        }
+        None => failure_lines.push("sweep peak RSS: no VmHWM in /proc/self/status".to_string()),
     }
     let csv = lines.join("\n") + "\n";
 

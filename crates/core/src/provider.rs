@@ -19,6 +19,7 @@
 //! session draws nothing. On [`Baseline::Tnic`] a rejected message returns
 //! its error and no cost.
 
+use tnic_crypto::hmac::HmacSha256Key;
 use tnic_device::attestation::{
     AttestationKernel, AttestationTiming, AttestedMessage, WIRE_OVERHEAD,
 };
@@ -177,6 +178,24 @@ impl Provider {
         message: &AttestedMessage,
     ) -> Result<SimDuration, DeviceError> {
         let outcome = self.kernel.verify_binding(message);
+        self.cost.verify(message.payload.len(), outcome)
+    }
+
+    /// [`Provider::verify_binding`] under `key`, the prepared key of the
+    /// message's session, which the caller holds instead of this provider:
+    /// an auditor keeps each audited node's log-session key once rather
+    /// than installing it on every auditing provider. The MAC runs on this
+    /// provider's kernel and is charged to its baseline.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`DeviceError::BadAttestation`].
+    pub fn verify_binding_under(
+        &mut self,
+        key: &HmacSha256Key,
+        message: &AttestedMessage,
+    ) -> Result<SimDuration, DeviceError> {
+        let outcome = self.kernel.verify_binding_under(key, message);
         self.cost.verify(message.payload.len(), outcome)
     }
 }

@@ -14,10 +14,10 @@
 //! size-dependent computation cost plus (optionally) the DMA access cost
 //! against the simulation clock.
 
-use crate::counters::CounterStore;
 use crate::error::DeviceError;
-use crate::keystore::Keystore;
 use crate::types::{DeviceId, SessionId};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use tnic_crypto::hmac::HmacSha256Key;
 use tnic_sim::latency::SizeDependentLatency;
 use tnic_sim::time::SimDuration;
@@ -193,7 +193,7 @@ fn encode_parts(
 }
 
 /// Algorithm 1's `α = hmac(keys[c_id], msg ‖ ID ‖ cnt)`: HMAC-SHA-256 under
-/// the session key — in the prepared form [`Keystore::prepared`] hands out —
+/// the session key — in the prepared form a session record keeps —
 /// over the payload, the little-endian `u32` id of the attesting device and
 /// the little-endian `u64` send counter, streamed without an intermediate
 /// buffer. The one place these bytes are chosen: every baseline attests and
@@ -248,12 +248,74 @@ pub struct AttestationStats {
     pub rejected: u64,
 }
 
-/// The attestation kernel: keystore + counter store + HMAC unit.
+/// One session as Algorithm 1 keeps it on the card: the shared key
+/// (`keys[c_id]`), the send counter assigned to the next outgoing message
+/// (`send_cnts[c_id]`) and the receive counter expected on the next
+/// incoming one (`recv_cnts[c_id]`).
+///
+/// The key stays in (simulated) on-chip memory; the untrusted host only
+/// names it by [`SessionId`]. What the HMAC unit reads is the *prepared*
+/// key (the hash state after the key's ipad and opad blocks), made on the
+/// session's first MAC and kept until the key is re-installed: nothing is
+/// prepared at install, so a session that never MACs costs 32 B of key and
+/// no hashing. A re-install replaces the key, drops the prepared form and
+/// keeps both counters. `Debug` prints the counters only: the prepared key
+/// forges what the key forges.
+#[derive(Clone, Default)]
+struct Session {
+    key: [u8; 32],
+    prepared: Option<HmacSha256Key>,
+    send_cnt: u64,
+    recv_cnt: u64,
+}
+
+impl Session {
+    /// The prepared key, made on first use.
+    fn prepared(&mut self) -> &HmacSha256Key {
+        self.prepared
+            .get_or_insert_with(|| HmacSha256Key::new(&self.key))
+    }
+}
+
+impl std::fmt::Debug for Session {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Session")
+            .field("send_cnt", &self.send_cnt)
+            .field("recv_cnt", &self.recv_cnt)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A fixed integer hash of a [`SessionId`]: one multiplication by an odd
+/// constant (Fibonacci hashing), with no per-process seed. That is safe
+/// here because the table holds only the sessions the cluster installed,
+/// so nobody outside chooses the keys that share its buckets; an id read
+/// off the wire that is not installed only misses.
+#[derive(Default)]
+struct SessionHasher(u64);
+
+impl Hasher for SessionHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The attestation kernel: the HMAC unit over one table of session records
+/// (key, prepared key, send and receive counter), one lookup per call.
 #[derive(Debug, Clone)]
 pub struct AttestationKernel {
     device: DeviceId,
-    keystore: Keystore,
-    counters: CounterStore,
+    sessions: HashMap<SessionId, Session, BuildHasherDefault<SessionHasher>>,
     timing: AttestationTiming,
     stats: AttestationStats,
 }
@@ -264,23 +326,26 @@ impl AttestationKernel {
     pub fn new(device: DeviceId, timing: AttestationTiming) -> Self {
         AttestationKernel {
             device,
-            keystore: Keystore::new(),
-            counters: CounterStore::new(),
+            sessions: HashMap::default(),
             timing,
             stats: AttestationStats::default(),
         }
     }
 
-    /// Installs a session key. In the paper the §4.3 bootstrap does this,
-    /// never the untrusted host software; here the cluster installs it.
+    /// Installs a session key, or replaces it: the prepared form of the old
+    /// key is dropped and the session's counters carry on. In the paper the
+    /// §4.3 bootstrap does this, never the untrusted host software; here the
+    /// cluster installs it.
     pub fn install_session_key(&mut self, session: SessionId, key: [u8; 32]) {
-        self.keystore.install(session, key);
+        let record = self.sessions.entry(session).or_default();
+        record.key = key;
+        record.prepared = None;
     }
 
     /// Returns `true` if a key is installed for `session`.
     #[must_use]
     pub fn has_session(&self, session: SessionId) -> bool {
-        self.keystore.contains(session)
+        self.sessions.contains_key(&session)
     }
 
     /// `Attest()` (Algorithm 1, lines 1–5): binds the payload to this device
@@ -318,9 +383,13 @@ impl AttestationKernel {
         session: SessionId,
         payload: &[u8],
     ) -> Result<([u8; ATTESTATION_LEN], u64), DeviceError> {
-        let key = self.keystore.prepared(session)?;
-        let counter = self.counters.next_send(session);
-        let mac = compute_mac(key, payload, self.device, counter);
+        let record = self
+            .sessions
+            .get_mut(&session)
+            .ok_or(DeviceError::UnknownSession(session))?;
+        let counter = record.send_cnt;
+        record.send_cnt += 1;
+        let mac = compute_mac(record.prepared(), payload, self.device, counter);
         self.stats.attested += 1;
         tnic_obs::trace_event!(
             tnic_obs::EventKind::Attest,
@@ -374,7 +443,10 @@ impl AttestationKernel {
     ///
     /// As [`AttestationKernel::verify`].
     pub fn verify_view(&mut self, message: &AttestedView<'_>) -> Result<SimDuration, DeviceError> {
-        let key = self.keystore.prepared(message.session)?;
+        let record = self
+            .sessions
+            .get_mut(&message.session)
+            .ok_or(DeviceError::UnknownSession(message.session))?;
         // A device never receives its own messages. A copy reflected back to
         // its sender would otherwise pass whenever the session's receive
         // counter, which counts the peer's traffic, equals the sender's own.
@@ -383,22 +455,26 @@ impl AttestationKernel {
             return Err(DeviceError::BadAttestation);
         }
         let cost = self.timing.hmac.cost(message.payload.len());
-        let expected_mac = compute_mac(key, message.payload, message.device, message.counter);
+        let expected_mac = compute_mac(
+            record.prepared(),
+            message.payload,
+            message.device,
+            message.counter,
+        );
         if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
             self.stats.rejected += 1;
             return Err(DeviceError::BadAttestation);
         }
-        let expected = self.counters.expected_recv(message.session);
-        if !self
-            .counters
-            .check_and_advance_recv(message.session, message.counter)
-        {
+        // Algorithm 1 line 8: exactly the next expected counter, or nothing
+        // advances (no loss, no reordering, no duplication).
+        if message.counter != record.recv_cnt {
             self.stats.rejected += 1;
             return Err(DeviceError::CounterMismatch {
                 received: message.counter,
-                expected,
+                expected: record.recv_cnt,
             });
         }
+        record.recv_cnt += 1;
         self.stats.verified += 1;
         tnic_obs::trace_event!(
             tnic_obs::EventKind::Verify,
@@ -422,22 +498,31 @@ impl AttestationKernel {
         &mut self,
         message: &AttestedMessage,
     ) -> Result<SimDuration, DeviceError> {
-        self.verify_binding_view(&message.as_view())
+        let key = self
+            .sessions
+            .get_mut(&message.session)
+            .ok_or(DeviceError::UnknownSession(message.session))?
+            .prepared()
+            .clone();
+        self.verify_binding_under(&key, message)
     }
 
-    /// [`AttestationKernel::verify_binding`] over a zero-copy
-    /// [`AttestedView`].
+    /// [`AttestationKernel::verify_binding`] under a prepared session key
+    /// its caller holds instead of one installed here: the HMAC unit, cost
+    /// and statistics are this kernel's, the key is not looked up. An
+    /// auditor that holds the log-session keys of many devices once passes
+    /// each in rather than installing it on every auditing kernel.
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::UnknownSession`] or [`DeviceError::BadAttestation`].
-    pub fn verify_binding_view(
+    /// Returns [`DeviceError::BadAttestation`] if the MAC does not match.
+    pub fn verify_binding_under(
         &mut self,
-        message: &AttestedView<'_>,
+        key: &HmacSha256Key,
+        message: &AttestedMessage,
     ) -> Result<SimDuration, DeviceError> {
-        let key = self.keystore.prepared(message.session)?;
         let cost = self.timing.hmac.cost(message.payload.len());
-        let expected_mac = compute_mac(key, message.payload, message.device, message.counter);
+        let expected_mac = compute_mac(key, &message.payload, message.device, message.counter);
         if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
             self.stats.rejected += 1;
             return Err(DeviceError::BadAttestation);
@@ -483,7 +568,7 @@ mod tests {
             assert_eq!(msg.counter, expected);
             rx.verify(&msg).unwrap();
         }
-        assert_eq!(rx.counters.expected_recv(SessionId(7)), 5);
+        assert_eq!(rx.sessions[&SessionId(7)].recv_cnt, 5);
     }
 
     #[test]
@@ -512,7 +597,7 @@ mod tests {
         let (mut tx, _) = kernel_pair();
         let (msg, _) = tx.attest(SessionId(7), b"pay").unwrap();
         assert_eq!(tx.verify(&msg), Err(DeviceError::BadAttestation));
-        assert_eq!(tx.counters.expected_recv(SessionId(7)), 0);
+        assert_eq!(tx.sessions[&SessionId(7)].recv_cnt, 0);
     }
 
     #[test]
@@ -589,11 +674,118 @@ mod tests {
 
     #[test]
     fn unknown_session_errors() {
+        let (mut tx, _) = kernel_pair();
+        let (mut msg, _) = tx.attest(SessionId(7), b"x").unwrap();
+        msg.session = SessionId(9);
+        let mut k = AttestationKernel::new(DeviceId(2), AttestationTiming::zero());
+        let unknown = Err(DeviceError::UnknownSession(SessionId(9)));
+        assert_eq!(k.attest(SessionId(9), b"x").map(|_| ()), unknown);
+        let mut wire = Vec::new();
+        assert_eq!(
+            k.attest_into(SessionId(9), b"x", &mut wire).map(|_| ()),
+            unknown
+        );
+        assert!(wire.is_empty());
+        // Checked before the reflected-device check: an unknown session
+        // wins even on a message this device attested itself.
+        let mut reflected = msg.clone();
+        reflected.device = DeviceId(2);
+        assert_eq!(k.verify(&reflected).map(|_| ()), unknown);
+        assert_eq!(k.verify_binding(&msg).map(|_| ()), unknown);
+        assert!(!k.has_session(SessionId(9)));
+        assert!(k.sessions.is_empty());
+        assert_eq!(k.stats(), AttestationStats::default());
+        k.install_session_key(SessionId(9), [5u8; 32]);
+        assert_eq!(k.verify(&msg).map(|_| ()), Err(DeviceError::BadAttestation));
+    }
+
+    #[test]
+    fn send_counters_are_monotonic_and_per_session() {
+        let (mut tx, _) = kernel_pair();
+        tx.install_session_key(SessionId(8), [4u8; 32]);
+        let mut wire = Vec::new();
+        let mut next = |session: SessionId| {
+            wire.clear();
+            tx.attest_into(session, b"m", &mut wire).unwrap();
+            AttestedView::parse(&wire).unwrap().counter
+        };
+        let order = [7, 7, 8, 7, 8].map(|s| next(SessionId(s)));
+        assert_eq!(order, [0, 1, 0, 2, 1]);
+    }
+
+    #[test]
+    fn receive_counters_are_fifo_and_a_rejection_advances_nothing() {
+        let (mut tx, mut rx) = kernel_pair();
+        let (m0, _) = tx.attest(SessionId(7), b"a").unwrap();
+        let (m1, _) = tx.attest(SessionId(7), b"b").unwrap();
+        let gap = DeviceError::CounterMismatch {
+            received: 1,
+            expected: 0,
+        };
+        assert_eq!(rx.verify(&m1), Err(gap.clone()));
+        assert_eq!(rx.verify(&m1), Err(gap), "a rejection must not advance");
+        rx.verify(&m0).unwrap();
+        assert_eq!(
+            rx.verify(&m0),
+            Err(DeviceError::CounterMismatch {
+                received: 0,
+                expected: 1
+            })
+        );
+        rx.verify(&m1).unwrap();
+        assert_eq!(rx.sessions[&SessionId(7)].recv_cnt, 2);
+    }
+
+    #[test]
+    fn reinstall_replaces_key_drops_prepared_form_keeps_counters() {
+        let (mut tx, mut rx) = kernel_pair();
+        for session in [SessionId(7), SessionId(8)] {
+            tx.install_session_key(session, [9u8; 32]);
+            rx.install_session_key(session, [9u8; 32]);
+        }
+        // Both sessions used, so both keys are held prepared on both sides.
+        for session in [SessionId(7), SessionId(8)] {
+            let (msg, _) = tx.attest(session, b"old").unwrap();
+            rx.verify(&msg).unwrap();
+        }
+        let (reply, _) = rx.attest(SessionId(7), b"reply").unwrap();
+        tx.verify(&reply).unwrap();
+        let counters = |k: &AttestationKernel| {
+            let s = &k.sessions[&SessionId(7)];
+            (s.send_cnt, s.recv_cnt, s.prepared.is_some())
+        };
+        assert_eq!(counters(&tx), (1, 1, true));
+
+        tx.install_session_key(SessionId(7), [8u8; 32]);
+        assert_eq!(counters(&tx), (1, 1, false));
+        assert_eq!(tx.sessions.len(), 2);
+        let (msg, _) = tx.attest(SessionId(7), b"new").unwrap();
+        assert_eq!(msg.counter, 1, "the send counter survives the re-key");
+        assert_eq!(rx.verify(&msg), Err(DeviceError::BadAttestation));
+        rx.install_session_key(SessionId(7), [8u8; 32]);
+        rx.verify(&msg).unwrap();
+        let (reply, _) = rx.attest(SessionId(7), b"reply").unwrap();
+        assert_eq!(reply.counter, 1);
+        tx.verify(&reply).unwrap();
+        // The neighbouring session kept its key and counters throughout.
+        let (msg, _) = tx.attest(SessionId(8), b"old").unwrap();
+        assert_eq!(msg.counter, 1);
+        rx.verify(&msg).unwrap();
+    }
+
+    #[test]
+    fn debug_never_prints_keys() {
         let mut k = AttestationKernel::new(DeviceId(1), AttestationTiming::zero());
-        assert!(matches!(
-            k.attest(SessionId(9), b"x"),
-            Err(DeviceError::UnknownSession(SessionId(9)))
-        ));
+        k.install_session_key(SessionId(3), [0xAB; 32]);
+        let unused = format!("{k:?}");
+        k.attest(SessionId(3), b"x").unwrap();
+        let used = format!("{k:?}");
+        // Raw or prepared, used or not: the counters and nothing else.
+        assert!(unused.contains("SessionId(3): Session { send_cnt: 0, recv_cnt: 0, .. }"));
+        assert!(used.contains("SessionId(3): Session { send_cnt: 1, recv_cnt: 0, .. }"));
+        for text in [unused, used] {
+            assert!(!text.contains("171") && !text.contains("key"), "{text}");
+        }
     }
 
     #[test]
@@ -655,7 +847,7 @@ mod tests {
         assert_eq!(view.payload, b"view payload");
         assert_eq!(view.to_owned(), msg);
         assert_eq!(msg.as_view(), view);
-        rx.verify_binding_view(&view).unwrap();
+        rx.verify_view(&view).unwrap();
         // Truncated and over-long buffers are rejected without allocation.
         assert!(AttestedView::parse(&encoded[..WIRE_OVERHEAD - 1]).is_err());
         assert!(AttestedView::parse(&encoded[..encoded.len() - 1]).is_err());

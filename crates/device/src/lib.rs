@@ -6,8 +6,9 @@
 //! and the PCIe DMA engine. This crate reproduces that hardware as a
 //! functional, latency-calibrated model:
 //!
-//! * [`attestation`] — the attestation kernel (Algorithm 1): HMAC unit,
-//!   [`keystore`] and monotonic counters, plus the attested wire format.
+//! * [`attestation`] — the attestation kernel (Algorithm 1): the HMAC unit
+//!   over one record per session (its key and its monotonic send and
+//!   receive counters), plus the attested wire format.
 //! * [`roce`] — the RoCE protocol kernel: queue pairs, PSN/MSN tracking,
 //!   cumulative ACKs, retransmission and in-order delivery.
 //! * [`dma`] — the PCIe DMA/bridge model and its transfer costs (Fig. 6).
@@ -37,11 +38,9 @@
 
 pub mod arp;
 pub mod attestation;
-mod counters;
 pub mod device;
 pub mod dma;
 pub mod error;
-pub mod keystore;
 pub mod mac;
 pub mod roce;
 pub mod types;

@@ -144,9 +144,9 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     }
 
     /// Adds a new node `id` to the running deployment: cluster endpoint and
-    /// sessions, a log-session key drawn from the engine's `DetRng` (the
-    /// joiner's key is installed on every audit kernel, every existing key
-    /// on the joiner's), witness sets
+    /// sessions, a log-session key drawn from the engine's `DetRng` (every
+    /// member holds the joiner's key, the joiner every existing key), witness
+    /// sets
     /// re-derived over the grown membership, and the joiner's initial
     /// sealed head announced to its new witnesses ([`Envelope::Join`]).
     /// Where the joiner itself becomes a witness it bootstraps from the
@@ -184,21 +184,23 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             cluster.connect(node, NodeId(peer))?;
         }
         // Log-session keys: the joiner's, drawn from the engine's `DetRng`,
-        // is installed on its own sealer and on every verification kernel;
-        // the joiner's kernel learns every existing key so it can verify
-        // seals as a witness.
+        // is installed on its own sealer and held once by the engine; every
+        // member now holds it, and the joiner holds every existing key so
+        // it can verify seals as a witness.
         let key = self.rng.bytes32();
         self.layer
             .borrow_mut()
             .register_node(id, self.config.baseline, key);
-        let mut kernel = Provider::new(self.config.baseline, node.device(), self.config.seed);
-        for (peer, member) in (0..).zip(&mut self.members) {
-            kernel.install_session_key(log_session(peer), member.seal_key);
-            member.kernel.install_session_key(log_session(id), key);
+        self.log_keys.push(HmacSha256Key::new(&key));
+        for member in &mut self.members {
+            member.held.push(id);
         }
-        kernel.install_session_key(log_session(id), key);
-        self.members
-            .push(Member::new(kernel, key, app.replay_machine()));
+        let kernel = Provider::new(self.config.baseline, node.device(), self.config.seed);
+        self.members.push(Member::new(
+            kernel,
+            (0..=id).collect(),
+            app.replay_machine(),
+        ));
         self.set_phase(id, MemberPhase::Joining);
         app.on_join(id);
         self.witness_width = witness_width(self.config.witness_count, self.members.len());
@@ -236,7 +238,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// round any outgoing witness selected the node; surviving pairs keep
     /// their own clock.
     pub(super) fn reassign_witness_sets(&mut self, app: &A) {
-        let old_pairs = std::mem::take(&mut self.pairs);
+        let mut old_pairs = std::mem::take(&mut self.pairs);
         let ids: Vec<u32> = self.ids().collect();
         let groups = shard_members(&ids, self.config.shards, self.config.seed);
         let new_sets = witness_sets(&groups, self.witness_width, self.epoch);
@@ -252,13 +254,23 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 .map(|p| p.record.evidence.clone())
                 .unwrap_or_default();
             let carried = outgoing().filter_map(|p| p.last_selected).max();
-            for &witness in &new_set {
-                let mut pair = if let Some(kept) = old_pairs.get(&(witness, node)) {
-                    kept.clone()
-                } else {
-                    self.stats.witness_handovers += 1;
-                    AuditPair::new(self.incoming_record(app, node, &old_set, &old_pairs, &handover))
-                };
+            // Incoming pairs first, while the outgoing ones can still
+            // donate their state; then the kept pairs move over whole.
+            let mut pairs: Vec<(u32, AuditPair<A::Machine>)> = new_set
+                .iter()
+                .filter(|&&witness| !old_pairs.contains_key(&(witness, node)))
+                .map(|&witness| {
+                    let record = self.incoming_record(app, node, &old_set, &old_pairs, &handover);
+                    (witness, AuditPair::new(record))
+                })
+                .collect();
+            self.stats.witness_handovers += pairs.len() as u64;
+            pairs.extend(
+                new_set
+                    .iter()
+                    .filter_map(|&witness| Some((witness, old_pairs.remove(&(witness, node))?))),
+            );
+            for (witness, mut pair) in pairs {
                 pair.last_selected = pair.last_selected.or(carried);
                 self.pairs.insert((witness, node), pair);
             }
@@ -267,19 +279,19 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         self.provision_witness_keys();
     }
 
-    /// Ensures every witness kernel holds the log-session key of every
-    /// charge it was just assigned. A no-op when unsharded (attach and join
-    /// install all keys everywhere); sharded, churn can merge or split
-    /// groups and hand a witness a charge whose key it never saw.
+    /// Ensures every witness holds the log-session key of every charge it
+    /// was just assigned. A no-op when unsharded (attach and join hand
+    /// every member every key); sharded, churn can merge or split groups and
+    /// hand a witness a charge whose key it never held.
     fn provision_witness_keys(&mut self) {
         if self.config.shards <= 1 {
             return;
         }
         for &(witness, node) in self.pairs.keys() {
-            let key = self.members[node as usize].seal_key;
-            self.members[witness as usize]
-                .kernel
-                .install_session_key(log_session(node), key);
+            let held = &mut self.members[witness as usize].held;
+            if let Err(at) = held.binary_search(&node) {
+                held.insert(at, node);
+            }
         }
     }
 }

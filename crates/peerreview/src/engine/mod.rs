@@ -151,8 +151,9 @@
 //!
 //! * **Joining → Active** ([`AccountabilityEngine::join_node`]): the
 //!   cluster gains an endpoint and sessions, the joiner's log-session key —
-//!   drawn from the engine's `DetRng` — is installed directly on every
-//!   audit kernel (and every existing key on the joiner's), witness sets
+//!   drawn from the engine's `DetRng` — is installed on the joiner's
+//!   sealing device, every member now holds it (and the joiner every
+//!   existing key; see *Layout* for how keys are held), witness sets
 //!   are re-derived over the grown membership, and the joiner announces
 //!   its initial sealed head
 //!   ([`Envelope::Join`]) to its new witnesses. Where the joiner itself
@@ -264,15 +265,28 @@
 //! The engine keeps its state in two collections, each holding everything
 //! about one key. A `Member` per node, indexed by node id (ids are
 //! contiguous, `0..n`, which `attach` and `join_node` assert), holds the
-//! node's membership phase, witness set, verification kernel and seal key,
-//! its shadow replay machine and application inbox, and its checkpoint
-//! state: the committed boundary, the proposal collecting cosignatures and
-//! the latest commit certificate. An `AuditPair` per (witness, auditee),
+//! node's membership phase, witness set, verification kernel, the sorted
+//! ids of the nodes whose log-session keys its device holds, its shadow
+//! replay machine and application inbox, and its checkpoint state: the
+//! committed boundary, the proposal collecting cosignatures and the latest
+//! commit certificate. An `AuditPair` per (witness, auditee),
 //! in that order, holds the witness's [`WitnessRecord`], the round
 //! sampled auditing last selected the pair, and the outstanding challenge
 //! with its retry and backoff state. Answering, timing out or subsuming a
 //! challenge clears it in one assignment, and dropping a pair at
 //! reassignment drops all of its state.
+//!
+//! Log-session keys are held once: the engine prepares each node's key
+//! when the node is attached or joins, in one list indexed by node id, and
+//! installs it on no verification kernel. Which keys a member may use is
+//! the member's held list — its shard group at `attach`, every member
+//! after a `join_node`, and any charge a reassignment hands it. A seal
+//! check first looks the seal's log session up in the verifier's held
+//! list, then MACs it on the verifier's own kernel under the engine's
+//! copy of the key, so cost, host-baseline draws and kernel statistics are
+//! the verifier's; a seal on a session it does not hold draws nothing. So
+//! key material grows with n, not with the sum of squared shard sizes: at
+//! n = 1000 with 8 shards, 1 000 prepared keys and 130 070 held ids of 4 B.
 
 mod audit_round;
 mod byzantine;
@@ -300,6 +314,7 @@ use tnic_core::api::{Cluster, NodeId};
 use tnic_core::error::CoreError;
 use tnic_core::provider::Provider;
 use tnic_core::transform::{CounterMachine, StateMachine};
+use tnic_crypto::hmac::HmacSha256Key;
 use tnic_net::adversary::FaultPlan;
 use tnic_sim::clock::SimClock;
 use tnic_sim::rng::DetRng;
@@ -537,12 +552,15 @@ struct Member<M> {
     phase: MemberPhase,
     /// The node's witness ids (every other node by default).
     witnesses: Vec<u32>,
-    /// The node's witness-side verification provider, holding the
-    /// log-session key of every node it may audit.
+    /// The node's witness-side verification provider: seals the node
+    /// checks as a witness are MACed and charged here, under a key the
+    /// engine passes in. It holds no log-session key itself.
     kernel: Provider,
-    /// The node's log-session key, kept so a joiner's kernel can be
-    /// provisioned with every existing key.
-    seal_key: [u8; 32],
+    /// The nodes whose log-session keys the node's device holds, sorted:
+    /// its shard group at attach, every member after a join, and every
+    /// charge it is handed. A seal on any other log session is refused
+    /// before any cost is drawn.
+    held: Vec<u32>,
     /// The engine's own replay of the node's *logged* command stream. Its
     /// digest is what a checkpoint certifies: exactly the state a witness's
     /// reference machine reaches by replaying the log (live application
@@ -566,13 +584,14 @@ struct Member<M> {
 }
 
 impl<M> Member<M> {
-    /// An active member with no witnesses yet.
-    fn new(kernel: Provider, seal_key: [u8; 32], shadow: M) -> Self {
+    /// An active member with no witnesses yet, holding the log-session
+    /// keys of `held`.
+    fn new(kernel: Provider, held: Vec<u32>, shadow: M) -> Self {
         Member {
             phase: MemberPhase::Active,
             witnesses: Vec::new(),
             kernel,
-            seal_key,
+            held,
             shadow,
             inbox: Vec::new(),
             commit_snapshot: None,
@@ -582,8 +601,8 @@ impl<M> Member<M> {
     }
 }
 
-/// Everything the engine keeps about one (witness, auditee) pair.
-#[derive(Clone)]
+/// Everything the engine keeps about one (witness, auditee) pair. Not
+/// `Clone`: reassignment moves a kept pair, it never copies one.
 struct AuditPair<M: StateMachine> {
     /// The witness's view of the auditee.
     record: WitnessRecord<M>,
@@ -605,7 +624,6 @@ impl<M: StateMachine> AuditPair<M> {
 }
 
 /// A challenge awaiting its answer, with its timeout–retry–backoff state.
-#[derive(Clone)]
 struct Outstanding {
     /// The commitment under challenge.
     target: Authenticator,
@@ -629,6 +647,9 @@ pub struct AccountabilityEngine<A: AccountedApp> {
     witness_width: u32,
     /// Per member, indexed by node id (ids are contiguous, `0..n`).
     members: Vec<Member<A::Machine>>,
+    /// Each node's log-session key, prepared once, indexed by node id: the
+    /// one copy every witness's seal check reads (see `Member::held`).
+    log_keys: Vec<HmacSha256Key>,
     /// Per (witness, auditee) pair, in that order.
     pairs: BTreeMap<(u32, u32), AuditPair<A::Machine>>,
     tamper_applied: BTreeSet<u32>,
@@ -680,33 +701,33 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         );
         let mut rng = DetRng::new(config.seed ^ 0x005e_edac_0123);
 
-        // Log-session keys: drawn from the engine's `DetRng` and installed
-        // directly on each node's device and on every witness's
-        // verification kernel (the witnesses are exactly the parties
-        // entitled to audit).
+        // Log-session keys: drawn from the engine's `DetRng`, installed
+        // directly on each node's sealing device and held once, prepared,
+        // for every witness's seal checks.
         let mut layer = CommitmentLayer::default();
+        let log_keys: Vec<HmacSha256Key> = nodes
+            .iter()
+            .map(|node| {
+                let key = rng.bytes32();
+                layer.register_node(node.0, config.baseline, key);
+                HmacSha256Key::new(&key)
+            })
+            .collect();
         let mut members: Vec<Member<A::Machine>> = nodes
             .iter()
             .map(|node| {
-                let seal_key = rng.bytes32();
-                layer.register_node(node.0, config.baseline, seal_key);
                 let kernel = Provider::new(config.baseline, node.device(), config.seed);
-                Member::new(kernel, seal_key, app.replay_machine())
+                Member::new(kernel, Vec::new(), app.replay_machine())
             })
             .collect();
         // Key distribution: witnesses are drawn within a shard group, so
-        // each kernel needs its group co-members' keys — O(n²) installs
-        // with one group, the cost sharding exists to avoid (O(n²/shards)).
+        // each member holds its group co-members' keys. A member records
+        // which keys it holds; the keys themselves are not copied.
         let ids: Vec<u32> = nodes.iter().map(|n| n.0).collect();
         let groups = shard_members(&ids, config.shards, config.seed);
         for group in &groups {
             for &member in group {
-                for &peer in group {
-                    let key = members[peer as usize].seal_key;
-                    members[member as usize]
-                        .kernel
-                        .install_session_key(log_session(peer), key);
-                }
+                members[member as usize].held.clone_from(group);
             }
         }
 
@@ -732,6 +753,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             faults,
             witness_width: w,
             members,
+            log_keys,
             pairs,
             tamper_applied: BTreeSet::new(),
             truncation_applied: BTreeSet::new(),

@@ -699,23 +699,152 @@ fn hostile_batch_envelopes_never_panic_and_convict_nobody() {
 
 #[test]
 fn single_shard_matches_unsharded_witness_sets() {
-    let config = EngineConfig {
-        shards: 1,
-        witness_count: Some(2),
-        ..EngineConfig::default()
+    let deployment = |shards: u32| {
+        let config = EngineConfig {
+            shards,
+            witness_count: Some(2),
+            ..EngineConfig::default()
+        };
+        sized_deployment(8, config, FaultPlan::all_correct()).2
     };
-    let (_c1, _a1, sharded) = sized_deployment(8, config, FaultPlan::all_correct());
-    let config = EngineConfig {
-        witness_count: Some(2),
-        ..EngineConfig::default()
-    };
-    let (_c2, _a2, unsharded) = sized_deployment(8, config, FaultPlan::all_correct());
+    let (sharded, unsharded) = (deployment(1), deployment(0));
     let sets = |engine: &AccountabilityEngine<CounterApp>| {
         (0..8)
             .map(|n| engine.witnesses_of(n).to_vec())
             .collect::<Vec<_>>()
     };
+    let held = |engine: &AccountabilityEngine<CounterApp>| {
+        engine
+            .members
+            .iter()
+            .map(|m| m.held.clone())
+            .collect::<Vec<_>>()
+    };
     assert_eq!(sets(&sharded), sets(&unsharded));
+    assert_eq!(held(&sharded), held(&unsharded));
+    assert!(held(&unsharded)
+        .iter()
+        .all(|h| *h == (0..8).collect::<Vec<_>>()));
+}
+
+/// `node`'s seal over its current log head, as its witnesses receive it.
+fn seal_of(engine: &AccountabilityEngine<CounterApp>, node: u32) -> Authenticator {
+    let (seq, head, _) = engine.layer.borrow().commitment_data(node);
+    engine.layer.borrow_mut().seal(node, seq, head).0
+}
+
+#[test]
+fn attach_installs_no_log_session_key_on_any_member() {
+    let config = EngineConfig {
+        shards: 4,
+        witness_count: Some(3),
+        ..EngineConfig::default()
+    };
+    let (_cluster, _app, engine) = sized_deployment(64, config, FaultPlan::all_correct());
+    let ids: Vec<u32> = (0..64).collect();
+    let groups = shard_members(&ids, 4, config.seed);
+    assert!(groups.len() > 1);
+    for group in &groups {
+        for &member in group {
+            assert_eq!(engine.members[member as usize].held, *group);
+        }
+    }
+    for member in &engine.members {
+        assert!(ids
+            .iter()
+            .all(|&peer| !member.kernel.has_session(log_session(peer))));
+    }
+}
+
+#[test]
+fn a_seal_on_an_unheld_log_session_is_refused_without_drawing_cost() {
+    let config = EngineConfig {
+        baseline: Baseline::Sgx,
+        shards: 2,
+        witness_count: Some(2),
+        ..EngineConfig::default()
+    };
+    let mut cluster = Cluster::fully_connected(16, Baseline::Sgx, NetworkStackKind::Tnic, 42);
+    let app = CounterApp::new(&cluster.nodes());
+    let mut engine =
+        AccountabilityEngine::attach(&mut cluster, &app, config, FaultPlan::all_correct());
+    let groups = shard_members(&(0..16).collect::<Vec<_>>(), 2, config.seed);
+    assert_eq!(groups.len(), 2);
+    let (node, peer, stranger) = (groups[0][0], groups[0][1], groups[1][0]);
+    assert!(!engine.members[stranger as usize].held.contains(&node));
+    let auth = seal_of(&engine, node);
+    // The cost a member's next verification of the seal would draw, read
+    // on a copy of its provider: it moves iff the baseline's RNG did.
+    let next_cost = |engine: &AccountabilityEngine<CounterApp>, member: u32| {
+        engine.members[member as usize]
+            .kernel
+            .clone()
+            .verify_binding_under(&engine.log_keys[node as usize], &auth.attestation)
+            .unwrap()
+    };
+    let (undrawn, start) = (next_cost(&engine, stranger), engine.clock.now());
+    assert!(!engine.attestation_verifies(stranger, &auth.attestation));
+    assert_eq!(next_cost(&engine, stranger), undrawn);
+    assert_eq!(engine.clock.now(), start);
+    // A shard co-member holds the key: the seal verifies and is charged.
+    let drawn = next_cost(&engine, peer);
+    assert!(engine.attestation_verifies(peer, &auth.attestation));
+    assert_eq!(engine.clock.now(), start + drawn);
+    assert_ne!(
+        next_cost(&engine, peer),
+        drawn,
+        "the check drew its samples"
+    );
+}
+
+#[test]
+fn new_charges_seals_verify_after_a_rotation_and_a_join() {
+    let verify = |engine: &mut AccountabilityEngine<CounterApp>, (witness, node): (u32, u32)| {
+        let auth = seal_of(engine, node);
+        assert!(
+            engine.attestation_verifies(witness, &auth.attestation),
+            "witness {witness} cannot verify its charge {node}"
+        );
+    };
+    // Two shard groups, and one (where only the join hands out the
+    // joiner's key: reassignment adds held keys only when sharded).
+    for shards in [2, 1] {
+        let config = EngineConfig {
+            shards,
+            witness_count: Some(2),
+            checkpoint_interval: Some(1),
+            rotate_witnesses: true,
+            ..EngineConfig::default()
+        };
+        let (mut cluster, mut app, mut engine) =
+            sized_deployment(16, config, FaultPlan::all_correct());
+        let initial: BTreeSet<(u32, u32)> = engine.pairs.keys().copied().collect();
+        run_rounds_n(&mut cluster, &mut app, &mut engine, 16, 3);
+        assert!(engine.stats().witness_rotations > 0, "rotation happened");
+        let handed: Vec<(u32, u32)> = engine
+            .pairs
+            .keys()
+            .copied()
+            .filter(|pair| !initial.contains(pair))
+            .collect();
+        assert!(!handed.is_empty(), "rotation handed a witness a new charge");
+        for pair in handed {
+            verify(&mut engine, pair);
+        }
+        engine.join_node(&mut cluster, &mut app, 16).unwrap();
+        let joined: Vec<(u32, u32)> = engine
+            .pairs
+            .keys()
+            .copied()
+            .filter(|&(witness, node)| witness == 16 || node == 16)
+            .collect();
+        assert!(joined.iter().any(|&(witness, _)| witness == 16));
+        assert!(joined.iter().any(|&(_, node)| node == 16));
+        for pair in joined {
+            verify(&mut engine, pair);
+        }
+        assert_accuracy(&engine);
+    }
 }
 
 #[test]

@@ -86,16 +86,23 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         }
     }
 
-    /// Cryptographically verifies a TNIC seal on `verifier`'s kernel (which
-    /// holds every log-session key).
+    /// Cryptographically verifies a TNIC seal on `verifier`'s kernel, under
+    /// the log-session key of the node the seal's session names, if
+    /// `verifier` holds that key. A seal on a session it does not hold (or
+    /// on no log session at all) is refused before any cost is drawn.
     pub(super) fn attestation_verifies(
         &mut self,
         verifier: u32,
         attestation: &AttestedMessage,
     ) -> bool {
-        match self.members[verifier as usize]
+        let node = attestation.session.0.wrapping_sub(log_session(0).0);
+        let member = &mut self.members[verifier as usize];
+        if member.held.binary_search(&node).is_err() {
+            return false;
+        }
+        match member
             .kernel
-            .verify_binding(attestation)
+            .verify_binding_under(&self.log_keys[node as usize], attestation)
         {
             Ok(cost) => {
                 self.clock.advance(cost);

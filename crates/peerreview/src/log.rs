@@ -41,7 +41,8 @@ pub const AUTHENTICATOR_DOMAIN: &[u8; 12] = b"TNIC-PR-AUTH";
 /// The dedicated attestation session on which a node's device seals its log
 /// commitments. Disjoint from the cluster's messaging sessions; the session
 /// key is drawn from the accountability engine's `DetRng` and installed
-/// directly on the node's device and on its witnesses' audit kernels.
+/// directly on the node's device; the engine holds one prepared copy that
+/// its witnesses' seal checks run under.
 #[must_use]
 pub fn log_session(node: u32) -> SessionId {
     SessionId(0x5A00_0000 + node)
