@@ -15,9 +15,8 @@
 //! against the simulation clock.
 
 use crate::error::DeviceError;
+use crate::keystore::SessionTable;
 use crate::types::{DeviceId, SessionId};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use tnic_crypto::hmac::HmacSha256Key;
 use tnic_sim::latency::SizeDependentLatency;
 use tnic_sim::time::SimDuration;
@@ -237,6 +236,24 @@ impl AttestationTiming {
     }
 }
 
+/// The binding check both `verify_binding` entry points run: the MAC of
+/// `message` under `key`, counted in `stats`, charged at `timing`.
+fn check_binding(
+    key: &HmacSha256Key,
+    timing: &AttestationTiming,
+    stats: &mut AttestationStats,
+    message: &AttestedMessage,
+) -> Result<SimDuration, DeviceError> {
+    let cost = timing.hmac.cost(message.payload.len());
+    let expected_mac = compute_mac(key, &message.payload, message.device, message.counter);
+    if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
+        stats.rejected += 1;
+        return Err(DeviceError::BadAttestation);
+    }
+    stats.verified += 1;
+    Ok(cost)
+}
+
 /// Statistics kept by the attestation kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttestationStats {
@@ -248,74 +265,12 @@ pub struct AttestationStats {
     pub rejected: u64,
 }
 
-/// One session as Algorithm 1 keeps it on the card: the shared key
-/// (`keys[c_id]`), the send counter assigned to the next outgoing message
-/// (`send_cnts[c_id]`) and the receive counter expected on the next
-/// incoming one (`recv_cnts[c_id]`).
-///
-/// The key stays in (simulated) on-chip memory; the untrusted host only
-/// names it by [`SessionId`]. What the HMAC unit reads is the *prepared*
-/// key (the hash state after the key's ipad and opad blocks), made on the
-/// session's first MAC and kept until the key is re-installed: nothing is
-/// prepared at install, so a session that never MACs costs 32 B of key and
-/// no hashing. A re-install replaces the key, drops the prepared form and
-/// keeps both counters. `Debug` prints the counters only: the prepared key
-/// forges what the key forges.
-#[derive(Clone, Default)]
-struct Session {
-    key: [u8; 32],
-    prepared: Option<HmacSha256Key>,
-    send_cnt: u64,
-    recv_cnt: u64,
-}
-
-impl Session {
-    /// The prepared key, made on first use.
-    fn prepared(&mut self) -> &HmacSha256Key {
-        self.prepared
-            .get_or_insert_with(|| HmacSha256Key::new(&self.key))
-    }
-}
-
-impl std::fmt::Debug for Session {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Session")
-            .field("send_cnt", &self.send_cnt)
-            .field("recv_cnt", &self.recv_cnt)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A fixed integer hash of a [`SessionId`]: one multiplication by an odd
-/// constant (Fibonacci hashing), with no per-process seed. That is safe
-/// here because the table holds only the sessions the cluster installed,
-/// so nobody outside chooses the keys that share its buckets; an id read
-/// off the wire that is not installed only misses.
-#[derive(Default)]
-struct SessionHasher(u64);
-
-impl Hasher for SessionHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u32(u32::from(byte));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The attestation kernel: the HMAC unit over one table of session records
 /// (key, prepared key, send and receive counter), one lookup per call.
 #[derive(Debug, Clone)]
 pub struct AttestationKernel {
     device: DeviceId,
-    sessions: HashMap<SessionId, Session, BuildHasherDefault<SessionHasher>>,
+    sessions: SessionTable,
     timing: AttestationTiming,
     stats: AttestationStats,
 }
@@ -326,7 +281,7 @@ impl AttestationKernel {
     pub fn new(device: DeviceId, timing: AttestationTiming) -> Self {
         AttestationKernel {
             device,
-            sessions: HashMap::default(),
+            sessions: SessionTable::default(),
             timing,
             stats: AttestationStats::default(),
         }
@@ -337,15 +292,13 @@ impl AttestationKernel {
     /// §4.3 bootstrap does this, never the untrusted host software; here the
     /// cluster installs it.
     pub fn install_session_key(&mut self, session: SessionId, key: [u8; 32]) {
-        let record = self.sessions.entry(session).or_default();
-        record.key = key;
-        record.prepared = None;
+        self.sessions.install(session, key);
     }
 
     /// Returns `true` if a key is installed for `session`.
     #[must_use]
     pub fn has_session(&self, session: SessionId) -> bool {
-        self.sessions.contains_key(&session)
+        self.sessions.contains(session)
     }
 
     /// `Attest()` (Algorithm 1, lines 1–5): binds the payload to this device
@@ -383,12 +336,8 @@ impl AttestationKernel {
         session: SessionId,
         payload: &[u8],
     ) -> Result<([u8; ATTESTATION_LEN], u64), DeviceError> {
-        let record = self
-            .sessions
-            .get_mut(&session)
-            .ok_or(DeviceError::UnknownSession(session))?;
-        let counter = record.send_cnt;
-        record.send_cnt += 1;
+        let record = self.sessions.get_mut(session)?;
+        let counter = record.counters.next_send();
         let mac = compute_mac(record.prepared(), payload, self.device, counter);
         self.stats.attested += 1;
         tnic_obs::trace_event!(
@@ -443,10 +392,7 @@ impl AttestationKernel {
     ///
     /// As [`AttestationKernel::verify`].
     pub fn verify_view(&mut self, message: &AttestedView<'_>) -> Result<SimDuration, DeviceError> {
-        let record = self
-            .sessions
-            .get_mut(&message.session)
-            .ok_or(DeviceError::UnknownSession(message.session))?;
+        let record = self.sessions.get_mut(message.session)?;
         // A device never receives its own messages. A copy reflected back to
         // its sender would otherwise pass whenever the session's receive
         // counter, which counts the peer's traffic, equals the sender's own.
@@ -467,14 +413,13 @@ impl AttestationKernel {
         }
         // Algorithm 1 line 8: exactly the next expected counter, or nothing
         // advances (no loss, no reordering, no duplication).
-        if message.counter != record.recv_cnt {
+        if !record.counters.check_and_advance_recv(message.counter) {
             self.stats.rejected += 1;
             return Err(DeviceError::CounterMismatch {
                 received: message.counter,
-                expected: record.recv_cnt,
+                expected: record.counters.expected_recv(),
             });
         }
-        record.recv_cnt += 1;
         self.stats.verified += 1;
         tnic_obs::trace_event!(
             tnic_obs::EventKind::Verify,
@@ -498,13 +443,8 @@ impl AttestationKernel {
         &mut self,
         message: &AttestedMessage,
     ) -> Result<SimDuration, DeviceError> {
-        let key = self
-            .sessions
-            .get_mut(&message.session)
-            .ok_or(DeviceError::UnknownSession(message.session))?
-            .prepared()
-            .clone();
-        self.verify_binding_under(&key, message)
+        let key = self.sessions.get_mut(message.session)?.prepared();
+        check_binding(key, &self.timing, &mut self.stats, message)
     }
 
     /// [`AttestationKernel::verify_binding`] under a prepared session key
@@ -521,14 +461,7 @@ impl AttestationKernel {
         key: &HmacSha256Key,
         message: &AttestedMessage,
     ) -> Result<SimDuration, DeviceError> {
-        let cost = self.timing.hmac.cost(message.payload.len());
-        let expected_mac = compute_mac(key, &message.payload, message.device, message.counter);
-        if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
-            self.stats.rejected += 1;
-            return Err(DeviceError::BadAttestation);
-        }
-        self.stats.verified += 1;
-        Ok(cost)
+        check_binding(key, &self.timing, &mut self.stats, message)
     }
 
     /// Kernel statistics.
@@ -568,7 +501,7 @@ mod tests {
             assert_eq!(msg.counter, expected);
             rx.verify(&msg).unwrap();
         }
-        assert_eq!(rx.sessions[&SessionId(7)].recv_cnt, 5);
+        assert_eq!(rx.sessions.get(SessionId(7)).counters.expected_recv(), 5);
     }
 
     #[test]
@@ -597,7 +530,7 @@ mod tests {
         let (mut tx, _) = kernel_pair();
         let (msg, _) = tx.attest(SessionId(7), b"pay").unwrap();
         assert_eq!(tx.verify(&msg), Err(DeviceError::BadAttestation));
-        assert_eq!(tx.sessions[&SessionId(7)].recv_cnt, 0);
+        assert_eq!(tx.sessions.get(SessionId(7)).counters.expected_recv(), 0);
     }
 
     #[test]
@@ -693,7 +626,7 @@ mod tests {
         assert_eq!(k.verify(&reflected).map(|_| ()), unknown);
         assert_eq!(k.verify_binding(&msg).map(|_| ()), unknown);
         assert!(!k.has_session(SessionId(9)));
-        assert!(k.sessions.is_empty());
+        assert_eq!(k.sessions.len(), 0);
         assert_eq!(k.stats(), AttestationStats::default());
         k.install_session_key(SessionId(9), [5u8; 32]);
         assert_eq!(k.verify(&msg).map(|_| ()), Err(DeviceError::BadAttestation));
@@ -733,7 +666,7 @@ mod tests {
             })
         );
         rx.verify(&m1).unwrap();
-        assert_eq!(rx.sessions[&SessionId(7)].recv_cnt, 2);
+        assert_eq!(rx.sessions.get(SessionId(7)).counters.expected_recv(), 2);
     }
 
     #[test]
@@ -751,8 +684,12 @@ mod tests {
         let (reply, _) = rx.attest(SessionId(7), b"reply").unwrap();
         tx.verify(&reply).unwrap();
         let counters = |k: &AttestationKernel| {
-            let s = &k.sessions[&SessionId(7)];
-            (s.send_cnt, s.recv_cnt, s.prepared.is_some())
+            let s = k.sessions.get(SessionId(7));
+            (
+                s.counters.send(),
+                s.counters.expected_recv(),
+                s.is_prepared(),
+            )
         };
         assert_eq!(counters(&tx), (1, 1, true));
 
@@ -781,8 +718,12 @@ mod tests {
         k.attest(SessionId(3), b"x").unwrap();
         let used = format!("{k:?}");
         // Raw or prepared, used or not: the counters and nothing else.
-        assert!(unused.contains("SessionId(3): Session { send_cnt: 0, recv_cnt: 0, .. }"));
-        assert!(used.contains("SessionId(3): Session { send_cnt: 1, recv_cnt: 0, .. }"));
+        assert!(unused.contains(
+            "SessionId(3): Session { counters: Counters { send_cnt: 0, recv_cnt: 0 }, .. }"
+        ));
+        assert!(used.contains(
+            "SessionId(3): Session { counters: Counters { send_cnt: 1, recv_cnt: 0 }, .. }"
+        ));
         for text in [unused, used] {
             assert!(!text.contains("171") && !text.contains("key"), "{text}");
         }

@@ -38,9 +38,11 @@
 
 pub mod arp;
 pub mod attestation;
+mod counters;
 pub mod device;
 pub mod dma;
 pub mod error;
+mod keystore;
 pub mod mac;
 pub mod roce;
 pub mod types;
