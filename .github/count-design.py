@@ -13,6 +13,8 @@ where ROOT is a git checkout, every such file outside `target/` otherwise):
   `tests/` or `benches/` directory, not inside a `#[cfg(test)]` item and
   not in a file that a `#[cfg(test)] mod name;` declares;
 - `pub` lines and `pub(crate)` / `pub(super)` lines among the code lines;
+- code lines per area: each crate (`crates/NAME`, and `src` for the
+  umbrella) and the accountability engine (`crates/peerreview/src/engine`);
 - `#[test]` functions, lines of `.github/reachability-allowlist`, crates
   (`Cargo.toml` files under `crates/`) and the fields of the accountability
   engine struct.
@@ -26,6 +28,14 @@ import subprocess
 import sys
 
 ENGINE_STRUCT = "pub struct AccountabilityEngine<"
+ENGINE_DIR = "crates/peerreview/src/engine/"
+
+
+def areas(path):
+    """The areas whose code lines a file counts towards."""
+    parts = path.split("/")
+    crate = "/".join(parts[:2]) if parts[0] == "crates" else parts[0]
+    return [crate] + ([ENGINE_DIR.rstrip("/")] if path.startswith(ENGINE_DIR) else [])
 
 
 def rust_files(root):
@@ -185,6 +195,7 @@ def count(root):
     totals = dict.fromkeys(
         ["lines", "code lines", "pub lines", "pub(crate)/pub(super) lines",
          "#[test] functions", "allowlist lines", "crates", "engine fields"], 0)
+    per_area = {}
     for f in files:
         lines = texts[f]
         totals["lines"] += len(lines)
@@ -197,6 +208,8 @@ def count(root):
             if n in skip or not s or s.startswith("//"):
                 continue
             totals["code lines"] += 1
+            for area in areas(f):
+                per_area[area] = per_area.get(area, 0) + 1
             if re.match(r"pub\((crate|super)\)\s", s):
                 totals["pub(crate)/pub(super) lines"] += 1
             elif re.match(r"pub\s", s):
@@ -222,6 +235,8 @@ def count(root):
         totals["crates"] = sum(
             1 for d in os.listdir(crates_dir)
             if os.path.exists(os.path.join(crates_dir, d, "Cargo.toml")))
+    for area in sorted(per_area):
+        totals[f"code lines: {area}"] = per_area[area]
     return totals
 
 
@@ -229,15 +244,17 @@ def main(args):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     roots = args or [here]
     counts = [count(r) for r in roots]
-    width = max(len(k) for k in counts[0])
+    keys = list(counts[0])
+    keys += [k for c in counts[1:] for k in c if k not in keys]
+    width = max(len(k) for k in keys)
     if len(counts) == 1:
         for key, value in counts[0].items():
             print(f"{key:<{width}}  {value}")
     else:
         print(f"| metric | {' | '.join(roots)} |")
         print("|---" * (len(roots) + 1) + "|")
-        for key in counts[0]:
-            print(f"| {key} | " + " | ".join(str(c[key]) for c in counts) + " |")
+        for key in keys:
+            print(f"| {key} | " + " | ".join(str(c.get(key, 0)) for c in counts) + " |")
     return 0
 
 

@@ -161,8 +161,8 @@ fn grid() -> Vec<Experiment> {
     // keeps detection latency bounded by `charges/size` audit rounds (the
     // `detection_latency_rounds` column; measured `w + 1` at k = 1, the last
     // witness's rotation reaching the pair). Short full-audit run (every
-    // round already costs 2·w·n audit messages; a pair with an outstanding
-    // challenge is skipped, so an odd round count maximizes the measured
+    // round already costs 2·w·n audit messages; a pair with a challenge in
+    // flight is skipped, so an odd round count maximizes the measured
     // per-round rate); longer sampled run so the rotating sample completes
     // a full coverage cycle and the detection probe can land.
     for (audit_sample_size, rounds) in [(None, 3), (Some(1), 28)] {

@@ -8,7 +8,7 @@
 //!   loss, duplication and reordering, used to exercise the RoCE reliable
 //!   transport and the distributed systems.
 //! * [`adversary`] — Byzantine network adversaries (tampering, replay,
-//!   equivocation attempts) used by the property tests.
+//!   attempted equivocation) used by the property tests.
 //! * [`stack`] — latency models of the five evaluated network stacks
 //!   (RDMA-hw, DRCT-IO, DRCT-IO-att, TNIC, TNIC-att), calibrated to
 //!   Figure 9 of the paper.

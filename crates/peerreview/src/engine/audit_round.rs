@@ -10,8 +10,8 @@ use crate::wire::{PiggybackRider, MAX_PIGGYBACK_RIDERS};
 /// One queued outbound control message produced by a protocol handler.
 ///
 /// Handlers push these instead of sending directly so the send path can
-/// coalesce consecutive same-destination challenges/responses into batch
-/// envelopes. `Segment` defers the audit response entirely: the log slice
+/// coalesce consecutive same-destination responses into batch envelopes.
+/// `Segment` defers the audit response entirely: the log slice
 /// is borrowed and encoded at send time, so the hot path never clones the
 /// challenged entries into an owned `Vec` first.
 // The queue is transient (drained within the same dispatch), so the size
@@ -196,12 +196,13 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 aux: selected.len() as u64
             );
         }
+        let retries = self.config.challenge_retries;
         for (&(witness, node), pair) in &mut self.pairs {
             // Down witnesses challenge nobody; down auditees cannot answer
             // (challenging them would only manufacture suspicion while an
             // in-flight challenge from before the crash already covers the
             // transient-suspicion semantics).
-            if is_down(&self.members, witness) || is_down(&self.members, node) {
+            if is_down(&self.members, witness) {
                 continue;
             }
             let ctx = TraceCtx {
@@ -210,81 +211,51 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 at_us,
                 round,
             };
-            if !no_faults
+            let event = if is_down(&self.members, node) {
+                PairEvent::AuditeeDown
+            } else if !no_faults
                 && !Self::performs_audit_duty(&self.faults, &mut self.stats, &mut pair.record, ctx)
             {
                 continue;
-            }
-            if pair.record.verdict == Verdict::Exposed {
-                continue;
-            }
-            if let Some(out) = &pair.outstanding {
-                // Retry firing: a still-outstanding challenge whose backoff
-                // gap has elapsed is re-sent (the response may have been
-                // lost to a crash or an open partition).
-                if round >= out.resume_round {
-                    outgoing.push((
-                        NodeId(witness),
-                        NodeId(node),
-                        Envelope::Challenge {
-                            from_seq: pair.record.audited_seq,
-                            upto_seq: out.target.seq,
-                        }
-                        .into(),
-                    ));
-                    tnic_obs::trace_event!(
-                        tnic_obs::EventKind::Retry,
-                        at_us: at_us,
-                        node: witness,
-                        peer: node,
-                        seq: out.target.seq,
-                        round: round,
-                        aux: u64::from(out.attempts)
-                    );
-                    self.stats.challenge_retries += 1;
+            } else {
+                let sampled = sampled
+                    .as_ref()
+                    .is_none_or(|s| s.contains(&(witness, node)));
+                PairEvent::Selected { sampled, now }
+            };
+            let (upto_seq, kind, attempt) = match pair.step(event, round, retries) {
+                PairAction::Challenge { upto_seq } => {
+                    self.stats.challenges += 1;
+                    (upto_seq, tnic_obs::EventKind::Challenge, 0)
                 }
-                continue;
-            }
-            // Sampled auditing: a pair outside this round's sample is simply
-            // not challenged — it can never be suspected for the skipped
-            // round, because only a pair with an outstanding challenge can
-            // time out (retries above are always serviced).
-            if let Some(selected) = &sampled {
-                if !selected.contains(&(witness, node)) {
+                PairAction::Resend { upto_seq, attempt } => {
+                    self.stats.challenge_retries += 1;
+                    (upto_seq, tnic_obs::EventKind::Retry, attempt)
+                }
+                PairAction::SampledOut => {
                     self.stats.audits_sampled_out += 1;
                     continue;
                 }
-                pair.last_selected = Some(round);
-            }
-            if let Some(target) = pair.record.next_audit_target().cloned() {
-                outgoing.push((
-                    NodeId(witness),
-                    NodeId(node),
-                    Envelope::Challenge {
-                        from_seq: pair.record.audited_seq,
-                        upto_seq: target.seq,
-                    }
-                    .into(),
-                ));
-                pair.record.trace = ctx;
-                tnic_obs::trace_event!(
-                    tnic_obs::EventKind::Challenge,
-                    at_us: at_us,
-                    node: witness,
-                    peer: node,
-                    seq: target.seq,
-                    round: round
-                );
-                // The first round-end timeout (in `finish_round`, this same
-                // round) starts the retry clock.
-                pair.outstanding = Some(Outstanding {
-                    target,
-                    started: now,
-                    attempts: 0,
-                    resume_round: round,
-                });
-                self.stats.challenges += 1;
-            }
+                _ => continue,
+            };
+            tnic_obs::trace_event!(
+                kind,
+                at_us: at_us,
+                node: witness,
+                peer: node,
+                seq: upto_seq,
+                round: round,
+                aux: u64::from(attempt)
+            );
+            outgoing.push((
+                NodeId(witness),
+                NodeId(node),
+                Envelope::Challenge {
+                    from_seq: pair.record.audited_seq,
+                    upto_seq,
+                }
+                .into(),
+            ));
         }
         self.send_outgoing(cluster, outgoing)
     }
@@ -310,7 +281,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             by_witness
                 .entry(witness)
                 .or_default()
-                .push((node, pair.last_selected));
+                .push((node, pair.last_selected()));
         }
         let mut selected = BTreeSet::new();
         for (witness, mut charges) in by_witness {
@@ -349,42 +320,21 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         Some(selected)
     }
 
+    /// Ends the round for every pair: a challenge past its retry budget
+    /// suspects its auditee (see [`EngineConfig::challenge_retries`]).
     pub(super) fn finish_round(&mut self) {
-        /// Gap, in audit rounds, before the first challenge retry; it
-        /// doubles per attempt (exponential backoff).
-        const RETRY_BACKOFF_ROUNDS: u64 = 1;
         let now = self.trace_ctx(tnic_obs::NONE, tnic_obs::NONE);
-        let round = now.round;
         let retries = self.config.challenge_retries;
         for (&(witness, node), pair) in &mut self.pairs {
-            let Some(out) = &mut pair.outstanding else {
-                continue;
-            };
-            // Timeout–retry–backoff: while retry budget remains, keep the
-            // challenge outstanding and schedule the next (exponentially
-            // later) re-send instead of suspecting immediately. A challenge
-            // waiting out its backoff gap (not yet due) has not timed out
-            // again.
-            if round < out.resume_round {
-                continue; // still backing off; nothing fired this round
+            if pair.step(PairEvent::RoundEnd, now.round, retries) == PairAction::Suspect {
+                self.stats.unanswered_challenges += 1;
+                pair.record.trace = TraceCtx {
+                    witness,
+                    node,
+                    ..now
+                };
+                pair.record.mark_unresponsive();
             }
-            if out.attempts < retries {
-                out.attempts += 1;
-                let gap = RETRY_BACKOFF_ROUNDS << (out.attempts - 1).min(16);
-                out.resume_round = round + gap;
-                continue;
-            }
-            // Retry budget exhausted (or zero): the classic downgrade.
-            // Suspicion is bounded — without evidence the verdict never
-            // exceeds Suspected, and a later valid response clears it.
-            pair.outstanding = None;
-            self.stats.unanswered_challenges += 1;
-            pair.record.trace = TraceCtx {
-                witness,
-                node,
-                ..now
-            };
-            pair.record.mark_unresponsive();
         }
     }
 
@@ -431,8 +381,12 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         self.send_outgoing(cluster, outgoing)
     }
 
-    /// Sends a handler's queued outbound messages, coalescing consecutive
-    /// runs with the same (from, to) into batch envelopes where possible.
+    /// Sends a handler's queued outbound messages in order. A run of
+    /// deferred segments from one node to one witness becomes one
+    /// [`Envelope::ResponseBatch`] (or a single zero-copy response);
+    /// everything else goes out as-is. Challenges never form a run: a round
+    /// issues at most one per (witness, auditee) pair, and each pair is its
+    /// own destination.
     pub(super) fn send_outgoing(
         &mut self,
         cluster: &mut Cluster,
@@ -441,83 +395,20 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let mut i = 0;
         while i < outgoing.len() {
             let (from, to) = (outgoing[i].0, outgoing[i].1);
-            let mut j = i + 1;
-            while j < outgoing.len() && outgoing[j].0 == from && outgoing[j].1 == to {
-                j += 1;
+            if let Outbound::Env(env) = &outgoing[i].2 {
+                self.send_control(cluster, from, to, env)?;
+                i += 1;
+                continue;
             }
-            self.send_group(cluster, from, to, &outgoing[i..j])?;
-            i = j;
-        }
-        Ok(())
-    }
-
-    /// Sends one same-destination group: consecutive runs of ≥ 2 challenges
-    /// become one [`Envelope::ChallengeBatch`], runs of deferred segments
-    /// become one [`Envelope::ResponseBatch`] (or a single zero-copy
-    /// response), everything else goes out as-is.
-    fn send_group(
-        &mut self,
-        cluster: &mut Cluster,
-        from: NodeId,
-        to: NodeId,
-        group: &[(NodeId, NodeId, Outbound)],
-    ) -> Result<(), CoreError> {
-        let mut i = 0;
-        while i < group.len() {
-            match &group[i].2 {
-                Outbound::Env(Envelope::Challenge { .. }) => {
-                    let mut challenges: Vec<(u64, u64)> = Vec::new();
-                    let mut j = i;
-                    while let Some((
-                        _,
-                        _,
-                        Outbound::Env(Envelope::Challenge { from_seq, upto_seq }),
-                    )) = group.get(j)
-                    {
-                        challenges.push((*from_seq, *upto_seq));
-                        j += 1;
-                    }
-                    if challenges.len() >= 2 {
-                        let mut scratch = std::mem::take(&mut self.wire_scratch);
-                        Envelope::encode_challenge_batch_into(&mut scratch, &challenges);
-                        let elements = challenges.len() as u64;
-                        let result = self.send_control_raw(cluster, from, to, &scratch, elements);
-                        self.wire_scratch = scratch;
-                        self.stats.challenge_batches += 1;
-                        self.stats.batched_envelopes += elements;
-                        tnic_obs::trace_event!(
-                            tnic_obs::EventKind::ChallengeBatch,
-                            at_us: self.clock.now().as_micros(),
-                            node: from.0,
-                            peer: to.0,
-                            seq: self.audit_rounds_done,
-                            aux: elements
-                        );
-                        result?;
-                    } else {
-                        let (_, _, Outbound::Env(env)) = &group[i] else {
-                            unreachable!("run starts at a challenge envelope")
-                        };
-                        self.send_control(cluster, from, to, env)?;
-                    }
-                    i = j;
+            let mut ranges: Vec<(u64, u64)> = Vec::new();
+            while let Some((f, t, Outbound::Segment { from_seq, upto_seq })) = outgoing.get(i) {
+                if (*f, *t) != (from, to) {
+                    break;
                 }
-                Outbound::Segment { .. } => {
-                    let mut ranges: Vec<(u64, u64)> = Vec::new();
-                    let mut j = i;
-                    while let Some((_, _, Outbound::Segment { from_seq, upto_seq })) = group.get(j)
-                    {
-                        ranges.push((*from_seq, *upto_seq));
-                        j += 1;
-                    }
-                    self.send_segments(cluster, from, to, &ranges)?;
-                    i = j;
-                }
-                Outbound::Env(env) => {
-                    self.send_control(cluster, from, to, env)?;
-                    i += 1;
-                }
+                ranges.push((*from_seq, *upto_seq));
+                i += 1;
             }
+            self.send_segments(cluster, from, to, &ranges)?;
         }
         Ok(())
     }

@@ -385,9 +385,11 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                     pair.record.trace = ctx;
                     pair.record
                         .fast_forward(mark.cut, mark.head, machine, pending);
-                    // The fast-forward subsumes any in-flight challenge (a
-                    // certificate may arrive as the *answer* to one).
-                    pair.outstanding = None;
+                    pair.step(
+                        PairEvent::FastForward,
+                        ctx.round,
+                        self.config.challenge_retries,
+                    );
                 }
             }
         }

@@ -226,9 +226,9 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// verified donor handover, or from genesis when no checkpoint exists,
     /// and exposure evidence held by the outgoing set is handed over so
     /// verdicts survive reconfiguration. Outgoing pairs are dropped with
-    /// all their state — reassignment is also garbage collection — so a
-    /// pair the ring later hands back starts with no outstanding challenge
-    /// and a fresh retry budget.
+    /// all their state — reassignment is also garbage collection — and a
+    /// pair the ring later hands back starts fresh, with no challenge in
+    /// flight and a full retry budget (`PairEvent::HandedBack`).
     ///
     /// Sampled-audit coverage across handover: the coverage-window backstop
     /// keys off a pair's last selection, so an incoming witness with none
@@ -242,6 +242,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let ids: Vec<u32> = self.ids().collect();
         let groups = shard_members(&ids, self.config.shards, self.config.seed);
         let new_sets = witness_sets(&groups, self.witness_width, self.epoch);
+        let (round, retries) = (self.audit_rounds_done, self.config.challenge_retries);
         for (node, new_set) in ids.into_iter().zip(new_sets) {
             let old_set = std::mem::take(&mut self.members[node as usize].witnesses);
             let outgoing = || old_set.iter().filter_map(|&w| old_pairs.get(&(w, node)));
@@ -253,7 +254,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 .find(|p| p.record.verdict == Verdict::Exposed)
                 .map(|p| p.record.evidence.clone())
                 .unwrap_or_default();
-            let carried = outgoing().filter_map(|p| p.last_selected).max();
+            let carried = outgoing().filter_map(AuditPair::last_selected).max();
             // Incoming pairs first, while the outgoing ones can still
             // donate their state; then the kept pairs move over whole.
             let mut pairs: Vec<(u32, AuditPair<A::Machine>)> = new_set
@@ -261,17 +262,18 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 .filter(|&&witness| !old_pairs.contains_key(&(witness, node)))
                 .map(|&witness| {
                     let record = self.incoming_record(app, node, &old_set, &old_pairs, &handover);
-                    (witness, AuditPair::new(record))
+                    let mut pair = AuditPair::new(record);
+                    pair.step(PairEvent::HandedBack { carried }, round, retries);
+                    (witness, pair)
                 })
                 .collect();
             self.stats.witness_handovers += pairs.len() as u64;
-            pairs.extend(
-                new_set
-                    .iter()
-                    .filter_map(|&witness| Some((witness, old_pairs.remove(&(witness, node))?))),
-            );
-            for (witness, mut pair) in pairs {
-                pair.last_selected = pair.last_selected.or(carried);
+            pairs.extend(new_set.iter().filter_map(|&witness| {
+                let mut pair = old_pairs.remove(&(witness, node))?;
+                pair.step(PairEvent::Kept { carried }, round, retries);
+                Some((witness, pair))
+            }));
+            for (witness, pair) in pairs {
                 self.pairs.insert((witness, node), pair);
             }
             self.members[node as usize].witnesses = new_set;

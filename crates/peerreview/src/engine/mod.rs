@@ -97,7 +97,7 @@
 //! directly received commitments to fellow witnesses the same way (on their
 //! own application sends and audit replies). Pending items that found no
 //! ride by the end of the workload are flushed in dedicated messages —
-//! repeatedly, until no relay is outstanding — before challenges are
+//! repeatedly, until no relay is left — before challenges are
 //! issued, so *every* witness audits in *every* round. The audit pipeline
 //! runs one workload round behind the traffic it rides on (commitments
 //! sealed before round `k`'s workload cover rounds `< k`); a finite run
@@ -207,7 +207,7 @@
 //!   every charge within `ceil(charges/k)` rounds;
 //!   [`EngineConfig::audit_coverage_window`] adds a hard upper bound on a
 //!   pair's audit gap. Safety is untouched — an unsampled pair is simply
-//!   not challenged, and only an outstanding challenge can time out into
+//!   not challenged, and only a challenge in flight can time out into
 //!   suspicion — while exposure of a tamperer is delayed by at most the
 //!   coverage bound (the measured detection-latency/overhead frontier
 //!   lives in `tnic-bench`'s sweep report).
@@ -220,11 +220,13 @@
 //! Three more things keep the engine's own cost off the quadratic path, and
 //! are simply how it works:
 //!
-//! * **Challenge batching**: consecutive challenges or responses to the
-//!   same destination coalesce into one
-//!   [`Envelope::ChallengeBatch`]/[`Envelope::ResponseBatch`] wire message,
-//!   and audit responses are encoded straight from borrowed log segments
-//!   into a reused scratch buffer (no per-response allocation).
+//! * **Response batching**: consecutive responses to the same witness
+//!   coalesce into one [`Envelope::ResponseBatch`] wire message, and audit
+//!   responses are encoded straight from borrowed log segments into a
+//!   reused scratch buffer (no per-response allocation). A received
+//!   [`Envelope::ChallengeBatch`] is answered the same way; the engine
+//!   itself never sends one, as a round challenges each (witness,
+//!   auditee) pair at most once.
 //! * **Active-set dispatch**: settling a round drains inboxes by walking
 //!   the cluster's active set — the nodes with queued deliveries, in id
 //!   order ([`Cluster::nodes_with_pending`]) — instead of scanning all n
@@ -254,7 +256,13 @@
 //!
 //! One file per role, all over the one engine struct: `commitment` (the
 //! per-node logs, round digests and ride queue), `audit_round` (commit,
-//! flush, challenge, sweep and the batched send path), `witness` (the
+//! flush, challenge, sweep and the batched send path), `pair` (the one
+//! owner of a (witness, auditee) pair's lifecycle: `AuditPair::step`
+//! takes a `PairEvent` — picked for an audit, auditee down, round end,
+//! answered, farewell, fast-forward, handed back or kept — and returns a
+//! `PairAction` — challenge, re-send, suspect, replay or nothing; the
+//! other files do the sending, stats and trace events and reach a pair's
+//! challenge state through `step` alone), `witness` (the
 //! handlers a witness runs on commitments, challenges, responses,
 //! evidence and membership envelopes), `checkpoint_round` (propose,
 //! cosign, commit and the witness handover), `membership` (join, depart,
@@ -271,10 +279,9 @@
 //! committed boundary, the proposal collecting cosignatures and the latest
 //! commit certificate. An `AuditPair` per (witness, auditee),
 //! in that order, holds the witness's [`WitnessRecord`], the round
-//! sampled auditing last selected the pair, and the outstanding challenge
-//! with its retry and backoff state. Answering, timing out or subsuming a
-//! challenge clears it in one assignment, and dropping a pair at
-//! reassignment drops all of its state.
+//! sampled auditing last selected the pair, and the challenge in flight
+//! with its retry and backoff state. Dropping a pair at reassignment drops
+//! all of its state.
 //!
 //! Log-session keys are held once: the engine prepares each node's key
 //! when the node is attached or joins, in one list indexed by node id, and
@@ -293,6 +300,7 @@ mod byzantine;
 mod checkpoint_round;
 mod commitment;
 mod membership;
+mod pair;
 #[cfg(test)]
 mod tests;
 mod witness;
@@ -306,6 +314,7 @@ use crate::wire::Envelope;
 use checkpoint_round::PendingCheckpoint;
 use commitment::CommitmentLayer;
 use membership::{witness_sets, witness_width};
+use pair::{AuditPair, PairAction, PairEvent};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -443,6 +452,16 @@ pub struct EngineConfig {
     /// round end, the classic behaviour). Retries let audits degrade
     /// gracefully across transient outages — crashes that recover,
     /// partitions that heal — instead of stalling on one lost response.
+    ///
+    /// The schedule: a challenge first sent in audit round `r` times out at
+    /// the end of round `r`; the gap to the next re-send starts at one
+    /// round and doubles after every re-send, capped at 2^16 rounds. So with
+    /// `k` retries the re-sends go out in rounds `r + 1`, `r + 3`, `r + 7`,
+    /// …, `r + 2^k − 1` (while the auditee is up to be sent to), and the
+    /// auditee is suspected at the end of round `r + 2^k − 1` (for
+    /// `k ≤ 17`; past that each further gap is 2^16 rounds). An answer, a
+    /// covering farewell or a certified fast-forward before then ends the
+    /// challenge.
     pub challenge_retries: u32,
     /// **Sampled auditing** (scaling knob): how many of its charges each
     /// witness audits per round (`None` = all of them, the classic
@@ -451,8 +470,8 @@ pub struct EngineConfig {
     /// shuffle, so consecutive rounds cover disjoint charges and every
     /// charge is audited within `⌈charges / sample_size⌉` rounds even
     /// before the [`EngineConfig::audit_coverage_window`] backstop kicks
-    /// in. Unsampled pairs are *never* suspected — only a pair with an
-    /// outstanding challenge can time out — so sampling trades detection
+    /// in. Unsampled pairs are *never* suspected — only a pair with a
+    /// challenge in flight can time out — so sampling trades detection
     /// latency, not accuracy.
     pub audit_sample_size: Option<u32>,
     /// Seed of the per-witness sampling shuffle, independent of
@@ -599,40 +618,6 @@ impl<M> Member<M> {
             certificate: None,
         }
     }
-}
-
-/// Everything the engine keeps about one (witness, auditee) pair. Not
-/// `Clone`: reassignment moves a kept pair, it never copies one.
-struct AuditPair<M: StateMachine> {
-    /// The witness's view of the auditee.
-    record: WitnessRecord<M>,
-    /// The last round sampled auditing selected the pair (the
-    /// coverage-window backstop; unused without sampling).
-    last_selected: Option<u64>,
-    /// The challenge awaiting an answer, if any.
-    outstanding: Option<Outstanding>,
-}
-
-impl<M: StateMachine> AuditPair<M> {
-    fn new(record: WitnessRecord<M>) -> Self {
-        AuditPair {
-            record,
-            last_selected: None,
-            outstanding: None,
-        }
-    }
-}
-
-/// A challenge awaiting its answer, with its timeout–retry–backoff state.
-struct Outstanding {
-    /// The commitment under challenge.
-    target: Authenticator,
-    /// When the challenge was first sent (audit latency).
-    started: SimInstant,
-    /// Round-end timeouts seen so far.
-    attempts: u32,
-    /// The audit round at which the challenge is re-sent next.
-    resume_round: u64,
 }
 
 /// The accountability engine: witness protocol + commitment layer over one

@@ -51,13 +51,13 @@ fn mismatched_response_from_seq_is_ignored_and_node_suspected() {
     let mut outgoing = Vec::new();
     engine.handle_commitment(0, auth, false, &mut outgoing);
     engine.issue_challenges(&mut cluster).unwrap();
-    assert!(engine.pairs[&(0, 1)].outstanding.is_some());
+    assert!(engine.pairs[&(0, 1)].is_challenged());
     // A response whose `from_seq` does not match the challenged range
     // start must be ignored: the challenge stays pending and round end
     // downgrades the node.
     let entries = engine.layer.borrow().segment_ref(1, 0, seq).to_vec();
     engine.handle_response(0, 1, 7, &entries);
-    assert!(engine.pairs[&(0, 1)].outstanding.is_some());
+    assert!(engine.pairs[&(0, 1)].is_challenged());
     engine.finish_round();
     assert_eq!(engine.verdict_of(0, 1), Verdict::Suspected);
 }
@@ -438,19 +438,20 @@ fn below_base_challenge_answered_with_certificate_not_suspicion() {
         panic!("below-base challenge must be answered with the certificate");
     };
     assert_eq!(mark.cut, cut);
-    // Rewind witness 0 to a pre-checkpoint view with the challenge
-    // outstanding (what the reordered transport left behind).
+    // Rewind witness 0 to a pre-checkpoint view holding a commitment
+    // beyond the cut, and challenge it (what the reordered transport left
+    // behind).
     let (seal, _) = engine.layer.borrow_mut().seal(1, base + 1, [9u8; 32]);
-    let (started, round) = (engine.clock.now(), engine.audit_rounds_done);
+    let (now, round) = (engine.clock.now(), engine.audit_rounds_done);
     {
         let pair = engine.pairs.get_mut(&(0, 1)).unwrap();
         pair.record = WitnessRecord::new(CounterMachine::new());
-        pair.outstanding = Some(Outstanding {
-            target: seal,
-            started,
-            attempts: 0,
-            resume_round: round,
-        });
+        pair.record.commitments.push(seal);
+        let selected = PairEvent::Selected { sampled: true, now };
+        assert_eq!(
+            pair.step(selected, round, engine.config.challenge_retries),
+            PairAction::Challenge { upto_seq: base + 1 }
+        );
     }
     // Delivering the certificate fast-forwards the witness to the
     // cosigned boundary instead of leaving it to suspect the node.
@@ -458,7 +459,7 @@ fn below_base_challenge_answered_with_certificate_not_suspicion() {
     engine.handle_envelope(&mut app, NodeId(0), 1, answer, &mut relays);
     let pair = &engine.pairs[&(0, 1)];
     assert_eq!(pair.record.audited_seq, cut, "fast-forwarded to the cut");
-    assert!(pair.outstanding.is_none());
+    assert!(!pair.is_challenged());
     engine.finish_round();
     assert_eq!(
         engine.verdict_of(0, 1),
@@ -568,7 +569,7 @@ fn sampled_run_keeps_every_verdict_trusted() {
     // The rotating window plus backstop audited every pair at least once.
     for (&pair, audit) in &engine.pairs {
         assert!(
-            audit.last_selected.is_some() || audit.record.audited_seq > 0,
+            audit.last_selected().is_some() || audit.record.audited_seq > 0,
             "pair {pair:?} was never selected"
         );
     }
@@ -854,9 +855,10 @@ fn sharded_witnesses_stay_inside_their_shard() {
         witness_count: Some(2),
         ..EngineConfig::default()
     };
-    let (_cluster, _app, engine) = sized_deployment(8, config, FaultPlan::all_correct());
-    let ids: Vec<u32> = (0..8).collect();
-    let groups = shard_members(&ids, 2, EngineConfig::default().seed);
+    let (_cluster, _app, engine) = sized_deployment(16, config, FaultPlan::all_correct());
+    let ids: Vec<u32> = (0..16).collect();
+    let groups = shard_members(&ids, 2, config.seed);
+    assert_eq!(groups.len(), 2, "two shard groups at n = 16");
     let shard_of = |n: u32| groups.iter().position(|g| g.contains(&n)).unwrap();
     for &(witness, node) in engine.pairs.keys() {
         assert_eq!(
@@ -866,12 +868,12 @@ fn sharded_witnesses_stay_inside_their_shard() {
         );
     }
     // Sharding actually shrinks the per-witness charge list.
-    let max_charges = (0..8u32)
+    let max_charges = (0..16u32)
         .map(|w| engine.pairs.keys().filter(|(x, _)| *x == w).count())
         .max()
         .unwrap();
     assert!(
-        max_charges < 7,
+        max_charges < 15,
         "a sharded witness must track fewer than n-1 charges, got {max_charges}"
     );
 }
@@ -883,18 +885,20 @@ fn sharded_engine_exposes_tamperer_and_keeps_correct_nodes_clean() {
         witness_count: Some(3),
         ..EngineConfig::default()
     };
+    let groups = shard_members(&(0..16).collect::<Vec<_>>(), 2, config.seed);
+    assert_eq!(groups.len(), 2, "two shard groups at n = 16");
     let (mut cluster, mut app, mut engine) = sized_deployment(
-        8,
+        16,
         config,
         FaultPlan::single(1, NodeFault::TamperLogEntry { seq: 0 }),
     );
-    run_rounds_n(&mut cluster, &mut app, &mut engine, 8, 4);
+    run_rounds_n(&mut cluster, &mut app, &mut engine, 16, 4);
     let witnesses = engine.correct_witnesses_of(1);
     assert!(!witnesses.is_empty(), "the tamperer has co-shard witnesses");
     for w in witnesses {
         assert_eq!(engine.verdict_of(w, 1), Verdict::Exposed, "witness {w}");
     }
-    for node in 0..8u32 {
+    for node in 0..16u32 {
         if node == 1 {
             continue;
         }
@@ -1156,7 +1160,7 @@ fn witness_rotation_carries_the_sampled_audit_clock_through_handover() {
     // itself yet (those must have inherited the outgoing set's offset).
     for (&(witness, node), pair) in &engine.pairs {
         assert!(
-            pair.last_selected.is_some(),
+            pair.last_selected().is_some(),
             "pair ({witness}, {node}) lost its audit clock across rotation"
         );
     }

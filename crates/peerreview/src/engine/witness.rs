@@ -76,14 +76,11 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 let _ = record.check_response(&auth, &tail);
             }
         }
-        // The farewell subsumes any challenge it covers.
-        if pair
-            .outstanding
-            .as_ref()
-            .is_some_and(|out| out.target.seq <= seq)
-        {
-            pair.outstanding = None;
-        }
+        pair.step(
+            PairEvent::Farewell { seq },
+            ctx.round,
+            self.config.challenge_retries,
+        );
     }
 
     /// Cryptographically verifies a TNIC seal on `verifier`'s kernel, under
@@ -256,14 +253,11 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let Some(pair) = self.pairs.get_mut(&(witness, node)) else {
             return;
         };
-        // The response must answer the outstanding challenge: its `from_seq`
-        // echoes the challenged range start, which is exactly the witness's
-        // audited prefix (challenges are issued with `from_seq =
-        // audited_seq`, and the prefix only advances on a valid response).
-        // A stale or forged range is ignored — the challenge stays
-        // outstanding and unresponsiveness handling takes over at round end.
-        let audited_seq = pair.record.audited_seq;
-        let Some(out) = pair.outstanding.take_if(|_| from_seq == audited_seq) else {
+        let PairAction::Replay { target, started } = pair.step(
+            PairEvent::Answered { from_seq },
+            ctx.round,
+            self.config.challenge_retries,
+        ) else {
             return;
         };
         self.stats.responses += 1;
@@ -275,17 +269,17 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             at_us: ctx.at_us,
             node: witness,
             peer: node,
-            seq: out.target.seq,
+            seq: target.seq,
             round: ctx.round,
             aux: entries.len() as u64
         );
         // The verdict transition happens inside the record; failures are
         // locally verified evidence, so no further transfer is needed —
         // every witness audits independently.
-        let _ = pair.record.check_response(&out.target, entries);
+        let _ = pair.record.check_response(&target, entries);
         self.stats
             .audit_latency
-            .record(self.clock.now().duration_since(out.started));
+            .record(self.clock.now().duration_since(started));
     }
 
     /// An evidence message is adopted only when it is independently
@@ -314,43 +308,36 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             round: ctx.round,
             aux: u64::from(!verifiable)
         );
+        // An unverifiable accusation convicts the accuser, in the accuser's
+        // own pair, once; a verifiable one the accused, once.
         if !verifiable {
             self.stats.evidence_rejected += 1;
-            if from != witness && self.witnesses_of(from).contains(&witness) {
-                let accused = a.node;
-                let Some(record) = self.pairs.get_mut(&(witness, from)).map(|p| &mut p.record)
-                else {
-                    return;
-                };
-                let already_convicted = record
-                    .evidence
-                    .iter()
-                    .any(|e| matches!(e, Misbehavior::ForgedAccusation { .. }));
-                if !already_convicted {
-                    self.stats.accusations_turned += 1;
-                    record.trace = TraceCtx { node: from, ..ctx };
-                    record.convict(Misbehavior::ForgedAccusation { accused });
-                }
+            if from == witness || !self.witnesses_of(from).contains(&witness) {
+                return;
             }
-            return;
         }
-        let Some(record) = self
-            .pairs
-            .get_mut(&(witness, a.node))
-            .map(|p| &mut p.record)
-        else {
+        let node = if verifiable { a.node } else { from };
+        let Some(pair) = self.pairs.get_mut(&(witness, node)) else {
             return;
         };
-        let already_convicted = record
-            .evidence
-            .iter()
-            .any(|e| matches!(e, Misbehavior::ConflictingCommitments { .. }));
-        if !already_convicted {
-            record.trace = ctx;
-            record.convict(Misbehavior::ConflictingCommitments {
+        let held = |e: &Misbehavior| match e {
+            Misbehavior::ConflictingCommitments { .. } => verifiable,
+            Misbehavior::ForgedAccusation { .. } => !verifiable,
+            _ => false,
+        };
+        if pair.record.evidence.iter().any(held) {
+            return;
+        }
+        let evidence = if verifiable {
+            Misbehavior::ConflictingCommitments {
                 a: Box::new(a.clone()),
                 b: Box::new(b.clone()),
-            });
-        }
+            }
+        } else {
+            self.stats.accusations_turned += 1;
+            Misbehavior::ForgedAccusation { accused: a.node }
+        };
+        pair.record.trace = TraceCtx { node, ..ctx };
+        pair.record.convict(evidence);
     }
 }

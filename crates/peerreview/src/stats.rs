@@ -104,15 +104,13 @@ pub struct AccountabilityStats {
     pub audit_messages: u64,
     /// (witness, auditee) pairs a sampling witness deliberately left out of
     /// a round (sampled auditing; they are *not* suspected — only a pair
-    /// with an outstanding challenge can time out).
+    /// with a challenge in flight can time out).
     pub audits_sampled_out: u64,
-    /// `ChallengeBatch` envelopes sent (each coalesces ≥ 2 challenges).
-    pub challenge_batches: u64,
     /// `ResponseBatch` envelopes sent (each coalesces ≥ 2 responses).
     pub response_batches: u64,
-    /// Individual challenges/responses that travelled inside a batch
-    /// envelope instead of their own message; the wire savings is
-    /// `batched_envelopes - (challenge_batches + response_batches)`.
+    /// Individual responses that travelled inside a batch envelope instead
+    /// of their own message; the wire savings is
+    /// `batched_envelopes - response_batches`.
     pub batched_envelopes: u64,
     /// Audit replays performed by witnesses (each `check_response` over a
     /// received log segment, including departure-tail replays).
