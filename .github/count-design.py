@@ -15,6 +15,9 @@ where ROOT is a git checkout, every such file outside `target/` otherwise):
 - `pub` lines and `pub(crate)` / `pub(super)` lines among the code lines;
 - code lines per area: each crate (`crates/NAME`, and `src` for the
   umbrella) and the accountability engine (`crates/peerreview/src/engine`);
+- keyed maps per area: mentions of `BTreeMap`, `BTreeSet` and `HashMap` in
+  those code lines, outside comments and string literals (the tables not
+  yet indexed by dense id);
 - `#[test]` functions, lines of `.github/reachability-allowlist`, crates
   (`Cargo.toml` files under `crates/`) and the fields of the accountability
   engine struct.
@@ -29,6 +32,7 @@ import sys
 
 ENGINE_STRUCT = "pub struct AccountabilityEngine<"
 ENGINE_DIR = "crates/peerreview/src/engine/"
+KEYED_MAP = re.compile(r"\b(?:BTreeMap|BTreeSet|HashMap)\b")
 
 
 def areas(path):
@@ -171,8 +175,10 @@ def count(root):
             texts[f] = fh.read().splitlines()
     test_files = {f for f in files if re.search(r"(^|/)(tests|benches)/", f)}
     spans = {}
+    stripped = {}
     for f in files:
-        spans[f] = test_spans(code_only(texts[f]))
+        stripped[f] = code_only(texts[f])
+        spans[f] = test_spans(stripped[f])
     # Files declared by `#[cfg(test)] mod name;` are test code, and so is
     # every module below them.
     changed = True
@@ -196,6 +202,7 @@ def count(root):
         ["lines", "code lines", "pub lines", "pub(crate)/pub(super) lines",
          "#[test] functions", "allowlist lines", "crates", "engine fields"], 0)
     per_area = {}
+    keyed = {}
     for f in files:
         lines = texts[f]
         totals["lines"] += len(lines)
@@ -208,8 +215,10 @@ def count(root):
             if n in skip or not s or s.startswith("//"):
                 continue
             totals["code lines"] += 1
+            mentions = len(KEYED_MAP.findall(stripped[f][n]))
             for area in areas(f):
                 per_area[area] = per_area.get(area, 0) + 1
+                keyed[area] = keyed.get(area, 0) + mentions
             if re.match(r"pub\((crate|super)\)\s", s):
                 totals["pub(crate)/pub(super) lines"] += 1
             elif re.match(r"pub\s", s):
@@ -237,6 +246,8 @@ def count(root):
             if os.path.exists(os.path.join(crates_dir, d, "Cargo.toml")))
     for area in sorted(per_area):
         totals[f"code lines: {area}"] = per_area[area]
+    for area in sorted(keyed):
+        totals[f"keyed maps: {area}"] = keyed[area]
     return totals
 
 

@@ -101,10 +101,10 @@ fn ordered_timeline_respects_causality_and_program_order() {
     );
 }
 
-/// One batched wire envelope fans out into per-pair protocol spans: the
-/// per-pair `Challenge`/`Response` events a `ChallengeBatch` carries each
-/// produce their own `challenge→response` span, while the batch event
-/// itself (not a ladder step) adds none.
+/// One batched wire envelope fans out into per-pair protocol spans: a batch
+/// records no event of its own, and the per-pair `Challenge` / `Response`
+/// events of its elements each produce their own `challenge→response`
+/// span, on the audited pair's track.
 #[test]
 fn batched_envelopes_fan_out_to_per_pair_spans() {
     let event = |kind, at_us, node, peer, seq, round| Event {
@@ -116,21 +116,12 @@ fn batched_envelopes_fan_out_to_per_pair_spans() {
         round,
         ..Event::EMPTY
     };
-    // Witness 3 coalesces two challenges at node 0 into one wire batch
-    // (aux = 2 elements); each element still records its per-pair
-    // challenge and response.
+    // Witness 3's two challenges at node 0 travel in one wire batch; each
+    // element records its own per-pair challenge, and the answer its
+    // per-pair response.
     let events = vec![
         event(EventKind::Challenge, 10, 3, 0, 4, 1),
         event(EventKind::Challenge, 11, 3, 0, 8, 2),
-        Event {
-            kind: EventKind::ChallengeBatch,
-            at_us: 12,
-            node: 3,
-            peer: 0,
-            seq: 1,
-            aux: 2,
-            ..Event::EMPTY
-        },
         event(EventKind::Response, 20, 3, 0, 4, 1),
         event(EventKind::AuditReplay, 25, 3, 0, 4, 1),
     ];

@@ -18,7 +18,7 @@ use crate::error::CoreError;
 use crate::provider::Provider;
 use crate::verification::{ActionFact, LemmaMonitor};
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use tnic_crypto::ed25519::{Keypair, PreparedVerifyingKey, Signature};
 use tnic_device::attestation::AttestedMessage;
 use tnic_device::roce::packet::{PacketHeader, RdmaOpcode, RocePacket};
@@ -59,8 +59,8 @@ pub struct Delivered {
     pub at: SimInstant,
 }
 
-/// Per-node state: the attestation provider, client-facing signing key and
-/// the inbox filled by `auth_send`.
+/// Per-node state: the attestation provider, client-facing signing key,
+/// pairwise sessions and the inbox filled by `auth_send`.
 struct Endpoint {
     provider: Provider,
     /// The client key's seed, drawn from the cluster rng in `add_node`;
@@ -71,10 +71,26 @@ struct Endpoint {
     /// The client key's public half readied for many verifications, built
     /// on the first `verify_reply` that names this node.
     verifier: OnceCell<PreparedVerifyingKey>,
+    /// The node's pairwise sessions, `(peer id, session)` sorted by peer.
+    sessions: Vec<(u32, SessionId)>,
     inbox: VecDeque<Delivered>,
 }
 
 impl Endpoint {
+    /// The pairwise session with `peer`, if the two are connected.
+    fn session_with(&self, peer: NodeId) -> Option<SessionId> {
+        let at = self.sessions.binary_search_by_key(&peer.0, |&(p, _)| p);
+        at.ok().map(|i| self.sessions[i].1)
+    }
+
+    /// Records `session` as the one with `peer`, replacing any earlier one.
+    fn set_session(&mut self, peer: NodeId, session: SessionId) {
+        match self.sessions.binary_search_by_key(&peer.0, |&(p, _)| p) {
+            Ok(i) => self.sessions[i].1 = session,
+            Err(i) => self.sessions.insert(i, (peer.0, session)),
+        }
+    }
+
     fn signer(&self) -> &Keypair {
         self.signer
             .get_or_init(|| Keypair::from_seed(&self.signer_seed))
@@ -120,8 +136,8 @@ pub struct Cluster {
     stack: NetworkStackKind,
     clock: SimClock,
     rng: DetRng,
-    endpoints: BTreeMap<NodeId, Endpoint>,
-    sessions: HashMap<(NodeId, NodeId), SessionId>,
+    /// One endpoint per node, indexed by node id (ids are `0..n`).
+    endpoints: Vec<Endpoint>,
     group_sessions: HashMap<NodeId, SessionId>,
     local_sessions: HashMap<NodeId, SessionId>,
     next_session: u32,
@@ -139,10 +155,10 @@ pub struct Cluster {
     /// The round the partition schedule is evaluated against (advanced by
     /// the protocol driver via [`Cluster::set_partition_round`]).
     partition_round: u64,
-    /// Nodes with a non-empty inbox — the scheduler's active set, so a drain
-    /// pass visits O(pending) nodes instead of scanning all n (maintained
-    /// wherever an inbox grows or shrinks).
-    pending_nodes: BTreeSet<NodeId>,
+    /// Nodes with a non-empty inbox — the scheduler's active set — as a
+    /// bitmap over node ids, 64 to a word (maintained wherever an inbox
+    /// grows or shrinks).
+    pending_nodes: Vec<u64>,
     /// Establish pairwise sessions on first send instead of eagerly at
     /// construction ([`Cluster::sparse`]): an n = 1000 cluster would
     /// otherwise pay ~n²/2 key exchanges up front, while sharded witness
@@ -156,7 +172,14 @@ impl std::fmt::Debug for Cluster {
             .field("baseline", &self.baseline)
             .field("stack", &self.stack)
             .field("nodes", &self.endpoints.len())
-            .field("sessions", &self.sessions.len())
+            .field(
+                "sessions",
+                &self
+                    .endpoints
+                    .iter()
+                    .map(|e| e.sessions.len())
+                    .sum::<usize>(),
+            )
             .finish()
     }
 }
@@ -164,6 +187,10 @@ impl std::fmt::Debug for Cluster {
 impl Cluster {
     /// Creates an empty cluster whose attestations are produced by `baseline`
     /// and whose messages travel over `stack`.
+    ///
+    /// The cluster indexes its endpoints by node id, so nodes are added in
+    /// id order: the first [`Cluster::add_node`] adds node 0, the next node
+    /// 1, and so on (see its `# Panics`).
     #[must_use]
     pub fn new(baseline: Baseline, stack: NetworkStackKind, seed: u64) -> Self {
         Cluster {
@@ -171,8 +198,7 @@ impl Cluster {
             stack,
             clock: SimClock::new(),
             rng: DetRng::new(seed),
-            endpoints: BTreeMap::new(),
-            sessions: HashMap::new(),
+            endpoints: Vec::new(),
             group_sessions: HashMap::new(),
             local_sessions: HashMap::new(),
             next_session: 1,
@@ -183,7 +209,7 @@ impl Cluster {
             unreachable: BTreeMap::new(),
             partition: None,
             partition_round: 0,
-            pending_nodes: BTreeSet::new(),
+            pending_nodes: Vec::new(),
             lazy_connect: false,
         }
     }
@@ -192,6 +218,7 @@ impl Cluster {
     #[must_use]
     pub fn fully_connected(n: u32, baseline: Baseline, stack: NetworkStackKind, seed: u64) -> Self {
         let mut cluster = Cluster::new(baseline, stack, seed);
+        cluster.endpoints.reserve_exact(n as usize);
         for i in 0..n {
             cluster.add_node(NodeId(i));
         }
@@ -217,6 +244,7 @@ impl Cluster {
     #[must_use]
     pub fn sparse(n: u32, baseline: Baseline, stack: NetworkStackKind, seed: u64) -> Self {
         let mut cluster = Cluster::new(baseline, stack, seed);
+        cluster.endpoints.reserve_exact(n as usize);
         for i in 0..n {
             cluster.add_node(NodeId(i));
         }
@@ -236,10 +264,10 @@ impl Cluster {
         self.clock.now()
     }
 
-    /// The node ids currently in the cluster.
+    /// The node ids currently in the cluster, `0..n`.
     #[must_use]
     pub fn nodes(&self) -> Vec<NodeId> {
-        self.endpoints.keys().copied().collect()
+        (0..self.endpoints.len() as u32).map(NodeId).collect()
     }
 
     /// Attaches a [`LemmaMonitor`] that decides the §4.4 lemmas over every
@@ -264,7 +292,7 @@ impl Cluster {
             return;
         }
         assert!(
-            !self.endpoints.values().any(|e| e.provider.has_attested()),
+            !self.endpoints.iter().any(|e| e.provider.has_attested()),
             "the lemma monitor must be attached before the first attestation"
         );
         let mut monitor = LemmaMonitor::default();
@@ -411,33 +439,45 @@ impl Cluster {
         }
     }
 
-    /// Adds a node with a fresh endpoint.
+    /// Adds a node with a fresh endpoint. Ids are contiguous: `node` must
+    /// be the current node count, so a cluster's ids are always `0..n`
+    /// (the endpoints are a table indexed by id).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not the next unused id.
     pub fn add_node(&mut self, node: NodeId) {
+        assert_eq!(
+            node.0 as usize,
+            self.endpoints.len(),
+            "{node} is not the next unused node id"
+        );
         let seed = self.rng.next_u64();
         let mut signer_seed = [0u8; 32];
         signer_seed[..8].copy_from_slice(&seed.to_le_bytes());
         signer_seed[8..12].copy_from_slice(&node.0.to_le_bytes());
-        self.endpoints.insert(
-            node,
-            Endpoint {
-                provider: Provider::new(self.baseline, node.device(), seed),
-                signer_seed,
-                signer: OnceCell::new(),
-                verifier: OnceCell::new(),
-                inbox: VecDeque::new(),
-            },
-        );
+        self.endpoints.push(Endpoint {
+            provider: Provider::new(self.baseline, node.device(), seed),
+            signer_seed,
+            signer: OnceCell::new(),
+            verifier: OnceCell::new(),
+            sessions: Vec::new(),
+            inbox: VecDeque::new(),
+        });
+        if self.endpoints.len() > self.pending_nodes.len() * 64 {
+            self.pending_nodes.push(0);
+        }
     }
 
     fn endpoint_mut(&mut self, node: NodeId) -> Result<&mut Endpoint, CoreError> {
         self.endpoints
-            .get_mut(&node)
+            .get_mut(node.0 as usize)
             .ok_or(CoreError::UnknownNode(node.0))
     }
 
     fn endpoint(&self, node: NodeId) -> Result<&Endpoint, CoreError> {
         self.endpoints
-            .get(&node)
+            .get(node.0 as usize)
             .ok_or(CoreError::UnknownNode(node.0))
     }
 
@@ -457,22 +497,16 @@ impl Cluster {
     ///
     /// Returns [`CoreError::UnknownNode`] if either node does not exist.
     pub fn connect(&mut self, a: NodeId, b: NodeId) -> Result<SessionId, CoreError> {
-        if !self.endpoints.contains_key(&a) {
-            return Err(CoreError::UnknownNode(a.0));
-        }
-        if !self.endpoints.contains_key(&b) {
-            return Err(CoreError::UnknownNode(b.0));
-        }
+        self.endpoint(a)?;
+        self.endpoint(b)?;
         let session = self.fresh_session();
         let key = self.rng.bytes32();
-        self.endpoint_mut(a)?
-            .provider
-            .install_session_key(session, key);
-        self.endpoint_mut(b)?
-            .provider
-            .install_session_key(session, key);
-        self.sessions.insert((a, b), session);
-        self.sessions.insert((b, a), session);
+        let a_end = self.endpoint_mut(a)?;
+        a_end.provider.install_session_key(session, key);
+        a_end.set_session(b, session);
+        let b_end = self.endpoint_mut(b)?;
+        b_end.provider.install_session_key(session, key);
+        b_end.set_session(a, session);
         Ok(session)
     }
 
@@ -531,7 +565,7 @@ impl Cluster {
 
     /// How many endpoints hold the key of `session`.
     fn holders(&self, session: SessionId) -> u32 {
-        let endpoints = self.endpoints.values();
+        let endpoints = self.endpoints.iter();
         endpoints
             .filter(|e| e.provider.has_session(session))
             .count() as u32
@@ -650,13 +684,14 @@ impl Cluster {
         if let Some(reason) = self.link_blocked(from, to) {
             return Err(self.refuse_blocked_send(from, to, reason));
         }
-        let session = match self.sessions.get(&(from, to)).copied() {
+        let session = self.endpoint(from).ok().and_then(|e| e.session_with(to));
+        let session = match session {
             Some(session) => session,
             // Lazy-session mode: establish the link on first use, exactly as
             // `connect` would have at construction time.
             None if self.lazy_connect
-                && self.endpoints.contains_key(&from)
-                && self.endpoints.contains_key(&to) =>
+                && self.endpoint(from).is_ok()
+                && self.endpoint(to).is_ok() =>
             {
                 self.connect(from, to)?
             }
@@ -824,7 +859,7 @@ impl Cluster {
                     layer.borrow_mut().on_delivered(to, &delivered);
                 }
                 self.endpoint_mut(to)?.inbox.push_back(delivered);
-                self.pending_nodes.insert(to);
+                self.pending_nodes[to.0 as usize / 64] |= 1 << (to.0 % 64);
                 Ok(())
             }
             Err(e) => {
@@ -905,18 +940,26 @@ impl Cluster {
     pub fn poll(&mut self, node: NodeId) -> Result<Vec<Delivered>, CoreError> {
         let endpoint = self.endpoint_mut(node)?;
         let drained: Vec<Delivered> = endpoint.inbox.drain(..).collect();
-        self.pending_nodes.remove(&node);
+        self.pending_nodes[node.0 as usize / 64] &= !(1 << (node.0 % 64));
         Ok(drained)
     }
 
     /// Fills `into` with the nodes with at least one undrained inbox
     /// message, in id order — the scheduler's active set — replacing what
-    /// it held. Maintained incrementally wherever an inbox grows or shrinks,
-    /// so reading it is O(pending), not O(n), and a caller that keeps its
+    /// it held. A node enters the set when a delivery reaches its inbox and
+    /// leaves it when [`Cluster::poll`] drains it. The set is a bitmap over
+    /// the contiguous ids `0..n` (see [`Cluster::add_node`]), so a read
+    /// walks n / 64 words and the set bits, and a caller that keeps its
     /// buffer allocates nothing per read.
     pub fn nodes_with_pending(&self, into: &mut Vec<NodeId>) {
         into.clear();
-        into.extend(self.pending_nodes.iter().copied());
+        for (base, &word) in (0u32..).step_by(64).zip(&self.pending_nodes) {
+            let mut bits = word;
+            while bits != 0 {
+                into.push(NodeId(base + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Attributes the most recent sends to the audit plane: `wire_messages`
@@ -952,7 +995,7 @@ impl Cluster {
     #[must_use]
     pub fn verify_reply(&self, node: NodeId, payload: &[u8], signature: &Signature) -> bool {
         self.endpoints
-            .get(&node)
+            .get(node.0 as usize)
             .is_some_and(|e| e.verifier().verify(payload, signature).is_ok())
     }
 }
@@ -1345,6 +1388,33 @@ mod tests {
         assert_eq!(read(&c), vec![NodeId(2)]);
         assert_eq!(c.poll(NodeId(2)).unwrap().len(), 1);
         assert!(read(&c).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "node2 is not the next unused node id")]
+    fn add_node_refuses_a_non_contiguous_id() {
+        let mut c = Cluster::new(Baseline::Tnic, NetworkStackKind::Tnic, 1);
+        c.add_node(NodeId(0));
+        c.add_node(NodeId(2));
+    }
+
+    #[test]
+    fn pending_nodes_read_in_id_order_across_bitmap_words() {
+        let mut c = Cluster::sparse(129, Baseline::Tnic, NetworkStackKind::Tnic, 7);
+        let mut pending = Vec::new();
+        for to in [128, 64, 65, 63] {
+            c.auth_send(NodeId(0), NodeId(to), b"x").unwrap();
+        }
+        c.nodes_with_pending(&mut pending);
+        assert_eq!(pending, [63, 64, 65, 128].map(NodeId));
+        assert_eq!(c.poll(NodeId(64)).unwrap().len(), 1);
+        c.nodes_with_pending(&mut pending);
+        assert_eq!(pending, [63, 65, 128].map(NodeId));
+        for node in [63, 65, 128] {
+            c.poll(NodeId(node)).unwrap();
+        }
+        c.nodes_with_pending(&mut pending);
+        assert!(pending.is_empty());
     }
 
     #[test]

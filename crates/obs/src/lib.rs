@@ -197,16 +197,12 @@ pub enum EventKind {
     /// witness, `peer` selected auditee, `round` audit round, `aux` the
     /// witness's sample size for the round.
     AuditSample = 17,
-    /// A witness coalesced several challenges or responses to the same peer
-    /// into one batch envelope: `node` sender, `peer` receiver, `round`
-    /// audit round, `aux` elements in the batch.
-    ChallengeBatch = 18,
     /// A node appended an entry to its tamper-evident log: `node` the
     /// appender, `peer` the message counterpart (`NONE` for exec/checkpoint
     /// entries), `seq` the absolute log sequence of the new entry, `aux`
     /// the entry class ([`codes::LOG_APP_PAYLOAD`],
     /// [`codes::LOG_CONTROL_DIGEST`] or [`codes::LOG_AUDIT_DIGEST`]).
-    LogAppend = 19,
+    LogAppend = 18,
 }
 
 impl EventKind {
@@ -214,7 +210,7 @@ impl EventKind {
     /// `all_covers_every_variant` test pins this list to the enum with an
     /// exhaustive `match`, so a new variant that is not added here fails to
     /// compile the test suite instead of silently missing aggregation.
-    pub const ALL: [EventKind; 20] = [
+    pub const ALL: [EventKind; 19] = [
         EventKind::Send,
         EventKind::Recv,
         EventKind::Attest,
@@ -233,7 +229,6 @@ impl EventKind {
         EventKind::Partition,
         EventKind::Retry,
         EventKind::AuditSample,
-        EventKind::ChallengeBatch,
         EventKind::LogAppend,
     ];
 
@@ -259,7 +254,6 @@ impl EventKind {
             EventKind::Partition => "partition",
             EventKind::Retry => "retry",
             EventKind::AuditSample => "audit-sample",
-            EventKind::ChallengeBatch => "challenge-batch",
             EventKind::LogAppend => "log-append",
         }
     }
@@ -836,8 +830,7 @@ mod tests {
                 EventKind::Partition => 15,
                 EventKind::Retry => 16,
                 EventKind::AuditSample => 17,
-                EventKind::ChallengeBatch => 18,
-                EventKind::LogAppend => 19,
+                EventKind::LogAppend => 18,
             }
         };
         for (position, &kind) in EventKind::ALL.iter().enumerate() {

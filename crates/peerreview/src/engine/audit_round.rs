@@ -183,21 +183,21 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let round = self.audit_rounds_done;
         // Hoisted fault-free fast path: with an empty plan the per-record
         // audit-duty question below is skipped entirely — at n = 1000 the
-        // record map holds hundreds of thousands of pairs per audit round.
+        // pair table can hold hundreds of thousands of pairs.
         let no_faults = self.faults.is_all_correct();
-        let sampled = self.sample_audit_pairs(round);
-        if let Some(selected) = &sampled {
+        let picked = self.sample_audit_pairs(round);
+        if let Some(picked) = &picked {
             tnic_obs::trace_event!(
                 tnic_obs::EventKind::AuditSample,
                 at_us: at_us,
                 node: 0,
                 peer: 0,
                 seq: round,
-                aux: selected.len() as u64
+                aux: picked.iter().filter(|&&p| p).count() as u64
             );
         }
         let retries = self.config.challenge_retries;
-        for (&(witness, node), pair) in &mut self.pairs {
+        for (index, (witness, node, pair)) in self.pairs.iter_mut().enumerate() {
             // Down witnesses challenge nobody; down auditees cannot answer
             // (challenging them would only manufacture suspicion while an
             // in-flight challenge from before the crash already covers the
@@ -218,9 +218,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             {
                 continue;
             } else {
-                let sampled = sampled
-                    .as_ref()
-                    .is_none_or(|s| s.contains(&(witness, node)));
+                let sampled = picked.as_ref().is_none_or(|picked| picked[index]);
                 PairEvent::Selected { sampled, now }
             };
             let (upto_seq, kind, attempt) = match pair.step(event, round, retries) {
@@ -260,9 +258,9 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         self.send_outgoing(cluster, outgoing)
     }
 
-    /// The (witness, auditee) pairs selected for this round's audits under
-    /// sampled auditing, or `None` when every pair is audited every round
-    /// ([`EngineConfig::audit_sample_size`] unset).
+    /// Which pairs this round's audits pick under sampled auditing, one
+    /// flag per pair in the pair table's order, or `None` when every pair
+    /// is audited every round ([`EngineConfig::audit_sample_size`] unset).
     ///
     /// Each witness draws a deterministic permutation of its charges —
     /// seeded from [`EngineConfig::audit_sample_seed`] and the witness id,
@@ -272,52 +270,48 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// A positive [`EngineConfig::audit_coverage_window`] additionally
     /// forces any pair whose last selection is at least `window` rounds old
     /// (staggered per pair so the backstop audits spread across rounds).
-    fn sample_audit_pairs(&self, round: u64) -> Option<BTreeSet<(u32, u32)>> {
+    fn sample_audit_pairs(&mut self, round: u64) -> Option<Vec<bool>> {
         let k = (self.config.audit_sample_size? as usize).max(1);
         let window = self.config.audit_coverage_window;
-        // Charges per witness, each with the round it was last selected.
-        let mut by_witness: BTreeMap<u32, Vec<(u32, Option<u64>)>> = BTreeMap::new();
-        for (&(witness, node), pair) in &self.pairs {
-            by_witness
-                .entry(witness)
-                .or_default()
-                .push((node, pair.last_selected()));
-        }
-        let mut selected = BTreeSet::new();
-        for (witness, mut charges) in by_witness {
+        let mut picked = vec![false; self.pairs.len()];
+        let order = &mut self.sample_order;
+        let mut rest = picked.as_mut_slice();
+        for (witness, charges, pairs) in self.pairs.rows() {
+            let (flags, tail) = rest.split_at_mut(charges.len());
+            rest = tail;
             let len = charges.len();
             if len <= k {
                 // The sample covers the full charge list: full auditing.
-                selected.extend(charges.into_iter().map(|(n, _)| (witness, n)));
+                flags.fill(true);
                 continue;
             }
-            // A per-witness Fisher–Yates shuffle decorrelates the rotating
-            // windows across witnesses (otherwise every witness would audit
-            // the same id-ordered slice of the ring in the same round).
+            // A per-witness Fisher–Yates shuffle of the charge positions
+            // decorrelates the rotating windows across witnesses (otherwise
+            // every witness would audit the same id-ordered slice of the
+            // ring in the same round).
             let mut rng = DetRng::new(
                 self.config.audit_sample_seed ^ (u64::from(witness) << 32) ^ 0x005a_3d17,
             );
+            order.clear();
+            order.extend(0..len as u32);
             for i in (1..len).rev() {
                 let j = rng.next_below(i as u64 + 1) as usize;
-                charges.swap(i, j);
+                order.swap(i, j);
             }
             let start = (round as usize).wrapping_mul(k) % len;
             for offset in 0..k {
-                selected.insert((witness, charges[(start + offset) % len].0));
+                flags[order[(start + offset) % len] as usize] = true;
             }
             if window > 0 {
-                for &(node, last_selected) in &charges {
-                    let due = match last_selected {
+                for ((flag, &node), pair) in flags.iter_mut().zip(charges).zip(pairs) {
+                    *flag |= match pair.last_selected() {
                         Some(last) => round.saturating_sub(last) >= window,
                         None => round % window == pair_stagger(witness, node, window),
                     };
-                    if due {
-                        selected.insert((witness, node));
-                    }
                 }
             }
         }
-        Some(selected)
+        Some(picked)
     }
 
     /// Ends the round for every pair: a challenge past its retry budget
@@ -325,7 +319,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     pub(super) fn finish_round(&mut self) {
         let now = self.trace_ctx(tnic_obs::NONE, tnic_obs::NONE);
         let retries = self.config.challenge_retries;
-        for (&(witness, node), pair) in &mut self.pairs {
+        for (witness, node, pair) in self.pairs.iter_mut() {
             if pair.step(PairEvent::RoundEnd, now.round, retries) == PairAction::Suspect {
                 self.stats.unanswered_challenges += 1;
                 pair.record.trace = TraceCtx {
@@ -340,8 +334,8 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
 
     /// Dispatches until no live node has a queued delivery. Each pass asks
     /// the cluster for its active set — the nodes with queued deliveries, in
-    /// id order — instead of scanning all n endpoints (quadratic across a
-    /// round at n = 1000), into one buffer the engine keeps across passes.
+    /// id order, read from a bitmap of n / 64 words — instead of visiting
+    /// all n endpoints, into one buffer the engine keeps across passes.
     pub(super) fn sweep_until_quiet(
         &mut self,
         cluster: &mut Cluster,

@@ -217,7 +217,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 // otherwise.
                 let real = self
                     .pairs
-                    .get(&(forger, auditee))
+                    .get(forger, auditee)
                     .and_then(|p| p.record.commitments.iter().max_by_key(|a| a.seq))
                     .cloned();
                 let (seq, head) = real.as_ref().map_or((1, [0x5Au8; 32]), |a| (a.seq, a.head));

@@ -184,13 +184,13 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         app: &A,
         node: u32,
         old_set: &[u32],
-        old_pairs: &BTreeMap<(u32, u32), AuditPair<A::Machine>>,
+        old_pairs: &PairTable<A::Machine>,
         handover: &[Misbehavior],
     ) -> WitnessRecord<A::Machine> {
         let outgoing = || {
             old_set
                 .iter()
-                .filter_map(|&w| old_pairs.get(&(w, node)).map(|p| &p.record))
+                .filter_map(|&w| old_pairs.get(w, node).map(|p| &p.record))
         };
         // Preferred: take over at the latest certified checkpoint, with the
         // replay state of an outgoing record whose machine digest matches
@@ -252,7 +252,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             self.stats.cosignatures_withheld += 1;
             return;
         }
-        let Some(record) = self.pairs.get(&(witness, node)).map(|p| &p.record) else {
+        let Some(record) = self.pairs.get(witness, node).map(|p| &p.record) else {
             return;
         };
         if record.verdict == Verdict::Exposed
@@ -365,7 +365,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             return;
         }
         let ctx = self.trace_ctx(witness, node);
-        let lagging = self.pairs.get(&(witness, node)).is_some_and(|p| {
+        let lagging = self.pairs.get(witness, node).is_some_and(|p| {
             p.record.audited_seq < mark.cut && p.record.verdict != Verdict::Exposed
         });
         if lagging {
@@ -374,14 +374,14 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             // fetch a real witness performs, verified against the
             // certificate).
             let donor = witnesses.iter().find_map(|&w| {
-                self.pairs.get(&(w, node)).map(|p| &p.record).filter(|r| {
+                self.pairs.get(w, node).map(|p| &p.record).filter(|r| {
                     r.audited_seq == mark.cut && r.machine.state_digest() == mark.state_digest
                 })
             });
             if let Some(donor) = donor {
                 let machine = donor.machine.clone();
                 let pending = donor.pending_outputs();
-                if let Some(pair) = self.pairs.get_mut(&(witness, node)) {
+                if let Some(pair) = self.pairs.get_mut(witness, node) {
                     pair.record.trace = ctx;
                     pair.record
                         .fast_forward(mark.cut, mark.head, machine, pending);
@@ -393,7 +393,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 }
             }
         }
-        if let Some(pair) = self.pairs.get_mut(&(witness, node)) {
+        if let Some(pair) = self.pairs.get_mut(witness, node) {
             let dropped = pair.record.drop_commitments_upto(mark.cut) as u64;
             self.stats.commitments_pruned += dropped;
             tnic_obs::trace_event!(

@@ -4,7 +4,7 @@
 
 use crate::log::{log_session, Authenticator, EntryKind, LogEntry, SecureLog};
 use crate::wire::{Envelope, PiggybackRider, MAX_PIGGYBACK_RIDERS};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use tnic_core::accountability::AccountabilityLayer;
 use tnic_core::api::{Delivered, NodeId};
 use tnic_core::provider::Provider;
@@ -42,20 +42,24 @@ struct PendingRide {
 /// to [`MAX_PIGGYBACK_RIDERS`] onto outbound envelopes through
 /// [`AccountabilityLayer::wrap_outbound`] /
 /// [`AccountabilityLayer::wrap_multicast`].
+///
+/// Every per-node table is indexed by node id: nodes register in id order,
+/// `0..n`.
 #[derive(Debug, Default)]
 pub(super) struct CommitmentLayer {
-    states: BTreeMap<u32, NodeState>,
-    /// Commitments waiting for a ride, per directed pair.
-    pending: BTreeMap<(u32, u32), VecDeque<PendingRide>>,
+    states: Vec<NodeState>,
+    /// Commitments waiting for a ride, per sender: `(receiver, queue)`
+    /// sorted by receiver. A queue is dropped once drained.
+    pending: Vec<Vec<(u32, VecDeque<PendingRide>)>>,
     /// Commitments that found a ride on outbound traffic.
     piggybacked: u64,
     /// Round digests: per-node SHA-256 digests of the envelopes without an
     /// application command sent/received since the last flush, in local
     /// order. Flushed into one [`EntryKind::AuditRound`] entry per node per
-    /// audit round by [`CommitmentLayer::flush_round_digests`]. Lives
-    /// outside the logs, so checkpoint pruning and witness rotation never
-    /// disturb it.
-    pub(super) round_digests: BTreeMap<u32, Vec<[u8; 32]>>,
+    /// audit round by [`CommitmentLayer::flush_round_digests`], which keeps
+    /// each accumulator's capacity for the next round. Lives outside the
+    /// logs, so checkpoint pruning and witness rotation never disturb it.
+    pub(super) round_digests: Vec<Vec<[u8; 32]>>,
     /// `(mac, digest)` of the last control envelope hashed into a round
     /// digest. The sender's `on_sent`, the receiver's `on_delivered` and
     /// every further multicast leg log the same attested message back to
@@ -64,26 +68,31 @@ pub(super) struct CommitmentLayer {
 }
 
 impl CommitmentLayer {
-    /// Registers `node` with its log-session key; commitments are sealed by
-    /// an attestation provider of the given `baseline`.
+    /// Registers `node`, the next unused id, with its log-session key;
+    /// commitments are sealed by an attestation provider of the given
+    /// `baseline`.
     pub(super) fn register_node(&mut self, node: u32, baseline: Baseline, key: [u8; 32]) {
+        assert_eq!(
+            node as usize,
+            self.states.len(),
+            "nodes register in id order"
+        );
         let mut sealer = Provider::new(baseline, DeviceId(node), u64::from(node) + 1);
         sealer.install_session_key(log_session(node), key);
-        self.states.insert(
-            node,
-            NodeState {
-                log: SecureLog::new(),
-                sealer,
-            },
-        );
+        self.states.push(NodeState {
+            log: SecureLog::new(),
+            sealer,
+        });
+        self.round_digests.push(Vec::new());
+        self.pending.push(Vec::new());
     }
 
     fn state_mut(&mut self, node: u32) -> &mut NodeState {
-        self.states.get_mut(&node).expect("node registered")
+        &mut self.states[node as usize]
     }
 
     fn state(&self, node: u32) -> &NodeState {
-        self.states.get(&node).expect("node registered")
+        &self.states[node as usize]
     }
 
     /// Appends the claimed output of an application execution to `node`'s
@@ -199,13 +208,13 @@ impl CommitmentLayer {
     /// appended).
     #[must_use]
     pub(super) fn retained_entries(&self) -> u64 {
-        self.states.values().map(|s| s.log.retained_len()).sum()
+        self.states.iter().map(|s| s.log.retained_len()).sum()
     }
 
     /// Approximate bytes held by retained log entries across all logs.
     #[must_use]
     pub(super) fn retained_bytes(&self) -> u64 {
-        self.states.values().map(|s| s.log.retained_bytes()).sum()
+        self.states.iter().map(|s| s.log.retained_bytes()).sum()
     }
 
     /// Borrowed view of the entries `from_seq..upto_seq` of `node`'s log.
@@ -238,7 +247,7 @@ impl CommitmentLayer {
     /// Total entries across all logs (commitment-protocol volume).
     #[must_use]
     pub(super) fn total_entries(&self) -> u64 {
-        self.states.values().map(|s| s.log.len()).sum()
+        self.states.iter().map(|s| s.log.len()).sum()
     }
 
     /// Per-class log composition summed across all logs — what the entries
@@ -247,7 +256,7 @@ impl CommitmentLayer {
     #[must_use]
     pub(super) fn composition(&self) -> crate::log::LogComposition {
         let mut total = crate::log::LogComposition::default();
-        for state in self.states.values() {
+        for state in &self.states {
             total.merge(&state.log.composition());
         }
         total
@@ -271,7 +280,7 @@ impl CommitmentLayer {
             self.append_traced(node, peer, kind, content, at_us);
         } else {
             let digest = self.envelope_digest(&message.mac, payload);
-            self.round_digests.entry(node).or_default().push(digest);
+            self.round_digests[node as usize].push(digest);
         }
     }
 
@@ -297,17 +306,23 @@ impl CommitmentLayer {
     /// [`EntryKind::AuditRound`] entry, the node's round digest (see
     /// [`crate::log::audit_round_content`] for the format). Nodes with no
     /// control traffic this round append nothing, so a sampled or sharded
-    /// configuration pays only for the nodes actually involved.
+    /// configuration pays only for the nodes actually involved. Each
+    /// accumulator is cleared in place, keeping its capacity.
     pub(super) fn flush_round_digests(&mut self, round: u64, at_us: u64) {
-        let flushable: Vec<(u32, Vec<[u8; 32]>)> = self
-            .round_digests
-            .iter_mut()
-            .filter(|(node, digests)| !digests.is_empty() && self.states.contains_key(node))
-            .map(|(&node, digests)| (node, std::mem::take(digests)))
-            .collect();
-        for (node, digests) in flushable {
-            let content = crate::log::audit_round_content(round, &digests);
-            self.append_traced(node, tnic_obs::NONE, EntryKind::AuditRound, content, at_us);
+        for node in 0..self.round_digests.len() {
+            let digests = &mut self.round_digests[node];
+            if digests.is_empty() {
+                continue;
+            }
+            let content = crate::log::audit_round_content(round, digests);
+            digests.clear();
+            self.append_traced(
+                node as u32,
+                tnic_obs::NONE,
+                EntryKind::AuditRound,
+                content,
+                at_us,
+            );
         }
     }
 
@@ -317,7 +332,15 @@ impl CommitmentLayer {
     /// the heads conflict at the same sequence number, in which case both
     /// are kept (the pair *is* the evidence an equivocator produces).
     pub(super) fn enqueue_ride(&mut self, from: u32, to: u32, auth: Authenticator, gossip: bool) {
-        let queue = self.pending.entry((from, to)).or_default();
+        let queues = &mut self.pending[from as usize];
+        let at = match queues.binary_search_by_key(&to, |&(receiver, _)| receiver) {
+            Ok(at) => at,
+            Err(at) => {
+                queues.insert(at, (to, VecDeque::new()));
+                at
+            }
+        };
+        let queue = &mut queues[at].1;
         if queue
             .iter()
             .any(|p| p.auth.node == auth.node && p.auth.seq == auth.seq && p.auth.head == auth.head)
@@ -332,11 +355,13 @@ impl CommitmentLayer {
     /// queue order. Entries beyond the limit stay queued (they ride later
     /// traffic or the end-of-round dedicated flush).
     fn pop_riders(&mut self, from: u32, to: u32, limit: usize) -> Vec<PiggybackRider> {
-        let Some(queue) = self.pending.get_mut(&(from, to)) else {
+        let queues = &mut self.pending[from as usize];
+        let Ok(at) = queues.binary_search_by_key(&to, |&(receiver, _)| receiver) else {
             return Vec::new();
         };
+        let queue = &mut queues[at].1;
         let take = queue.len().min(limit);
-        let riders: Vec<PiggybackRider> = queue
+        let riders = queue
             .drain(..take)
             .map(|r| PiggybackRider {
                 auth: r.auth,
@@ -344,28 +369,33 @@ impl CommitmentLayer {
             })
             .collect();
         if queue.is_empty() {
-            self.pending.remove(&(from, to));
+            queues.remove(at);
         }
         riders
     }
 
     /// Drains every queued commitment (the end-of-workload dedicated flush):
-    /// `((from, to), auth, gossip)` triples in deterministic order.
+    /// `((from, to), auth, gossip)` triples in `(from, to)` order.
     pub(super) fn drain_pending(&mut self) -> Vec<((u32, u32), Authenticator, bool)> {
         let mut out = Vec::new();
-        for (&pair, queue) in &mut self.pending {
-            for ride in queue.drain(..) {
-                out.push((pair, ride.auth, ride.gossip));
+        for (from, queues) in (0..).zip(&mut self.pending) {
+            for (to, queue) in queues.drain(..) {
+                for ride in queue {
+                    out.push(((from, to), ride.auth, ride.gossip));
+                }
             }
         }
-        self.pending.retain(|_, q| !q.is_empty());
         out
     }
 
     /// Number of commitments still waiting for a ride.
     #[must_use]
     pub(super) fn pending_rides(&self) -> usize {
-        self.pending.values().map(VecDeque::len).sum()
+        self.pending
+            .iter()
+            .flatten()
+            .map(|(_, queue)| queue.len())
+            .sum()
     }
 
     /// Number of commitments that found a ride on outbound traffic.
@@ -465,5 +495,81 @@ impl AccountabilityLayer for CommitmentLayer {
 
     fn label(&self) -> &'static str {
         "accountability-engine"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A layer of `n` registered nodes.
+    fn layer(n: u32) -> CommitmentLayer {
+        let mut layer = CommitmentLayer::default();
+        for node in 0..n {
+            layer.register_node(node, Baseline::Tnic, [node as u8 + 1; 32]);
+        }
+        layer
+    }
+
+    /// A commitment sealed by `node` at `seq`. Each test below seals every
+    /// commitment by a different node, so none supersedes another.
+    fn auth(layer: &mut CommitmentLayer, node: u32, seq: u64) -> Authenticator {
+        layer.seal(node, seq, [seq as u8; 32]).0
+    }
+
+    #[test]
+    fn ride_queues_drain_in_sender_receiver_order_whatever_the_enqueue_order() {
+        let mut layer = layer(6);
+        let rides = [
+            (2, 3, 1),
+            (0, 3, 2),
+            (2, 0, 3),
+            (0, 1, 4),
+            (0, 3, 5),
+            (1, 2, 6),
+        ];
+        for (origin, (from, to, seq)) in (0..).zip(rides) {
+            let auth = auth(&mut layer, origin, seq);
+            layer.enqueue_ride(from, to, auth, false);
+        }
+        assert_eq!(layer.pending_rides(), 6);
+        let drained: Vec<((u32, u32), u64)> = layer
+            .drain_pending()
+            .into_iter()
+            .map(|(pair, auth, _)| (pair, auth.seq))
+            .collect();
+        assert_eq!(
+            drained,
+            [
+                ((0, 1), 4),
+                ((0, 3), 2),
+                ((0, 3), 5),
+                ((1, 2), 6),
+                ((2, 0), 3),
+                ((2, 3), 1)
+            ]
+        );
+        assert_eq!(layer.pending_rides(), 0);
+        assert!(layer.drain_pending().is_empty());
+    }
+
+    #[test]
+    fn pop_riders_takes_the_head_of_one_queue_and_leaves_the_rest_queued() {
+        let mut layer = layer(4);
+        for (origin, (to, seq)) in (0..).zip([(2, 1), (1, 2), (2, 3), (2, 4)]) {
+            let auth = auth(&mut layer, origin, seq);
+            layer.enqueue_ride(0, to, auth, seq % 2 == 0);
+        }
+        let riders = layer.pop_riders(0, 2, 2);
+        let popped: Vec<(u64, bool)> = riders.iter().map(|r| (r.auth.seq, r.gossip)).collect();
+        assert_eq!(popped, [(1, false), (3, false)]);
+        assert!(layer.pop_riders(1, 2, 2).is_empty(), "nothing queued 1 → 2");
+        assert_eq!(layer.pending_rides(), 2);
+        let rest: Vec<((u32, u32), u64)> = layer
+            .drain_pending()
+            .into_iter()
+            .map(|(pair, auth, _)| (pair, auth.seq))
+            .collect();
+        assert_eq!(rest, [((0, 1), 2), ((0, 2), 4)]);
     }
 }

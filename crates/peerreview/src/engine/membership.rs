@@ -238,14 +238,14 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// round any outgoing witness selected the node; surviving pairs keep
     /// their own clock.
     pub(super) fn reassign_witness_sets(&mut self, app: &A) {
-        let mut old_pairs = std::mem::take(&mut self.pairs);
         let ids: Vec<u32> = self.ids().collect();
+        let mut old_pairs = std::mem::replace(&mut self.pairs, PairTable::new(ids.len()));
         let groups = shard_members(&ids, self.config.shards, self.config.seed);
         let new_sets = witness_sets(&groups, self.witness_width, self.epoch);
         let (round, retries) = (self.audit_rounds_done, self.config.challenge_retries);
         for (node, new_set) in ids.into_iter().zip(new_sets) {
             let old_set = std::mem::take(&mut self.members[node as usize].witnesses);
-            let outgoing = || old_set.iter().filter_map(|&w| old_pairs.get(&(w, node)));
+            let outgoing = || old_set.iter().filter_map(|&w| old_pairs.get(w, node));
             // Evidence handover: whatever proof the outgoing set holds
             // travels to the incoming set (conflicting commitments are
             // transferable seals; replay verdicts carry the signed audit
@@ -259,7 +259,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             // donate their state; then the kept pairs move over whole.
             let mut pairs: Vec<(u32, AuditPair<A::Machine>)> = new_set
                 .iter()
-                .filter(|&&witness| !old_pairs.contains_key(&(witness, node)))
+                .filter(|&&witness| !old_pairs.contains(witness, node))
                 .map(|&witness| {
                     let record = self.incoming_record(app, node, &old_set, &old_pairs, &handover);
                     let mut pair = AuditPair::new(record);
@@ -269,12 +269,12 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 .collect();
             self.stats.witness_handovers += pairs.len() as u64;
             pairs.extend(new_set.iter().filter_map(|&witness| {
-                let mut pair = old_pairs.remove(&(witness, node))?;
+                let mut pair = old_pairs.remove(witness, node)?;
                 pair.step(PairEvent::Kept { carried }, round, retries);
                 Some((witness, pair))
             }));
             for (witness, pair) in pairs {
-                self.pairs.insert((witness, node), pair);
+                self.pairs.insert(witness, node, pair);
             }
             self.members[node as usize].witnesses = new_set;
         }
@@ -289,7 +289,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         if self.config.shards <= 1 {
             return;
         }
-        for &(witness, node) in self.pairs.keys() {
+        for (witness, node, _) in self.pairs.iter() {
             let held = &mut self.members[witness as usize].held;
             if let Err(at) = held.binary_search(&node) {
                 held.insert(at, node);

@@ -229,8 +229,9 @@
 //!   auditee) pair at most once.
 //! * **Active-set dispatch**: settling a round drains inboxes by walking
 //!   the cluster's active set — the nodes with queued deliveries, in id
-//!   order ([`Cluster::nodes_with_pending`]) — instead of scanning all n
-//!   endpoints per pass, and [`crate::system::PeerReview`] builds its
+//!   order ([`Cluster::nodes_with_pending`], a bitmap of n / 64 words) —
+//!   instead of visiting all n endpoints per pass, and
+//!   [`crate::system::PeerReview`] builds its
 //!   cluster with lazy pairwise sessions ([`Cluster::sparse`]), so a link
 //!   costs a key exchange only once something is sent over it.
 //! * **Round digests**: an envelope that carries no application command —
@@ -270,18 +271,29 @@
 //! place that looks up a node's fault in the [`FaultPlan`]: each question
 //! a fault can change the answer to is a method there.
 //!
-//! The engine keeps its state in two collections, each holding everything
-//! about one key. A `Member` per node, indexed by node id (ids are
-//! contiguous, `0..n`, which `attach` and `join_node` assert), holds the
+//! The engine keeps its state in two tables indexed by node id, each entry
+//! holding everything about one key. A `Member` per node, in a `Vec` (ids
+//! are contiguous, `0..n`, which `attach` and `join_node` assert), holds the
 //! node's membership phase, witness set, verification kernel, the sorted
 //! ids of the nodes whose log-session keys its device holds, its shadow
 //! replay machine and application inbox, and its checkpoint state: the
 //! committed boundary, the proposal collecting cosignatures and the latest
-//! commit certificate. An `AuditPair` per (witness, auditee),
-//! in that order, holds the witness's [`WitnessRecord`], the round
-//! sampled auditing last selected the pair, and the challenge in flight
-//! with its retry and backoff state. Dropping a pair at reassignment drops
-//! all of its state.
+//! commit certificate. An `AuditPair` per (witness, auditee) holds the
+//! witness's [`WitnessRecord`], the round sampled auditing last selected
+//! the pair, and the challenge in flight with its retry and backoff state.
+//! The pairs live in a `PairTable`, indexed by witness id: per witness, its
+//! auditee ids ascending and their pairs beside them, so a lookup
+//! binary-searches a few ids and a round visits the pairs in (witness,
+//! auditee) order. `attach` builds the table in one pass, each witness's
+//! row at its exact size. Dropping a pair at reassignment drops all of its
+//! state.
+//!
+//! The `CommitmentLayer` indexes its tables by node id the same way: one
+//! log and sealer per node, one round-digest accumulator per node (cleared
+//! at each flush, keeping its capacity), and per sender the ride queues
+//! sorted by receiver, so the queues drain in (sender, receiver) order.
+//! The cluster's endpoints, with each node's pairwise sessions sorted by
+//! peer, and its active set are indexed by node id as well.
 //!
 //! Log-session keys are held once: the engine prepares each node's key
 //! when the node is attached or joins, in one list indexed by node id, and
@@ -314,7 +326,7 @@ use crate::wire::Envelope;
 use checkpoint_round::PendingCheckpoint;
 use commitment::CommitmentLayer;
 use membership::{witness_sets, witness_width};
-use pair::{AuditPair, PairAction, PairEvent};
+use pair::{AuditPair, PairAction, PairEvent, PairTable};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -635,8 +647,8 @@ pub struct AccountabilityEngine<A: AccountedApp> {
     /// Each node's log-session key, prepared once, indexed by node id: the
     /// one copy every witness's seal check reads (see `Member::held`).
     log_keys: Vec<HmacSha256Key>,
-    /// Per (witness, auditee) pair, in that order.
-    pairs: BTreeMap<(u32, u32), AuditPair<A::Machine>>,
+    /// Per (witness, auditee) pair, indexed by witness id.
+    pairs: PairTable<A::Machine>,
     tamper_applied: BTreeSet<u32>,
     truncation_applied: BTreeSet<u32>,
     /// (forger, auditee) pairs a `ForgeEvidence` witness already accused —
@@ -655,6 +667,9 @@ pub struct AccountabilityEngine<A: AccountedApp> {
     /// Reused buffer for the active set each `sweep_until_quiet` pass
     /// reads from [`Cluster::nodes_with_pending`].
     pending_scratch: Vec<NodeId>,
+    /// Reused buffer that sampled auditing shuffles each witness's charge
+    /// positions in.
+    sample_order: Vec<u32>,
 }
 
 impl<A: AccountedApp> std::fmt::Debug for AccountabilityEngine<A> {
@@ -717,14 +732,11 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         }
 
         let w = witness_width(config.witness_count, nodes.len());
-        let mut pairs = BTreeMap::new();
-        for ((node, member), set) in (0..).zip(&mut members).zip(witness_sets(&groups, w, 0)) {
-            for &witness in &set {
-                pairs.insert(
-                    (witness, node),
-                    AuditPair::new(WitnessRecord::new(app.replay_machine())),
-                );
-            }
+        let sets = witness_sets(&groups, w, 0);
+        let pairs = PairTable::from_witness_sets(&sets, || {
+            AuditPair::new(WitnessRecord::new(app.replay_machine()))
+        });
+        for (member, set) in members.iter_mut().zip(sets) {
             member.witnesses = set;
         }
 
@@ -749,6 +761,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             audit_rounds_done: 0,
             wire_scratch: Vec::new(),
             pending_scratch: Vec::new(),
+            sample_order: Vec::new(),
         }
     }
 
@@ -792,7 +805,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     #[must_use]
     pub fn verdict_of(&self, witness: u32, node: u32) -> Verdict {
         self.pairs
-            .get(&(witness, node))
+            .get(witness, node)
             .map_or(Verdict::Trusted, |p| p.record.verdict)
     }
 
@@ -800,7 +813,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     #[must_use]
     pub fn evidence_of(&self, witness: u32, node: u32) -> &[Misbehavior] {
         self.pairs
-            .get(&(witness, node))
+            .get(witness, node)
             .map_or(&[], |p| p.record.evidence.as_slice())
     }
 
@@ -826,8 +839,8 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         stats.log_audit_digest_entries = composition.audit_digest_entries;
         stats.retained_commitments = self
             .pairs
-            .values()
-            .map(|p| p.record.commitments.len() as u64)
+            .iter()
+            .map(|(_, _, p)| p.record.commitments.len() as u64)
             .sum();
         stats
     }

@@ -6,6 +6,7 @@
 //! one [`PairAction`]; the engine's modules do the sending, the stats and
 //! the trace events, and reach the pair's challenge state through `step`
 //! alone. Replay and verdicts stay in the pair's [`WitnessRecord`].
+//! [`PairTable`] holds every pair, indexed by witness id.
 
 use super::*;
 
@@ -193,6 +194,143 @@ impl<M: StateMachine> AuditPair<M> {
                 PairAction::Nothing
             }
         }
+    }
+}
+
+/// Every (witness, auditee) pair, indexed by witness id: per witness, its
+/// auditee ids ascending and their pairs in the same order. A lookup
+/// binary-searches the witness's compact id array, and iteration visits
+/// the pairs in (witness, auditee) order.
+pub(super) struct PairTable<M: StateMachine> {
+    rows: Vec<PairRow<M>>,
+}
+
+/// One witness's pairs: `pairs[i]` is the pair with auditee `auditees[i]`.
+struct PairRow<M: StateMachine> {
+    auditees: Vec<u32>,
+    pairs: Vec<AuditPair<M>>,
+}
+
+impl<M: StateMachine> PairTable<M> {
+    /// An empty table for the witness ids `0..witnesses`.
+    pub(super) fn new(witnesses: usize) -> Self {
+        let rows = (0..witnesses)
+            .map(|_| PairRow {
+                auditees: Vec::new(),
+                pairs: Vec::new(),
+            })
+            .collect();
+        PairTable { rows }
+    }
+
+    /// The pair `(witness, node)` for every `witness` in `sets[node]`, each
+    /// made by `pair` (in node order, then the order of the node's set),
+    /// built in one pass into rows of exactly their final size.
+    pub(super) fn from_witness_sets(
+        sets: &[Vec<u32>],
+        mut pair: impl FnMut() -> AuditPair<M>,
+    ) -> Self {
+        let mut sizes = vec![0; sets.len()];
+        for &witness in sets.iter().flatten() {
+            sizes[witness as usize] += 1;
+        }
+        let mut rows: Vec<PairRow<M>> = sizes
+            .into_iter()
+            .map(|size| PairRow {
+                auditees: Vec::with_capacity(size),
+                pairs: Vec::with_capacity(size),
+            })
+            .collect();
+        for (node, set) in (0..).zip(sets) {
+            for &witness in set {
+                let row = &mut rows[witness as usize];
+                row.auditees.push(node);
+                row.pairs.push(pair());
+            }
+        }
+        PairTable { rows }
+    }
+
+    /// Where the pair `(witness, node)` sits in the witness's row.
+    fn find(&self, witness: u32, node: u32) -> Option<usize> {
+        let row = self.rows.get(witness as usize)?;
+        row.auditees.binary_search(&node).ok()
+    }
+
+    pub(super) fn get(&self, witness: u32, node: u32) -> Option<&AuditPair<M>> {
+        let at = self.find(witness, node)?;
+        Some(&self.rows[witness as usize].pairs[at])
+    }
+
+    pub(super) fn get_mut(&mut self, witness: u32, node: u32) -> Option<&mut AuditPair<M>> {
+        let at = self.find(witness, node)?;
+        Some(&mut self.rows[witness as usize].pairs[at])
+    }
+
+    pub(super) fn contains(&self, witness: u32, node: u32) -> bool {
+        self.find(witness, node).is_some()
+    }
+
+    /// Puts `pair` in as `(witness, node)`, handing back the pair it
+    /// replaces, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `witness` is outside the table's witness ids.
+    pub(super) fn insert(
+        &mut self,
+        witness: u32,
+        node: u32,
+        pair: AuditPair<M>,
+    ) -> Option<AuditPair<M>> {
+        let row = &mut self.rows[witness as usize];
+        match row.auditees.binary_search(&node) {
+            Ok(at) => Some(std::mem::replace(&mut row.pairs[at], pair)),
+            Err(at) => {
+                row.auditees.insert(at, node);
+                row.pairs.insert(at, pair);
+                None
+            }
+        }
+    }
+
+    pub(super) fn remove(&mut self, witness: u32, node: u32) -> Option<AuditPair<M>> {
+        let at = self.find(witness, node)?;
+        let row = &mut self.rows[witness as usize];
+        row.auditees.remove(at);
+        Some(row.pairs.remove(at))
+    }
+
+    /// How many pairs the table holds.
+    pub(super) fn len(&self) -> usize {
+        self.rows.iter().map(|row| row.pairs.len()).sum()
+    }
+
+    /// Each witness with its auditee ids and their pairs, in id order.
+    pub(super) fn rows(&self) -> impl Iterator<Item = (u32, &[u32], &[AuditPair<M>])> {
+        (0..)
+            .zip(&self.rows)
+            .map(|(witness, row)| (witness, row.auditees.as_slice(), row.pairs.as_slice()))
+    }
+
+    /// Every pair as `(witness, node, pair)`, in (witness, node) order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = (u32, u32, &AuditPair<M>)> {
+        self.rows().flat_map(|(witness, auditees, pairs)| {
+            auditees
+                .iter()
+                .zip(pairs)
+                .map(move |(&node, pair)| (witness, node, pair))
+        })
+    }
+
+    /// [`PairTable::iter`] with each pair mutable.
+    pub(super) fn iter_mut(&mut self) -> impl Iterator<Item = (u32, u32, &mut AuditPair<M>)> {
+        (0..).zip(&mut self.rows).flat_map(|(witness, row)| {
+            row.auditees
+                .iter()
+                .zip(&mut row.pairs)
+                .map(move |(&node, pair)| (witness, node, pair))
+        })
     }
 }
 
@@ -659,5 +797,70 @@ mod tests {
             );
             assert_eq!(pair.record.verdict, Verdict::Trusted, "the caller suspects");
         }
+    }
+
+    /// The pair table against a `BTreeMap` keyed by (witness, auditee): a
+    /// seeded run of inserts, removes and in-place updates, with the
+    /// iteration order, every lookup and the size equal after each one.
+    /// Each pair is told apart by its `last_selected` round.
+    #[test]
+    fn pair_table_matches_a_btreemap_under_random_inserts_removes_and_updates() {
+        use std::collections::BTreeMap;
+        const WITNESSES: u32 = 5;
+        const NODES: u32 = 9;
+        let tagged = |tag: u64| {
+            let mut pair = AuditPair::new(WitnessRecord::new(CounterMachine::new()));
+            pair.last_selected = Some(tag);
+            pair
+        };
+        let mut table = PairTable::new(WITNESSES as usize);
+        let mut model: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+        let mut rng = DetRng::new(0x7ab1e);
+        for tag in 0..2_000 {
+            let (witness, node) = (
+                rng.next_below(WITNESSES.into()) as u32,
+                rng.next_below(NODES.into()) as u32,
+            );
+            match rng.next_below(3) {
+                0 => {
+                    let old = table.insert(witness, node, tagged(tag));
+                    assert_eq!(
+                        old.and_then(|p| p.last_selected),
+                        model.insert((witness, node), tag)
+                    );
+                }
+                1 => {
+                    let old = table.remove(witness, node);
+                    assert_eq!(
+                        old.and_then(|p| p.last_selected),
+                        model.remove(&(witness, node))
+                    );
+                }
+                _ => {
+                    if let Some(pair) = table.get_mut(witness, node) {
+                        pair.last_selected = Some(tag);
+                    }
+                    if let Some(old) = model.get_mut(&(witness, node)) {
+                        *old = tag;
+                    }
+                }
+            }
+            let listed: Vec<((u32, u32), u64)> = table
+                .iter()
+                .map(|(w, n, pair)| ((w, n), pair.last_selected.unwrap()))
+                .collect();
+            let expected: Vec<((u32, u32), u64)> =
+                model.iter().map(|(&key, &tag)| (key, tag)).collect();
+            assert_eq!(listed, expected, "after operation {tag}");
+            let listed_mut: Vec<(u32, u32)> = table.iter_mut().map(|(w, n, _)| (w, n)).collect();
+            assert!(listed_mut.iter().eq(model.keys()));
+            assert_eq!(table.len(), model.len());
+            for (w, n) in (0..WITNESSES + 1).flat_map(|w| (0..NODES + 1).map(move |n| (w, n))) {
+                let found = table.get(w, n).map(|pair| pair.last_selected.unwrap());
+                assert_eq!(found, model.get(&(w, n)).copied(), "lookup ({w}, {n})");
+                assert_eq!(table.contains(w, n), found.is_some());
+            }
+        }
+        assert!(!model.is_empty(), "the run ends with pairs in the table");
     }
 }

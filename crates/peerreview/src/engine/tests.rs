@@ -51,13 +51,13 @@ fn mismatched_response_from_seq_is_ignored_and_node_suspected() {
     let mut outgoing = Vec::new();
     engine.handle_commitment(0, auth, false, &mut outgoing);
     engine.issue_challenges(&mut cluster).unwrap();
-    assert!(engine.pairs[&(0, 1)].is_challenged());
+    assert!(engine.pairs.get(0, 1).unwrap().is_challenged());
     // A response whose `from_seq` does not match the challenged range
     // start must be ignored: the challenge stays pending and round end
     // downgrades the node.
     let entries = engine.layer.borrow().segment_ref(1, 0, seq).to_vec();
     engine.handle_response(0, 1, 7, &entries);
-    assert!(engine.pairs[&(0, 1)].is_challenged());
+    assert!(engine.pairs.get(0, 1).unwrap().is_challenged());
     engine.finish_round();
     assert_eq!(engine.verdict_of(0, 1), Verdict::Suspected);
 }
@@ -444,7 +444,7 @@ fn below_base_challenge_answered_with_certificate_not_suspicion() {
     let (seal, _) = engine.layer.borrow_mut().seal(1, base + 1, [9u8; 32]);
     let (now, round) = (engine.clock.now(), engine.audit_rounds_done);
     {
-        let pair = engine.pairs.get_mut(&(0, 1)).unwrap();
+        let pair = engine.pairs.get_mut(0, 1).unwrap();
         pair.record = WitnessRecord::new(CounterMachine::new());
         pair.record.commitments.push(seal);
         let selected = PairEvent::Selected { sampled: true, now };
@@ -457,7 +457,7 @@ fn below_base_challenge_answered_with_certificate_not_suspicion() {
     // cosigned boundary instead of leaving it to suspect the node.
     let mut relays = Vec::new();
     engine.handle_envelope(&mut app, NodeId(0), 1, answer, &mut relays);
-    let pair = &engine.pairs[&(0, 1)];
+    let pair = &engine.pairs.get(0, 1).unwrap();
     assert_eq!(pair.record.audited_seq, cut, "fast-forwarded to the cut");
     assert!(!pair.is_challenged());
     engine.finish_round();
@@ -567,10 +567,10 @@ fn sampled_run_keeps_every_verdict_trusted() {
     run_rounds(&mut cluster, &mut app, &mut engine, 8);
     assert_accuracy(&engine);
     // The rotating window plus backstop audited every pair at least once.
-    for (&pair, audit) in &engine.pairs {
+    for (witness, node, audit) in engine.pairs.iter() {
         assert!(
             audit.last_selected().is_some() || audit.record.audited_seq > 0,
-            "pair {pair:?} was never selected"
+            "pair ({witness}, {node}) was never selected"
         );
     }
 }
@@ -819,13 +819,13 @@ fn new_charges_seals_verify_after_a_rotation_and_a_join() {
         };
         let (mut cluster, mut app, mut engine) =
             sized_deployment(16, config, FaultPlan::all_correct());
-        let initial: BTreeSet<(u32, u32)> = engine.pairs.keys().copied().collect();
+        let initial: BTreeSet<(u32, u32)> = engine.pairs.iter().map(|(w, n, _)| (w, n)).collect();
         run_rounds_n(&mut cluster, &mut app, &mut engine, 16, 3);
         assert!(engine.stats().witness_rotations > 0, "rotation happened");
         let handed: Vec<(u32, u32)> = engine
             .pairs
-            .keys()
-            .copied()
+            .iter()
+            .map(|(w, n, _)| (w, n))
             .filter(|pair| !initial.contains(pair))
             .collect();
         assert!(!handed.is_empty(), "rotation handed a witness a new charge");
@@ -835,8 +835,8 @@ fn new_charges_seals_verify_after_a_rotation_and_a_join() {
         engine.join_node(&mut cluster, &mut app, 16).unwrap();
         let joined: Vec<(u32, u32)> = engine
             .pairs
-            .keys()
-            .copied()
+            .iter()
+            .map(|(w, n, _)| (w, n))
             .filter(|&(witness, node)| witness == 16 || node == 16)
             .collect();
         assert!(joined.iter().any(|&(witness, _)| witness == 16));
@@ -860,7 +860,7 @@ fn sharded_witnesses_stay_inside_their_shard() {
     let groups = shard_members(&ids, 2, config.seed);
     assert_eq!(groups.len(), 2, "two shard groups at n = 16");
     let shard_of = |n: u32| groups.iter().position(|g| g.contains(&n)).unwrap();
-    for &(witness, node) in engine.pairs.keys() {
+    for (witness, node, _) in engine.pairs.iter() {
         assert_eq!(
             shard_of(witness),
             shard_of(node),
@@ -869,7 +869,7 @@ fn sharded_witnesses_stay_inside_their_shard() {
     }
     // Sharding actually shrinks the per-witness charge list.
     let max_charges = (0..16u32)
-        .map(|w| engine.pairs.keys().filter(|(x, _)| *x == w).count())
+        .map(|w| engine.pairs.iter().filter(|&(x, _, _)| x == w).count())
         .max()
         .unwrap();
     assert!(
@@ -926,7 +926,7 @@ fn round_digest_flush_appends_one_verified_entry_per_node_per_round() {
                 .layer
                 .borrow()
                 .round_digests
-                .get(&node)
+                .get(node as usize)
                 .map_or(0, Vec::len),
             0,
             "node {node}: the accumulator drains at round end"
@@ -1158,7 +1158,7 @@ fn witness_rotation_carries_the_sampled_audit_clock_through_handover() {
     // Every sampled pair carries an audit clock — including pairs whose
     // witness joined at the last rotation and has not sampled the node
     // itself yet (those must have inherited the outgoing set's offset).
-    for (&(witness, node), pair) in &engine.pairs {
+    for (witness, node, pair) in engine.pairs.iter() {
         assert!(
             pair.last_selected().is_some(),
             "pair ({witness}, {node}) lost its audit clock across rotation"
@@ -1328,19 +1328,19 @@ fn witness_ignores_a_certificate_whose_cosignature_seals_fail() {
     // stored commitment that the certificate covers.
     let (covered, _) = engine.layer.borrow_mut().seal(1, mark.cut, mark.head);
     {
-        let record = &mut engine.pairs.get_mut(&(0, 1)).unwrap().record;
+        let record = &mut engine.pairs.get_mut(0, 1).unwrap().record;
         *record = WitnessRecord::new(CounterMachine::new());
         assert!(record.store_commitment(covered).is_none());
     }
     let pruned = engine.stats().commitments_pruned;
     engine.handle_checkpoint_commit(0, &mark, &forged);
-    let record = &engine.pairs[&(0, 1)].record;
+    let record = &engine.pairs.get(0, 1).unwrap().record;
     assert_eq!(record.audited_seq, 0, "no fast-forward on failed seals");
     assert_eq!(record.commitments.len(), 1, "no prune on failed seals");
     assert_eq!(engine.stats().commitments_pruned, pruned);
     // The genuine certificate does both.
     engine.handle_checkpoint_commit(0, &mark, &cosigs);
-    let record = &engine.pairs[&(0, 1)].record;
+    let record = &engine.pairs.get(0, 1).unwrap().record;
     assert_eq!(record.audited_seq, mark.cut, "fast-forwarded to the cut");
     assert!(
         record.commitments.is_empty(),

@@ -56,7 +56,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let seq = auth.seq;
         self.handle_commitment(witness, auth.clone(), true, outgoing);
         let ctx = self.trace_ctx(witness, node);
-        let Some(pair) = self.pairs.get_mut(&(witness, node)) else {
+        let Some(pair) = self.pairs.get_mut(witness, node) else {
             return;
         };
         let record = &mut pair.record;
@@ -128,7 +128,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let ctx = self.trace_ctx(witness, accused);
         let record = &mut self
             .pairs
-            .get_mut(&(witness, accused))
+            .get_mut(witness, accused)
             .expect("pair exists")
             .record;
         record.trace = ctx;
@@ -250,7 +250,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         entries: &[LogEntry],
     ) {
         let ctx = self.trace_ctx(witness, node);
-        let Some(pair) = self.pairs.get_mut(&(witness, node)) else {
+        let Some(pair) = self.pairs.get_mut(witness, node) else {
             return;
         };
         let PairAction::Replay { target, started } = pair.step(
@@ -317,7 +317,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             }
         }
         let node = if verifiable { a.node } else { from };
-        let Some(pair) = self.pairs.get_mut(&(witness, node)) else {
+        let Some(pair) = self.pairs.get_mut(witness, node) else {
             return;
         };
         let held = |e: &Misbehavior| match e {
