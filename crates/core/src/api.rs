@@ -938,10 +938,23 @@ impl Cluster {
     ///
     /// Returns [`CoreError::UnknownNode`] for unknown nodes.
     pub fn poll(&mut self, node: NodeId) -> Result<Vec<Delivered>, CoreError> {
-        let endpoint = self.endpoint_mut(node)?;
-        let drained: Vec<Delivered> = endpoint.inbox.drain(..).collect();
-        self.pending_nodes[node.0 as usize / 64] &= !(1 << (node.0 % 64));
+        let mut drained = Vec::new();
+        self.poll_into(node, &mut drained)?;
         Ok(drained)
+    }
+
+    /// [`Cluster::poll`] into `into`, replacing what it held: a caller
+    /// that keeps its buffer allocates nothing per drain once the buffer
+    /// has grown to its largest inbox.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::UnknownNode`] for unknown nodes.
+    pub fn poll_into(&mut self, node: NodeId, into: &mut Vec<Delivered>) -> Result<(), CoreError> {
+        into.clear();
+        into.extend(self.endpoint_mut(node)?.inbox.drain(..));
+        self.pending_nodes[node.0 as usize / 64] &= !(1 << (node.0 % 64));
+        Ok(())
     }
 
     /// Fills `into` with the nodes with at least one undrained inbox

@@ -21,7 +21,7 @@
 
 use tnic_crypto::hmac::HmacSha256Key;
 use tnic_device::attestation::{
-    AttestationKernel, AttestationTiming, AttestedMessage, WIRE_OVERHEAD,
+    AttestationKernel, AttestationTiming, AttestedMessage, AttestedView, WIRE_OVERHEAD,
 };
 use tnic_device::dma::{DmaEngine, DmaMode};
 use tnic_device::error::DeviceError;
@@ -193,7 +193,7 @@ impl Provider {
     pub fn verify_binding_under(
         &mut self,
         key: &HmacSha256Key,
-        message: &AttestedMessage,
+        message: &AttestedView<'_>,
     ) -> Result<SimDuration, DeviceError> {
         let outcome = self.kernel.verify_binding_under(key, message);
         self.cost.verify(message.payload.len(), outcome)

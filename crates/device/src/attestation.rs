@@ -104,6 +104,21 @@ impl<'a> AttestedView<'a> {
         })
     }
 
+    /// Serialises into `out`, appending: the wire format of
+    /// [`AttestedMessage::encode`] for these fields, whoever holds the
+    /// payload.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(WIRE_OVERHEAD + self.payload.len());
+        encode_parts(
+            &self.mac,
+            self.session,
+            self.device,
+            self.counter,
+            self.payload,
+            out,
+        );
+    }
+
     /// Materialises an owned message (one payload allocation).
     #[must_use]
     pub fn to_owned(&self) -> AttestedMessage {
@@ -114,6 +129,12 @@ impl<'a> AttestedView<'a> {
             counter: self.counter,
             payload: self.payload.to_vec(),
         }
+    }
+}
+
+impl<'a> From<&'a AttestedMessage> for AttestedView<'a> {
+    fn from(message: &'a AttestedMessage) -> Self {
+        message.as_view()
     }
 }
 
@@ -242,10 +263,10 @@ fn check_binding(
     key: &HmacSha256Key,
     timing: &AttestationTiming,
     stats: &mut AttestationStats,
-    message: &AttestedMessage,
+    message: &AttestedView<'_>,
 ) -> Result<SimDuration, DeviceError> {
     let cost = timing.hmac.cost(message.payload.len());
-    let expected_mac = compute_mac(key, &message.payload, message.device, message.counter);
+    let expected_mac = compute_mac(key, message.payload, message.device, message.counter);
     if !tnic_crypto::ct::ct_eq(&expected_mac, &message.mac) {
         stats.rejected += 1;
         return Err(DeviceError::BadAttestation);
@@ -444,7 +465,7 @@ impl AttestationKernel {
         message: &AttestedMessage,
     ) -> Result<SimDuration, DeviceError> {
         let key = self.sessions.get_mut(message.session)?.prepared();
-        check_binding(key, &self.timing, &mut self.stats, message)
+        check_binding(key, &self.timing, &mut self.stats, &message.as_view())
     }
 
     /// [`AttestationKernel::verify_binding`] under a prepared session key
@@ -459,7 +480,7 @@ impl AttestationKernel {
     pub fn verify_binding_under(
         &mut self,
         key: &HmacSha256Key,
-        message: &AttestedMessage,
+        message: &AttestedView<'_>,
     ) -> Result<SimDuration, DeviceError> {
         check_binding(key, &self.timing, &mut self.stats, message)
     }

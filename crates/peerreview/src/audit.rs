@@ -32,8 +32,8 @@
 //! 1. **Adoption requires checkable proof.** A received
 //!    `Envelope::Evidence { a, b }` accusation is adopted only when it is
 //!    *independently verifiable* by the receiver: both authenticators must
-//!    be structurally consistent ([`Authenticator::consistent`] binds the
-//!    seal to the accused node's device and log session), both TNIC seals
+//!    be structurally consistent ([`AuthenticatorView::consistent`] binds
+//!    the seal to the accused node's device and log session), both TNIC seals
 //!    must verify on the receiver's kernel, and the pair must actually
 //!    conflict ([`commitments_conflict`]: same node, same sequence number,
 //!    different heads). Only then is the accused convicted.
@@ -60,7 +60,7 @@
 //!
 //! [`NodeFault::FalseSuspicion`]: tnic_net::adversary::NodeFault::FalseSuspicion
 
-use crate::log::{Authenticator, LogEntry};
+use crate::log::{Authenticator, AuthenticatorView, LogEntryView};
 use crate::wire::Envelope;
 use tnic_core::transform::StateMachine;
 
@@ -244,7 +244,7 @@ impl Misbehavior {
 /// contradict each other (same committed length, different head). Both
 /// seals must already have been verified by the caller.
 #[must_use]
-pub fn commitments_conflict(a: &Authenticator, b: &Authenticator) -> bool {
+pub fn commitments_conflict(a: &AuthenticatorView<'_>, b: &AuthenticatorView<'_>) -> bool {
     a.node == b.node && a.seq == b.seq && a.head != b.head
 }
 
@@ -316,7 +316,9 @@ impl<S: StateMachine> WitnessRecord<S> {
     /// Θ(witnesses) per round. Identical-content copies carry no new
     /// information — only a *different* head for a known seq does (and that
     /// is exactly the conflict case, which is kept).
-    pub fn store_commitment(&mut self, auth: Authenticator) -> Option<Misbehavior> {
+    /// A new commitment is copied into the record once, from the view;
+    /// a duplicate is not copied at all.
+    pub fn store_commitment(&mut self, auth: &AuthenticatorView<'_>) -> Option<Misbehavior> {
         if self
             .commitments
             .iter()
@@ -324,10 +326,11 @@ impl<S: StateMachine> WitnessRecord<S> {
         {
             return None;
         }
+        let auth = auth.to_owned();
         let conflict = self
             .commitments
             .iter()
-            .find(|held| commitments_conflict(held, &auth))
+            .find(|held| commitments_conflict(&held.as_view(), &auth.as_view()))
             .map(|held| Misbehavior::ConflictingCommitments {
                 a: Box::new(held.clone()),
                 b: Box::new(auth.clone()),
@@ -455,17 +458,25 @@ impl<S: StateMachine> WitnessRecord<S> {
     /// expected `seq` and link to the running head, and the witness
     /// computes the entry's own link itself as it replays. So the check is
     /// sound for any `entries`, decoded off the wire or built by hand.
+    /// `entries` are owned [`LogEntry`](crate::log::LogEntry)s or [`LogEntryView`]s parsed in
+    /// place from a delivery, replayed by the same loop; the iterator is
+    /// cloned once to count them before the replay.
     ///
     /// # Errors
     ///
     /// Returns the detected [`Misbehavior`]; the caller decides how to
     /// propagate it (the record itself is already convicted).
-    pub fn check_response(
+    pub fn check_response<'e, I>(
         &mut self,
         upto: &Authenticator,
-        entries: &[LogEntry],
-    ) -> Result<(), Misbehavior> {
-        if let Err(evidence) = self.check_response_inner(upto, entries) {
+        entries: I,
+    ) -> Result<(), Misbehavior>
+    where
+        I: IntoIterator,
+        I::IntoIter: Clone,
+        I::Item: Into<LogEntryView<'e>>,
+    {
+        if let Err(evidence) = self.check_response_inner(upto, entries.into_iter()) {
             tnic_obs::trace_event!(
                 tnic_obs::EventKind::AuditReplay,
                 at_us: self.trace.at_us,
@@ -496,34 +507,39 @@ impl<S: StateMachine> WitnessRecord<S> {
         Ok(())
     }
 
-    fn check_response_inner(
+    fn check_response_inner<'e, I>(
         &mut self,
         upto: &Authenticator,
-        entries: &[LogEntry],
-    ) -> Result<(), Misbehavior> {
+        entries: I,
+    ) -> Result<(), Misbehavior>
+    where
+        I: Iterator + Clone,
+        I::Item: Into<LogEntryView<'e>>,
+    {
+        let provided = entries.clone().count() as u64;
         let expected = upto.seq.saturating_sub(self.audited_seq);
-        if (entries.len() as u64) < expected {
+        if provided < expected {
             return Err(Misbehavior::Truncated {
                 committed_seq: upto.seq,
-                provided: self.audited_seq + entries.len() as u64,
+                provided: self.audited_seq + provided,
             });
         }
-        if (entries.len() as u64) > expected {
+        if provided > expected {
             return Err(Misbehavior::SurplusEntries {
                 committed_seq: upto.seq,
-                surplus: entries.len() as u64 - expected,
+                surplus: provided - expected,
             });
         }
         let mut head = self.audited_head;
-        for (offset, entry) in entries.iter().enumerate() {
-            let seq = self.audited_seq + offset as u64;
-            if entry.seq != seq || entry.prev != head {
+        for (seq, entry) in (self.audited_seq..).zip(entries) {
+            let entry: LogEntryView<'e> = entry.into();
+            if entry.seq != seq || *entry.prev != head {
                 return Err(Misbehavior::BrokenChain { at_seq: seq });
             }
             match entry.kind {
                 crate::log::EntryKind::Recv { .. } => {
                     if let Some(command) =
-                        crate::log::content_payload(&entry.content).and_then(Envelope::app_command)
+                        crate::log::content_payload(entry.content).and_then(Envelope::app_command)
                     {
                         let output = self.machine.execute(command);
                         self.expected_outputs.push_back(output);
@@ -531,7 +547,7 @@ impl<S: StateMachine> WitnessRecord<S> {
                 }
                 crate::log::EntryKind::Exec => {
                     let expected_out = self.expected_outputs.pop_front();
-                    if expected_out.as_deref() != Some(&entry.content[..]) {
+                    if expected_out.as_deref() != Some(entry.content) {
                         return Err(Misbehavior::ExecDivergence { at_seq: entry.seq });
                     }
                 }
@@ -540,7 +556,7 @@ impl<S: StateMachine> WitnessRecord<S> {
                     // state digest at its boundary; by the time the entry is
                     // replayed the reference machine has executed exactly
                     // the commands preceding it, so the digests must agree.
-                    let ok = crate::checkpoint::CheckpointMark::parse_payload(&entry.content)
+                    let ok = crate::checkpoint::CheckpointMark::parse_payload(entry.content)
                         .is_some_and(|(_, _, cut, _, digest)| {
                             cut <= entry.seq && digest == self.machine.state_digest()
                         });
@@ -557,13 +573,13 @@ impl<S: StateMachine> WitnessRecord<S> {
                     // passes this check but diverges the chained head from
                     // the sealed commitment below (HeadMismatch) — either
                     // way the tampering convicts.
-                    if !crate::log::verify_audit_round_content(&entry.content) {
+                    if !crate::log::verify_audit_round_content(entry.content) {
                         return Err(Misbehavior::RoundDigestMismatch { at_seq: entry.seq });
                     }
                 }
                 crate::log::EntryKind::Send { .. } => {}
             }
-            head = crate::log::chain_hash(&head, seq, entry.kind, &entry.content);
+            head = crate::log::chain_hash(&head, seq, entry.kind, entry.content);
         }
         if head != upto.head {
             return Err(Misbehavior::HeadMismatch {
@@ -621,7 +637,7 @@ mod tests {
         let log = honest_log(&mut node_machine);
         let auth = seal(&mut kernel, 1, log.len(), log.head());
         let mut record = WitnessRecord::new(CounterMachine::new());
-        assert!(record.store_commitment(auth.clone()).is_none());
+        assert!(record.store_commitment(&auth.as_view()).is_none());
         assert_eq!(record.next_audit_target().unwrap().seq, log.len());
         record
             .check_response(&auth, log.segment(0, log.len()))
@@ -643,8 +659,8 @@ mod tests {
         let second = seal(&mut kernel, 1, log.len(), log.head());
         assert_ne!(first.attestation, second.attestation);
         let mut record = WitnessRecord::new(CounterMachine::new());
-        assert!(record.store_commitment(first).is_none());
-        assert!(record.store_commitment(second).is_none());
+        assert!(record.store_commitment(&first.as_view()).is_none());
+        assert!(record.store_commitment(&second.as_view()).is_none());
         assert_eq!(record.commitments.len(), 1);
         assert_eq!(record.verdict, Verdict::Trusted);
     }
@@ -657,8 +673,8 @@ mod tests {
         let real = seal(&mut kernel, 1, log.len(), log.head());
         let fork = seal(&mut kernel, 1, log.len(), log.forked_head());
         let mut record = WitnessRecord::new(CounterMachine::new());
-        assert!(record.store_commitment(real).is_none());
-        let evidence = record.store_commitment(fork).unwrap();
+        assert!(record.store_commitment(&real.as_view()).is_none());
+        let evidence = record.store_commitment(&fork.as_view()).unwrap();
         assert!(matches!(
             evidence,
             Misbehavior::ConflictingCommitments { .. }
@@ -675,7 +691,7 @@ mod tests {
         let auth = seal(&mut kernel, 1, log.len(), log.head());
         log.truncate_tail(2);
         let mut record = WitnessRecord::new(CounterMachine::new());
-        record.store_commitment(auth.clone());
+        record.store_commitment(&auth.as_view());
         let err = record
             .check_response(&auth, log.segment(0, auth.seq))
             .unwrap_err();
@@ -693,7 +709,7 @@ mod tests {
         assert!(log.tamper_and_rechain(1, b"forged output".to_vec()));
         let auth = seal(&mut kernel, 1, log.len(), log.head());
         let mut record = WitnessRecord::new(CounterMachine::new());
-        record.store_commitment(auth.clone());
+        record.store_commitment(&auth.as_view());
         let err = record
             .check_response(&auth, log.segment(0, auth.seq))
             .unwrap_err();
@@ -718,7 +734,7 @@ mod tests {
         let log = log_with_audit_round(&mut machine, &digests);
         let auth = seal(&mut kernel, 1, log.len(), log.head());
         let mut record = WitnessRecord::new(CounterMachine::new());
-        record.store_commitment(auth.clone());
+        record.store_commitment(&auth.as_view());
         record
             .check_response(&auth, log.segment(0, auth.seq))
             .unwrap();
@@ -759,7 +775,7 @@ mod tests {
                 assert!(log
                     .tamper_and_rechain(entry_seq, crate::log::audit_round_content(0, &tampered),));
                 let mut record = WitnessRecord::new(CounterMachine::new());
-                record.store_commitment(auth.clone());
+                record.store_commitment(&auth.as_view());
                 let err = record
                     .check_response(&auth, log.segment(0, auth.seq))
                     .unwrap_err();
@@ -780,7 +796,7 @@ mod tests {
                 forged[len - 32..].copy_from_slice(&committed_acc);
                 assert!(log.tamper_and_rechain(entry_seq, forged));
                 let mut record = WitnessRecord::new(CounterMachine::new());
-                record.store_commitment(auth.clone());
+                record.store_commitment(&auth.as_view());
                 let err = record
                     .check_response(&auth, log.segment(0, auth.seq))
                     .unwrap_err();
@@ -863,7 +879,7 @@ mod tests {
         let log = log_with_audit_round(&mut machine, &digests);
         let auth = seal(&mut kernel, 1, log.len(), log.head());
         let mut record = WitnessRecord::new(CounterMachine::new());
-        record.store_commitment(auth.clone());
+        record.store_commitment(&auth.as_view());
         record
             .check_response(&auth, log.segment(0, auth.seq))
             .unwrap();
@@ -886,11 +902,11 @@ mod tests {
         let second = seal(&mut kernel, 1, log.len(), log.head());
 
         let mut record = WitnessRecord::new(CounterMachine::new());
-        record.store_commitment(first.clone());
+        record.store_commitment(&first.as_view());
         record
             .check_response(&first, log.segment(0, first.seq))
             .unwrap();
-        record.store_commitment(second.clone());
+        record.store_commitment(&second.as_view());
         record
             .check_response(&second, log.segment(first.seq, second.seq))
             .unwrap();
@@ -906,7 +922,7 @@ mod tests {
         // The node answers with the committed prefix plus garbage padding.
         log.append(EntryKind::Exec, b"padding".to_vec());
         let mut record = WitnessRecord::new(CounterMachine::new());
-        record.store_commitment(auth.clone());
+        record.store_commitment(&auth.as_view());
         let err = record.check_response(&auth, log.entries()).unwrap_err();
         assert!(matches!(
             err,
@@ -923,7 +939,7 @@ mod tests {
         // Commit to the fork but answer the audit with the real log.
         let auth = seal(&mut kernel, 1, log.len(), log.forked_head());
         let mut record = WitnessRecord::new(CounterMachine::new());
-        record.store_commitment(auth.clone());
+        record.store_commitment(&auth.as_view());
         let err = record
             .check_response(&auth, log.segment(0, auth.seq))
             .unwrap_err();
@@ -953,7 +969,7 @@ mod tests {
             let mut entries = log.segment(0, len).to_vec();
             entries[1].content = b"forged".to_vec();
             let mut record = WitnessRecord::new(CounterMachine::new());
-            record.store_commitment(auth.clone());
+            record.store_commitment(&auth.as_view());
             assert_eq!(record.check_response(&auth, &entries), Err(expected));
         }
     }
@@ -965,7 +981,7 @@ mod tests {
         let log = honest_log(&mut machine);
         let auth = seal(&mut kernel, 1, log.len(), log.head());
         let mut record = WitnessRecord::new(CounterMachine::new());
-        record.store_commitment(auth.clone());
+        record.store_commitment(&auth.as_view());
         record.mark_unresponsive();
         assert_eq!(record.verdict, Verdict::Suspected);
         // A later valid response restores trust (accuracy: silence is never
@@ -991,7 +1007,7 @@ mod tests {
         log.append(EntryKind::Checkpoint, mark_payload);
         let auth = seal(&mut kernel, 1, log.len(), log.head());
         let mut record = WitnessRecord::new(CounterMachine::new());
-        record.store_commitment(auth.clone());
+        record.store_commitment(&auth.as_view());
         record
             .check_response(&auth, log.segment(0, auth.seq))
             .unwrap();
@@ -1008,7 +1024,7 @@ mod tests {
         log.append(EntryKind::Checkpoint, mark_payload);
         let auth = seal(&mut kernel, 1, log.len(), log.head());
         let mut record = WitnessRecord::new(CounterMachine::new());
-        record.store_commitment(auth.clone());
+        record.store_commitment(&auth.as_view());
         let err = record
             .check_response(&auth, log.segment(0, auth.seq))
             .unwrap_err();
@@ -1022,7 +1038,7 @@ mod tests {
         let mut kernel = node_kernel(1);
         let mut record = WitnessRecord::new(CounterMachine::new());
         for seq in 1..=4u64 {
-            record.store_commitment(seal(&mut kernel, 1, seq, [seq as u8; 32]));
+            record.store_commitment(&seal(&mut kernel, 1, seq, [seq as u8; 32]).as_view());
         }
         assert_eq!(record.drop_commitments_upto(3), 3);
         assert_eq!(record.commitments.len(), 1);

@@ -2,10 +2,11 @@
 //! sweep that dispatches every delivery to its handler, and the send path
 //! that batches control traffic.
 
+use super::commitment::CommitmentLayer;
 use super::membership::is_down;
 use super::*;
-use crate::log::{Authenticator, LogEntry};
-use crate::wire::{PiggybackRider, MAX_PIGGYBACK_RIDERS};
+use crate::log::{Authenticator, CompactAuthenticator, LogEntry};
+use crate::wire::{BodyView, EnvelopeView, PiggybackRider, MAX_PIGGYBACK_RIDERS};
 
 /// One queued outbound control message produced by a protocol handler.
 ///
@@ -13,7 +14,8 @@ use crate::wire::{PiggybackRider, MAX_PIGGYBACK_RIDERS};
 /// coalesce consecutive same-destination responses into batch envelopes.
 /// `Segment` defers the audit response entirely: the log slice
 /// is borrowed and encoded at send time, so the hot path never clones the
-/// challenged entries into an owned `Vec` first.
+/// challenged entries into an owned `Vec` first. `Gossip` is a relay in
+/// dedicated mode, held without its payload like a queued ride.
 // The queue is transient (drained within the same dispatch), so the size
 // skew against the 16-byte `Segment` variant is irrelevant; boxing the
 // envelope would add an allocation per control message instead.
@@ -22,6 +24,7 @@ use crate::wire::{PiggybackRider, MAX_PIGGYBACK_RIDERS};
 pub(super) enum Outbound {
     Env(Envelope),
     Segment { from_seq: u64, upto_seq: u64 },
+    Gossip(CompactAuthenticator),
 }
 
 impl From<Envelope> for Outbound {
@@ -68,35 +71,17 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         let pending = self.layer.borrow_mut().drain_pending();
         // `drain_pending` yields pairs in sorted order; batch consecutive
         // runs of the same pair.
+        let mut batch: Vec<PiggybackRider> = Vec::with_capacity(1 + MAX_PIGGYBACK_RIDERS);
         let mut i = 0;
         while i < pending.len() {
-            let (pair, _, _) = pending[i];
+            let (pair, _) = pending[i];
             let mut j = i + 1;
             while j < pending.len() && pending[j].0 == pair && j - i < 1 + MAX_PIGGYBACK_RIDERS {
                 j += 1;
             }
-            let dedicated = |auth: &Authenticator, gossip: bool| {
-                if gossip {
-                    Envelope::Gossip(auth.clone())
-                } else {
-                    Envelope::Announce(auth.clone())
-                }
-            };
-            let envelope = if j - i == 1 {
-                dedicated(&pending[i].1, pending[i].2)
-            } else {
-                Envelope::Piggyback {
-                    riders: pending[i + 1..j]
-                        .iter()
-                        .map(|(_, auth, gossip)| PiggybackRider {
-                            auth: auth.clone(),
-                            gossip: *gossip,
-                        })
-                        .collect(),
-                    inner: Box::new(dedicated(&pending[i].1, pending[i].2)),
-                }
-            };
-            self.send_control(cluster, NodeId(pair.0), NodeId(pair.1), &envelope)?;
+            batch.clear();
+            batch.extend(pending[i..j].iter().map(|&(_, ride)| ride));
+            self.send_rides(cluster, NodeId(pair.0), NodeId(pair.1), &batch)?;
             i = j;
         }
         Ok(())
@@ -118,14 +103,14 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             if is_down(&self.members, node) {
                 continue; // a crashed or departed node announces nothing
             }
-            let (seq, head, forked_head) = self.layer.borrow().commitment_data(node);
+            let (seq, head) = self.layer.borrow().commitment_data(node);
             let member = &mut self.members[node as usize];
             if seq > 0 {
                 member.commit_snapshot = Some((seq, member.shadow.state_digest()));
             }
             let witnesses = member.witnesses.clone();
             for (idx, &witness) in witnesses.iter().enumerate() {
-                let committed = self.committed_head(node, idx, witnesses.len(), head, forked_head);
+                let committed = self.committed_head(node, idx, witnesses.len(), head);
                 let auth = self.publish_commitment(node, seq, committed);
                 outgoing.push((NodeId(node), NodeId(witness), Envelope::Announce(auth)));
             }
@@ -152,26 +137,28 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             if is_down(&self.members, node) {
                 continue; // a crashed or departed node commits nothing
             }
-            let (seq, head, forked_head) = self.layer.borrow().commitment_data(node);
+            let (seq, head) = self.layer.borrow().commitment_data(node);
             let member = &mut self.members[node as usize];
             if seq == 0 || member.witnesses.is_empty() {
                 continue; // nothing to commit / nobody to commit to
             }
             member.commit_snapshot = Some((seq, member.shadow.state_digest()));
-            let witnesses = member.witnesses.clone();
+            let count = member.witnesses.len();
+            let target = (self.audit_rounds_done as usize) % count;
+            let to = member.witnesses[target];
             // The node's first (and, unless it equivocates, only)
             // commitment of the round.
-            let primary_head = self.committed_head(node, 0, witnesses.len(), head, forked_head);
-            let target = (self.audit_rounds_done as usize) % witnesses.len();
+            let primary_head = self.committed_head(node, 0, count, head);
             let auth = self.publish_commitment(node, seq, primary_head);
             self.layer
                 .borrow_mut()
-                .enqueue_ride(node, witnesses[target], auth, false);
-            if let Some(fork_target) = self.fork_target(node, target, witnesses.len()) {
+                .enqueue_ride(node, to, auth.compact(), false);
+            if let Some((fork_target, forked_head)) = self.fork(node, target, count) {
                 let fork = self.publish_commitment(node, seq, forked_head);
+                let to = self.members[node as usize].witnesses[fork_target];
                 self.layer
                     .borrow_mut()
-                    .enqueue_ride(node, witnesses[fork_target], fork, false);
+                    .enqueue_ride(node, to, fork.compact(), false);
             }
         }
     }
@@ -364,14 +351,19 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         app: &mut A,
         node: NodeId,
     ) -> Result<(), CoreError> {
-        let delivered = cluster.poll(node)?;
+        let mut delivered = std::mem::take(&mut self.delivered_scratch);
+        cluster.poll_into(node, &mut delivered)?;
         let mut outgoing: Vec<(NodeId, NodeId, Outbound)> = Vec::new();
-        for d in delivered {
-            let Ok(envelope) = Envelope::decode(&d.message.payload) else {
+        for d in &delivered {
+            // Parsed in place: the handlers read commands, seals and log
+            // entries straight out of the delivered payload.
+            let Ok(envelope) = EnvelopeView::parse(&d.message.payload) else {
                 continue;
             };
             self.handle_envelope(app, node, d.from.0, envelope, &mut outgoing);
         }
+        delivered.clear();
+        self.delivered_scratch = delivered;
         self.send_outgoing(cluster, outgoing)
     }
 
@@ -386,15 +378,24 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         cluster: &mut Cluster,
         outgoing: Vec<(NodeId, NodeId, Outbound)>,
     ) -> Result<(), CoreError> {
+        let mut ranges: Vec<(u64, u64)> = Vec::new();
         let mut i = 0;
         while i < outgoing.len() {
             let (from, to) = (outgoing[i].0, outgoing[i].1);
-            if let Outbound::Env(env) = &outgoing[i].2 {
-                self.send_control(cluster, from, to, env)?;
-                i += 1;
-                continue;
+            match &outgoing[i].2 {
+                Outbound::Env(env) => {
+                    self.send_control(cluster, from, to, env)?;
+                    i += 1;
+                    continue;
+                }
+                &Outbound::Gossip(auth) => {
+                    self.send_rides(cluster, from, to, &[PiggybackRider { auth, gossip: true }])?;
+                    i += 1;
+                    continue;
+                }
+                Outbound::Segment { .. } => {}
             }
-            let mut ranges: Vec<(u64, u64)> = Vec::new();
+            ranges.clear();
             while let Some((f, t, Outbound::Segment { from_seq, upto_seq })) = outgoing.get(i) {
                 if (*f, *t) != (from, to) {
                     break;
@@ -431,19 +432,25 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         if ranges.is_empty() {
             return Ok(());
         }
-        let mut answerable: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
-        let mut straddled = false;
-        {
+        let answerable = |layer: &CommitmentLayer, &(f, u): &(u64, u64)| {
+            layer.segment_checked(from.0, f, u).is_ok()
+        };
+        let all_answerable = {
             let layer = self.layer.borrow();
-            for &(f, u) in ranges {
-                if layer.segment_checked(from.0, f, u).is_ok() {
-                    answerable.push((f, u));
-                } else {
-                    straddled = true;
-                }
-            }
-        }
-        if straddled {
+            ranges.iter().all(|range| answerable(&layer, range))
+        };
+        let kept: Vec<(u64, u64)>;
+        let ranges = if all_answerable {
+            ranges
+        } else {
+            kept = {
+                let layer = self.layer.borrow();
+                ranges
+                    .iter()
+                    .copied()
+                    .filter(|range| answerable(&layer, range))
+                    .collect()
+            };
             if let Some((mark, cosigs)) = &self.members[from.0 as usize].certificate {
                 self.stats.certificate_responses += 1;
                 let env = Envelope::CheckpointCommit {
@@ -452,18 +459,18 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 };
                 self.send_control(cluster, from, to, &env)?;
             }
-        }
-        let ranges = answerable.as_slice();
+            &kept[..]
+        };
         if ranges.is_empty() {
             return Ok(());
         }
         let elements = ranges.len() as u64;
-        let mut scratch = std::mem::take(&mut self.wire_scratch);
+        let mut wire = std::mem::take(&mut self.wire_scratch);
         {
             let layer = self.layer.borrow();
             if let [(from_seq, upto_seq)] = ranges {
                 Envelope::encode_response_into(
-                    &mut scratch,
+                    &mut wire,
                     *from_seq,
                     layer.segment_ref(from.0, *from_seq, *upto_seq),
                 );
@@ -472,11 +479,10 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                     .iter()
                     .map(|&(f, u)| (f, layer.segment_ref(from.0, f, u)))
                     .collect();
-                Envelope::encode_response_batch_into(&mut scratch, &parts);
+                Envelope::encode_response_batch_into(&mut wire, &parts);
             }
         }
-        let result = self.send_control_raw(cluster, from, to, &scratch, elements);
-        self.wire_scratch = scratch;
+        let result = self.send_control_raw(cluster, from, to, wire, elements);
         if elements >= 2 {
             self.stats.response_batches += 1;
             self.stats.batched_envelopes += elements;
@@ -484,25 +490,27 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         result
     }
 
-    /// Runs one protocol handler; a piggybacked envelope is the carried
-    /// commitment batch plus the inner envelope, handled in that order
-    /// (decode rejects nesting, so the recursion is one level deep).
+    /// Runs the protocol handlers on one delivered envelope: the riders'
+    /// commitments first, then the envelope they ride on.
     pub(super) fn handle_envelope(
         &mut self,
         app: &mut A,
         node: NodeId,
         from: u32,
-        envelope: Envelope,
+        envelope: EnvelopeView<'_>,
         outgoing: &mut Vec<(NodeId, NodeId, Outbound)>,
     ) {
-        if !matches!(envelope, Envelope::App(_)) {
+        if !envelope.riders.is_empty() || !matches!(envelope.body, BodyView::App(_)) {
             app.on_control(node.0, from, &envelope);
         }
-        match envelope {
-            Envelope::App(command) => {
-                let output = app.execute(node.0, &command);
+        for rider in envelope.riders {
+            self.handle_commitment(node.0, &rider.auth, !rider.gossip, outgoing);
+        }
+        match envelope.body {
+            BodyView::App(command) => {
+                let output = app.execute(node.0, command);
                 let member = &mut self.members[node.0 as usize];
-                member.shadow.execute(&command);
+                member.shadow.execute(command);
                 self.layer.borrow_mut().record_exec(
                     node.0,
                     output.clone(),
@@ -510,59 +518,53 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 );
                 member.inbox.push(AppDelivery {
                     from: NodeId(from),
-                    command,
+                    command: command.to_vec(),
                     output,
                 });
             }
-            Envelope::Announce(auth) => {
-                self.handle_commitment(node.0, auth, true, outgoing);
+            BodyView::Announce(auth) => {
+                self.handle_commitment(node.0, &auth, true, outgoing);
             }
-            Envelope::Gossip(auth) => {
-                self.handle_commitment(node.0, auth, false, outgoing);
+            BodyView::Gossip(auth) => {
+                self.handle_commitment(node.0, &auth, false, outgoing);
             }
-            Envelope::Challenge { from_seq, upto_seq } => {
+            BodyView::Challenge { from_seq, upto_seq } => {
                 self.handle_challenge(node.0, from, from_seq, upto_seq, outgoing);
             }
-            Envelope::Response { from_seq, entries } => {
-                self.handle_response(node.0, from, from_seq, &entries);
+            BodyView::Response(response) => {
+                self.handle_response(node.0, from, response.from_seq, response.entries);
             }
             // Batch envelopes unroll into the per-element handlers: a batch
             // is pure wire-level coalescing, with no protocol semantics of
             // its own (a hostile batch is exactly as powerful as the same
             // elements sent individually).
-            Envelope::ChallengeBatch { challenges } => {
+            BodyView::ChallengeBatch(challenges) => {
                 for (from_seq, upto_seq) in challenges {
                     self.handle_challenge(node.0, from, from_seq, upto_seq, outgoing);
                 }
             }
-            Envelope::ResponseBatch { responses } => {
-                for (from_seq, entries) in responses {
-                    self.handle_response(node.0, from, from_seq, &entries);
+            BodyView::ResponseBatch(responses) => {
+                for response in responses {
+                    self.handle_response(node.0, from, response.from_seq, response.entries);
                 }
             }
-            Envelope::Evidence { a, b } => {
+            BodyView::Evidence { a, b } => {
                 self.handle_evidence(node.0, from, &a, &b);
             }
-            Envelope::Piggyback { riders, inner } => {
-                for rider in riders {
-                    self.handle_commitment(node.0, rider.auth, !rider.gossip, outgoing);
-                }
-                self.handle_envelope(app, node, from, *inner, outgoing);
-            }
-            Envelope::CheckpointPropose(mark) => {
+            BodyView::CheckpointPropose(mark) => {
                 self.handle_checkpoint_propose(node.0, mark, outgoing);
             }
-            Envelope::CheckpointCosign(cosig) => {
+            BodyView::CheckpointCosign(cosig) => {
                 self.handle_checkpoint_cosign(node.0, &cosig);
             }
-            Envelope::CheckpointCommit { mark, cosigs } => {
+            BodyView::CheckpointCommit { mark, cosigs } => {
                 self.handle_checkpoint_commit(node.0, &mark, &cosigs);
             }
-            Envelope::Join(auth) | Envelope::Recover(auth) => {
-                self.handle_own_announcement(node.0, from, auth, outgoing);
+            BodyView::Join(auth) | BodyView::Recover(auth) => {
+                self.handle_own_announcement(node.0, from, &auth, outgoing);
             }
-            Envelope::Leave { auth, entries } => {
-                self.handle_leave(node.0, from, auth, &entries, outgoing);
+            BodyView::Leave { auth, entries } => {
+                self.handle_leave(node.0, from, &auth, entries, outgoing);
             }
         }
     }
@@ -580,22 +582,41 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             Envelope::ResponseBatch { responses } => responses.len() as u64,
             _ => 0,
         };
-        let payload = envelope.encode();
-        self.send_control_raw(cluster, from, to, &payload, audit_elements)
+        let mut wire = std::mem::take(&mut self.wire_scratch);
+        envelope.encode_into(&mut wire);
+        self.send_control_raw(cluster, from, to, wire, audit_elements)
     }
 
-    /// Sends pre-encoded control bytes; `audit_elements` is the number of
-    /// individual challenges/responses the payload carries (0 for
-    /// non-audit traffic), folded into the audit-traffic counters.
+    /// Sends `rides` as one dedicated commitment message (see
+    /// [`Envelope::encode_rides_into`]).
+    fn send_rides(
+        &mut self,
+        cluster: &mut Cluster,
+        from: NodeId,
+        to: NodeId,
+        rides: &[PiggybackRider],
+    ) -> Result<(), CoreError> {
+        let mut wire = std::mem::take(&mut self.wire_scratch);
+        Envelope::encode_rides_into(&mut wire, rides);
+        self.send_control_raw(cluster, from, to, wire, 0)
+    }
+
+    /// Sends control bytes encoded into the engine's reused wire buffer,
+    /// which `wire` is and which this hands back to the engine;
+    /// `audit_elements` is the number of individual challenges/responses
+    /// the payload carries (0 for non-audit traffic), folded into the
+    /// audit-traffic counters.
     fn send_control_raw(
         &mut self,
         cluster: &mut Cluster,
         from: NodeId,
         to: NodeId,
-        payload: &[u8],
+        wire: Vec<u8>,
         audit_elements: u64,
     ) -> Result<(), CoreError> {
-        match cluster.auth_send(from, to, payload) {
+        let sent = cluster.auth_send(from, to, &wire);
+        self.wire_scratch = wire;
+        match sent {
             Ok(wire_len) => {
                 self.stats.control_messages += 1;
                 self.stats.control_bytes += wire_len as u64;

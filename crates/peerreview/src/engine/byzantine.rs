@@ -43,18 +43,18 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// TNIC attests whatever the host hands it) — the *pair* is the crime.
     /// With a single witness there is nobody to partition, so the fork
     /// goes to that witness directly and is exposed by the audit itself
-    /// (head mismatch) rather than by gossip.
+    /// (head mismatch) rather than by gossip. The forked head is hashed
+    /// only for an equivocator.
     pub(super) fn committed_head(
         &self,
         node: u32,
         idx: usize,
         witnesses: usize,
         head: [u8; 32],
-        forked_head: [u8; 32],
     ) -> [u8; 32] {
         let fork_here = idx % 2 == 1 || witnesses == 1;
         if fork_here && self.faults.fault_of(node) == NodeFault::Equivocate {
-            forked_head
+            self.layer.borrow().forked_head(node)
         } else {
             head
         }
@@ -62,13 +62,23 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
 
     /// In piggyback mode, where `node` queues a forked commitment beside
     /// the one it queued for witness `target` of its `witnesses`-strong
-    /// set: nowhere for a correct host; the next witness in the rotation
-    /// for an equivocating one (the classic partition attempt, defeated by
-    /// gossip cross-checking). With a single witness the fork already went
-    /// to `target` ([`AccountabilityEngine::committed_head`]).
-    pub(super) fn fork_target(&self, node: u32, target: usize, witnesses: usize) -> Option<usize> {
-        (witnesses > 1 && self.faults.fault_of(node) == NodeFault::Equivocate)
-            .then(|| (target + 1) % witnesses)
+    /// set, and the forked head: nowhere for a correct host; the next
+    /// witness in the rotation for an equivocating one (the classic
+    /// partition attempt, defeated by gossip cross-checking). With a single
+    /// witness the fork already went to `target`
+    /// ([`AccountabilityEngine::committed_head`]).
+    pub(super) fn fork(
+        &self,
+        node: u32,
+        target: usize,
+        witnesses: usize,
+    ) -> Option<(usize, [u8; 32])> {
+        (witnesses > 1 && self.faults.fault_of(node) == NodeFault::Equivocate).then(|| {
+            (
+                (target + 1) % witnesses,
+                self.layer.borrow().forked_head(node),
+            )
+        })
     }
 
     /// Whether the witness of `ctx` performs its audit duty towards the

@@ -2,9 +2,12 @@
 //! cluster's send/deliver hooks, plus the round-digest fold and the
 //! piggyback ride queue.
 
-use crate::log::{log_session, Authenticator, EntryKind, LogEntry, SecureLog};
+use crate::log::{
+    authenticator_payload, log_session, Authenticator, CompactAuthenticator, EntryKind, LogEntry,
+    SecureLog,
+};
 use crate::wire::{Envelope, PiggybackRider, MAX_PIGGYBACK_RIDERS};
-use std::collections::VecDeque;
+use std::ops::Range;
 use tnic_core::accountability::AccountabilityLayer;
 use tnic_core::api::{Delivered, NodeId};
 use tnic_core::provider::Provider;
@@ -24,15 +27,6 @@ struct NodeState {
     sealer: Provider,
 }
 
-/// A commitment waiting for a ride on outbound traffic (piggyback mode).
-#[derive(Debug, Clone)]
-struct PendingRide {
-    auth: Authenticator,
-    /// `true` for witness-to-witness relays, `false` for a node's own
-    /// announcement.
-    gossip: bool,
-}
-
 /// The commitment protocol: an [`AccountabilityLayer`] maintaining one
 /// tamper-evident [`SecureLog`] per node, fed by the cluster's send/deliver
 /// hooks, plus the node-local operations (execution logging, commitment
@@ -48,9 +42,14 @@ struct PendingRide {
 #[derive(Debug, Default)]
 pub(super) struct CommitmentLayer {
     states: Vec<NodeState>,
-    /// Commitments waiting for a ride, per sender: `(receiver, queue)`
-    /// sorted by receiver. A queue is dropped once drained.
-    pending: Vec<Vec<(u32, VecDeque<PendingRide>)>>,
+    /// Commitments waiting for a ride, per sender: `(receiver, ride)`
+    /// sorted by receiver, each receiver's rides in queue order. A ride
+    /// holds its commitment without the payload, so queueing a relay copies
+    /// fields, never a payload, and a sender's buffer keeps its capacity
+    /// when drained.
+    pending: Vec<Vec<(u32, PiggybackRider)>>,
+    /// Reused buffer the wrap hooks pop riders into.
+    riders: Vec<PiggybackRider>,
     /// Commitments that found a ride on outbound traffic.
     piggybacked: u64,
     /// Round digests: per-node SHA-256 digests of the envelopes without an
@@ -127,13 +126,18 @@ impl CommitmentLayer {
         );
     }
 
-    /// `(seq, head, forked_head)` of `node`'s log — the data a commitment
-    /// covers, plus the head an equivocator would commit towards part of its
-    /// witness set.
+    /// `(seq, head)` of `node`'s log — the data a commitment covers.
     #[must_use]
-    pub(super) fn commitment_data(&self, node: u32) -> (u64, [u8; 32], [u8; 32]) {
+    pub(super) fn commitment_data(&self, node: u32) -> (u64, [u8; 32]) {
         let log = &self.state(node).log;
-        (log.len(), log.head(), log.forked_head())
+        (log.len(), log.head())
+    }
+
+    /// The head an equivocating `node` commits to towards part of its
+    /// witness set (see [`crate::log::SecureLog::forked_head`]).
+    #[must_use]
+    pub(super) fn forked_head(&self, node: u32) -> [u8; 32] {
+        self.state(node).log.forked_head()
     }
 
     /// Seals an arbitrary payload on `node`'s TNIC log session (commitments,
@@ -158,7 +162,7 @@ impl CommitmentLayer {
         seq: u64,
         head: [u8; 32],
     ) -> (Authenticator, SimDuration) {
-        let payload = Authenticator::payload(node, seq, &head);
+        let payload = authenticator_payload(node, seq, &head);
         let (attestation, cost) = self.seal_payload(node, &payload);
         (
             Authenticator {
@@ -331,71 +335,83 @@ impl CommitmentLayer {
     /// same origin supersedes a queued older one for the same pair — unless
     /// the heads conflict at the same sequence number, in which case both
     /// are kept (the pair *is* the evidence an equivocator produces).
-    pub(super) fn enqueue_ride(&mut self, from: u32, to: u32, auth: Authenticator, gossip: bool) {
-        let queues = &mut self.pending[from as usize];
-        let at = match queues.binary_search_by_key(&to, |&(receiver, _)| receiver) {
-            Ok(at) => at,
-            Err(at) => {
-                queues.insert(at, (to, VecDeque::new()));
-                at
-            }
-        };
-        let queue = &mut queues[at].1;
-        if queue
-            .iter()
-            .any(|p| p.auth.node == auth.node && p.auth.seq == auth.seq && p.auth.head == auth.head)
-        {
+    pub(super) fn enqueue_ride(
+        &mut self,
+        from: u32,
+        to: u32,
+        auth: CompactAuthenticator,
+        gossip: bool,
+    ) {
+        let rides = &mut self.pending[from as usize];
+        let queue = queue_of(rides, to);
+        if rides[queue.clone()].iter().any(|(_, p)| {
+            p.auth.node == auth.node && p.auth.seq == auth.seq && p.auth.head == auth.head
+        }) {
             return; // identical content already waiting
         }
-        queue.retain(|p| p.auth.node != auth.node || p.auth.seq >= auth.seq);
-        queue.push_back(PendingRide { auth, gossip });
+        // Drop the superseded rides, keeping the others in queue order.
+        let mut kept = queue.start;
+        for i in queue.clone() {
+            let queued = rides[i].1.auth;
+            if queued.node != auth.node || queued.seq >= auth.seq {
+                rides.swap(kept, i);
+                kept += 1;
+            }
+        }
+        rides.drain(kept..queue.end);
+        rides.insert(kept, (to, PiggybackRider { auth, gossip }));
     }
 
-    /// Pops up to `limit` queued commitments for the directed pair, in
-    /// queue order. Entries beyond the limit stay queued (they ride later
-    /// traffic or the end-of-round dedicated flush).
-    fn pop_riders(&mut self, from: u32, to: u32, limit: usize) -> Vec<PiggybackRider> {
-        let queues = &mut self.pending[from as usize];
-        let Ok(at) = queues.binary_search_by_key(&to, |&(receiver, _)| receiver) else {
-            return Vec::new();
-        };
-        let queue = &mut queues[at].1;
-        let take = queue.len().min(limit);
-        let riders = queue
-            .drain(..take)
-            .map(|r| PiggybackRider {
-                auth: r.auth,
-                gossip: r.gossip,
-            })
-            .collect();
-        if queue.is_empty() {
-            queues.remove(at);
-        }
-        riders
+    /// Moves up to `limit` queued commitments for the directed pair, in
+    /// queue order, to the end of `into`. Entries beyond the limit stay
+    /// queued (they ride later traffic or the end-of-round dedicated
+    /// flush).
+    fn pop_riders(&mut self, from: u32, to: u32, limit: usize, into: &mut Vec<PiggybackRider>) {
+        let rides = &mut self.pending[from as usize];
+        let queue = queue_of(rides, to);
+        let end = queue.start + queue.len().min(limit);
+        into.extend(rides.drain(queue.start..end).map(|(_, ride)| ride));
     }
 
     /// Drains every queued commitment (the end-of-workload dedicated flush):
-    /// `((from, to), auth, gossip)` triples in `(from, to)` order.
-    pub(super) fn drain_pending(&mut self) -> Vec<((u32, u32), Authenticator, bool)> {
+    /// `((from, to), ride)` pairs in `(from, to)` order.
+    pub(super) fn drain_pending(&mut self) -> Vec<((u32, u32), PiggybackRider)> {
         let mut out = Vec::new();
-        for (from, queues) in (0..).zip(&mut self.pending) {
-            for (to, queue) in queues.drain(..) {
-                for ride in queue {
-                    out.push(((from, to), ride.auth, ride.gossip));
-                }
-            }
+        for (from, rides) in (0..).zip(&mut self.pending) {
+            out.extend(rides.drain(..).map(|(to, ride)| ((from, to), ride)));
         }
         out
+    }
+
+    /// The rides `from` and `to` wrap onto `payload`, or `None` when none
+    /// is queued: up to [`MAX_PIGGYBACK_RIDERS`] popped from the queues of
+    /// `receivers`, in order.
+    fn wrap(&mut self, from: u32, receivers: &[NodeId], payload: &[u8]) -> Option<Vec<u8>> {
+        // Only protocol envelopes can carry a ride, and rides never nest.
+        if !Envelope::is_envelope(payload) || Envelope::is_piggyback(payload) {
+            return None;
+        }
+        let mut riders = std::mem::take(&mut self.riders);
+        riders.clear();
+        for &to in receivers {
+            let budget = MAX_PIGGYBACK_RIDERS - riders.len();
+            if budget == 0 {
+                break;
+            }
+            self.pop_riders(from, to.0, budget, &mut riders);
+        }
+        let wrapped = (!riders.is_empty()).then(|| {
+            self.piggybacked += riders.len() as u64;
+            Envelope::piggyback_raw(&riders, payload)
+        });
+        self.riders = riders;
+        wrapped
     }
 
     /// Number of commitments still waiting for a ride.
     #[must_use]
     pub(super) fn pending_rides(&self) -> usize {
-        self.pending
-            .iter()
-            .flatten()
-            .map(|(_, queue)| queue.len())
-            .sum()
+        self.pending.iter().map(Vec::len).sum()
     }
 
     /// Number of commitments that found a ride on outbound traffic.
@@ -430,6 +446,12 @@ impl CommitmentLayer {
     }
 }
 
+/// The positions of `to`'s rides in a sender's ride buffer.
+fn queue_of(rides: &[(u32, PiggybackRider)], to: u32) -> Range<usize> {
+    rides.partition_point(|&(receiver, _)| receiver < to)
+        ..rides.partition_point(|&(receiver, _)| receiver <= to)
+}
+
 impl AccountabilityLayer for CommitmentLayer {
     fn on_sent(&mut self, from: NodeId, to: NodeId, message: &AttestedMessage, at: SimInstant) {
         self.log_payload(
@@ -453,44 +475,20 @@ impl AccountabilityLayer for CommitmentLayer {
     }
 
     fn wrap_outbound(&mut self, from: NodeId, to: NodeId, payload: &[u8]) -> Option<Vec<u8>> {
-        // Only protocol envelopes can carry a ride, and rides never nest.
-        if !Envelope::is_envelope(payload) || Envelope::is_piggyback(payload) {
-            return None;
-        }
-        let riders = self.pop_riders(from.0, to.0, MAX_PIGGYBACK_RIDERS);
-        if riders.is_empty() {
-            return None;
-        }
-        self.piggybacked += riders.len() as u64;
-        Some(Envelope::piggyback_raw(&riders, payload))
+        self.wrap(from.0, &[to], payload)
     }
 
+    /// One batch serves every receiver: pending rides addressed to any of
+    /// them (the identical wrapped bytes reach all, and witnesses ignore
+    /// commitments for nodes they do not audit — extra copies only speed
+    /// up propagation).
     fn wrap_multicast(
         &mut self,
         from: NodeId,
         receivers: &[NodeId],
         payload: &[u8],
     ) -> Option<Vec<u8>> {
-        if !Envelope::is_envelope(payload) || Envelope::is_piggyback(payload) {
-            return None;
-        }
-        // One batch serves every receiver: gather pending rides addressed to
-        // any of them (the identical wrapped bytes reach all, and witnesses
-        // ignore commitments for nodes they do not audit — extra copies only
-        // speed up propagation).
-        let mut riders = Vec::new();
-        for &to in receivers {
-            let budget = MAX_PIGGYBACK_RIDERS - riders.len();
-            if budget == 0 {
-                break;
-            }
-            riders.extend(self.pop_riders(from.0, to.0, budget));
-        }
-        if riders.is_empty() {
-            return None;
-        }
-        self.piggybacked += riders.len() as u64;
-        Some(Envelope::piggyback_raw(&riders, payload))
+        self.wrap(from.0, receivers, payload)
     }
 
     fn label(&self) -> &'static str {
@@ -513,8 +511,8 @@ mod tests {
 
     /// A commitment sealed by `node` at `seq`. Each test below seals every
     /// commitment by a different node, so none supersedes another.
-    fn auth(layer: &mut CommitmentLayer, node: u32, seq: u64) -> Authenticator {
-        layer.seal(node, seq, [seq as u8; 32]).0
+    fn auth(layer: &mut CommitmentLayer, node: u32, seq: u64) -> CompactAuthenticator {
+        layer.seal(node, seq, [seq as u8; 32]).0.compact()
     }
 
     #[test]
@@ -536,7 +534,7 @@ mod tests {
         let drained: Vec<((u32, u32), u64)> = layer
             .drain_pending()
             .into_iter()
-            .map(|(pair, auth, _)| (pair, auth.seq))
+            .map(|(pair, ride)| (pair, ride.auth.seq))
             .collect();
         assert_eq!(
             drained,
@@ -560,15 +558,17 @@ mod tests {
             let auth = auth(&mut layer, origin, seq);
             layer.enqueue_ride(0, to, auth, seq % 2 == 0);
         }
-        let riders = layer.pop_riders(0, 2, 2);
+        let mut riders = Vec::new();
+        layer.pop_riders(0, 2, 2, &mut riders);
         let popped: Vec<(u64, bool)> = riders.iter().map(|r| (r.auth.seq, r.gossip)).collect();
         assert_eq!(popped, [(1, false), (3, false)]);
-        assert!(layer.pop_riders(1, 2, 2).is_empty(), "nothing queued 1 → 2");
+        layer.pop_riders(1, 2, 2, &mut riders);
+        assert_eq!(riders.len(), 2, "nothing queued 1 → 2");
         assert_eq!(layer.pending_rides(), 2);
         let rest: Vec<((u32, u32), u64)> = layer
             .drain_pending()
             .into_iter()
-            .map(|(pair, auth, _)| (pair, auth.seq))
+            .map(|(pair, ride)| (pair, ride.auth.seq))
             .collect();
         assert_eq!(rest, [((0, 1), 2), ((0, 2), 4)]);
     }

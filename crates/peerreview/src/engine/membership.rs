@@ -90,7 +90,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         // which is exactly what distinguishes a tampering recoverer (head
         // conflicts or replay diverges → exposed) from an honest one.
         self.apply_scheduled_tampering();
-        let (seq, head, _) = self.layer.borrow().commitment_data(node);
+        let (seq, head) = self.layer.borrow().commitment_data(node);
         if seq > 0 {
             let recover = Envelope::Recover(self.publish_commitment(node, seq, head));
             for witness in self.witnesses_of(node).to_vec() {
@@ -124,7 +124,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         // A forging leaver rewrites before sealing its farewell; the tail
         // replay below convicts it on the way out.
         self.apply_scheduled_tampering();
-        let (seq, head, _) = self.layer.borrow().commitment_data(node);
+        let (seq, head) = self.layer.borrow().commitment_data(node);
         let base = self.layer.borrow().base_seq(node);
         if seq > 0 {
             let auth = self.publish_commitment(node, seq, head);
@@ -207,7 +207,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         self.reassign_witness_sets(app);
         // Announce the joiner's (empty) initial head so witnesses hold its
         // base commitment from day one.
-        let (seq, head, _) = self.layer.borrow().commitment_data(id);
+        let (seq, head) = self.layer.borrow().commitment_data(id);
         let join = Envelope::Join(self.publish_commitment(id, seq, head));
         for witness in self.witnesses_of(id).to_vec() {
             self.send_control(cluster, node, NodeId(witness), &join)?;

@@ -217,7 +217,7 @@
 //!   tracks O(n/shards) charges instead of O(n); composes with epoch
 //!   rotation, which re-derives witness sets *within* each shard.
 //!
-//! Three more things keep the engine's own cost off the quadratic path, and
+//! Four more things keep the engine's own cost off the quadratic path, and
 //! are simply how it works:
 //!
 //! * **Response batching**: consecutive responses to the same witness
@@ -227,6 +227,14 @@
 //!   [`Envelope::ChallengeBatch`] is answered the same way; the engine
 //!   itself never sends one, as a round challenges each (witness,
 //!   auditee) pair at most once.
+//! * **Zero-copy audit plane**: each dispatch drains a node's inbox into
+//!   one reused buffer ([`Cluster::poll_into`]) and parses every delivery
+//!   in place ([`EnvelopeView`]): the handlers read commands, seals and
+//!   log entries out of the delivered bytes, a witness replays a response
+//!   or a farewell tail without copying an entry, and a verified
+//!   commitment is copied once, into the record that keeps it. Relays
+//!   queue without their payload, and every control message is encoded
+//!   into one reused wire buffer.
 //! * **Active-set dispatch**: settling a round drains inboxes by walking
 //!   the cluster's active set — the nodes with queued deliveries, in id
 //!   order ([`Cluster::nodes_with_pending`], a bitmap of n / 64 words) —
@@ -290,8 +298,9 @@
 //!
 //! The `CommitmentLayer` indexes its tables by node id the same way: one
 //! log and sealer per node, one round-digest accumulator per node (cleared
-//! at each flush, keeping its capacity), and per sender the ride queues
-//! sorted by receiver, so the queues drain in (sender, receiver) order.
+//! at each flush, keeping its capacity), and per sender one ride buffer
+//! sorted by receiver, each ride a commitment without its payload, so the
+//! rides drain in (sender, receiver) order.
 //! The cluster's endpoints, with each node's pairwise sessions sorted by
 //! peer, and its active set are indexed by node id as well.
 //!
@@ -322,7 +331,7 @@ use crate::checkpoint::shard_members;
 use crate::checkpoint::{CheckpointMark, Cosignature};
 use crate::log::{log_session, Authenticator};
 use crate::stats::AccountabilityStats;
-use crate::wire::Envelope;
+use crate::wire::{Envelope, EnvelopeView};
 use checkpoint_round::PendingCheckpoint;
 use commitment::CommitmentLayer;
 use membership::{witness_sets, witness_width};
@@ -331,7 +340,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use tnic_core::accountability::AccountabilityLayer;
-use tnic_core::api::{Cluster, NodeId};
+use tnic_core::api::{Cluster, Delivered, NodeId};
 use tnic_core::error::CoreError;
 use tnic_core::provider::Provider;
 use tnic_core::transform::{CounterMachine, StateMachine};
@@ -371,10 +380,12 @@ pub trait AccountedApp {
     /// parity checks in scenario harnesses).
     fn snapshot_digest(&self, node: u32) -> [u8; 32];
 
-    /// Tap: an audit-protocol envelope was delivered to `node` from `from`.
-    /// Default: ignored. Applications can observe the control plane (e.g.
-    /// for instrumentation) without owning it.
-    fn on_control(&mut self, node: u32, from: u32, envelope: &Envelope) {
+    /// Tap: an audit-protocol envelope was delivered to `node` from `from`
+    /// (anything but a bare [`Envelope::App`] command; a command carrying
+    /// piggybacked commitments is tapped too), in the form the engine
+    /// parsed it in place. Default: ignored. Applications can observe the
+    /// control plane (e.g. for instrumentation) without owning it.
+    fn on_control(&mut self, node: u32, from: u32, envelope: &EnvelopeView<'_>) {
         let _ = (node, from, envelope);
     }
 
@@ -393,18 +404,27 @@ pub trait AccountedApp {
 }
 
 /// The plain replicated-counter application: the original PeerReview
-/// workload, and the simplest possible [`AccountedApp`].
+/// workload, and the simplest possible [`AccountedApp`]. One counter per
+/// node, indexed by node id.
 #[derive(Debug, Default)]
 pub struct CounterApp {
-    machines: BTreeMap<u32, CounterMachine>,
+    machines: Vec<CounterMachine>,
 }
 
 impl CounterApp {
     /// A counter per node id in `nodes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `nodes` are the contiguous ids `0..n`, in order.
     #[must_use]
     pub fn new(nodes: &[NodeId]) -> Self {
+        assert!(
+            (0..).zip(nodes).all(|(i, node)| node.0 == i),
+            "node ids must be contiguous from 0"
+        );
         CounterApp {
-            machines: nodes.iter().map(|n| (n.0, CounterMachine::new())).collect(),
+            machines: nodes.iter().map(|_| CounterMachine::new()).collect(),
         }
     }
 }
@@ -418,19 +438,22 @@ impl AccountedApp for CounterApp {
 
     fn execute(&mut self, node: u32, command: &[u8]) -> Vec<u8> {
         self.machines
-            .get_mut(&node)
+            .get_mut(node as usize)
             .expect("node registered")
             .execute(command)
     }
 
     fn snapshot_digest(&self, node: u32) -> [u8; 32] {
         self.machines
-            .get(&node)
+            .get(node as usize)
             .map_or([0u8; 32], CounterMachine::state_digest)
     }
 
+    /// Adds the joiner's counter; ids join in order (see
+    /// [`AccountabilityEngine::join_node`]).
     fn on_join(&mut self, node: u32) {
-        self.machines.entry(node).or_default();
+        assert_eq!(node as usize, self.machines.len(), "ids join in order");
+        self.machines.push(CounterMachine::new());
     }
 
     fn label(&self) -> &'static str {
@@ -660,10 +683,13 @@ pub struct AccountabilityEngine<A: AccountedApp> {
     epoch: u64,
     /// Audit rounds completed (drives the checkpoint interval).
     audit_rounds_done: u64,
-    /// Reused wire-encode buffer for the audit hot loop (challenge/response
-    /// sends at n = 1000 would otherwise allocate one `Vec` per message per
-    /// round).
+    /// Reused wire-encode buffer: every control message the engine sends
+    /// is encoded into it (at n = 1000 one `Vec` per message per round
+    /// otherwise).
     wire_scratch: Vec<u8>,
+    /// Reused buffer each dispatch drains a node's inbox into
+    /// ([`Cluster::poll_into`]); the envelopes are parsed in place from it.
+    delivered_scratch: Vec<Delivered>,
     /// Reused buffer for the active set each `sweep_until_quiet` pass
     /// reads from [`Cluster::nodes_with_pending`].
     pending_scratch: Vec<NodeId>,
@@ -760,6 +786,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             epoch: 0,
             audit_rounds_done: 0,
             wire_scratch: Vec::new(),
+            delivered_scratch: Vec::new(),
             pending_scratch: Vec::new(),
             sample_order: Vec::new(),
         }

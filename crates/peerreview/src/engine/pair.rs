@@ -549,12 +549,12 @@ mod tests {
                 world
                     .pair
                     .record
-                    .store_commitment(auditee.honest(world.len));
+                    .store_commitment(&auditee.honest(world.len).as_view());
                 None
             }
             Move::Equivocate => {
                 let forged = auditee.commitment(world.len, [0xee; 32]);
-                world.pair.record.store_commitment(forged);
+                world.pair.record.store_commitment(&forged.as_view());
                 world.honest = false;
                 None
             }
@@ -745,7 +745,7 @@ mod tests {
         for retries in 0..=3 {
             // The witness holds a commitment to the first entry.
             let mut record = WitnessRecord::new(CounterMachine::new());
-            record.store_commitment(auditee.honest(1));
+            record.store_commitment(&auditee.honest(1).as_view());
             let world = World {
                 pair: AuditPair::new(record),
                 round: 0,
@@ -767,7 +767,7 @@ mod tests {
         // Past 17 retries the gap stops doubling at 2^16 rounds.
         for retries in 0..=18 {
             let mut record = WitnessRecord::new(CounterMachine::new());
-            record.store_commitment(auditee.honest(1));
+            record.store_commitment(&auditee.honest(1).as_view());
             let mut pair = AuditPair::new(record);
             let mut resends = Vec::new();
             let mut round = 0;

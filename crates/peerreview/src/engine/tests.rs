@@ -5,11 +5,11 @@ use super::audit_round::Outbound;
 use super::*;
 use crate::checkpoint::shard_members;
 use crate::log::{Authenticator, EntryKind, LogEntry};
-use crate::wire::MAX_PIGGYBACK_RIDERS;
+use crate::wire::{BodyView, EnvelopeView, MAX_PIGGYBACK_RIDERS};
 use tnic_net::adversary::NodeFault;
 use tnic_net::stack::NetworkStackKind;
 
-fn counter_deployment(
+pub(super) fn counter_deployment(
     faults: FaultPlan,
 ) -> (Cluster, CounterApp, AccountabilityEngine<CounterApp>) {
     let mut cluster = Cluster::fully_connected(4, Baseline::Tnic, NetworkStackKind::Tnic, 42);
@@ -32,7 +32,7 @@ fn engine_logs_sends_receives_and_execs() {
     }
     // Each message: Send at sender, Recv + Exec at receiver.
     assert_eq!(engine.stats().log_entries, 12);
-    assert_eq!(app.machines[&1].value(), 1);
+    assert_eq!(app.machines[1].value(), 1);
 }
 
 #[test]
@@ -46,10 +46,10 @@ fn mismatched_response_from_seq_is_ignored_and_node_suspected() {
         engine.poll(&mut cluster, &mut app, to).unwrap();
     }
     // Seed the witness with a commitment and an outstanding challenge.
-    let (seq, head, _) = engine.layer.borrow().commitment_data(1);
+    let (seq, head) = engine.layer.borrow().commitment_data(1);
     let (auth, _) = engine.layer.borrow_mut().seal(1, seq, head);
     let mut outgoing = Vec::new();
-    engine.handle_commitment(0, auth, false, &mut outgoing);
+    engine.handle_commitment(0, &auth.as_view(), false, &mut outgoing);
     engine.issue_challenges(&mut cluster).unwrap();
     assert!(engine.pairs.get(0, 1).unwrap().is_challenged());
     // A response whose `from_seq` does not match the challenged range
@@ -102,11 +102,17 @@ fn multicast_budget_overflow_keeps_rides_queued_instead_of_dropping() {
     // rides for receiver 2 that cannot fit this multicast.
     for (origin, head) in [(0u32, 1u8), (1, 2), (2, 3), (3, 4)] {
         let (auth, _) = engine.layer.borrow_mut().seal(origin, 1, [head; 32]);
-        engine.layer.borrow_mut().enqueue_ride(0, 1, auth, true);
+        engine
+            .layer
+            .borrow_mut()
+            .enqueue_ride(0, 1, auth.compact(), true);
     }
     for (origin, head) in [(1u32, 5u8), (2, 6)] {
         let (auth, _) = engine.layer.borrow_mut().seal(origin, 1, [head; 32]);
-        engine.layer.borrow_mut().enqueue_ride(0, 2, auth, true);
+        engine
+            .layer
+            .borrow_mut()
+            .enqueue_ride(0, 2, auth.compact(), true);
     }
     let payload = crate::workload::app_payload_sized(0);
     let wrapped = engine
@@ -145,8 +151,8 @@ impl AccountedApp for TappedApp {
         self.inner.snapshot_digest(node)
     }
 
-    fn on_control(&mut self, _node: u32, _from: u32, envelope: &Envelope) {
-        assert!(!matches!(envelope, Envelope::App(_)));
+    fn on_control(&mut self, _node: u32, _from: u32, envelope: &EnvelopeView<'_>) {
+        assert!(!envelope.riders.is_empty() || !matches!(envelope.body, BodyView::App(_)));
         self.control_seen += 1;
     }
 }
@@ -193,7 +199,10 @@ fn dedicated_flush_batches_same_pair_rides_into_one_message() {
         .enumerate()
     {
         let (auth, _) = engine.layer.borrow_mut().seal(origin, 1, [head; 32]);
-        engine.layer.borrow_mut().enqueue_ride(0, 1, auth, true);
+        engine
+            .layer
+            .borrow_mut()
+            .enqueue_ride(0, 1, auth.compact(), true);
         assert_eq!(engine.layer.borrow().pending_rides(), i + 1);
     }
     assert_eq!(
@@ -211,7 +220,7 @@ fn dedicated_flush_batches_same_pair_rides_into_one_message() {
 
 /// Drives `rounds` iterations of an 8-message round-robin workload plus
 /// one audit round (mirroring the PeerReview driver, engine-side).
-fn run_rounds(
+pub(super) fn run_rounds(
     cluster: &mut Cluster,
     app: &mut CounterApp,
     engine: &mut AccountabilityEngine<CounterApp>,
@@ -237,7 +246,7 @@ fn run_rounds(
     }
 }
 
-fn engine_deployment(
+pub(super) fn engine_deployment(
     config: EngineConfig,
     faults: FaultPlan,
 ) -> (Cluster, CounterApp, AccountabilityEngine<CounterApp>) {
@@ -391,7 +400,7 @@ fn unverifiable_evidence_variants_convict_only_the_sender() {
     ];
     for (i, (a, b)) in variants.into_iter().enumerate() {
         let mut engine = counter_deployment(FaultPlan::all_correct()).2;
-        engine.handle_evidence(0, 3, &a, &b);
+        engine.handle_evidence(0, 3, &a.as_view(), &b.as_view());
         assert_eq!(
             engine.verdict_of(0, 1),
             Verdict::Trusted,
@@ -456,6 +465,8 @@ fn below_base_challenge_answered_with_certificate_not_suspicion() {
     // Delivering the certificate fast-forwards the witness to the
     // cosigned boundary instead of leaving it to suspect the node.
     let mut relays = Vec::new();
+    let answer = answer.encode();
+    let answer = EnvelopeView::parse(&answer).unwrap();
     engine.handle_envelope(&mut app, NodeId(0), 1, answer, &mut relays);
     let pair = &engine.pairs.get(0, 1).unwrap();
     assert_eq!(pair.record.audited_seq, cut, "fast-forwarded to the cut");
@@ -476,7 +487,10 @@ fn batched_rides_carry_multiple_commitments_per_message() {
         // Distinct origins so the cumulative-supersede rule keeps all.
         let origin = (seq % 4) as u32;
         let (auth, _) = engine.layer.borrow_mut().seal(origin, seq, [seq as u8; 32]);
-        engine.layer.borrow_mut().enqueue_ride(0, 1, auth, false);
+        engine
+            .layer
+            .borrow_mut()
+            .enqueue_ride(0, 1, auth.compact(), false);
     }
     let queued = engine.layer.borrow().pending_rides();
     let payload = crate::workload::app_payload_sized(0);
@@ -635,6 +649,8 @@ fn challenge_batch_unrolls_and_is_answered_with_one_response_batch() {
         challenges: vec![(0, len / 2), (len / 2, len)],
     };
     let mut outgoing = Vec::new();
+    let batch = batch.encode();
+    let batch = EnvelopeView::parse(&batch).unwrap();
     engine.handle_envelope(&mut app, NodeId(0), 1, batch, &mut outgoing);
     assert_eq!(outgoing.len(), 2, "one deferred segment per challenge");
     assert!(outgoing.iter().all(|(from, to, out)| *from == NodeId(0)
@@ -688,7 +704,9 @@ fn hostile_batch_envelopes_never_panic_and_convict_nobody() {
         for target in 0..3u32 {
             for env in &hostile {
                 let mut outgoing = Vec::new();
-                engine.handle_envelope(&mut app, NodeId(target), 3, env.clone(), &mut outgoing);
+                let wire = env.encode();
+                let env = EnvelopeView::parse(&wire).unwrap();
+                engine.handle_envelope(&mut app, NodeId(target), 3, env, &mut outgoing);
                 engine.send_outgoing(&mut cluster, outgoing).unwrap();
             }
         }
@@ -729,8 +747,8 @@ fn single_shard_matches_unsharded_witness_sets() {
 }
 
 /// `node`'s seal over its current log head, as its witnesses receive it.
-fn seal_of(engine: &AccountabilityEngine<CounterApp>, node: u32) -> Authenticator {
-    let (seq, head, _) = engine.layer.borrow().commitment_data(node);
+pub(super) fn seal_of(engine: &AccountabilityEngine<CounterApp>, node: u32) -> Authenticator {
+    let (seq, head) = engine.layer.borrow().commitment_data(node);
     engine.layer.borrow_mut().seal(node, seq, head).0
 }
 
@@ -780,7 +798,7 @@ fn a_seal_on_an_unheld_log_session_is_refused_without_drawing_cost() {
         engine.members[member as usize]
             .kernel
             .clone()
-            .verify_binding_under(&engine.log_keys[node as usize], &auth.attestation)
+            .verify_binding_under(&engine.log_keys[node as usize], &auth.attestation.as_view())
             .unwrap()
     };
     let (undrawn, start) = (next_cost(&engine, stranger), engine.clock.now());
@@ -974,7 +992,7 @@ fn round_digests_hash_each_envelope_once_under_multicast_and_a_hostile_network()
         cluster.establish_group(NodeId(0), &group).unwrap();
         let mut multicast_digests = Vec::new();
         for _ in 0..4 {
-            let (seq, head, _) = engine.layer.borrow().commitment_data(0);
+            let (seq, head) = engine.layer.borrow().commitment_data(0);
             let (auth, _) = engine.layer.borrow_mut().seal(0, seq, head);
             let announce = Envelope::Announce(auth).encode();
             multicast_digests.push(tnic_crypto::sha256::sha256(&announce));
@@ -1058,7 +1076,8 @@ impl AccountedApp for FoldTapApp {
         self.inner.snapshot_digest(node)
     }
 
-    fn on_control(&mut self, node: u32, _from: u32, envelope: &Envelope) {
+    fn on_control(&mut self, node: u32, _from: u32, envelope: &EnvelopeView<'_>) {
+        let envelope = envelope.clone().into_owned();
         let digest = tnic_crypto::sha256::sha256(&envelope.encode());
         match envelope {
             Envelope::Announce(_) | Envelope::Gossip(_) => {
@@ -1330,7 +1349,7 @@ fn witness_ignores_a_certificate_whose_cosignature_seals_fail() {
     {
         let record = &mut engine.pairs.get_mut(0, 1).unwrap().record;
         *record = WitnessRecord::new(CounterMachine::new());
-        assert!(record.store_commitment(covered).is_none());
+        assert!(record.store_commitment(&covered.as_view()).is_none());
     }
     let pruned = engine.stats().commitments_pruned;
     engine.handle_checkpoint_commit(0, &mark, &forged);
@@ -1347,4 +1366,21 @@ fn witness_ignores_a_certificate_whose_cosignature_seals_fail() {
         "the covered commitment is pruned"
     );
     assert_eq!(engine.stats().commitments_pruned, pruned + 1);
+}
+
+/// `CounterApp` keeps one counter per node id: a joiner gets the next id,
+/// and an id it never held snapshots to zeros.
+#[test]
+fn counter_app_indexes_counters_by_id_and_joins_the_next_id() {
+    let mut app = CounterApp::new(&[NodeId(0), NodeId(1), NodeId(2)]);
+    let fresh = CounterMachine::new().state_digest();
+    app.execute(2, b"incr");
+    assert_ne!(app.snapshot_digest(2), fresh);
+    assert_eq!(app.snapshot_digest(1), fresh);
+    assert_eq!(app.snapshot_digest(3), [0u8; 32], "not joined yet");
+    app.on_join(3);
+    assert_eq!(app.snapshot_digest(3), fresh);
+    app.execute(3, b"incr");
+    assert_eq!(app.snapshot_digest(3), app.snapshot_digest(2));
+    assert_eq!(app.snapshot_digest(u32::MAX), [0u8; 32]);
 }

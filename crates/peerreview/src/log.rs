@@ -28,7 +28,7 @@
 //! tamper-evidence argument.
 
 use tnic_crypto::sha256::{sha256, Sha256};
-use tnic_device::attestation::AttestedMessage;
+use tnic_device::attestation::{AttestedMessage, AttestedView, ATTESTATION_LEN};
 use tnic_device::error::DeviceError;
 use tnic_device::types::{DeviceId, SessionId};
 
@@ -381,14 +381,31 @@ impl LogEntry {
         out.extend_from_slice(&(self.content.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.content);
     }
+}
 
-    /// Parses an entry and returns it with the number of bytes consumed.
-    /// A pure parse, so decoding what [`LogEntry::encode_into`] wrote gives
-    /// back the entry, with no hashing: whether the entry links to its
-    /// predecessor and to the sealed head is the witness's to compute
-    /// during replay, once per entry.
+/// A [`LogEntry`] parsed in place: the same fields, with the content and
+/// the previous head borrowed from the bytes it was parsed from. A witness
+/// replays an audit response in this form straight from the delivered
+/// message ([`crate::audit::WitnessRecord::check_response`] takes either).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogEntryView<'a> {
+    /// Position in the log (0-based).
+    pub seq: u64,
+    /// What the entry records.
+    pub kind: EntryKind,
+    /// The recorded content.
+    pub content: &'a [u8],
+    /// Hash of the previous entry.
+    pub prev: &'a [u8; 32],
+}
+
+impl<'a> LogEntryView<'a> {
+    /// Parses what [`LogEntry::encode_into`] wrote and returns the entry
+    /// with the number of bytes consumed. The one entry parser, and a pure
+    /// one: whether the entry links to its predecessor and to the sealed
+    /// head is the witness's to compute during replay, once per entry.
     #[must_use]
-    pub fn decode(bytes: &[u8]) -> Option<(Self, usize)> {
+    pub fn parse(bytes: &'a [u8]) -> Option<(Self, usize)> {
         if bytes.len() < 8 + 1 + 4 + 32 + 4 {
             return None;
         }
@@ -396,15 +413,11 @@ impl LogEntry {
         let tag = bytes[8];
         let peer = u32::from_le_bytes(bytes[9..13].try_into().ok()?);
         let kind = EntryKind::from_wire(tag, peer)?;
-        let mut prev = [0u8; 32];
-        prev.copy_from_slice(&bytes[13..45]);
+        let prev = bytes[13..45].try_into().ok()?;
         let len = u32::from_le_bytes(bytes[45..49].try_into().ok()?) as usize;
-        if bytes.len() < 49 + len {
-            return None;
-        }
-        let content = bytes[49..49 + len].to_vec();
+        let content = bytes.get(49..49 + len)?;
         Some((
-            LogEntry {
+            LogEntryView {
                 seq,
                 kind,
                 content,
@@ -412,6 +425,28 @@ impl LogEntry {
             },
             49 + len,
         ))
+    }
+
+    /// Materialises an owned entry (one content allocation).
+    #[must_use]
+    pub fn to_owned(&self) -> LogEntry {
+        LogEntry {
+            seq: self.seq,
+            kind: self.kind,
+            content: self.content.to_vec(),
+            prev: *self.prev,
+        }
+    }
+}
+
+impl<'a> From<&'a LogEntry> for LogEntryView<'a> {
+    fn from(entry: &'a LogEntry) -> Self {
+        LogEntryView {
+            seq: entry.seq,
+            kind: entry.kind,
+            content: &entry.content,
+            prev: &entry.prev,
+        }
     }
 }
 
@@ -654,7 +689,7 @@ pub struct Authenticator {
 
 /// The `(node, seq, head)` an authenticator payload commits to.
 fn authenticator_fields(payload: &[u8]) -> Option<(u32, u64, [u8; 32])> {
-    if payload.len() != 12 + 4 + 8 + 32 || &payload[..12] != AUTHENTICATOR_DOMAIN {
+    if payload.len() != AUTHENTICATOR_PAYLOAD_LEN || &payload[..12] != AUTHENTICATOR_DOMAIN {
         return None;
     }
     let node = u32::from_le_bytes(payload[12..16].try_into().ok()?);
@@ -663,16 +698,91 @@ fn authenticator_fields(payload: &[u8]) -> Option<(u32, u64, [u8; 32])> {
     Some((node, seq, head))
 }
 
+/// Length of an authenticator's attested payload.
+const AUTHENTICATOR_PAYLOAD_LEN: usize = 12 + 4 + 8 + 32;
+
+/// The canonical attestation payload for a commitment, on the stack.
+pub(crate) fn authenticator_payload(
+    node: u32,
+    seq: u64,
+    head: &[u8; 32],
+) -> [u8; AUTHENTICATOR_PAYLOAD_LEN] {
+    let mut out = [0u8; AUTHENTICATOR_PAYLOAD_LEN];
+    out[..12].copy_from_slice(AUTHENTICATOR_DOMAIN);
+    out[12..16].copy_from_slice(&node.to_le_bytes());
+    out[16..24].copy_from_slice(&seq.to_le_bytes());
+    out[24..].copy_from_slice(head);
+    out
+}
+
 impl Authenticator {
     /// The canonical attestation payload for a commitment.
     #[must_use]
     pub fn payload(node: u32, seq: u64, head: &[u8; 32]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + 4 + 8 + 32);
-        out.extend_from_slice(AUTHENTICATOR_DOMAIN);
-        out.extend_from_slice(&node.to_le_bytes());
-        out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(head);
-        out
+        authenticator_payload(node, seq, head).to_vec()
+    }
+
+    /// A borrowed view of this authenticator.
+    #[must_use]
+    pub fn as_view(&self) -> AuthenticatorView<'_> {
+        AuthenticatorView {
+            node: self.node,
+            seq: self.seq,
+            head: self.head,
+            attestation: self.attestation.as_view(),
+        }
+    }
+
+    /// Serialises the authenticator into `out`, appending: its attested
+    /// message's wire form (`node`, `seq` and `head` are read back from the
+    /// attested payload by [`AuthenticatorView::parse`]).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.attestation.encode_into(out);
+    }
+
+    /// The payload-free copy of this authenticator. It encodes to this
+    /// authenticator's bytes whenever the attested payload is the canonical
+    /// one for `(node, seq, head)`, as it is for every parsed or
+    /// [consistent](AuthenticatorView::consistent) authenticator.
+    #[must_use]
+    pub fn compact(&self) -> CompactAuthenticator {
+        self.as_view().compact()
+    }
+}
+
+/// An [`Authenticator`] parsed in place: the same fields, with the
+/// attested payload borrowed from the bytes it was parsed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AuthenticatorView<'a> {
+    /// The committing node.
+    pub node: u32,
+    /// Number of log entries the commitment covers.
+    pub seq: u64,
+    /// The committed head hash.
+    pub head: [u8; 32],
+    /// The TNIC seal over the commitment.
+    pub attestation: AttestedView<'a>,
+}
+
+impl<'a> AuthenticatorView<'a> {
+    /// Parses an authenticator from an encoded attested message; `node`,
+    /// `seq` and `head` are read from the attested payload. The one
+    /// authenticator parser.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::MalformedMessage`] if the wire bytes or the
+    /// attested payload are malformed.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, DeviceError> {
+        let attestation = AttestedView::parse(bytes)?;
+        let (node, seq, head) = authenticator_fields(attestation.payload)
+            .ok_or(DeviceError::MalformedMessage("bad authenticator payload"))?;
+        Ok(AuthenticatorView {
+            node,
+            seq,
+            head,
+            attestation,
+        })
     }
 
     /// Whether the carried attestation structurally matches the claimed
@@ -680,34 +790,75 @@ impl Authenticator {
     /// Cryptographic verification is separate (the witness's kernel).
     #[must_use]
     pub fn consistent(&self) -> bool {
-        authenticator_fields(&self.attestation.payload) == Some((self.node, self.seq, self.head))
+        authenticator_fields(self.attestation.payload) == Some((self.node, self.seq, self.head))
             && self.attestation.device == DeviceId(self.node)
             && self.attestation.session == log_session(self.node)
     }
 
-    /// Serialises the authenticator (node/seq/head are recovered from the
-    /// attested payload on decode).
+    /// Materialises an owned authenticator (one payload allocation).
     #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        self.attestation.encode()
+    pub fn to_owned(&self) -> Authenticator {
+        Authenticator {
+            node: self.node,
+            seq: self.seq,
+            head: self.head,
+            attestation: self.attestation.to_owned(),
+        }
     }
 
-    /// Parses an authenticator from an encoded attested message.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::MalformedMessage`] if the wire bytes or the
-    /// attested payload are malformed.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DeviceError> {
-        let attestation = AttestedMessage::decode(bytes)?;
-        let (node, seq, head) = authenticator_fields(&attestation.payload)
-            .ok_or(DeviceError::MalformedMessage("bad authenticator payload"))?;
-        Ok(Authenticator {
-            node,
-            seq,
-            head,
-            attestation,
-        })
+    /// As [`Authenticator::compact`].
+    #[must_use]
+    pub fn compact(&self) -> CompactAuthenticator {
+        CompactAuthenticator {
+            node: self.node,
+            seq: self.seq,
+            head: self.head,
+            mac: self.attestation.mac,
+            session: self.attestation.session,
+            device: self.attestation.device,
+            counter: self.attestation.counter,
+        }
+    }
+}
+
+/// An [`Authenticator`] without its attested payload: the commitment
+/// `(node, seq, head)` and the seal's MAC, session, device and counter.
+/// The payload is rebuilt as `Authenticator::payload(node, seq, head)` on
+/// encode, which is what a parsed authenticator's payload is by
+/// construction and what the engine seals, so the bytes are the
+/// authenticator's own. The piggyback ride queues hold commitments in this
+/// form: queueing a relay copies fields, never a payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompactAuthenticator {
+    /// The committing node.
+    pub node: u32,
+    /// Number of log entries the commitment covers.
+    pub seq: u64,
+    /// The committed head hash.
+    pub head: [u8; 32],
+    /// The seal's MAC.
+    pub mac: [u8; ATTESTATION_LEN],
+    /// The session the seal was made on.
+    pub session: SessionId,
+    /// The device that made the seal.
+    pub device: DeviceId,
+    /// The seal's counter.
+    pub counter: u64,
+}
+
+impl CompactAuthenticator {
+    /// Serialises the authenticator into `out`, appending: the bytes of
+    /// [`Authenticator::encode_into`], payload rebuilt on the stack.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let payload = authenticator_payload(self.node, self.seq, &self.head);
+        AttestedView {
+            mac: self.mac,
+            session: self.session,
+            device: self.device,
+            counter: self.counter,
+            payload: &payload,
+        }
+        .encode_into(out);
     }
 }
 
@@ -726,6 +877,10 @@ mod tests {
         log.append(EntryKind::Recv { from: 2 }, b"m1".to_vec());
         log.append(EntryKind::Exec, b"out".to_vec());
         log
+    }
+
+    fn decode_entry(bytes: &[u8]) -> Option<(LogEntry, usize)> {
+        LogEntryView::parse(bytes).map(|(view, used)| (view.to_owned(), used))
     }
 
     fn encoded(entry: &LogEntry) -> Vec<u8> {
@@ -877,11 +1032,11 @@ mod tests {
         let log = sample_log();
         for entry in log.entries() {
             let bytes = encoded(entry);
-            let (decoded, used) = LogEntry::decode(&bytes).unwrap();
+            let (decoded, used) = decode_entry(&bytes).unwrap();
             assert_eq!(used, bytes.len());
             assert_eq!(&decoded, entry);
         }
-        assert!(LogEntry::decode(&[1, 2, 3]).is_none());
+        assert!(decode_entry(&[1, 2, 3]).is_none());
     }
 
     #[test]
@@ -1032,7 +1187,7 @@ mod tests {
         log.append(EntryKind::AuditRound, content);
         assert_eq!(log.composition().audit_digest_entries, 1);
         let entry = &log.entries()[0];
-        let (decoded, used) = LogEntry::decode(&encoded(entry)).unwrap();
+        let (decoded, used) = decode_entry(&encoded(entry)).unwrap();
         assert_eq!(used, encoded(entry).len());
         assert_eq!(&decoded, entry);
         assert_eq!(decoded.kind, EntryKind::AuditRound);
@@ -1048,7 +1203,7 @@ mod tests {
         let mut log = SecureLog::new();
         log.append(EntryKind::Checkpoint, b"mark".to_vec());
         let entry = &log.entries()[0];
-        let (decoded, used) = LogEntry::decode(&encoded(entry)).unwrap();
+        let (decoded, used) = decode_entry(&encoded(entry)).unwrap();
         assert_eq!(used, encoded(entry).len());
         assert_eq!(&decoded, entry);
         assert_eq!(decoded.kind, EntryKind::Checkpoint);
@@ -1075,15 +1230,57 @@ mod tests {
             head: log.head(),
             attestation,
         };
-        assert!(auth.consistent());
+        assert!(auth.as_view().consistent());
 
-        let decoded = Authenticator::decode(&auth.encode()).unwrap();
+        let decoded = AuthenticatorView::parse(&auth.attestation.encode())
+            .unwrap()
+            .to_owned();
         assert_eq!(decoded, auth);
 
         // Any witness holding the log-session key verifies the seal.
         let mut witness = AttestationKernel::new(DeviceId(9), AttestationTiming::zero());
         witness.install_session_key(log_session(node), [7u8; 32]);
         witness.verify_binding(&decoded.attestation).unwrap();
+    }
+
+    /// A compact authenticator re-encodes to its authenticator's bytes
+    /// for a node's own commitment, for one relayed (parsed off the wire)
+    /// and for a forgery sealed on a foreign device and session, which
+    /// keeps that device and session.
+    #[test]
+    fn compact_authenticators_re_encode_byte_identically() {
+        let log = sample_log();
+        let sealed = |device: u32, node: u32| {
+            let mut kernel = AttestationKernel::new(DeviceId(device), AttestationTiming::zero());
+            kernel.install_session_key(log_session(device), [device as u8; 32]);
+            let payload = Authenticator::payload(node, log.len(), &log.head());
+            let (attestation, _) = kernel.attest(log_session(device), &payload).unwrap();
+            Authenticator {
+                node,
+                seq: log.len(),
+                head: log.head(),
+                attestation,
+            }
+        };
+        let own = sealed(3, 3);
+        let relayed = AuthenticatorView::parse(&own.attestation.encode())
+            .unwrap()
+            .to_owned();
+        let forged = sealed(5, 3);
+        assert!(
+            own.as_view().consistent()
+                && relayed.as_view().consistent()
+                && !forged.as_view().consistent()
+        );
+        for auth in [own, relayed, forged] {
+            let bytes = auth.attestation.encode();
+            let mut wire = Vec::new();
+            auth.compact().encode_into(&mut wire);
+            assert_eq!(wire, bytes);
+            let view = AuthenticatorView::parse(&bytes).unwrap();
+            assert_eq!(view.compact(), auth.compact());
+            assert_eq!(view.to_owned(), auth);
+        }
     }
 
     #[test]
@@ -1100,10 +1297,10 @@ mod tests {
             head: log.head(),
             attestation,
         };
-        assert!(!auth.consistent());
+        assert!(!auth.as_view().consistent());
         auth.seq = log.len();
-        assert!(auth.consistent());
+        assert!(auth.as_view().consistent());
         auth.node = 4;
-        assert!(!auth.consistent());
+        assert!(!auth.as_view().consistent());
     }
 }

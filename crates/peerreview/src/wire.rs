@@ -49,9 +49,28 @@
 //!
 //! A piggybacked envelope never nests another piggyback: decoding enforces
 //! `inner ≠ Piggyback`, bounding recursion to one level.
+//!
+//! # One parser, one writer
+//!
+//! There is one parser: [`EnvelopeView::parse`] reads an envelope in place
+//! from the delivered bytes, with commands, log entries and seal payloads
+//! borrowed, and validates every element as it goes. [`Envelope::decode`]
+//! is that parse plus one conversion to the owned type, and
+//! [`Envelope::app_command`] reads the riders and the tag the same way, so
+//! the engine's dispatch, the owned decode and a witness's replay accept
+//! exactly the same bytes. Lists (entries, riders, batch elements) stay
+//! borrowed as [`ListView`]s and are read again on iteration.
+//!
+//! There is one writer: [`Envelope::encode_into`] writes into a caller's
+//! buffer, cleared first, with authenticators, entries and nested blocks
+//! written in place; [`Envelope::encode`] wraps it. The raw encoders —
+//! responses over borrowed log segments, piggyback splicing, dedicated ride
+//! flushes — share its pieces and produce the same bytes.
 
 use crate::checkpoint::{CheckpointMark, Cosignature, MAX_COSIGNERS};
-use crate::log::{Authenticator, LogEntry};
+use crate::log::{Authenticator, AuthenticatorView, CompactAuthenticator, LogEntry, LogEntryView};
+use std::fmt;
+use std::marker::PhantomData;
 use tnic_device::error::DeviceError;
 
 /// Magic prefix on every envelope. Payload classification (is this an
@@ -182,127 +201,151 @@ pub enum Envelope {
 }
 
 /// One commitment riding on a piggybacked envelope.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PiggybackRider {
-    /// The commitment riding along.
-    pub auth: Authenticator,
+    /// The commitment riding along, without its payload (rebuilt on
+    /// encode, see [`CompactAuthenticator`]).
+    pub auth: CompactAuthenticator,
     /// Whether the commitment is relayed (gossip) rather than announced by
     /// its own node.
     pub gossip: bool,
 }
 
-fn push_block(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
+fn malformed() -> DeviceError {
+    DeviceError::MalformedMessage("malformed envelope")
+}
+
+fn read_u32(bytes: &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?))
+}
+
+fn read_u64(bytes: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?))
 }
 
 fn read_block(bytes: &[u8]) -> Option<(&[u8], usize)> {
-    if bytes.len() < 4 {
-        return None;
+    let len = read_u32(bytes)? as usize;
+    Some((bytes.get(4..4 + len)?, 4 + len))
+}
+
+/// Appends a length-prefixed block that `body` writes in place (the
+/// length is patched in after it).
+fn push_block(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&0u32.to_le_bytes());
+    body(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+fn push_head(out: &mut Vec<u8>, tag: u8) {
+    out.extend_from_slice(&ENVELOPE_MAGIC);
+    out.push(tag);
+}
+
+/// The entry list of a response body and of a farewell: the entry count
+/// (4 bytes LE), then one length-prefixed block per entry.
+fn push_entries(out: &mut Vec<u8>, entries: &[LogEntry]) {
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for entry in entries {
+        push_block(out, |out| entry.encode_into(out));
     }
-    let len = u32::from_le_bytes(bytes[..4].try_into().ok()?) as usize;
-    if bytes.len() < 4 + len {
-        return None;
-    }
-    Some((&bytes[4..4 + len], 4 + len))
 }
 
 /// The shared body format of [`Envelope::Response`] and each element of
-/// [`Envelope::ResponseBatch`]: `from_seq` (8 bytes LE), entry count (4 bytes
-/// LE), then one length-prefixed block per entry.
-fn encode_response_body(out: &mut Vec<u8>, from_seq: u64, entries: &[LogEntry]) {
+/// [`Envelope::ResponseBatch`]: `from_seq` (8 bytes LE), then the entry
+/// list.
+fn push_response_body(out: &mut Vec<u8>, from_seq: u64, entries: &[LogEntry]) {
     out.extend_from_slice(&from_seq.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    push_entry_blocks(out, entries);
+    push_entries(out, entries);
 }
 
-/// One length-prefixed block per entry, each written straight into `out`
-/// (the block's length is patched in after the entry).
-fn push_entry_blocks(out: &mut Vec<u8>, entries: &[LogEntry]) {
-    for entry in entries {
-        let start = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes());
-        entry.encode_into(out);
-        let len = (out.len() - start - 4) as u32;
-        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+fn push_response_batch<'e>(
+    out: &mut Vec<u8>,
+    parts: impl ExactSizeIterator<Item = (u64, &'e [LogEntry])>,
+) {
+    push_head(out, TAG_RESPONSE_BATCH);
+    out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
+    for (from_seq, entries) in parts {
+        push_block(out, |out| push_response_body(out, from_seq, entries));
     }
 }
 
-/// Strictly decodes one response body (see [`encode_response_body`]); the
-/// whole slice must be consumed.
-fn decode_response_body(rest: &[u8]) -> Result<(u64, Vec<LogEntry>), DeviceError> {
-    let malformed = || DeviceError::MalformedMessage("malformed envelope");
-    if rest.len() < 12 {
-        return Err(malformed());
+/// The piggyback header: the tag, the rider count and each rider's gossip
+/// flag and length-prefixed authenticator, written in place. The inner
+/// envelope follows.
+fn push_riders(out: &mut Vec<u8>, riders: &[PiggybackRider]) {
+    assert!(
+        !riders.is_empty() && riders.len() <= MAX_PIGGYBACK_RIDERS,
+        "a ride carries 1..={MAX_PIGGYBACK_RIDERS} commitments"
+    );
+    push_head(out, TAG_PIGGYBACK);
+    out.push(riders.len() as u8);
+    for rider in riders {
+        out.push(u8::from(rider.gossip));
+        push_block(out, |out| rider.auth.encode_into(out));
     }
-    let from_seq = u64::from_le_bytes(rest[..8].try_into().expect("sized"));
-    let count = u32::from_le_bytes(rest[8..12].try_into().expect("sized")) as usize;
-    let mut off = 12;
-    // `count` is untrusted wire data (a Byzantine node may claim u32::MAX
-    // entries); cap the preallocation by what the buffer could possibly
-    // hold — each entry block needs ≥ 4 + 49 bytes.
-    let mut entries = Vec::with_capacity(count.min(rest.len() / 53));
-    for _ in 0..count {
-        let (block, used) = read_block(&rest[off..]).ok_or_else(malformed)?;
-        let (entry, entry_used) = LogEntry::decode(block).ok_or_else(malformed)?;
-        if entry_used != block.len() {
-            return Err(malformed());
-        }
-        entries.push(entry);
-        off += used;
-    }
-    if off != rest.len() {
-        return Err(malformed());
-    }
-    Ok((from_seq, entries))
 }
 
 impl Envelope {
-    /// Serialises the envelope.
+    /// Serialises the envelope: [`Envelope::encode_into`] on a new buffer.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&ENVELOPE_MAGIC);
+        self.write(&mut out);
+        out
+    }
+
+    /// Serialises the envelope into `out`, cleared first. The engine sends
+    /// every control envelope through one reused buffer this way;
+    /// authenticators, entries and nested blocks are written in place.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        self.write(out);
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
             Envelope::App(command) => {
-                out.push(TAG_APP);
+                push_head(out, TAG_APP);
                 out.extend_from_slice(command);
             }
             Envelope::Announce(auth) => {
-                out.push(TAG_ANNOUNCE);
-                out.extend_from_slice(&auth.encode());
+                push_head(out, TAG_ANNOUNCE);
+                auth.encode_into(out);
             }
             Envelope::Gossip(auth) => {
-                out.push(TAG_GOSSIP);
-                out.extend_from_slice(&auth.encode());
+                push_head(out, TAG_GOSSIP);
+                auth.encode_into(out);
             }
             Envelope::Challenge { from_seq, upto_seq } => {
-                out.push(TAG_CHALLENGE);
+                push_head(out, TAG_CHALLENGE);
                 out.extend_from_slice(&from_seq.to_le_bytes());
                 out.extend_from_slice(&upto_seq.to_le_bytes());
             }
             Envelope::Response { from_seq, entries } => {
-                out.push(TAG_RESPONSE);
-                encode_response_body(&mut out, *from_seq, entries);
+                push_head(out, TAG_RESPONSE);
+                push_response_body(out, *from_seq, entries);
             }
             Envelope::Evidence { a, b } => {
-                out.push(TAG_EVIDENCE);
-                push_block(&mut out, &a.encode());
-                push_block(&mut out, &b.encode());
+                push_head(out, TAG_EVIDENCE);
+                push_block(out, |out| a.encode_into(out));
+                push_block(out, |out| b.encode_into(out));
             }
             Envelope::Piggyback { riders, inner } => {
                 debug_assert!(
                     !matches!(**inner, Envelope::Piggyback { .. }),
                     "piggybacks never nest"
                 );
-                return Envelope::piggyback_raw(riders, &inner.encode());
+                push_riders(out, riders);
+                inner.write(out);
             }
             Envelope::CheckpointPropose(mark) => {
-                out.push(TAG_CKPT_PROPOSE);
+                push_head(out, TAG_CKPT_PROPOSE);
                 out.extend_from_slice(&mark.encode());
             }
             Envelope::CheckpointCosign(cosig) => {
-                out.push(TAG_CKPT_COSIGN);
+                push_head(out, TAG_CKPT_COSIGN);
                 out.extend_from_slice(&cosig.encode());
             }
             Envelope::CheckpointCommit { mark, cosigs } => {
@@ -310,43 +353,41 @@ impl Envelope {
                     !cosigs.is_empty() && cosigs.len() <= MAX_COSIGNERS,
                     "a certificate carries 1..={MAX_COSIGNERS} cosignatures"
                 );
-                out.push(TAG_CKPT_COMMIT);
-                push_block(&mut out, &mark.encode());
+                push_head(out, TAG_CKPT_COMMIT);
+                push_block(out, |out| out.extend_from_slice(&mark.encode()));
                 out.push(cosigs.len() as u8);
                 for cosig in cosigs {
-                    push_block(&mut out, &cosig.encode());
+                    push_block(out, |out| out.extend_from_slice(&cosig.encode()));
                 }
             }
             Envelope::Join(auth) => {
-                out.push(TAG_JOIN);
-                out.extend_from_slice(&auth.encode());
+                push_head(out, TAG_JOIN);
+                auth.encode_into(out);
             }
             Envelope::Leave { auth, entries } => {
-                out.push(TAG_LEAVE);
-                push_block(&mut out, &auth.encode());
-                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                push_entry_blocks(&mut out, entries);
+                push_head(out, TAG_LEAVE);
+                push_block(out, |out| auth.encode_into(out));
+                push_entries(out, entries);
             }
             Envelope::Recover(auth) => {
-                out.push(TAG_RECOVER);
-                out.extend_from_slice(&auth.encode());
+                push_head(out, TAG_RECOVER);
+                auth.encode_into(out);
             }
             Envelope::ChallengeBatch { challenges } => {
-                let mut batched = Vec::new();
-                Envelope::encode_challenge_batch_into(&mut batched, challenges);
-                return batched;
+                push_head(out, TAG_CHALLENGE_BATCH);
+                out.extend_from_slice(&(challenges.len() as u32).to_le_bytes());
+                for (from_seq, upto_seq) in challenges {
+                    out.extend_from_slice(&from_seq.to_le_bytes());
+                    out.extend_from_slice(&upto_seq.to_le_bytes());
+                }
             }
-            Envelope::ResponseBatch { responses } => {
-                let parts: Vec<(u64, &[LogEntry])> = responses
+            Envelope::ResponseBatch { responses } => push_response_batch(
+                out,
+                responses
                     .iter()
-                    .map(|(from_seq, entries)| (*from_seq, entries.as_slice()))
-                    .collect();
-                let mut batched = Vec::new();
-                Envelope::encode_response_batch_into(&mut batched, &parts);
-                return batched;
-            }
+                    .map(|(from_seq, entries)| (*from_seq, entries.as_slice())),
+            ),
         }
-        out
     }
 
     /// Encodes a [`Envelope::Response`] over a *borrowed* log segment directly
@@ -355,28 +396,8 @@ impl Envelope {
     /// an owned envelope; the bytes are identical to `encode()`.
     pub fn encode_response_into(out: &mut Vec<u8>, from_seq: u64, entries: &[LogEntry]) {
         out.clear();
-        out.extend_from_slice(&ENVELOPE_MAGIC);
-        out.push(TAG_RESPONSE);
-        encode_response_body(out, from_seq, entries);
-    }
-
-    /// Encodes a [`Envelope::ChallengeBatch`] directly into `out` (cleared
-    /// first); the bytes are identical to `encode()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `challenges` is empty — the engine never coalesces zero
-    /// challenges, and decode rejects an empty batch.
-    pub fn encode_challenge_batch_into(out: &mut Vec<u8>, challenges: &[(u64, u64)]) {
-        assert!(!challenges.is_empty(), "a batch carries >= 1 challenge");
-        out.clear();
-        out.extend_from_slice(&ENVELOPE_MAGIC);
-        out.push(TAG_CHALLENGE_BATCH);
-        out.extend_from_slice(&(challenges.len() as u32).to_le_bytes());
-        for (from_seq, upto_seq) in challenges {
-            out.extend_from_slice(&from_seq.to_le_bytes());
-            out.extend_from_slice(&upto_seq.to_le_bytes());
-        }
+        push_head(out, TAG_RESPONSE);
+        push_response_body(out, from_seq, entries);
     }
 
     /// Encodes a [`Envelope::ResponseBatch`] over *borrowed* log segments
@@ -390,16 +411,33 @@ impl Envelope {
     pub fn encode_response_batch_into(out: &mut Vec<u8>, parts: &[(u64, &[LogEntry])]) {
         assert!(!parts.is_empty(), "a batch carries >= 1 response");
         out.clear();
-        out.extend_from_slice(&ENVELOPE_MAGIC);
-        out.push(TAG_RESPONSE_BATCH);
-        out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
-        for (from_seq, entries) in parts {
-            let start = out.len();
-            out.extend_from_slice(&0u32.to_le_bytes());
-            encode_response_body(out, *from_seq, entries);
-            let body_len = (out.len() - start - 4) as u32;
-            out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
+        push_response_batch(out, parts.iter().copied());
+    }
+
+    /// Encodes a dedicated commitment message into `out` (cleared first):
+    /// the first ride as an [`Envelope::Gossip`] or [`Envelope::Announce`]
+    /// by its flag, the rest riding it as an [`Envelope::Piggyback`]. The
+    /// bytes are identical to `encode()` of that envelope.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rides` is empty or holds more than
+    /// `1 + MAX_PIGGYBACK_RIDERS` commitments.
+    pub fn encode_rides_into(out: &mut Vec<u8>, rides: &[PiggybackRider]) {
+        let (first, riders) = rides.split_first().expect("a message carries >= 1 ride");
+        out.clear();
+        if !riders.is_empty() {
+            push_riders(out, riders);
         }
+        push_head(
+            out,
+            if first.gossip {
+                TAG_GOSSIP
+            } else {
+                TAG_ANNOUNCE
+            },
+        );
+        first.auth.encode_into(out);
     }
 
     /// Builds the wire form of a [`Envelope::Piggyback`] directly over the
@@ -414,18 +452,8 @@ impl Envelope {
     /// ride queue pops at most that many.
     #[must_use]
     pub fn piggyback_raw(riders: &[PiggybackRider], inner: &[u8]) -> Vec<u8> {
-        assert!(
-            !riders.is_empty() && riders.len() <= MAX_PIGGYBACK_RIDERS,
-            "a ride carries 1..={MAX_PIGGYBACK_RIDERS} commitments"
-        );
         let mut out = Vec::with_capacity(2 + 2 + riders.len() * (1 + 4 + 160) + inner.len());
-        out.extend_from_slice(&ENVELOPE_MAGIC);
-        out.push(TAG_PIGGYBACK);
-        out.push(riders.len() as u8);
-        for rider in riders {
-            out.push(u8::from(rider.gossip));
-            push_block(&mut out, &rider.auth.encode());
-        }
+        push_riders(&mut out, riders);
         out.extend_from_slice(inner);
         out
     }
@@ -445,87 +473,230 @@ impl Envelope {
         matches!(raw.strip_prefix(&ENVELOPE_MAGIC), Some(rest) if rest.first() == Some(&TAG_PIGGYBACK))
     }
 
-    /// Parses an envelope.
+    /// Parses an envelope: [`EnvelopeView::parse`] plus one conversion to
+    /// the owned type.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::MalformedMessage`] on truncated or unknown
     /// payloads.
     pub fn decode(bytes: &[u8]) -> Result<Self, DeviceError> {
-        let malformed = || DeviceError::MalformedMessage("malformed envelope");
-        let bytes = bytes
-            .strip_prefix(&ENVELOPE_MAGIC)
-            .ok_or(DeviceError::MalformedMessage("missing envelope magic"))?;
-        let (&tag, rest) = bytes.split_first().ok_or_else(malformed)?;
-        match tag {
-            TAG_APP => Ok(Envelope::App(rest.to_vec())),
-            TAG_ANNOUNCE => Ok(Envelope::Announce(Authenticator::decode(rest)?)),
-            TAG_GOSSIP => Ok(Envelope::Gossip(Authenticator::decode(rest)?)),
-            TAG_CHALLENGE => {
-                if rest.len() != 16 {
-                    return Err(malformed());
-                }
-                Ok(Envelope::Challenge {
-                    from_seq: u64::from_le_bytes(rest[..8].try_into().expect("sized")),
-                    upto_seq: u64::from_le_bytes(rest[8..].try_into().expect("sized")),
+        Ok(EnvelopeView::parse(bytes)?.into_owned())
+    }
+
+    /// The application command carried by an [`Envelope::App`] payload —
+    /// directly or under one [`Envelope::Piggyback`] wrapper — if the raw
+    /// bytes are one (used during log replay). It reads the riders and the
+    /// tag as [`EnvelopeView::parse`] does, so replay executes exactly the
+    /// commands the live dispatch executed. Allocation-free: the command is
+    /// a subslice of `raw`.
+    #[must_use]
+    pub fn app_command(raw: &[u8]) -> Option<&[u8]> {
+        match split_riders(raw) {
+            Ok((_, TAG_APP, command)) => Some(command),
+            _ => None,
+        }
+    }
+}
+
+/// Strips the magic and, from a piggyback, its riders: the riders (none
+/// for a bare envelope), the tag of the envelope they ride on and the
+/// bytes after that tag.
+fn split_riders(bytes: &[u8]) -> Result<(ListView<'_, RiderView<'_>>, u8, &[u8]), DeviceError> {
+    let (tag, rest) = split_tag(bytes)?;
+    if tag != TAG_PIGGYBACK {
+        return Ok((ListView::empty(), tag, rest));
+    }
+    let (&count, rest) = rest.split_first().ok_or_else(malformed)?;
+    let count = count as usize;
+    if count == 0 || count > MAX_PIGGYBACK_RIDERS {
+        return Err(DeviceError::MalformedMessage("bad piggyback rider count"));
+    }
+    let (riders, used) = ListView::parse(rest, count).ok_or_else(malformed)?;
+    let (tag, rest) = split_tag(&rest[used..])?;
+    if tag == TAG_PIGGYBACK {
+        return Err(DeviceError::MalformedMessage("nested piggyback"));
+    }
+    Ok((riders, tag, rest))
+}
+
+fn split_tag(bytes: &[u8]) -> Result<(u8, &[u8]), DeviceError> {
+    let bytes = bytes
+        .strip_prefix(&ENVELOPE_MAGIC)
+        .ok_or(DeviceError::MalformedMessage("missing envelope magic"))?;
+    let (&tag, rest) = bytes.split_first().ok_or_else(malformed)?;
+    Ok((tag, rest))
+}
+
+/// An envelope parsed in place from its wire bytes: what the engine
+/// dispatches, straight from the delivered message. Commands, entries and
+/// seal payloads stay borrowed; only checkpoint marks and cosignatures are
+/// materialised. A piggyback parses as its riders plus the envelope they
+/// ride on; a bare envelope has no riders.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EnvelopeView<'a> {
+    /// The commitments riding along (none for a bare envelope).
+    pub riders: ListView<'a, RiderView<'a>>,
+    /// The envelope itself, or the one the riders ride on.
+    pub body: BodyView<'a>,
+}
+
+/// The envelope of an [`EnvelopeView`]: every [`Envelope`] kind but
+/// `Piggyback`, parsed in place.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BodyView<'a> {
+    /// [`Envelope::App`].
+    App(&'a [u8]),
+    /// [`Envelope::Announce`].
+    Announce(AuthenticatorView<'a>),
+    /// [`Envelope::Gossip`].
+    Gossip(AuthenticatorView<'a>),
+    /// [`Envelope::Challenge`].
+    Challenge {
+        /// First sequence number requested.
+        from_seq: u64,
+        /// One past the last sequence number requested.
+        upto_seq: u64,
+    },
+    /// [`Envelope::Response`].
+    Response(ResponseView<'a>),
+    /// [`Envelope::Evidence`].
+    Evidence {
+        /// One conflicting commitment.
+        a: AuthenticatorView<'a>,
+        /// The other conflicting commitment.
+        b: AuthenticatorView<'a>,
+    },
+    /// [`Envelope::CheckpointPropose`].
+    CheckpointPropose(CheckpointMark),
+    /// [`Envelope::CheckpointCosign`].
+    CheckpointCosign(Cosignature),
+    /// [`Envelope::CheckpointCommit`].
+    CheckpointCommit {
+        /// The certified checkpoint mark.
+        mark: CheckpointMark,
+        /// The quorum of cosignatures.
+        cosigs: Vec<Cosignature>,
+    },
+    /// [`Envelope::Join`].
+    Join(AuthenticatorView<'a>),
+    /// [`Envelope::Leave`].
+    Leave {
+        /// The leaver's final sealed log commitment.
+        auth: AuthenticatorView<'a>,
+        /// The unaudited log tail.
+        entries: ListView<'a, LogEntryView<'a>>,
+    },
+    /// [`Envelope::Recover`].
+    Recover(AuthenticatorView<'a>),
+    /// [`Envelope::ChallengeBatch`]: `(from_seq, upto_seq)` ranges.
+    ChallengeBatch(ListView<'a, (u64, u64)>),
+    /// [`Envelope::ResponseBatch`].
+    ResponseBatch(ListView<'a, ResponseView<'a>>),
+}
+
+/// One commitment riding on a piggybacked envelope, parsed in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RiderView<'a> {
+    /// The commitment riding along.
+    pub auth: AuthenticatorView<'a>,
+    /// Whether the commitment is relayed (gossip).
+    pub gossip: bool,
+}
+
+/// One audit response, parsed in place.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResponseView<'a> {
+    /// First sequence number of the segment the node claims to return.
+    pub from_seq: u64,
+    /// The returned entries.
+    pub entries: ListView<'a, LogEntryView<'a>>,
+}
+
+impl<'a> ResponseView<'a> {
+    /// Strictly parses one response body: `from_seq`, the entry count and
+    /// exactly that many entry blocks, with nothing after them.
+    fn parse(body: &'a [u8]) -> Option<Self> {
+        let from_seq = read_u64(body)?;
+        let count = read_u32(body.get(8..)?)? as usize;
+        let rest = &body[12..];
+        let (entries, used) = ListView::parse(rest, count)?;
+        (used == rest.len()).then_some(ResponseView { from_seq, entries })
+    }
+}
+
+impl<'a> EnvelopeView<'a> {
+    /// Parses an envelope in place. The one envelope parser:
+    /// [`Envelope::decode`] is this plus a conversion to the owned type.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::MalformedMessage`] on truncated or unknown
+    /// payloads.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, DeviceError> {
+        let (riders, tag, rest) = split_riders(bytes)?;
+        Ok(EnvelopeView {
+            riders,
+            body: BodyView::parse(tag, rest)?,
+        })
+    }
+
+    /// Materialises the owned envelope.
+    #[must_use]
+    pub fn into_owned(self) -> Envelope {
+        let inner = self.body.into_owned();
+        if self.riders.is_empty() {
+            return inner;
+        }
+        Envelope::Piggyback {
+            riders: self
+                .riders
+                .iter()
+                .map(|rider| PiggybackRider {
+                    auth: rider.auth.compact(),
+                    gossip: rider.gossip,
                 })
-            }
-            TAG_RESPONSE => {
-                let (from_seq, entries) = decode_response_body(rest)?;
-                Ok(Envelope::Response { from_seq, entries })
-            }
+                .collect(),
+            inner: Box::new(inner),
+        }
+    }
+}
+
+impl<'a> BodyView<'a> {
+    fn parse(tag: u8, rest: &'a [u8]) -> Result<Self, DeviceError> {
+        Ok(match tag {
+            TAG_APP => BodyView::App(rest),
+            TAG_ANNOUNCE => BodyView::Announce(AuthenticatorView::parse(rest)?),
+            TAG_GOSSIP => BodyView::Gossip(AuthenticatorView::parse(rest)?),
+            TAG_CHALLENGE => match <(u64, u64)>::read(rest) {
+                Some(((from_seq, upto_seq), used)) if used == rest.len() => {
+                    BodyView::Challenge { from_seq, upto_seq }
+                }
+                _ => return Err(malformed()),
+            },
+            TAG_RESPONSE => BodyView::Response(ResponseView::parse(rest).ok_or_else(malformed)?),
             TAG_EVIDENCE => {
                 let (block_a, used) = read_block(rest).ok_or_else(malformed)?;
                 let (block_b, used_b) = read_block(&rest[used..]).ok_or_else(malformed)?;
                 if used + used_b != rest.len() {
                     return Err(malformed());
                 }
-                Ok(Envelope::Evidence {
-                    a: Authenticator::decode(block_a)?,
-                    b: Authenticator::decode(block_b)?,
-                })
+                BodyView::Evidence {
+                    a: AuthenticatorView::parse(block_a)?,
+                    b: AuthenticatorView::parse(block_b)?,
+                }
             }
-            TAG_PIGGYBACK => {
-                let (&count, mut rest) = rest.split_first().ok_or_else(malformed)?;
-                let count = count as usize;
-                if count == 0 || count > MAX_PIGGYBACK_RIDERS {
-                    return Err(DeviceError::MalformedMessage("bad piggyback rider count"));
-                }
-                let mut riders = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let (&flag, after_flag) = rest.split_first().ok_or_else(malformed)?;
-                    let gossip = match flag {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(malformed()),
-                    };
-                    let (auth_block, used) = read_block(after_flag).ok_or_else(malformed)?;
-                    riders.push(PiggybackRider {
-                        auth: Authenticator::decode(auth_block)?,
-                        gossip,
-                    });
-                    rest = &after_flag[used..];
-                }
-                if Envelope::is_piggyback(rest) {
-                    return Err(DeviceError::MalformedMessage("nested piggyback"));
-                }
-                Ok(Envelope::Piggyback {
-                    riders,
-                    inner: Box::new(Envelope::decode(rest)?),
-                })
-            }
-            TAG_CKPT_PROPOSE => Ok(Envelope::CheckpointPropose(CheckpointMark::decode(rest)?)),
-            TAG_CKPT_COSIGN => Ok(Envelope::CheckpointCosign(Cosignature::decode(rest)?)),
+            TAG_CKPT_PROPOSE => BodyView::CheckpointPropose(CheckpointMark::decode(rest)?),
+            TAG_CKPT_COSIGN => BodyView::CheckpointCosign(Cosignature::decode(rest)?),
             TAG_CKPT_COMMIT => {
                 let (mark_block, used) = read_block(rest).ok_or_else(malformed)?;
                 let mark = CheckpointMark::decode(mark_block)?;
-                let rest = &rest[used..];
-                let (&count, mut rest) = rest.split_first().ok_or_else(malformed)?;
+                let (&count, mut rest) = rest[used..].split_first().ok_or_else(malformed)?;
                 let count = count as usize;
                 if count == 0 || count > MAX_COSIGNERS {
                     return Err(DeviceError::MalformedMessage("bad cosignature count"));
                 }
-                let mut cosigs = Vec::with_capacity(count.min(rest.len() / 4));
+                let mut cosigs = Vec::with_capacity(count);
                 for _ in 0..count {
                     let (block, used) = read_block(rest).ok_or_else(malformed)?;
                     cosigs.push(Cosignature::decode(block)?);
@@ -534,117 +705,268 @@ impl Envelope {
                 if !rest.is_empty() {
                     return Err(malformed());
                 }
-                Ok(Envelope::CheckpointCommit { mark, cosigs })
+                BodyView::CheckpointCommit { mark, cosigs }
             }
-            TAG_JOIN => Ok(Envelope::Join(Authenticator::decode(rest)?)),
+            TAG_JOIN => BodyView::Join(AuthenticatorView::parse(rest)?),
             TAG_LEAVE => {
                 let (auth_block, used) = read_block(rest).ok_or_else(malformed)?;
-                let auth = Authenticator::decode(auth_block)?;
+                let auth = AuthenticatorView::parse(auth_block)?;
                 let rest = &rest[used..];
-                if rest.len() < 4 {
+                let count = read_u32(rest).ok_or_else(malformed)? as usize;
+                let (entries, used) = ListView::parse(&rest[4..], count).ok_or_else(malformed)?;
+                if 4 + used != rest.len() {
                     return Err(malformed());
                 }
-                let count = u32::from_le_bytes(rest[..4].try_into().expect("sized")) as usize;
-                let mut off = 4;
-                // As in `Response`: `count` is untrusted, cap preallocation
-                // by what the buffer could possibly hold.
-                let mut entries = Vec::with_capacity(count.min(rest.len() / 53));
-                for _ in 0..count {
-                    let (block, used) = read_block(&rest[off..]).ok_or_else(malformed)?;
-                    let (entry, entry_used) = LogEntry::decode(block).ok_or_else(malformed)?;
-                    if entry_used != block.len() {
-                        return Err(malformed());
-                    }
-                    entries.push(entry);
-                    off += used;
-                }
-                if off != rest.len() {
-                    return Err(malformed());
-                }
-                Ok(Envelope::Leave { auth, entries })
+                BodyView::Leave { auth, entries }
             }
-            TAG_RECOVER => Ok(Envelope::Recover(Authenticator::decode(rest)?)),
+            TAG_RECOVER => BodyView::Recover(AuthenticatorView::parse(rest)?),
             TAG_CHALLENGE_BATCH => {
-                if rest.len() < 4 {
-                    return Err(malformed());
+                let bad = || DeviceError::MalformedMessage("bad challenge batch");
+                let count = read_u32(rest).ok_or_else(malformed)? as usize;
+                let (challenges, used) = ListView::parse(&rest[4..], count).ok_or_else(bad)?;
+                if count == 0 || 4 + used != rest.len() {
+                    return Err(bad());
                 }
-                let count = u32::from_le_bytes(rest[..4].try_into().expect("sized")) as usize;
-                let body = &rest[4..];
-                // `count` is untrusted: the strict length equality both
-                // rejects forged counts and bounds the preallocation below
-                // (count <= body.len() / 16 once it holds).
-                if count == 0 || Some(body.len()) != count.checked_mul(16) {
-                    return Err(DeviceError::MalformedMessage("bad challenge batch"));
-                }
-                let mut challenges = Vec::with_capacity(count);
-                for chunk in body.chunks_exact(16) {
-                    challenges.push((
-                        u64::from_le_bytes(chunk[..8].try_into().expect("sized")),
-                        u64::from_le_bytes(chunk[8..].try_into().expect("sized")),
-                    ));
-                }
-                Ok(Envelope::ChallengeBatch { challenges })
+                BodyView::ChallengeBatch(challenges)
             }
             TAG_RESPONSE_BATCH => {
-                if rest.len() < 4 {
-                    return Err(malformed());
-                }
-                let count = u32::from_le_bytes(rest[..4].try_into().expect("sized")) as usize;
+                let count = read_u32(rest).ok_or_else(malformed)? as usize;
                 if count == 0 {
                     return Err(DeviceError::MalformedMessage("empty response batch"));
                 }
-                let mut off = 4;
-                // Untrusted `count`: each element needs at least a 4-byte
-                // block prefix plus a 12-byte response header.
-                let mut responses = Vec::with_capacity(count.min(rest.len() / 16));
-                for _ in 0..count {
-                    let (block, used) = read_block(&rest[off..]).ok_or_else(malformed)?;
-                    responses.push(decode_response_body(block)?);
-                    off += used;
-                }
-                if off != rest.len() {
+                let (responses, used) = ListView::parse(&rest[4..], count).ok_or_else(malformed)?;
+                if 4 + used != rest.len() {
                     return Err(malformed());
                 }
-                Ok(Envelope::ResponseBatch { responses })
+                BodyView::ResponseBatch(responses)
             }
-            _ => Err(DeviceError::MalformedMessage("unknown envelope tag")),
-        }
+            _ => return Err(DeviceError::MalformedMessage("unknown envelope tag")),
+        })
     }
 
-    /// The application command carried by an [`Envelope::App`] payload —
-    /// directly or under one [`Envelope::Piggyback`] wrapper — if the raw
-    /// bytes are one (used during log replay). Allocation-free: the command
-    /// is a subslice of `raw`.
+    /// Materialises the owned envelope.
     #[must_use]
-    pub fn app_command(raw: &[u8]) -> Option<&[u8]> {
-        match raw.strip_prefix(&ENVELOPE_MAGIC)?.split_first() {
-            Some((&TAG_APP, command)) => Some(command),
-            Some((&TAG_PIGGYBACK, rest)) => {
-                // Skip the rider batch (per rider: gossip flag plus the
-                // length-prefixed authenticator block), then peel exactly one
-                // level (nesting is rejected by `decode`, and a nested
-                // wrapper here would return `None` through the recursive
-                // call's tag check anyway).
-                // Mirror `decode`'s validation: replay must execute exactly
-                // the commands the live dispatch would have executed.
-                let (&count, mut rest) = rest.split_first()?;
-                if count == 0 || count as usize > MAX_PIGGYBACK_RIDERS {
-                    return None;
-                }
-                for _ in 0..count {
-                    let (_, after_flag) = rest.split_first()?;
-                    let (_, used) = read_block(after_flag)?;
-                    rest = &after_flag[used..];
-                }
-                if Envelope::is_piggyback(rest) {
-                    return None;
-                }
-                Envelope::app_command(rest)
+    pub fn into_owned(self) -> Envelope {
+        let entries = |list: ListView<'a, LogEntryView<'a>>| {
+            list.iter()
+                .map(|entry| entry.to_owned())
+                .collect::<Vec<_>>()
+        };
+        match self {
+            BodyView::App(command) => Envelope::App(command.to_vec()),
+            BodyView::Announce(auth) => Envelope::Announce(auth.to_owned()),
+            BodyView::Gossip(auth) => Envelope::Gossip(auth.to_owned()),
+            BodyView::Challenge { from_seq, upto_seq } => {
+                Envelope::Challenge { from_seq, upto_seq }
             }
-            _ => None,
+            BodyView::Response(response) => Envelope::Response {
+                from_seq: response.from_seq,
+                entries: entries(response.entries),
+            },
+            BodyView::Evidence { a, b } => Envelope::Evidence {
+                a: a.to_owned(),
+                b: b.to_owned(),
+            },
+            BodyView::CheckpointPropose(mark) => Envelope::CheckpointPropose(mark),
+            BodyView::CheckpointCosign(cosig) => Envelope::CheckpointCosign(cosig),
+            BodyView::CheckpointCommit { mark, cosigs } => {
+                Envelope::CheckpointCommit { mark, cosigs }
+            }
+            BodyView::Join(auth) => Envelope::Join(auth.to_owned()),
+            BodyView::Leave {
+                auth,
+                entries: tail,
+            } => Envelope::Leave {
+                auth: auth.to_owned(),
+                entries: entries(tail),
+            },
+            BodyView::Recover(auth) => Envelope::Recover(auth.to_owned()),
+            BodyView::ChallengeBatch(challenges) => Envelope::ChallengeBatch {
+                challenges: challenges.iter().collect(),
+            },
+            BodyView::ResponseBatch(responses) => Envelope::ResponseBatch {
+                responses: responses
+                    .iter()
+                    .map(|response| (response.from_seq, entries(response.entries)))
+                    .collect(),
+            },
         }
     }
 }
+
+/// An element of a [`ListView`], parsed from the front of a byte slice.
+pub trait WireItem<'a>: Sized {
+    /// Parses one element from the front of `bytes`; returns it with the
+    /// number of bytes it used.
+    fn read(bytes: &'a [u8]) -> Option<(Self, usize)>;
+}
+
+/// A log entry as a length-prefixed block holding exactly the entry.
+impl<'a> WireItem<'a> for LogEntryView<'a> {
+    fn read(bytes: &'a [u8]) -> Option<(Self, usize)> {
+        let (block, used) = read_block(bytes)?;
+        let (entry, entry_used) = LogEntryView::parse(block)?;
+        (entry_used == block.len()).then_some((entry, used))
+    }
+}
+
+/// A rider as its gossip flag (0 or 1) and a length-prefixed authenticator.
+impl<'a> WireItem<'a> for RiderView<'a> {
+    fn read(bytes: &'a [u8]) -> Option<(Self, usize)> {
+        let (&flag, rest) = bytes.split_first()?;
+        let gossip = match flag {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        let (block, used) = read_block(rest)?;
+        let auth = AuthenticatorView::parse(block).ok()?;
+        Some((RiderView { auth, gossip }, 1 + used))
+    }
+}
+
+/// A batched response as a length-prefixed response body.
+impl<'a> WireItem<'a> for ResponseView<'a> {
+    fn read(bytes: &'a [u8]) -> Option<(Self, usize)> {
+        let (block, used) = read_block(bytes)?;
+        Some((ResponseView::parse(block)?, used))
+    }
+}
+
+/// A challenged range as `from_seq` and `upto_seq`, 8 bytes LE each.
+impl WireItem<'_> for (u64, u64) {
+    fn read(bytes: &[u8]) -> Option<(Self, usize)> {
+        Some(((read_u64(bytes)?, read_u64(bytes.get(8..)?)?), 16))
+    }
+}
+
+/// `len` elements parsed in place: every element was validated when the
+/// envelope was parsed, and iteration reads them again from the borrowed
+/// bytes, so a list costs no allocation however long it is.
+pub struct ListView<'a, T> {
+    bytes: &'a [u8],
+    len: usize,
+    item: PhantomData<fn() -> T>,
+}
+
+impl<'a, T: WireItem<'a>> ListView<'a, T> {
+    fn empty() -> Self {
+        ListView {
+            bytes: &[],
+            len: 0,
+            item: PhantomData,
+        }
+    }
+
+    /// Parses `len` elements from the front of `bytes`; returns the list
+    /// and the bytes it used. `len` is untrusted wire data: a forged count
+    /// runs out of bytes, nothing is preallocated from it.
+    fn parse(bytes: &'a [u8], len: usize) -> Option<(Self, usize)> {
+        let mut used = 0;
+        for _ in 0..len {
+            used += T::read(&bytes[used..])?.1;
+        }
+        let list = ListView {
+            bytes: &bytes[..used],
+            len,
+            item: PhantomData,
+        };
+        Some((list, used))
+    }
+
+    /// Number of elements.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the list has no elements.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The elements, in wire order.
+    #[must_use]
+    pub fn iter(&self) -> ListIter<'a, T> {
+        ListIter {
+            rest: self.bytes,
+            left: self.len,
+            item: PhantomData,
+        }
+    }
+}
+
+impl<T> Clone for ListView<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for ListView<'_, T> {}
+
+/// Two lists are equal when they hold the same elements' bytes.
+impl<T> PartialEq for ListView<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.bytes == other.bytes
+    }
+}
+
+impl<'a, T: WireItem<'a> + fmt::Debug> fmt::Debug for ListView<'a, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a, T: WireItem<'a>> IntoIterator for ListView<'a, T> {
+    type Item = T;
+    type IntoIter = ListIter<'a, T>;
+
+    fn into_iter(self) -> ListIter<'a, T> {
+        self.iter()
+    }
+}
+
+/// The iterator of a [`ListView`].
+pub struct ListIter<'a, T> {
+    rest: &'a [u8],
+    left: usize,
+    item: PhantomData<fn() -> T>,
+}
+
+impl<T> Clone for ListIter<'_, T> {
+    fn clone(&self) -> Self {
+        ListIter {
+            rest: self.rest,
+            left: self.left,
+            item: PhantomData,
+        }
+    }
+}
+
+impl<'a, T: WireItem<'a>> Iterator for ListIter<'a, T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        if self.left == 0 {
+            return None;
+        }
+        let (item, used) = T::read(self.rest).expect("validated when the list was parsed");
+        self.rest = &self.rest[used..];
+        self.left -= 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+
+    fn count(self) -> usize {
+        self.left
+    }
+}
+
+impl<'a, T: WireItem<'a>> ExactSizeIterator for ListIter<'a, T> {}
 
 #[cfg(test)]
 mod tests {
@@ -743,7 +1065,7 @@ mod tests {
 
     fn rider(node: u32, gossip: bool) -> PiggybackRider {
         PiggybackRider {
-            auth: sealed_auth(node),
+            auth: sealed_auth(node).compact(),
             gossip,
         }
     }
@@ -1098,14 +1420,15 @@ mod tests {
     /// Decoder totality: each exemplar goes through every strict
     /// truncation and every single-bit flip. Decoding may fail or succeed
     /// (a flip inside a command or a digest is legal), but `decode` and
-    /// `app_command` never panic, a truncation that
+    /// `app_command` never panic, the in-place parse agrees with both (see
+    /// `assert_view_agrees`), a truncation that
     /// decodes re-encodes to exactly that prefix (a cut inside an `App`
     /// command is a legal, shorter command — every structured field is
     /// length-delimited), and every successful decode survives its own
     /// re-encoding unchanged.
     fn assert_decodes_totally(exemplars: &[(u8, Envelope)]) {
         let survives_reencoding = |bytes: &[u8]| -> Option<Envelope> {
-            let _ = Envelope::app_command(bytes);
+            assert_view_agrees(bytes);
             let env = Envelope::decode(bytes).ok()?;
             assert_eq!(Envelope::decode(&env.encode()).ok().as_ref(), Some(&env));
             Some(env)
@@ -1133,11 +1456,7 @@ mod tests {
     #[test]
     fn every_tag_decodes_totally_under_truncation_and_bit_flips() {
         use std::collections::BTreeSet;
-        let covered: BTreeSet<u8> = [structured_exemplars(), batch_exemplars(), bare_exemplars()]
-            .iter()
-            .flatten()
-            .map(|(tag, _)| *tag)
-            .collect();
+        let covered: BTreeSet<u8> = all_exemplars().iter().map(|(tag, _)| *tag).collect();
         assert_eq!(covered, (TAG_APP..=TAG_RESPONSE_BATCH).collect());
         assert_decodes_totally(&bare_exemplars());
     }
@@ -1435,6 +1754,116 @@ mod tests {
         }
     }
 
+    /// Every exemplar, each of every tag.
+    fn all_exemplars() -> Vec<(u8, Envelope)> {
+        [structured_exemplars(), batch_exemplars(), bare_exemplars()].concat()
+    }
+
+    /// Whether `inner` lies inside `outer`'s memory: a borrowed field of a
+    /// view parsed in place.
+    fn borrowed_from(inner: &[u8], outer: &[u8]) -> bool {
+        outer.as_ptr_range().contains(&inner.as_ptr()) || inner.is_empty()
+    }
+
+    /// The view of `bytes` and the owned decode accept exactly the same
+    /// inputs and agree on every value; `app_command` answers from the same
+    /// parse; and what the view borrows lies inside `bytes`.
+    fn assert_view_agrees(bytes: &[u8]) -> Option<EnvelopeView<'_>> {
+        let view = EnvelopeView::parse(bytes);
+        let decoded = Envelope::decode(bytes);
+        assert_eq!(view.is_ok(), decoded.is_ok(), "{bytes:?}");
+        let command = match &view {
+            Ok(EnvelopeView {
+                body: BodyView::App(command),
+                ..
+            }) => Some(*command),
+            _ => None,
+        };
+        assert_eq!(Envelope::app_command(bytes), command);
+        let view = view.ok()?;
+        assert_eq!(view.clone().into_owned(), decoded.unwrap());
+        for rider in view.riders {
+            assert!(borrowed_from(rider.auth.attestation.payload, bytes));
+        }
+        let entries = match &view.body {
+            BodyView::App(command) => {
+                assert!(borrowed_from(command, bytes));
+                Vec::new()
+            }
+            BodyView::Response(response) => response.entries.iter().collect(),
+            BodyView::Leave { entries, .. } => entries.iter().collect(),
+            BodyView::ResponseBatch(responses) => {
+                responses.iter().flat_map(|r| r.entries.iter()).collect()
+            }
+            _ => Vec::new(),
+        };
+        for entry in entries {
+            assert!(borrowed_from(entry.content, bytes));
+            assert!(borrowed_from(entry.prev, bytes));
+        }
+        Some(view)
+    }
+
+    /// Every exemplar parses in place to itself; the truncation and
+    /// bit-flip fuzz above runs the same agreement check. Trailing bytes
+    /// lengthen an application command and are refused after any other
+    /// envelope's last field, entry or element.
+    #[test]
+    fn envelope_view_and_decode_accept_the_same_bytes_and_agree() {
+        for (tag, exemplar) in all_exemplars() {
+            let bytes = exemplar.encode();
+            let view = assert_view_agrees(&bytes).expect("an exemplar parses");
+            assert_eq!(view.into_owned(), exemplar, "tag {tag}");
+            for trailer in [&[0u8][..], &[0xFF; 3], &[1, 0, 0, 0]] {
+                let padded = [bytes.as_slice(), trailer].concat();
+                let view = assert_view_agrees(&padded);
+                match view.map(|v| v.body) {
+                    Some(BodyView::App(command)) => assert!(command.ends_with(trailer)),
+                    Some(body) => panic!("tag {tag}: trailing bytes accepted as {body:?}"),
+                    None => assert!(
+                        Envelope::app_command(&bytes).is_none(),
+                        "tag {tag}: a longer command refused"
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encode_into_a_dirty_reused_buffer_equals_encode_for_every_tag() {
+        let mut wire = vec![0xEE; 700];
+        for (tag, exemplar) in all_exemplars() {
+            exemplar.encode_into(&mut wire);
+            assert_eq!(wire, exemplar.encode(), "tag {tag}");
+            wire.extend_from_slice(&[0xEE; 33]);
+        }
+        // A dedicated flush: the first ride announced or relayed by its
+        // flag, up to the cap riding along.
+        let rides: Vec<PiggybackRider> = (0..=MAX_PIGGYBACK_RIDERS as u32)
+            .map(|i| rider(i, i % 2 == 0))
+            .collect();
+        for len in 1..=rides.len() {
+            let (first, riders) = rides[..len].split_first().unwrap();
+            let auth = sealed_auth(first.auth.node);
+            let inner = if first.gossip {
+                Envelope::Gossip(auth)
+            } else {
+                Envelope::Announce(auth)
+            };
+            let owned = if riders.is_empty() {
+                inner
+            } else {
+                Envelope::Piggyback {
+                    riders: riders.to_vec(),
+                    inner: Box::new(inner),
+                }
+            };
+            Envelope::encode_rides_into(&mut wire, &rides[..len]);
+            assert_eq!(wire, owned.encode(), "{len} rides");
+            assert_eq!(Envelope::decode(&wire).unwrap(), owned);
+        }
+    }
+
     #[test]
     fn batch_envelopes_round_trip() {
         let mut log = SecureLog::new();
@@ -1483,11 +1912,7 @@ mod tests {
         let mut log = SecureLog::new();
         log.append(EntryKind::Exec, b"out".to_vec());
         log.append(EntryKind::Send { to: 1 }, b"fwd".to_vec());
-        let challenges = vec![(0u64, 2u64), (5, 9)];
         let mut scratch = Vec::new();
-        Envelope::encode_challenge_batch_into(&mut scratch, &challenges);
-        assert_eq!(scratch, Envelope::ChallengeBatch { challenges }.encode());
-
         let parts: Vec<(u64, &[LogEntry])> =
             vec![(0, &log.entries()[..1]), (1, &log.entries()[1..])];
         Envelope::encode_response_batch_into(&mut scratch, &parts);
