@@ -397,10 +397,6 @@ fn main() {
         {
             let scope = registry.scope("sampled-auditing");
             scope.inc(&format!("{label}_messages_audit"), outcome.messages_audit);
-            scope.inc(
-                &format!("{label}_messages_batched"),
-                outcome.messages_batched,
-            );
             if sample.is_some() {
                 let rate = outcome.per_node_round(outcome.stats.audit_messages, experiment.nodes);
                 audit_cases.push((label.clone(), rate));

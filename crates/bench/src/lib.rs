@@ -550,7 +550,6 @@ impl Experiment {
             messages_unreachable: transport.messages_unreachable,
             messages_partitioned: transport.messages_partitioned,
             messages_audit: transport.messages_audit,
-            messages_batched: transport.messages_batched,
             virtual_time_us: cluster.now().as_micros(),
             bare_time_us: None,
             audit_rounds,
@@ -642,9 +641,6 @@ pub struct Outcome {
     pub messages_partitioned: u64,
     /// Audit wire messages among `messages_sent`.
     pub messages_audit: u64,
-    /// Audit elements that rode a batched envelope instead of their own
-    /// message.
-    pub messages_batched: u64,
     /// Total virtual time of the run in microseconds.
     pub virtual_time_us: u64,
     /// Virtual time of the same operations with no engine attached (BFT /
@@ -1238,7 +1234,6 @@ pub(crate) mod tests {
             messages_unreachable: 0,
             messages_partitioned: 0,
             messages_audit: 0,
-            messages_batched: 0,
             virtual_time_us: 0,
             bare_time_us: None,
             audit_rounds: 0,

@@ -171,12 +171,10 @@ pub fn scaling_section(rows: &[(Experiment, Outcome, Option<u64>)]) -> String {
     let mut out = String::from(
         "## Scaling frontier — sampled auditing\n\n\
          Audit traffic (wire messages per node per audit round) against the \
-         rounds until a log tamperer is exposed, per audit configuration. \
-         `batched` counts audit elements that rode a coalesced envelope \
-         instead of their own message.\n\n\
-         | configuration | sample | audit msgs/node/rd | audit msgs | batched | \
+         rounds until a log tamperer is exposed, per audit configuration.\n\n\
+         | configuration | sample | audit msgs/node/rd | audit msgs | \
          detection rounds |\n\
-         |---|---:|---:|---:|---:|---:|\n",
+         |---|---:|---:|---:|---:|\n",
     );
     let rate = |(exp, outcome, _): &(Experiment, Outcome, Option<u64>)| {
         outcome.per_node_round(outcome.stats.audit_messages, exp.nodes)
@@ -184,14 +182,13 @@ pub fn scaling_section(rows: &[(Experiment, Outcome, Option<u64>)]) -> String {
     for row @ (exp, outcome, detection) in rows {
         let _ = writeln!(
             out,
-            "| {} | {} | {:.2} | {} | {} | {} |",
+            "| {} | {} | {:.2} | {} | {} |",
             sample_label(exp),
             exp.engine
                 .audit_sample_size
                 .map_or_else(|| "-".to_string(), |s| s.to_string()),
             rate(row),
             outcome.messages_audit,
-            outcome.messages_batched,
             detection.map_or_else(|| "never".to_string(), |n| n.to_string()),
         );
     }

@@ -2,8 +2,8 @@
 //!
 //! These tests drive real traced runs through [`TraceAssembler`] and the
 //! exporters: the causal order must hold for every message edge of a whole
-//! tamper-exposure run, batched audit envelopes must fan out into per-pair
-//! phase spans, the churn suite must keep membership transitions on the
+//! tamper-exposure run, a retried challenge must stay on its pair's phase
+//! spans, the churn suite must keep membership transitions on the
 //! right node track, the Chrome-trace export of a tamper exposure must
 //! carry the full send → attest → deliver → verify → commitment →
 //! challenge → replay → verdict chain, and a forced gate failure must
@@ -101,12 +101,12 @@ fn ordered_timeline_respects_causality_and_program_order() {
     );
 }
 
-/// One batched wire envelope fans out into per-pair protocol spans: a batch
-/// records no event of its own, and the per-pair `Challenge` / `Response`
-/// events of its elements each produce their own `challenge→response`
-/// span, on the audited pair's track.
+/// A challenge re-sent on one pair stays on that pair's protocol spans:
+/// the two `Challenge` events and the `Response` that answers them make a
+/// `challenge→response` span, and the ladder continues to the replay, on
+/// the audited pair's track.
 #[test]
-fn batched_envelopes_fan_out_to_per_pair_spans() {
+fn a_retried_challenge_stays_on_its_pairs_spans() {
     let event = |kind, at_us, node, peer, seq, round| Event {
         kind,
         at_us,
@@ -116,9 +116,8 @@ fn batched_envelopes_fan_out_to_per_pair_spans() {
         round,
         ..Event::EMPTY
     };
-    // Witness 3's two challenges at node 0 travel in one wire batch; each
-    // element records its own per-pair challenge, and the answer its
-    // per-pair response.
+    // Witness 3 challenges node 0 in round 1 and, unanswered, again in
+    // round 2, before node 0's response arrives.
     let events = vec![
         event(EventKind::Challenge, 10, 3, 0, 4, 1),
         event(EventKind::Challenge, 11, 3, 0, 8, 2),
@@ -129,11 +128,11 @@ fn batched_envelopes_fan_out_to_per_pair_spans() {
     let labels: Vec<&str> = spans.iter().map(|s| s.span.phase).collect();
     assert!(
         labels.contains(&"challenge→response"),
-        "per-pair span from the batched element: {labels:?}"
+        "per-pair span from the retried challenge: {labels:?}"
     );
     assert!(
         labels.contains(&"response→replay"),
-        "the ladder continues past the batch: {labels:?}"
+        "the ladder continues past the retry: {labels:?}"
     );
     assert!(
         spans.iter().all(|s| s.witness == 3 && s.node == 0),

@@ -118,16 +118,11 @@ pub struct ClusterStats {
     /// Sends refused because an open [`PartitionSchedule`] cut separated the
     /// endpoints (healing restores the link with counters intact).
     pub messages_partitioned: u64,
-    /// Audit wire messages (challenges/responses and their batched forms)
-    /// among `messages_sent`, reported by the accountability driver via
+    /// Audit wire messages (challenges and responses) among
+    /// `messages_sent`, reported by the accountability driver via
     /// [`Cluster::note_audit_message`] — the control-plane slice the sampled
     /// audit path is designed to shrink.
     pub messages_audit: u64,
-    /// Wire messages *saved* by challenge/response batching: individual
-    /// challenges/responses that travelled coalesced inside a batch envelope
-    /// instead of as their own message (also via
-    /// [`Cluster::note_audit_message`]).
-    pub messages_batched: u64,
 }
 
 /// A set of TNIC nodes wired together over a (modelled) network stack.
@@ -975,15 +970,11 @@ impl Cluster {
         }
     }
 
-    /// Attributes the most recent sends to the audit plane: `wire_messages`
-    /// audit envelopes just went over the wire carrying `elements`
-    /// individual challenges/responses (`elements > wire_messages` when
-    /// batching coalesced some). Called by the accountability driver; feeds
-    /// the `messages_audit` / `messages_batched` breakdown in
-    /// [`ClusterStats`].
-    pub fn note_audit_message(&mut self, wire_messages: u64, elements: u64) {
-        self.stats.messages_audit += wire_messages;
-        self.stats.messages_batched += elements.saturating_sub(wire_messages);
+    /// Attributes the most recent send to the audit plane: one challenge or
+    /// response just went over the wire. Called by the accountability
+    /// driver; feeds `messages_audit` in [`ClusterStats`].
+    pub fn note_audit_message(&mut self) {
+        self.stats.messages_audit += 1;
     }
 
     /// Signs `payload` with `node`'s client-facing key (Appendix C.1: replies
@@ -1431,11 +1422,10 @@ mod tests {
     }
 
     #[test]
-    fn audit_message_accounting_counts_wire_and_saved_messages() {
+    fn audit_message_accounting_counts_each_audit_message() {
         let mut c = cluster(2);
-        c.note_audit_message(1, 1); // a lone challenge: nothing saved
-        c.note_audit_message(1, 5); // a batch of 5: four envelopes saved
+        c.note_audit_message(); // a challenge
+        c.note_audit_message(); // its response
         assert_eq!(c.stats().messages_audit, 2);
-        assert_eq!(c.stats().messages_batched, 4);
     }
 }

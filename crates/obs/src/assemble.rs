@@ -63,9 +63,8 @@ impl MessageEdge {
 /// A protocol-phase span between two causally adjacent steps of one
 /// (witness, audited node) pair — the per-pair generalization of
 /// [`crate::timeline::VerdictChain::phases`] to every audit interaction in
-/// a run, batched or not (a challenge batch fans out into one span per
-/// audited pair, because the per-pair protocol events are what the spans
-/// are built from).
+/// a run (the spans are built from the per-pair protocol events, so they
+/// follow the audited pair, not the wire message).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairSpan {
     /// The witness driving the interaction.
@@ -216,9 +215,9 @@ impl TraceAssembler {
     /// Per-(witness, node) protocol-phase spans across the whole run: for
     /// every audited pair, consecutive steps of the commitment → challenge
     /// → response → replay → verdict ladder become one span each, labeled
-    /// with [`phase_label`]. Batched challenge/response envelopes fan out
-    /// here: the per-pair `Challenge`/`Response` events they carry produce
-    /// one span per pair, not one per wire message.
+    /// with [`phase_label`]. A re-sent challenge opens no span of its own:
+    /// the pair's `challenge→response` span runs from its last challenge to
+    /// the response that answers it.
     #[must_use]
     pub fn pair_spans(&self) -> Vec<PairSpan> {
         const LADDER: [EventKind; 5] = [

@@ -1,18 +1,17 @@
 //! The audit round: commit, flush, challenge and classify, the inbox
 //! sweep that dispatches every delivery to its handler, and the send path
-//! that batches control traffic.
+//! of control traffic.
 
-use super::commitment::CommitmentLayer;
 use super::membership::is_down;
 use super::*;
-use crate::log::{Authenticator, CompactAuthenticator, LogEntry};
+use crate::log::{Authenticator, CompactAuthenticator};
 use crate::wire::{BodyView, EnvelopeView, PiggybackRider, MAX_PIGGYBACK_RIDERS};
 
 /// One queued outbound control message produced by a protocol handler.
 ///
-/// Handlers push these instead of sending directly so the send path can
-/// coalesce consecutive same-destination responses into batch envelopes.
-/// `Segment` defers the audit response entirely: the log slice
+/// Handlers push these instead of sending: they run without the cluster,
+/// and the caller sends what they queued, in order. `Segment` defers the
+/// audit response entirely: the log slice
 /// is borrowed and encoded at send time, so the hot path never clones the
 /// challenged entries into an owned `Vec` first. `Gossip` is a relay in
 /// dedicated mode, held without its payload like a queued ride.
@@ -367,52 +366,31 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         self.send_outgoing(cluster, outgoing)
     }
 
-    /// Sends a handler's queued outbound messages in order. A run of
-    /// deferred segments from one node to one witness becomes one
-    /// [`Envelope::ResponseBatch`] (or a single zero-copy response);
-    /// everything else goes out as-is. Challenges never form a run: a round
-    /// issues at most one per (witness, auditee) pair, and each pair is its
-    /// own destination.
+    /// Sends a handler's queued outbound messages in order, each as its
+    /// own wire message.
     pub(super) fn send_outgoing(
         &mut self,
         cluster: &mut Cluster,
         outgoing: Vec<(NodeId, NodeId, Outbound)>,
     ) -> Result<(), CoreError> {
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        let mut i = 0;
-        while i < outgoing.len() {
-            let (from, to) = (outgoing[i].0, outgoing[i].1);
-            match &outgoing[i].2 {
-                Outbound::Env(env) => {
-                    self.send_control(cluster, from, to, env)?;
-                    i += 1;
-                    continue;
-                }
-                &Outbound::Gossip(auth) => {
+        for (from, to, out) in outgoing {
+            match out {
+                Outbound::Env(env) => self.send_control(cluster, from, to, &env)?,
+                Outbound::Gossip(auth) => {
                     self.send_rides(cluster, from, to, &[PiggybackRider { auth, gossip: true }])?;
-                    i += 1;
-                    continue;
                 }
-                Outbound::Segment { .. } => {}
-            }
-            ranges.clear();
-            while let Some((f, t, Outbound::Segment { from_seq, upto_seq })) = outgoing.get(i) {
-                if (*f, *t) != (from, to) {
-                    break;
+                Outbound::Segment { from_seq, upto_seq } => {
+                    self.send_segment(cluster, from, to, from_seq, upto_seq)?;
                 }
-                ranges.push((*from_seq, *upto_seq));
-                i += 1;
             }
-            self.send_segments(cluster, from, to, &ranges)?;
         }
         Ok(())
     }
 
-    /// Answers one or more challenges with log segments encoded straight
-    /// from the retained log into the reused wire buffer — the audit hot
-    /// path never materialises an owned copy of the challenged entries.
-    /// Two or more segments to the same witness coalesce into one
-    /// [`Envelope::ResponseBatch`].
+    /// Answers one challenge with the log segment `from_seq..upto_seq`,
+    /// encoded straight from the retained log into the reused wire buffer —
+    /// the audit hot path never materialises an owned copy of the
+    /// challenged entries.
     ///
     /// Prunability is re-checked here via
     /// `CommitmentLayer::segment_checked`: the response is deferred from
@@ -422,72 +400,34 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     /// verifies the quorum and fast-forwards) — never with a silently
     /// re-based segment, which the witness would misread as starting at the
     /// challenged sequence.
-    pub(super) fn send_segments(
+    pub(super) fn send_segment(
         &mut self,
         cluster: &mut Cluster,
         from: NodeId,
         to: NodeId,
-        ranges: &[(u64, u64)],
+        from_seq: u64,
+        upto_seq: u64,
     ) -> Result<(), CoreError> {
-        if ranges.is_empty() {
-            return Ok(());
-        }
-        let answerable = |layer: &CommitmentLayer, &(f, u): &(u64, u64)| {
-            layer.segment_checked(from.0, f, u).is_ok()
-        };
-        let all_answerable = {
-            let layer = self.layer.borrow();
-            ranges.iter().all(|range| answerable(&layer, range))
-        };
-        let kept: Vec<(u64, u64)>;
-        let ranges = if all_answerable {
-            ranges
-        } else {
-            kept = {
-                let layer = self.layer.borrow();
-                ranges
-                    .iter()
-                    .copied()
-                    .filter(|range| answerable(&layer, range))
-                    .collect()
-            };
-            if let Some((mark, cosigs)) = &self.members[from.0 as usize].certificate {
-                self.stats.certificate_responses += 1;
-                let env = Envelope::CheckpointCommit {
-                    mark: mark.clone(),
-                    cosigs: cosigs.clone(),
-                };
-                self.send_control(cluster, from, to, &env)?;
-            }
-            &kept[..]
-        };
-        if ranges.is_empty() {
-            return Ok(());
-        }
-        let elements = ranges.len() as u64;
         let mut wire = std::mem::take(&mut self.wire_scratch);
-        {
-            let layer = self.layer.borrow();
-            if let [(from_seq, upto_seq)] = ranges {
-                Envelope::encode_response_into(
-                    &mut wire,
-                    *from_seq,
-                    layer.segment_ref(from.0, *from_seq, *upto_seq),
-                );
-            } else {
-                let parts: Vec<(u64, &[LogEntry])> = ranges
-                    .iter()
-                    .map(|&(f, u)| (f, layer.segment_ref(from.0, f, u)))
-                    .collect();
-                Envelope::encode_response_batch_into(&mut wire, &parts);
-            }
+        let encoded = self
+            .layer
+            .borrow()
+            .segment_checked(from.0, from_seq, upto_seq)
+            .map(|entries| Envelope::encode_response_into(&mut wire, from_seq, entries))
+            .is_ok();
+        if encoded {
+            return self.send_control_raw(cluster, from, to, wire, true);
         }
-        let result = self.send_control_raw(cluster, from, to, wire, elements);
-        if elements >= 2 {
-            self.stats.response_batches += 1;
-            self.stats.batched_envelopes += elements;
-        }
-        result
+        self.wire_scratch = wire;
+        let Some((mark, cosigs)) = &self.members[from.0 as usize].certificate else {
+            return Ok(());
+        };
+        self.stats.certificate_responses += 1;
+        let env = Envelope::CheckpointCommit {
+            mark: mark.clone(),
+            cosigs: cosigs.clone(),
+        };
+        self.send_control(cluster, from, to, &env)
     }
 
     /// Runs the protocol handlers on one delivered envelope: the riders'
@@ -500,9 +440,8 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         envelope: EnvelopeView<'_>,
         outgoing: &mut Vec<(NodeId, NodeId, Outbound)>,
     ) {
-        if !envelope.riders.is_empty() || !matches!(envelope.body, BodyView::App(_)) {
-            app.on_control(node.0, from, &envelope);
-        }
+        #[cfg(test)]
+        super::tests::record_received(node.0, &envelope);
         for rider in envelope.riders {
             self.handle_commitment(node.0, &rider.auth, !rider.gossip, outgoing);
         }
@@ -534,20 +473,6 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             BodyView::Response(response) => {
                 self.handle_response(node.0, from, response.from_seq, response.entries);
             }
-            // Batch envelopes unroll into the per-element handlers: a batch
-            // is pure wire-level coalescing, with no protocol semantics of
-            // its own (a hostile batch is exactly as powerful as the same
-            // elements sent individually).
-            BodyView::ChallengeBatch(challenges) => {
-                for (from_seq, upto_seq) in challenges {
-                    self.handle_challenge(node.0, from, from_seq, upto_seq, outgoing);
-                }
-            }
-            BodyView::ResponseBatch(responses) => {
-                for response in responses {
-                    self.handle_response(node.0, from, response.from_seq, response.entries);
-                }
-            }
             BodyView::Evidence { a, b } => {
                 self.handle_evidence(node.0, from, &a, &b);
             }
@@ -576,15 +501,13 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         to: NodeId,
         envelope: &Envelope,
     ) -> Result<(), CoreError> {
-        let audit_elements = match envelope {
-            Envelope::Challenge { .. } | Envelope::Response { .. } => 1,
-            Envelope::ChallengeBatch { challenges } => challenges.len() as u64,
-            Envelope::ResponseBatch { responses } => responses.len() as u64,
-            _ => 0,
-        };
+        let audit = matches!(
+            envelope,
+            Envelope::Challenge { .. } | Envelope::Response { .. }
+        );
         let mut wire = std::mem::take(&mut self.wire_scratch);
         envelope.encode_into(&mut wire);
-        self.send_control_raw(cluster, from, to, wire, audit_elements)
+        self.send_control_raw(cluster, from, to, wire, audit)
     }
 
     /// Sends `rides` as one dedicated commitment message (see
@@ -598,21 +521,19 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
     ) -> Result<(), CoreError> {
         let mut wire = std::mem::take(&mut self.wire_scratch);
         Envelope::encode_rides_into(&mut wire, rides);
-        self.send_control_raw(cluster, from, to, wire, 0)
+        self.send_control_raw(cluster, from, to, wire, false)
     }
 
     /// Sends control bytes encoded into the engine's reused wire buffer,
-    /// which `wire` is and which this hands back to the engine;
-    /// `audit_elements` is the number of individual challenges/responses
-    /// the payload carries (0 for non-audit traffic), folded into the
-    /// audit-traffic counters.
+    /// which `wire` is and which this hands back to the engine; an `audit`
+    /// payload (a challenge or a response) is counted as audit traffic too.
     fn send_control_raw(
         &mut self,
         cluster: &mut Cluster,
         from: NodeId,
         to: NodeId,
         wire: Vec<u8>,
-        audit_elements: u64,
+        audit: bool,
     ) -> Result<(), CoreError> {
         let sent = cluster.auth_send(from, to, &wire);
         self.wire_scratch = wire;
@@ -620,9 +541,9 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             Ok(wire_len) => {
                 self.stats.control_messages += 1;
                 self.stats.control_bytes += wire_len as u64;
-                if audit_elements > 0 {
+                if audit {
                     self.stats.audit_messages += 1;
-                    cluster.note_audit_message(1, audit_elements);
+                    cluster.note_audit_message();
                 }
                 Ok(())
             }

@@ -220,16 +220,15 @@
 //! Four more things keep the engine's own cost off the quadratic path, and
 //! are simply how it works:
 //!
-//! * **Response batching**: consecutive responses to the same witness
-//!   coalesce into one [`Envelope::ResponseBatch`] wire message, and audit
-//!   responses are encoded straight from borrowed log segments into a
-//!   reused scratch buffer (no per-response allocation). A received
-//!   [`Envelope::ChallengeBatch`] is answered the same way; the engine
-//!   itself never sends one, as a round challenges each (witness,
-//!   auditee) pair at most once.
+//! * **One response per challenge**: a challenge is one
+//!   [`Envelope::Challenge`] and its answer one [`Envelope::Response`], as
+//!   in PeerReview itself; a round challenges each (witness, auditee) pair
+//!   at most once, so there is nothing to coalesce. The response is
+//!   encoded straight from the borrowed log segment into a reused scratch
+//!   buffer (no per-response allocation).
 //! * **Zero-copy audit plane**: each dispatch drains a node's inbox into
 //!   one reused buffer ([`Cluster::poll_into`]) and parses every delivery
-//!   in place ([`EnvelopeView`]): the handlers read commands, seals and
+//!   in place (`EnvelopeView`): the handlers read commands, seals and
 //!   log entries out of the delivered bytes, a witness replays a response
 //!   or a farewell tail without copying an entry, and a verified
 //!   commitment is copied once, into the record that keeps it. Relays
@@ -243,7 +242,7 @@
 //!   cluster with lazy pairwise sessions ([`Cluster::sparse`]), so a link
 //!   costs a key exchange only once something is sent over it.
 //! * **Round digests**: an envelope that carries no application command —
-//!   audit traffic (challenges and responses, batched or not),
+//!   audit traffic (challenges and responses),
 //!   announcements, gossip, evidence, checkpoint and membership traffic —
 //!   is not logged one control digest per envelope. Its SHA-256 goes into
 //!   a per-node accumulator that is folded into one
@@ -265,7 +264,7 @@
 //!
 //! One file per role, all over the one engine struct: `commitment` (the
 //! per-node logs, round digests and ride queue), `audit_round` (commit,
-//! flush, challenge, sweep and the batched send path), `pair` (the one
+//! flush, challenge, sweep and the send path), `pair` (the one
 //! owner of a (witness, auditee) pair's lifecycle: `AuditPair::step`
 //! takes a `PairEvent` — picked for an audit, auditee down, round end,
 //! answered, farewell, fast-forward, handed back or kept — and returns a
@@ -331,7 +330,7 @@ use crate::checkpoint::shard_members;
 use crate::checkpoint::{CheckpointMark, Cosignature};
 use crate::log::{log_session, Authenticator};
 use crate::stats::AccountabilityStats;
-use crate::wire::{Envelope, EnvelopeView};
+use crate::wire::Envelope;
 use checkpoint_round::PendingCheckpoint;
 use commitment::CommitmentLayer;
 use membership::{witness_sets, witness_width};
@@ -379,15 +378,6 @@ pub trait AccountedApp {
     /// Digest of `node`'s current application state (used for cross-replica
     /// parity checks in scenario harnesses).
     fn snapshot_digest(&self, node: u32) -> [u8; 32];
-
-    /// Tap: an audit-protocol envelope was delivered to `node` from `from`
-    /// (anything but a bare [`Envelope::App`] command; a command carrying
-    /// piggybacked commitments is tapped too), in the form the engine
-    /// parsed it in place. Default: ignored. Applications can observe the
-    /// control plane (e.g. for instrumentation) without owning it.
-    fn on_control(&mut self, node: u32, from: u32, envelope: &EnvelopeView<'_>) {
-        let _ = (node, from, envelope);
-    }
 
     /// A node joined the cluster ([`AccountabilityEngine::join_node`]):
     /// allocate its application state at genesis. Default: ignored —

@@ -5,7 +5,7 @@ use super::audit_round::Outbound;
 use super::*;
 use crate::checkpoint::shard_members;
 use crate::log::{Authenticator, EntryKind, LogEntry};
-use crate::wire::{BodyView, EnvelopeView, MAX_PIGGYBACK_RIDERS};
+use crate::wire::{EnvelopeView, MAX_PIGGYBACK_RIDERS};
 use tnic_net::adversary::NodeFault;
 use tnic_net::stack::NetworkStackKind;
 
@@ -127,64 +127,6 @@ fn multicast_budget_overflow_keeps_rides_queued_instead_of_dropping() {
     // The overflow must stay queued for the dedicated flush — a sealed
     // commitment is never silently destroyed.
     assert_eq!(engine.layer.borrow().pending_rides(), 2);
-}
-
-/// A [`CounterApp`] wrapper counting the control envelopes its
-/// [`AccountedApp::on_control`] tap observes.
-struct TappedApp {
-    inner: CounterApp,
-    control_seen: usize,
-}
-
-impl AccountedApp for TappedApp {
-    type Machine = CounterMachine;
-
-    fn replay_machine(&self) -> CounterMachine {
-        self.inner.replay_machine()
-    }
-
-    fn execute(&mut self, node: u32, command: &[u8]) -> Vec<u8> {
-        self.inner.execute(node, command)
-    }
-
-    fn snapshot_digest(&self, node: u32) -> [u8; 32] {
-        self.inner.snapshot_digest(node)
-    }
-
-    fn on_control(&mut self, _node: u32, _from: u32, envelope: &EnvelopeView<'_>) {
-        assert!(!envelope.riders.is_empty() || !matches!(envelope.body, BodyView::App(_)));
-        self.control_seen += 1;
-    }
-}
-
-#[test]
-fn on_control_tap_observes_audit_traffic() {
-    let mut cluster = Cluster::fully_connected(4, Baseline::Tnic, NetworkStackKind::Tnic, 42);
-    let mut app = TappedApp {
-        inner: CounterApp::new(&cluster.nodes()),
-        control_seen: 0,
-    };
-    let mut engine = AccountabilityEngine::attach(
-        &mut cluster,
-        &app,
-        EngineConfig::default(),
-        FaultPlan::all_correct(),
-    );
-    let payload = crate::workload::app_payload_sized(0);
-    for i in 0..4u32 {
-        cluster
-            .auth_send(NodeId(i % 4), NodeId((i + 1) % 4), &payload)
-            .unwrap();
-        engine
-            .poll(&mut cluster, &mut app, NodeId((i + 1) % 4))
-            .unwrap();
-    }
-    assert_eq!(app.control_seen, 0, "app traffic is not control traffic");
-    engine.run_audit_round(&mut cluster, &mut app).unwrap();
-    assert!(
-        app.control_seen > 0,
-        "announce/challenge/response traffic reaches the tap"
-    );
 }
 
 #[test]
@@ -509,7 +451,7 @@ fn batched_rides_carry_multiple_commitments_per_message() {
     );
 }
 
-// ---- sampled auditing, batching, sharding --------------------------
+// ---- sampled auditing, hostile audit traffic, sharding ------------
 
 fn sized_deployment(
     n: u32,
@@ -631,54 +573,9 @@ fn sampled_auditing_still_exposes_a_tamperer() {
     }
 }
 
-#[test]
-fn challenge_batch_unrolls_and_is_answered_with_one_response_batch() {
-    let (mut cluster, mut app, mut engine) = counter_deployment(FaultPlan::all_correct());
-    let payload = crate::workload::app_payload_sized(0);
-    for i in 0..8u32 {
-        let from = NodeId(i % 4);
-        let to = NodeId((i + 1) % 4);
-        cluster.auth_send(from, to, &payload).unwrap();
-        engine.poll(&mut cluster, &mut app, to).unwrap();
-    }
-    let len = engine.layer.borrow().log_len(0);
-    assert!(len >= 4, "node 0 accumulated log entries");
-    // Witness 1 coalesced two challenges at node 0; the node answers
-    // both with one batched envelope encoded from borrowed segments.
-    let batch = Envelope::ChallengeBatch {
-        challenges: vec![(0, len / 2), (len / 2, len)],
-    };
-    let mut outgoing = Vec::new();
-    let batch = batch.encode();
-    let batch = EnvelopeView::parse(&batch).unwrap();
-    engine.handle_envelope(&mut app, NodeId(0), 1, batch, &mut outgoing);
-    assert_eq!(outgoing.len(), 2, "one deferred segment per challenge");
-    assert!(outgoing.iter().all(|(from, to, out)| *from == NodeId(0)
-        && *to == NodeId(1)
-        && matches!(out, Outbound::Segment { .. })));
-    engine.send_outgoing(&mut cluster, outgoing).unwrap();
-    assert_eq!(engine.stats().response_batches, 1);
-    assert_eq!(engine.stats().batched_envelopes, 2);
-    assert_eq!(engine.stats().audit_messages, 1);
-    assert_eq!(cluster.stats().messages_audit, 1);
-    assert_eq!(cluster.stats().messages_batched, 1, "one envelope saved");
-    let delivered = cluster.poll(NodeId(1)).unwrap();
-    assert_eq!(delivered.len(), 1, "both answers share one wire message");
-    let Envelope::ResponseBatch { responses } =
-        Envelope::decode(&delivered[0].message.payload).unwrap()
-    else {
-        panic!("coalesced answers travel as a response batch");
-    };
-    assert_eq!(responses.len(), 2);
-    assert_eq!(responses[0].0, 0);
-    assert_eq!(responses[1].0, len / 2);
-    assert_eq!(
-        responses[0].1.len() as u64 + responses[1].1.len() as u64,
-        len,
-        "the two segments cover the challenged span"
-    );
-}
-
+/// A batch of hostile audit envelopes, each a `Challenge` or a `Response`
+/// of its own, sent by node 3 to every other node: none panics the engine,
+/// and no correct node is convicted.
 #[test]
 fn hostile_batch_envelopes_never_panic_and_convict_nobody() {
     for piggyback in [false, true] {
@@ -689,15 +586,19 @@ fn hostile_batch_envelopes_never_panic_and_convict_nobody() {
         let (mut cluster, mut app, mut engine) =
             engine_deployment(config, FaultPlan::all_correct());
         run_rounds(&mut cluster, &mut app, &mut engine, 2);
-        let hostile: Vec<Envelope> = vec![
-            // Nonsense ranges: inverted, huge, and below-base claims.
-            Envelope::ChallengeBatch {
-                challenges: vec![(u64::MAX, 0), (0, u64::MAX), (7, 3)],
-            },
-            // Forged responses nobody asked for, with stale ranges.
-            Envelope::ResponseBatch {
-                responses: vec![(0, Vec::new()), (u64::MAX, Vec::new())],
-            },
+        // Nonsense ranges: inverted, huge, and below-base claims; then
+        // forged responses nobody asked for, with stale ranges.
+        let challenge = |from_seq, upto_seq| Envelope::Challenge { from_seq, upto_seq };
+        let response = |from_seq| Envelope::Response {
+            from_seq,
+            entries: Vec::new(),
+        };
+        let hostile = [
+            challenge(u64::MAX, 0),
+            challenge(0, u64::MAX),
+            challenge(7, 3),
+            response(0),
+            response(u64::MAX),
         ];
         // Node 3 plays the hostile sender; everyone else is a target
         // (a self-addressed answer has no session to travel on).
@@ -1052,64 +953,33 @@ fn round_digest_entries_survive_pruning_and_rotation() {
     assert_accuracy(&engine);
 }
 
-/// Records the SHA-256 of every commitment and checkpoint envelope a
-/// node receives, as the envelope's receiver folds it.
-#[derive(Default)]
-struct FoldTapApp {
-    inner: CounterApp,
-    commitments: BTreeSet<(u32, [u8; 32])>,
-    checkpoints: BTreeSet<(u32, [u8; 32])>,
+thread_local! {
+    /// The envelopes `handle_envelope` ran on this thread, with their
+    /// receivers, while a test records them (`None` otherwise).
+    static RECEIVED: RefCell<Option<Vec<(u32, Envelope)>>> = const { RefCell::new(None) };
 }
 
-impl AccountedApp for FoldTapApp {
-    type Machine = CounterMachine;
-
-    fn replay_machine(&self) -> CounterMachine {
-        self.inner.replay_machine()
-    }
-
-    fn execute(&mut self, node: u32, command: &[u8]) -> Vec<u8> {
-        self.inner.execute(node, command)
-    }
-
-    fn snapshot_digest(&self, node: u32) -> [u8; 32] {
-        self.inner.snapshot_digest(node)
-    }
-
-    fn on_control(&mut self, node: u32, _from: u32, envelope: &EnvelopeView<'_>) {
-        let envelope = envelope.clone().into_owned();
-        let digest = tnic_crypto::sha256::sha256(&envelope.encode());
-        match envelope {
-            Envelope::Announce(_) | Envelope::Gossip(_) => {
-                self.commitments.insert((node, digest));
-            }
-            Envelope::CheckpointPropose(_)
-            | Envelope::CheckpointCosign(_)
-            | Envelope::CheckpointCommit { .. } => {
-                self.checkpoints.insert((node, digest));
-            }
-            _ => {}
+/// Records `envelope`, delivered to `node`, if this thread's test records.
+pub(super) fn record_received(node: u32, envelope: &EnvelopeView<'_>) {
+    RECEIVED.with_borrow_mut(|received| {
+        if let Some(received) = received {
+            received.push((node, envelope.clone().into_owned()));
         }
-    }
+    });
 }
 
 #[test]
 fn round_digest_with_commitment_and_checkpoint_envelopes_replays_across_prune_and_rotation() {
     // Dedicated mode sends every commitment and checkpoint envelope
-    // bare, so the tap's re-encoding is the folded payload.
+    // bare, so the recorded envelope's re-encoding is the folded payload.
     let config = EngineConfig {
         witness_count: Some(2),
         checkpoint_interval: Some(1),
         rotate_witnesses: true,
         ..EngineConfig::default()
     };
-    let mut cluster = Cluster::fully_connected(4, Baseline::Tnic, NetworkStackKind::Tnic, 42);
-    let mut app = FoldTapApp {
-        inner: CounterApp::new(&cluster.nodes()),
-        ..FoldTapApp::default()
-    };
-    let mut engine =
-        AccountabilityEngine::attach(&mut cluster, &app, config, FaultPlan::all_correct());
+    RECEIVED.set(Some(Vec::new()));
+    let (mut cluster, mut app, mut engine) = engine_deployment(config, FaultPlan::all_correct());
     let payload = crate::workload::app_payload_sized(0);
     // Every round entry any node ever held: (node, seq) -> digests.
     let mut round_entries: BTreeMap<(u32, u64), Vec<u8>> = BTreeMap::new();
@@ -1132,6 +1002,24 @@ fn round_digest_with_commitment_and_checkpoint_envelopes_replays_across_prune_an
         }
     }
     assert!(engine.stats().witness_rotations > 0, "rotation happened");
+    // The SHA-256 of every commitment and checkpoint envelope a node
+    // received, as the envelope's receiver folds it.
+    let mut commitments = BTreeSet::new();
+    let mut checkpoints = BTreeSet::new();
+    for (node, envelope) in RECEIVED.take().expect("this test records") {
+        let digest = tnic_crypto::sha256::sha256(&envelope.encode());
+        match envelope {
+            Envelope::Announce(_) | Envelope::Gossip(_) => {
+                commitments.insert((node, digest));
+            }
+            Envelope::CheckpointPropose(_)
+            | Envelope::CheckpointCosign(_)
+            | Envelope::CheckpointCommit { .. } => {
+                checkpoints.insert((node, digest));
+            }
+            _ => {}
+        }
+    }
     // A round entry that folded both a received commitment and a
     // received checkpoint envelope, and that a certified checkpoint
     // has since pruned: its node's witnesses replayed it.
@@ -1143,7 +1031,7 @@ fn round_digest_with_commitment_and_checkpoint_envelopes_replays_across_prune_an
     let carrying: Vec<(u32, u64)> = round_entries
         .iter()
         .filter(|(&(node, _), digests)| {
-            folds(node, digests, &app.commitments) && folds(node, digests, &app.checkpoints)
+            folds(node, digests, &commitments) && folds(node, digests, &checkpoints)
         })
         .map(|(&key, _)| key)
         .collect();
@@ -1203,7 +1091,7 @@ fn segment_straddling_a_concurrent_prune_is_answered_with_the_certificate() {
     let before = engine.stats().certificate_responses;
     // A deferred segment whose range now straddles the pruned base.
     engine
-        .send_segments(&mut cluster, NodeId(1), NodeId(0), &[(0, base + 1)])
+        .send_segment(&mut cluster, NodeId(1), NodeId(0), 0, base + 1)
         .unwrap();
     assert_eq!(
         engine.stats().certificate_responses,

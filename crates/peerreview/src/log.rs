@@ -165,8 +165,8 @@ fn round_digest(digest_bytes: &[u8]) -> [u8; 32] {
 /// Instead of appending one control digest per envelope, a node
 /// accumulates the round's envelopes that carry no application command
 /// and appends **one** entry per audit round. It covers the audit protocol
-/// (challenges and responses, batched or not, the traffic class that feeds
-/// the audit-log inflation loop) and every other control envelope:
+/// (challenges and responses, the traffic class that feeds the audit-log
+/// inflation loop) and every other control envelope:
 /// announcements, gossip, evidence, checkpoint propose/cosign/commit and
 /// join/leave/recover. An envelope that carries an application command is
 /// logged in full as a `Send`/`Recv` entry instead, because witnesses
@@ -373,7 +373,7 @@ impl LogEntry {
     /// Appends the entry's audit-response form to `out`:
     /// `seq ‖ tag ‖ peer ‖ prev ‖ len ‖ content`. Writing into the caller's
     /// buffer lets a response be encoded in place, with no `Vec` per entry.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.push(self.kind.tag());
         out.extend_from_slice(&self.kind.peer().to_le_bytes());
@@ -405,7 +405,7 @@ impl<'a> LogEntryView<'a> {
     /// one: whether the entry links to its predecessor and to the sealed
     /// head is the witness's to compute during replay, once per entry.
     #[must_use]
-    pub fn parse(bytes: &'a [u8]) -> Option<(Self, usize)> {
+    pub(crate) fn parse(bytes: &'a [u8]) -> Option<(Self, usize)> {
         if bytes.len() < 8 + 1 + 4 + 32 + 4 {
             return None;
         }
@@ -736,7 +736,7 @@ impl Authenticator {
     /// Serialises the authenticator into `out`, appending: its attested
     /// message's wire form (`node`, `seq` and `head` are read back from the
     /// attested payload by [`AuthenticatorView::parse`]).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         self.attestation.encode_into(out);
     }
 
@@ -849,7 +849,7 @@ pub struct CompactAuthenticator {
 impl CompactAuthenticator {
     /// Serialises the authenticator into `out`, appending: the bytes of
     /// [`Authenticator::encode_into`], payload rebuilt on the stack.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let payload = authenticator_payload(self.node, self.seq, &self.head);
         AttestedView {
             mac: self.mac,

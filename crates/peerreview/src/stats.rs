@@ -98,20 +98,14 @@ pub struct AccountabilityStats {
     pub witness_rotations: u64,
     /// Incoming-witness records created by rotation (state handovers).
     pub witness_handovers: u64,
-    /// Audit wire messages actually sent (challenges, responses and their
-    /// batched forms — the scalable-audit headline; announces/gossip are
-    /// commitment traffic and counted separately).
+    /// Audit wire messages actually sent (challenges and responses — the
+    /// scalable-audit headline; announces/gossip are commitment traffic and
+    /// counted separately).
     pub audit_messages: u64,
     /// (witness, auditee) pairs a sampling witness deliberately left out of
     /// a round (sampled auditing; they are *not* suspected — only a pair
     /// with a challenge in flight can time out).
     pub audits_sampled_out: u64,
-    /// `ResponseBatch` envelopes sent (each coalesces ≥ 2 responses).
-    pub response_batches: u64,
-    /// Individual responses that travelled inside a batch envelope instead
-    /// of their own message; the wire savings is
-    /// `batched_envelopes - response_batches`.
-    pub batched_envelopes: u64,
     /// Audit replays performed by witnesses (each `check_response` over a
     /// received log segment, including departure-tail replays).
     pub audit_replays: u64,

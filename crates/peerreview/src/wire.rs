@@ -52,16 +52,16 @@
 //!
 //! # One parser, one writer
 //!
-//! There is one parser: [`EnvelopeView::parse`] reads an envelope in place
+//! There is one parser: `EnvelopeView::parse` reads an envelope in place
 //! from the delivered bytes, with commands, log entries and seal payloads
 //! borrowed, and validates every element as it goes. [`Envelope::decode`]
 //! is that parse plus one conversion to the owned type, and
-//! [`Envelope::app_command`] reads the riders and the tag the same way, so
+//! `Envelope::app_command` reads the riders and the tag the same way, so
 //! the engine's dispatch, the owned decode and a witness's replay accept
-//! exactly the same bytes. Lists (entries, riders, batch elements) stay
-//! borrowed as [`ListView`]s and are read again on iteration.
+//! exactly the same bytes. Lists (entries, riders) stay borrowed and are
+//! read again on iteration.
 //!
-//! There is one writer: [`Envelope::encode_into`] writes into a caller's
+//! There is one writer: `Envelope::encode_into` writes into a caller's
 //! buffer, cleared first, with authenticators, entries and nested blocks
 //! written in place; [`Envelope::encode`] wraps it. The raw encoders —
 //! responses over borrowed log segments, piggyback splicing, dedicated ride
@@ -98,8 +98,6 @@ const TAG_CKPT_COMMIT: u8 = 9;
 const TAG_JOIN: u8 = 10;
 const TAG_LEAVE: u8 = 11;
 const TAG_RECOVER: u8 = 12;
-const TAG_CHALLENGE_BATCH: u8 = 13;
-const TAG_RESPONSE_BATCH: u8 = 14;
 
 /// A typed accountability-protocol payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,23 +179,6 @@ pub enum Envelope {
         /// The recovering node's sealed current log commitment.
         Authenticator,
     ),
-    /// A coalesced round batch of audit challenges from one witness to the
-    /// same peer (the scaled audit path: the engine merges every challenge
-    /// it owes a peer this round into one envelope instead of one message
-    /// per challenge). Each element is a `(from_seq, upto_seq)` range with
-    /// [`Envelope::Challenge`] semantics.
-    ChallengeBatch {
-        /// The challenged ranges (1 or more).
-        challenges: Vec<(u64, u64)>,
-    },
-    /// The audited node's coalesced answer to a [`Envelope::ChallengeBatch`]:
-    /// one `(from_seq, entries)` log segment per answered challenge, each
-    /// with [`Envelope::Response`] semantics and verified independently by
-    /// the receiving witness.
-    ResponseBatch {
-        /// The returned segments (1 or more).
-        responses: Vec<(u64, Vec<LogEntry>)>,
-    },
 }
 
 /// One commitment riding on a piggybacked envelope.
@@ -252,23 +233,12 @@ fn push_entries(out: &mut Vec<u8>, entries: &[LogEntry]) {
     }
 }
 
-/// The shared body format of [`Envelope::Response`] and each element of
-/// [`Envelope::ResponseBatch`]: `from_seq` (8 bytes LE), then the entry
-/// list.
-fn push_response_body(out: &mut Vec<u8>, from_seq: u64, entries: &[LogEntry]) {
+/// A whole [`Envelope::Response`]: the head, `from_seq` (8 bytes LE), then
+/// the entry list.
+fn push_response(out: &mut Vec<u8>, from_seq: u64, entries: &[LogEntry]) {
+    push_head(out, TAG_RESPONSE);
     out.extend_from_slice(&from_seq.to_le_bytes());
     push_entries(out, entries);
-}
-
-fn push_response_batch<'e>(
-    out: &mut Vec<u8>,
-    parts: impl ExactSizeIterator<Item = (u64, &'e [LogEntry])>,
-) {
-    push_head(out, TAG_RESPONSE_BATCH);
-    out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
-    for (from_seq, entries) in parts {
-        push_block(out, |out| push_response_body(out, from_seq, entries));
-    }
 }
 
 /// The piggyback header: the tag, the rider count and each rider's gossip
@@ -288,7 +258,7 @@ fn push_riders(out: &mut Vec<u8>, riders: &[PiggybackRider]) {
 }
 
 impl Envelope {
-    /// Serialises the envelope: [`Envelope::encode_into`] on a new buffer.
+    /// Serialises the envelope: `Envelope::encode_into` on a new buffer.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -299,7 +269,7 @@ impl Envelope {
     /// Serialises the envelope into `out`, cleared first. The engine sends
     /// every control envelope through one reused buffer this way;
     /// authenticators, entries and nested blocks are written in place.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         self.write(out);
     }
@@ -323,10 +293,7 @@ impl Envelope {
                 out.extend_from_slice(&from_seq.to_le_bytes());
                 out.extend_from_slice(&upto_seq.to_le_bytes());
             }
-            Envelope::Response { from_seq, entries } => {
-                push_head(out, TAG_RESPONSE);
-                push_response_body(out, *from_seq, entries);
-            }
+            Envelope::Response { from_seq, entries } => push_response(out, *from_seq, entries),
             Envelope::Evidence { a, b } => {
                 push_head(out, TAG_EVIDENCE);
                 push_block(out, |out| a.encode_into(out));
@@ -373,20 +340,6 @@ impl Envelope {
                 push_head(out, TAG_RECOVER);
                 auth.encode_into(out);
             }
-            Envelope::ChallengeBatch { challenges } => {
-                push_head(out, TAG_CHALLENGE_BATCH);
-                out.extend_from_slice(&(challenges.len() as u32).to_le_bytes());
-                for (from_seq, upto_seq) in challenges {
-                    out.extend_from_slice(&from_seq.to_le_bytes());
-                    out.extend_from_slice(&upto_seq.to_le_bytes());
-                }
-            }
-            Envelope::ResponseBatch { responses } => push_response_batch(
-                out,
-                responses
-                    .iter()
-                    .map(|(from_seq, entries)| (*from_seq, entries.as_slice())),
-            ),
         }
     }
 
@@ -394,24 +347,9 @@ impl Envelope {
     /// into `out` (cleared first). The audit hot loop answers challenges with
     /// this plus a reused scratch buffer instead of cloning the segment into
     /// an owned envelope; the bytes are identical to `encode()`.
-    pub fn encode_response_into(out: &mut Vec<u8>, from_seq: u64, entries: &[LogEntry]) {
+    pub(crate) fn encode_response_into(out: &mut Vec<u8>, from_seq: u64, entries: &[LogEntry]) {
         out.clear();
-        push_head(out, TAG_RESPONSE);
-        push_response_body(out, from_seq, entries);
-    }
-
-    /// Encodes a [`Envelope::ResponseBatch`] over *borrowed* log segments
-    /// directly into `out` (cleared first); the bytes are identical to
-    /// `encode()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty — the engine never coalesces zero segments,
-    /// and decode rejects an empty batch.
-    pub fn encode_response_batch_into(out: &mut Vec<u8>, parts: &[(u64, &[LogEntry])]) {
-        assert!(!parts.is_empty(), "a batch carries >= 1 response");
-        out.clear();
-        push_response_batch(out, parts.iter().copied());
+        push_response(out, from_seq, entries);
     }
 
     /// Encodes a dedicated commitment message into `out` (cleared first):
@@ -423,7 +361,7 @@ impl Envelope {
     ///
     /// Panics if `rides` is empty or holds more than
     /// `1 + MAX_PIGGYBACK_RIDERS` commitments.
-    pub fn encode_rides_into(out: &mut Vec<u8>, rides: &[PiggybackRider]) {
+    pub(crate) fn encode_rides_into(out: &mut Vec<u8>, rides: &[PiggybackRider]) {
         let (first, riders) = rides.split_first().expect("a message carries >= 1 ride");
         out.clear();
         if !riders.is_empty() {
@@ -451,7 +389,7 @@ impl Envelope {
     /// Panics if `riders` is empty or exceeds [`MAX_PIGGYBACK_RIDERS`] — the
     /// ride queue pops at most that many.
     #[must_use]
-    pub fn piggyback_raw(riders: &[PiggybackRider], inner: &[u8]) -> Vec<u8> {
+    pub(crate) fn piggyback_raw(riders: &[PiggybackRider], inner: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(2 + 2 + riders.len() * (1 + 4 + 160) + inner.len());
         push_riders(&mut out, riders);
         out.extend_from_slice(inner);
@@ -462,18 +400,18 @@ impl Envelope {
     /// a piggyback ride — wrapping arbitrary non-envelope payloads would
     /// corrupt them for their receiver).
     #[must_use]
-    pub fn is_envelope(raw: &[u8]) -> bool {
+    pub(crate) fn is_envelope(raw: &[u8]) -> bool {
         raw.starts_with(&ENVELOPE_MAGIC)
     }
 
     /// Whether `raw` already is a piggyback envelope (a ride carries at most
     /// one commitment; nesting is rejected on decode).
     #[must_use]
-    pub fn is_piggyback(raw: &[u8]) -> bool {
+    pub(crate) fn is_piggyback(raw: &[u8]) -> bool {
         matches!(raw.strip_prefix(&ENVELOPE_MAGIC), Some(rest) if rest.first() == Some(&TAG_PIGGYBACK))
     }
 
-    /// Parses an envelope: [`EnvelopeView::parse`] plus one conversion to
+    /// Parses an envelope: `EnvelopeView::parse` plus one conversion to
     /// the owned type.
     ///
     /// # Errors
@@ -487,11 +425,11 @@ impl Envelope {
     /// The application command carried by an [`Envelope::App`] payload —
     /// directly or under one [`Envelope::Piggyback`] wrapper — if the raw
     /// bytes are one (used during log replay). It reads the riders and the
-    /// tag as [`EnvelopeView::parse`] does, so replay executes exactly the
+    /// tag as `EnvelopeView::parse` does, so replay executes exactly the
     /// commands the live dispatch executed. Allocation-free: the command is
     /// a subslice of `raw`.
     #[must_use]
-    pub fn app_command(raw: &[u8]) -> Option<&[u8]> {
+    pub(crate) fn app_command(raw: &[u8]) -> Option<&[u8]> {
         match split_riders(raw) {
             Ok((_, TAG_APP, command)) => Some(command),
             _ => None,
@@ -534,17 +472,17 @@ fn split_tag(bytes: &[u8]) -> Result<(u8, &[u8]), DeviceError> {
 /// materialised. A piggyback parses as its riders plus the envelope they
 /// ride on; a bare envelope has no riders.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EnvelopeView<'a> {
+pub(crate) struct EnvelopeView<'a> {
     /// The commitments riding along (none for a bare envelope).
-    pub riders: ListView<'a, RiderView<'a>>,
+    pub(crate) riders: ListView<'a, RiderView<'a>>,
     /// The envelope itself, or the one the riders ride on.
-    pub body: BodyView<'a>,
+    pub(crate) body: BodyView<'a>,
 }
 
 /// The envelope of an [`EnvelopeView`]: every [`Envelope`] kind but
 /// `Piggyback`, parsed in place.
 #[derive(Debug, Clone, PartialEq)]
-pub enum BodyView<'a> {
+pub(crate) enum BodyView<'a> {
     /// [`Envelope::App`].
     App(&'a [u8]),
     /// [`Envelope::Announce`].
@@ -589,28 +527,24 @@ pub enum BodyView<'a> {
     },
     /// [`Envelope::Recover`].
     Recover(AuthenticatorView<'a>),
-    /// [`Envelope::ChallengeBatch`]: `(from_seq, upto_seq)` ranges.
-    ChallengeBatch(ListView<'a, (u64, u64)>),
-    /// [`Envelope::ResponseBatch`].
-    ResponseBatch(ListView<'a, ResponseView<'a>>),
 }
 
 /// One commitment riding on a piggybacked envelope, parsed in place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RiderView<'a> {
+pub(crate) struct RiderView<'a> {
     /// The commitment riding along.
-    pub auth: AuthenticatorView<'a>,
+    pub(crate) auth: AuthenticatorView<'a>,
     /// Whether the commitment is relayed (gossip).
-    pub gossip: bool,
+    pub(crate) gossip: bool,
 }
 
 /// One audit response, parsed in place.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResponseView<'a> {
+pub(crate) struct ResponseView<'a> {
     /// First sequence number of the segment the node claims to return.
-    pub from_seq: u64,
+    pub(crate) from_seq: u64,
     /// The returned entries.
-    pub entries: ListView<'a, LogEntryView<'a>>,
+    pub(crate) entries: ListView<'a, LogEntryView<'a>>,
 }
 
 impl<'a> ResponseView<'a> {
@@ -633,7 +567,7 @@ impl<'a> EnvelopeView<'a> {
     ///
     /// Returns [`DeviceError::MalformedMessage`] on truncated or unknown
     /// payloads.
-    pub fn parse(bytes: &'a [u8]) -> Result<Self, DeviceError> {
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, DeviceError> {
         let (riders, tag, rest) = split_riders(bytes)?;
         Ok(EnvelopeView {
             riders,
@@ -643,7 +577,7 @@ impl<'a> EnvelopeView<'a> {
 
     /// Materialises the owned envelope.
     #[must_use]
-    pub fn into_owned(self) -> Envelope {
+    pub(crate) fn into_owned(self) -> Envelope {
         let inner = self.body.into_owned();
         if self.riders.is_empty() {
             return inner;
@@ -668,8 +602,8 @@ impl<'a> BodyView<'a> {
             TAG_APP => BodyView::App(rest),
             TAG_ANNOUNCE => BodyView::Announce(AuthenticatorView::parse(rest)?),
             TAG_GOSSIP => BodyView::Gossip(AuthenticatorView::parse(rest)?),
-            TAG_CHALLENGE => match <(u64, u64)>::read(rest) {
-                Some(((from_seq, upto_seq), used)) if used == rest.len() => {
+            TAG_CHALLENGE => match (read_u64(rest), rest.get(8..).and_then(read_u64)) {
+                (Some(from_seq), Some(upto_seq)) if rest.len() == 16 => {
                     BodyView::Challenge { from_seq, upto_seq }
                 }
                 _ => return Err(malformed()),
@@ -720,33 +654,13 @@ impl<'a> BodyView<'a> {
                 BodyView::Leave { auth, entries }
             }
             TAG_RECOVER => BodyView::Recover(AuthenticatorView::parse(rest)?),
-            TAG_CHALLENGE_BATCH => {
-                let bad = || DeviceError::MalformedMessage("bad challenge batch");
-                let count = read_u32(rest).ok_or_else(malformed)? as usize;
-                let (challenges, used) = ListView::parse(&rest[4..], count).ok_or_else(bad)?;
-                if count == 0 || 4 + used != rest.len() {
-                    return Err(bad());
-                }
-                BodyView::ChallengeBatch(challenges)
-            }
-            TAG_RESPONSE_BATCH => {
-                let count = read_u32(rest).ok_or_else(malformed)? as usize;
-                if count == 0 {
-                    return Err(DeviceError::MalformedMessage("empty response batch"));
-                }
-                let (responses, used) = ListView::parse(&rest[4..], count).ok_or_else(malformed)?;
-                if 4 + used != rest.len() {
-                    return Err(malformed());
-                }
-                BodyView::ResponseBatch(responses)
-            }
             _ => return Err(DeviceError::MalformedMessage("unknown envelope tag")),
         })
     }
 
     /// Materialises the owned envelope.
     #[must_use]
-    pub fn into_owned(self) -> Envelope {
+    pub(crate) fn into_owned(self) -> Envelope {
         let entries = |list: ListView<'a, LogEntryView<'a>>| {
             list.iter()
                 .map(|entry| entry.to_owned())
@@ -781,21 +695,12 @@ impl<'a> BodyView<'a> {
                 entries: entries(tail),
             },
             BodyView::Recover(auth) => Envelope::Recover(auth.to_owned()),
-            BodyView::ChallengeBatch(challenges) => Envelope::ChallengeBatch {
-                challenges: challenges.iter().collect(),
-            },
-            BodyView::ResponseBatch(responses) => Envelope::ResponseBatch {
-                responses: responses
-                    .iter()
-                    .map(|response| (response.from_seq, entries(response.entries)))
-                    .collect(),
-            },
         }
     }
 }
 
 /// An element of a [`ListView`], parsed from the front of a byte slice.
-pub trait WireItem<'a>: Sized {
+pub(crate) trait WireItem<'a>: Sized {
     /// Parses one element from the front of `bytes`; returns it with the
     /// number of bytes it used.
     fn read(bytes: &'a [u8]) -> Option<(Self, usize)>;
@@ -825,25 +730,10 @@ impl<'a> WireItem<'a> for RiderView<'a> {
     }
 }
 
-/// A batched response as a length-prefixed response body.
-impl<'a> WireItem<'a> for ResponseView<'a> {
-    fn read(bytes: &'a [u8]) -> Option<(Self, usize)> {
-        let (block, used) = read_block(bytes)?;
-        Some((ResponseView::parse(block)?, used))
-    }
-}
-
-/// A challenged range as `from_seq` and `upto_seq`, 8 bytes LE each.
-impl WireItem<'_> for (u64, u64) {
-    fn read(bytes: &[u8]) -> Option<(Self, usize)> {
-        Some(((read_u64(bytes)?, read_u64(bytes.get(8..)?)?), 16))
-    }
-}
-
 /// `len` elements parsed in place: every element was validated when the
 /// envelope was parsed, and iteration reads them again from the borrowed
 /// bytes, so a list costs no allocation however long it is.
-pub struct ListView<'a, T> {
+pub(crate) struct ListView<'a, T> {
     bytes: &'a [u8],
     len: usize,
     item: PhantomData<fn() -> T>,
@@ -874,21 +764,15 @@ impl<'a, T: WireItem<'a>> ListView<'a, T> {
         Some((list, used))
     }
 
-    /// Number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether the list has no elements.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The elements, in wire order.
     #[must_use]
-    pub fn iter(&self) -> ListIter<'a, T> {
+    pub(crate) fn iter(&self) -> ListIter<'a, T> {
         ListIter {
             rest: self.bytes,
             left: self.len,
@@ -928,7 +812,7 @@ impl<'a, T: WireItem<'a>> IntoIterator for ListView<'a, T> {
 }
 
 /// The iterator of a [`ListView`].
-pub struct ListIter<'a, T> {
+pub(crate) struct ListIter<'a, T> {
     rest: &'a [u8],
     left: usize,
     item: PhantomData<fn() -> T>,
@@ -1061,6 +945,20 @@ mod tests {
         bytes.extend_from_slice(&0u64.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(Envelope::decode(&bytes).is_err());
+        // Forging the entry count of a valid response, one over (it runs
+        // out of bytes) or one under (a whole entry is left trailing), is
+        // rejected too.
+        let valid = Envelope::Response {
+            from_seq: 0,
+            entries: exemplar_entries(),
+        }
+        .encode();
+        for count in [2u32, 4] {
+            let mut forged = valid.clone();
+            forged[11..15].copy_from_slice(&count.to_le_bytes());
+            assert!(EnvelopeView::parse(&forged).is_err(), "count {count}");
+            assert!(Envelope::decode(&forged).is_err(), "count {count}");
+        }
     }
 
     fn rider(node: u32, gossip: bool) -> PiggybackRider {
@@ -1302,8 +1200,8 @@ mod tests {
         assert_eq!(Envelope::app_command(&twice), None);
     }
 
-    /// A three-entry log whose entries the `Response`, `Leave` and
-    /// `ResponseBatch` exemplars carry.
+    /// A three-entry log whose entries the `Response` and `Leave` exemplars
+    /// carry.
     fn exemplar_entries() -> Vec<LogEntry> {
         let mut log = SecureLog::new();
         log.append(EntryKind::Recv { from: 1 }, b"payload".to_vec());
@@ -1357,34 +1255,6 @@ mod tests {
                 },
             ),
             (TAG_RECOVER, Envelope::Recover(sealed_auth(2))),
-        ]
-    }
-
-    /// Exemplars of the two batch tags, bare and riding a piggyback.
-    fn batch_exemplars() -> Vec<(u8, Envelope)> {
-        let entries = exemplar_entries();
-        vec![
-            (
-                TAG_CHALLENGE_BATCH,
-                Envelope::ChallengeBatch {
-                    challenges: vec![(0, 2), (2, 5), (5, 9)],
-                },
-            ),
-            (
-                TAG_RESPONSE_BATCH,
-                Envelope::ResponseBatch {
-                    responses: vec![(0, entries[..2].to_vec()), (2, entries.clone())],
-                },
-            ),
-            (
-                TAG_PIGGYBACK,
-                Envelope::Piggyback {
-                    riders: vec![rider(2, true)],
-                    inner: Box::new(Envelope::ChallengeBatch {
-                        challenges: vec![(0, 1)],
-                    }),
-                },
-            ),
         ]
     }
 
@@ -1451,24 +1321,19 @@ mod tests {
         }
     }
 
-    /// The three exemplar tables together hold every wire tag; this test
-    /// runs the tags the other two totality tests do not.
+    /// The two exemplar tables together hold every wire tag; this test
+    /// runs the tags the other totality test does not.
     #[test]
     fn every_tag_decodes_totally_under_truncation_and_bit_flips() {
         use std::collections::BTreeSet;
         let covered: BTreeSet<u8> = all_exemplars().iter().map(|(tag, _)| *tag).collect();
-        assert_eq!(covered, (TAG_APP..=TAG_RESPONSE_BATCH).collect());
+        assert_eq!(covered, (TAG_APP..=TAG_RECOVER).collect());
         assert_decodes_totally(&bare_exemplars());
     }
 
     #[test]
     fn truncation_and_bitflip_fuzz_never_panics_and_truncations_fail_clean() {
         assert_decodes_totally(&structured_exemplars());
-    }
-
-    #[test]
-    fn batch_truncation_and_bitflip_fuzz_never_panics() {
-        assert_decodes_totally(&batch_exemplars());
     }
 
     /// Proptest-style fuzz of hostile evidence envelopes: truncations,
@@ -1756,7 +1621,7 @@ mod tests {
 
     /// Every exemplar, each of every tag.
     fn all_exemplars() -> Vec<(u8, Envelope)> {
-        [structured_exemplars(), batch_exemplars(), bare_exemplars()].concat()
+        [structured_exemplars(), bare_exemplars()].concat()
     }
 
     /// Whether `inner` lies inside `outer`'s memory: a borrowed field of a
@@ -1792,9 +1657,6 @@ mod tests {
             }
             BodyView::Response(response) => response.entries.iter().collect(),
             BodyView::Leave { entries, .. } => entries.iter().collect(),
-            BodyView::ResponseBatch(responses) => {
-                responses.iter().flat_map(|r| r.entries.iter()).collect()
-            }
             _ => Vec::new(),
         };
         for entry in entries {
@@ -1807,7 +1669,7 @@ mod tests {
     /// Every exemplar parses in place to itself; the truncation and
     /// bit-flip fuzz above runs the same agreement check. Trailing bytes
     /// lengthen an application command and are refused after any other
-    /// envelope's last field, entry or element.
+    /// envelope's last field or entry.
     #[test]
     fn envelope_view_and_decode_accept_the_same_bytes_and_agree() {
         for (tag, exemplar) in all_exemplars() {
@@ -1865,65 +1727,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_envelopes_round_trip() {
-        let mut log = SecureLog::new();
-        log.append(EntryKind::Recv { from: 1 }, b"cmd".to_vec());
-        log.append(EntryKind::Exec, b"out".to_vec());
-        log.append(EntryKind::Send { to: 2 }, b"fwd".to_vec());
-        for width in 1..=4usize {
-            let batch = Envelope::ChallengeBatch {
-                challenges: (0..width as u64).map(|i| (i, i + 3)).collect(),
-            };
-            assert_eq!(Envelope::decode(&batch.encode()).unwrap(), batch, "{width}");
-            let responses = Envelope::ResponseBatch {
-                responses: (0..width)
-                    .map(|i| (i as u64, log.entries()[..=i.min(2)].to_vec()))
-                    .collect(),
-            };
-            assert_eq!(
-                Envelope::decode(&responses.encode()).unwrap(),
-                responses,
-                "{width}"
-            );
-        }
-        // A batch element with an empty segment (an unanswerable challenge)
-        // still round-trips — verification, not the wire, judges it.
-        let empty_segment = Envelope::ResponseBatch {
-            responses: vec![(7, Vec::new())],
-        };
-        assert_eq!(
-            Envelope::decode(&empty_segment.encode()).unwrap(),
-            empty_segment
-        );
-        // Batches are control traffic: never app commands, ride-capable.
-        let batch = Envelope::ChallengeBatch {
-            challenges: vec![(0, 4)],
-        };
-        assert_eq!(Envelope::app_command(&batch.encode()), None);
-        let ridden = Envelope::Piggyback {
-            riders: vec![rider(3, true)],
-            inner: Box::new(batch),
-        };
-        assert_eq!(Envelope::decode(&ridden.encode()).unwrap(), ridden);
-    }
-
-    #[test]
-    fn batch_raw_encoders_match_enum_encoding() {
+    fn response_raw_encoder_matches_enum_encoding() {
         let mut log = SecureLog::new();
         log.append(EntryKind::Exec, b"out".to_vec());
         log.append(EntryKind::Send { to: 1 }, b"fwd".to_vec());
-        let mut scratch = Vec::new();
-        let parts: Vec<(u64, &[LogEntry])> =
-            vec![(0, &log.entries()[..1]), (1, &log.entries()[1..])];
-        Envelope::encode_response_batch_into(&mut scratch, &parts);
-        let owned = Envelope::ResponseBatch {
-            responses: parts
-                .iter()
-                .map(|(s, e)| (*s, e.to_vec()))
-                .collect::<Vec<_>>(),
-        };
-        assert_eq!(scratch, owned.encode());
-
+        let mut scratch = vec![0xEE; 9];
         Envelope::encode_response_into(&mut scratch, 3, log.entries());
         let single = Envelope::Response {
             from_seq: 3,
@@ -1935,47 +1743,33 @@ mod tests {
         assert_eq!(scratch, single.encode());
     }
 
+    /// Tags 13 and 14 carried the challenge and response batches, which no
+    /// run sent. They are unknown tags now: refused bare and under a
+    /// piggyback, by the in-place parse and the owned decode alike, and
+    /// never an application command.
     #[test]
-    fn empty_batches_rejected() {
-        for tag in [TAG_CHALLENGE_BATCH, TAG_RESPONSE_BATCH] {
-            let mut bytes = ENVELOPE_MAGIC.to_vec();
-            bytes.push(tag);
-            bytes.extend_from_slice(&0u32.to_le_bytes());
-            assert!(Envelope::decode(&bytes).is_err(), "tag {tag}");
+    fn retired_batch_tags_are_refused_like_any_unknown_tag() {
+        // A one-element batch of each kind, in the retired encoding: the
+        // element count, then the range or the length-prefixed response.
+        let mut challenges = 1u32.to_le_bytes().to_vec();
+        challenges.extend_from_slice(&0u64.to_le_bytes());
+        challenges.extend_from_slice(&4u64.to_le_bytes());
+        let mut responses = 1u32.to_le_bytes().to_vec();
+        push_block(&mut responses, |out| {
+            out.extend_from_slice(&0u64.to_le_bytes());
+            push_entries(out, &exemplar_entries());
+        });
+        for (tag, body) in [(13u8, challenges), (14, responses)] {
+            let mut bare = ENVELOPE_MAGIC.to_vec();
+            bare.push(tag);
+            bare.extend_from_slice(&body);
+            let ridden = Envelope::piggyback_raw(&[rider(2, true)], &bare);
+            for bytes in [bare, ridden] {
+                assert!(EnvelopeView::parse(&bytes).is_err(), "tag {tag}");
+                assert!(Envelope::decode(&bytes).is_err(), "tag {tag}");
+                assert_eq!(Envelope::app_command(&bytes), None, "tag {tag}");
+            }
         }
-    }
-
-    #[test]
-    fn batch_with_huge_claimed_count_rejected_without_allocation() {
-        // A Byzantine batch claiming u32::MAX elements with a tiny body must
-        // fail fast instead of preallocating gigabytes.
-        for tag in [TAG_CHALLENGE_BATCH, TAG_RESPONSE_BATCH] {
-            let mut bytes = ENVELOPE_MAGIC.to_vec();
-            bytes.push(tag);
-            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-            bytes.extend_from_slice(&[0u8; 16]);
-            assert!(Envelope::decode(&bytes).is_err(), "tag {tag}");
-        }
-        // Trailing garbage after a well-formed batch is rejected.
-        let mut padded = Envelope::ChallengeBatch {
-            challenges: vec![(1, 2)],
-        }
-        .encode();
-        padded.push(0);
-        assert!(Envelope::decode(&padded).is_err());
-        let mut padded = Envelope::ResponseBatch {
-            responses: vec![(0, Vec::new())],
-        }
-        .encode();
-        padded.push(0);
-        assert!(Envelope::decode(&padded).is_err());
-        // Forging the element count on otherwise valid bytes is rejected.
-        let mut forged = Envelope::ChallengeBatch {
-            challenges: vec![(1, 2), (3, 4)],
-        }
-        .encode();
-        forged[3..7].copy_from_slice(&3u32.to_le_bytes());
-        assert!(Envelope::decode(&forged).is_err());
     }
 
     #[test]
