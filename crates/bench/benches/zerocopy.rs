@@ -179,16 +179,17 @@ fn audit_path_probe() -> bool {
     const WINDOW_ROUNDS: u64 = 4;
     const MSGS_PER_ROUND: u64 = 8;
     /// Steady-state allocations per audit round (workload included), and
-    /// the bound: 254 with responses encoded in place, consistency checks
+    /// the bound: 206 with responses encoded in place, consistency checks
     /// that build no payload, every control envelope folded into the round
     /// digest, every attested message moved, not cloned, into its
     /// receiver's inbox, the cluster's, the commitment layer's and the
     /// audit pairs' tables indexed by node id (no tree node or per-round
     /// sample set to build), every delivery parsed in place and drained
     /// into one reused buffer, every control message encoded into one
-    /// reused wire buffer, relays queued without their payload, and each
-    /// queued outbound message sent as it comes.
-    const MAX_ALLOCS_PER_AUDIT_ROUND: u64 = 254;
+    /// reused wire buffer, relays queued without their payload, each
+    /// queued outbound message sent as it comes, commitments stored in
+    /// their compact form and challenges that keep only `(seq, head)`.
+    const MAX_ALLOCS_PER_AUDIT_ROUND: u64 = 206;
 
     let config = PeerReviewConfig {
         nodes: 8,

@@ -34,11 +34,11 @@ use tnic_net::adversary::{FaultPlan, NodeFault, PartitionSchedule};
 const MAX_LARGE_N_SECONDS: f64 = 480.0;
 
 /// Bound on the whole sweep's peak resident set (`VmHWM`), in MB, read once
-/// after the last row. About 1.5× the 683 MB the grid peaks at on
+/// after the last row. About 1.5× the 502 MB the grid peaks at on
 /// a 2-vCPU Linux host, most of it in the n = 10 000 rows: wide enough for
 /// allocator and host noise, tight enough to catch per-pair or per-key
 /// state growing by half again before it reaches a runner's memory limit.
-const MAX_SWEEP_PEAK_RSS_MB: f64 = 1024.0;
+const MAX_SWEEP_PEAK_RSS_MB: f64 = 768.0;
 
 /// A measured grid point: the fault-free run and the detection latencies
 /// of its tamperer twins (full audit, own sampling).

@@ -286,8 +286,10 @@ pub struct AttestationStats {
     pub rejected: u64,
 }
 
-/// The attestation kernel: the HMAC unit over one table of session records
-/// (key, prepared key, send and receive counter), one lookup per call.
+/// The attestation kernel: the HMAC unit over one table of session records,
+/// sorted by session id and binary-searched once per call. A record holds
+/// the session's send and receive counters and its key: the raw key until
+/// the session's first MAC, only the prepared key after it.
 #[derive(Debug, Clone)]
 pub struct AttestationKernel {
     device: DeviceId,

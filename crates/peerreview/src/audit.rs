@@ -60,7 +60,7 @@
 //!
 //! [`NodeFault::FalseSuspicion`]: tnic_net::adversary::NodeFault::FalseSuspicion
 
-use crate::log::{Authenticator, AuthenticatorView, LogEntryView};
+use crate::log::{Authenticator, AuthenticatorView, CompactAuthenticator, LogEntryView};
 use crate::wire::Envelope;
 use tnic_core::transform::StateMachine;
 
@@ -248,15 +248,49 @@ pub fn commitments_conflict(a: &AuthenticatorView<'_>, b: &AuthenticatorView<'_>
     a.node == b.node && a.seq == b.seq && a.head != b.head
 }
 
+/// What a replay checks a response against: the challenged commitment's
+/// sequence number and head. A witness keeps only this `(seq, head)` pair
+/// of the commitment it challenges; an [`Authenticator`] has both too.
+pub trait AuditTarget {
+    /// The committed `(seq, head)`.
+    fn seq_head(&self) -> (u64, [u8; 32]);
+}
+
+impl AuditTarget for Authenticator {
+    fn seq_head(&self) -> (u64, [u8; 32]) {
+        (self.seq, self.head)
+    }
+}
+
+impl AuditTarget for (u64, [u8; 32]) {
+    fn seq_head(&self) -> (u64, [u8; 32]) {
+        *self
+    }
+}
+
 /// One witness's accumulated view of one audited node.
+///
+/// # The commitment store
+///
+/// The record keeps one commitment per distinct `(seq, head)` it received
+/// since the last certified checkpoint, payload-free
+/// ([`CompactAuthenticator`]) and sorted by `seq`, commitments to the same
+/// `seq` in arrival order. That is the set conflict detection needs: a
+/// fork at any retained `seq`, audited or not, meets the commitment it
+/// contradicts. Entries at or below the audited prefix are kept for that
+/// reason until a checkpoint covers them; only
+/// [`WitnessRecord::drop_commitments_upto`] removes any. A store finds the
+/// `seq`'s run with one binary search and looks only inside it, and the
+/// audit target is the last entry.
 #[derive(Debug, Clone)]
 pub struct WitnessRecord<S: StateMachine> {
     /// Sequence number up to which the log has been audited.
     pub audited_seq: u64,
     /// Head hash at `audited_seq`.
     pub audited_head: [u8; 32],
-    /// Commitments received (directly or via gossip), newest last.
-    pub commitments: Vec<Authenticator>,
+    /// Commitments received (directly or via gossip), sorted by `seq`,
+    /// each `seq`'s run in arrival order (see the type's docs).
+    commitments: Vec<CompactAuthenticator>,
     /// The reference state machine replayed alongside the node's log.
     pub machine: S,
     /// Current verdict.
@@ -316,25 +350,30 @@ impl<S: StateMachine> WitnessRecord<S> {
     /// Θ(witnesses) per round. Identical-content copies carry no new
     /// information — only a *different* head for a known seq does (and that
     /// is exactly the conflict case, which is kept).
-    /// A new commitment is copied into the record once, from the view;
-    /// a duplicate is not copied at all.
+    ///
+    /// One binary search finds the run of held commitments to `auth.seq`;
+    /// the dedup and the conflict search read that run only, and a new
+    /// commitment is inserted after it in its compact form, copying no
+    /// payload. The evidence's first half is the earliest held conflicting
+    /// commitment, its payload rebuilt; the second is `auth`.
     pub fn store_commitment(&mut self, auth: &AuthenticatorView<'_>) -> Option<Misbehavior> {
-        if self
-            .commitments
+        let start = self.commitments.partition_point(|held| held.seq < auth.seq);
+        let end = start
+            + self.commitments[start..]
+                .iter()
+                .take_while(|held| held.seq == auth.seq)
+                .count();
+        let mut same = self.commitments[start..end]
             .iter()
-            .any(|held| held.node == auth.node && held.seq == auth.seq && held.head == auth.head)
-        {
+            .filter(|held| held.node == auth.node);
+        if same.clone().any(|held| held.head == auth.head) {
             return None;
         }
-        let auth = auth.to_owned();
-        let conflict = self
-            .commitments
-            .iter()
-            .find(|held| commitments_conflict(&held.as_view(), &auth.as_view()))
-            .map(|held| Misbehavior::ConflictingCommitments {
-                a: Box::new(held.clone()),
-                b: Box::new(auth.clone()),
-            });
+        // Same node and seq, and every head differs: the first one conflicts.
+        let conflict = same.next().map(|held| Misbehavior::ConflictingCommitments {
+            a: Box::new(held.to_authenticator()),
+            b: Box::new(auth.to_owned()),
+        });
         tnic_obs::trace_event!(
             tnic_obs::EventKind::Commitment,
             at_us: self.trace.at_us,
@@ -344,20 +383,26 @@ impl<S: StateMachine> WitnessRecord<S> {
             round: self.trace.round,
             aux: u64::from(conflict.is_some())
         );
-        self.commitments.push(auth);
+        self.commitments.insert(end, auth.compact());
         if let Some(evidence) = &conflict {
             self.convict(evidence.clone());
         }
         conflict
     }
 
-    /// The newest commitment strictly beyond the audited prefix.
+    /// The newest commitment strictly beyond the audited prefix: the last
+    /// held one, if it lies beyond.
     #[must_use]
-    pub fn next_audit_target(&self) -> Option<&Authenticator> {
+    pub fn next_audit_target(&self) -> Option<&CompactAuthenticator> {
         self.commitments
-            .iter()
-            .filter(|a| a.seq > self.audited_seq)
-            .max_by_key(|a| a.seq)
+            .last()
+            .filter(|held| held.seq > self.audited_seq)
+    }
+
+    /// The commitments the record holds, sorted by `seq`.
+    #[must_use]
+    pub(crate) fn commitments(&self) -> &[CompactAuthenticator] {
+        &self.commitments
     }
 
     /// Marks the node exposed with `evidence`.
@@ -385,9 +430,9 @@ impl<S: StateMachine> WitnessRecord<S> {
     /// when the second commitment arrived, and the resulting evidence is
     /// kept separately). Returns the number of commitments dropped.
     pub fn drop_commitments_upto(&mut self, cut: u64) -> usize {
-        let before = self.commitments.len();
-        self.commitments.retain(|c| c.seq > cut);
-        before - self.commitments.len()
+        let covered = self.commitments.partition_point(|held| held.seq <= cut);
+        self.commitments.drain(..covered);
+        covered
     }
 
     /// Fast-forwards the audit state to a certified checkpoint boundary: a
@@ -449,8 +494,9 @@ impl<S: StateMachine> WitnessRecord<S> {
         }
     }
 
-    /// Verifies an audit response against the commitment `upto` and replays
-    /// it on the reference machine. On success the audited prefix advances
+    /// Verifies an audit response against the commitment `upto` (its
+    /// `(seq, head)` is all the check reads) and replays it on the
+    /// reference machine. On success the audited prefix advances
     /// and the verdict (unless already `Exposed`) returns to `Trusted`.
     ///
     /// It trusts nothing but the record's audited head and the sealed
@@ -468,7 +514,7 @@ impl<S: StateMachine> WitnessRecord<S> {
     /// propagate it (the record itself is already convicted).
     pub fn check_response<'e, I>(
         &mut self,
-        upto: &Authenticator,
+        upto: &impl AuditTarget,
         entries: I,
     ) -> Result<(), Misbehavior>
     where
@@ -476,13 +522,14 @@ impl<S: StateMachine> WitnessRecord<S> {
         I::IntoIter: Clone,
         I::Item: Into<LogEntryView<'e>>,
     {
-        if let Err(evidence) = self.check_response_inner(upto, entries.into_iter()) {
+        let (upto_seq, upto_head) = upto.seq_head();
+        if let Err(evidence) = self.check_response_inner(upto_seq, upto_head, entries.into_iter()) {
             tnic_obs::trace_event!(
                 tnic_obs::EventKind::AuditReplay,
                 at_us: self.trace.at_us,
                 node: self.trace.witness,
                 peer: self.trace.node,
-                seq: upto.seq,
+                seq: upto_seq,
                 round: self.trace.round,
                 aux: evidence.trace_code()
             );
@@ -494,12 +541,12 @@ impl<S: StateMachine> WitnessRecord<S> {
             at_us: self.trace.at_us,
             node: self.trace.witness,
             peer: self.trace.node,
-            seq: upto.seq,
+            seq: upto_seq,
             round: self.trace.round,
             aux: tnic_obs::codes::MIS_NONE
         );
-        self.audited_seq = upto.seq;
-        self.audited_head = upto.head;
+        self.audited_seq = upto_seq;
+        self.audited_head = upto_head;
         if self.verdict == Verdict::Suspected {
             self.verdict = Verdict::Trusted;
             self.trace_verdict(Verdict::Suspected, tnic_obs::codes::MIS_NONE);
@@ -509,7 +556,8 @@ impl<S: StateMachine> WitnessRecord<S> {
 
     fn check_response_inner<'e, I>(
         &mut self,
-        upto: &Authenticator,
+        upto_seq: u64,
+        upto_head: [u8; 32],
         entries: I,
     ) -> Result<(), Misbehavior>
     where
@@ -517,16 +565,16 @@ impl<S: StateMachine> WitnessRecord<S> {
         I::Item: Into<LogEntryView<'e>>,
     {
         let provided = entries.clone().count() as u64;
-        let expected = upto.seq.saturating_sub(self.audited_seq);
+        let expected = upto_seq.saturating_sub(self.audited_seq);
         if provided < expected {
             return Err(Misbehavior::Truncated {
-                committed_seq: upto.seq,
+                committed_seq: upto_seq,
                 provided: self.audited_seq + provided,
             });
         }
         if provided > expected {
             return Err(Misbehavior::SurplusEntries {
-                committed_seq: upto.seq,
+                committed_seq: upto_seq,
                 surplus: provided - expected,
             });
         }
@@ -581,9 +629,9 @@ impl<S: StateMachine> WitnessRecord<S> {
             }
             head = crate::log::chain_hash(&head, seq, entry.kind, entry.content);
         }
-        if head != upto.head {
+        if head != upto_head {
             return Err(Misbehavior::HeadMismatch {
-                committed_seq: upto.seq,
+                committed_seq: upto_seq,
             });
         }
         Ok(())
@@ -661,7 +709,7 @@ mod tests {
         let mut record = WitnessRecord::new(CounterMachine::new());
         assert!(record.store_commitment(&first.as_view()).is_none());
         assert!(record.store_commitment(&second.as_view()).is_none());
-        assert_eq!(record.commitments.len(), 1);
+        assert_eq!(record.commitments().len(), 1);
         assert_eq!(record.verdict, Verdict::Trusted);
     }
 
@@ -1041,8 +1089,8 @@ mod tests {
             record.store_commitment(&seal(&mut kernel, 1, seq, [seq as u8; 32]).as_view());
         }
         assert_eq!(record.drop_commitments_upto(3), 3);
-        assert_eq!(record.commitments.len(), 1);
-        assert_eq!(record.commitments[0].seq, 4);
+        assert_eq!(record.commitments().len(), 1);
+        assert_eq!(record.commitments()[0].seq, 4);
     }
 
     #[test]
@@ -1089,5 +1137,182 @@ mod tests {
         record.convict(Misbehavior::BrokenChain { at_seq: 0 });
         record.mark_unresponsive();
         assert_eq!(record.verdict, Verdict::Exposed);
+    }
+
+    /// The commitment store as a linear scan over full authenticators in
+    /// arrival order: the reference the sorted compact store is checked
+    /// against. `store` is the dedup and conflict search of the scan,
+    /// returning the evidence's halves.
+    struct LinearStore {
+        audited_seq: u64,
+        commitments: Vec<Authenticator>,
+    }
+
+    impl LinearStore {
+        fn store(&mut self, auth: &Authenticator) -> Option<(Authenticator, Authenticator)> {
+            if self.commitments.iter().any(|held| {
+                held.node == auth.node && held.seq == auth.seq && held.head == auth.head
+            }) {
+                return None;
+            }
+            let conflict = self
+                .commitments
+                .iter()
+                .find(|held| commitments_conflict(&held.as_view(), &auth.as_view()))
+                .map(|held| (held.clone(), auth.clone()));
+            self.commitments.push(auth.clone());
+            conflict
+        }
+
+        fn next_audit_target(&self) -> Option<&Authenticator> {
+            self.commitments
+                .iter()
+                .filter(|a| a.seq > self.audited_seq)
+                .max_by_key(|a| a.seq)
+        }
+
+        fn drop_upto(&mut self, cut: u64) -> usize {
+            let before = self.commitments.len();
+            self.commitments.retain(|c| c.seq > cut);
+            before - self.commitments.len()
+        }
+    }
+
+    /// A log of `len` entries that replays clean on any witness.
+    fn send_log(len: u64) -> SecureLog {
+        let mut log = SecureLog::new();
+        for i in 0..len {
+            log.append(EntryKind::Send { to: 2 }, i.to_le_bytes().to_vec());
+        }
+        log
+    }
+
+    /// The sorted compact store against [`LinearStore`] under a seeded run
+    /// of stores (duplicates, up to three heads at one seq, seqs out of
+    /// order), checkpoint drops and successful audits, all drawn near a
+    /// frontier that moves up the log as the run goes. After every
+    /// operation both give the same evidence, byte for byte, the same audit
+    /// target (seq, head and seal) and the same number of held commitments.
+    #[test]
+    fn sorted_compact_store_matches_the_linear_scan_under_random_operations() {
+        use tnic_sim::rng::DetRng;
+        const STEPS: u64 = 4_000;
+        let log = send_log(STEPS / 6 + 4);
+        let head_of = |seq: u64, variant: u64| match variant {
+            0 => log.head_at(seq).unwrap(),
+            fork => [(seq as u8) ^ (fork as u8) << 6; 32],
+        };
+        let mut kernel = node_kernel(1);
+        let mut record = WitnessRecord::new(CounterMachine::new());
+        let mut reference = LinearStore {
+            audited_seq: 0,
+            commitments: Vec::new(),
+        };
+        let mut rng = DetRng::new(0xc0_5707e);
+        let (mut conflicts, mut audits, mut dropped) = (0, 0, 0);
+        for step in 0..STEPS {
+            let frontier = 1 + step / 6;
+            match rng.next_below(10) {
+                0..=6 => {
+                    let seq = rng.range(frontier.saturating_sub(8).max(1), frontier + 4);
+                    let variant = rng.next_below(6).saturating_sub(3);
+                    let auth = seal(&mut kernel, 1, seq, head_of(seq, variant));
+                    let encoded = |a: &Authenticator, b: &Authenticator| {
+                        (a.attestation.encode(), b.attestation.encode())
+                    };
+                    let got = match record.store_commitment(&auth.as_view()) {
+                        Some(Misbehavior::ConflictingCommitments { a, b }) => Some(encoded(&a, &b)),
+                        Some(other) => panic!("step {step}: {other:?}"),
+                        None => None,
+                    };
+                    let want = reference.store(&auth).map(|(a, b)| encoded(&a, &b));
+                    assert_eq!(got, want, "step {step}: evidence");
+                    conflicts += usize::from(got.is_some());
+                }
+                7 | 8 => {
+                    let target = record.next_audit_target().copied();
+                    if let Some(target) = target.filter(|t| t.head == head_of(t.seq, 0)) {
+                        let entries = log.segment(record.audited_seq, target.seq);
+                        record
+                            .check_response(&(target.seq, target.head), entries)
+                            .unwrap();
+                        reference.audited_seq = target.seq;
+                        audits += 1;
+                    }
+                }
+                _ => {
+                    let cut = rng.range(frontier.saturating_sub(24), frontier);
+                    let count = record.drop_commitments_upto(cut);
+                    assert_eq!(count, reference.drop_upto(cut), "step {step}: drop");
+                    dropped += count;
+                }
+            }
+            assert_eq!(record.audited_seq, reference.audited_seq);
+            assert_eq!(
+                record.next_audit_target().copied(),
+                reference.next_audit_target().map(Authenticator::compact),
+                "step {step}: target"
+            );
+            assert_eq!(record.commitments().len(), reference.commitments.len());
+        }
+        assert!(
+            conflicts > 100 && audits > 100 && dropped > 100,
+            "{conflicts} {audits} {dropped}"
+        );
+    }
+
+    /// Two hundred rounds without a checkpoint: each round the node logs a
+    /// command and its output and seals the head twice (the direct copy and
+    /// a gossiped one), and the witness audits up to it. The store stays
+    /// sorted with one commitment per round, the audit target is always the
+    /// last entry, and a fork of round 150's commitment, arriving after
+    /// round 200 at an audited seq, convicts with that commitment as `a`.
+    #[test]
+    fn an_unpruned_200_round_run_stays_sorted_and_convicts_a_late_fork() {
+        let mut kernel = node_kernel(1);
+        let mut node_machine = CounterMachine::new();
+        let mut log = SecureLog::new();
+        let mut record = WitnessRecord::new(CounterMachine::new());
+        let sorted = |held: &[CompactAuthenticator]| held.windows(2).all(|w| w[0].seq <= w[1].seq);
+        let mut at_150 = None;
+        for round in 1..=200u64 {
+            let command = Envelope::App(b"incr".to_vec()).encode();
+            log.append(
+                EntryKind::Recv { from: 9 },
+                crate::log::content_full(&command),
+            );
+            log.append(EntryKind::Exec, node_machine.execute(b"incr"));
+            let auth = seal(&mut kernel, 1, log.len(), log.head());
+            let gossiped = seal(&mut kernel, 1, log.len(), log.head());
+            assert!(record.store_commitment(&auth.as_view()).is_none());
+            assert!(record.store_commitment(&gossiped.as_view()).is_none());
+            let held = record.commitments();
+            assert!(sorted(held) && held.len() as u64 == round, "round {round}");
+            let target = *record.next_audit_target().unwrap();
+            assert_eq!((target, Some(&target)), (auth.compact(), held.last()));
+            let entries = log.segment(record.audited_seq, target.seq);
+            record
+                .check_response(&(target.seq, target.head), entries)
+                .unwrap();
+            assert!(record.next_audit_target().is_none());
+            if round == 150 {
+                at_150 = Some(auth);
+            }
+        }
+        let real = at_150.unwrap();
+        assert!(real.seq < record.audited_seq);
+        let mut forked_head = real.head;
+        forked_head[0] ^= 0xFF;
+        let fork = seal(&mut kernel, 1, real.seq, forked_head);
+        let evidence = record.store_commitment(&fork.as_view());
+        assert_eq!(
+            evidence,
+            Some(Misbehavior::ConflictingCommitments {
+                a: Box::new(real),
+                b: Box::new(fork),
+            })
+        );
+        assert_eq!(record.verdict, Verdict::Exposed);
+        assert!(sorted(record.commitments()) && record.commitments().len() == 201);
     }
 }

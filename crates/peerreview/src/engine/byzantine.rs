@@ -8,7 +8,7 @@
 //! allocation on the per-pair paths.
 
 use super::*;
-use crate::log::Authenticator;
+use crate::log::{Authenticator, CompactAuthenticator};
 use tnic_net::adversary::NodeFault;
 
 /// What a witness forwards of the commitments it stores.
@@ -228,8 +228,8 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 let real = self
                     .pairs
                     .get(forger, auditee)
-                    .and_then(|p| p.record.commitments.iter().max_by_key(|a| a.seq))
-                    .cloned();
+                    .and_then(|p| p.record.commitments().last().copied())
+                    .map(CompactAuthenticator::to_authenticator);
                 let (seq, head) = real.as_ref().map_or((1, [0x5Au8; 32]), |a| (a.seq, a.head));
                 // A commitment to `head` in the auditee's name, sealed on
                 // the forger's own device.

@@ -288,6 +288,10 @@
 //! commit certificate. An `AuditPair` per (witness, auditee) holds the
 //! witness's [`WitnessRecord`], the round sampled auditing last selected
 //! the pair, and the challenge in flight with its retry and backoff state.
+//! The record keeps its commitments without their payloads, sorted by
+//! seq, so a store binary-searches for its seq and the audit target is the
+//! last entry; the challenge in flight keeps only the challenged
+//! commitment's `(seq, head)`, which is all the replay reads.
 //! The pairs live in a `PairTable`, indexed by witness id: per witness, its
 //! auditee ids ascending and their pairs beside them, so a lookup
 //! binary-searches a few ids and a round visits the pairs in (witness,
@@ -328,7 +332,7 @@ mod witness;
 use crate::audit::{Misbehavior, TraceCtx, Verdict, WitnessRecord};
 use crate::checkpoint::shard_members;
 use crate::checkpoint::{CheckpointMark, Cosignature};
-use crate::log::{log_session, Authenticator};
+use crate::log::log_session;
 use crate::stats::AccountabilityStats;
 use crate::wire::Envelope;
 use checkpoint_round::PendingCheckpoint;
@@ -857,7 +861,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         stats.retained_commitments = self
             .pairs
             .iter()
-            .map(|(_, _, p)| p.record.commitments.len() as u64)
+            .map(|(_, _, p)| p.record.commitments().len() as u64)
             .sum();
         stats
     }

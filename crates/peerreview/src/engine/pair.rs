@@ -27,9 +27,11 @@ pub(super) struct AuditPair<M: StateMachine> {
 }
 
 /// A challenge awaiting its answer, with its timeout–retry–backoff state.
+#[derive(Clone, Copy)]
 struct Outstanding {
-    /// The commitment under challenge.
-    target: Authenticator,
+    /// The `(seq, head)` of the commitment under challenge: all the replay
+    /// reads of it.
+    target: (u64, [u8; 32]),
     /// When the challenge was first sent (audit latency).
     started: SimInstant,
     /// Round-end timeouts seen so far.
@@ -64,10 +66,8 @@ pub(super) enum PairEvent {
     Kept { carried: Option<u64> },
 }
 
-/// What the engine does for a pair after an event. Not `Copy`: `Replay`
-/// hands the challenged commitment itself to the caller, which a copy
-/// would have to allocate.
-#[derive(Debug, PartialEq)]
+/// What the engine does for a pair after an event.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) enum PairAction {
     /// Nothing.
     Nothing,
@@ -82,10 +82,9 @@ pub(super) enum PairAction {
     /// auditee.
     Suspect,
     /// The answer is for the challenge: replay it against `target`, the
-    /// commitment challenged at `started`. The challenged commitment moves
-    /// out of the pair, so an answer copies nothing.
+    /// `(seq, head)` of the commitment challenged at `started`.
     Replay {
-        target: Authenticator,
+        target: (u64, [u8; 32]),
         started: SimInstant,
     },
 }
@@ -106,8 +105,8 @@ impl<M: StateMachine> AuditPair<M> {
 
     /// The pair's one transition: `event` happened in audit round `round`
     /// under a budget of `retries` re-sends
-    /// ([`EngineConfig::challenge_retries`]). A fresh challenge keeps a
-    /// copy of the commitment it targets; nothing else allocates.
+    /// ([`EngineConfig::challenge_retries`]). A fresh challenge keeps the
+    /// `(seq, head)` of the commitment it targets; nothing allocates.
     pub(super) fn step(&mut self, event: PairEvent, round: u64, retries: u32) -> PairAction {
         match (event, &mut self.outstanding) {
             // An exposed auditee is not audited again.
@@ -118,7 +117,7 @@ impl<M: StateMachine> AuditPair<M> {
             // or not: the answer may have been lost to a crash or an open
             // partition.
             (PairEvent::Selected { .. }, Some(out)) if round >= out.resume_round => {
-                let (upto_seq, attempt) = (out.target.seq, out.attempts);
+                let (upto_seq, attempt) = (out.target.0, out.attempts);
                 PairAction::Resend { upto_seq, attempt }
             }
             // A pair outside the round's sample is not challenged, so it
@@ -133,10 +132,9 @@ impl<M: StateMachine> AuditPair<M> {
                 let upto_seq = target.seq;
                 // The first round-end timeout, this same round, starts the
                 // retry clock.
-                let (target, started) = (target.clone(), now);
                 self.outstanding = Some(Outstanding {
-                    target,
-                    started,
+                    target: (upto_seq, target.head),
+                    started: now,
                     attempts: 0,
                     resume_round: round,
                 });
@@ -176,7 +174,7 @@ impl<M: StateMachine> AuditPair<M> {
                     // fast-forward any at all (a certificate may arrive as
                     // the answer to one).
                     PairEvent::Farewell { seq } => {
-                        challenge.take_if(|out| out.target.seq <= seq);
+                        challenge.take_if(|out| out.target.0 <= seq);
                     }
                     PairEvent::FastForward => *challenge = None,
                     // A handed-back pair starts fresh: no challenge, a full
@@ -352,7 +350,7 @@ mod tests {
     //! `r + 2^retries − 1`.
 
     use super::*;
-    use crate::log::{log_session, EntryKind, LogEntry, SecureLog};
+    use crate::log::{log_session, Authenticator, EntryKind, LogEntry, SecureLog};
     use tnic_core::transform::CounterMachine;
     use tnic_device::attestation::{AttestedMessage, ATTESTATION_LEN};
     use tnic_device::types::DeviceId;
@@ -437,10 +435,7 @@ mod tests {
                 pair: AuditPair {
                     record: pair.record.clone(),
                     last_selected: pair.last_selected,
-                    outstanding: pair.outstanding.as_ref().map(|out| Outstanding {
-                        target: out.target.clone(),
-                        ..*out
-                    }),
+                    outstanding: pair.outstanding,
                 },
                 ..*self
             }
@@ -522,7 +517,7 @@ mod tests {
             }
             (PairEvent::Answered { from_seq: echoed }, Some(c)) if echoed == from_seq => {
                 PairAction::Replay {
-                    target: auditee.honest(c.upto_seq),
+                    target: (c.upto_seq, auditee.heads[c.upto_seq as usize]),
                     started: SimInstant::from_nanos(c.round),
                 }
             }
@@ -612,7 +607,7 @@ mod tests {
 
     fn lifecycle(pair: &AuditPair<CounterMachine>) -> Lifecycle {
         let challenge = pair.outstanding.as_ref();
-        let challenge = challenge.map(|o| (o.target.seq, o.started, o.attempts, o.resume_round));
+        let challenge = challenge.map(|o| (o.target.0, o.started, o.attempts, o.resume_round));
         (challenge, pair.last_selected)
     }
 
@@ -682,7 +677,7 @@ mod tests {
             PairAction::Replay { target, .. } => {
                 world.challenge = None;
                 let from_seq = world.pair.record.audited_seq;
-                let entries = auditee.segment(from_seq, target.seq);
+                let entries = auditee.segment(from_seq, target.0);
                 let _ = world.pair.record.check_response(&target, entries);
                 if world.honest {
                     assert_eq!(

@@ -397,7 +397,7 @@ fn below_base_challenge_answered_with_certificate_not_suspicion() {
     {
         let pair = engine.pairs.get_mut(0, 1).unwrap();
         pair.record = WitnessRecord::new(CounterMachine::new());
-        pair.record.commitments.push(seal);
+        assert!(pair.record.store_commitment(&seal.as_view()).is_none());
         let selected = PairEvent::Selected { sampled: true, now };
         assert_eq!(
             pair.step(selected, round, engine.config.challenge_retries),
@@ -1243,14 +1243,14 @@ fn witness_ignores_a_certificate_whose_cosignature_seals_fail() {
     engine.handle_checkpoint_commit(0, &mark, &forged);
     let record = &engine.pairs.get(0, 1).unwrap().record;
     assert_eq!(record.audited_seq, 0, "no fast-forward on failed seals");
-    assert_eq!(record.commitments.len(), 1, "no prune on failed seals");
+    assert_eq!(record.commitments().len(), 1, "no prune on failed seals");
     assert_eq!(engine.stats().commitments_pruned, pruned);
     // The genuine certificate does both.
     engine.handle_checkpoint_commit(0, &mark, &cosigs);
     let record = &engine.pairs.get(0, 1).unwrap().record;
     assert_eq!(record.audited_seq, mark.cut, "fast-forwarded to the cut");
     assert!(
-        record.commitments.is_empty(),
+        record.commitments().is_empty(),
         "the covered commitment is pruned"
     );
     assert_eq!(engine.stats().commitments_pruned, pruned + 1);

@@ -76,7 +76,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
                 self.stats.leave_audits += 1;
                 self.stats.audit_replays += 1;
                 self.stats.entries_replayed += seq - audited;
-                let _ = record.check_response(&auth.to_owned(), tail);
+                let _ = record.check_response(&(seq, auth.head), tail);
             }
         }
         pair.step(
@@ -118,8 +118,8 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
         auth.consistent() && self.attestation_verifies(witness, auth.attestation)
     }
 
-    /// Stores a commitment the witness verified, copied once into its
-    /// record, and forwards it: evidence on a conflict, and a relay of a
+    /// Stores a commitment the witness verified, in its record's compact
+    /// form, and forwards it: evidence on a conflict, and a relay of a
     /// directly received commitment to each fellow witness, made without
     /// the payload (see [`crate::log::CompactAuthenticator`]).
     pub(super) fn handle_commitment(
@@ -281,7 +281,7 @@ impl<A: AccountedApp> AccountabilityEngine<A> {
             at_us: ctx.at_us,
             node: witness,
             peer: node,
-            seq: target.seq,
+            seq: target.0,
             round: ctx.round,
             aux: replayed
         );

@@ -860,6 +860,23 @@ impl CompactAuthenticator {
         }
         .encode_into(out);
     }
+
+    /// The authenticator this is the compact form of, its payload rebuilt
+    /// as `Authenticator::payload(node, seq, head)` (one allocation).
+    pub(crate) fn to_authenticator(self) -> Authenticator {
+        Authenticator {
+            node: self.node,
+            seq: self.seq,
+            head: self.head,
+            attestation: AttestedMessage {
+                mac: self.mac,
+                session: self.session,
+                device: self.device,
+                counter: self.counter,
+                payload: Authenticator::payload(self.node, self.seq, &self.head),
+            },
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1280,6 +1297,7 @@ mod tests {
             let view = AuthenticatorView::parse(&bytes).unwrap();
             assert_eq!(view.compact(), auth.compact());
             assert_eq!(view.to_owned(), auth);
+            assert_eq!(auth.compact().to_authenticator(), auth);
         }
     }
 
